@@ -3,7 +3,8 @@ matrix kernels every distribution in this package depends on.
 
 An element of R, C, H or O is stored as its beta real coefficients in the
 Cayley-Dickson basis (1, e1, ..., e_{beta-1}); an m x n matrix is a float
-array of shape (m, n, beta).  Multiplication is one recursive doubling rule,
+array of shape (m, n, beta).  Scalars multiply by one recursive doubling
+rule,
 
     (a, b)(c, d) = (a c - conj(d) b,  d a + b conj(c)),
 
@@ -11,10 +12,20 @@ which builds C from pairs of reals, H from pairs of C, and O from pairs of H.
 Under this rule e1*e2 = e3 for quaternions and the norm is multiplicative for
 all four algebras.
 
+Matrix kernels over R, C and H run in numpy on the complex representation:
+the matrix itself for beta = 1, 2 and the 2m x 2n complex adjoint for
+beta = 4 (F. Zhang, Linear Algebra Appl. 251, 1997), an injective algebra
+homomorphism that commutes with the conjugate transpose.  So products,
+solves and inverses carry over exactly, the positive-diagonal Cholesky
+factor of the adjoint is the adjoint of the factor (it is unique), and each
+quaternion singular value or eigenvalue appears in the adjoint as a
+coincident (Kramers) pair.  Every kernel is one numpy call between
+`_complex_embed_raw` and `_complex_unembed_raw`.
+
 Octonion matrices with m >= 2 are rejected everywhere: octonion matrix
-algebra is non-associative and none of the factorizations below extend to it.
-Scalar (1x1) octonion arithmetic is supported so the scalar density formulas
-stay exercisable at beta = 8.
+algebra is non-associative and has no complex representation.  Scalar (1x1)
+octonion arithmetic is kept so the scalar density formulas stay exercisable
+at beta = 8; the kernels handle it with the scalar product and real division.
 """
 
 from __future__ import annotations
@@ -91,6 +102,60 @@ def _conj_t_raw(x: np.ndarray) -> np.ndarray:
     return _conj_coeffs(np.swapaxes(x, -3, -2))
 
 
+def _check_beta_shape(beta: int, m: int, n: int) -> None:
+    if beta == 8 and max(m, n) > 1:
+        raise OctonionMatrixError(
+            "octonion (beta = 8) support is limited to 1x1 matrices; "
+            f"got {m}x{n}"
+        )
+
+
+def _complex_embed_raw(x: np.ndarray, beta: int) -> np.ndarray:
+    """Complex representation of (..., m, n, beta) coefficients.
+
+    The coefficients are laid out as numpy stores complex numbers: (re, im)
+    for beta = 2, and for beta = 4 the pair (a, b) of q = a + b j, with
+    a = w + x i and b = y + z i.  beta = 1, 2 give the matrix itself; beta = 4
+    gives the 2m x 2n adjoint, each entry becoming the block
+    [[a, b], [-conj(b), conj(a)]], which is multiplicative.
+    """
+    if beta == 1:
+        return x[..., 0]
+    if beta == 8:
+        raise OctonionMatrixError("no complex representation exists for beta = 8")
+    c = np.ascontiguousarray(x, dtype=np.float64).view(np.complex128)
+    if beta == 2:
+        return c[..., 0]
+    m, n = x.shape[-3], x.shape[-2]
+    out = np.empty(x.shape[:-3] + (m, 2, n, 2), dtype=np.complex128)
+    out[..., 0, :, :] = c
+    out[..., 1, :, 0] = -np.conj(c[..., 1])
+    out[..., 1, :, 1] = np.conj(c[..., 0])
+    return out.reshape(x.shape[:-3] + (2 * m, 2 * n))
+
+
+def _complex_unembed_raw(z: np.ndarray, beta: int) -> np.ndarray:
+    """(..., m, n, beta) coefficients of a complex representation.
+
+    For beta = 4 only the rows [a, b] of each block are read; the others
+    repeat them.
+    """
+    if beta == 1:
+        return z[..., None]
+    if beta == 4:
+        z = z[..., 0::2, :]
+    z = np.ascontiguousarray(z, dtype=np.complex128)
+    return z.view(np.float64).reshape(z.shape[:-1] + (-1, beta))
+
+
+def _octonion_scalar(x: np.ndarray) -> bool:
+    """True for a beta = 8 array; the kernels take one only as (..., 1, 1, 8)."""
+    if x.shape[-1] != 8:
+        return False
+    _check_beta_shape(8, x.shape[-3], x.shape[-2])
+    return True
+
+
 def _matmul_raw(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product on (..., m, k, beta) x (..., k, n, beta) arrays."""
     if a.shape[-2] != b.shape[-3]:
@@ -98,19 +163,32 @@ def _matmul_raw(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             f"matmul dimension mismatch: {a.shape[-3]}x{a.shape[-2]} by "
             f"{b.shape[-3]}x{b.shape[-2]}"
         )
-    prod = _mul_coeffs(a[..., :, :, None, :], b[..., None, :, :, :])
-    return prod.sum(axis=-3)
+    beta = a.shape[-1]
+    if _octonion_scalar(a) and _octonion_scalar(b):
+        return _mul_coeffs(a, b)
+    return _complex_unembed_raw(
+        _complex_embed_raw(a, beta) @ _complex_embed_raw(b, beta), beta
+    )
 
 
 def _identity_raw(m: int, beta: int) -> np.ndarray:
     out = np.zeros((m, m, beta))
-    for i in range(m):
-        out[i, i, 0] = 1.0
+    out[..., 0] = np.eye(m)
     return out
 
 
 def _hermitize_raw(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + _conj_t_raw(a))
+
+
+def _require_hermitian(a: np.ndarray, what: str = "matrix") -> None:
+    """Raise ValueError unless |A - A*| <= HERMITIAN_ATOL * max(1, |A|_max)
+    coefficient-wise."""
+    gap = float(np.abs(a - _conj_t_raw(a)).max())
+    if gap > HERMITIAN_ATOL * max(1.0, float(np.abs(a).max())):
+        raise ValueError(
+            f"{what} is not Hermitian: max |A - A*| coefficient {gap:.3e}"
+        )
 
 
 def _real_trace_raw(a: np.ndarray) -> np.ndarray:
@@ -125,25 +203,26 @@ def _frobenius_sq_raw(a: np.ndarray) -> np.ndarray:
 def _cholesky_raw(a: np.ndarray) -> np.ndarray:
     """Lower-triangular L with L L* = A and real positive diagonal.
 
-    `a` must be Hermitian, shape (..., m, m, beta).  Raises
-    NotPositiveDefinite on a non-positive pivot anywhere in the batch.
+    `a` must be Hermitian, shape (..., m, m, beta); only its lower triangle
+    is read.  Raises NotPositiveDefinite if any matrix in the batch is not
+    positive definite or has a non-finite factor.
     """
-    m = a.shape[-2]
-    lo = np.zeros_like(a)
-    for j in range(m):
-        acc = a[..., j, j, :].copy()
-        for k in range(j):
-            acc -= _mul_coeffs(lo[..., j, k, :], _conj_coeffs(lo[..., j, k, :]))
-        piv = acc[..., 0]
-        if not np.all(np.isfinite(piv)) or np.any(piv <= 0.0):
-            raise NotPositiveDefinite(f"non-positive pivot at index {j}")
-        ljj = np.sqrt(piv)
-        lo[..., j, j, 0] = ljj
-        for i in range(j + 1, m):
-            acc = a[..., i, j, :].copy()
-            for k in range(j):
-                acc -= _mul_coeffs(lo[..., i, k, :], _conj_coeffs(lo[..., j, k, :]))
-            lo[..., i, j, :] = acc / ljj[..., None]
+    beta = a.shape[-1]
+    if _octonion_scalar(a):
+        piv = a[..., 0]
+        if not np.all(piv > 0.0):
+            raise NotPositiveDefinite("non-positive pivot at index 0")
+        lo = np.zeros_like(a)
+        lo[..., 0] = np.sqrt(piv)
+    else:
+        try:
+            lo = np.linalg.cholesky(_complex_embed_raw(a, beta))
+        except np.linalg.LinAlgError:
+            raise NotPositiveDefinite("matrix is not positive definite") from None
+        lo = _complex_unembed_raw(lo, beta)
+    # LAPACK passes NaN through and factors an infinite diagonal.
+    if not np.all(np.isfinite(lo)):
+        raise NotPositiveDefinite("matrix has a non-finite Cholesky factor")
     return lo
 
 
@@ -153,100 +232,52 @@ def _chol_logdet_raw(lo: np.ndarray) -> np.ndarray:
     return 2.0 * np.log(diag).sum(axis=-1)
 
 
-def _solve_lower_raw(lo: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve L X = B by forward substitution; L must have a real diagonal."""
-    m = lo.shape[-2]
-    x = np.zeros_like(b)
-    for i in range(m):
-        acc = b[..., i, :, :].copy()
-        for k in range(i):
-            acc -= _mul_coeffs(lo[..., i, k, None, :], x[..., k, :, :])
-        x[..., i, :, :] = acc / lo[..., i, i, 0, None, None]
-    return x
-
-
-def _solve_upper_raw(up: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve U X = B by back substitution; U must have a real diagonal."""
-    m = up.shape[-2]
-    x = np.zeros_like(b)
-    for i in range(m - 1, -1, -1):
-        acc = b[..., i, :, :].copy()
-        for k in range(i + 1, m):
-            acc -= _mul_coeffs(up[..., i, k, None, :], x[..., k, :, :])
-        x[..., i, :, :] = acc / up[..., i, i, 0, None, None]
-    return x
-
-
-def _invert_lower_raw(lo: np.ndarray) -> np.ndarray:
-    m = lo.shape[-2]
-    eye = np.broadcast_to(_identity_raw(m, lo.shape[-1]), lo.shape).copy()
-    return _solve_lower_raw(lo, eye)
+def _solve_raw(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve A X = B for invertible (..., m, m, beta) A and (..., m, n, beta) B;
+    the leading axes broadcast.  A 1x1 octonion A must be real, as the
+    Cholesky factors that reach here are."""
+    beta = a.shape[-1]
+    if _octonion_scalar(a):
+        return b / a[..., :1]
+    return _complex_unembed_raw(
+        np.linalg.solve(_complex_embed_raw(a, beta), _complex_embed_raw(b, beta)),
+        beta,
+    )
 
 
 def _hpd_inverse_raw(a: np.ndarray) -> np.ndarray:
-    """Inverse of a Hermitian positive definite array via Cholesky."""
-    k = _invert_lower_raw(_cholesky_raw(a))
-    return _matmul_raw(_conj_t_raw(k), k)
-
-
-def _complex_embed_raw(x: np.ndarray, beta: int) -> np.ndarray:
-    """Embed (..., m, n, beta) into a complex array, doubling for beta = 4.
-
-    beta = 1, 2 embed entrywise; beta = 4 maps each entry
-    w + x e1 + y e2 + z e3 to the 2x2 complex block
-    [[w + x i, y + z i], [-y + z i, w - x i]], which is multiplicative.
-    """
-    if beta == 1:
-        return x[..., 0].astype(complex)
-    if beta == 2:
-        return x[..., 0] + 1j * x[..., 1]
-    if beta == 4:
-        m, n = x.shape[-3], x.shape[-2]
-        a = x[..., 0] + 1j * x[..., 1]
-        b = x[..., 2] + 1j * x[..., 3]
-        out = np.zeros(x.shape[:-3] + (2 * m, 2 * n), dtype=complex)
-        out[..., 0::2, 0::2] = a
-        out[..., 0::2, 1::2] = b
-        out[..., 1::2, 0::2] = -np.conj(b)
-        out[..., 1::2, 1::2] = np.conj(a)
+    """Inverse of a Hermitian positive definite array, hermitized."""
+    beta = a.shape[-1]
+    if _octonion_scalar(a):
+        out = np.zeros_like(a)
+        out[..., 0] = 1.0 / a[..., 0]
         return out
-    raise OctonionMatrixError("no complex adjoint exists for beta = 8")
+    inv = np.linalg.inv(_complex_embed_raw(a, beta))
+    return _hermitize_raw(_complex_unembed_raw(inv, beta))
 
 
-def _collapse_pairs(vals: np.ndarray, check: bool = True) -> np.ndarray:
-    """Average coincident (Kramers) pairs of a descending value array."""
+def _collapse_pairs(vals: np.ndarray) -> np.ndarray:
+    """Average the coincident (Kramers) pairs of descending adjoint spectra,
+    checking each matrix's pairs against its own largest value."""
     lead, trail = vals[..., 0::2], vals[..., 1::2]
-    if check:
-        scale = np.maximum(1.0, np.abs(vals).max())
-        if np.any(np.abs(lead - trail) > PAIR_COLLAPSE_RTOL * scale):
-            raise ArithmeticError(
-                "adjoint spectrum does not split into coincident pairs"
-            )
+    scale = np.maximum(1.0, np.abs(vals).max(axis=-1, keepdims=True))
+    if np.any(np.abs(lead - trail) > PAIR_COLLAPSE_RTOL * scale):
+        raise ArithmeticError(
+            "adjoint spectrum does not split into coincident pairs"
+        )
     return 0.5 * (lead + trail)
 
 
 def _singular_values_raw(x: np.ndarray, beta: int) -> np.ndarray:
-    """Descending singular values on (..., m, n, beta), m <= n assumed."""
+    """Descending singular values on (..., m, n, beta), min(m, n) each."""
     s = np.linalg.svd(_complex_embed_raw(x, beta), compute_uv=False)
-    if beta == 4:
-        s = _collapse_pairs(s, check=False)
-    return s
+    return _collapse_pairs(s) if beta == 4 else s
 
 
 def _eigvalsh_raw(a: np.ndarray, beta: int) -> np.ndarray:
     """Descending real eigenvalues of Hermitian (..., m, m, beta)."""
     w = np.linalg.eigvalsh(_complex_embed_raw(a, beta))[..., ::-1]
-    if beta == 4:
-        w = _collapse_pairs(w, check=False)
-    return w
-
-
-def _check_beta_shape(beta: int, m: int, n: int) -> None:
-    if beta == 8 and max(m, n) > 1:
-        raise OctonionMatrixError(
-            "octonion (beta = 8) support is limited to 1x1 matrices; "
-            f"got {m}x{n}"
-        )
+    return _collapse_pairs(w) if beta == 4 else w
 
 
 # ---------------------------------------------------------------------------
@@ -462,12 +493,7 @@ class HermitianPD:
         if mat.m != mat.n:
             raise ValueError("Hermitian matrix must be square")
         _check_beta_shape(mat.tag.beta, mat.m, mat.n)
-        gap = np.abs(mat.data - _conj_t_raw(mat.data)).max()
-        scale = max(1.0, float(np.abs(mat.data).max()))
-        if gap > HERMITIAN_ATOL * scale:
-            raise ValueError(
-                f"matrix is not Hermitian: max |A - A*| coefficient {gap:.3e}"
-            )
+        _require_hermitian(mat.data)
         sym = _hermitize_raw(mat.data)
         chol = _cholesky_raw(sym)  # raises NotPositiveDefinite
         object.__setattr__(self, "mat", DivMatrix(mat.tag, sym))
@@ -566,19 +592,12 @@ def complex_adjoint(x: DivMatrix) -> DivMatrix:
 
 
 def singular_values(x: DivMatrix) -> np.ndarray:
-    """Singular values in descending order.
+    """The min(m, n) singular values in descending order.
 
     For beta = 4 the values come from the complex adjoint, whose spectrum
-    consists of coincident pairs; each pair is reported once.  A matrix with
-    m > n is transposed internally, so min(m, n) values are returned.
+    consists of coincident pairs; each pair is reported once.
     """
-    if x.tag.beta == 8:
-        raise OctonionMatrixError("singular values are not defined for beta = 8")
-    data = x.data if x.m <= x.n else _conj_t_raw(x.data)
-    s = np.linalg.svd(_complex_embed_raw(data, x.tag.beta), compute_uv=False)
-    if x.tag.beta == 4:
-        s = _collapse_pairs(s, check=True)
-    return s
+    return _singular_values_raw(x.data, x.tag.beta)
 
 
 def hermitian_eigenvalues(a) -> np.ndarray:
@@ -589,16 +608,7 @@ def hermitian_eigenvalues(a) -> np.ndarray:
     is reported once.
     """
     mat = a.mat if isinstance(a, HermitianPD) else a
-    if mat.tag.beta == 8:
-        raise OctonionMatrixError("eigenvalues are not defined for beta = 8")
     if mat.m != mat.n:
         raise ValueError("eigenvalues require a square matrix")
-    gap = np.abs(mat.data - _conj_t_raw(mat.data)).max()
-    scale = max(1.0, float(np.abs(mat.data).max()))
-    if gap > HERMITIAN_ATOL * scale:
-        raise ValueError("matrix is not Hermitian")
-    w = np.linalg.eigvalsh(_complex_embed_raw(_hermitize_raw(mat.data), mat.tag.beta))
-    w = w[::-1]
-    if mat.tag.beta == 4:
-        w = _collapse_pairs(w, check=True)
-    return w
+    _require_hermitian(mat.data)
+    return _eigvalsh_raw(_hermitize_raw(mat.data), mat.tag.beta)

@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from ._version import __version__
-from .algebra import AlgebraTag, DivMatrix
+from .algebra import AlgebraTag, DivMatrix, _conj_t_raw, _hermitize_raw, _matmul_raw
 from .distributions import (
     BetaIIParams,
     GammaScalarParams,
@@ -296,8 +296,6 @@ def _spectrum_values(family, kind, tag, raw):
         if raw.shape[1] > raw.shape[2]:
             raise _CliError("eigen spectra of T T* need m <= n; "
                             "use --kind singular for tall matrices")
-        from .algebra import _conj_t_raw, _hermitize_raw, _matmul_raw
-
         gram = _hermitize_raw(_matmul_raw(raw, _conj_t_raw(raw)))
         return eigenvalues_batch(tag, gram)
     return eigenvalues_batch(tag, raw)

@@ -26,6 +26,7 @@ from .algebra import (
     AlgebraTag,
     DivMatrix,
     HermitianPD,
+    _check_beta_shape,
     _cholesky_raw,
     _chol_logdet_raw,
     _conj_t_raw,
@@ -34,14 +35,13 @@ from .algebra import (
     _hermitize_raw,
     _hpd_inverse_raw,
     _identity_raw,
-    _invert_lower_raw,
     _matmul_raw,
     _real_trace_raw,
-    _solve_lower_raw,
-    _solve_upper_raw,
+    _require_hermitian,
+    _solve_raw,
 )
 from .errors import DomainError, OctonionMatrixError
-from .special import log_gamma, log_mvbeta, log_mvgamma, GammaArgs
+from .special import _lmg, log_gamma, log_mvbeta
 
 __all__ = [
     "RngStream",
@@ -490,19 +490,18 @@ def sample_matric_t(rng: RngStream, params: MatricTParams,
         lw = _wishart_chol_raw(gen, beta, m, params.nu, params.Xi.chol.data, nsamp)
         y = _std_normal_raw(gen, beta, (nsamp, m, n))
         y = _matmul_raw(y, _conj_t_raw(params.Sigma.chol.data)[None, ...])
-        t = _solve_lower_raw(lw, y)
+        t = _solve_raw(lw, y)
     elif method == "inverse_root":
         nu_u = params.nu + n - m
         if not nu_u > beta * (n - 1):
             raise DomainError(
                 f"inverse_root requires nu+n-m > beta*(n-1) = {beta * (n - 1)}"
             )
-        sig_inv = _hpd_inverse_raw(params.Sigma.mat.data)
-        g = _cholesky_raw(_hermitize_raw(sig_inv))
+        g = _cholesky_raw(_hpd_inverse_raw(params.Sigma.mat.data))
         lu = _wishart_chol_raw(gen, beta, n, nu_u, g, nsamp)
         x = _std_normal_raw(gen, beta, (nsamp, m, n))
-        x = _solve_upper_raw(_conj_t_raw(params.Xi.chol.data)[None, ...], x)
-        t = _conj_t_raw(_solve_upper_raw(_conj_t_raw(lu), _conj_t_raw(x)))
+        x = _solve_raw(_conj_t_raw(params.Xi.chol.data)[None, ...], x)
+        t = _conj_t_raw(_solve_raw(_conj_t_raw(lu), _conj_t_raw(x)))
     else:
         raise ValueError(f"unknown matricvariate T method {method!r}")
     t = t + params.mu.data[None, ...]
@@ -531,8 +530,7 @@ def sample_matrix_mt(rng: RngStream, params: MatrixMTParams,
     tag = params.tag
     beta = tag.beta
     m, n = params.m, params.n
-    if beta == 8 and max(m, n) > 1:
-        raise OctonionMatrixError("beta = 8 sampling is limited to 1x1")
+    _check_beta_shape(beta, m, n)
     nsamp = 1 if size is None else int(size)
     gen = rng.generator
     s = gen.gamma(beta * params.nu / 2.0, 2.0 * params.rho / beta, size=nsamp)
@@ -543,10 +541,10 @@ def sample_matrix_mt(rng: RngStream, params: MatrixMTParams,
         and np.array_equal(params.Lambda.mat.data, _identity_raw(n, beta))
     )
     if not identity_scales:
-        p = _solve_upper_raw(_conj_t_raw(params.Delta.chol.data)[None, ...], t1)
+        p = _solve_raw(_conj_t_raw(params.Delta.chol.data)[None, ...], t1)
         t1 = _conj_t_raw(
-            _solve_upper_raw(_conj_t_raw(params.Lambda.chol.data)[None, ...],
-                             _conj_t_raw(p))
+            _solve_raw(_conj_t_raw(params.Lambda.chol.data)[None, ...],
+                       _conj_t_raw(p))
         )
     t1 = t1 + params.mu.data[None, ...]
     return _wrap_single(tag, t1, size)
@@ -577,17 +575,13 @@ def sample_elliptical_t(rng: RngStream, tag: AlgebraTag, m: int, n: int, nu: int
     y *= scale[:, None, None, None]
     y1, y2 = y[:, :, :n, :], y[:, :, n:, :]
     v = _hermitize_raw(_matmul_raw(y2, _conj_t_raw(y2)))
-    t = _solve_lower_raw(_cholesky_raw(v), y1)
+    t = _solve_raw(_cholesky_raw(v), y1)
     return _wrap_single(tag, t, size)
 
 
 # ---------------------------------------------------------------------------
 # Log densities.
 # ---------------------------------------------------------------------------
-
-
-def _lmg(tag: AlgebraTag, m: int, a: float) -> float:
-    return log_mvgamma(GammaArgs(tag, m, a))
 
 
 def _logdet_hermitian_raw(a: np.ndarray) -> float:
@@ -616,14 +610,12 @@ def logpdf_matric_t(params: MatricTParams, t: DivMatrix, form: str = "primal") -
     tag = params.tag
     beta = tag.beta
     m, n, nu = params.m, params.n, params.nu
-    if beta == 8 and max(m, n) > 1:
-        raise OctonionMatrixError("beta = 8 densities are limited to 1x1")
+    _check_beta_shape(beta, m, n)
     a = _check_point(params, t)
     q = beta * (n + nu) / 2.0
     if form == "primal":
-        k = _invert_lower_raw(params.Xi.chol.data)
-        c = _matmul_raw(_invert_lower_raw(params.Sigma.chol.data), _conj_t_raw(a))
-        inner = _matmul_raw(_conj_t_raw(k), k) + _matmul_raw(_conj_t_raw(c), c)
+        c = _solve_raw(params.Sigma.chol.data, _conj_t_raw(a))
+        inner = _hpd_inverse_raw(params.Xi.mat.data) + _matmul_raw(_conj_t_raw(c), c)
         const = (
             _lmg(tag, m, q)
             - m * n * beta / 2.0 * _LOG_PI
@@ -655,8 +647,7 @@ def _beta2_point(params: BetaIIParams, f) -> tuple:
     (not Hermitian) or of the wrong shape.
     """
     d = params.dim
-    if params.tag.beta == 8 and d > 1:
-        raise OctonionMatrixError("beta = 8 densities are limited to 1x1")
+    _check_beta_shape(params.tag.beta, d, d)
     if isinstance(f, HermitianPD):
         if f.tag != params.tag or f.m != d:
             raise ValueError(f"point must be {d}x{d} over {params.tag.name}")
@@ -665,10 +656,7 @@ def _beta2_point(params: BetaIIParams, f) -> tuple:
         raise TypeError("the evaluation point must be a HermitianPD or DivMatrix")
     if f.tag != params.tag or f.shape != (d, d):
         raise ValueError(f"point must be {d}x{d} over {params.tag.name}")
-    gap = np.abs(f.data - _conj_t_raw(f.data)).max()
-    scale = max(1.0, float(np.abs(f.data).max()))
-    if gap > 1e-12 * scale:
-        raise ValueError("the evaluation point must be Hermitian")
+    _require_hermitian(f.data, "the evaluation point")
     data = _hermitize_raw(f.data)
     if params.tag.beta == 8:
         eigs = data[0, 0, :1]
@@ -749,8 +737,7 @@ def logpdf_matrix_mt(params: MatrixMTParams, t: DivMatrix) -> float:
     tag = params.tag
     beta = tag.beta
     m, n, nu = params.m, params.n, params.nu
-    if beta == 8 and max(m, n) > 1:
-        raise OctonionMatrixError("beta = 8 densities are limited to 1x1")
+    _check_beta_shape(beta, m, n)
     a = _check_point(params, t)
     q1 = beta * (nu + m * n) / 2.0
     g = _matmul_raw(_matmul_raw(_conj_t_raw(params.Delta.chol.data), a),

@@ -18,13 +18,11 @@ import numpy as np
 from .algebra import (
     AlgebraTag,
     HermitianPD,
-    _conj_t_raw,
     _eigvalsh_raw,
     _singular_values_raw,
     hermitian_eigenvalues,
     singular_values,
 )
-from .errors import OctonionMatrixError
 from .special import log_gamma, log_mvbeta, log_mvgamma, GammaArgs, tau
 
 __all__ = [
@@ -208,17 +206,9 @@ def empirical_spectrum(x, kind: str = "singular") -> SpectrumSample:
 
 def singular_values_batch(tag: AlgebraTag, raw: np.ndarray) -> np.ndarray:
     """Descending singular values for a stacked (N, m, n, beta) sample array."""
-    tag = AlgebraTag(tag)
-    if tag.beta == 8:
-        raise OctonionMatrixError("singular values are not defined for beta = 8")
-    if raw.shape[-3] > raw.shape[-2]:
-        raw = _conj_t_raw(raw)
-    return _singular_values_raw(raw, tag.beta)
+    return _singular_values_raw(raw, AlgebraTag(tag).beta)
 
 
 def eigenvalues_batch(tag: AlgebraTag, raw: np.ndarray) -> np.ndarray:
     """Descending eigenvalues for stacked Hermitian (N, m, m, beta) samples."""
-    tag = AlgebraTag(tag)
-    if tag.beta == 8:
-        raise OctonionMatrixError("eigenvalues are not defined for beta = 8")
-    return _eigvalsh_raw(raw, tag.beta)
+    return _eigvalsh_raw(raw, AlgebraTag(tag).beta)

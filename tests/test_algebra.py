@@ -18,7 +18,15 @@ from rdmt.algebra import (
     matmul,
     scalar_mul,
     singular_values,
+    _cholesky_raw,
+    _collapse_pairs,
+    _conj_t_raw,
+    _hermitize_raw,
+    _hpd_inverse_raw,
+    _identity_raw,
+    _matmul_raw,
     _mul_coeffs,
+    _solve_raw,
 )
 from rdmt.errors import NotPositiveDefinite, OctonionMatrixError
 
@@ -220,6 +228,101 @@ class TestCholesky:
     def test_non_hermitian_rejected(self, rng):
         with pytest.raises(ValueError, match="Hermitian"):
             HermitianPD(random_matrix(rng, C, 2, 2))
+
+    @pytest.mark.parametrize("tag", [R, C, H, O])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, tag, bad):
+        # LAPACK returns NaN for a NaN input and factors [[inf, 0], [0, 1]]
+        # without complaint; both must still be refused.
+        size = 1 if tag == O else 2
+        a = np.eye(size)
+        a[0, 0] = bad
+        with pytest.raises(NotPositiveDefinite):
+            HermitianPD.from_real(tag, a)
+
+
+# -- the matrix kernels run on the complex representation; the independent
+#    oracle below spells the matrix product out entry by entry with the
+#    scalar Cayley-Dickson product.
+
+
+def _entrywise_matmul(a, b):
+    """(A B)_ij = sum_p A_ip B_pj over (..., m, k, beta) x (..., k, n, beta)."""
+    m, k, n = a.shape[-3], a.shape[-2], b.shape[-2]
+    batch = np.broadcast_shapes(a.shape[:-3], b.shape[:-3])
+    out = np.zeros(batch + (m, n, a.shape[-1]))
+    for i in range(m):
+        for j in range(n):
+            for p in range(k):
+                out[..., i, j, :] += _mul_coeffs(a[..., i, p, :], b[..., p, j, :])
+    return out
+
+
+def _oracle_hpd(gen, beta, m, nsamp):
+    """Well-conditioned Hermitian positive definite stack built with the oracle."""
+    g = gen.normal(size=(nsamp, m, m, beta))
+    a = _entrywise_matmul(g, _conj_t_raw(g)) + m * _identity_raw(m, beta)
+    return _hermitize_raw(a)
+
+
+def _assert_rel_close(got, want, rtol=1e-12):
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= rtol * np.abs(want).max()
+
+
+_KERNEL_CASES = [(R, 3, 4), (C, 3, 4), (H, 3, 4), (H, 1, 2), (O, 1, 1)]
+
+
+class TestKernelsAgainstEntrywiseOracle:
+    @pytest.mark.parametrize("tag,m,n", _KERNEL_CASES)
+    def test_matmul_batched(self, rng, tag, m, n):
+        k = 1 if tag == O else 2
+        a = rng.normal(size=(5, m, k, tag.beta))
+        b = rng.normal(size=(5, k, n, tag.beta))
+        _assert_rel_close(_matmul_raw(a, b), _entrywise_matmul(a, b))
+
+    @pytest.mark.parametrize("tag,m,n", _KERNEL_CASES)
+    def test_matmul_broadcast_parameter(self, rng, tag, m, n):
+        # the samplers multiply one (1, m, m) parameter factor into (N, m, n)
+        a = rng.normal(size=(1, m, m, tag.beta))
+        b = rng.normal(size=(6, m, n, tag.beta))
+        _assert_rel_close(_matmul_raw(a, b), _entrywise_matmul(a, b))
+        _assert_rel_close(_matmul_raw(_conj_t_raw(b), _conj_t_raw(a)),
+                          _entrywise_matmul(_conj_t_raw(b), _conj_t_raw(a)))
+
+    @pytest.mark.parametrize("tag,m,n", _KERNEL_CASES)
+    def test_cholesky_reconstructs(self, rng, tag, m, n):
+        a = _oracle_hpd(rng, tag.beta, m, 5)
+        lo = _cholesky_raw(a)
+        rows, cols = np.triu_indices(m, 1)
+        assert np.all(lo[:, rows, cols, :] == 0.0)
+        diag = lo[:, np.arange(m), np.arange(m), :]
+        assert np.all(diag[..., 0] > 0.0) and np.all(diag[..., 1:] == 0.0)
+        _assert_rel_close(_entrywise_matmul(lo, _conj_t_raw(lo)), a)
+
+    @pytest.mark.parametrize("tag,m,n", _KERNEL_CASES)
+    def test_triangular_solve_residual(self, rng, tag, m, n):
+        lo = _cholesky_raw(_oracle_hpd(rng, tag.beta, m, 1))
+        b = rng.normal(size=(6, m, n, tag.beta))
+        for tri in (lo, _conj_t_raw(lo)):
+            x = _solve_raw(tri, b)
+            _assert_rel_close(_entrywise_matmul(tri, x), b)
+
+    @pytest.mark.parametrize("tag,m,n", _KERNEL_CASES)
+    def test_hpd_inverse(self, rng, tag, m, n):
+        a = _oracle_hpd(rng, tag.beta, m, 5)
+        inv = _hpd_inverse_raw(a)
+        np.testing.assert_array_equal(inv, _hermitize_raw(inv))
+        eye = np.broadcast_to(_identity_raw(m, tag.beta), a.shape)
+        _assert_rel_close(_entrywise_matmul(a, inv), eye)
+
+    def test_pair_check_is_per_matrix(self):
+        # the split pair of the second matrix is far below the first matrix's
+        # scale, so only a per-matrix check sees it
+        vals = np.array([[1e9, 1e9, 1.0, 1.0], [1.0, 1.0, 0.5, 0.4]])
+        with pytest.raises(ArithmeticError):
+            _collapse_pairs(vals)
+        np.testing.assert_array_equal(_collapse_pairs(vals[:1]), [[1e9, 1.0]])
 
 
 class TestLogdet:

@@ -457,11 +457,11 @@ class TestMatrixMT:
         std = MatrixMTParams(tag, 2, 2, 4.0, 1.5)
         a = sample_matrix_mt(RngStream(22, 3), params, size=6)
         t1 = sample_matrix_mt(RngStream(22, 3), std, size=6)
-        from rdmt.algebra import _conj_t_raw, _solve_upper_raw
+        from rdmt.algebra import _conj_t_raw, _solve_raw
 
-        p = _solve_upper_raw(_conj_t_raw(delta.chol.data)[None], t1)
-        q = _conj_t_raw(_solve_upper_raw(_conj_t_raw(lam.chol.data)[None],
-                                         _conj_t_raw(p)))
+        p = _solve_raw(_conj_t_raw(delta.chol.data)[None], t1)
+        q = _conj_t_raw(_solve_raw(_conj_t_raw(lam.chol.data)[None],
+                                   _conj_t_raw(p)))
         np.testing.assert_allclose(a, q, atol=1e-12)
 
     def test_octonion_scalar(self):
@@ -525,13 +525,13 @@ class TestEllipticalT:
         got = sample_elliptical_t(RngStream(24, 1), tag, m, n, nu, mix, size=size)
 
         from rdmt.algebra import (_cholesky_raw, _conj_t_raw, _hermitize_raw,
-                                  _matmul_raw, _solve_lower_raw)
+                                  _matmul_raw, _solve_raw)
 
         gen = RngStream(24, 1).generator
         y = _std_normal_raw(gen, tag.beta, (size, m, n + nu))
         y1, y2 = y[:, :, :n, :], y[:, :, n:, :]
         v = _hermitize_raw(_matmul_raw(y2, _conj_t_raw(y2)))
-        expected = _solve_lower_raw(_cholesky_raw(v), y1)
+        expected = _solve_raw(_cholesky_raw(v), y1)
         np.testing.assert_array_equal(got, expected)
 
     @pytest.mark.parametrize("tag", [R, C])
