@@ -19,7 +19,9 @@ from .algebra import (
 )
 from .distributions import (
     BetaIIParams,
+    EllipticalTParams,
     GammaScalarParams,
+    GaussianParams,
     MatricTParams,
     MatrixMTParams,
     RngStream,

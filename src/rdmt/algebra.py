@@ -183,8 +183,11 @@ def _hermitize_raw(a: np.ndarray) -> np.ndarray:
 
 def _require_hermitian(a: np.ndarray, what: str = "matrix") -> None:
     """Raise ValueError unless |A - A*| <= HERMITIAN_ATOL * max(1, |A|_max)
-    coefficient-wise."""
+    coefficient-wise.  A NaN or inf coefficient makes the gap NaN or inf,
+    so it is refused too."""
     gap = float(np.abs(a - _conj_t_raw(a)).max())
+    if not np.isfinite(gap):
+        raise ValueError(f"{what} has non-finite coefficients")
     if gap > HERMITIAN_ATOL * max(1.0, float(np.abs(a).max())):
         raise ValueError(
             f"{what} is not Hermitian: max |A - A*| coefficient {gap:.3e}"
@@ -470,6 +473,8 @@ class DivMatrix:
                 f"schema shape mismatch: declared {obj['rows']}x{obj['cols']} "
                 f"beta={obj['beta']}, data has shape {arr.shape}"
             )
+        if not np.isfinite(arr).all():
+            raise ValueError("schema data must be finite (no NaN or inf)")
         return cls(tag, arr)
 
     def __repr__(self) -> str:
@@ -493,6 +498,8 @@ class HermitianPD:
         if mat.m != mat.n:
             raise ValueError("Hermitian matrix must be square")
         _check_beta_shape(mat.tag.beta, mat.m, mat.n)
+        if not np.isfinite(mat.data).all():
+            raise NotPositiveDefinite("matrix has non-finite coefficients")
         _require_hermitian(mat.data)
         sym = _hermitize_raw(mat.data)
         chol = _cholesky_raw(sym)  # raises NotPositiveDefinite

@@ -21,11 +21,12 @@ from ._version import __version__
 from .algebra import AlgebraTag, DivMatrix, _conj_t_raw, _hermitize_raw, _matmul_raw
 from .distributions import (
     BetaIIParams,
+    EllipticalTParams,
     GammaScalarParams,
+    GaussianParams,
     MatricTParams,
     MatrixMTParams,
     RngStream,
-    ScaleMixtureSpec,
     WishartParams,
     logpdf_beta2_matric,
     logpdf_beta2_multivariate,
@@ -89,58 +90,47 @@ def _run_info(seed, stream, params: dict) -> dict:
     }
 
 
-def _parse_mix(text: str) -> ScaleMixtureSpec:
+def _parse_mix(text: str) -> dict:
     weights, scales = [], []
     for part in text.split(","):
         w, _, s = part.partition(":")
         weights.append(float(w))
         scales.append(float(s))
-    return ScaleMixtureSpec(tuple(weights), tuple(scales))
+    return {"weights": tuple(weights), "scales": tuple(scales)}
+
+
+# family -> (parameter record, flags it needs when no --params file is given)
+_RECORDS = {
+    "matric-t": (MatricTParams, ("m", "n", "nu")),
+    "matrix-mt": (MatrixMTParams, ("m", "n", "nu")),
+    "wishart": (WishartParams, ("m", "nu")),
+    "gamma": (GammaScalarParams, ("nu",)),
+    "gaussian": (GaussianParams, ("m", "n")),
+    "beta2-matric": (BetaIIParams, ("m", "n", "nu")),
+    "beta2-mv": (BetaIIParams, ("m", "n", "nu")),
+    "elliptical-t": (EllipticalTParams, ("m", "n", "nu")),
+}
 
 
 def _build_params(args, family: str):
     """Parameter record from --params JSON (if given) or from flags."""
+    record, need = _RECORDS[family]
     if getattr(args, "params", None):
         with open(args.params) as fh:
-            obj = json.load(fh)
-        loader = {
-            "matric-t": MatricTParams,
-            "matrix-mt": MatrixMTParams,
-            "wishart": WishartParams,
-            "gamma": GammaScalarParams,
-            "beta2-matric": BetaIIParams,
-            "beta2-mv": BetaIIParams,
-        }.get(family)
-        if loader is None:
-            raise _CliError(f"--params is not supported for family {family!r}")
-        return loader.from_json_dict(obj)
+            return record.from_json_dict(json.load(fh))
     if args.beta is None:
         raise _CliError("--beta is required when no --params file is given")
-    tag = AlgebraTag(int(args.beta))
-    need = {"matric-t": ("m", "n", "nu"), "matrix-mt": ("m", "n", "nu"),
-            "wishart": ("m", "nu"), "gamma": ("nu",),
-            "gaussian": ("m", "n"), "beta2-matric": ("m", "n", "nu"),
-            "beta2-mv": ("m", "n", "nu"), "elliptical-t": ("m", "n", "nu")}[family]
     for flag in need:
         if getattr(args, flag, None) is None:
             raise _CliError(f"--{flag} is required for family {family!r}")
-    if family == "matric-t":
-        return MatricTParams(tag, args.m, args.n, args.nu)
-    if family == "matrix-mt":
-        return MatrixMTParams(tag, args.m, args.n, args.nu, args.rho or 1.0)
-    if family == "wishart":
-        return WishartParams(tag, args.m, args.nu)
-    if family == "gamma":
-        return GammaScalarParams(tag, args.nu, args.rho or 1.0)
-    if family in ("beta2-matric", "beta2-mv"):
-        orientation = "gram" if args.n >= args.m else "cogram"
-        return BetaIIParams(tag, args.m, args.n, args.nu, orientation)
-    if family == "gaussian":
-        return ("gaussian", tag, args.m, args.n)
-    if family == "elliptical-t":
-        mix = _parse_mix(args.mix) if args.mix else ScaleMixtureSpec((1.0,), (1.0,))
-        return ("elliptical-t", tag, args.m, args.n, args.nu, mix)
-    raise _CliError(f"unknown family {family!r}")
+    values = {flag: getattr(args, flag) for flag in need}
+    if record in (MatrixMTParams, GammaScalarParams):
+        values["rho"] = args.rho or 1.0
+    elif record is BetaIIParams:
+        values["orientation"] = "gram" if args.n >= args.m else "cogram"
+    elif record is EllipticalTParams and args.mix:
+        values.update(_parse_mix(args.mix))
+    return record(AlgebraTag(int(args.beta)), **values)
 
 
 def _sample_raw(rng, family, params, method, count):
@@ -153,26 +143,15 @@ def _sample_raw(rng, family, params, method, count):
     if family == "beta2-matric":
         return sample_beta2_matric(rng, params, size=count)
     if family == "gaussian":
-        _, tag, m, n = params
-        return sample_gaussian(rng, tag, m, n, size=count)
+        return sample_gaussian(rng, params.tag, params.m, params.n, size=count)
     if family == "elliptical-t":
-        _, tag, m, n, nu, mix = params
-        return sample_elliptical_t(rng, tag, m, n, int(nu), mix, size=count)
+        return sample_elliptical_t(rng, params.tag, params.m, params.n, params.nu,
+                                   params.mix, size=count)
     raise _CliError(f"family {family!r} has no sampler")
 
 
-def _params_dict(family, params, method=None, count=None, fmt=None):
-    if isinstance(params, tuple):
-        if params[0] == "gaussian":
-            d = {"family": "gaussian", "beta": params[1].beta,
-                 "m": params[2], "n": params[3]}
-        else:
-            d = {"family": "elliptical-t", "beta": params[1].beta,
-                 "m": params[2], "n": params[3], "nu": params[4],
-                 "weights": list(params[5].weights),
-                 "scales": list(params[5].scales)}
-    else:
-        d = params.to_json_dict()
+def _params_dict(params, method=None, count=None, fmt=None):
+    d = params.to_json_dict()
     if method:
         d["method"] = method
     if count is not None:
@@ -192,8 +171,8 @@ def _cmd_sample(args) -> int:
     count = int(args.count)
     if count < 1:
         raise _CliError("--count must be positive")
-    info = _run_info(seed, args.stream, _params_dict(family, params, args.method,
-                                                     count, args.format))
+    info = _run_info(seed, args.stream, _params_dict(params, args.method, count,
+                                                     args.format))
     out, close = _open_out(args.out)
     try:
         if family == "gamma":
@@ -209,7 +188,6 @@ def _cmd_sample(args) -> int:
                     out.write(json.dumps({"value": float(v)}) + "\n")
             return 0
         raw = _sample_raw(rng, family, params, args.method, count)
-        tag = AlgebraTag(int(info["params"]["beta"]))
         if args.format == "csv":
             out.write("# " + json.dumps(info, sort_keys=True) + "\n")
             _, m, n, beta = raw.shape
@@ -221,7 +199,7 @@ def _cmd_sample(args) -> int:
         else:
             out.write(json.dumps(info, sort_keys=True) + "\n")
             for i in range(count):
-                mat = DivMatrix(tag, raw[i])
+                mat = DivMatrix(params.tag, raw[i])
                 out.write(json.dumps(mat.to_schema_dict()) + "\n")
         return 0
     finally:
@@ -248,7 +226,7 @@ def _cmd_density(args) -> int:
         raise _CliError(f"unknown density family {args.dist!r}")
     params = _build_params(args, family)
     evaluator = _density_evaluator(args, family, params)
-    info = _run_info(None, None, _params_dict(family, params))
+    info = _run_info(None, None, _params_dict(params))
     if args.form:
         info["params"]["form"] = args.form
     if args.points == "-":
@@ -261,11 +239,13 @@ def _cmd_density(args) -> int:
         line = line.strip()
         if not line:
             continue
-        obj = json.loads(line)
-        if isinstance(obj, dict) and obj.get("record") == "run-info":
-            continue
-        mat = DivMatrix.from_schema_dict(obj)
-        values.append(evaluator(mat))
+        try:
+            obj = json.loads(line)
+            if isinstance(obj, dict) and obj.get("record") == "run-info":
+                continue
+            values.append(evaluator(DivMatrix.from_schema_dict(obj)))
+        except _CONFIG_ERRORS as exc:
+            raise _CliError(f"--points line {lineno}: {exc}") from exc
     out, close = _open_out(args.out)
     try:
         out.write("# " + json.dumps(info, sort_keys=True) + "\n")
@@ -315,10 +295,8 @@ def _cmd_spectrum(args) -> int:
     kind = args.kind or ("eigen" if family in ("wishart", "beta2-matric")
                          else "singular")
     raw = _sample_raw(rng, family, params, args.method, count)
-    tag = AlgebraTag(int(_params_dict(family, params)["beta"]))
-    vals = _spectrum_values(family, kind, tag, raw)
-    info = _run_info(seed, args.stream, _params_dict(family, params, args.method,
-                                                     count))
+    vals = _spectrum_values(family, kind, params.tag, raw)
+    info = _run_info(seed, args.stream, _params_dict(params, args.method, count))
     info["params"]["kind"] = kind
     out, close = _open_out(args.out)
     try:
@@ -331,43 +309,40 @@ def _cmd_spectrum(args) -> int:
         if close:
             out.close()
     if args.grid:
-        _write_grid(args, family, kind, vals, info)
+        _write_grid(args, family, kind, params, vals, info)
     return 0
 
 
-def _write_grid(args, family, kind, vals, info) -> None:
+def _write_grid(args, family, kind, params, vals, info) -> None:
     overlay = _SPECTRUM_OVERLAYS.get((family, kind))
     if overlay is None:
         raise _CliError(f"no analytic overlay for {family}/{kind}")
     m = vals.shape[1]
     if m > 2:
         raise _CliError("analytic grids are emitted for m <= 2 only")
-    tag = AlgebraTag(int(info["params"]["beta"]))
-    n, nu = int(info["params"]["n"]), float(info["params"]["nu"])
-    if family == "beta2-matric" and n < int(info["params"]["m"]):
+    n, nu = params.n, params.nu
+    if family == "beta2-matric" and params.orientation == "cogram":
         # cogram orientation: the spectrum follows the dimension-swapped law
-        m_par = int(info["params"]["m"])
-        n, nu = m_par, nu + n - m_par
+        n, nu = params.m, nu + n - params.m
     lo = float(np.quantile(vals, 0.001))
     hi = float(np.quantile(vals, 0.999))
     lo = max(lo * 0.5, 1e-6)
+    if m == 1:
+        header = "v1,logpdf"
+        points = np.linspace(lo, hi, 256)[:, None]
+    else:
+        # the ordered cone v1 > v2 of a 64 x 64 grid, row by row in v1
+        header = "v1,v2,logpdf"
+        grid = np.linspace(lo, hi, 64)
+        v1, v2 = np.meshgrid(grid, grid, indexing="ij")
+        below = v2 < v1
+        points = np.stack([v1[below], v2[below]], axis=1)
+    logpdf = overlay(params.tag, m, n, nu, points)
     with open(args.grid, "w") as fh:
         fh.write("# " + json.dumps(info, sort_keys=True) + "\n")
-        if m == 1:
-            fh.write("v1,logpdf\n")
-            for x in np.linspace(lo, hi, 256):
-                x = float(x)
-                fh.write(f"{x!r},{overlay(tag, m, n, nu, [x])!r}\n")
-        else:
-            fh.write("v1,v2,logpdf\n")
-            grid = np.linspace(lo, hi, 64)
-            for x1 in grid:
-                for x2 in grid:
-                    if x2 >= x1:
-                        continue
-                    x1f, x2f = float(x1), float(x2)
-                    fh.write(f"{x1f!r},{x2f!r},"
-                             f"{overlay(tag, m, n, nu, [x1f, x2f])!r}\n")
+        fh.write(header + "\n")
+        for row, v in zip(points.tolist(), logpdf.tolist()):
+            fh.write(",".join(repr(x) for x in row) + f",{v!r}\n")
 
 
 def _cmd_verify(args) -> int:

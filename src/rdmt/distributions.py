@@ -18,7 +18,8 @@ Conventions fixed here once and used everywhere:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
+from typing import ClassVar, get_args, get_type_hints
 
 import numpy as np
 
@@ -40,7 +41,7 @@ from .algebra import (
     _require_hermitian,
     _solve_raw,
 )
-from .errors import DomainError, OctonionMatrixError
+from .errors import DomainError
 from .special import _lmg, log_gamma, log_mvbeta
 
 __all__ = [
@@ -51,6 +52,8 @@ __all__ = [
     "GammaScalarParams",
     "BetaIIParams",
     "ScaleMixtureSpec",
+    "GaussianParams",
+    "EllipticalTParams",
     "sample_gaussian",
     "sample_gamma_scalar",
     "sample_wishart",
@@ -100,10 +103,6 @@ def _std_normal_raw(gen: np.random.Generator, beta: int, shape: tuple) -> np.nda
 # ---------------------------------------------------------------------------
 
 
-def _as_tag(tag) -> AlgebraTag:
-    return AlgebraTag(tag)
-
-
 def _default_hpd(value, tag: AlgebraTag, m: int, name: str) -> HermitianPD:
     if value is None:
         return HermitianPD.identity(tag, m)
@@ -124,15 +123,60 @@ def _default_mu(value, tag: AlgebraTag, m: int, n: int) -> DivMatrix:
     return value
 
 
-def _matrix_json(value) -> dict | None:
-    return None if value is None else value.to_schema_dict()
+def _field_type(hint):
+    """The type of a field annotation, less its `| None`."""
+    return next(t for t in get_args(hint) or (hint,) if t is not type(None))
+
+
+class _JsonRecord:
+    """The one JSON (de)serializer of the parameter records, driven by the
+    dataclass fields: `tag` is written as "beta", a DivMatrix or HermitianPD
+    as its schema dict (None as null), a tuple as a list.  On load each value
+    goes through its field's type, and a missing key takes the field's
+    default.  A record states only its `family` string."""
+
+    family: ClassVar[str]
+
+    def to_json_dict(self) -> dict:
+        out = {"family": self.family}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "tag":
+                out["beta"] = value.beta
+            elif isinstance(value, (DivMatrix, HermitianPD)):
+                out[f.name] = value.to_schema_dict()
+            elif isinstance(value, tuple):
+                out[f.name] = list(value)
+            else:
+                out[f.name] = value
+        return out
+
+    @classmethod
+    def from_json_dict(cls, obj: dict):
+        hints = get_type_hints(cls)
+        kwargs = {"tag": AlgebraTag(int(obj["beta"]))}
+        for f in fields(cls):
+            if f.name == "tag" or (f.name not in obj and f.default is not MISSING):
+                continue
+            value = obj[f.name]
+            if value is not None:
+                kind = _field_type(hints[f.name])
+                value = getattr(kind, "from_schema_dict", kind)(value)
+            kwargs[f.name] = value
+        return cls(**kwargs)
+
+
+def _check_dims(*dims: int) -> None:
+    if min(dims) < 1:
+        raise ValueError("dimensions must be positive")
 
 
 @dataclass(frozen=True)
-class MatricTParams:
+class MatricTParams(_JsonRecord):
     """Matricvariate T family: T = L^-1 Y + mu with L L* Wishart(nu, Xi)
     and Y an algebra Gaussian with column scale Sigma."""
 
+    family: ClassVar[str] = "matric-t"
     tag: AlgebraTag
     m: int
     n: int
@@ -142,10 +186,9 @@ class MatricTParams:
     Sigma: HermitianPD | None = None
 
     def __post_init__(self):
-        tag = _as_tag(self.tag)
+        tag = AlgebraTag(self.tag)
         object.__setattr__(self, "tag", tag)
-        if self.m < 1 or self.n < 1:
-            raise ValueError("dimensions must be positive")
+        _check_dims(self.m, self.n)
         if not self.nu > tag.beta * (self.m - 1):
             raise DomainError(
                 f"matricvariate T requires nu > beta*(m-1) = {tag.beta * (self.m - 1)}"
@@ -154,37 +197,9 @@ class MatricTParams:
         object.__setattr__(self, "Xi", _default_hpd(self.Xi, tag, self.m, "Xi"))
         object.__setattr__(self, "Sigma", _default_hpd(self.Sigma, tag, self.n, "Sigma"))
 
-    def to_json_dict(self) -> dict:
-        return {
-            "family": "matric-t",
-            "beta": self.tag.beta,
-            "m": self.m,
-            "n": self.n,
-            "nu": self.nu,
-            "mu": _matrix_json(self.mu),
-            "Xi": _matrix_json(self.Xi),
-            "Sigma": _matrix_json(self.Sigma),
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "MatricTParams":
-        tag = AlgebraTag(int(obj["beta"]))
-        mu = obj.get("mu")
-        xi = obj.get("Xi")
-        sigma = obj.get("Sigma")
-        return cls(
-            tag,
-            int(obj["m"]),
-            int(obj["n"]),
-            float(obj["nu"]),
-            DivMatrix.from_schema_dict(mu) if mu else None,
-            HermitianPD.from_schema_dict(xi) if xi else None,
-            HermitianPD.from_schema_dict(sigma) if sigma else None,
-        )
-
 
 @dataclass(frozen=True)
-class MatrixMTParams:
+class MatrixMTParams(_JsonRecord):
     """Matrix multivariate T family: T1 = S^-1/2 Y + mu with scalar gamma S.
 
     Delta and Lambda parametrize the density directly through the kernel
@@ -192,6 +207,7 @@ class MatrixMTParams:
     standard form.
     """
 
+    family: ClassVar[str] = "matrix-mt"
     tag: AlgebraTag
     m: int
     n: int
@@ -202,56 +218,26 @@ class MatrixMTParams:
     Lambda: HermitianPD | None = None
 
     def __post_init__(self):
-        tag = _as_tag(self.tag)
+        tag = AlgebraTag(self.tag)
         object.__setattr__(self, "tag", tag)
-        if self.m < 1 or self.n < 1:
-            raise ValueError("dimensions must be positive")
+        _check_dims(self.m, self.n)
         if not (self.nu > 0 and self.rho > 0):
             raise DomainError("require nu > 0 and rho > 0")
         object.__setattr__(self, "mu", _default_mu(self.mu, tag, self.m, self.n))
         object.__setattr__(self, "Delta", _default_hpd(self.Delta, tag, self.m, "Delta"))
         object.__setattr__(self, "Lambda", _default_hpd(self.Lambda, tag, self.n, "Lambda"))
 
-    def to_json_dict(self) -> dict:
-        return {
-            "family": "matrix-mt",
-            "beta": self.tag.beta,
-            "m": self.m,
-            "n": self.n,
-            "nu": self.nu,
-            "rho": self.rho,
-            "mu": _matrix_json(self.mu),
-            "Delta": _matrix_json(self.Delta),
-            "Lambda": _matrix_json(self.Lambda),
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "MatrixMTParams":
-        tag = AlgebraTag(int(obj["beta"]))
-        mu = obj.get("mu")
-        delta = obj.get("Delta")
-        lam = obj.get("Lambda")
-        return cls(
-            tag,
-            int(obj["m"]),
-            int(obj["n"]),
-            float(obj["nu"]),
-            float(obj.get("rho", 1.0)),
-            DivMatrix.from_schema_dict(mu) if mu else None,
-            HermitianPD.from_schema_dict(delta) if delta else None,
-            HermitianPD.from_schema_dict(lam) if lam else None,
-        )
-
 
 @dataclass(frozen=True)
-class WishartParams:
+class WishartParams(_JsonRecord):
+    family: ClassVar[str] = "wishart"
     tag: AlgebraTag
     m: int
     nu: float
     Xi: HermitianPD | None = None
 
     def __post_init__(self):
-        tag = _as_tag(self.tag)
+        tag = AlgebraTag(self.tag)
         object.__setattr__(self, "tag", tag)
         if self.m < 1:
             raise ValueError("m must be positive")
@@ -261,48 +247,24 @@ class WishartParams:
             )
         object.__setattr__(self, "Xi", _default_hpd(self.Xi, tag, self.m, "Xi"))
 
-    def to_json_dict(self) -> dict:
-        return {
-            "family": "wishart",
-            "beta": self.tag.beta,
-            "m": self.m,
-            "nu": self.nu,
-            "Xi": _matrix_json(self.Xi),
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "WishartParams":
-        tag = AlgebraTag(int(obj["beta"]))
-        xi = obj.get("Xi")
-        return cls(
-            tag, int(obj["m"]), float(obj["nu"]),
-            HermitianPD.from_schema_dict(xi) if xi else None,
-        )
-
 
 @dataclass(frozen=True)
-class GammaScalarParams:
+class GammaScalarParams(_JsonRecord):
     """Scalar gamma law with shape beta*nu/2 and scale 2*rho/beta."""
 
+    family: ClassVar[str] = "gamma"
     tag: AlgebraTag
     nu: float
     rho: float
 
     def __post_init__(self):
-        object.__setattr__(self, "tag", _as_tag(self.tag))
+        object.__setattr__(self, "tag", AlgebraTag(self.tag))
         if not (self.nu > 0 and self.rho > 0):
             raise DomainError("require nu > 0 and rho > 0")
 
-    def to_json_dict(self) -> dict:
-        return {"family": "gamma", "beta": self.tag.beta, "nu": self.nu, "rho": self.rho}
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "GammaScalarParams":
-        return cls(AlgebraTag(int(obj["beta"])), float(obj["nu"]), float(obj["rho"]))
-
 
 @dataclass(frozen=True)
-class BetaIIParams:
+class BetaIIParams(_JsonRecord):
     """Beta type II families of either kind (matricvariate or matrix
     multivariate pick the evaluator; the parameter record is shared).
 
@@ -311,6 +273,7 @@ class BetaIIParams:
     n x n cone).  `scale` selects the nonstandardised form.
     """
 
+    family: ClassVar[str] = "beta2"
     tag: AlgebraTag
     m: int
     n: int
@@ -319,10 +282,9 @@ class BetaIIParams:
     scale: HermitianPD | None = None
 
     def __post_init__(self):
-        tag = _as_tag(self.tag)
+        tag = AlgebraTag(self.tag)
         object.__setattr__(self, "tag", tag)
-        if self.m < 1 or self.n < 1:
-            raise ValueError("dimensions must be positive")
+        _check_dims(self.m, self.n)
         if self.orientation not in ("gram", "cogram"):
             raise ValueError("orientation must be 'gram' or 'cogram'")
         if self.orientation == "gram" and self.n < self.m:
@@ -332,34 +294,27 @@ class BetaIIParams:
         if not self.nu > 0:
             raise DomainError("require nu > 0")
         if self.scale is not None:
-            d = self.m if self.orientation == "gram" else self.n
-            object.__setattr__(self, "scale", _default_hpd(self.scale, tag, d, "scale"))
+            object.__setattr__(self, "scale",
+                               _default_hpd(self.scale, tag, self.dim, "scale"))
 
     @property
     def dim(self) -> int:
         """Side length of the sampled positive definite matrix."""
         return self.m if self.orientation == "gram" else self.n
 
-    def to_json_dict(self) -> dict:
-        return {
-            "family": "beta2",
-            "beta": self.tag.beta,
-            "m": self.m,
-            "n": self.n,
-            "nu": self.nu,
-            "orientation": self.orientation,
-            "scale": _matrix_json(self.scale),
-        }
 
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "BetaIIParams":
-        tag = AlgebraTag(int(obj["beta"]))
-        scale = obj.get("scale")
-        return cls(
-            tag, int(obj["m"]), int(obj["n"]), float(obj["nu"]),
-            str(obj.get("orientation", "gram")),
-            HermitianPD.from_schema_dict(scale) if scale else None,
-        )
+@dataclass(frozen=True)
+class GaussianParams(_JsonRecord):
+    """Standard matrix Gaussian: i.i.d. entries of unit expected squared norm."""
+
+    family: ClassVar[str] = "gaussian"
+    tag: AlgebraTag
+    m: int
+    n: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "tag", AlgebraTag(self.tag))
+        _check_dims(self.m, self.n)
 
 
 @dataclass(frozen=True)
@@ -383,15 +338,35 @@ class ScaleMixtureSpec:
         object.__setattr__(self, "scales", s)
 
 
+@dataclass(frozen=True)
+class EllipticalTParams(_JsonRecord):
+    """Standard matricvariate T built from a scale-mixture source (see
+    `sample_elliptical_t`); the mixture is validated as a ScaleMixtureSpec."""
+
+    family: ClassVar[str] = "elliptical-t"
+    tag: AlgebraTag
+    m: int
+    n: int
+    nu: float
+    weights: tuple = (1.0,)
+    scales: tuple = (1.0,)
+
+    def __post_init__(self):
+        object.__setattr__(self, "tag", AlgebraTag(self.tag))
+        _check_dims(self.m, self.n)
+        mix = ScaleMixtureSpec(self.weights, self.scales)
+        object.__setattr__(self, "weights", mix.weights)
+        object.__setattr__(self, "scales", mix.scales)
+
+    @property
+    def mix(self) -> ScaleMixtureSpec:
+        return ScaleMixtureSpec(self.weights, self.scales)
+
+
 # ---------------------------------------------------------------------------
 # Samplers.  Every sampler is deterministic under a fixed RngStream; with
 # `size` given the raw stacked coefficient array is returned.
 # ---------------------------------------------------------------------------
-
-
-def _require_beta_le4(tag: AlgebraTag, what: str) -> None:
-    if tag.beta == 8:
-        raise OctonionMatrixError(f"{what} is not supported for beta = 8")
 
 
 def _wrap_single(tag: AlgebraTag, raw: np.ndarray, size, hermitian: bool = False):
@@ -405,8 +380,8 @@ def sample_gaussian(rng: RngStream, tag: AlgebraTag, m: int, n: int,
                     Sigma: HermitianPD | None = None, size: int | None = None):
     """Draw from the matrix Gaussian with identity row scale and column
     scale Sigma; each coefficient is N(0, 1/beta) at Sigma = I."""
-    tag = _as_tag(tag)
-    _require_beta_le4(tag, "matrix Gaussian sampling")
+    tag = AlgebraTag(tag)
+    _check_beta_shape(tag.beta, m, n)
     nsamp = 1 if size is None else int(size)
     raw = _std_normal_raw(rng.generator, tag.beta, (nsamp, m, n))
     if Sigma is not None:
@@ -444,7 +419,7 @@ def sample_wishart(rng: RngStream, params: WishartParams, method: str = "bartlet
     """Wishart draw by the Bartlett factorization (any real nu in the domain)
     or by the Gram construction Y Y* (integer nu >= m only)."""
     tag = params.tag
-    _require_beta_le4(tag, "Wishart sampling")
+    _check_beta_shape(tag.beta, params.m, params.m)
     nsamp = 1 if size is None else int(size)
     lxi = params.Xi.chol.data[None, ...]
     if method == "bartlett":
@@ -481,9 +456,9 @@ def sample_matric_t(rng: RngStream, params: MatricTParams,
     same law; the verify suite checks them against each other.
     """
     tag = params.tag
-    _require_beta_le4(tag, "matricvariate T sampling")
     beta = tag.beta
     m, n = params.m, params.n
+    _check_beta_shape(beta, m, n)
     nsamp = 1 if size is None else int(size)
     gen = rng.generator
     if method == "wishart_root":
@@ -559,8 +534,8 @@ def sample_elliptical_t(rng: RngStream, tag: AlgebraTag, m: int, n: int, nu: int
     standard matricvariate T regardless of the mixture, which is exactly the
     invariance property the verify suite tests.
     """
-    tag = _as_tag(tag)
-    _require_beta_le4(tag, "elliptical sampling")
+    tag = AlgebraTag(tag)
+    _check_beta_shape(tag.beta, m, n)
     if int(nu) != nu or nu < m or n < m:
         raise ValueError("require integer nu >= m and n >= m")
     nu = int(nu)

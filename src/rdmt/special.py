@@ -24,40 +24,14 @@ __all__ = [
 ]
 
 _LOG_PI = math.log(math.pi)
-_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
-
-# Lanczos approximation, g = 7, 9 terms.  Relative accuracy of the log is
-# comfortably below 1e-13 on (0, 200]; validated in the test suite against
-# 20 high-precision reference values and against an independent library
-# implementation.
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
 
 
 def log_gamma(x: float) -> float:
-    """Natural log of the gamma function for real x > 0."""
+    """Natural log of the gamma function for real x > 0 (`math.lgamma`)."""
     x = float(x)
     if not x > 0.0:
         raise DomainError(f"log_gamma requires a positive argument, got {x}")
-    if x < 0.5:
-        # Reflection keeps the Lanczos series in its sweet spot.
-        return _LOG_PI - math.log(math.sin(math.pi * x)) - log_gamma(1.0 - x)
-    z = x - 1.0
-    acc = _LANCZOS_COEFFS[0]
-    for i, c in enumerate(_LANCZOS_COEFFS[1:], start=1):
-        acc += c / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return _HALF_LOG_2PI + (z + 0.5) * math.log(t) - t + math.log(acc)
+    return math.lgamma(x)
 
 
 @dataclass(frozen=True)

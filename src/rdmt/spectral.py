@@ -1,6 +1,13 @@
 """Joint singular-value and eigenvalue log densities of the T and beta II
 families, plus extraction of empirical spectra from sample streams.
 
+The four densities are one core, `_log_joint`, over the ordered eigenvalues
+lambda of the gram beta type II matrix, with two couplings: the determinant
+kernel prod (1 + lambda_i) of the matricvariate laws and the trace kernel
+(1 + sum lambda_i) of the matrix multivariate laws.  The singular values d
+of the T matrix enter through the change of variables lambda = d^2.  The
+core is batch-first: one spectrum is the N = 1 case of an (N, m) array.
+
 All densities are for the standard (identity-scale, zero-location) laws and
 live on the open ordered cone v_1 > ... > v_m > 0.  The normalizing
 coefficient carries pi^(beta m^2/2 + tau); a variant with pi^(beta m^2 + tau)
@@ -23,7 +30,7 @@ from .algebra import (
     hermitian_eigenvalues,
     singular_values,
 )
-from .special import log_gamma, log_mvbeta, log_mvgamma, GammaArgs, tau
+from .special import _lmg, log_gamma, log_mvbeta, tau
 
 __all__ = [
     "SpectrumSample",
@@ -73,119 +80,98 @@ class SpectrumSample:
         return len(self.values)
 
 
-def _ordered_values(values, m: int) -> np.ndarray:
+def _ordered_rows(values, m: int) -> tuple:
+    """(N, m) array of spectra and whether `values` was one spectrum; every
+    row must descend strictly and end positive."""
     if isinstance(values, SpectrumSample):
         values = values.values
-    v = np.asarray(values, dtype=float).reshape(-1)
-    if v.shape != (m,):
-        raise ValueError(f"expected {m} spectrum values, got {v.shape}")
-    if not (v[-1] > 0.0 and np.all(np.diff(v) < 0.0)):
-        raise ValueError("values must be strictly descending and positive")
-    return v
+    v = np.asarray(values, dtype=float)
+    single = v.ndim == 1
+    if single:
+        v = v[None, :]
+    if v.ndim != 2 or v.shape[1] != m:
+        raise ValueError(f"expected spectra of {m} values, got shape {v.shape}")
+    ok = (v[:, -1] > 0.0) & (v[:, :-1] > v[:, 1:]).all(axis=1)
+    if not ok.all():
+        row = int(np.flatnonzero(~ok)[0])
+        raise ValueError(f"values row {row} must be strictly descending and "
+                         f"positive: {v[row].tolist()}")
+    return v, single
 
 
-def _log_vandermonde_sq(vsq: np.ndarray, beta: int) -> float:
-    """beta * sum_{i<j} log(v_i^2 - v_j^2) for descending v (given squared)."""
-    m = len(vsq)
-    if m == 1:
-        return 0.0
-    diffs = vsq[:, None] - vsq[None, :]
-    iu = np.triu_indices(m, 1)
-    return beta * float(np.log(diffs[iu]).sum())
+def _log_joint(tag: AlgebraTag, m: int, n: int, nu: float, values, *,
+               trace: bool, singular: bool, printed_variant: bool = False):
+    """The one spectral-density core.
+
+    On ordered eigenvalues lambda of the gram beta type II matrix,
+
+        pi^(beta m^2/2 + tau) / Gamma_m[beta m/2] * K(lambda)
+        * prod lambda_i^(beta(n-m+1)/2-1) * prod_{i<j} (lambda_i-lambda_j)^beta
+
+    with the determinant coupling (matricvariate) K = prod (1+lambda_i)^
+    (-beta(nu+n)/2) / B_m[beta nu/2, beta n/2], or the trace coupling
+    (matrix multivariate) K = (1 + sum lambda_i)^(-beta(nu+mn)/2)
+    Gamma[beta(nu+mn)/2] / (Gamma[beta nu/2] Gamma_m[beta n/2]).  Singular
+    values d of the T matrix are the change of variables lambda = d^2, with
+    Jacobian 2^m prod d_i.  `values` is one spectrum (m,), giving a float,
+    or a batch (N, m), giving an (N,) array.
+    """
+    tag = AlgebraTag(tag)
+    beta = tag.beta
+    if n < m:
+        raise ValueError("require n >= m")
+    v, single = _ordered_rows(values, m)
+    lam = v * v if singular else v
+    pi_exp = beta * m * m * (1.0 if printed_variant else 0.5) + tau(tag, m)
+    const = pi_exp * _LOG_PI - _lmg(tag, m, beta * m / 2.0)
+    log_lam = np.log(lam)
+    out = (beta * (n - m + 1) / 2.0 - 1.0) * log_lam.sum(axis=1)
+    if trace:
+        q1 = beta * (nu + m * n) / 2.0
+        const += log_gamma(q1) - log_gamma(beta * nu / 2.0) - _lmg(tag, m, beta * n / 2.0)
+        out -= q1 * np.log1p(lam.sum(axis=1))
+    else:
+        const -= log_mvbeta(tag, m, beta * nu / 2.0, beta * n / 2.0)
+        out -= beta * (nu + n) / 2.0 * np.log1p(lam).sum(axis=1)
+    if singular:
+        const += m * _LOG_2
+        out += 0.5 * log_lam.sum(axis=1)
+    for i in range(m - 1):  # the Vandermonde factor, one row of pairs at a time
+        out += beta * np.log(lam[:, i, None] - lam[:, i + 1:]).sum(axis=1)
+    out += const
+    return float(out[0]) if single else out
 
 
 def log_joint_sv_matric_t(tag: AlgebraTag, m: int, n: int, nu: float, values,
-                          *, printed_variant: bool = False) -> float:
+                          *, printed_variant: bool = False):
     """Joint log density of the singular values of a standard matricvariate T:
 
         2^m pi^(beta m^2/2 + tau) / (Gamma_m[beta m/2] B_m[beta nu/2, beta n/2])
         * prod d_i^(beta(n-m+1)-1) (1+d_i^2)^(-beta(nu+n)/2)
         * prod_{i<j} (d_i^2-d_j^2)^beta
     """
-    tag = AlgebraTag(tag)
-    beta = tag.beta
-    if n < m:
-        raise ValueError("require n >= m")
-    d = _ordered_values(values, m)
-    pi_exp = beta * m * m * (1.0 if printed_variant else 0.5) + tau(tag, m)
-    const = (
-        m * _LOG_2
-        + pi_exp * _LOG_PI
-        - log_mvgamma(GammaArgs(tag, m, beta * m / 2.0))
-        - log_mvbeta(tag, m, beta * nu / 2.0, beta * n / 2.0)
-    )
-    dsq = d * d
-    kern = float(
-        ((beta * (n - m + 1) - 1) * np.log(d)
-         - beta * (nu + n) / 2.0 * np.log1p(dsq)).sum()
-    )
-    return const + kern + _log_vandermonde_sq(dsq, beta)
+    return _log_joint(tag, m, n, nu, values, trace=False, singular=True,
+                      printed_variant=printed_variant)
 
 
-def log_joint_sv_matrix_mt(tag: AlgebraTag, m: int, n: int, nu: float, values) -> float:
+def log_joint_sv_matrix_mt(tag: AlgebraTag, m: int, n: int, nu: float, values):
     """Joint log density of the singular values of a standard matrix
     multivariate T; the coupling runs through (1 + sum alpha_i^2)."""
-    tag = AlgebraTag(tag)
-    beta = tag.beta
-    if n < m:
-        raise ValueError("require n >= m")
-    a = _ordered_values(values, m)
-    q1 = beta * (nu + m * n) / 2.0
-    const = (
-        m * _LOG_2
-        + (beta * m * m / 2.0 + tau(tag, m)) * _LOG_PI
-        + log_gamma(q1)
-        - log_gamma(beta * nu / 2.0)
-        - log_mvgamma(GammaArgs(tag, m, beta * m / 2.0))
-        - log_mvgamma(GammaArgs(tag, m, beta * n / 2.0))
-    )
-    asq = a * a
-    kern = float(((beta * (n - m + 1) - 1) * np.log(a)).sum()) \
-        - q1 * math.log1p(float(asq.sum()))
-    return const + kern + _log_vandermonde_sq(asq, beta)
+    return _log_joint(tag, m, n, nu, values, trace=True, singular=True)
 
 
 def log_joint_eig_beta2(tag: AlgebraTag, m: int, n: int, nu: float, values,
-                        *, printed_variant: bool = False) -> float:
+                        *, printed_variant: bool = False):
     """Joint log density of the eigenvalues of the gram beta type II matrix
     (the squared singular values of the matricvariate T)."""
-    tag = AlgebraTag(tag)
-    beta = tag.beta
-    if n < m:
-        raise ValueError("require n >= m")
-    lam = _ordered_values(values, m)
-    pi_exp = beta * m * m * (1.0 if printed_variant else 0.5) + tau(tag, m)
-    const = (
-        pi_exp * _LOG_PI
-        - log_mvgamma(GammaArgs(tag, m, beta * m / 2.0))
-        - log_mvbeta(tag, m, beta * nu / 2.0, beta * n / 2.0)
-    )
-    kern = float(
-        ((beta * (n - m + 1) / 2.0 - 1.0) * np.log(lam)
-         - beta * (nu + n) / 2.0 * np.log1p(lam)).sum()
-    )
-    return const + kern + _log_vandermonde_sq(lam, beta)
+    return _log_joint(tag, m, n, nu, values, trace=False, singular=False,
+                      printed_variant=printed_variant)
 
 
-def log_joint_eig_mv(tag: AlgebraTag, m: int, n: int, nu: float, values) -> float:
+def log_joint_eig_mv(tag: AlgebraTag, m: int, n: int, nu: float, values):
     """Joint log density of the eigenvalues of the gram matrix multivariate
     beta type II matrix; coupling through (1 + sum gamma_i)."""
-    tag = AlgebraTag(tag)
-    beta = tag.beta
-    if n < m:
-        raise ValueError("require n >= m")
-    g = _ordered_values(values, m)
-    q1 = beta * (nu + m * n) / 2.0
-    const = (
-        (beta * m * m / 2.0 + tau(tag, m)) * _LOG_PI
-        + log_gamma(q1)
-        - log_gamma(beta * nu / 2.0)
-        - log_mvgamma(GammaArgs(tag, m, beta * m / 2.0))
-        - log_mvgamma(GammaArgs(tag, m, beta * n / 2.0))
-    )
-    kern = float(((beta * (n - m + 1) / 2.0 - 1.0) * np.log(g)).sum()) \
-        - q1 * math.log1p(float(g.sum()))
-    return const + kern + _log_vandermonde_sq(g, beta)
+    return _log_joint(tag, m, n, nu, values, trace=True, singular=False)
 
 
 def empirical_spectrum(x, kind: str = "singular") -> SpectrumSample:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import integrate
 from scipy.interpolate import PchipInterpolator
-from scipy.special import betainc, betaln, ndtr, ndtri
+from scipy.special import betainc, betaln, kolmogorov, ndtr, ndtri
 
 from ._version import __version__
 from .algebra import (
@@ -91,24 +91,6 @@ _LOG_2 = math.log(2.0)
 # ---------------------------------------------------------------------------
 
 
-def _kolmogorov_sf(x: float) -> float:
-    """Survival function of the Kolmogorov limit distribution.
-
-    Two complementary series are used on either side of x ~ 1.18 so both
-    tails converge in a handful of terms; agrees with independent library
-    implementations to machine precision.
-    """
-    if x <= 0.0:
-        return 1.0
-    if x < 1.18:
-        t = math.exp(-math.pi * math.pi / (8.0 * x * x))
-        cdf = math.sqrt(2.0 * math.pi) / x * (t + t ** 9 + t ** 25 + t ** 49)
-        return max(0.0, 1.0 - cdf)
-    t = math.exp(-2.0 * x * x)
-    sf = 2.0 * (t - t ** 4 + t ** 9 - t ** 16 + t ** 25)
-    return min(1.0, max(0.0, sf))
-
-
 def _check_sorted(x: np.ndarray, name: str) -> None:
     if np.any(np.diff(x) < 0.0):
         raise ValueError(f"{name} must be sorted ascending")
@@ -135,7 +117,7 @@ def ks_one_sample(samples, cdf) -> tuple:
     d_plus = float((i / n - f).max())
     d_minus = float((f - (i - 1) / n).max())
     d = max(d_plus, d_minus)
-    return d, _kolmogorov_sf(math.sqrt(n) * d)
+    return d, float(kolmogorov(math.sqrt(n) * d))
 
 
 def ks_two_sample(a, b) -> tuple:
@@ -155,7 +137,7 @@ def ks_two_sample(a, b) -> tuple:
     cdf_b = np.searchsorted(b, allv, side="right") / nb
     d = float(np.abs(cdf_a - cdf_b).max())
     en = na * nb / (na + nb)
-    return d, _kolmogorov_sf(math.sqrt(en) * d)
+    return d, float(kolmogorov(math.sqrt(en) * d))
 
 
 @dataclass(frozen=True)

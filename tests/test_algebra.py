@@ -461,3 +461,23 @@ class TestImmutability:
             x.data[0, 0, 0] = 5.0
         with pytest.raises(AttributeError):
             x.tag = AlgebraTag.REAL
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_schema_dict_rejects(self, bad):
+        obj = DivMatrix.from_real(C, [[1.0, 0.0], [0.0, 1.0]]).to_schema_dict()
+        obj["data"][1][0][1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            DivMatrix.from_schema_dict(obj)
+        with pytest.raises(ValueError, match="finite"):
+            HermitianPD.from_schema_dict(obj)
+
+    @pytest.mark.parametrize("tag", [R, C, H])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+    def test_eigenvalues_reject(self, tag, bad, where):
+        a = np.eye(2)
+        a[where] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            hermitian_eigenvalues(DivMatrix.from_real(tag, a))

@@ -4,6 +4,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from rdmt.cli import main
 
@@ -129,6 +130,21 @@ class TestDensity:
         assert code == 2
 
 
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_point_names_its_line(self, tmp_path, capsys, bad):
+        good = '{"beta": 1, "rows": 1, "cols": 1, "data": [[[0.5]]]}'
+        pts = tmp_path / "pts.jsonl"
+        pts.write_text(good + "\n\n" + good.replace("0.5", bad) + "\n")
+        out = tmp_path / "d.txt"
+        code = run_cli("density", "--dist", "matric-t", "--beta", "1", "--m", "1",
+                       "--n", "1", "--nu", "1", "--points", str(pts),
+                       "--out", str(out))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "line 3" in err and "finite" in err
+        assert not out.exists()
+
+
 class TestSpectrum:
     def test_row_count(self, tmp_path):
         out = tmp_path / "s.csv"
@@ -232,3 +248,184 @@ class TestParsing:
         proc = subprocess.run([sys.executable, "-m", "rdmt.cli", "--version"],
                               capture_output=True, text=True)
         assert proc.returncode == 0
+
+
+def _run_info_line(**params):
+    return json.dumps({"params": params, "record": "run-info", "seed": 7,
+                       "stream": 2, "version": "0.1.0"}, sort_keys=True)
+
+
+def _eye(beta, m):
+    return {"beta": beta, "cols": m, "rows": m,
+            "data": [[[1.0 if i == j and k == 0 else 0.0 for k in range(beta)]
+                      for j in range(m)] for i in range(m)]}
+
+
+def _zeros(beta, m, n):
+    return {"beta": beta, "cols": n, "rows": m,
+            "data": [[[0.0] * beta for _ in range(n)] for _ in range(m)]}
+
+
+class TestFrozenOutput:
+    """Run-info headers and value lines frozen as text: the CLI's output
+    bytes must not move under refactors of the records behind it."""
+
+    SAMPLE_CASES = {
+        "matric-t": (
+            ["--beta", "2", "--m", "1", "--n", "2", "--nu", "5",
+             "--method", "inverse_root"],
+            '{"params": {"Sigma": {"beta": 2, "cols": 2, "data": [[[1.0, 0.0], '
+            '[0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]], "rows": 2}, "Xi": {"beta": 2, '
+            '"cols": 1, "data": [[[1.0, 0.0]]], "rows": 1}, "beta": 2, "count": 3, '
+            '"family": "matric-t", "format": "jsonl", "m": 1, "method": '
+            '"inverse_root", "mu": {"beta": 2, "cols": 2, "data": [[[0.0, 0.0], '
+            '[0.0, 0.0]]], "rows": 1}, "n": 2, "nu": 5.0}, "record": "run-info", '
+            '"seed": 7, "stream": 2, "version": "0.1.0"}'),
+        "matrix-mt": (
+            ["--beta", "4", "--m", "1", "--n", "1", "--nu", "3", "--rho", "1.5"],
+            '{"params": {"Delta": {"beta": 4, "cols": 1, "data": [[[1.0, 0.0, 0.0, '
+            '0.0]]], "rows": 1}, "Lambda": {"beta": 4, "cols": 1, "data": [[[1.0, '
+            '0.0, 0.0, 0.0]]], "rows": 1}, "beta": 4, "count": 3, "family": '
+            '"matrix-mt", "format": "jsonl", "m": 1, "mu": {"beta": 4, "cols": 1, '
+            '"data": [[[0.0, 0.0, 0.0, 0.0]]], "rows": 1}, "n": 1, "nu": 3.0, '
+            '"rho": 1.5}, "record": "run-info", "seed": 7, "stream": 2, "version": '
+            '"0.1.0"}'),
+        "wishart": (
+            ["--beta", "1", "--m", "2", "--nu", "6", "--method", "gram"],
+            '{"params": {"Xi": {"beta": 1, "cols": 2, "data": [[[1.0], [0.0]], '
+            '[[0.0], [1.0]]], "rows": 2}, "beta": 1, "count": 3, "family": '
+            '"wishart", "format": "jsonl", "m": 2, "method": "gram", "nu": 6.0}, '
+            '"record": "run-info", "seed": 7, "stream": 2, "version": "0.1.0"}'),
+        "gamma": (
+            ["--beta", "8", "--nu", "2", "--rho", "0.5"],
+            '{"params": {"beta": 8, "count": 3, "family": "gamma", "format": '
+            '"jsonl", "nu": 2.0, "rho": 0.5}, "record": "run-info", "seed": 7, '
+            '"stream": 2, "version": "0.1.0"}'),
+        "gaussian": (
+            ["--beta", "4", "--m", "1", "--n", "2"],
+            '{"params": {"beta": 4, "count": 3, "family": "gaussian", "format": '
+            '"jsonl", "m": 1, "n": 2}, "record": "run-info", "seed": 7, "stream": '
+            '2, "version": "0.1.0"}'),
+        "beta2-matric": (
+            ["--beta", "1", "--m", "3", "--n", "2", "--nu", "4"],
+            '{"params": {"beta": 1, "count": 3, "family": "beta2", "format": '
+            '"jsonl", "m": 3, "n": 2, "nu": 4.0, "orientation": "cogram", "scale": '
+            'null}, "record": "run-info", "seed": 7, "stream": 2, "version": '
+            '"0.1.0"}'),
+        "elliptical-t": (
+            ["--beta", "2", "--m", "2", "--n", "3", "--nu", "4",
+             "--mix", "0.25:0.5,0.75:2"],
+            '{"params": {"beta": 2, "count": 3, "family": "elliptical-t", '
+            '"format": "jsonl", "m": 2, "n": 3, "nu": 4.0, "scales": [0.5, 2.0], '
+            '"weights": [0.25, 0.75]}, "record": "run-info", "seed": 7, "stream": '
+            '2, "version": "0.1.0"}'),
+    }
+
+    @pytest.mark.parametrize("family", sorted(SAMPLE_CASES))
+    def test_sample_run_info_line(self, tmp_path, family):
+        flags, expected = self.SAMPLE_CASES[family]
+        out = tmp_path / "s.jsonl"
+        code = run_cli("sample", "--dist", family, *flags, "--count", "3",
+                       "--seed", "7", "--stream", "2", "--out", str(out))
+        assert code == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == expected
+        assert len(lines) == 4
+
+    # (flags, point, params of the header, value line).  Value lines are
+    # compared to 1e-13 (relative, absolute near zero): they go through
+    # log-gamma and Cholesky, whose last bits may move with the library,
+    # while the text of a header may not move at all.
+    DENSITY_CASES = {
+        "matric-t": (
+            ["--beta", "2", "--m", "1", "--n", "2", "--nu", "3", "--form", "dual"],
+            {"beta": 2, "rows": 1, "cols": 2,
+             "data": [[[0.5, -0.25], [1.0, 0.75]]]},
+            dict(Sigma=_eye(2, 2), Xi=_eye(2, 1), beta=2, family="matric-t",
+                 form="dual", m=1, mu=_zeros(2, 1, 2), n=2, nu=3.0),
+            "-5.084816493157371"),
+        "matrix-mt": (
+            ["--beta", "4", "--m", "1", "--n", "2", "--nu", "3", "--rho", "1.5"],
+            {"beta": 4, "rows": 1, "cols": 2,
+             "data": [[[0.5, -0.25, 0.125, 1.0], [0.0, 0.75, -0.5, 0.25]]]},
+            dict(Delta=_eye(4, 1), Lambda=_eye(4, 2), beta=4, family="matrix-mt",
+                 m=1, mu=_zeros(4, 1, 2), n=2, nu=3.0, rho=1.5),
+            "-9.53976882599849"),
+        "beta2-matric": (
+            ["--beta", "1", "--m", "2", "--n", "3", "--nu", "4"],
+            {"beta": 1, "rows": 2, "cols": 2, "data": [[[2.0], [0.5]], [[0.5], [1.0]]]},
+            dict(beta=1, family="beta2", m=2, n=3, nu=4.0, orientation="gram",
+                 scale=None),
+            "-4.558879176579595"),
+        "beta2-mv": (
+            ["--beta", "2", "--m", "1", "--n", "2", "--nu", "3"],
+            {"beta": 2, "rows": 1, "cols": 1, "data": [[[0.75, 0.0]]]},
+            dict(beta=2, family="beta2", m=1, n=2, nu=3.0, orientation="gram",
+                 scale=None),
+            "-0.6008543623408964"),
+    }
+
+    @pytest.mark.parametrize("family", sorted(DENSITY_CASES))
+    def test_density_header_and_value_line(self, tmp_path, family):
+        flags, point, params, value = self.DENSITY_CASES[family]
+        pts, out = tmp_path / "p.jsonl", tmp_path / "d.txt"
+        pts.write_text(json.dumps(point) + "\n")
+        code = run_cli("density", "--dist", family, *flags, "--points", str(pts),
+                       "--out", str(out))
+        assert code == 0
+        header, line = out.read_text().splitlines()
+        expected = json.loads(_run_info_line(**params))
+        expected["seed"] = expected["stream"] = None
+        assert header == "# " + json.dumps(expected, sort_keys=True)
+        assert line == repr(float(line))
+        assert math.isclose(float(line), float(value), rel_tol=1e-13,
+                            abs_tol=1e-13)
+
+    def test_density_header_literal(self, tmp_path):
+        pts, out = tmp_path / "p.jsonl", tmp_path / "d.txt"
+        pts.write_text(json.dumps(self.DENSITY_CASES["beta2-mv"][1]) + "\n")
+        run_cli("density", "--dist", "beta2-mv", "--beta", "2", "--m", "1",
+                "--n", "2", "--nu", "3", "--points", str(pts), "--out", str(out))
+        assert out.read_text().splitlines()[0] == (
+            '# {"params": {"beta": 2, "family": "beta2", "m": 1, "n": 2, "nu": '
+            '3.0, "orientation": "gram", "scale": null}, "record": "run-info", '
+            '"seed": null, "stream": null, "version": "0.1.0"}')
+
+    @pytest.mark.parametrize("family,flags,header,rows,first,last", [
+        ("elliptical-t",
+         ["--beta", "1", "--m", "1", "--n", "2", "--nu", "3",
+          "--mix", "0.5:1,0.5:3"],
+         '# {"params": {"beta": 1, "count": 200, "family": "elliptical-t", '
+         '"kind": "singular", "m": 1, "n": 2, "nu": 3.0, "scales": [1.0, 3.0], '
+         '"weights": [0.5, 0.5]}, "record": "run-info", "seed": 5, "stream": 0, '
+         '"version": "0.1.0"}',
+         258, "0.013888864588324522,-3.178537784881688",
+         "3.794533366595253,-4.4034988396228885"),
+        ("beta2-matric", ["--beta", "1", "--m", "2", "--n", "1", "--nu", "3"],
+         '# {"params": {"beta": 1, "count": 200, "family": "beta2", "kind": '
+         '"eigen", "m": 2, "n": 1, "nu": 3.0, "orientation": "cogram", "scale": '
+         'null}, "record": "run-info", "seed": 5, "stream": 0, "version": '
+         '"0.1.0"}',
+         258, "0.004742134519869814,-0.009461852041611032",
+         "940.79970170309,-13.695585242157541"),
+        ("matrix-mt",
+         ["--beta", "2", "--m", "2", "--n", "2", "--nu", "3", "--kind", "eigen"],
+         None, 2018, "0.1363077251903421,0.0007391679729701101,0.9905072152270304",
+         "8.541558272667405,8.405989715450033,-18.32262611002389"),
+    ])
+    def test_spectrum_grid_lines(self, tmp_path, family, flags, header, rows,
+                                 first, last):
+        out, grid = tmp_path / "s.csv", tmp_path / "g.csv"
+        code = run_cli("spectrum", "--dist", family, *flags, "--count", "200",
+                       "--seed", "5", "--out", str(out), "--grid", str(grid))
+        assert code == 0
+        lines = grid.read_text().splitlines()
+        assert lines[0] == out.read_text().splitlines()[0]
+        if header is not None:
+            assert lines[0] == header
+        assert len(lines) == rows
+        for got, want in ((lines[2], first), (lines[-1], last)):
+            g, w = got.split(","), want.split(",")
+            assert g[:-1] == w[:-1] and g[-1] == repr(float(g[-1]))
+            assert math.isclose(float(g[-1]), float(w[-1]), rel_tol=1e-13,
+                                abs_tol=1e-13)

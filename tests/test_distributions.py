@@ -15,7 +15,9 @@ from rdmt.algebra import (
 )
 from rdmt.distributions import (
     BetaIIParams,
+    EllipticalTParams,
     GammaScalarParams,
+    GaussianParams,
     MatricTParams,
     MatrixMTParams,
     RngStream,
@@ -93,7 +95,7 @@ class TestGaussian:
 
     def test_octonion_rejected(self):
         with pytest.raises(OctonionMatrixError):
-            sample_gaussian(RngStream(1), O, 1, 1)
+            sample_gaussian(RngStream(1), O, 2, 2)
 
 
 class TestGammaScalar:
@@ -206,7 +208,7 @@ class TestMatricTSampler:
         with pytest.raises(DomainError):
             MatricTParams(H, 2, 2, 4.0)  # needs nu > 4
 
-    @pytest.mark.parametrize("tag", [R, C, H])
+    @pytest.mark.parametrize("tag", [R, C, H, O])
     def test_scalar_reduction_ks_every_beta(self, tag):
         # ||T||^2 of the scalar standard law is beta-prime(beta/2, beta*nu/2):
         # a sampler/density KS check that works uniformly in the algebra.
@@ -218,6 +220,18 @@ class TestMatricTSampler:
         _, p = ks_one_sample(f, lambda x: betainc(b / 2.0, b * nu / 2.0,
                                                   x / (1.0 + x)))
         assert p > 0.005
+
+    @pytest.mark.parametrize("method", ["wishart_root", "inverse_root"])
+    def test_octonion_scalar_second_moment(self, method):
+        # T = Y / L with |Y|^2 ~ Gamma(beta/2, 2/beta) (unit mean) and
+        # L^2 = W ~ Gamma(beta nu/2, 2/beta); independence gives
+        # E|T|^2 = E[1/W] = 1 / ((beta nu/2 - 1) 2/beta) = beta / (beta nu - 2).
+        beta, nu = 8, 2.0
+        t = sample_matric_t(RngStream(36), MatricTParams(O, 1, 1, nu), method,
+                            size=40000)
+        res = moment_check(np.square(t).sum(axis=(1, 2, 3)),
+                           beta / (beta * nu - 2.0), 4.0)
+        assert res.passed, res
 
 
 class TestMatricTDensity:
@@ -574,6 +588,8 @@ class TestParamSerialization:
             WishartParams(R, 2, 6.0),
             GammaScalarParams(O, 2.0, 0.5),
             BetaIIParams(C, 3, 2, 5.0, "cogram"),
+            GaussianParams(H, 1, 2),
+            EllipticalTParams(R, 2, 3, 4.0, (0.25, 0.75), (0.5, 2.0)),
         ]
         for params in records:
             text = json.dumps(params.to_json_dict())

@@ -197,3 +197,54 @@ class TestEmpiricalVsClosedForm:
         inside = lmax[(lmax >= xs[0]) & (lmax <= xs[-1])]
         _, p = ks_one_sample(inside, cdf)
         assert p > 0.005
+
+
+class TestSpectralCore:
+    PAIRS = [
+        (log_joint_sv_matric_t, log_joint_eig_beta2, False),
+        (log_joint_sv_matric_t, log_joint_eig_beta2, True),
+        (log_joint_sv_matrix_mt, log_joint_eig_mv, None),
+    ]
+
+    @pytest.mark.parametrize("tag", [R, C, H, O])
+    @pytest.mark.parametrize("fn_sv,fn_eig,printed", PAIRS)
+    def test_singular_is_eigen_under_squares(self, rng, tag, fn_sv, fn_eig, printed):
+        # lambda = d^2: p_sv(d) = p_eig(d^2) * prod |d lambda / d d| = 2^m prod d
+        kw = {} if printed is None else {"printed_variant": printed}
+        for m, n, nu in ((1, 1, 1.5), (1, 3, 2.5), (2, 2, 3.0), (2, 3, 4.5),
+                         (3, 4, 5.0)):
+            d = np.sort(rng.uniform(0.05, 3.0, size=m))[::-1]
+            sv = fn_sv(tag, m, n, nu, d, **kw)
+            eig = fn_eig(tag, m, n, nu, d * d, **kw)
+            want = eig + m * math.log(2.0) + float(np.log(d).sum())
+            assert abs(sv - want) <= 1e-12 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("tag", [R, C, H, O])
+    @pytest.mark.parametrize("fn,kw", [
+        (log_joint_sv_matric_t, {}),
+        (log_joint_sv_matric_t, {"printed_variant": True}),
+        (log_joint_sv_matrix_mt, {}),
+        (log_joint_eig_beta2, {}),
+        (log_joint_eig_beta2, {"printed_variant": True}),
+        (log_joint_eig_mv, {}),
+    ])
+    def test_batch_equals_rows(self, rng, tag, fn, kw):
+        for m, n, nu in ((1, 2, 3.0), (2, 3, 4.5), (3, 3, 5.0)):
+            v = -np.sort(-rng.uniform(0.05, 4.0, size=(17, m)), axis=1)
+            batch = fn(tag, m, n, nu, v, **kw)
+            assert isinstance(batch, np.ndarray) and batch.shape == (17,)
+            for row, got in zip(v, batch):
+                single = fn(tag, m, n, nu, row, **kw)
+                assert type(single) is float
+                assert abs(got - single) <= 1e-12 * max(1.0, abs(single))
+
+    def test_bad_row_is_named(self):
+        v = np.array([[2.0, 1.0], [3.0, 0.5], [1.0, 1.0], [2.0, -1.0]])
+        with pytest.raises(ValueError, match="row 2"):
+            log_joint_eig_mv(R, 2, 3, 4.0, v)
+        with pytest.raises(ValueError, match="row 1"):
+            log_joint_sv_matric_t(R, 2, 3, 4.0, v[[0, 3]])
+        with pytest.raises(ValueError, match="row 0"):
+            log_joint_eig_beta2(R, 2, 3, 4.0, [1.0, np.nan])
+        with pytest.raises(ValueError):
+            log_joint_eig_beta2(R, 2, 3, 4.0, np.ones((2, 2, 2)))

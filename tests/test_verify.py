@@ -23,7 +23,6 @@ from rdmt.distributions import (
 from rdmt.algebra import DivMatrix
 from rdmt.verify import (
     CheckSpec,
-    _kolmogorov_sf,
     _KS_REFERENCE_PAIRS,
     _ks_reference_cases,
     default_suite,
@@ -37,12 +36,6 @@ from rdmt.verify import (
 )
 
 R, C, H, O = AlgebraTag.REAL, AlgebraTag.COMPLEX, AlgebraTag.QUATERNION, AlgebraTag.OCTONION
-
-
-class TestKolmogorovSf:
-    def test_matches_library_oracle(self):
-        for x in np.linspace(0.05, 3.5, 120):
-            assert abs(_kolmogorov_sf(float(x)) - kolmogorov(x)) < 1e-12
 
 
 class TestKsOneSample:
