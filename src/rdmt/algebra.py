@@ -78,10 +78,12 @@ class AlgebraTag(enum.IntEnum):
 # ---------------------------------------------------------------------------
 
 
+# (1, -1, ..., -1): the conjugate's coefficients, per beta.
+_CONJ_SIGNS = {b: np.array([1.0] + [-1.0] * (b - 1)) for b in (1, 2, 4, 8)}
+
+
 def _conj_coeffs(x: np.ndarray) -> np.ndarray:
-    out = x.copy()
-    out[..., 1:] *= -1.0
-    return out
+    return np.multiply(x, _CONJ_SIGNS[x.shape[-1]], order="C")
 
 
 def _mul_coeffs(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -99,7 +101,7 @@ def _mul_coeffs(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _conj_t_raw(x: np.ndarray) -> np.ndarray:
     """(X*)_ij = conj(X_ji) on (..., m, n, beta) arrays."""
-    return _conj_coeffs(np.swapaxes(x, -3, -2))
+    return _conj_coeffs(x.swapaxes(-3, -2))
 
 
 def _check_beta_shape(beta: int, m: int, n: int) -> None:
@@ -145,7 +147,7 @@ def _complex_unembed_raw(z: np.ndarray, beta: int) -> np.ndarray:
     if beta == 4:
         z = z[..., 0::2, :]
     z = np.ascontiguousarray(z, dtype=np.complex128)
-    return z.view(np.float64).reshape(z.shape[:-1] + (-1, beta))
+    return z.view(np.float64).reshape(z.shape[:-1] + (2 * z.shape[-1] // beta, beta))
 
 
 def _octonion_scalar(x: np.ndarray) -> bool:
@@ -181,17 +183,45 @@ def _hermitize_raw(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + _conj_t_raw(a))
 
 
-def _require_hermitian(a: np.ndarray, what: str = "matrix") -> None:
-    """Raise ValueError unless |A - A*| <= HERMITIAN_ATOL * max(1, |A|_max)
-    coefficient-wise.  A NaN or inf coefficient makes the gap NaN or inf,
-    so it is refused too."""
-    gap = float(np.abs(a - _conj_t_raw(a)).max())
-    if not np.isfinite(gap):
-        raise ValueError(f"{what} has non-finite coefficients")
-    if gap > HERMITIAN_ATOL * max(1.0, float(np.abs(a).max())):
-        raise ValueError(
-            f"{what} is not Hermitian: max |A - A*| coefficient {gap:.3e}"
-        )
+def _stack_index(bad: np.ndarray):
+    """Position of the first flagged matrix in a per-matrix mask, counted
+    over the flattened leading axes; None for a single matrix (0-d mask)."""
+    return None if bad.ndim == 0 else int(np.flatnonzero(bad)[0])
+
+
+def _raise_at(error: type, index, what: str, problem: str):
+    """Raise `error` about one matrix: "<what> <problem>" for a single
+    matrix, "<what> at index i <problem>" for matrix i of a stack.  The
+    position rides along as the exception's `index` (None for a single
+    matrix), so a caller can map it back to its own input."""
+    where = what if index is None else f"{what} at index {index}"
+    exc = error(f"{where} {problem}")
+    exc.index = index
+    raise exc
+
+
+def _hermitian_part(a: np.ndarray, what: str = "matrix") -> np.ndarray:
+    """(A + A*)/2 of each matrix of a (..., m, m, beta) stack, after checking
+    |A - A*| <= HERMITIAN_ATOL * max(1, |A|_max) coefficient-wise; ValueError
+    names the first matrix that fails.  A NaN or inf coefficient makes the
+    gap NaN or inf, so it is refused too."""
+    at = _conj_t_raw(a)
+    gap = np.abs(a - at)
+    # Within the smallest tolerance every matrix passes: the common case.
+    if gap.size and gap.max() <= HERMITIAN_ATOL:
+        return 0.5 * (a + at)
+    axes = (-3, -2, -1)
+    gap = gap.max(axis=axes)
+    tol = HERMITIAN_ATOL * np.maximum(1.0, np.abs(a).max(axis=axes))
+    bad = ~(np.isfinite(gap) & (gap <= tol))
+    if bad.any():
+        index = _stack_index(bad)
+        worst = gap if index is None else gap[index]
+        if not np.isfinite(worst):
+            _raise_at(ValueError, index, what, "has non-finite coefficients")
+        _raise_at(ValueError, index, what,
+                  f"is not Hermitian: max |A - A*| coefficient {worst:.3e}")
+    return 0.5 * (a + at)
 
 
 def _real_trace_raw(a: np.ndarray) -> np.ndarray:
@@ -207,26 +237,45 @@ def _cholesky_raw(a: np.ndarray) -> np.ndarray:
     """Lower-triangular L with L L* = A and real positive diagonal.
 
     `a` must be Hermitian, shape (..., m, m, beta); only its lower triangle
-    is read.  Raises NotPositiveDefinite if any matrix in the batch is not
-    positive definite or has a non-finite factor.
+    is read.  Raises NotPositiveDefinite if a matrix of the stack is not
+    positive definite or has a non-finite factor, naming the first such
+    matrix by its index.
     """
     beta = a.shape[-1]
     if _octonion_scalar(a):
-        piv = a[..., 0]
+        piv = a[..., 0, 0, 0]
         if not np.all(piv > 0.0):
-            raise NotPositiveDefinite("non-positive pivot at index 0")
+            _raise_at(NotPositiveDefinite, _stack_index(~(piv > 0.0)),
+                      "matrix", "has a non-positive pivot")
         lo = np.zeros_like(a)
-        lo[..., 0] = np.sqrt(piv)
+        lo[..., 0] = np.sqrt(a[..., 0])
     else:
+        z = _complex_embed_raw(a, beta)
         try:
-            lo = np.linalg.cholesky(_complex_embed_raw(a, beta))
+            lo = np.linalg.cholesky(z)
         except np.linalg.LinAlgError:
-            raise NotPositiveDefinite("matrix is not positive definite") from None
+            _raise_at(NotPositiveDefinite, _first_non_pd(z),
+                      "matrix", "is not positive definite")
         lo = _complex_unembed_raw(lo, beta)
     # LAPACK passes NaN through and factors an infinite diagonal.
-    if not np.all(np.isfinite(lo)):
-        raise NotPositiveDefinite("matrix has a non-finite Cholesky factor")
+    finite = np.isfinite(lo).all(axis=(-3, -2, -1))
+    if not finite.all():
+        _raise_at(NotPositiveDefinite, _stack_index(~finite),
+                  "matrix", "has a non-finite Cholesky factor")
     return lo
+
+
+def _first_non_pd(z: np.ndarray):
+    """Position of the first matrix of a complex stack that LAPACK refuses to
+    factor (numpy's batched Cholesky raises for the whole stack); None for a
+    single matrix."""
+    if z.ndim == 2:
+        return None
+    for index, one in enumerate(z.reshape((-1,) + z.shape[-2:])):
+        try:
+            np.linalg.cholesky(one)
+        except np.linalg.LinAlgError:
+            return index
 
 
 def _chol_logdet_raw(lo: np.ndarray) -> np.ndarray:
@@ -360,6 +409,21 @@ class DivScalar:
         return f"DivScalar({self.tag.name}, {self.coeffs.tolist()})"
 
 
+def _schema_data(obj: dict) -> tuple:
+    """(tag, coefficient array) of a schema dict, checked: the data must have
+    the declared shape and be finite."""
+    tag = AlgebraTag(int(obj["beta"]))
+    arr = np.asarray(obj["data"], dtype=float)
+    if arr.shape != (int(obj["rows"]), int(obj["cols"]), tag.beta):
+        raise ValueError(
+            f"schema shape mismatch: declared {obj['rows']}x{obj['cols']} "
+            f"beta={obj['beta']}, data has shape {arr.shape}"
+        )
+    if not np.isfinite(arr).all():
+        raise ValueError("schema data must be finite (no NaN or inf)")
+    return tag, arr
+
+
 class DivMatrix:
     """Dense m x n matrix over a division algebra, stored as (m, n, beta)."""
 
@@ -466,16 +530,7 @@ class DivMatrix:
 
     @classmethod
     def from_schema_dict(cls, obj: dict) -> "DivMatrix":
-        tag = AlgebraTag(int(obj["beta"]))
-        arr = np.asarray(obj["data"], dtype=float)
-        if arr.shape != (int(obj["rows"]), int(obj["cols"]), tag.beta):
-            raise ValueError(
-                f"schema shape mismatch: declared {obj['rows']}x{obj['cols']} "
-                f"beta={obj['beta']}, data has shape {arr.shape}"
-            )
-        if not np.isfinite(arr).all():
-            raise ValueError("schema data must be finite (no NaN or inf)")
-        return cls(tag, arr)
+        return cls(*_schema_data(obj))
 
     def __repr__(self) -> str:
         return f"DivMatrix({self.tag.name}, {self.m}x{self.n})"
@@ -500,8 +555,7 @@ class HermitianPD:
         _check_beta_shape(mat.tag.beta, mat.m, mat.n)
         if not np.isfinite(mat.data).all():
             raise NotPositiveDefinite("matrix has non-finite coefficients")
-        _require_hermitian(mat.data)
-        sym = _hermitize_raw(mat.data)
+        sym = _hermitian_part(mat.data)
         chol = _cholesky_raw(sym)  # raises NotPositiveDefinite
         object.__setattr__(self, "mat", DivMatrix(mat.tag, sym))
         object.__setattr__(self, "_chol", DivMatrix(mat.tag, chol))
@@ -617,5 +671,4 @@ def hermitian_eigenvalues(a) -> np.ndarray:
     mat = a.mat if isinstance(a, HermitianPD) else a
     if mat.m != mat.n:
         raise ValueError("eigenvalues require a square matrix")
-    _require_hermitian(mat.data)
-    return _eigvalsh_raw(_hermitize_raw(mat.data), mat.tag.beta)
+    return _eigvalsh_raw(_hermitian_part(mat.data), mat.tag.beta)

@@ -12,13 +12,22 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
+from contextlib import nullcontext
 
 import numpy as np
 
 from ._version import __version__
-from .algebra import AlgebraTag, DivMatrix, _conj_t_raw, _hermitize_raw, _matmul_raw
+from .algebra import (
+    AlgebraTag,
+    DivMatrix,
+    _conj_t_raw,
+    _hermitize_raw,
+    _matmul_raw,
+    _schema_data,
+)
 from .distributions import (
     BetaIIParams,
     EllipticalTParams,
@@ -58,7 +67,6 @@ _CONFIG_ERRORS = (
 
 _SAMPLE_FAMILIES = ("matric-t", "matrix-mt", "wishart", "gamma", "gaussian",
                     "beta2-matric", "elliptical-t")
-_DENSITY_FAMILIES = ("matric-t", "matrix-mt", "beta2-matric", "beta2-mv")
 
 
 class _CliError(Exception):
@@ -125,7 +133,7 @@ def _build_params(args, family: str):
             raise _CliError(f"--{flag} is required for family {family!r}")
     values = {flag: getattr(args, flag) for flag in need}
     if record in (MatrixMTParams, GammaScalarParams):
-        values["rho"] = args.rho or 1.0
+        values["rho"] = 1.0 if args.rho is None else args.rho
     elif record is BetaIIParams:
         values["orientation"] = "gram" if args.n >= args.m else "cogram"
     elif record is EllipticalTParams and args.mix:
@@ -207,45 +215,59 @@ def _cmd_sample(args) -> int:
             out.close()
 
 
-def _density_evaluator(args, family, params):
-    if family == "matric-t":
-        form = args.form or "primal"
-        return lambda mat: logpdf_matric_t(params, mat, form)
-    if family == "matrix-mt":
-        return lambda mat: logpdf_matrix_mt(params, mat)
-    if family == "beta2-matric":
-        return lambda mat: logpdf_beta2_matric(params, mat)
-    if family == "beta2-mv":
-        return lambda mat: logpdf_beta2_multivariate(params, mat)
-    raise _CliError(f"unknown density family {family!r}")
+_DENSITIES = {
+    "matric-t": logpdf_matric_t,
+    "matrix-mt": logpdf_matrix_mt,
+    "beta2-matric": logpdf_beta2_matric,
+    "beta2-mv": logpdf_beta2_multivariate,
+}
+
+
+def _read_points(path) -> tuple:
+    """The points of a --points JSONL file as one (N, rows, cols, beta) stack,
+    with the line number of each.  Every line is checked on its own (JSON,
+    schema, finite data, the same shape and algebra as the first point), and
+    an error names its line; run-info and blank lines are skipped."""
+    points, linenos = [], []
+    with (nullcontext(sys.stdin) if path == "-" else open(path)) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                obj = json.loads(line)
+                if isinstance(obj, dict) and obj.get("record") == "run-info":
+                    continue
+                _, data = _schema_data(obj)
+                if points and data.shape != points[0].shape:
+                    raise ValueError(
+                        f"point shape/algebra mismatch: (rows, cols, beta) = "
+                        f"{data.shape}, line {linenos[0]} has {points[0].shape}")
+            except _CONFIG_ERRORS as exc:
+                raise _CliError(f"--points line {lineno}: {exc}") from exc
+            points.append(data)
+            linenos.append(lineno)
+    return (np.stack(points) if points else None), linenos
 
 
 def _cmd_density(args) -> int:
     family = args.dist
-    if family not in _DENSITY_FAMILIES:
+    if family not in _DENSITIES:
         raise _CliError(f"unknown density family {args.dist!r}")
     params = _build_params(args, family)
-    evaluator = _density_evaluator(args, family, params)
     info = _run_info(None, None, _params_dict(params))
     if args.form:
         info["params"]["form"] = args.form
-    if args.points == "-":
-        lines = sys.stdin.read().splitlines()
-    else:
-        with open(args.points) as fh:
-            lines = fh.read().splitlines()
+    stack, linenos = _read_points(args.points)
     values = []
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
+    if stack is not None:
+        form = {"form": args.form or "primal"} if family == "matric-t" else {}
         try:
-            obj = json.loads(line)
-            if isinstance(obj, dict) and obj.get("record") == "run-info":
-                continue
-            values.append(evaluator(DivMatrix.from_schema_dict(obj)))
+            values = _DENSITIES[family](params, stack, **form).tolist()
         except _CONFIG_ERRORS as exc:
-            raise _CliError(f"--points line {lineno}: {exc}") from exc
+            # an error about one point carries its stack index
+            line = linenos[getattr(exc, "index", None) or 0]
+            raise _CliError(f"--points line {line}: {exc}") from exc
     out, close = _open_out(args.out)
     try:
         out.write("# " + json.dumps(info, sort_keys=True) + "\n")
@@ -337,7 +359,14 @@ def _write_grid(args, family, kind, params, vals, info) -> None:
         v1, v2 = np.meshgrid(grid, grid, indexing="ij")
         below = v2 < v1
         points = np.stack([v1[below], v2[below]], axis=1)
-    logpdf = overlay(params.tag, m, n, nu, points)
+    scale, log_jacobian = 1.0, 0.0
+    if family == "matrix-mt":
+        # sqrt(rho) T follows the standard law, so its singular values are
+        # sqrt(rho) d (Jacobian rho^(m/2)) and its gram eigenvalues rho lambda
+        # (Jacobian rho^m).
+        power = 0.5 if kind == "singular" else 1.0
+        scale, log_jacobian = params.rho ** power, m * power * math.log(params.rho)
+    logpdf = overlay(params.tag, m, n, nu, points * scale) + log_jacobian
     with open(args.grid, "w") as fh:
         fh.write("# " + json.dumps(info, sort_keys=True) + "\n")
         fh.write(header + "\n")

@@ -10,15 +10,19 @@ Conventions fixed here once and used everywhere:
   the convention under which all the closed-form constants below normalize.
 * A scalar gamma variate with parameters (nu, rho) is Gamma-distributed with
   shape beta*nu/2 and scale 2*rho/beta (mean nu*rho).
-* Densities are assembled in log space; samplers accept an optional `size`
-  and then return a stacked coefficient array of shape (size, m, n, beta)
-  instead of a single wrapped matrix.
+* Samplers accept an optional `size` and then return a stacked coefficient
+  array of shape (size, m, n, beta) instead of a single wrapped matrix.
+* Log densities take points the same way: one wrapped matrix gives a float,
+  and an (N, m, n, beta) stack gives an (N,) array, through one code path.
+  They are assembled in log space, and what does not depend on the point
+  is computed once per parameter record.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import MISSING, dataclass, fields
+from functools import cached_property
 from typing import ClassVar, get_args, get_type_hints
 
 import numpy as np
@@ -33,13 +37,15 @@ from .algebra import (
     _conj_t_raw,
     _eigvalsh_raw,
     _frobenius_sq_raw,
+    _hermitian_part,
     _hermitize_raw,
     _hpd_inverse_raw,
     _identity_raw,
     _matmul_raw,
+    _raise_at,
     _real_trace_raw,
-    _require_hermitian,
     _solve_raw,
+    _stack_index,
 )
 from .errors import DomainError
 from .special import _lmg, log_gamma, log_mvbeta
@@ -197,6 +203,11 @@ class MatricTParams(_JsonRecord):
         object.__setattr__(self, "Xi", _default_hpd(self.Xi, tag, self.m, "Xi"))
         object.__setattr__(self, "Sigma", _default_hpd(self.Sigma, tag, self.n, "Sigma"))
 
+    @cached_property
+    def _density_terms(self):
+        """`_matric_t_terms(self)`, computed on first use (see Log densities)."""
+        return _matric_t_terms(self)
+
 
 @dataclass(frozen=True)
 class MatrixMTParams(_JsonRecord):
@@ -226,6 +237,11 @@ class MatrixMTParams(_JsonRecord):
         object.__setattr__(self, "mu", _default_mu(self.mu, tag, self.m, self.n))
         object.__setattr__(self, "Delta", _default_hpd(self.Delta, tag, self.m, "Delta"))
         object.__setattr__(self, "Lambda", _default_hpd(self.Lambda, tag, self.n, "Lambda"))
+
+    @cached_property
+    def _density_terms(self):
+        """`_matrix_mt_terms(self)`, computed on first use (see Log densities)."""
+        return _matrix_mt_terms(self)
 
 
 @dataclass(frozen=True)
@@ -301,6 +317,11 @@ class BetaIIParams(_JsonRecord):
     def dim(self) -> int:
         """Side length of the sampled positive definite matrix."""
         return self.m if self.orientation == "gram" else self.n
+
+    @cached_property
+    def _density_terms(self):
+        """`_beta2_terms(self)`, computed on first use (see Log densities)."""
+        return _beta2_terms(self)
 
 
 @dataclass(frozen=True)
@@ -555,26 +576,78 @@ def sample_elliptical_t(rng: RngStream, tag: AlgebraTag, m: int, n: int, nu: int
 
 
 # ---------------------------------------------------------------------------
-# Log densities.
+# Log densities.  Each takes one point (a DivMatrix, or for the beta II laws
+# also a HermitianPD), giving a float, or an (N, rows, cols, beta) stack of
+# points, giving an (N,) array, through one code path: the raw kernels take
+# any leading axes, so one point simply has none.  The pieces that do not
+# depend on the point are computed once per parameter record and cached on
+# it as `_density_terms`: an attribute, not a dataclass field, so it stays
+# out of ==, repr and the JSON.
 # ---------------------------------------------------------------------------
 
 
-def _logdet_hermitian_raw(a: np.ndarray) -> float:
-    return float(_chol_logdet_raw(_cholesky_raw(_hermitize_raw(a))))
+def _libm(fn, x: np.ndarray) -> np.ndarray:
+    """`fn` (math.log or math.log1p) elementwise.  numpy's vectorized log and
+    log1p round differently from the C library's in the last bit on part of
+    their inputs; the densities keep the C library's values."""
+    return np.array([fn(v) for v in x.ravel().tolist()]).reshape(x.shape)
 
 
-def _check_point(params, t: DivMatrix) -> np.ndarray:
-    if not isinstance(t, DivMatrix):
-        raise TypeError("the evaluation point must be a DivMatrix")
-    if t.tag != params.tag or t.shape != (params.m, params.n):
+def _logdet_hermitian_raw(a: np.ndarray) -> np.ndarray:
+    return _chol_logdet_raw(_cholesky_raw(_hermitize_raw(a)))
+
+
+def _points(params, t, shape: tuple) -> tuple:
+    """(coefficients, single) of one point or of a stack of points, checked
+    against the point shape (rows, cols) over the record's algebra."""
+    if isinstance(t, DivMatrix):
+        x, single = t.data, True
+        ok = t.tag == params.tag and t.shape == shape
+    elif isinstance(t, np.ndarray):
+        x, single = np.asarray(t, dtype=float), False
+        ok = x.shape[1:] == shape + (params.tag.beta,)
+    else:
+        raise TypeError("the evaluation point must be a DivMatrix, or a stack "
+                        "of points as an (N, rows, cols, beta) array")
+    if not ok:
         raise ValueError(
-            f"point shape/algebra mismatch: expected {params.m}x{params.n} "
+            f"point shape/algebra mismatch: expected {shape[0]}x{shape[1]} "
             f"over {params.tag.name}"
         )
-    return t.data - params.mu.data
+    return x, single
 
 
-def logpdf_matric_t(params: MatricTParams, t: DivMatrix, form: str = "primal") -> float:
+def _matric_t_terms(params: MatricTParams) -> dict:
+    """form -> (q, factor, base, const) of logpdf_matric_t, whose kernel is
+    |base + g* g|^-q: primal g = L_Sigma^-1 (T-mu)* with factor L_Sigma and
+    base Xi^-1, dual g = L_Xi* (T-mu) with factor L_Xi* and base Sigma."""
+    tag = params.tag
+    beta = tag.beta
+    m, n, nu = params.m, params.n, params.nu
+    _check_beta_shape(beta, m, n)
+    q = beta * (n + nu) / 2.0
+    primal = (
+        _lmg(tag, m, q)
+        - m * n * beta / 2.0 * _LOG_PI
+        - _lmg(tag, m, beta * nu / 2.0)
+        - beta * nu / 2.0 * params.Xi.logdet
+        - beta * m / 2.0 * params.Sigma.logdet
+    )
+    dual = (
+        _lmg(tag, n, q)
+        + beta * n / 2.0 * params.Xi.logdet
+        + beta * (n + nu - m) / 2.0 * params.Sigma.logdet
+        - m * n * beta / 2.0 * _LOG_PI
+        - _lmg(tag, n, beta * (n + nu - m) / 2.0)
+    )
+    return {
+        "primal": (q, params.Sigma.chol.data, _hpd_inverse_raw(params.Xi.mat.data),
+                   primal),
+        "dual": (q, _conj_t_raw(params.Xi.chol.data), params.Sigma.mat.data, dual),
+    }
+
+
+def logpdf_matric_t(params: MatricTParams, t, form: str = "primal"):
     """Log density of the matricvariate T law.
 
     The primal form carries the kernel |Xi^-1 + (T-mu) Sigma^-1 (T-mu)*|,
@@ -582,93 +655,94 @@ def logpdf_matric_t(params: MatricTParams, t: DivMatrix, form: str = "primal") -
     dimension-swap gamma identity plus a determinant identity) and both are
     kept as a cross-check.  beta = 8 is permitted only at m = n = 1.
     """
+    if form not in ("primal", "dual"):
+        raise ValueError("form must be 'primal' or 'dual'")
+    q, factor, base, const = params._density_terms[form]
+    x, single = _points(params, t, (params.m, params.n))
+    a = x - params.mu.data
+    if form == "primal":
+        g = _solve_raw(factor, _conj_t_raw(a))  # L_Sigma^-1 (T-mu)*
+    else:
+        g = _matmul_raw(factor, a)  # L_Xi* (T-mu)
+    out = const - q * _logdet_hermitian_raw(base + _matmul_raw(_conj_t_raw(g), g))
+    return float(out) if single else out
+
+
+def _beta2_terms(params: BetaIIParams) -> dict:
+    """law -> (q, exp_f, base, const) of the two beta II densities: "matric"
+    with the bracket base I or scale, "mv" with the scale of its trace
+    (None for the standard form)."""
     tag = params.tag
     beta = tag.beta
     m, n, nu = params.m, params.n, params.nu
-    _check_beta_shape(beta, m, n)
-    a = _check_point(params, t)
-    q = beta * (n + nu) / 2.0
-    if form == "primal":
-        c = _solve_raw(params.Sigma.chol.data, _conj_t_raw(a))
-        inner = _hpd_inverse_raw(params.Xi.mat.data) + _matmul_raw(_conj_t_raw(c), c)
-        const = (
-            _lmg(tag, m, q)
-            - m * n * beta / 2.0 * _LOG_PI
-            - _lmg(tag, m, beta * nu / 2.0)
-            - beta * nu / 2.0 * params.Xi.logdet
-            - beta * m / 2.0 * params.Sigma.logdet
-        )
-    elif form == "dual":
-        b = _matmul_raw(_conj_t_raw(params.Xi.chol.data), a)
-        inner = params.Sigma.mat.data + _matmul_raw(_conj_t_raw(b), b)
-        const = (
-            _lmg(tag, n, q)
-            + beta * n / 2.0 * params.Xi.logdet
-            + beta * (n + nu - m) / 2.0 * params.Sigma.logdet
-            - m * n * beta / 2.0 * _LOG_PI
-            - _lmg(tag, n, beta * (n + nu - m) / 2.0)
-        )
+    _check_beta_shape(beta, params.dim, params.dim)
+    if params.orientation == "gram":
+        a_par, b_par = beta * nu / 2.0, beta * n / 2.0
+        exp_f = beta * (n - m + 1) / 2.0 - 1.0
+        mv_const = -_lmg(tag, m, beta * n / 2.0)
+        scale_exp = beta * n / 2.0
     else:
-        raise ValueError("form must be 'primal' or 'dual'")
-    return const - q * _logdet_hermitian_raw(inner)
+        a_par, b_par = beta * (nu + n - m) / 2.0, beta * m / 2.0
+        exp_f = beta * (m - n + 1) / 2.0 - 1.0
+        mv_const = -_lmg(tag, n, beta * m / 2.0)
+        scale_exp = beta * m / 2.0
+    q1 = beta * (nu + m * n) / 2.0
+    matric_const = -log_mvbeta(tag, params.dim, a_par, b_par)
+    mv_const += log_gamma(q1) - log_gamma(beta * nu / 2.0)
+    if params.scale is None:
+        base, scale = _identity_raw(params.dim, beta), None
+    else:
+        matric_const += a_par * params.scale.logdet
+        mv_const += scale_exp * params.scale.logdet
+        base = scale = params.scale.mat.data
+    return {
+        "matric": (beta * (n + nu) / 2.0, exp_f, base, matric_const),
+        "mv": (q1, exp_f, scale, mv_const),
+    }
 
 
-def _beta2_point(params: BetaIIParams, f) -> tuple:
-    """Classify a candidate cone point and return (logdet_f, data).
+def _beta2_points(params: BetaIIParams, f, exp_f: float) -> tuple:
+    """(data, single, logdet_f, finite) of beta II points in the d x d cone.
 
-    logdet_f is None when the point is not strictly inside the positive
-    definite cone; the caller resolves that through _beta2_edge based on the
-    kernel exponent.  Raises for points that are off the cone entirely
-    (not Hermitian) or of the wrong shape.
+    A point strictly inside the positive definite cone has a finite density.
+    Outside the cone the density is zero.  On the boundary a positive kernel
+    exponent exp_f also gives zero, a zero exponent leaves a finite limit (the
+    determinant factor drops out), and a negative exponent diverges, which
+    raises DomainError naming the point.  A point that is not Hermitian
+    raises ValueError.  `data` holds the hermitized points, with 0 in place
+    of those of zero density so every bracket stays finite; `logdet_f` is
+    log|F| inside the cone and 0 elsewhere; `finite` marks the points with a
+    finite density.
     """
     d = params.dim
-    _check_beta_shape(params.tag.beta, d, d)
     if isinstance(f, HermitianPD):
         if f.tag != params.tag or f.m != d:
-            raise ValueError(f"point must be {d}x{d} over {params.tag.name}")
-        return f.logdet, f.mat.data
-    if not isinstance(f, DivMatrix):
-        raise TypeError("the evaluation point must be a HermitianPD or DivMatrix")
-    if f.tag != params.tag or f.shape != (d, d):
-        raise ValueError(f"point must be {d}x{d} over {params.tag.name}")
-    _require_hermitian(f.data, "the evaluation point")
-    data = _hermitize_raw(f.data)
+            raise ValueError(f"point shape/algebra mismatch: expected {d}x{d} "
+                             f"over {params.tag.name}")
+        return f.mat.data, True, f.logdet, True
+    x, single = _points(params, f, (d, d))
+    data = _hermitian_part(x, "the evaluation point")
     if params.tag.beta == 8:
-        eigs = data[0, 0, :1]
+        eigs = data[..., 0, 0, :1]
     else:
         eigs = _eigvalsh_raw(data, params.tag.beta)
-    tol = 1e-12 * max(1.0, float(np.abs(eigs).max()))
-    if eigs.min() > tol:
-        return float(np.log(eigs).sum()), data
-    return None, data
+    # eigs descend, so with a positive last one the first is the largest |eig|
+    low = eigs[..., -1]
+    interior = low > 1e-12 * np.maximum(1.0, eigs[..., 0])
+    if interior.all():
+        return data, single, np.log(eigs).sum(axis=-1), True
+    outside = low < -1e-12 * np.maximum(1.0, np.abs(data).max(axis=(-3, -2, -1)))
+    boundary = ~interior & ~outside
+    if exp_f < 0.0 and boundary.any():
+        _raise_at(DomainError, _stack_index(boundary), "the density",
+                  "diverges on the boundary of the positive definite cone")
+    finite = interior | (boundary & (exp_f == 0.0))
+    logdet_f = np.log(np.where(interior[..., None], eigs, 1.0)).sum(axis=-1)
+    data = np.where(finite[..., None, None, None], data, 0.0)
+    return data, single, logdet_f, finite
 
 
-def _beta2_edge(exp_f: float, data: np.ndarray, tol: float = 1e-12):
-    """Density value (or None to continue with the finite limit) for a point
-    on or outside the cone boundary.
-
-    Outside the cone the density is zero.  On the boundary a positive kernel
-    exponent also gives zero, a zero exponent leaves a finite limit, and a
-    negative exponent diverges, which is reported as an error.
-    """
-    beta = data.shape[-1]
-    if beta == 8:
-        min_eig = float(data[0, 0, 0])
-    else:
-        min_eig = float(_eigvalsh_raw(data, beta).min())
-    scale = max(1.0, float(np.abs(data).max()))
-    if min_eig < -tol * scale:
-        return -math.inf
-    if exp_f > 0.0:
-        return -math.inf
-    if exp_f == 0.0:
-        return None
-    raise DomainError(
-        "the density diverges on the boundary of the positive definite cone"
-    )
-
-
-def logpdf_beta2_matric(params: BetaIIParams, f, *, printed_variant: bool = False) -> float:
+def logpdf_beta2_matric(params: BetaIIParams, f, *, printed_variant: bool = False):
     """Log density of the matricvariate beta type II law (determinant kernel).
 
     With a scale present the nonstandardised form replaces I + F by scale + Z
@@ -677,47 +751,23 @@ def logpdf_beta2_matric(params: BetaIIParams, f, *, printed_variant: bool = Fals
     -1), which fails normalization and exists purely for the diagnostic
     evidence check; see ERRATA.md.
     """
-    tag = params.tag
-    beta = tag.beta
-    m, n, nu = params.m, params.n, params.nu
-    if params.orientation == "gram":
-        d, a_par, b_par = m, beta * nu / 2.0, beta * n / 2.0
-        exp_f = beta * (n - m + 1) / 2.0 - 1.0
-    else:
-        d, a_par, b_par = n, beta * (nu + n - m) / 2.0, beta * m / 2.0
-        exp_f = beta * (m - n + 1) / 2.0 - 1.0
-    q = beta * (n + nu) / 2.0
+    q, exp_f, base, const = params._density_terms["matric"]
     if printed_variant and params.orientation == "cogram":
         q = q + 1.0
-    logdet_f, data = _beta2_point(params, f)
-    const = -log_mvbeta(tag, d, a_par, b_par)
-    if params.scale is not None:
-        const += a_par * params.scale.logdet
-        inner = params.scale.mat.data + data
-    else:
-        inner = _identity_raw(d, beta) + data
-    if logdet_f is None:
-        edge = _beta2_edge(exp_f, data)
-        if edge is not None:
-            return edge
-        logdet_f = 0.0  # exponent 0: the determinant factor drops out
-    return const + exp_f * logdet_f - q * _logdet_hermitian_raw(inner)
+    data, single, logdet_f, finite = _beta2_points(params, f, exp_f)
+    out = np.where(finite, const + exp_f * logdet_f
+                   - q * _logdet_hermitian_raw(base + data), -math.inf)
+    return float(out) if single else out
 
 
-def logpdf_matrix_mt(params: MatrixMTParams, t: DivMatrix) -> float:
-    """Log density of the matrix multivariate T law (trace kernel):
-
-        const * [1 + rho * tr Delta (T-mu) Lambda (T-mu)*]^(-beta(nu+mn)/2).
-    """
+def _matrix_mt_terms(params: MatrixMTParams) -> tuple:
+    """(q1, left, right, const) of logpdf_matrix_mt: the kernel's exponent,
+    its congruence factors L_Delta* and L_Lambda, and the constant."""
     tag = params.tag
     beta = tag.beta
     m, n, nu = params.m, params.n, params.nu
     _check_beta_shape(beta, m, n)
-    a = _check_point(params, t)
     q1 = beta * (nu + m * n) / 2.0
-    g = _matmul_raw(_matmul_raw(_conj_t_raw(params.Delta.chol.data), a),
-                    params.Lambda.chol.data)
-    bracket = 1.0 + params.rho * float(_frobenius_sq_raw(g))
     const = (
         log_gamma(q1)
         + beta * m * n / 2.0 * (math.log(params.rho) - _LOG_PI)
@@ -725,40 +775,32 @@ def logpdf_matrix_mt(params: MatrixMTParams, t: DivMatrix) -> float:
         + beta * n / 2.0 * params.Delta.logdet
         + beta * m / 2.0 * params.Lambda.logdet
     )
-    return const - q1 * math.log(bracket)
+    return q1, _conj_t_raw(params.Delta.chol.data), params.Lambda.chol.data, const
 
 
-def logpdf_beta2_multivariate(params: BetaIIParams, f) -> float:
+def logpdf_matrix_mt(params: MatrixMTParams, t):
+    """Log density of the matrix multivariate T law (trace kernel):
+
+        const * [1 + rho * tr Delta (T-mu) Lambda (T-mu)*]^(-beta(nu+mn)/2).
+    """
+    q1, left, right, const = params._density_terms
+    x, single = _points(params, t, (params.m, params.n))
+    g = _matmul_raw(_matmul_raw(left, x - params.mu.data), right)
+    bracket = 1.0 + params.rho * _frobenius_sq_raw(g)
+    out = const - q1 * _libm(math.log, bracket)
+    return float(out) if single else out
+
+
+def logpdf_beta2_multivariate(params: BetaIIParams, f):
     """Log density of the matrix multivariate beta type II law (trace kernel
     (1 + tr F)^(-beta(nu+mn)/2)); a scale gives the nonstandardised bracket
     (1 + tr scale*Z) and the factor |scale|^(beta n/2) (m/2 for cogram)."""
-    tag = params.tag
-    beta = tag.beta
-    m, n, nu = params.m, params.n, params.nu
-    q1 = beta * (nu + m * n) / 2.0
-    if params.orientation == "gram":
-        d = m
-        exp_f = beta * (n - m + 1) / 2.0 - 1.0
-        const = -_lmg(tag, m, beta * n / 2.0)
-        scale_exp = beta * n / 2.0
-    else:
-        d = n
-        exp_f = beta * (m - n + 1) / 2.0 - 1.0
-        const = -_lmg(tag, n, beta * m / 2.0)
-        scale_exp = beta * m / 2.0
-    const += log_gamma(q1) - log_gamma(beta * nu / 2.0)
-    logdet_f, data = _beta2_point(params, f)
-    if params.scale is not None:
-        const += scale_exp * params.scale.logdet
-        trace = float(_real_trace_raw(_matmul_raw(params.scale.mat.data, data)))
-    else:
-        trace = float(_real_trace_raw(data))
-    if logdet_f is None:
-        edge = _beta2_edge(exp_f, data)
-        if edge is not None:
-            return edge
-        logdet_f = 0.0
-    return const + exp_f * logdet_f - q1 * math.log1p(trace)
+    q1, exp_f, scale, const = params._density_terms["mv"]
+    data, single, logdet_f, finite = _beta2_points(params, f, exp_f)
+    trace = _real_trace_raw(data if scale is None else _matmul_raw(scale, data))
+    out = np.where(finite, const + exp_f * logdet_f
+                   - q1 * _libm(math.log1p, trace), -math.inf)
+    return float(out) if single else out
 
 
 # ---------------------------------------------------------------------------

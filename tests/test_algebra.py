@@ -21,6 +21,7 @@ from rdmt.algebra import (
     _cholesky_raw,
     _collapse_pairs,
     _conj_t_raw,
+    _hermitian_part,
     _hermitize_raw,
     _hpd_inverse_raw,
     _identity_raw,
@@ -239,6 +240,32 @@ class TestCholesky:
         a[0, 0] = bad
         with pytest.raises(NotPositiveDefinite):
             HermitianPD.from_real(tag, a)
+
+
+    @pytest.mark.parametrize("tag", [R, C, H])
+    @pytest.mark.parametrize("bad_at", [0, 3])
+    @pytest.mark.parametrize("fault,problem", [
+        (-1.0, "is not positive definite"),    # LAPACK refuses the stack
+        (math.inf, "has a non-finite Cholesky factor"),
+        (math.nan, "has a non-finite Cholesky factor"),
+    ])
+    def test_stack_failure_names_its_index(self, rng, tag, bad_at, fault, problem):
+        a = _oracle_hpd(rng, tag.beta, 2, 7)
+        a[bad_at, 0, 0, 0] = fault
+        with pytest.raises(NotPositiveDefinite) as info:
+            _cholesky_raw(a)
+        assert str(info.value) == f"matrix at index {bad_at} {problem}"
+        assert info.value.index == bad_at
+        with pytest.raises(NotPositiveDefinite) as info:
+            _cholesky_raw(a[bad_at])
+        assert str(info.value) == f"matrix {problem}"
+        assert info.value.index is None
+
+    def test_octonion_stack_names_its_index(self):
+        a = np.zeros((4, 1, 1, 8))
+        a[:, 0, 0, 0] = [1.0, 2.0, -1.0, 3.0]
+        with pytest.raises(NotPositiveDefinite, match="index 2 has a non-positive"):
+            _cholesky_raw(a)
 
 
 # -- the matrix kernels run on the complex representation; the independent
@@ -472,6 +499,24 @@ class TestNonFiniteInput:
             DivMatrix.from_schema_dict(obj)
         with pytest.raises(ValueError, match="finite"):
             HermitianPD.from_schema_dict(obj)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_hermitian_check_names_the_matrix(self, bad):
+        a = np.zeros((5, 2, 2, 2))
+        a[..., 0] = np.eye(2)
+        a[3, 0, 1, 1] = 0.5
+        with pytest.raises(ValueError, match="index 3 is not Hermitian"):
+            _hermitian_part(a)
+        a[1, 1, 1, 0] = bad
+        with pytest.raises(ValueError, match="index 1 has non-finite"):
+            _hermitian_part(a)
+        # the tolerance scales with each matrix's own largest coefficient
+        a = np.zeros((2, 2, 2, 1))
+        a[..., 0] = np.eye(2)
+        a[0] *= 1e6
+        a[:, 0, 1, 0] = 1e-8
+        with pytest.raises(ValueError, match="index 1 is not Hermitian"):
+            _hermitian_part(a)
 
     @pytest.mark.parametrize("tag", [R, C, H])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

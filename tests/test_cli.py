@@ -145,6 +145,113 @@ class TestDensity:
         assert not out.exists()
 
 
+    def _run_density(self, tmp_path, lines, *flags):
+        pts, out = tmp_path / "pts.jsonl", tmp_path / "d.txt"
+        pts.write_text("".join(line + "\n" for line in lines))
+        code = run_cli("density", *flags, "--points", str(pts), "--out", str(out))
+        return code, out
+
+    def test_empty_points_file_writes_the_header_alone(self, tmp_path):
+        code, out = self._run_density(tmp_path, [], "--dist", "matric-t",
+                                      "--beta", "1", "--m", "1", "--n", "1",
+                                      "--nu", "1")
+        assert code == 0
+        lines = out.read_text().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("# ")
+
+    def test_shape_mismatch_names_its_line(self, tmp_path, capsys):
+        row = {"beta": 2, "rows": 1, "cols": 2, "data": [[[0.5, 0.0], [1.0, -1.0]]]}
+        one = {"beta": 2, "rows": 1, "cols": 1, "data": [[[0.5, 0.0]]]}
+        flags = ["--dist", "matrix-mt", "--beta", "2", "--m", "1", "--n", "2",
+                 "--nu", "3"]
+        lines = [json.dumps(row), "", json.dumps(row), json.dumps(one)]
+        code, out = self._run_density(tmp_path, lines, *flags)
+        assert code == 2 and not out.exists()
+        err = capsys.readouterr().err
+        assert "line 4" in err and "mismatch" in err
+        # every point of the wrong shape: the first one is named
+        code, out = self._run_density(tmp_path, [json.dumps(one)] * 2, *flags)
+        assert code == 2 and not out.exists()
+        err = capsys.readouterr().err
+        assert "line 1" in err and "mismatch" in err
+
+    def test_non_hermitian_point_names_its_line(self, tmp_path, capsys):
+        good = {"beta": 1, "rows": 2, "cols": 2, "data": [[[2.0], [0.5]], [[0.5], [1.0]]]}
+        skew = {"beta": 1, "rows": 2, "cols": 2, "data": [[[2.0], [0.5]], [[0.0], [1.0]]]}
+        lines = [json.dumps(good), json.dumps(good), json.dumps(skew), json.dumps(good)]
+        code, out = self._run_density(tmp_path, lines, "--dist", "beta2-matric",
+                                      "--beta", "1", "--m", "2", "--n", "3",
+                                      "--nu", "4")
+        assert code == 2 and not out.exists()
+        err = capsys.readouterr().err
+        assert "--points line 3:" in err and "Hermitian" in err
+
+    def test_one_density_call_per_command(self, tmp_path, monkeypatch):
+        import rdmt.cli
+
+        calls = []
+        real = rdmt.cli._DENSITIES["beta2-mv"]
+
+        def counted(params, points, **kw):
+            calls.append(points.shape)
+            return real(params, points, **kw)
+
+        monkeypatch.setitem(rdmt.cli._DENSITIES, "beta2-mv", counted)
+        point = {"beta": 2, "rows": 1, "cols": 1, "data": [[[0.75, 0.0]]]}
+        code, out = self._run_density(tmp_path, [json.dumps(point)] * 7, "--dist",
+                                      "beta2-mv", "--beta", "2", "--m", "1",
+                                      "--n", "2", "--nu", "3")
+        assert code == 0
+        assert calls == [(7, 1, 1, 2)]
+        assert len(self._density_values(out)) == 7
+
+
+class TestRho:
+    @pytest.mark.parametrize("dist", ["gamma", "matrix-mt"])
+    @pytest.mark.parametrize("rho", ["0", "-1.5"])
+    def test_non_positive_rho_is_a_config_error(self, tmp_path, capsys, dist, rho):
+        out = tmp_path / "s.jsonl"
+        code = run_cli("sample", "--dist", dist, "--beta", "1", "--m", "1", "--n", "1",
+                       "--nu", "2", "--rho", rho, "--count", "2", "--seed", "1",
+                       "--out", str(out))
+        assert code == 2
+        assert "rho > 0" in capsys.readouterr().err
+
+    def test_omitted_rho_is_one(self, tmp_path):
+        out = tmp_path / "s.jsonl"
+        code = run_cli("sample", "--dist", "gamma", "--beta", "1", "--nu", "2",
+                       "--count", "2", "--seed", "1", "--out", str(out))
+        assert code == 0
+        header = json.loads(out.read_text().splitlines()[0])
+        assert header["params"]["rho"] == 1.0
+
+    @pytest.mark.parametrize("kind", ["singular", "eigen"])
+    def test_matrix_mt_grid_follows_rho(self, tmp_path, kind):
+        # For 1x1 real T the singular value d = |t| has density 2 f(d), and
+        # the eigenvalue l = t^2 of T T* has density f(sqrt(l)) / sqrt(l).
+        from rdmt.algebra import AlgebraTag, DivMatrix
+        from rdmt.distributions import MatrixMTParams, logpdf_matrix_mt
+
+        grid = tmp_path / "g.csv"
+        code = run_cli("spectrum", "--dist", "matrix-mt", "--beta", "1", "--m", "1",
+                       "--n", "1", "--nu", "3", "--rho", "4", "--kind", kind,
+                       "--count", "500", "--seed", "3", "--out", str(tmp_path / "s.csv"),
+                       "--grid", str(grid))
+        assert code == 0
+        params = MatrixMTParams(AlgebraTag.REAL, 1, 1, 3.0, 4.0)
+        rows = [line.split(",") for line in grid.read_text().splitlines()[2:]]
+        assert len(rows) == 256
+        for v, got in ((float(a), float(b)) for a, b in rows):
+            if kind == "singular":
+                want = math.log(2.0) + logpdf_matrix_mt(
+                    params, DivMatrix.from_real(AlgebraTag.REAL, [[v]]))
+            else:
+                want = logpdf_matrix_mt(
+                    params, DivMatrix.from_real(AlgebraTag.REAL, [[math.sqrt(v)]])
+                ) - 0.5 * math.log(v)
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
 class TestSpectrum:
     def test_row_count(self, tmp_path):
         out = tmp_path / "s.csv"

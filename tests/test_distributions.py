@@ -1,14 +1,21 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import betainc
 
 from rdmt.algebra import (
     AlgebraTag,
     DivMatrix,
     HermitianPD,
+    _conj_t_raw,
+    _hermitize_raw,
+    _identity_raw,
+    _matmul_raw,
     conj_transpose,
     logdet_hpd,
     matmul,
@@ -595,3 +602,130 @@ class TestParamSerialization:
             text = json.dumps(params.to_json_dict())
             back = type(params).from_json_dict(json.loads(text))
             assert back.to_json_dict() == params.to_json_dict()
+
+    def test_density_terms_stay_out_of_fields_and_json(self, rng):
+        params = MatricTParams(H, 2, 3, 9.0, random_matrix(rng, H, 2, 3),
+                               random_hpd(rng, H, 2), random_hpd(rng, H, 3))
+        before = json.dumps(params.to_json_dict())
+        logpdf_matric_t(params, random_matrix(rng, H, 2, 3))
+        assert "_density_terms" in vars(params)
+        assert "_density_terms" not in [f.name for f in dataclasses.fields(params)]
+        assert json.dumps(params.to_json_dict()) == before
+        fresh = dataclasses.replace(params)
+        assert "_density_terms" not in vars(fresh) and fresh == params
+
+
+# -- the log densities take one point or a stack of points through one code
+#    path; the stack must give the per-point values.
+
+
+def _close_to(batched, single):
+    single = np.asarray(single)
+    assert batched.shape == single.shape
+    assert np.array_equal(np.isinf(batched), np.isinf(single))
+    finite = np.isfinite(single)
+    gap = np.abs(batched[finite] - single[finite])
+    assert np.all(gap <= 1e-12 * np.maximum(1.0, np.abs(single[finite])))
+
+
+def _hpd_stack(gen, beta, d, nsamp, boost):
+    g = gen.normal(size=(nsamp, d, d, beta))
+    if beta == 8:  # a Hermitian 1x1 octonion is real
+        g[..., 1:] = 0.0
+    a = _matmul_raw(g, _conj_t_raw(g)) + boost * _identity_raw(d, beta)
+    return _hermitize_raw(a)
+
+
+class TestBatchedDensities:
+    @settings(max_examples=60, deadline=None)
+    @given(beta=st.sampled_from([1, 2, 4, 8]), m=st.integers(1, 3),
+           n=st.integers(1, 3), nsamp=st.integers(1, 6),
+           seed=st.integers(0, 2**32 - 1))
+    def test_stack_equals_per_point(self, beta, m, n, nsamp, seed):
+        if beta == 8:
+            m = n = 1
+        tag = AlgebraTag(beta)
+        gen = np.random.default_rng(seed)
+
+        def hpd(d):
+            return HermitianPD(DivMatrix(tag, _hpd_stack(gen, beta, d, 1, 0.5)[0]))
+
+        def mu():
+            return DivMatrix(tag, gen.normal(size=(m, n, beta)))
+
+        nu = beta * (m - 1) + float(gen.uniform(0.5, 4.0))
+        t_cases = [
+            (logpdf_matric_t, MatricTParams(tag, m, n, nu, mu(), hpd(m), hpd(n)),
+             {"form": "primal"}),
+            (logpdf_matric_t, MatricTParams(tag, m, n, nu, mu(), hpd(m), hpd(n)),
+             {"form": "dual"}),
+            (logpdf_matrix_mt, MatrixMTParams(tag, m, n, nu, float(gen.uniform(0.2, 4.0)),
+                                              mu(), hpd(m), hpd(n)), {}),
+        ]
+        points = gen.normal(size=(nsamp, m, n, beta))
+        for fn, params, kw in t_cases:
+            single = [fn(params, DivMatrix(tag, x), **kw) for x in points]
+            _close_to(fn(params, points, **kw), single)
+        orientation = "gram" if n >= m else "cogram"
+        d = min(m, n)
+        for scale in (None, hpd(d)):
+            params = BetaIIParams(tag, m, n, nu, orientation, scale)
+            cone = _hpd_stack(gen, beta, d, nsamp, 0.01)
+            for fn in (logpdf_beta2_matric, logpdf_beta2_multivariate):
+                single = [fn(params, DivMatrix(tag, f)) for f in cone]
+                _close_to(fn(params, cone), single)
+
+    def test_one_point_gives_a_float_and_a_stack_an_array(self, rng):
+        params = MatricTParams(C, 2, 3, 4.0)
+        point = random_matrix(rng, C, 2, 3)
+        assert type(logpdf_matric_t(params, point)) is float
+        out = logpdf_matric_t(params, point.data[None])
+        assert isinstance(out, np.ndarray) and out.shape == (1,)
+        assert out[0] == logpdf_matric_t(params, point)
+        empty = logpdf_beta2_multivariate(BetaIIParams(C, 2, 3, 4.0),
+                                          np.zeros((0, 2, 2, 2)))
+        assert empty.shape == (0,)
+
+    def test_stack_shape_mismatch_raises(self, rng):
+        params = MatrixMTParams(R, 2, 3, 3.0)
+        with pytest.raises(ValueError, match="mismatch"):
+            logpdf_matrix_mt(params, rng.normal(size=(4, 3, 2, 1)))
+        with pytest.raises(ValueError, match="mismatch"):
+            logpdf_matrix_mt(params, rng.normal(size=(4, 2, 3, 2)))
+        with pytest.raises(TypeError):
+            logpdf_matrix_mt(params, rng.normal(size=(2, 3, 1)).tolist())
+
+    @pytest.mark.parametrize("fn", [logpdf_beta2_matric, logpdf_beta2_multivariate])
+    @pytest.mark.parametrize("n,boundary_is_finite", [(3, True), (4, False)])
+    def test_cone_edges_in_one_stack(self, fn, n, boundary_is_finite):
+        # kernel exponent beta(n-m+1)/2 - 1: 0 at n = 3, 1/2 at n = 4
+        params = BetaIIParams(R, 2, n, 4.0)
+        stack = np.array([[[2.0], [0.5]], [[0.5], [1.0]]])[None].repeat(5, axis=0)
+        stack[1] = [[[1.0], [0.0]], [[0.0], [0.0]]]      # boundary
+        stack[2] = [[[1.0], [0.0]], [[0.0], [-0.5]]]     # outside the cone
+        stack[3] = [[[3.0], [1.0]], [[1.0], [1.0]]]
+        stack[4] = [[[0.0], [0.0]], [[0.0], [1e-14]]]    # boundary, in tolerance
+        single = [fn(params, DivMatrix(R, f)) for f in stack]
+        got = fn(params, stack)
+        _close_to(got, single)
+        assert np.array_equal(got, single)
+        assert got[2] == -math.inf
+        assert np.isfinite(got[[0, 3]]).all()
+        assert np.isfinite(got[[1, 4]]).all() == boundary_is_finite
+        if not boundary_is_finite:
+            assert np.all(got[[1, 4]] == -math.inf)
+
+    @pytest.mark.parametrize("fn", [logpdf_beta2_matric, logpdf_beta2_multivariate])
+    def test_diverging_or_non_hermitian_point_names_its_index(self, fn):
+        params = BetaIIParams(R, 2, 2, 4.0)  # kernel exponent -1/2 diverges
+        stack = np.array([[[2.0], [0.5]], [[0.5], [1.0]]])[None].repeat(4, axis=0)
+        stack[3] = [[[1.0], [0.0]], [[0.0], [-0.5]]]    # outside: -inf, no error
+        stack[2] = [[[1.0], [0.0]], [[0.0], [0.0]]]     # on the boundary
+        with pytest.raises(DomainError, match="index 2 diverges") as info:
+            fn(params, stack)
+        assert info.value.index == 2
+        with pytest.raises(DomainError):
+            fn(params, DivMatrix(R, stack[2]))
+        stack[1, 0, 1, 0] = 0.25
+        with pytest.raises(ValueError, match="index 1 is not Hermitian"):
+            fn(params, stack)
