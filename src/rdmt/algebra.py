@@ -424,6 +424,16 @@ def _schema_data(obj: dict) -> tuple:
     return tag, arr
 
 
+def _schema_template(beta: int, rows: int, cols: int) -> str:
+    """%-template of one schema line: filled with a matrix's row-major
+    coefficients as Python floats, it reads json.dumps(to_schema_dict()) to
+    the byte (``%r`` and json write a finite float alike)."""
+    entry = "[" + ", ".join(["%r"] * beta) + "]"
+    row = "[" + ", ".join([entry] * cols) + "]"
+    data = "[" + ", ".join([row] * rows) + "]"
+    return f'{{"beta": {beta}, "rows": {rows}, "cols": {cols}, "data": {data}}}'
+
+
 class DivMatrix:
     """Dense m x n matrix over a division algebra, stored as (m, n, beta)."""
 
@@ -464,14 +474,6 @@ class DivMatrix:
         out[..., 0] = a
         return cls(tag, out)
 
-    @classmethod
-    def from_scalars(cls, entries) -> "DivMatrix":
-        """Build from a nested list of DivScalar (row-major)."""
-        rows = [[e for e in row] for row in entries]
-        tag = rows[0][0].tag
-        arr = np.stack([np.stack([e.coeffs for e in row]) for row in rows])
-        return cls(tag, arr)
-
     # -- shape and access ---------------------------------------------------
 
     @property
@@ -493,9 +495,6 @@ class DivMatrix:
         if self.m != self.n:
             raise ValueError("trace requires a square matrix")
         return float(self.data[..., 0].trace())
-
-    def frobenius_norm(self) -> float:
-        return float(np.sqrt(np.square(self.data).sum()))
 
     def __add__(self, other: "DivMatrix") -> "DivMatrix":
         self._check_compatible(other)

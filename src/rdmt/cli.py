@@ -6,6 +6,13 @@ Exit codes: 0 success, 1 runtime failure (including a failed verify suite),
 seed, resolved parameters) as its first output line so any output file can
 be reproduced from its own header.  Outputs carry no timestamps: rerunning a
 command with the same seed produces byte-identical files.
+
+Each fact about a family sits in one table keyed by family: ``_RECORDS``,
+``_SAMPLERS``, ``_DENSITIES``, ``_SPECTRUM_OVERLAYS`` and ``_HERMITIAN``.  The
+eigen spectrum of a Hermitian family is that of the draw; of any other
+family (``gaussian`` too) it is that of the gram T T*.  One writer,
+``_write``, sends every output and opens its file only once every check has
+passed; each value is ``repr`` of a Python float (gamma CSV rows included).
 """
 
 from __future__ import annotations
@@ -22,11 +29,11 @@ import numpy as np
 from ._version import __version__
 from .algebra import (
     AlgebraTag,
-    DivMatrix,
     _conj_t_raw,
     _hermitize_raw,
     _matmul_raw,
     _schema_data,
+    _schema_template,
 )
 from .distributions import (
     BetaIIParams,
@@ -65,8 +72,8 @@ _CONFIG_ERRORS = (
     OctonionMatrixError, json.JSONDecodeError, FileNotFoundError, IsADirectoryError,
 )
 
-_SAMPLE_FAMILIES = ("matric-t", "matrix-mt", "wishart", "gamma", "gaussian",
-                    "beta2-matric", "elliptical-t")
+# Rows formatted per write: one block's text is all the writer holds.
+_BLOCK_ROWS = 4096
 
 
 class _CliError(Exception):
@@ -82,12 +89,6 @@ def _resolve_seed(args) -> int:
     raise _CliError("a seed is required: pass --seed or set RDMT_SEED")
 
 
-def _open_out(path):
-    if path in (None, "-"):
-        return sys.stdout, False
-    return open(path, "w"), True
-
-
 def _run_info(seed, stream, params: dict) -> dict:
     return {
         "record": "run-info",
@@ -96,6 +97,26 @@ def _run_info(seed, stream, params: dict) -> dict:
         "stream": stream,
         "params": params,
     }
+
+
+def _csv_template(columns: int) -> str:
+    return ",".join(["%r"] * columns)
+
+
+def _write(path, info, template, rows, header=None, comment=True) -> None:
+    """Write one output to path ('-' or None: stdout): the run-info line
+    (behind '# ' when comment is true), the header line if one is given,
+    then one ``template % row`` line per row of the float array rows, (N,)
+    or (N, k).  Rows are formatted a block at a time."""
+    head = ("# " if comment else "") + json.dumps(info, sort_keys=True) + "\n"
+    if header is not None:
+        head += header + "\n"
+    line = template + "\n"
+    with (nullcontext(sys.stdout) if path in (None, "-") else open(path, "w")) as out:
+        out.write(head)
+        for start in range(0, len(rows), _BLOCK_ROWS):
+            block = rows[start:start + _BLOCK_ROWS]
+            out.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
 def _parse_mix(text: str) -> dict:
@@ -141,21 +162,25 @@ def _build_params(args, family: str):
     return record(AlgebraTag(int(args.beta)), **values)
 
 
-def _sample_raw(rng, family, params, method, count):
-    if family == "matric-t":
-        return sample_matric_t(rng, params, method or "wishart_root", size=count)
-    if family == "matrix-mt":
-        return sample_matrix_mt(rng, params, size=count)
-    if family == "wishart":
-        return sample_wishart(rng, params, method or "bartlett", size=count)
-    if family == "beta2-matric":
-        return sample_beta2_matric(rng, params, size=count)
-    if family == "gaussian":
-        return sample_gaussian(rng, params.tag, params.m, params.n, size=count)
-    if family == "elliptical-t":
-        return sample_elliptical_t(rng, params.tag, params.m, params.n, params.nu,
-                                   params.mix, size=count)
-    raise _CliError(f"family {family!r} has no sampler")
+# family -> sampler(rng, params, method, count): an (N,) array of scalar
+# draws (gamma) or an (N, m, n, beta) stack of matrices
+_SAMPLERS = {
+    "matric-t": lambda rng, p, method, count: sample_matric_t(
+        rng, p, method or "wishart_root", size=count),
+    "matrix-mt": lambda rng, p, method, count: sample_matrix_mt(rng, p, size=count),
+    "wishart": lambda rng, p, method, count: sample_wishart(
+        rng, p, method or "bartlett", size=count),
+    "gamma": lambda rng, p, method, count: sample_gamma_scalar(rng, p, size=count),
+    "gaussian": lambda rng, p, method, count: sample_gaussian(
+        rng, p.tag, p.m, p.n, size=count),
+    "beta2-matric": lambda rng, p, method, count: sample_beta2_matric(
+        rng, p, size=count),
+    "elliptical-t": lambda rng, p, method, count: sample_elliptical_t(
+        rng, p.tag, p.m, p.n, p.nu, p.mix, size=count),
+}
+
+# families whose draws are Hermitian matrices
+_HERMITIAN = {"wishart", "beta2-matric"}
 
 
 def _params_dict(params, method=None, count=None, fmt=None):
@@ -172,47 +197,28 @@ def _params_dict(params, method=None, count=None, fmt=None):
 def _cmd_sample(args) -> int:
     seed = _resolve_seed(args)
     family = args.dist
-    if family not in _SAMPLE_FAMILIES:
+    if family not in _SAMPLERS:
         raise _CliError(f"unknown sample family {args.dist!r}")
     params = _build_params(args, family)
-    rng = RngStream(seed, args.stream)
     count = int(args.count)
     if count < 1:
         raise _CliError("--count must be positive")
+    draws = _SAMPLERS[family](RngStream(seed, args.stream), params, args.method, count)
     info = _run_info(seed, args.stream, _params_dict(params, args.method, count,
                                                      args.format))
-    out, close = _open_out(args.out)
-    try:
-        if family == "gamma":
-            draws = sample_gamma_scalar(rng, params, size=count)
-            if args.format == "csv":
-                out.write("# " + json.dumps(info, sort_keys=True) + "\n")
-                out.write("value\n")
-                for v in draws:
-                    out.write(f"{v!r}\n")
-            else:
-                out.write(json.dumps(info, sort_keys=True) + "\n")
-                for v in draws:
-                    out.write(json.dumps({"value": float(v)}) + "\n")
-            return 0
-        raw = _sample_raw(rng, family, params, args.method, count)
-        if args.format == "csv":
-            out.write("# " + json.dumps(info, sort_keys=True) + "\n")
-            _, m, n, beta = raw.shape
-            header = [f"r{i}c{j}k{k}" for i in range(m) for j in range(n)
-                      for k in range(beta)]
-            out.write(",".join(header) + "\n")
-            for row in raw.reshape(count, -1):
-                out.write(",".join(repr(float(v)) for v in row) + "\n")
-        else:
-            out.write(json.dumps(info, sort_keys=True) + "\n")
-            for i in range(count):
-                mat = DivMatrix(params.tag, raw[i])
-                out.write(json.dumps(mat.to_schema_dict()) + "\n")
-        return 0
-    finally:
-        if close:
-            out.close()
+    if draws.ndim == 1:
+        rows, columns, jsonl = draws, ["value"], '{"value": %r}'
+    else:
+        _, m, n, beta = draws.shape
+        rows = draws.reshape(count, -1)
+        columns = [f"r{i}c{j}k{k}" for i in range(m) for j in range(n)
+                   for k in range(beta)]
+        jsonl = _schema_template(beta, m, n)
+    if args.format == "csv":
+        _write(args.out, info, _csv_template(len(columns)), rows, ",".join(columns))
+    else:
+        _write(args.out, info, jsonl, rows, comment=False)
+    return 0
 
 
 _DENSITIES = {
@@ -259,24 +265,17 @@ def _cmd_density(args) -> int:
     if args.form:
         info["params"]["form"] = args.form
     stack, linenos = _read_points(args.points)
-    values = []
+    values = np.empty(0)
     if stack is not None:
         form = {"form": args.form or "primal"} if family == "matric-t" else {}
         try:
-            values = _DENSITIES[family](params, stack, **form).tolist()
+            values = _DENSITIES[family](params, stack, **form)
         except _CONFIG_ERRORS as exc:
             # an error about one point carries its stack index
             line = linenos[getattr(exc, "index", None) or 0]
             raise _CliError(f"--points line {line}: {exc}") from exc
-    out, close = _open_out(args.out)
-    try:
-        out.write("# " + json.dumps(info, sort_keys=True) + "\n")
-        for v in values:
-            out.write(f"{v!r}\n")
-        return 0
-    finally:
-        if close:
-            out.close()
+    _write(args.out, info, "%r", values)
+    return 0
 
 
 _SPECTRUM_OVERLAYS = {
@@ -289,59 +288,10 @@ _SPECTRUM_OVERLAYS = {
 }
 
 
-def _spectrum_values(family, kind, tag, raw):
-    if kind == "singular":
-        if family in ("wishart", "beta2-matric"):
-            raise _CliError(f"{family} samples are Hermitian; use --kind eigen")
-        return singular_values_batch(tag, raw)
-    if family in ("matric-t", "matrix-mt", "elliptical-t"):
-        if raw.shape[1] > raw.shape[2]:
-            raise _CliError("eigen spectra of T T* need m <= n; "
-                            "use --kind singular for tall matrices")
-        gram = _hermitize_raw(_matmul_raw(raw, _conj_t_raw(raw)))
-        return eigenvalues_batch(tag, gram)
-    return eigenvalues_batch(tag, raw)
-
-
-def _cmd_spectrum(args) -> int:
-    seed = _resolve_seed(args)
-    family = args.dist
-    if family not in _SAMPLE_FAMILIES or family == "gamma":
-        raise _CliError(f"unknown spectrum family {args.dist!r}")
-    if args.params:
-        raise _CliError("spectrum works on the standard families; use flags, "
-                        "not --params")
-    params = _build_params(args, family)
-    rng = RngStream(seed, args.stream)
-    count = int(args.count)
-    kind = args.kind or ("eigen" if family in ("wishart", "beta2-matric")
-                         else "singular")
-    raw = _sample_raw(rng, family, params, args.method, count)
-    vals = _spectrum_values(family, kind, params.tag, raw)
-    info = _run_info(seed, args.stream, _params_dict(params, args.method, count))
-    info["params"]["kind"] = kind
-    out, close = _open_out(args.out)
-    try:
-        out.write("# " + json.dumps(info, sort_keys=True) + "\n")
-        m = vals.shape[1]
-        out.write(",".join(f"v{i + 1}" for i in range(m)) + "\n")
-        for row in vals:
-            out.write(",".join(repr(float(v)) for v in row) + "\n")
-    finally:
-        if close:
-            out.close()
-    if args.grid:
-        _write_grid(args, family, kind, params, vals, info)
-    return 0
-
-
-def _write_grid(args, family, kind, params, vals, info) -> None:
-    overlay = _SPECTRUM_OVERLAYS.get((family, kind))
-    if overlay is None:
-        raise _CliError(f"no analytic overlay for {family}/{kind}")
+def _grid_rows(family, kind, params, vals, overlay):
+    """(v1, ..., vm, logpdf) rows of the analytic overlay on a grid over the
+    range of the sampled spectra vals."""
     m = vals.shape[1]
-    if m > 2:
-        raise _CliError("analytic grids are emitted for m <= 2 only")
     n, nu = params.n, params.nu
     if family == "beta2-matric" and params.orientation == "cogram":
         # cogram orientation: the spectrum follows the dimension-swapped law
@@ -350,11 +300,9 @@ def _write_grid(args, family, kind, params, vals, info) -> None:
     hi = float(np.quantile(vals, 0.999))
     lo = max(lo * 0.5, 1e-6)
     if m == 1:
-        header = "v1,logpdf"
         points = np.linspace(lo, hi, 256)[:, None]
     else:
         # the ordered cone v1 > v2 of a 64 x 64 grid, row by row in v1
-        header = "v1,v2,logpdf"
         grid = np.linspace(lo, hi, 64)
         v1, v2 = np.meshgrid(grid, grid, indexing="ij")
         below = v2 < v1
@@ -367,11 +315,48 @@ def _write_grid(args, family, kind, params, vals, info) -> None:
         power = 0.5 if kind == "singular" else 1.0
         scale, log_jacobian = params.rho ** power, m * power * math.log(params.rho)
     logpdf = overlay(params.tag, m, n, nu, points * scale) + log_jacobian
-    with open(args.grid, "w") as fh:
-        fh.write("# " + json.dumps(info, sort_keys=True) + "\n")
-        fh.write(header + "\n")
-        for row, v in zip(points.tolist(), logpdf.tolist()):
-            fh.write(",".join(repr(x) for x in row) + f",{v!r}\n")
+    return np.column_stack([points, logpdf])
+
+
+def _cmd_spectrum(args) -> int:
+    seed = _resolve_seed(args)
+    family = args.dist
+    if family not in _SAMPLERS or family == "gamma":  # gamma draws are scalars
+        raise _CliError(f"unknown spectrum family {args.dist!r}")
+    if args.params:
+        raise _CliError("spectrum works on the standard families; use flags, "
+                        "not --params")
+    params = _build_params(args, family)
+    count = int(args.count)
+    hermitian = family in _HERMITIAN
+    kind = args.kind or ("eigen" if hermitian else "singular")
+    if kind == "singular" and hermitian:
+        raise _CliError(f"{family} samples are Hermitian; use --kind eigen")
+    if kind == "eigen" and not hermitian and params.m > params.n:
+        raise _CliError("eigen spectra of T T* need m <= n; "
+                        "use --kind singular for tall matrices")
+    overlay = _SPECTRUM_OVERLAYS.get((family, kind))
+    if args.grid:
+        if overlay is None:
+            raise _CliError(f"no analytic overlay for {family}/{kind}")
+        if (params.m if kind == "eigen" else min(params.m, params.n)) > 2:
+            raise _CliError("analytic grids are emitted for m <= 2 only")
+    raw = _SAMPLERS[family](RngStream(seed, args.stream), params, args.method, count)
+    if kind == "singular":
+        vals = singular_values_batch(params.tag, raw)
+    else:
+        if not hermitian:
+            raw = _hermitize_raw(_matmul_raw(raw, _conj_t_raw(raw)))
+        vals = eigenvalues_batch(params.tag, raw)
+    grid = _grid_rows(family, kind, params, vals, overlay) if args.grid else None
+    info = _run_info(seed, args.stream, _params_dict(params, args.method, count))
+    info["params"]["kind"] = kind
+    columns = [f"v{i + 1}" for i in range(vals.shape[1])]
+    _write(args.out, info, _csv_template(len(columns)), vals, ",".join(columns))
+    if args.grid:
+        _write(args.grid, info, _csv_template(len(columns) + 1), grid,
+               ",".join(columns + ["logpdf"]))
+    return 0
 
 
 def _cmd_verify(args) -> int:

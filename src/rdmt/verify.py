@@ -456,12 +456,13 @@ def _run_normalization_t(spec: CheckSpec, rng: RngStream):
     return worst, worst < spec.threshold, detail
 
 
-def _scalar_beta2_logpdf(params: BetaIIParams, evaluator):
+def _scalar_logpdf(evaluator, params, **options):
+    """x -> evaluator(params, [[x]], **options): a 1x1 law's log density as
+    a function of the real scalar x."""
     tag = params.tag
 
     def log_density(x: float) -> float:
-        point = DivMatrix.from_real(tag, [[x]])
-        return evaluator(params, point)
+        return evaluator(params, DivMatrix.from_real(tag, [[x]]), **options)
 
     return log_density
 
@@ -475,9 +476,9 @@ def _run_normalization_beta2(spec: CheckSpec, rng: RngStream):
         for n in (1, 2, 3):
             params = BetaIIParams(tag, 1, n, nu)
             m1 = quadrature_mass_positive(
-                _scalar_beta2_logpdf(params, logpdf_beta2_matric))
+                _scalar_logpdf(logpdf_beta2_matric, params))
             m2 = quadrature_mass_positive(
-                _scalar_beta2_logpdf(params, logpdf_beta2_multivariate))
+                _scalar_logpdf(logpdf_beta2_multivariate, params))
             detail[f"matric-beta{beta}-n{n}"] = m1
             detail[f"mv-beta{beta}-n{n}"] = m2
             worst = max(worst, abs(m1 - 1.0), abs(m2 - 1.0))
@@ -539,17 +540,15 @@ def _run_scalar_law_beta_prime(spec: CheckSpec, rng: RngStream):
     return p, p > spec.threshold, {"D": d, "p": p}
 
 
-def _numeric_cdf_interpolator(logpdf_scalar, xs: np.ndarray):
-    """Build a CDF on the real line by cumulative quadrature over a grid."""
-
-    def pdf(x: float) -> float:
-        return math.exp(logpdf_scalar(x))
-
-    pieces = [_quad(pdf, -np.inf, xs[0], epsabs=1e-11, epsrel=1e-11)]
-    for lo, hi in zip(xs, xs[1:]):
-        pieces.append(_quad(pdf, lo, hi, epsabs=1e-11, epsrel=1e-11))
+def _cumulative_cdf(pdf, lo: float, xs: np.ndarray, tol: float):
+    """(CDF interpolator on the grid xs, total mass) of an unnormalized
+    density on (lo, inf), by quadrature over (lo, xs[0]], each grid interval
+    and [xs[-1], inf), in that order."""
+    pieces = [_quad(pdf, lo, xs[0], epsabs=tol, epsrel=tol)]
+    for a, b in zip(xs, xs[1:]):
+        pieces.append(_quad(pdf, a, b, epsabs=tol, epsrel=tol))
     cum = np.cumsum(pieces)
-    total = cum[-1] + _quad(pdf, xs[-1], np.inf, epsabs=1e-11, epsrel=1e-11)
+    total = cum[-1] + _quad(pdf, xs[-1], np.inf, epsabs=tol, epsrel=tol)
     return PchipInterpolator(xs, cum / total, extrapolate=False), total
 
 
@@ -559,14 +558,12 @@ def _run_scalar_law_mt_cdf(spec: CheckSpec, rng: RngStream):
     nsamp = spec.budget or 50000
     params = MatrixMTParams(AlgebraTag.REAL, 1, 1, nu, rho)
     t = np.sort(sample_matrix_mt(rng, params, size=nsamp)[:, 0, 0, 0])
-
-    def logpdf_scalar(x: float) -> float:
-        return logpdf_matrix_mt(params, DivMatrix.from_real(AlgebraTag.REAL, [[x]]))
-
+    logpdf_scalar = _scalar_logpdf(logpdf_matrix_mt, params)
     qs = np.linspace(0.0, 1.0, 301)
     xs = np.unique(np.quantile(t, qs))
     xs = np.concatenate([[xs[0] - 1.0], xs, [xs[-1] + 1.0]])
-    cdf, total = _numeric_cdf_interpolator(logpdf_scalar, xs)
+    cdf, total = _cumulative_cdf(lambda x: math.exp(logpdf_scalar(x)), -np.inf,
+                                 xs, 1e-11)
     inside = t[(t >= xs[0]) & (t <= xs[-1])]
     d, p = ks_one_sample(inside, cdf)
     return p, p > spec.threshold, {"D": d, "p": p, "quadrature_total_mass": total}
@@ -635,11 +632,9 @@ def _run_printed_variant_evidence(spec: CheckSpec, rng: RngStream):
         0.0, np.inf)
     # Cogram beta II bracket exponent: corrected vs printed extra -1.
     params = BetaIIParams(tag, 2, 1, 3.0, orientation="cogram")
-    co_corr = quadrature_mass_positive(
-        _scalar_beta2_logpdf(params, logpdf_beta2_matric))
+    co_corr = quadrature_mass_positive(_scalar_logpdf(logpdf_beta2_matric, params))
     co_printed = quadrature_mass_positive(
-        lambda x: logpdf_beta2_matric(
-            params, DivMatrix.from_real(tag, [[x]]), printed_variant=True))
+        _scalar_logpdf(logpdf_beta2_matric, params, printed_variant=True))
     detail = {
         "sv-coefficient": {"corrected_mass": sv_corr, "printed_mass": sv_printed},
         "cogram-exponent": {"corrected_mass": co_corr, "printed_mass": co_printed},
@@ -674,12 +669,7 @@ def _lmax_cdf_eig_beta2_m2(n: int, nu: float, xs: np.ndarray):
             return 0.0
         return x ** p * (1.0 + x) ** (-q) * (x * inc(0, x) - inc(1, x))
 
-    pieces = [_quad(outer, 0.0, xs[0], epsabs=1e-12, epsrel=1e-12)]
-    for lo, hi in zip(xs, xs[1:]):
-        pieces.append(_quad(outer, lo, hi, epsabs=1e-12, epsrel=1e-12))
-    cum = np.cumsum(pieces)
-    total = cum[-1] + _quad(outer, xs[-1], np.inf, epsabs=1e-12, epsrel=1e-12)
-    return PchipInterpolator(xs, cum / total, extrapolate=False)
+    return _cumulative_cdf(outer, 0.0, xs, 1e-12)[0]
 
 
 def _run_spectrum_closed_form(spec: CheckSpec, rng: RngStream):

@@ -63,6 +63,26 @@ class TestSample:
         assert lines[1].split(",")[0] == "r0c0k0"
         assert len(lines) == 7
 
+    def test_gamma_csv_lines_equal_the_jsonl_values(self, tmp_path):
+        args = ("sample", "--dist", "gamma", "--beta", "2", "--nu", "3", "--count",
+                "6", "--seed", "8")
+        csv, jsonl = tmp_path / "g.csv", tmp_path / "g.jsonl"
+        assert run_cli(*args, "--format", "csv", "--out", str(csv)) == 0
+        assert run_cli(*args, "--out", str(jsonl)) == 0
+        lines = csv.read_text().splitlines()
+        assert lines[1] == "value"
+        values = [json.loads(l)["value"] for l in jsonl.read_text().splitlines()[1:]]
+        assert lines[2:] == [repr(float(v)) for v in values]
+
+    def test_config_error_leaves_no_output(self, tmp_path, capsys):
+        out = tmp_path / "x.jsonl"
+        code = run_cli("sample", "--dist", "elliptical-t", "--beta", "8", "--m", "2",
+                       "--n", "3", "--nu", "4", "--count", "3", "--seed", "1",
+                       "--out", str(out))
+        assert code == 2
+        assert "octonion" in capsys.readouterr().err.lower()
+        assert not out.exists()
+
     def test_missing_seed_is_config_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.delenv("RDMT_SEED", raising=False)
         code = run_cli("sample", "--dist", "gamma", "--beta", "1", "--nu", "2",
@@ -290,6 +310,41 @@ class TestSpectrum:
                        "--seed", "5", "--kind", "eigen",
                        "--out", str(tmp_path / "x.csv"))
         assert code == 2
+
+    @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (1, 2)])
+    def test_gaussian_eigen_is_the_gram_spectrum(self, tmp_path, m, n):
+        from rdmt.algebra import AlgebraTag
+        from rdmt.distributions import RngStream, sample_gaussian
+        from rdmt.spectral import singular_values_batch
+
+        out = tmp_path / "e.csv"
+        code = run_cli("spectrum", "--dist", "gaussian", "--beta", "2", "--m", str(m),
+                       "--n", str(n), "--kind", "eigen", "--count", "40", "--seed", "6",
+                       "--out", str(out))
+        assert code == 0
+        got = np.array([[float(v) for v in l.split(",")]
+                        for l in out.read_text().splitlines()[2:]])
+        draws = sample_gaussian(RngStream(6, 0), AlgebraTag.COMPLEX, m, n, size=40)
+        want = singular_values_batch(AlgebraTag.COMPLEX, draws) ** 2
+        assert got.shape == want.shape
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("dist,flags,message", [
+        ("gaussian", ["--m", "1", "--n", "2"], "no analytic overlay"),
+        ("wishart", ["--m", "2", "--nu", "5"], "no analytic overlay"),
+        ("elliptical-t", ["--m", "1", "--n", "2", "--nu", "3", "--kind", "eigen"],
+         "no analytic overlay"),
+        ("matric-t", ["--m", "3", "--n", "4", "--nu", "6"], "m <= 2"),
+        ("matrix-mt", ["--m", "4", "--n", "3", "--nu", "6"], "m <= 2"),
+    ])
+    def test_grid_config_error_leaves_no_output(self, tmp_path, capsys, dist, flags,
+                                                message):
+        out, grid = tmp_path / "s.csv", tmp_path / "g.csv"
+        code = run_cli("spectrum", "--dist", dist, "--beta", "1", *flags, "--count",
+                       "20", "--seed", "2", "--out", str(out), "--grid", str(grid))
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists() and not grid.exists()
 
     def test_eigen_kind_on_wishart(self, tmp_path):
         out = tmp_path / "w.csv"
@@ -536,3 +591,125 @@ class TestFrozenOutput:
             assert g[:-1] == w[:-1] and g[-1] == repr(float(g[-1]))
             assert math.isclose(float(g[-1]), float(w[-1]), rel_tol=1e-13,
                                 abs_tol=1e-13)
+
+
+def _data_lines(path, skip=1):
+    """The lines of an output after its run-info line (and CSV header)."""
+    return path.read_text().splitlines()[skip:]
+
+
+class TestWriter:
+    """Every output line equals an independent route from the library's own
+    values: json.dumps of the schema dict for JSONL matrices, repr of each
+    float for CSV rows and density lines.  The writer's block size is cut
+    to 4 rows so a run spans several blocks and a partial last one."""
+
+    SEED, STREAM, COUNT = 19, 3, 10
+
+    # family -> (flags, library draws at (seed, stream)); the flags and the
+    # library call are written out independently of the CLI's tables
+    @staticmethod
+    def _library_draws(family, tag, rng, count):
+        from rdmt import distributions as D
+
+        one = tag.beta == 8
+        m, n = (1, 1) if one else (2, 3)
+        if family == "matric-t":
+            return (["--m", str(m), "--n", str(n), "--nu", "9"],
+                    D.sample_matric_t(rng, D.MatricTParams(tag, m, n, 9.0), size=count))
+        if family == "matrix-mt":
+            return (["--m", str(m), "--n", str(n), "--nu", "3", "--rho", "1.5"],
+                    D.sample_matrix_mt(rng, D.MatrixMTParams(tag, m, n, 3.0, 1.5),
+                                       size=count))
+        if family == "wishart":
+            return (["--m", str(m), "--nu", "9"],
+                    D.sample_wishart(rng, D.WishartParams(tag, m, 9.0), size=count))
+        if family == "gamma":
+            return (["--nu", "2", "--rho", "0.5"],
+                    D.sample_gamma_scalar(rng, D.GammaScalarParams(tag, 2.0, 0.5),
+                                          size=count))
+        if family == "gaussian":
+            return (["--m", str(m), "--n", str(n)],
+                    D.sample_gaussian(rng, tag, m, n, size=count))
+        if family == "beta2-matric":
+            return (["--m", str(m), "--n", str(n), "--nu", "9"],
+                    D.sample_beta2_matric(rng, D.BetaIIParams(tag, m, n, 9.0),
+                                          size=count))
+        params = D.EllipticalTParams(tag, m, n, 4.0, (0.5, 0.5), (1.0, 3.0))
+        return (["--m", str(m), "--n", str(n), "--nu", "4", "--mix", "0.5:1,0.5:3"],
+                D.sample_elliptical_t(rng, tag, m, n, 4, params.mix, size=count))
+
+    CASES = [(f, b) for f in ("matric-t", "matrix-mt", "wishart", "gamma", "gaussian",
+                              "beta2-matric", "elliptical-t") for b in (1, 2, 4)]
+    CASES += [(f, 8) for f in ("matric-t", "matrix-mt", "wishart", "gamma",
+                               "gaussian", "beta2-matric")]
+
+    @pytest.fixture(autouse=True)
+    def _small_blocks(self, monkeypatch):
+        import rdmt.cli
+
+        monkeypatch.setattr(rdmt.cli, "_BLOCK_ROWS", 4)
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    @pytest.mark.parametrize("family,beta", CASES)
+    def test_sample_lines(self, tmp_path, family, beta, fmt):
+        from rdmt.algebra import AlgebraTag, DivMatrix
+        from rdmt.distributions import RngStream
+
+        tag = AlgebraTag(beta)
+        flags, draws = self._library_draws(family, tag, RngStream(self.SEED, self.STREAM),
+                                           self.COUNT)
+        out = tmp_path / f"s.{fmt}"
+        code = run_cli("sample", "--dist", family, "--beta", str(beta), *flags,
+                       "--count", str(self.COUNT), "--seed", str(self.SEED),
+                       "--stream", str(self.STREAM), "--format", fmt, "--out", str(out))
+        assert code == 0
+        if fmt == "csv":
+            want = [",".join(repr(float(v)) for v in np.ravel(d)) for d in draws]
+        elif family == "gamma":
+            want = [json.dumps({"value": float(v)}) for v in draws]
+        else:
+            want = [json.dumps(DivMatrix(tag, d).to_schema_dict()) for d in draws]
+        assert _data_lines(out, 2 if fmt == "csv" else 1) == want
+
+    @pytest.mark.parametrize("kind,beta", [("singular", 1), ("singular", 4),
+                                           ("eigen", 2)])
+    def test_spectrum_lines(self, tmp_path, kind, beta):
+        from rdmt.algebra import AlgebraTag
+        from rdmt.distributions import MatricTParams, RngStream, sample_matric_t
+        from rdmt.spectral import singular_values_batch
+
+        tag = AlgebraTag(beta)
+        out = tmp_path / "s.csv"
+        code = run_cli("spectrum", "--dist", "matric-t", "--beta", str(beta), "--m", "2",
+                       "--n", "3", "--nu", "9", "--kind", kind, "--count", str(self.COUNT),
+                       "--seed", str(self.SEED), "--out", str(out))
+        assert code == 0
+        draws = sample_matric_t(RngStream(self.SEED, 0), MatricTParams(tag, 2, 3, 9.0),
+                                size=self.COUNT)
+        sv = singular_values_batch(tag, draws)
+        lines = _data_lines(out, 2)
+        got = np.array([[float(v) for v in l.split(",")] for l in lines])
+        assert got.shape == (self.COUNT, 2)
+        want = sv if kind == "singular" else sv ** 2
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+        if kind == "singular":
+            assert lines == [",".join(repr(float(v)) for v in row) for row in sv]
+
+    @pytest.mark.parametrize("form", ["primal", "dual"])
+    def test_density_lines(self, tmp_path, form):
+        from rdmt.algebra import AlgebraTag
+        from rdmt.distributions import MatricTParams, logpdf_matric_t
+
+        pts = tmp_path / "p.jsonl"
+        assert run_cli("sample", "--dist", "matric-t", "--beta", "2", "--m", "2", "--n",
+                       "3", "--nu", "5", "--count", str(self.COUNT), "--seed",
+                       str(self.SEED), "--out", str(pts)) == 0
+        out = tmp_path / "d.txt"
+        assert run_cli("density", "--dist", "matric-t", "--beta", "2", "--m", "2", "--n",
+                       "3", "--nu", "5", "--points", str(pts), "--form", form,
+                       "--out", str(out)) == 0
+        stack = np.array([json.loads(l)["data"] for l in _data_lines(pts)])
+        values = logpdf_matric_t(MatricTParams(AlgebraTag.COMPLEX, 2, 3, 5.0), stack,
+                                 form=form)
+        assert _data_lines(out) == [repr(float(v)) for v in values]
