@@ -12,7 +12,8 @@ Each fact about a family sits in one table keyed by family: ``_RECORDS``,
 eigen spectrum of a Hermitian family is that of the draw; of any other
 family (``gaussian`` too) it is that of the gram T T*.  One writer,
 ``_write``, sends every output and opens its file only once every check has
-passed; each value is ``repr`` of a Python float (gamma CSV rows included).
+passed; each value is ``repr`` of a Python float (gamma CSV rows included),
+so JSONL samples must be finite.
 """
 
 from __future__ import annotations
@@ -217,6 +218,12 @@ def _cmd_sample(args) -> int:
     if args.format == "csv":
         _write(args.out, info, _csv_template(len(columns)), rows, ",".join(columns))
     else:
+        # JSON has no inf or nan, and the schema reader refuses them
+        finite = np.isfinite(rows.reshape(count, -1)).all(axis=1)
+        if not finite.all():
+            raise RuntimeError(f"{count - int(finite.sum())} of {count} draws are "
+                               "not finite; JSONL holds finite values only "
+                               "(--format csv writes inf and nan)")
         _write(args.out, info, jsonl, rows, comment=False)
     return 0
 
@@ -339,7 +346,9 @@ def _cmd_spectrum(args) -> int:
     if args.grid:
         if overlay is None:
             raise _CliError(f"no analytic overlay for {family}/{kind}")
-        if (params.m if kind == "eigen" else min(params.m, params.n)) > 2:
+        # every overlay family has min(m, n) values: eigen of T T* needs
+        # m <= n, and a beta2-matric draw is min(m, n) square
+        if min(params.m, params.n) > 2:
             raise _CliError("analytic grids are emitted for m <= 2 only")
     raw = _SAMPLERS[family](RngStream(seed, args.stream), params, args.method, count)
     if kind == "singular":

@@ -83,6 +83,17 @@ class TestSample:
         assert "octonion" in capsys.readouterr().err.lower()
         assert not out.exists()
 
+    def test_non_finite_draws_are_refused_in_jsonl(self, tmp_path, capsys):
+        # rho = 1e308 overflows the gamma scale: JSON cannot hold the inf draws
+        args = ("sample", "--dist", "gamma", "--beta", "1", "--nu", "2", "--rho",
+                "1e308", "--count", "3", "--seed", "1")
+        out, csv = tmp_path / "g.jsonl", tmp_path / "g.csv"
+        assert run_cli(*args, "--out", str(out)) == 1
+        assert "3 of 3 draws are not finite" in capsys.readouterr().err
+        assert not out.exists()
+        assert run_cli(*args, "--format", "csv", "--out", str(csv)) == 0
+        assert csv.read_text().splitlines()[2:] == ["inf"] * 3
+
     def test_missing_seed_is_config_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.delenv("RDMT_SEED", raising=False)
         code = run_cli("sample", "--dist", "gamma", "--beta", "1", "--nu", "2",
@@ -304,6 +315,18 @@ class TestSpectrum:
         x, logpdf = (float(v) for v in lines[2].split(","))
         assert math.isclose(logpdf, -2.0 * math.log1p(x), abs_tol=1e-9)
 
+    @pytest.mark.parametrize("n,values", [(1, 1), (2, 2)])
+    def test_tall_cogram_grid_is_written(self, tmp_path, n, values):
+        # a cogram draw is n x n, so m = 3 still has a spectrum of n values
+        out, grid = tmp_path / "s.csv", tmp_path / "g.csv"
+        code = run_cli("spectrum", "--dist", "beta2-matric", "--beta", "1",
+                       "--m", "3", "--n", str(n), "--nu", "5", "--count", "50",
+                       "--seed", "1", "--out", str(out), "--grid", str(grid))
+        assert code == 0
+        lines = grid.read_text().splitlines()
+        assert lines[1] == ",".join([f"v{i + 1}" for i in range(values)] + ["logpdf"])
+        assert len(lines) == 2 + (256 if values == 1 else 64 * 63 // 2)
+
     def test_eigen_kind_requires_wide_matrix(self, tmp_path, capsys):
         code = run_cli("spectrum", "--dist", "matric-t", "--beta", "1", "--m",
                        "3", "--n", "2", "--nu", "9", "--count", "10",
@@ -336,6 +359,7 @@ class TestSpectrum:
          "no analytic overlay"),
         ("matric-t", ["--m", "3", "--n", "4", "--nu", "6"], "m <= 2"),
         ("matrix-mt", ["--m", "4", "--n", "3", "--nu", "6"], "m <= 2"),
+        ("beta2-matric", ["--m", "4", "--n", "3", "--nu", "6"], "m <= 2"),
     ])
     def test_grid_config_error_leaves_no_output(self, tmp_path, capsys, dist, flags,
                                                 message):
