@@ -184,6 +184,14 @@ _SAMPLERS = {
 _HERMITIAN = {"wishart", "beta2-matric"}
 
 
+def _count(args) -> int:
+    """--count of sample and spectrum, refused below 1 before any draw."""
+    count = int(args.count)
+    if count < 1:
+        raise _CliError("--count must be positive")
+    return count
+
+
 def _params_dict(params, method=None, count=None, fmt=None):
     d = params.to_json_dict()
     if method:
@@ -201,9 +209,7 @@ def _cmd_sample(args) -> int:
     if family not in _SAMPLERS:
         raise _CliError(f"unknown sample family {args.dist!r}")
     params = _build_params(args, family)
-    count = int(args.count)
-    if count < 1:
-        raise _CliError("--count must be positive")
+    count = _count(args)
     draws = _SAMPLERS[family](RngStream(seed, args.stream), params, args.method, count)
     info = _run_info(seed, args.stream, _params_dict(params, args.method, count,
                                                      args.format))
@@ -334,7 +340,7 @@ def _cmd_spectrum(args) -> int:
         raise _CliError("spectrum works on the standard families; use flags, "
                         "not --params")
     params = _build_params(args, family)
-    count = int(args.count)
+    count = _count(args)
     hermitian = family in _HERMITIAN
     kind = args.kind or ("eigen" if hermitian else "singular")
     if kind == "singular" and hermitian:

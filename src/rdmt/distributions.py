@@ -425,13 +425,23 @@ def _bartlett_factor_raw(gen: np.random.Generator, beta: int, m: int, nu: float,
                          nsamp: int) -> np.ndarray:
     """Lower-triangular Bartlett factor of a standard Wishart(nu, I) draw:
     l_ii^2 ~ Gamma(beta*(nu-i+1)/2, 2/beta), strictly-lower entries standard
-    algebra Gaussians."""
+    algebra Gaussians.  Near nu = beta*(m-1) the last pivot's gamma draw can
+    underflow to 0, which would make the factor singular: ArithmeticError
+    names the first such draw and row."""
     lo = np.zeros((nsamp, m, m, beta))
     for i in range(m):
         shape = beta * (nu - i) / 2.0
         lo[:, i, i, 0] = np.sqrt(gen.gamma(shape, 2.0 / beta, size=nsamp))
         if i > 0:
             lo[:, i, :i, :] = _std_normal_raw(gen, beta, (nsamp, i))
+    pivots = lo.reshape(nsamp, -1)[:, ::(m + 1) * beta]   # l_ii, i < m
+    if not pivots.all():
+        draw, row = divmod(int(np.flatnonzero(pivots == 0.0)[0]), m)
+        _raise_at(ArithmeticError, draw, "draw",
+                  f"has a Bartlett pivot l_{row}{row}^2 ~ Gamma("
+                  f"{beta * (nu - row) / 2.0:g}, {2.0 / beta:g}) that underflowed "
+                  f"to 0 in row {row}; the {m}x{m} Wishart's nu = {nu:g} is too "
+                  f"close to its edge beta*({m}-1) = {beta * (m - 1)}")
     return lo
 
 

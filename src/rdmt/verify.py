@@ -14,6 +14,10 @@ once on an independent derived stream and only a double failure fails the
 suite.  A correct implementation therefore passes with probability well
 above 0.9 while genuine distributional errors at the tested sample sizes
 drive p far below threshold.
+
+scipy is imported where it is called, and once by ``run_suite`` before its
+first check's clock starts, so that importing this module (as ``rdmt`` and
+``rdmt.cli`` do) does not load scipy for the commands that never verify.
 """
 
 from __future__ import annotations
@@ -24,9 +28,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
-from scipy.interpolate import PchipInterpolator
-from scipy.special import betainc, betaln, kolmogorov, ndtr, ndtri
 
 from ._version import __version__
 from .algebra import (
@@ -102,6 +103,8 @@ def ks_one_sample(samples, cdf) -> tuple:
     Returns (D, p) with D the sup-distance between the empirical CDF and the
     reference and p from the asymptotic Kolmogorov distribution at sqrt(N)*D.
     """
+    from scipy.special import kolmogorov
+
     x = np.asarray(samples, dtype=float)
     n = x.size
     if n < 100:
@@ -125,6 +128,8 @@ def ks_two_sample(a, b) -> tuple:
 
     Returns (D, p) with the asymptotic p evaluated at sqrt(nm/(n+m)) * D.
     """
+    from scipy.special import kolmogorov
+
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     _check_sorted(a, "a")
@@ -171,6 +176,8 @@ def moment_check(samples, expected: float, tol_se: float, estimator=None) -> Mom
 
 
 def _quad(fn, lo, hi, epsabs=1e-10, epsrel=1e-10, target=1e-8) -> float:
+    from scipy import integrate
+
     out = integrate.quad(fn, lo, hi, epsabs=epsabs, epsrel=epsrel,
                          limit=300, full_output=1)
     val, abserr = out[0], out[1]
@@ -236,6 +243,7 @@ def quadrature_mass_eig2(log_joint2) -> float:
     Integration runs over the ordered cone directly (inner variable up to the
     outer one), so the Vandermonde kink never crosses the domain interior.
     """
+    from scipy import integrate
 
     def integrand(v2: float, v1: float) -> float:
         if v2 <= 0.0 or v2 >= v1:
@@ -371,6 +379,8 @@ _KS_REFERENCE_PAIRS = (
 
 
 def _ks_reference_cases():
+    from scipy.special import ndtr, ndtri
+
     n = 1000
     yield "uniform-grid", ks_one_sample((np.arange(1, n + 1) - 0.5) / n, lambda v: v)
     m = 500
@@ -531,6 +541,8 @@ def _run_scalar_law_cauchy(spec: CheckSpec, rng: RngStream):
 
 
 def _run_scalar_law_beta_prime(spec: CheckSpec, rng: RngStream):
+    from scipy.special import betainc
+
     nu = float(spec.params.get("nu", 3.0))
     nsamp = spec.budget or 50000
     f = sample_beta2_matric(rng, BetaIIParams(AlgebraTag.REAL, 1, 1, nu),
@@ -544,6 +556,8 @@ def _cumulative_cdf(pdf, lo: float, xs: np.ndarray, tol: float):
     """(CDF interpolator on the grid xs, total mass) of an unnormalized
     density on (lo, inf), by quadrature over (lo, xs[0]], each grid interval
     and [xs[-1], inf), in that order."""
+    from scipy.interpolate import PchipInterpolator
+
     pieces = [_quad(pdf, lo, xs[0], epsabs=tol, epsrel=tol)]
     for a, b in zip(xs, xs[1:]):
         pieces.append(_quad(pdf, a, b, epsabs=tol, epsrel=tol))
@@ -654,6 +668,8 @@ def _lmax_cdf_eig_beta2_m2(n: int, nu: float, xs: np.ndarray):
     integral is 1-D quadrature; the normalizing constant cancels in the
     ratio, leaving a pure shape comparison against the sampled spectrum.
     """
+    from scipy.special import betainc, betaln
+
     p = (n - 1) / 2.0 - 1.0
     q = (nu + n) / 2.0
 
@@ -763,6 +779,11 @@ def run_suite(config, rng: RngStream, progress=None) -> VerifyReport:
     passes; deterministic checks run once.  Individual check failures are
     recorded in the report, never thrown.
     """
+    # The checks' scipy modules load here, outside every check's wall time.
+    import scipy.integrate
+    import scipy.interpolate
+    import scipy.special
+
     results = []
     for idx, spec in enumerate(config):
         runner = _RUNNERS.get(spec.name)

@@ -1,11 +1,14 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rdmt
 from rdmt.cli import main
 
 
@@ -93,6 +96,18 @@ class TestSample:
         assert not out.exists()
         assert run_cli(*args, "--format", "csv", "--out", str(csv)) == 0
         assert csv.read_text().splitlines()[2:] == ["inf"] * 3
+
+    def test_underflowed_bartlett_pivot_is_a_runtime_error(self, tmp_path, capsys):
+        # nu = 1.01 is legal at beta = 1, m = 2, but some Bartlett pivots
+        # underflow to 0: exit 1 naming the draw, not a singular solve
+        out = tmp_path / "x.jsonl"
+        code = run_cli("sample", "--dist", "matric-t", "--beta", "1", "--m", "2",
+                       "--n", "2", "--nu", "1.01", "--count", "2000", "--seed", "1",
+                       "--out", str(out))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "ArithmeticError" in err and "draw at index 17" in err
+        assert not out.exists()
 
     def test_missing_seed_is_config_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.delenv("RDMT_SEED", raising=False)
@@ -430,10 +445,60 @@ class TestParsing:
                        "--nu", "1", "--count", "1", "--seed", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    @pytest.mark.parametrize("command,with_grid", [("sample", False),
+                                                   ("spectrum", False),
+                                                   ("spectrum", True)])
+    def test_count_below_one_is_refused(self, tmp_path, capsys, count, command,
+                                        with_grid):
+        out, grid = tmp_path / "out", tmp_path / "grid.csv"
+        code = run_cli(command, "--dist", "matric-t", "--beta", "1", "--m", "1",
+                       "--n", "2", "--nu", "3", "--count", count, "--seed", "1",
+                       "--out", str(out), *(["--grid", str(grid)] if with_grid else []))
+        assert code == 2
+        assert "--count must be positive" in capsys.readouterr().err
+        assert not out.exists() and not grid.exists()
+
     def test_entry_point_runs(self):
         proc = subprocess.run([sys.executable, "-m", "rdmt.cli", "--version"],
                               capture_output=True, text=True)
         assert proc.returncode == 0
+
+
+_STARTUP_SCRIPT = """
+import sys
+from pathlib import Path
+
+import rdmt, rdmt.cli, rdmt.verify
+
+out = Path(sys.argv[1])
+common = ["--beta", "2", "--m", "1", "--n", "2", "--nu", "3"]
+assert rdmt.cli.main(["sample", "--dist", "matric-t", *common, "--count", "20",
+                      "--seed", "1", "--out", str(out / "s.jsonl")]) == 0
+assert rdmt.cli.main(["density", "--dist", "matric-t", *common, "--points",
+                      str(out / "s.jsonl"), "--out", str(out / "d.csv")]) == 0
+assert rdmt.cli.main(["spectrum", "--dist", "matric-t", *common, "--count", "200",
+                      "--seed", "1", "--out", str(out / "v.csv"),
+                      "--grid", str(out / "g.csv")]) == 0
+assert "scipy" not in sys.modules, "scipy loaded without a verify check"
+report = rdmt.run_suite([rdmt.CheckSpec("gamma-ratio-identity", "identity", {}, 5,
+                                        1e-10)], rdmt.RngStream(1))
+assert report.overall_pass
+assert "scipy.special" in sys.modules
+print("ok")
+"""
+
+
+class TestStartup:
+    def test_scipy_loads_only_for_verify_checks(self, tmp_path):
+        # a fresh interpreter: this test process has scipy loaded already
+        src = str(Path(rdmt.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+        proc = subprocess.run([sys.executable, "-c", _STARTUP_SCRIPT, str(tmp_path)],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "ok\n"
 
 
 def _run_info_line(**params):

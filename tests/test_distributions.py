@@ -19,6 +19,7 @@ from rdmt.algebra import (
     conj_transpose,
     logdet_hpd,
     matmul,
+    singular_values,
 )
 from rdmt.distributions import (
     BetaIIParams,
@@ -49,7 +50,7 @@ from rdmt.errors import DomainError, OctonionMatrixError
 from rdmt.spectral import eigenvalues_batch, singular_values_batch
 from rdmt.verify import ks_one_sample, ks_two_sample, moment_check
 
-from conftest import random_hpd, random_matrix
+from conftest import random_hpd, random_matrix, random_unitary
 
 R, C, H, O = AlgebraTag.REAL, AlgebraTag.COMPLEX, AlgebraTag.QUATERNION, AlgebraTag.OCTONION
 
@@ -159,6 +160,13 @@ class TestWishart:
         with pytest.raises(DomainError):
             WishartParams(H, 3, 7.5)  # needs nu > beta*(m-1) = 8
 
+    def test_underflowed_bartlett_pivot_is_refused(self):
+        # at nu = 1.001 the second pivot is Gamma(0.0005, 2), which underflows
+        # to 0 in many draws and would make those draws singular
+        with pytest.raises(ArithmeticError, match=r"draw at index \d+ .* "
+                           r"Gamma\(0\.0005, 2\) .* in row 1"):
+            sample_wishart(RngStream(1), WishartParams(R, 2, 1.001), size=2000)
+
     def test_non_integer_nu_scalar_matches_gamma_law(self):
         # generalized Bartlett at m = 1 must reproduce the analytic scalar
         # law Gamma(beta*nu/2, 2/beta) for fractional nu
@@ -214,6 +222,17 @@ class TestMatricTSampler:
     def test_nu_domain(self):
         with pytest.raises(DomainError):
             MatricTParams(H, 2, 2, 4.0)  # needs nu > 4
+
+    @pytest.mark.parametrize("method", ["wishart_root", "inverse_root"])
+    def test_underflowed_bartlett_pivot_is_refused(self, method):
+        # nu = 1.01 is legal at beta = 1, m = n = 2, but the last pivot
+        # Gamma(0.005, 2) underflows to 0 in some draws: refused by index,
+        # not left to a singular solve
+        with pytest.raises(ArithmeticError, match=r"draw at index 17 .* "
+                           r"Gamma\(0\.005, 2\) .* in row 1") as info:
+            sample_matric_t(RngStream(1), MatricTParams(R, 2, 2, 1.01), method,
+                            size=2000)
+        assert info.value.index == 17
 
     @pytest.mark.parametrize("tag", [R, C, H, O])
     def test_scalar_reduction_ks_every_beta(self, tag):
@@ -512,6 +531,26 @@ class TestMatrixMT:
         _, p = ks_one_sample(f, lambda x: betainc(b / 2.0, b * nu / 2.0,
                                                   x / (1.0 + x)))
         assert p > 0.005
+
+
+class TestUnitaryCongruence:
+    """The standard laws depend on T only through its singular values, so
+    T -> U T V with U, V unitary over the algebra leaves them unchanged."""
+
+    @pytest.mark.parametrize("tag", [R, C, H])
+    @pytest.mark.parametrize("m,n", [(2, 3), (3, 2)])
+    def test_standard_log_densities_and_singular_values(self, rng, tag, m, n):
+        t = random_matrix(rng, tag, m, n)
+        ut = matmul(matmul(random_unitary(rng, tag, m), t),
+                    random_unitary(rng, tag, n))
+        nu = tag.beta * (m - 1) + 2.5
+        matric = MatricTParams(tag, m, n, nu)
+        for form in ("primal", "dual"):
+            assert abs(logpdf_matric_t(matric, ut, form)
+                       - logpdf_matric_t(matric, t, form)) < 1e-12
+        mt = MatrixMTParams(tag, m, n, nu, 1.7)
+        assert abs(logpdf_matrix_mt(mt, ut) - logpdf_matrix_mt(mt, t)) < 1e-12
+        assert np.abs(singular_values(ut) - singular_values(t)).max() < 1e-12
 
 
 class TestBetaIIMultivariate:
