@@ -22,10 +22,12 @@ quaternion singular value or eigenvalue appears in the adjoint as a
 coincident (Kramers) pair.  Every kernel is one numpy call between
 `_complex_embed_raw` and `_complex_unembed_raw`.
 
-Octonion matrices with m >= 2 are rejected everywhere: octonion matrix
-algebra is non-associative and has no complex representation.  Scalar (1x1)
-octonion arithmetic is kept so the scalar density formulas stay exercisable
-at beta = 8; the kernels handle it with the scalar product and real division.
+Two rules of the algebra live here alone.  Gram products (`_gram_raw`) and
+every other matrix that Cholesky or eigvalsh reads one triangle of are
+symmetrized here.  Octonion matrices larger than 1x1 are rejected: octonion
+matrix algebra is non-associative and has no complex representation.  The
+kernels take a 1x1 octonion (`_octonion_scalar`) by the scalar product, real
+division, its norm and its real part, so the scalar laws work at beta = 8.
 """
 
 from __future__ import annotations
@@ -183,6 +185,12 @@ def _hermitize_raw(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + _conj_t_raw(a))
 
 
+def _gram_raw(x: np.ndarray, adjoint_first: bool = False) -> np.ndarray:
+    """X X* (X* X with adjoint_first) of (..., m, n, beta), symmetrized."""
+    xt = _conj_t_raw(x)
+    return _hermitize_raw(_matmul_raw(xt, x) if adjoint_first else _matmul_raw(x, xt))
+
+
 def _stack_index(bad: np.ndarray):
     """Position of the first flagged matrix in a per-matrix mask, counted
     over the flattened leading axes; None for a single matrix (0-d mask)."""
@@ -284,6 +292,11 @@ def _chol_logdet_raw(lo: np.ndarray) -> np.ndarray:
     return 2.0 * np.log(diag).sum(axis=-1)
 
 
+def _logdet_hermitian_raw(a: np.ndarray) -> np.ndarray:
+    """log det of a nearly Hermitian PD (..., m, m, beta), symmetrized first."""
+    return _chol_logdet_raw(_cholesky_raw(_hermitize_raw(a)))
+
+
 def _solve_raw(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve A X = B for invertible (..., m, m, beta) A and (..., m, n, beta) B;
     the leading axes broadcast.  A 1x1 octonion A must be real, as the
@@ -321,13 +334,19 @@ def _collapse_pairs(vals: np.ndarray) -> np.ndarray:
 
 
 def _singular_values_raw(x: np.ndarray, beta: int) -> np.ndarray:
-    """Descending singular values on (..., m, n, beta), min(m, n) each."""
+    """Descending singular values on (..., m, n, beta), min(m, n) each; a
+    1x1 octonion's is its norm."""
+    if _octonion_scalar(x):
+        return np.sqrt(np.square(x[..., 0, :, :]).sum(axis=-1))
     s = np.linalg.svd(_complex_embed_raw(x, beta), compute_uv=False)
     return _collapse_pairs(s) if beta == 4 else s
 
 
 def _eigvalsh_raw(a: np.ndarray, beta: int) -> np.ndarray:
-    """Descending real eigenvalues of Hermitian (..., m, m, beta)."""
+    """Descending real eigenvalues of Hermitian (..., m, m, beta); a 1x1
+    octonion's is its real coefficient."""
+    if _octonion_scalar(a):
+        return a[..., 0, 0, :1].copy()
     w = np.linalg.eigvalsh(_complex_embed_raw(a, beta))[..., ::-1]
     return _collapse_pairs(w) if beta == 4 else w
 
@@ -625,7 +644,6 @@ def conj_transpose(x: DivMatrix) -> DivMatrix:
 def matmul(a: DivMatrix, b: DivMatrix) -> DivMatrix:
     if a.tag != b.tag:
         raise ValueError(f"algebra mismatch: {a.tag!r} vs {b.tag!r}")
-    _check_beta_shape(a.tag.beta, a.m, max(a.n, b.n))
     return DivMatrix(a.tag, _matmul_raw(a.data, b.data))
 
 

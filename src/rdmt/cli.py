@@ -8,7 +8,8 @@ be reproduced from its own header.  Outputs carry no timestamps: rerunning a
 command with the same seed produces byte-identical files.
 
 Each fact about a family sits in one table keyed by family: ``_RECORDS``,
-``_SAMPLERS``, ``_DENSITIES``, ``_SPECTRUM_OVERLAYS`` and ``_HERMITIAN``.  The
+``_SAMPLERS``, ``_METHODS``, ``_DENSITIES``, ``_SPECTRUM_OVERLAYS`` and
+``_HERMITIAN``; a family outside ``_METHODS`` refuses ``--method``.  The
 eigen spectrum of a Hermitian family is that of the draw; of any other
 family (``gaussian`` too) it is that of the gram T T*.  One writer,
 ``_write``, sends every output and opens its file only once every check has
@@ -30,9 +31,7 @@ import numpy as np
 from ._version import __version__
 from .algebra import (
     AlgebraTag,
-    _conj_t_raw,
-    _hermitize_raw,
-    _matmul_raw,
+    _gram_raw,
     _schema_data,
     _schema_template,
 )
@@ -166,11 +165,9 @@ def _build_params(args, family: str):
 # family -> sampler(rng, params, method, count): an (N,) array of scalar
 # draws (gamma) or an (N, m, n, beta) stack of matrices
 _SAMPLERS = {
-    "matric-t": lambda rng, p, method, count: sample_matric_t(
-        rng, p, method or "wishart_root", size=count),
+    "matric-t": lambda rng, p, method, count: sample_matric_t(rng, p, method, size=count),
     "matrix-mt": lambda rng, p, method, count: sample_matrix_mt(rng, p, size=count),
-    "wishart": lambda rng, p, method, count: sample_wishart(
-        rng, p, method or "bartlett", size=count),
+    "wishart": lambda rng, p, method, count: sample_wishart(rng, p, method, size=count),
     "gamma": lambda rng, p, method, count: sample_gamma_scalar(rng, p, size=count),
     "gaussian": lambda rng, p, method, count: sample_gaussian(
         rng, p.tag, p.m, p.n, size=count),
@@ -179,6 +176,9 @@ _SAMPLERS = {
     "elliptical-t": lambda rng, p, method, count: sample_elliptical_t(
         rng, p.tag, p.m, p.n, p.nu, p.mix, size=count),
 }
+
+# families that take --method -> its default; the sampler refuses a wrong one
+_METHODS = {"matric-t": "wishart_root", "wishart": "bartlett"}
 
 # families whose draws are Hermitian matrices
 _HERMITIAN = {"wishart", "beta2-matric"}
@@ -190,6 +190,14 @@ def _count(args) -> int:
     if count < 1:
         raise _CliError("--count must be positive")
     return count
+
+
+def _draw(args, family: str, params, seed: int, count: int):
+    """The draws of sample and spectrum, by the family's sampler."""
+    if args.method and family not in _METHODS:
+        raise _CliError(f"{family} has no construction method; drop --method")
+    return _SAMPLERS[family](RngStream(seed, args.stream), params,
+                             args.method or _METHODS.get(family), count)
 
 
 def _params_dict(params, method=None, count=None, fmt=None):
@@ -210,7 +218,7 @@ def _cmd_sample(args) -> int:
         raise _CliError(f"unknown sample family {args.dist!r}")
     params = _build_params(args, family)
     count = _count(args)
-    draws = _SAMPLERS[family](RngStream(seed, args.stream), params, args.method, count)
+    draws = _draw(args, family, params, seed, count)
     info = _run_info(seed, args.stream, _params_dict(params, args.method, count,
                                                      args.format))
     if draws.ndim == 1:
@@ -356,12 +364,12 @@ def _cmd_spectrum(args) -> int:
         # m <= n, and a beta2-matric draw is min(m, n) square
         if min(params.m, params.n) > 2:
             raise _CliError("analytic grids are emitted for m <= 2 only")
-    raw = _SAMPLERS[family](RngStream(seed, args.stream), params, args.method, count)
+    raw = _draw(args, family, params, seed, count)
     if kind == "singular":
         vals = singular_values_batch(params.tag, raw)
     else:
         if not hermitian:
-            raw = _hermitize_raw(_matmul_raw(raw, _conj_t_raw(raw)))
+            raw = _gram_raw(raw)
         vals = eigenvalues_batch(params.tag, raw)
     grid = _grid_rows(family, kind, params, vals, overlay) if args.grid else None
     info = _run_info(seed, args.stream, _params_dict(params, args.method, count))

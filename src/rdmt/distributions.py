@@ -33,14 +33,14 @@ from .algebra import (
     HermitianPD,
     _check_beta_shape,
     _cholesky_raw,
-    _chol_logdet_raw,
     _conj_t_raw,
     _eigvalsh_raw,
     _frobenius_sq_raw,
+    _gram_raw,
     _hermitian_part,
-    _hermitize_raw,
     _hpd_inverse_raw,
     _identity_raw,
+    _logdet_hermitian_raw,
     _matmul_raw,
     _raise_at,
     _real_trace_raw,
@@ -172,9 +172,12 @@ class _JsonRecord:
         return cls(**kwargs)
 
 
-def _check_dims(*dims: int) -> None:
-    if min(dims) < 1:
+def _check_dims(tag, rows: int, cols: int) -> AlgebraTag:
+    """AlgebraTag(tag), once the record's rows x cols shape is legal for it."""
+    if min(rows, cols) < 1:
         raise ValueError("dimensions must be positive")
+    _check_beta_shape(AlgebraTag(tag).beta, rows, cols)
+    return AlgebraTag(tag)
 
 
 @dataclass(frozen=True)
@@ -192,9 +195,8 @@ class MatricTParams(_JsonRecord):
     Sigma: HermitianPD | None = None
 
     def __post_init__(self):
-        tag = AlgebraTag(self.tag)
+        tag = _check_dims(self.tag, self.m, self.n)
         object.__setattr__(self, "tag", tag)
-        _check_dims(self.m, self.n)
         if not self.nu > tag.beta * (self.m - 1):
             raise DomainError(
                 f"matricvariate T requires nu > beta*(m-1) = {tag.beta * (self.m - 1)}"
@@ -229,9 +231,8 @@ class MatrixMTParams(_JsonRecord):
     Lambda: HermitianPD | None = None
 
     def __post_init__(self):
-        tag = AlgebraTag(self.tag)
+        tag = _check_dims(self.tag, self.m, self.n)
         object.__setattr__(self, "tag", tag)
-        _check_dims(self.m, self.n)
         if not (self.nu > 0 and self.rho > 0):
             raise DomainError("require nu > 0 and rho > 0")
         object.__setattr__(self, "mu", _default_mu(self.mu, tag, self.m, self.n))
@@ -253,10 +254,8 @@ class WishartParams(_JsonRecord):
     Xi: HermitianPD | None = None
 
     def __post_init__(self):
-        tag = AlgebraTag(self.tag)
+        tag = _check_dims(self.tag, self.m, self.m)
         object.__setattr__(self, "tag", tag)
-        if self.m < 1:
-            raise ValueError("m must be positive")
         if not self.nu > tag.beta * (self.m - 1):
             raise DomainError(
                 f"Wishart requires nu > beta*(m-1) = {tag.beta * (self.m - 1)}"
@@ -298,15 +297,14 @@ class BetaIIParams(_JsonRecord):
     scale: HermitianPD | None = None
 
     def __post_init__(self):
-        tag = AlgebraTag(self.tag)
-        object.__setattr__(self, "tag", tag)
-        _check_dims(self.m, self.n)
         if self.orientation not in ("gram", "cogram"):
             raise ValueError("orientation must be 'gram' or 'cogram'")
         if self.orientation == "gram" and self.n < self.m:
             raise ValueError("gram orientation requires n >= m")
         if self.orientation == "cogram" and self.n >= self.m:
             raise ValueError("cogram orientation requires n < m")
+        tag = _check_dims(self.tag, self.dim, self.dim)   # dim = min(m, n)
+        object.__setattr__(self, "tag", tag)
         if not self.nu > 0:
             raise DomainError("require nu > 0")
         if self.scale is not None:
@@ -334,8 +332,7 @@ class GaussianParams(_JsonRecord):
     n: int
 
     def __post_init__(self):
-        object.__setattr__(self, "tag", AlgebraTag(self.tag))
-        _check_dims(self.m, self.n)
+        object.__setattr__(self, "tag", _check_dims(self.tag, self.m, self.n))
 
 
 @dataclass(frozen=True)
@@ -373,8 +370,7 @@ class EllipticalTParams(_JsonRecord):
     scales: tuple = (1.0,)
 
     def __post_init__(self):
-        object.__setattr__(self, "tag", AlgebraTag(self.tag))
-        _check_dims(self.m, self.n)
+        object.__setattr__(self, "tag", _check_dims(self.tag, self.m, self.n))
         mix = ScaleMixtureSpec(self.weights, self.scales)
         object.__setattr__(self, "weights", mix.weights)
         object.__setattr__(self, "scales", mix.scales)
@@ -411,13 +407,22 @@ def sample_gaussian(rng: RngStream, tag: AlgebraTag, m: int, n: int,
     return _wrap_single(tag, raw, size)
 
 
+def _check_gamma_draws(s: np.ndarray, problem) -> None:
+    """Refuse (N,) or (N, k) gamma draws s that underflowed to 0, outside the
+    support: ArithmeticError names the first, then says `problem(column)`."""
+    if not s.all():
+        draw, col = divmod(int(np.flatnonzero(s == 0.0)[0]), s[0].size)
+        _raise_at(ArithmeticError, draw, "draw", problem(col))
+
+
 def sample_gamma_scalar(rng: RngStream, params: GammaScalarParams,
                         size: int | None = None):
     """Positive scalar gamma draw; allowed for every beta including 8."""
     beta = params.tag.beta
-    shape = beta * params.nu / 2.0
-    scale = 2.0 * params.rho / beta
+    shape, scale = beta * params.nu / 2.0, 2.0 * params.rho / beta
     out = rng.generator.gamma(shape, scale, size=1 if size is None else int(size))
+    _check_gamma_draws(out, lambda _: f"of Gamma({shape:g}, {scale:g}) underflowed "
+                       f"to 0; nu = {params.nu:g} is too small")
     return float(out[0]) if size is None else out
 
 
@@ -434,14 +439,12 @@ def _bartlett_factor_raw(gen: np.random.Generator, beta: int, m: int, nu: float,
         lo[:, i, i, 0] = np.sqrt(gen.gamma(shape, 2.0 / beta, size=nsamp))
         if i > 0:
             lo[:, i, :i, :] = _std_normal_raw(gen, beta, (nsamp, i))
-    pivots = lo.reshape(nsamp, -1)[:, ::(m + 1) * beta]   # l_ii, i < m
-    if not pivots.all():
-        draw, row = divmod(int(np.flatnonzero(pivots == 0.0)[0]), m)
-        _raise_at(ArithmeticError, draw, "draw",
-                  f"has a Bartlett pivot l_{row}{row}^2 ~ Gamma("
-                  f"{beta * (nu - row) / 2.0:g}, {2.0 / beta:g}) that underflowed "
-                  f"to 0 in row {row}; the {m}x{m} Wishart's nu = {nu:g} is too "
-                  f"close to its edge beta*({m}-1) = {beta * (m - 1)}")
+    _check_gamma_draws(
+        lo.reshape(nsamp, -1)[:, ::(m + 1) * beta],   # l_ii, i < m
+        lambda row: f"has a Bartlett pivot l_{row}{row}^2 ~ Gamma("
+                    f"{beta * (nu - row) / 2.0:g}, {2.0 / beta:g}) that underflowed "
+                    f"to 0 in row {row}; the {m}x{m} Wishart's nu = {nu:g} is too "
+                    f"close to its edge beta*({m}-1) = {beta * (m - 1)}")
     return lo
 
 
@@ -450,22 +453,19 @@ def sample_wishart(rng: RngStream, params: WishartParams, method: str = "bartlet
     """Wishart draw by the Bartlett factorization (any real nu in the domain)
     or by the Gram construction Y Y* (integer nu >= m only)."""
     tag = params.tag
-    _check_beta_shape(tag.beta, params.m, params.m)
     nsamp = 1 if size is None else int(size)
-    lxi = params.Xi.chol.data[None, ...]
     if method == "bartlett":
-        lo = _bartlett_factor_raw(rng.generator, tag.beta, params.m, params.nu, nsamp)
-        c = _matmul_raw(lxi, lo)
+        c = _wishart_chol_raw(rng.generator, tag.beta, params.m, params.nu,
+                              params.Xi.chol.data, nsamp)
     elif method == "gram":
         nu_int = int(params.nu)
         if nu_int != params.nu or nu_int < params.m:
             raise DomainError("gram construction requires integer nu >= m")
         y = _std_normal_raw(rng.generator, tag.beta, (nsamp, params.m, nu_int))
-        c = _matmul_raw(lxi, y)
+        c = _matmul_raw(params.Xi.chol.data[None, ...], y)
     else:
         raise ValueError(f"unknown Wishart method {method!r}")
-    w = _hermitize_raw(_matmul_raw(c, _conj_t_raw(c)))
-    return _wrap_single(tag, w, size, hermitian=True)
+    return _wrap_single(tag, _gram_raw(c), size, hermitian=True)
 
 
 def _wishart_chol_raw(gen: np.random.Generator, beta: int, m: int, nu: float,
@@ -489,7 +489,6 @@ def sample_matric_t(rng: RngStream, params: MatricTParams,
     tag = params.tag
     beta = tag.beta
     m, n = params.m, params.n
-    _check_beta_shape(beta, m, n)
     nsamp = 1 if size is None else int(size)
     gen = rng.generator
     if method == "wishart_root":
@@ -521,11 +520,7 @@ def sample_beta2_matric(rng: RngStream, params: BetaIIParams,
         raise ValueError("sampling is defined for the standard form only (scale=None)")
     tparams = MatricTParams(params.tag, params.m, params.n, params.nu)
     t = sample_matric_t(rng, tparams, size=1 if size is None else size)
-    if params.orientation == "gram":
-        f = _matmul_raw(t, _conj_t_raw(t))
-    else:
-        f = _matmul_raw(_conj_t_raw(t), t)
-    f = _hermitize_raw(f)
+    f = _gram_raw(t, adjoint_first=params.orientation == "cogram")
     return _wrap_single(params.tag, f, size, hermitian=True)
 
 
@@ -536,10 +531,12 @@ def sample_matrix_mt(rng: RngStream, params: MatrixMTParams,
     tag = params.tag
     beta = tag.beta
     m, n = params.m, params.n
-    _check_beta_shape(beta, m, n)
     nsamp = 1 if size is None else int(size)
     gen = rng.generator
-    s = gen.gamma(beta * params.nu / 2.0, 2.0 * params.rho / beta, size=nsamp)
+    shape, scale = beta * params.nu / 2.0, 2.0 * params.rho / beta
+    s = gen.gamma(shape, scale, size=nsamp)
+    _check_gamma_draws(s, lambda _: f"has a scale S ~ Gamma({shape:g}, {scale:g}) "
+                       f"that underflowed to 0; nu = {params.nu:g} is too small")
     y = _std_normal_raw(gen, beta, (nsamp, m, n))
     t1 = y / np.sqrt(s)[:, None, None, None]
     identity_scales = (
@@ -580,8 +577,7 @@ def sample_elliptical_t(rng: RngStream, tag: AlgebraTag, m: int, n: int, nu: int
     y = _std_normal_raw(gen, tag.beta, (nsamp, m, n + nu))
     y *= scale[:, None, None, None]
     y1, y2 = y[:, :, :n, :], y[:, :, n:, :]
-    v = _hermitize_raw(_matmul_raw(y2, _conj_t_raw(y2)))
-    t = _solve_raw(_cholesky_raw(v), y1)
+    t = _solve_raw(_cholesky_raw(_gram_raw(y2)), y1)
     return _wrap_single(tag, t, size)
 
 
@@ -601,10 +597,6 @@ def _libm(fn, x: np.ndarray) -> np.ndarray:
     log1p round differently from the C library's in the last bit on part of
     their inputs; the densities keep the C library's values."""
     return np.array([fn(v) for v in x.ravel().tolist()]).reshape(x.shape)
-
-
-def _logdet_hermitian_raw(a: np.ndarray) -> np.ndarray:
-    return _chol_logdet_raw(_cholesky_raw(_hermitize_raw(a)))
 
 
 def _points(params, t, shape: tuple) -> tuple:
@@ -634,7 +626,6 @@ def _matric_t_terms(params: MatricTParams) -> dict:
     tag = params.tag
     beta = tag.beta
     m, n, nu = params.m, params.n, params.nu
-    _check_beta_shape(beta, m, n)
     q = beta * (n + nu) / 2.0
     primal = (
         _lmg(tag, m, q)
@@ -685,7 +676,6 @@ def _beta2_terms(params: BetaIIParams) -> dict:
     tag = params.tag
     beta = tag.beta
     m, n, nu = params.m, params.n, params.nu
-    _check_beta_shape(beta, params.dim, params.dim)
     if params.orientation == "gram":
         a_par, b_par = beta * nu / 2.0, beta * n / 2.0
         exp_f = beta * (n - m + 1) / 2.0 - 1.0
@@ -712,7 +702,8 @@ def _beta2_terms(params: BetaIIParams) -> dict:
 
 
 def _beta2_points(params: BetaIIParams, f, exp_f: float) -> tuple:
-    """(data, single, logdet_f, finite) of beta II points in the d x d cone.
+    """(data, single, logdet_f, finite) of beta II points in the d x d cone;
+    a HermitianPD point is read as its matrix, like any other.
 
     A point strictly inside the positive definite cone has a finite density.
     Outside the cone the density is zero.  On the boundary a positive kernel
@@ -721,21 +712,12 @@ def _beta2_points(params: BetaIIParams, f, exp_f: float) -> tuple:
     raises DomainError naming the point.  A point that is not Hermitian
     raises ValueError.  `data` holds the hermitized points, with 0 in place
     of those of zero density so every bracket stays finite; `logdet_f` is
-    log|F| inside the cone and 0 elsewhere; `finite` marks the points with a
-    finite density.
-    """
+    log|F| (from the eigenvalues) inside the cone and 0 elsewhere; `finite`
+    marks the points with a finite density."""
     d = params.dim
-    if isinstance(f, HermitianPD):
-        if f.tag != params.tag or f.m != d:
-            raise ValueError(f"point shape/algebra mismatch: expected {d}x{d} "
-                             f"over {params.tag.name}")
-        return f.mat.data, True, f.logdet, True
-    x, single = _points(params, f, (d, d))
+    x, single = _points(params, f.mat if isinstance(f, HermitianPD) else f, (d, d))
     data = _hermitian_part(x, "the evaluation point")
-    if params.tag.beta == 8:
-        eigs = data[..., 0, 0, :1]
-    else:
-        eigs = _eigvalsh_raw(data, params.tag.beta)
+    eigs = _eigvalsh_raw(data, params.tag.beta)
     # eigs descend, so with a positive last one the first is the largest |eig|
     low = eigs[..., -1]
     interior = low > 1e-12 * np.maximum(1.0, eigs[..., 0])
@@ -776,7 +758,6 @@ def _matrix_mt_terms(params: MatrixMTParams) -> tuple:
     tag = params.tag
     beta = tag.beta
     m, n, nu = params.m, params.n, params.nu
-    _check_beta_shape(beta, m, n)
     q1 = beta * (nu + m * n) / 2.0
     const = (
         log_gamma(q1)
@@ -824,16 +805,10 @@ def logpdf_beta2_multivariate(params: BetaIIParams, f):
 
 
 def radial_logpdf_matric_t(tag: AlgebraTag, n: int, nu: float, r: float) -> float:
-    """Standard 1 x n matricvariate T log density at Frobenius radius r."""
-    beta = AlgebraTag(tag).beta
-    if not nu > 0:
-        raise DomainError("require nu > 0")
-    const = (
-        log_gamma(beta * (n + nu) / 2.0)
-        - beta * n / 2.0 * _LOG_PI
-        - log_gamma(beta * nu / 2.0)
-    )
-    return const - beta * (n + nu) / 2.0 * math.log1p(r * r)
+    """Standard 1 x n matricvariate T log density at Frobenius radius r: at
+    m = 1 both kernels are (1 + r^2)^(-beta(n+nu)/2), so it is the matrix
+    multivariate T's at rho = 1."""
+    return radial_logpdf_matrix_mt(tag, n, nu, 1.0, r)
 
 
 def radial_logpdf_matrix_mt(tag: AlgebraTag, n: int, nu: float, rho: float,

@@ -34,10 +34,8 @@ from .algebra import (
     AlgebraTag,
     DivMatrix,
     HermitianPD,
-    _conj_t_raw,
-    _hermitize_raw,
+    _gram_raw,
     _identity_raw,
-    _matmul_raw,
 )
 from .distributions import (
     BetaIIParams,
@@ -421,8 +419,8 @@ def _run_gamma_ratio(spec: CheckSpec, rng: RngStream):
 
 def _random_hpd(gen: np.random.Generator, tag: AlgebraTag, m: int) -> HermitianPD:
     g = gen.normal(size=(m, m, tag.beta))
-    a = _matmul_raw(g, _conj_t_raw(g)) + (0.5 + 0.5 * m) * _identity_raw(m, tag.beta)
-    return HermitianPD(DivMatrix(tag, _hermitize_raw(a)))
+    a = _gram_raw(g) + (0.5 + 0.5 * m) * _identity_raw(m, tag.beta)
+    return HermitianPD(DivMatrix(tag, a))
 
 
 def _run_form_equivalence(spec: CheckSpec, rng: RngStream):
@@ -697,7 +695,7 @@ def _run_spectrum_closed_form(spec: CheckSpec, rng: RngStream):
         raise ValueError("the closed-form marginal is implemented for beta=1, m=2")
     nsamp = spec.budget or 20000
     t = sample_matric_t(rng, MatricTParams(tag, m, n, nu), size=nsamp)
-    f = _hermitize_raw(_matmul_raw(t, _conj_t_raw(t)))
+    f = _gram_raw(t)
     lmax = np.sort(eigenvalues_batch(tag, f)[:, 0])
     qs = np.linspace(0.0, 1.0, 301)
     xs = np.unique(np.quantile(lmax, qs))

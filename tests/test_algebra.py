@@ -21,6 +21,7 @@ from rdmt.algebra import (
     _cholesky_raw,
     _collapse_pairs,
     _conj_t_raw,
+    _gram_raw,
     _hermitian_part,
     _hermitize_raw,
     _hpd_inverse_raw,
@@ -318,6 +319,17 @@ class TestKernelsAgainstEntrywiseOracle:
                           _entrywise_matmul(_conj_t_raw(b), _conj_t_raw(a)))
 
     @pytest.mark.parametrize("tag,m,n", _KERNEL_CASES)
+    def test_gram_is_the_symmetrized_product(self, rng, tag, m, n):
+        # bit for bit the product it replaced, on both sides, exactly Hermitian
+        x = rng.normal(size=(5, m, n, tag.beta))
+        xt = _conj_t_raw(x)
+        for adjoint_first, a, b in ((False, x, xt), (True, xt, x)):
+            g = _gram_raw(x, adjoint_first=adjoint_first)
+            np.testing.assert_array_equal(g, _hermitize_raw(_matmul_raw(a, b)))
+            np.testing.assert_array_equal(g, _conj_t_raw(g))
+            _assert_rel_close(g, _entrywise_matmul(a, b))
+
+    @pytest.mark.parametrize("tag,m,n", _KERNEL_CASES)
     def test_cholesky_reconstructs(self, rng, tag, m, n):
         a = _oracle_hpd(rng, tag.beta, m, 5)
         lo = _cholesky_raw(a)
@@ -458,9 +470,17 @@ class TestSpectra:
         assert math.isclose(hermitian_eigenvalues(hp).sum(),
                             hp.mat.real_trace(), rel_tol=1e-10)
 
-    def test_octonion_rejected(self, rng):
-        with pytest.raises(OctonionMatrixError):
-            singular_values(random_matrix(rng, O, 1, 1))
+    def test_octonion_scalar_spectra_and_larger_rejected(self, rng):
+        # a 1x1 octonion's singular value is its norm; a Hermitian 1x1 one is
+        # real, and its eigenvalue is that real coefficient
+        x = random_matrix(rng, O, 1, 1)
+        np.testing.assert_allclose(singular_values(x), [x.entry(0, 0).norm()],
+                                   rtol=1e-15)
+        assert hermitian_eigenvalues(DivMatrix.from_real(O, [[-2.5]])).tolist() == [-2.5]
+        with pytest.raises(OctonionMatrixError, match="2x2"):
+            singular_values(random_matrix(rng, O, 2, 2))
+        with pytest.raises(OctonionMatrixError, match="2x2"):
+            hermitian_eigenvalues(DivMatrix.from_real(O, np.eye(2)))
 
 
 class TestSerialization:

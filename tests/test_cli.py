@@ -109,6 +109,24 @@ class TestSample:
         assert "ArithmeticError" in err and "draw at index 17" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("dist,flags,message", [
+        ("gamma", [], "draw at index 1 of Gamma(0.0005, 2) underflowed to 0"),
+        ("matrix-mt", ["--m", "1", "--n", "2"],
+         "draw at index 1 has a scale S ~ Gamma(0.0005, 2) that underflowed to 0"),
+    ])
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_underflowed_gamma_draw_is_a_runtime_error(self, tmp_path, capsys, dist,
+                                                      flags, message, fmt):
+        # at nu = 0.001 most gamma draws underflow to 0: gamma would write 0.0,
+        # outside its support, and matrix-mt infinite draws
+        out = tmp_path / "x"
+        code = run_cli("sample", "--dist", dist, "--beta", "1", *flags, "--nu", "0.001",
+                       "--count", "2000", "--seed", "1", "--format", fmt,
+                       "--out", str(out))
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_seed_is_config_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.delenv("RDMT_SEED", raising=False)
         code = run_cli("sample", "--dist", "gamma", "--beta", "1", "--nu", "2",
@@ -385,6 +403,24 @@ class TestSpectrum:
         assert message in capsys.readouterr().err
         assert not out.exists() and not grid.exists()
 
+    @pytest.mark.parametrize("kind", ["singular", "eigen"])
+    def test_octonion_scalar_spectrum(self, tmp_path, kind):
+        # 1x1 octonion draws are legal, so are their spectra: |t| and |t|^2
+        from rdmt.algebra import AlgebraTag
+        from rdmt.distributions import MatricTParams, RngStream, sample_matric_t
+
+        out, grid = tmp_path / "s.csv", tmp_path / "g.csv"
+        code = run_cli("spectrum", "--dist", "matric-t", "--beta", "8", "--m", "1",
+                       "--n", "1", "--nu", "3", "--kind", kind, "--count", "30",
+                       "--seed", "4", "--out", str(out), "--grid", str(grid))
+        assert code == 0
+        got = np.array([float(l) for l in out.read_text().splitlines()[2:]])
+        t = sample_matric_t(RngStream(4, 0), MatricTParams(AlgebraTag.OCTONION, 1, 1, 3.0),
+                            size=30)
+        want = np.linalg.norm(t[:, 0, 0], axis=-1) ** (1 if kind == "singular" else 2)
+        assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+        assert len(grid.read_text().splitlines()) == 2 + 256
+
     def test_eigen_kind_on_wishart(self, tmp_path):
         out = tmp_path / "w.csv"
         code = run_cli("spectrum", "--dist", "wishart", "--beta", "2", "--m",
@@ -464,6 +500,22 @@ class TestParsing:
                               capture_output=True, text=True)
         assert proc.returncode == 0
 
+    @pytest.mark.parametrize("command,dist,flags", [
+        ("sample", "gamma", ["--nu", "2"]),
+        *[(command, dist, ["--m", "2", "--n", "3", "--nu", "4"])
+          for command in ("sample", "spectrum")
+          for dist in ("gaussian", "matrix-mt", "beta2-matric", "elliptical-t")],
+    ])
+    def test_method_on_a_family_without_methods_is_refused(self, tmp_path, capsys,
+                                                          command, dist, flags):
+        # no construction method is used, so none may be recorded in the header
+        out = tmp_path / "x"
+        code = run_cli(command, "--dist", dist, "--beta", "1", *flags, "--method",
+                       "gram", "--count", "5", "--seed", "1", "--out", str(out))
+        assert code == 2
+        assert f"{dist} has no construction method" in capsys.readouterr().err
+        assert not out.exists()
+
 
 _STARTUP_SCRIPT = """
 import sys
@@ -487,6 +539,7 @@ assert report.overall_pass
 assert "scipy.special" in sys.modules
 print("ok")
 """
+
 
 
 class TestStartup:

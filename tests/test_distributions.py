@@ -127,6 +127,14 @@ class TestGammaScalar:
             sample_gamma_scalar(RngStream(1), GammaScalarParams(R, 2.0, 1.0)),
             float)
 
+    def test_underflowed_draw_is_refused(self):
+        # Gamma(0.0005, 2) underflows to 0, outside the support, in most draws
+        with pytest.raises(ArithmeticError, match=r"draw at index 1 of "
+                           r"Gamma\(0\.0005, 2\) underflowed to 0") as info:
+            sample_gamma_scalar(RngStream(1), GammaScalarParams(R, 0.001, 1.0),
+                                size=2000)
+        assert info.value.index == 1
+
 
 class TestWishart:
     def test_mean_nu_xi(self):
@@ -335,6 +343,19 @@ class TestMatricTDensity:
 
 
 class TestBetaII:
+    @pytest.mark.parametrize("tag", [R, C, H, O])
+    @pytest.mark.parametrize("logpdf", [logpdf_beta2_matric,
+                                        logpdf_beta2_multivariate])
+    def test_hermitian_pd_point_equals_its_matrix(self, rng, tag, logpdf):
+        # one path: an HPD point is read as its matrix, hermitized and
+        # eigen-decomposed like the nearly Hermitian matrix it wraps
+        d, n = (1, 1) if tag == O else (2, 3)
+        g = rng.normal(size=(d, d, tag.beta))
+        x = DivMatrix(tag, _matmul_raw(g, _conj_t_raw(g)) + _identity_raw(d, tag.beta))
+        for params in (BetaIIParams(tag, d, n, 4.0),
+                       BetaIIParams(tag, d, n, 4.0, scale=random_hpd(rng, tag, d))):
+            assert logpdf(params, HermitianPD(x)) == logpdf(params, x)
+
     def test_scalar_value(self):
         params = BetaIIParams(R, 1, 2, 2.0)
         f = HermitianPD.from_real(R, [[1.0]])
@@ -469,6 +490,14 @@ class TestMatrixMT:
                              size=20000)
         assert np.all(np.isfinite(t))
 
+    def test_underflowed_gamma_scale_is_refused(self):
+        # S ~ Gamma(0.0005, 2) underflows to 0 in most draws, and T1 = Y/sqrt(S)
+        # would be infinite: refused by index instead
+        with pytest.raises(ArithmeticError, match=r"draw at index 1 has a scale "
+                           r"S ~ Gamma\(0\.0005, 2\) that underflowed") as info:
+            sample_matrix_mt(RngStream(1), MatrixMTParams(R, 1, 2, 0.001), size=2000)
+        assert info.value.index == 1
+
     def test_sampler_determinism(self):
         params = MatrixMTParams(R, 2, 2, 4.0, 2.0)
         a = sample_matrix_mt(RngStream(20, 5), params, size=7)
@@ -531,6 +560,48 @@ class TestMatrixMT:
         _, p = ks_one_sample(f, lambda x: betainc(b / 2.0, b * nu / 2.0,
                                                   x / (1.0 + x)))
         assert p > 0.005
+
+
+_MIX = ScaleMixtureSpec((1.0,), (1.0,))
+
+
+@pytest.mark.parametrize("call,shape", [
+    pytest.param(lambda: MatricTParams(O, 1, 2, 3.0), "1x2", id="MatricTParams"),
+    pytest.param(lambda: MatrixMTParams(O, 2, 2, 3.0), "2x2", id="MatrixMTParams"),
+    pytest.param(lambda: WishartParams(O, 2, 9.0), "2x2", id="WishartParams"),
+    pytest.param(lambda: BetaIIParams(O, 2, 2, 3.0), "2x2", id="BetaIIParams"),
+    pytest.param(lambda: GaussianParams(O, 1, 2), "1x2", id="GaussianParams"),
+    pytest.param(lambda: EllipticalTParams(O, 1, 2, 4.0), "1x2",
+                 id="EllipticalTParams"),
+    pytest.param(lambda: HermitianPD.identity(O, 2), "2x2", id="HermitianPD"),
+    pytest.param(lambda: sample_gaussian(RngStream(1), O, 1, 2), "1x2",
+                 id="sample_gaussian"),
+    pytest.param(lambda: sample_elliptical_t(RngStream(1), O, 2, 2, 4, _MIX), "2x2",
+                 id="sample_elliptical_t"),
+    pytest.param(lambda: sample_matric_t(RngStream(1), MatricTParams(O, 2, 2, 9.0)),
+                 "2x2", id="sample_matric_t"),
+    pytest.param(lambda: sample_matrix_mt(RngStream(1), MatrixMTParams(O, 1, 2, 3.0)),
+                 "1x2", id="sample_matrix_mt"),
+    pytest.param(lambda: sample_wishart(RngStream(1), WishartParams(O, 2, 9.0)),
+                 "2x2", id="sample_wishart"),
+    pytest.param(lambda: sample_beta2_matric(RngStream(1), BetaIIParams(O, 2, 2, 9.0)),
+                 "2x2", id="sample_beta2_matric"),
+    pytest.param(lambda: logpdf_matric_t(MatricTParams(O, 1, 2, 3.0),
+                                         DivMatrix.zeros(O, 1, 2)),
+                 "1x2", id="logpdf_matric_t"),
+    pytest.param(lambda: logpdf_matrix_mt(MatrixMTParams(O, 2, 2, 3.0),
+                                          DivMatrix.zeros(O, 2, 2)),
+                 "2x2", id="logpdf_matrix_mt"),
+    pytest.param(lambda: logpdf_beta2_matric(BetaIIParams(O, 2, 3, 3.0),
+                                             DivMatrix.identity(O, 2)),
+                 "2x2", id="logpdf_beta2_matric"),
+    pytest.param(lambda: logpdf_beta2_multivariate(BetaIIParams(O, 3, 2, 3.0, "cogram"),
+                                                   DivMatrix.identity(O, 2)),
+                 "2x2", id="logpdf_beta2_multivariate"),
+])
+def test_octonion_matrices_are_refused_naming_their_shape(call, shape):
+    with pytest.raises(OctonionMatrixError, match=f"got {shape}$"):
+        call()
 
 
 class TestUnitaryCongruence:

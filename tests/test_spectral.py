@@ -168,9 +168,26 @@ class TestEmpiricalSpectrum:
         x = random_matrix(rng, H, 2, 3)
         assert len(empirical_spectrum(x, "singular")) == 2
 
-    def test_octonion_rejected(self, rng):
-        with pytest.raises(OctonionMatrixError):
-            empirical_spectrum(random_matrix(rng, O, 1, 1), "singular")
+    def test_octonion_scalar_and_larger_rejected(self, rng):
+        x = random_matrix(rng, O, 1, 1)
+        s = empirical_spectrum(x, "singular")
+        assert s.values == pytest.approx((x.entry(0, 0).norm(),), rel=1e-15)
+        f = DivMatrix.from_real(O, [[1.75]])
+        assert empirical_spectrum(f, "eigen").values == (1.75,)
+        with pytest.raises(OctonionMatrixError, match="2x2"):
+            empirical_spectrum(random_matrix(rng, O, 2, 2), "singular")
+
+    def test_octonion_scalar_batches(self, rng):
+        # singular values are the norms |x|, eigenvalues of Hermitian (real)
+        # 1x1 octonions their real coefficients
+        raw = rng.normal(size=(6, 1, 1, 8))
+        np.testing.assert_allclose(singular_values_batch(O, raw),
+                                   np.linalg.norm(raw[:, 0], axis=-1), rtol=1e-15)
+        real = np.zeros_like(raw)
+        real[..., 0] = raw[..., 0]
+        np.testing.assert_array_equal(eigenvalues_batch(O, real), raw[:, 0, :, 0])
+        with pytest.raises(OctonionMatrixError, match="1x2"):
+            singular_values_batch(O, rng.normal(size=(6, 1, 2, 8)))
 
     def test_batch_matches_single(self, rng):
         raw = rng.normal(size=(5, 2, 3, 4))

@@ -1,0 +1,269 @@
+"""Run a fixed matrix of `rdmt` commands and write what each one produced.
+
+    PYTHONPATH=src python tools/cli_outputs.py OUTDIR
+
+Every command runs in this process through `rdmt.cli.main`.  Command NAME
+leaves OUTDIR/NAME/ holding its output files (`out`, and `grid` for
+spectrum overlays), its exit code (`exit`), and its stdout and stderr; the
+timings that `verify` prints are masked, so every file is deterministic.
+The parameter and point files the commands read are built here from numpy
+alone and written to OUTDIR/inputs/.
+
+Run it once against each of two source trees and compare with
+`diff -r OUT_A OUT_B`: an empty diff means the two trees write the same
+bytes, exit codes and messages for every command below.
+
+The matrix covers `sample` for every family at beta 1, 2, 4 and, where
+legal, 1x1 beta = 8, with each construction method and both formats;
+`density` for all four families in the standard form and in a scaled form
+read from --params (matric-t in both its primal and dual form); `spectrum`
+for each family and kind, with --grid where an overlay exists; and
+`verify --seed 11 --report`.  A few commands that must fail are included
+too, so their exit codes and messages are compared as well.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import re
+import sys
+import warnings
+
+import numpy as np
+
+from rdmt import cli
+
+BETAS = (1, 2, 4)
+COUNT = "40"
+
+
+def _conj(c: np.ndarray) -> np.ndarray:
+    return c * np.array([1.0] + [-1.0] * (c.shape[-1] - 1))
+
+
+def _hermitian(gen, beta: int, d: int, diag: float) -> np.ndarray:
+    """A d x d Hermitian coefficient array: the given real diagonal plus
+    random off-diagonal entries, mirrored as conjugates."""
+    a = np.zeros((d, d, beta))
+    for i in range(d):
+        a[i, i, 0] = diag
+        for j in range(i):
+            a[i, j] = 0.3 * gen.standard_normal(beta)
+            a[j, i] = _conj(a[i, j])
+    return a
+
+
+def _schema(a: np.ndarray) -> dict:
+    rows, cols, beta = a.shape
+    return {"beta": beta, "rows": rows, "cols": cols, "data": a.tolist()}
+
+
+def _write_jsonl(path: str, points) -> str:
+    with open(path, "w") as fh:
+        for p in points:
+            fh.write(json.dumps(_schema(p)) + "\n")
+    return path
+
+
+def _inputs(root: str) -> dict:
+    """name -> path of the parameter and point files, seeded and built from
+    numpy alone so both trees read the same bytes."""
+    os.makedirs(root, exist_ok=True)
+    gen = np.random.default_rng(20261018)
+    files = {}
+    for beta in BETAS + (8,):
+        m, n = (1, 1) if beta == 8 else (2, 3)
+        files[f"t-points-b{beta}"] = _write_jsonl(
+            os.path.join(root, f"t-points-b{beta}.jsonl"),
+            [gen.standard_normal((m, n, beta)) for _ in range(12)])
+        # Hermitian points inside the cone (diagonal 2), and across it
+        # (diagonal 0.05 with off-diagonal entries can leave it)
+        for dim in {1, 2} if beta != 8 else {1}:
+            pts = [_hermitian(gen, beta, dim, 2.0) for _ in range(8)]
+            pts += [_hermitian(gen, beta, dim, 0.05) for _ in range(4)]
+            files[f"f-points-b{beta}-d{dim}"] = _write_jsonl(
+                os.path.join(root, f"f-points-b{beta}-d{dim}.jsonl"), pts)
+        records = {
+            "matric-t": {"family": "matric-t", "m": m, "n": n, "nu": 9.0,
+                         "mu": _schema(0.5 * gen.standard_normal((m, n, beta))),
+                         "Xi": _schema(_hermitian(gen, beta, m, 1.5)),
+                         "Sigma": _schema(_hermitian(gen, beta, n, 1.5))},
+            "matrix-mt": {"family": "matrix-mt", "m": m, "n": n, "nu": 3.5,
+                          "rho": 0.7,
+                          "mu": _schema(0.5 * gen.standard_normal((m, n, beta))),
+                          "Delta": _schema(_hermitian(gen, beta, m, 1.5)),
+                          "Lambda": _schema(_hermitian(gen, beta, n, 1.5))},
+            "beta2": {"family": "beta2", "m": m, "n": n, "nu": 9.0,
+                      "orientation": "gram",
+                      "scale": _schema(_hermitian(gen, beta, m, 1.5))},
+        }
+        for family, record in records.items():
+            path = os.path.join(root, f"params-{family}-b{beta}.json")
+            with open(path, "w") as fh:
+                json.dump(dict(record, beta=beta), fh)
+            files[f"params-{family}-b{beta}"] = path
+    return files
+
+
+def _commands(files: dict) -> list:
+    """(name, argv) of every command; '{out}' and '{grid}' stand for the
+    command's own output paths."""
+    cmds = []
+    seed = ["--seed", "7", "--count", COUNT, "--out", "{out}"]
+
+    def shape(beta, m=2, n=3, family=""):
+        """--beta and the shape flags the family takes; 1x1 at beta = 8."""
+        m, n = (1, 1) if beta == 8 else (m, n)
+        flags = {"gamma": [], "wishart": ["--m", str(m)]}
+        return ["--beta", str(beta)] + flags.get(family, ["--m", str(m), "--n", str(n)])
+
+    variants = [
+        ("matric-t-wishart_root", ["--dist", "matric-t", "--nu", "9",
+                                   "--method", "wishart_root"]),
+        ("matric-t-inverse_root", ["--dist", "matric-t", "--nu", "9",
+                                   "--method", "inverse_root"]),
+        ("matric-t-default", ["--dist", "matric-t", "--nu", "9"]),
+        ("matrix-mt", ["--dist", "matrix-mt", "--nu", "3.5", "--rho", "0.7"]),
+        ("wishart-bartlett", ["--dist", "wishart", "--nu", "9",
+                              "--method", "bartlett"]),
+        ("wishart-gram", ["--dist", "wishart", "--nu", "9", "--method", "gram"]),
+        ("gamma", ["--dist", "gamma", "--nu", "2.5", "--rho", "0.7"]),
+        ("gaussian", ["--dist", "gaussian"]),
+        ("beta2-matric-gram", ["--dist", "beta2-matric", "--nu", "9"]),
+        ("elliptical-t", ["--dist", "elliptical-t", "--nu", "4",
+                          "--mix", "0.5:1,0.5:3"]),
+    ]
+    for beta in BETAS + (8,):
+        for label, argv in variants:
+            if beta == 8 and label in ("wishart-gram", "elliptical-t"):
+                continue    # both draw a 1 x k Gaussian block, k > 1
+            dims = shape(beta, family=argv[1])
+            for fmt in ("jsonl", "csv"):
+                cmds.append((f"sample-{label}-b{beta}-{fmt}",
+                             ["sample"] + argv + dims + seed + ["--format", fmt]))
+        if beta != 8:
+            cmds.append((f"sample-beta2-matric-cogram-b{beta}-jsonl",
+                         ["sample", "--dist", "beta2-matric", "--nu", "9"]
+                         + shape(beta, 3, 2) + seed))
+
+    for beta in BETAS + (8,):
+        dims = shape(beta)
+        t_points = ["--points", files[f"t-points-b{beta}"], "--out", "{out}"]
+        for form in ("primal", "dual"):
+            cmds.append((f"density-matric-t-b{beta}-{form}",
+                         ["density", "--dist", "matric-t", "--nu", "9", "--form", form]
+                         + dims + t_points))
+            cmds.append((f"density-matric-t-params-b{beta}-{form}",
+                         ["density", "--dist", "matric-t", "--form", form, "--params",
+                          files[f"params-matric-t-b{beta}"]] + t_points))
+        cmds.append((f"density-matrix-mt-b{beta}",
+                     ["density", "--dist", "matrix-mt", "--nu", "3.5", "--rho", "0.7"]
+                     + dims + t_points))
+        cmds.append((f"density-matrix-mt-params-b{beta}",
+                     ["density", "--dist", "matrix-mt", "--params",
+                      files[f"params-matrix-mt-b{beta}"]] + t_points))
+        for family in ("beta2-matric", "beta2-mv"):
+            dim = 1 if beta == 8 else 2
+            f_points = ["--points", files[f"f-points-b{beta}-d{dim}"], "--out", "{out}"]
+            orients = [("gram", shape(beta))]
+            if beta != 8:
+                orients.append(("cogram", shape(beta, 3, 2)))
+            for orient, odims in orients:
+                cmds.append((f"density-{family}-{orient}-b{beta}",
+                             ["density", "--dist", family, "--nu", "9"]
+                             + odims + f_points))
+            cmds.append((f"density-{family}-params-b{beta}",
+                         ["density", "--dist", family, "--params",
+                          files[f"params-beta2-b{beta}"]] + f_points))
+
+    spectra = [
+        ("matric-t", "singular", True, ["--nu", "9"]),
+        ("matric-t", "eigen", True, ["--nu", "9"]),
+        ("matric-t-inverse_root", "singular", True,
+         ["--nu", "9", "--method", "inverse_root"]),
+        ("matrix-mt", "singular", True, ["--nu", "3.5", "--rho", "0.7"]),
+        ("matrix-mt", "eigen", True, ["--nu", "3.5", "--rho", "0.7"]),
+        ("elliptical-t", "singular", True, ["--nu", "4", "--mix", "0.5:1,0.5:3"]),
+        ("beta2-matric", "eigen", True, ["--nu", "9"]),
+        ("wishart", "eigen", False, ["--nu", "9"]),
+        ("gaussian", "singular", False, []),
+        ("gaussian", "eigen", False, []),
+    ]
+    for beta in BETAS + (8,):
+        for label, kind, grid, argv in spectra:
+            family = label.split("-inverse")[0]
+            dims = shape(beta, family=family)
+            cmd = (["spectrum", "--dist", family, "--kind", kind] + argv + dims
+                   + seed + (["--grid", "{grid}"] if grid else []))
+            cmds.append((f"spectrum-{label}-{kind}-b{beta}", cmd))
+
+    # commands that must fail, with their messages
+    cmds += [
+        ("fail-sample-octonion-2x2", ["sample", "--dist", "matric-t", "--beta", "8",
+                                      "--m", "2", "--n", "2", "--nu", "9"] + seed),
+        ("fail-sample-matric-t-unknown-method",
+         ["sample", "--dist", "matric-t", "--beta", "1", "--m", "2", "--n", "3",
+          "--nu", "9", "--method", "gram"] + seed),
+        ("fail-sample-gaussian-method", ["sample", "--dist", "gaussian", "--beta", "1",
+                                         "--m", "2", "--n", "3", "--method", "gram"]
+         + seed),
+        ("fail-spectrum-gaussian-method",
+         ["spectrum", "--dist", "gaussian", "--beta", "1", "--m", "2", "--n", "3",
+          "--method", "gram"] + seed),
+        ("fail-sample-gamma-underflow", ["sample", "--dist", "gamma", "--beta", "1",
+                                         "--nu", "0.001"] + seed),
+        ("fail-sample-matrix-mt-underflow",
+         ["sample", "--dist", "matrix-mt", "--beta", "1", "--m", "1", "--n", "2",
+          "--nu", "0.001"] + seed),
+        ("fail-density-octonion-1x2", ["density", "--dist", "matric-t", "--beta", "8",
+                                       "--m", "1", "--n", "2", "--nu", "9", "--points",
+                                       files["t-points-b1"], "--out", "{out}"]),
+    ]
+    cmds.append(("verify-seed-11", ["verify", "--suite", "default", "--seed", "11",
+                                    "--report", "{out}"]))
+    return cmds
+
+
+def _run(outdir: str, name: str, argv: list) -> int:
+    where = os.path.join(outdir, name)
+    os.makedirs(where, exist_ok=True)
+    paths = {"out": os.path.join(where, "out"), "grid": os.path.join(where, "grid")}
+    argv = [a.format(**paths) for a in argv]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(argv)
+    text = re.sub(r"\d+\.\d+s\)", "<time>s)", stdout.getvalue())
+    # warnings without the source path they carry
+    warned = "".join(f"{w.category.__name__}: {w.message}\n" for w in caught)
+    for part, content in (("exit", f"{code}\n"), ("stdout", text),
+                          ("stderr", warned + stderr.getvalue()),
+                          ("argv", " ".join(["rdmt"] + [a.replace(outdir, "OUTDIR")
+                                                        for a in argv]) + "\n")):
+        with open(os.path.join(where, part), "w") as fh:
+            fh.write(content)
+    return code
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 1:
+        print(__doc__, file=sys.stderr)
+        return 2
+    outdir = os.path.abspath(args[0])
+    files = _inputs(os.path.join(outdir, "inputs"))
+    codes = {}
+    for name, argv_ in _commands(files):
+        code = _run(outdir, name, argv_)
+        codes[code] = codes.get(code, 0) + 1
+    summary = ", ".join(f"{n} exit {c}" for c, n in sorted(codes.items()))
+    print(f"{sum(codes.values())} commands: {summary}; outputs in {outdir}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
