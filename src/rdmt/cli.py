@@ -9,12 +9,13 @@ command with the same seed produces byte-identical files.
 
 Each fact about a family sits in one table keyed by family: ``_RECORDS``,
 ``_SAMPLERS``, ``_METHODS``, ``_DENSITIES``, ``_SPECTRUM_OVERLAYS`` and
-``_HERMITIAN``; a family outside ``_METHODS`` refuses ``--method``.  The
-eigen spectrum of a Hermitian family is that of the draw; of any other
-family (``gaussian`` too) it is that of the gram T T*.  One writer,
-``_write``, sends every output and opens its file only once every check has
-passed; each value is ``repr`` of a Python float (gamma CSV rows included),
-so JSONL samples must be finite.
+``_HERMITIAN``; ``_FAMILY_FLAGS`` names the families that read each of
+``--method``, ``--rho``, ``--mix`` and ``--form``, and any other family
+refuses the flag.  The eigen spectrum of a Hermitian family is that of the
+draw; of any other family (``gaussian`` too) it is that of the gram T T*.
+One writer, ``_write``, sends every output and opens its file only once
+every check has passed; each value is ``repr`` of a Python float (gamma CSV
+rows included), so JSONL samples must be finite.
 """
 
 from __future__ import annotations
@@ -142,7 +143,11 @@ _RECORDS = {
 
 
 def _build_params(args, family: str):
-    """Parameter record from --params JSON (if given) or from flags."""
+    """Parameter record from --params JSON (if given) or from flags; a
+    family-specific flag the family does not read is refused first."""
+    for flag, (families, lack) in _FAMILY_FLAGS.items():
+        if getattr(args, flag, None) is not None and family not in families:
+            raise _CliError(f"{family} {lack}; drop --{flag}")
     record, need = _RECORDS[family]
     if getattr(args, "params", None):
         with open(args.params) as fh:
@@ -180,6 +185,14 @@ _SAMPLERS = {
 # families that take --method -> its default; the sampler refuses a wrong one
 _METHODS = {"matric-t": "wishart_root", "wishart": "bartlett"}
 
+# family-specific flag -> (the families that read it, what the others lack)
+_FAMILY_FLAGS = {
+    "method": (tuple(_METHODS), "has no construction method"),
+    "rho": (("matrix-mt", "gamma"), "has no rho parameter"),
+    "mix": (("elliptical-t",), "is not a scale mixture"),
+    "form": (("matric-t",), "has one density form"),
+}
+
 # families whose draws are Hermitian matrices
 _HERMITIAN = {"wishart", "beta2-matric"}
 
@@ -194,8 +207,6 @@ def _count(args) -> int:
 
 def _draw(args, family: str, params, seed: int, count: int):
     """The draws of sample and spectrum, by the family's sampler."""
-    if args.method and family not in _METHODS:
-        raise _CliError(f"{family} has no construction method; drop --method")
     return _SAMPLERS[family](RngStream(seed, args.stream), params,
                              args.method or _METHODS.get(family), count)
 

@@ -539,16 +539,10 @@ def sample_matrix_mt(rng: RngStream, params: MatrixMTParams,
                        f"that underflowed to 0; nu = {params.nu:g} is too small")
     y = _std_normal_raw(gen, beta, (nsamp, m, n))
     t1 = y / np.sqrt(s)[:, None, None, None]
-    identity_scales = (
-        np.array_equal(params.Delta.mat.data, _identity_raw(m, beta))
-        and np.array_equal(params.Lambda.mat.data, _identity_raw(n, beta))
+    p = _solve_raw(_conj_t_raw(params.Delta.chol.data)[None, ...], t1)
+    t1 = _conj_t_raw(
+        _solve_raw(_conj_t_raw(params.Lambda.chol.data)[None, ...], _conj_t_raw(p))
     )
-    if not identity_scales:
-        p = _solve_raw(_conj_t_raw(params.Delta.chol.data)[None, ...], t1)
-        t1 = _conj_t_raw(
-            _solve_raw(_conj_t_raw(params.Lambda.chol.data)[None, ...],
-                       _conj_t_raw(p))
-        )
     t1 = t1 + params.mu.data[None, ...]
     return _wrap_single(tag, t1, size)
 

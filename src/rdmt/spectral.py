@@ -124,6 +124,11 @@ def _log_joint(tag: AlgebraTag, m: int, n: int, nu: float, values, *,
     lam = v * v if singular else v
     pi_exp = beta * m * m * (1.0 if printed_variant else 0.5) + tau(tag, m)
     const = pi_exp * _LOG_PI - _lmg(tag, m, beta * m / 2.0)
+    if beta > 1:
+        # the eigenvector phases give (pi^(beta/2) / Gamma(beta/2))^-m: tau
+        # holds the power of pi, this the Gamma(beta/2)^m, 6^m at beta = 8
+        # (ERRATA.md section 5); at beta = 1, tau = 0 is the whole factor
+        const += m * log_gamma(beta / 2.0)
     log_lam = np.log(lam)
     out = (beta * (n - m + 1) / 2.0 - 1.0) * log_lam.sum(axis=1)
     if trace:
@@ -190,11 +195,20 @@ def empirical_spectrum(x, kind: str = "singular") -> SpectrumSample:
     return SpectrumSample(tuple(float(v) for v in vals), kind)
 
 
+def _beta_of(tag: AlgebraTag, raw: np.ndarray) -> int:
+    """The tag's beta, which must be the length of raw's coefficient axis."""
+    beta = AlgebraTag(tag).beta
+    if np.shape(raw)[-1:] != (beta,):
+        raise ValueError(f"beta = {beta} stacks end in a coefficient axis of "
+                         f"length {beta}; got shape {np.shape(raw)}")
+    return beta
+
+
 def singular_values_batch(tag: AlgebraTag, raw: np.ndarray) -> np.ndarray:
     """Descending singular values for a stacked (N, m, n, beta) sample array."""
-    return _singular_values_raw(raw, AlgebraTag(tag).beta)
+    return _singular_values_raw(raw, _beta_of(tag, raw))
 
 
 def eigenvalues_batch(tag: AlgebraTag, raw: np.ndarray) -> np.ndarray:
     """Descending eigenvalues for stacked Hermitian (N, m, m, beta) samples."""
-    return _eigvalsh_raw(raw, AlgebraTag(tag).beta)
+    return _eigvalsh_raw(raw, _beta_of(tag, raw))

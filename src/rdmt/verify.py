@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -260,46 +260,60 @@ def quadrature_mass_eig2(log_joint2) -> float:
 # ---------------------------------------------------------------------------
 
 _STOCHASTIC_KINDS = ("ks1", "ks2", "moment")
-_KINDS = ("normalization", "ks1", "ks2", "moment", "identity")
 
 
 @dataclass(frozen=True)
 class CheckSpec:
-    """One named check: what to run, at what budget, against what threshold."""
+    """One named check of the suite table `_CHECKS`, whose row fixes its
+    runner and kind.  Params, budget and threshold given here override the
+    row's, each param cast to the type of the row's value; a name or param
+    key that the table does not have raises ValueError."""
 
     name: str
-    kind: str
     params: dict = field(default_factory=dict)
     budget: int | None = None
-    threshold: float = 0.005
+    threshold: float | None = None
+    kind: str = field(init=False)
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown check kind {self.kind!r}")
-        if self.kind in ("ks1", "ks2"):
+        if self.name not in _CHECKS:
+            raise ValueError(f"unknown check name {self.name!r}")
+        _, kind, params, budget, threshold = _CHECKS[self.name]
+        unknown = sorted(set(self.params) - set(params))
+        if unknown:
+            raise ValueError(f"check {self.name!r} has no param {unknown[0]!r}; "
+                             f"its params are {sorted(params)}")
+        resolved = {
+            "kind": kind,
+            "params": {key: type(value)(self.params.get(key, value))
+                       for key, value in params.items()},
+            "budget": budget if self.budget is None else int(self.budget),
+            "threshold": float(threshold if self.threshold is None else self.threshold),
+        }
+        for key, value in resolved.items():
+            object.__setattr__(self, key, value)
+        if kind in ("ks1", "ks2"):
             if not 0.0 < self.threshold < 1.0:
                 raise ValueError("KS thresholds are p-values in (0, 1)")
         elif not self.threshold > 0.0:
             raise ValueError("threshold must be a positive tolerance")
 
     def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "params": dict(self.params),
-            "budget": self.budget,
-            "threshold": self.threshold,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "CheckSpec":
-        return cls(
-            str(obj["name"]),
-            str(obj["kind"]),
-            dict(obj.get("params", {})),
-            obj.get("budget"),
-            float(obj["threshold"]),
-        )
+        """A suite-file entry: only "name" is required, and a "kind" must be
+        the row's."""
+        unknown = sorted(set(obj) - {"name", "kind", "params", "budget", "threshold"})
+        if unknown:
+            raise ValueError(f"unknown check spec key {unknown[0]!r}")
+        spec = cls(str(obj["name"]), dict(obj.get("params") or {}),
+                   obj.get("budget"), obj.get("threshold"))
+        if obj.get("kind", spec.kind) != spec.kind:
+            raise ValueError(f"check {spec.name!r} is of kind {spec.kind!r}, "
+                             f"not {obj['kind']!r}")
+        return spec
 
 
 @dataclass
@@ -393,7 +407,7 @@ def _ks_reference_cases():
     yield "two-sample-grids", ks_two_sample(a, b)
 
 
-def _run_ks_reference(spec: CheckSpec, rng: RngStream):
+def _run_ks_reference(rng, budget, threshold):
     detail = {}
     worst = 0.0
     for (name, (d, p)), (d_ref, p_ref) in zip(_ks_reference_cases(),
@@ -401,12 +415,11 @@ def _run_ks_reference(spec: CheckSpec, rng: RngStream):
         gap = max(abs(d - d_ref), abs(p - p_ref))
         detail[name] = {"D": d, "p": p, "gap": gap}
         worst = max(worst, gap)
-    return worst, worst < spec.threshold, detail
+    return worst, worst < threshold, detail
 
 
-def _run_gamma_ratio(spec: CheckSpec, rng: RngStream):
+def _run_gamma_ratio(rng, budget, threshold):
     gen = rng.generator
-    budget = spec.budget or 200
     worst = 0.0
     for _ in range(budget):
         tag = AlgebraTag(int(gen.choice([1, 2, 4, 8])))
@@ -414,7 +427,7 @@ def _run_gamma_ratio(spec: CheckSpec, rng: RngStream):
         n = int(gen.integers(1, 6))
         nu = (m - 1) + float(gen.uniform(0.25, 6.0))
         worst = max(worst, abs(log_gamma_ratio_identity_gap(tag, m, n, nu)))
-    return worst, worst < spec.threshold, {"draws": budget}
+    return worst, worst < threshold, {"draws": budget}
 
 
 def _random_hpd(gen: np.random.Generator, tag: AlgebraTag, m: int) -> HermitianPD:
@@ -423,13 +436,12 @@ def _random_hpd(gen: np.random.Generator, tag: AlgebraTag, m: int) -> HermitianP
     return HermitianPD(DivMatrix(tag, a))
 
 
-def _run_form_equivalence(spec: CheckSpec, rng: RngStream):
+def _run_form_equivalence(rng, budget, threshold):
     gen = rng.generator
-    per_beta = spec.budget or 100
     worst = 0.0
     for beta in (1, 2, 4):
         tag = AlgebraTag(beta)
-        for _ in range(per_beta):
+        for _ in range(budget):
             m = int(gen.integers(1, 5))
             n = int(gen.integers(1, 5))
             nu = beta * (m - 1) + float(gen.uniform(0.5, 4.0))
@@ -443,12 +455,10 @@ def _run_form_equivalence(spec: CheckSpec, rng: RngStream):
             gap = abs(logpdf_matric_t(params, point, "primal")
                       - logpdf_matric_t(params, point, "dual"))
             worst = max(worst, gap)
-    return worst, worst < spec.threshold, {"points_per_beta": per_beta}
+    return worst, worst < threshold, {"points_per_beta": budget}
 
 
-def _run_normalization_t(spec: CheckSpec, rng: RngStream):
-    nu = float(spec.params.get("nu", 2.5))
-    rho = float(spec.params.get("rho", 1.3))
+def _run_normalization_t(rng, budget, threshold, *, nu, rho):
     detail = {}
     worst = 0.0
     for beta in (1, 2, 4, 8):
@@ -461,7 +471,7 @@ def _run_normalization_t(spec: CheckSpec, rng: RngStream):
             detail[f"matric-t-beta{beta}-n{n}"] = mass_t
             detail[f"matrix-mt-beta{beta}-n{n}"] = mass_mt
             worst = max(worst, abs(mass_t - 1.0), abs(mass_mt - 1.0))
-    return worst, worst < spec.threshold, detail
+    return worst, worst < threshold, detail
 
 
 def _scalar_logpdf(evaluator, params, **options):
@@ -475,8 +485,7 @@ def _scalar_logpdf(evaluator, params, **options):
     return log_density
 
 
-def _run_normalization_beta2(spec: CheckSpec, rng: RngStream):
-    nu = float(spec.params.get("nu", 2.0))
+def _run_normalization_beta2(rng, budget, threshold, *, nu):
     detail = {}
     worst = 0.0
     for beta in (1, 2, 4, 8):
@@ -490,21 +499,18 @@ def _run_normalization_beta2(spec: CheckSpec, rng: RngStream):
             detail[f"matric-beta{beta}-n{n}"] = m1
             detail[f"mv-beta{beta}-n{n}"] = m2
             worst = max(worst, abs(m1 - 1.0), abs(m2 - 1.0))
-    return worst, worst < spec.threshold, detail
+    return worst, worst < threshold, detail
 
 
-def _run_normalization_eig2d(spec: CheckSpec, rng: RngStream):
-    m = int(spec.params.get("m", 2))
-    n = int(spec.params.get("n", 3))
-    nu = float(spec.params.get("nu", 3.0))
-    tag = AlgebraTag(int(spec.params.get("beta", 1)))
+def _run_normalization_eig2d(rng, budget, threshold, *, beta, m, n, nu):
+    tag = AlgebraTag(beta)
     mass_b2 = quadrature_mass_eig2(
         lambda l1, l2: log_joint_eig_beta2(tag, m, n, nu, [l1, l2]))
     mass_mv = quadrature_mass_eig2(
         lambda l1, l2: log_joint_eig_mv(tag, m, n, nu, [l1, l2]))
     detail = {"eig-beta2-mass": mass_b2, "eig-mv-mass": mass_mv}
     worst = max(abs(mass_b2 - 1.0), abs(mass_mv - 1.0))
-    return worst, worst < spec.threshold, detail
+    return worst, worst < threshold, detail
 
 
 def _per_sv_ks2(tag: AlgebraTag, raw_a: np.ndarray, raw_b: np.ndarray):
@@ -518,36 +524,30 @@ def _per_sv_ks2(tag: AlgebraTag, raw_a: np.ndarray, raw_b: np.ndarray):
     return pmin, detail
 
 
-def _run_construction_equivalence(spec: CheckSpec, rng: RngStream):
-    tag = AlgebraTag(int(spec.params["beta"]))
-    m, n = int(spec.params.get("m", 2)), int(spec.params.get("n", 3))
-    nu = float(spec.params.get("nu", 5.0))
-    nsamp = spec.budget or 20000
+def _run_construction_equivalence(rng, budget, threshold, *, beta, m, n, nu):
+    tag = AlgebraTag(beta)
     params = MatricTParams(tag, m, n, nu)
-    a = sample_matric_t(rng, params, "wishart_root", size=nsamp)
-    b = sample_matric_t(rng, params, "inverse_root", size=nsamp)
+    a = sample_matric_t(rng, params, "wishart_root", size=budget)
+    b = sample_matric_t(rng, params, "inverse_root", size=budget)
     pmin, detail = _per_sv_ks2(tag, a, b)
-    return pmin, pmin > spec.threshold, detail
+    return pmin, pmin > threshold, detail
 
 
-def _run_scalar_law_cauchy(spec: CheckSpec, rng: RngStream):
-    nsamp = spec.budget or 50000
+def _run_scalar_law_cauchy(rng, budget, threshold):
     t = sample_matric_t(rng, MatricTParams(AlgebraTag.REAL, 1, 1, 1.0),
-                        size=nsamp)[:, 0, 0, 0]
+                        size=budget)[:, 0, 0, 0]
     d, p = ks_one_sample(np.sort(t), lambda x: 0.5 + np.arctan(x) / math.pi)
-    return p, p > spec.threshold, {"D": d, "p": p}
+    return p, p > threshold, {"D": d, "p": p}
 
 
-def _run_scalar_law_beta_prime(spec: CheckSpec, rng: RngStream):
+def _run_scalar_law_beta_prime(rng, budget, threshold, *, nu):
     from scipy.special import betainc
 
-    nu = float(spec.params.get("nu", 3.0))
-    nsamp = spec.budget or 50000
     f = sample_beta2_matric(rng, BetaIIParams(AlgebraTag.REAL, 1, 1, nu),
-                            size=nsamp)[:, 0, 0, 0]
+                            size=budget)[:, 0, 0, 0]
     a_par, b_par = 0.5, nu / 2.0
     d, p = ks_one_sample(np.sort(f), lambda x: betainc(a_par, b_par, x / (1.0 + x)))
-    return p, p > spec.threshold, {"D": d, "p": p}
+    return p, p > threshold, {"D": d, "p": p}
 
 
 def _cumulative_cdf(pdf, lo: float, xs: np.ndarray, tol: float):
@@ -564,12 +564,9 @@ def _cumulative_cdf(pdf, lo: float, xs: np.ndarray, tol: float):
     return PchipInterpolator(xs, cum / total, extrapolate=False), total
 
 
-def _run_scalar_law_mt_cdf(spec: CheckSpec, rng: RngStream):
-    nu = float(spec.params.get("nu", 3.0))
-    rho = float(spec.params.get("rho", 2.0))
-    nsamp = spec.budget or 50000
+def _run_scalar_law_mt_cdf(rng, budget, threshold, *, nu, rho):
     params = MatrixMTParams(AlgebraTag.REAL, 1, 1, nu, rho)
-    t = np.sort(sample_matrix_mt(rng, params, size=nsamp)[:, 0, 0, 0])
+    t = np.sort(sample_matrix_mt(rng, params, size=budget)[:, 0, 0, 0])
     logpdf_scalar = _scalar_logpdf(logpdf_matrix_mt, params)
     qs = np.linspace(0.0, 1.0, 301)
     xs = np.unique(np.quantile(t, qs))
@@ -578,61 +575,51 @@ def _run_scalar_law_mt_cdf(spec: CheckSpec, rng: RngStream):
                                  xs, 1e-11)
     inside = t[(t >= xs[0]) & (t <= xs[-1])]
     d, p = ks_one_sample(inside, cdf)
-    return p, p > spec.threshold, {"D": d, "p": p, "quadrature_total_mass": total}
+    return p, p > threshold, {"D": d, "p": p, "quadrature_total_mass": total}
 
 
-def _run_wishart_construction(spec: CheckSpec, rng: RngStream):
-    tag = AlgebraTag(int(spec.params.get("beta", 1)))
-    m = int(spec.params.get("m", 2))
-    nu = float(spec.params.get("nu", 6.0))
-    nsamp = spec.budget or 20000
+def _run_wishart_construction(rng, budget, threshold, *, beta, m, nu):
+    tag = AlgebraTag(beta)
     params = WishartParams(tag, m, nu)
-    wa = sample_wishart(rng, params, "bartlett", size=nsamp)
-    wb = sample_wishart(rng, params, "gram", size=nsamp)
+    wa = sample_wishart(rng, params, "bartlett", size=budget)
+    wb = sample_wishart(rng, params, "gram", size=budget)
     ta = np.sort(eigenvalues_batch(tag, wa)[:, 0])
     tb = np.sort(eigenvalues_batch(tag, wb)[:, 0])
     d, p = ks_two_sample(ta, tb)
-    return p, p > spec.threshold, {"D": d, "p": p}
+    return p, p > threshold, {"D": d, "p": p}
 
 
-def _run_wishart_mean(spec: CheckSpec, rng: RngStream):
-    tag = AlgebraTag(int(spec.params.get("beta", 2)))
-    m = int(spec.params.get("m", 2))
-    nu = float(spec.params.get("nu", 5.0))
-    nsamp = spec.budget or 20000
+def _run_wishart_mean(rng, budget, threshold, *, beta, m, nu):
+    tag = AlgebraTag(beta)
     xi_raw = _identity_raw(m, tag.beta) * 1.5
     xi_raw[0, 1, 0] = xi_raw[1, 0, 0] = 0.4
     if tag.beta >= 2:
         xi_raw[0, 1, 1], xi_raw[1, 0, 1] = 0.3, -0.3
     xi = HermitianPD(DivMatrix(tag, xi_raw))
     params = WishartParams(tag, m, nu, xi)
-    draws = sample_wishart(rng, params, "bartlett", size=nsamp)
+    draws = sample_wishart(rng, params, "bartlett", size=budget)
     expected = nu * xi.mat.data
     mean = draws.mean(axis=0)
-    se = draws.std(axis=0, ddof=1) / math.sqrt(nsamp)
+    se = draws.std(axis=0, ddof=1) / math.sqrt(budget)
     diff = mean - expected
     z = np.where(se > 1e-14, diff / np.where(se > 1e-14, se, 1.0), 0.0)
     exact_bad = np.any((se <= 1e-14) & (np.abs(diff) > 1e-10))
     worst = float(np.abs(z).max())
-    passed = (worst <= spec.threshold) and not exact_bad
-    return worst, passed, {"max_abs_z": worst, "n": nsamp}
+    passed = (worst <= threshold) and not exact_bad
+    return worst, passed, {"max_abs_z": worst, "n": budget}
 
 
-def _run_elliptical_invariance(spec: CheckSpec, rng: RngStream):
-    tag = AlgebraTag(int(spec.params["beta"]))
-    m = int(spec.params.get("m", 2))
-    n = int(spec.params.get("n", 3))
-    nu = int(spec.params.get("nu", 4))
-    mix = ScaleMixtureSpec(tuple(spec.params.get("weights", (0.7, 0.3))),
-                           tuple(spec.params.get("scales", (1.0, 3.0))))
-    nsamp = spec.budget or 20000
-    a = sample_elliptical_t(rng, tag, m, n, nu, mix, size=nsamp)
-    b = sample_matric_t(rng, MatricTParams(tag, m, n, float(nu)), size=nsamp)
+def _run_elliptical_invariance(rng, budget, threshold, *, beta, m, n, nu,
+                               weights, scales):
+    tag = AlgebraTag(beta)
+    mix = ScaleMixtureSpec(weights, scales)
+    a = sample_elliptical_t(rng, tag, m, n, nu, mix, size=budget)
+    b = sample_matric_t(rng, MatricTParams(tag, m, n, float(nu)), size=budget)
     pmin, detail = _per_sv_ks2(tag, a, b)
-    return pmin, pmin > spec.threshold, detail
+    return pmin, pmin > threshold, detail
 
 
-def _run_printed_variant_evidence(spec: CheckSpec, rng: RngStream):
+def _run_printed_variant_evidence(rng, budget, threshold):
     tag = AlgebraTag.REAL
     # Singular-value density coefficient: corrected vs printed pi exponent,
     # measured where the whole density is one scalar integral.
@@ -653,7 +640,7 @@ def _run_printed_variant_evidence(spec: CheckSpec, rng: RngStream):
     }
     corrected_ok = max(abs(sv_corr - 1.0), abs(co_corr - 1.0)) < 1e-6
     stat = min(abs(sv_printed - 1.0), abs(co_printed - 1.0))
-    return stat, corrected_ok and stat > spec.threshold, detail
+    return stat, corrected_ok and stat > threshold, detail
 
 
 def _lmax_cdf_eig_beta2_m2(n: int, nu: float, xs: np.ndarray):
@@ -686,15 +673,11 @@ def _lmax_cdf_eig_beta2_m2(n: int, nu: float, xs: np.ndarray):
     return _cumulative_cdf(outer, 0.0, xs, 1e-12)[0]
 
 
-def _run_spectrum_closed_form(spec: CheckSpec, rng: RngStream):
-    tag = AlgebraTag(int(spec.params.get("beta", 1)))
-    m = int(spec.params.get("m", 2))
-    n = int(spec.params.get("n", 3))
-    nu = float(spec.params.get("nu", 4.0))
+def _run_spectrum_closed_form(rng, budget, threshold, *, beta, m, n, nu):
+    tag = AlgebraTag(beta)
     if tag.beta != 1 or m != 2:
         raise ValueError("the closed-form marginal is implemented for beta=1, m=2")
-    nsamp = spec.budget or 20000
-    t = sample_matric_t(rng, MatricTParams(tag, m, n, nu), size=nsamp)
+    t = sample_matric_t(rng, MatricTParams(tag, m, n, nu), size=budget)
     f = _gram_raw(t)
     lmax = np.sort(eigenvalues_batch(tag, f)[:, 0])
     qs = np.linspace(0.0, 1.0, 301)
@@ -703,69 +686,72 @@ def _run_spectrum_closed_form(spec: CheckSpec, rng: RngStream):
     cdf = _lmax_cdf_eig_beta2_m2(n, nu, xs)
     inside = lmax[(lmax >= xs[0]) & (lmax <= xs[-1])]
     d, p = ks_one_sample(inside, cdf)
-    return p, p > spec.threshold, {"D": d, "p": p}
+    return p, p > threshold, {"D": d, "p": p}
 
 
-_RUNNERS = {
-    "ks-reference-values": _run_ks_reference,
-    "gamma-ratio-identity": _run_gamma_ratio,
-    "matric-t-form-equivalence": _run_form_equivalence,
-    "normalization-scalar-t": _run_normalization_t,
-    "normalization-scalar-beta2": _run_normalization_beta2,
-    "normalization-eig-2d": _run_normalization_eig2d,
-    "construction-equivalence-beta1": _run_construction_equivalence,
-    "construction-equivalence-beta2": _run_construction_equivalence,
-    "construction-equivalence-beta4": _run_construction_equivalence,
-    "scalar-law-cauchy": _run_scalar_law_cauchy,
-    "scalar-law-beta-prime": _run_scalar_law_beta_prime,
-    "scalar-law-mt-quadrature-cdf": _run_scalar_law_mt_cdf,
-    "wishart-construction-equivalence": _run_wishart_construction,
-    "wishart-mean": _run_wishart_mean,
-    "elliptical-invariance-beta1": _run_elliptical_invariance,
-    "elliptical-invariance-beta2": _run_elliptical_invariance,
-    "printed-variant-evidence": _run_printed_variant_evidence,
-    "spectrum-vs-closed-form": _run_spectrum_closed_form,
+# name -> (runner, kind, params, budget, threshold), in suite order.  A
+# CheckSpec resolves against its row; the runner is called as
+# runner(rng, budget, threshold, **params) and returns (statistic, passed,
+# detail).
+_CHECKS = {
+    "ks-reference-values": (_run_ks_reference, "identity", {}, 5, 1e-9),
+    "gamma-ratio-identity": (_run_gamma_ratio, "identity", {}, 200, 1e-10),
+    "matric-t-form-equivalence": (_run_form_equivalence, "identity", {}, 100, 1e-9),
+    "normalization-scalar-t": (_run_normalization_t, "normalization",
+                               {"nu": 2.5, "rho": 1.3}, None, 1e-6),
+    "normalization-scalar-beta2": (_run_normalization_beta2, "normalization",
+                                   {"nu": 2.0}, None, 1e-6),
+    "normalization-eig-2d": (_run_normalization_eig2d, "normalization",
+                             {"beta": 1, "m": 2, "n": 3, "nu": 3.0}, None, 1e-4),
+    "construction-equivalence-beta1": (_run_construction_equivalence, "ks2",
+                                       {"beta": 1, "m": 2, "n": 3, "nu": 5.0},
+                                       20000, 0.005),
+    "construction-equivalence-beta2": (_run_construction_equivalence, "ks2",
+                                       {"beta": 2, "m": 2, "n": 3, "nu": 5.0},
+                                       20000, 0.005),
+    # nu must satisfy nu+n-m > beta*(n-1) for the inverse-root construction
+    # to exist, which at beta = 4 forces nu > 7.
+    "construction-equivalence-beta4": (_run_construction_equivalence, "ks2",
+                                       {"beta": 4, "m": 2, "n": 3, "nu": 8.0},
+                                       20000, 0.005),
+    "scalar-law-cauchy": (_run_scalar_law_cauchy, "ks1", {}, 50000, 0.005),
+    "scalar-law-beta-prime": (_run_scalar_law_beta_prime, "ks1", {"nu": 3.0},
+                              50000, 0.005),
+    "scalar-law-mt-quadrature-cdf": (_run_scalar_law_mt_cdf, "ks1",
+                                     {"nu": 3.0, "rho": 2.0}, 50000, 0.005),
+    "wishart-construction-equivalence": (_run_wishart_construction, "ks2",
+                                         {"beta": 1, "m": 2, "nu": 6.0},
+                                         20000, 0.005),
+    "wishart-mean": (_run_wishart_mean, "moment", {"beta": 2, "m": 2, "nu": 5.0},
+                     20000, 3.0),
+    "elliptical-invariance-beta1": (_run_elliptical_invariance, "ks2",
+                                    {"beta": 1, "m": 2, "n": 3, "nu": 4,
+                                     "weights": (0.7, 0.3), "scales": (1.0, 3.0)},
+                                    20000, 0.005),
+    "elliptical-invariance-beta2": (_run_elliptical_invariance, "ks2",
+                                    {"beta": 2, "m": 2, "n": 3, "nu": 4,
+                                     "weights": (0.7, 0.3), "scales": (1.0, 3.0)},
+                                    20000, 0.005),
+    "printed-variant-evidence": (_run_printed_variant_evidence, "normalization",
+                                 {}, None, 0.10),
+    "spectrum-vs-closed-form": (_run_spectrum_closed_form, "ks1",
+                                {"beta": 1, "m": 2, "n": 3, "nu": 4.0}, 20000, 0.005),
 }
 
 
 def default_suite() -> list:
-    """The default check list; together these are the acceptance criteria."""
-    return [
-        CheckSpec("ks-reference-values", "identity", {}, 5, 1e-9),
-        CheckSpec("gamma-ratio-identity", "identity", {}, 200, 1e-10),
-        CheckSpec("matric-t-form-equivalence", "identity", {}, 100, 1e-9),
-        CheckSpec("normalization-scalar-t", "normalization",
-                  {"nu": 2.5, "rho": 1.3}, None, 1e-6),
-        CheckSpec("normalization-scalar-beta2", "normalization",
-                  {"nu": 2.0}, None, 1e-6),
-        CheckSpec("normalization-eig-2d", "normalization",
-                  {"beta": 1, "m": 2, "n": 3, "nu": 3.0}, None, 1e-4),
-        CheckSpec("construction-equivalence-beta1", "ks2",
-                  {"beta": 1, "m": 2, "n": 3, "nu": 5.0}, 20000, 0.005),
-        CheckSpec("construction-equivalence-beta2", "ks2",
-                  {"beta": 2, "m": 2, "n": 3, "nu": 5.0}, 20000, 0.005),
-        # nu must satisfy nu+n-m > beta*(n-1) for the inverse-root
-        # construction to exist, which at beta = 4 forces nu > 7.
-        CheckSpec("construction-equivalence-beta4", "ks2",
-                  {"beta": 4, "m": 2, "n": 3, "nu": 8.0}, 20000, 0.005),
-        CheckSpec("scalar-law-cauchy", "ks1", {}, 50000, 0.005),
-        CheckSpec("scalar-law-beta-prime", "ks1", {"nu": 3.0}, 50000, 0.005),
-        CheckSpec("scalar-law-mt-quadrature-cdf", "ks1",
-                  {"nu": 3.0, "rho": 2.0}, 50000, 0.005),
-        CheckSpec("wishart-construction-equivalence", "ks2",
-                  {"beta": 1, "m": 2, "nu": 6.0}, 20000, 0.005),
-        CheckSpec("wishart-mean", "moment", {"beta": 2, "m": 2, "nu": 5.0},
-                  20000, 3.0),
-        CheckSpec("elliptical-invariance-beta1", "ks2",
-                  {"beta": 1, "m": 2, "n": 3, "nu": 4,
-                   "weights": (0.7, 0.3), "scales": (1.0, 3.0)}, 20000, 0.005),
-        CheckSpec("elliptical-invariance-beta2", "ks2",
-                  {"beta": 2, "m": 2, "n": 3, "nu": 4,
-                   "weights": (0.7, 0.3), "scales": (1.0, 3.0)}, 20000, 0.005),
-        CheckSpec("printed-variant-evidence", "normalization", {}, None, 0.10),
-        CheckSpec("spectrum-vs-closed-form", "ks1",
-                  {"beta": 1, "m": 2, "n": 3, "nu": 4.0}, 20000, 0.005),
-    ]
+    """The default check list, every row of `_CHECKS` as it stands; together
+    these are the acceptance criteria."""
+    return [CheckSpec(name) for name in _CHECKS]
+
+
+def _attempt(spec: CheckSpec, stream: RngStream) -> tuple:
+    """(statistic, passed, detail) of one run of the check; an exception is
+    recorded in the detail, not thrown."""
+    try:
+        return _CHECKS[spec.name][0](stream, spec.budget, spec.threshold, **spec.params)
+    except Exception as exc:
+        return math.nan, False, {"error": repr(exc)}
 
 
 def run_suite(config, rng: RngStream, progress=None) -> VerifyReport:
@@ -784,22 +770,12 @@ def run_suite(config, rng: RngStream, progress=None) -> VerifyReport:
 
     results = []
     for idx, spec in enumerate(config):
-        runner = _RUNNERS.get(spec.name)
-        if runner is None:
-            raise ValueError(f"unknown check name {spec.name!r}")
         stream = rng.child(idx)
         start = time.perf_counter()
-        try:
-            stat, passed, detail = runner(spec, stream)
-        except Exception as exc:  # recorded, not thrown
-            stat, passed, detail = math.nan, False, {"error": repr(exc)}
+        stat, passed, detail = _attempt(spec, stream)
         attempts = 1
         if not passed and spec.kind in _STOCHASTIC_KINDS and "error" not in detail:
-            rerun_stream = stream.child(1)
-            try:
-                stat2, passed2, detail2 = runner(spec, rerun_stream)
-            except Exception as exc:
-                stat2, passed2, detail2 = math.nan, False, {"error": repr(exc)}
+            stat2, passed2, detail2 = _attempt(spec, stream.child(1))
             attempts = 2
             detail = {"first_attempt": detail, "rerun": detail2,
                       "first_statistic": stat}

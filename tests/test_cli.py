@@ -471,6 +471,42 @@ class TestVerify:
         run_cli("verify", "--suite", str(suite), "--seed", "4", "--report", str(r2))
         assert r1.read_bytes() == r2.read_bytes()
 
+    def test_suite_file_entries_need_only_a_name(self, tmp_path, capsys):
+        # the rows fill in kind, params, budget and threshold; a partial
+        # params dict keeps the row's other values (nu = 8 at beta = 4)
+        suite = tmp_path / "suite.json"
+        suite.write_text(json.dumps([
+            {"name": "gamma-ratio-identity"},
+            {"name": "construction-equivalence-beta4", "params": {"beta": 4},
+             "budget": 2000},
+            {"name": "ks-reference-values", "kind": "identity"},
+        ]))
+        report = tmp_path / "r.json"
+        code = run_cli("verify", "--suite", str(suite), "--seed", "11",
+                       "--report", str(report))
+        obj = json.loads(report.read_text())
+        assert [c["kind"] for c in obj["checks"]] == ["ks2", "identity", "identity"]
+        assert "error" not in json.dumps(obj)
+        assert code == 0, capsys.readouterr().out
+
+    @pytest.mark.parametrize("entry,message", [
+        ({"name": "no-such-check"}, "unknown check name"),
+        ({"name": "normalization-scalar-beta2", "params": {"Nu": 7.0}},
+         "has no param 'Nu'"),
+        ({"name": "scalar-law-cauchy", "kind": "identity", "threshold": 0.005},
+         "of kind 'ks1', not 'identity'"),
+        ({"name": "scalar-law-cauchy", "threshold": 1.5}, "p-values"),
+        ({"name": "scalar-law-cauchy", "budgett": 10}, "key 'budgett'"),
+    ])
+    def test_bad_suite_file_exit_2(self, tmp_path, capsys, entry, message):
+        suite, report = tmp_path / "suite.json", tmp_path / "r.json"
+        suite.write_text(json.dumps([entry]))
+        code = run_cli("verify", "--suite", str(suite), "--seed", "1",
+                       "--report", str(report))
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not report.exists()
+
 
 class TestParsing:
     def test_unknown_subcommand_exit_2(self, capsys):
@@ -516,6 +552,38 @@ class TestParsing:
         assert f"{dist} has no construction method" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_form_on_matrix_mt_density_is_refused(self, tmp_path, capsys):
+        pts, out = tmp_path / "pts.jsonl", tmp_path / "d.txt"
+        pts.write_text('{"beta": 1, "rows": 1, "cols": 2, "data": [[[0.5], [1.0]]]}\n')
+        code = run_cli("density", "--dist", "matrix-mt", "--beta", "1", "--m", "1",
+                       "--n", "2", "--nu", "3", "--points", str(pts), "--form", "dual",
+                       "--out", str(out))
+        assert code == 2
+        assert "matrix-mt has one density form; drop --form" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["sample", "spectrum"])
+    def test_rho_on_matric_t_is_refused(self, tmp_path, capsys, command):
+        out = tmp_path / "x"
+        code = run_cli(command, "--dist", "matric-t", "--beta", "1", "--m", "1",
+                       "--n", "2", "--nu", "3", "--rho", "5", "--count", "5",
+                       "--seed", "1", "--out", str(out))
+        assert code == 2
+        assert "matric-t has no rho parameter; drop --rho" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,dist", [("sample", "matric-t"),
+                                              ("sample", "gaussian"),
+                                              ("spectrum", "matrix-mt")])
+    def test_mix_off_elliptical_t_is_refused(self, tmp_path, capsys, command, dist):
+        out = tmp_path / "x"
+        code = run_cli(command, "--dist", dist, "--beta", "1", "--m", "1", "--n", "2",
+                       "--nu", "3", "--mix", "0.5:1,0.5:3", "--count", "5",
+                       "--seed", "1", "--out", str(out))
+        assert code == 2
+        assert f"{dist} is not a scale mixture; drop --mix" in capsys.readouterr().err
+        assert not out.exists()
+
 
 _STARTUP_SCRIPT = """
 import sys
@@ -533,8 +601,8 @@ assert rdmt.cli.main(["spectrum", "--dist", "matric-t", *common, "--count", "200
                       "--seed", "1", "--out", str(out / "v.csv"),
                       "--grid", str(out / "g.csv")]) == 0
 assert "scipy" not in sys.modules, "scipy loaded without a verify check"
-report = rdmt.run_suite([rdmt.CheckSpec("gamma-ratio-identity", "identity", {}, 5,
-                                        1e-10)], rdmt.RngStream(1))
+report = rdmt.run_suite([rdmt.CheckSpec("gamma-ratio-identity", {}, 5, 1e-10)],
+                        rdmt.RngStream(1))
 assert report.overall_pass
 assert "scipy.special" in sys.modules
 print("ok")

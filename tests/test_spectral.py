@@ -23,7 +23,7 @@ from rdmt.spectral import (
     log_joint_sv_matrix_mt,
     singular_values_batch,
 )
-from rdmt.verify import quadrature_mass_eig2
+from rdmt.verify import quadrature_mass_eig2, quadrature_mass_positive
 
 from conftest import random_matrix
 
@@ -189,6 +189,17 @@ class TestEmpiricalSpectrum:
         with pytest.raises(OctonionMatrixError, match="1x2"):
             singular_values_batch(O, rng.normal(size=(6, 1, 2, 8)))
 
+    def test_batch_refuses_a_tag_that_disagrees_with_the_array(self, rng):
+        # a quaternion stack read as real would give its real parts' spectra
+        from rdmt.algebra import _gram_raw
+
+        raw = rng.normal(size=(5, 2, 3, 4))
+        for fn, stack in ((singular_values_batch, raw),
+                          (eigenvalues_batch, _gram_raw(raw))):
+            for tag in (R, C, O):
+                with pytest.raises(ValueError, match="coefficient axis of length"):
+                    fn(tag, stack)
+
     def test_batch_matches_single(self, rng):
         raw = rng.normal(size=(5, 2, 3, 4))
         batch = singular_values_batch(H, raw)
@@ -265,3 +276,80 @@ class TestSpectralCore:
             log_joint_eig_beta2(R, 2, 3, 4.0, [1.0, np.nan])
         with pytest.raises(ValueError):
             log_joint_eig_beta2(R, 2, 3, 4.0, np.ones((2, 2, 2)))
+
+
+def _log_selberg(m, a, b, g):
+    """log of Selberg's integral (Selberg 1944; Forrester & Warnaar, Bull.
+    AMS 45, 2008) over [0, 1]^m:
+    int prod u_i^(a-1) (1-u_i)^(b-1) prod_{i<j} |u_i - u_j|^(2g) du."""
+    return sum(math.lgamma(a + j * g) + math.lgamma(b + j * g)
+               + math.lgamma(1.0 + (j + 1) * g)
+               - math.lgamma(a + b + (m + j - 1) * g) - math.lgamma(1.0 + g)
+               for j in range(m))
+
+
+def _log_laguerre_selberg(m, a, g):
+    """log of its Laguerre form over (0, inf)^m:
+    int prod x_i^(a-1) e^(-x_i) prod_{i<j} |x_i - x_j|^(2g) dx."""
+    return sum(math.lgamma(a + j * g) + math.lgamma(1.0 + (j + 1) * g)
+               - math.lgamma(1.0 + g) for j in range(m))
+
+
+class TestSelbergMass:
+    """Every joint density integrates to 1 over the ordered cone, for every
+    beta and m, by Selberg's integral: no quadrature.
+
+    The eigenvalue law is C * prod lam_i^(a-1) * K(lam) * prod_{i<j}
+    (lam_i - lam_j)^beta, with a = beta(n-m+1)/2 and C the log density minus
+    the log of that kernel at any point.  Determinant coupling, K = prod
+    (1+lam_i)^(-beta(nu+n)/2): u = lam/(1+lam) turns it into the Jacobi
+    weight u^(a-1) (1-u)^(b-1), b = beta(nu-m+1)/2, with 2g = beta.  Trace
+    coupling, K = (1 + sum lam)^(-q), q = beta(nu+mn)/2: writing K as
+    int t^(q-1) e^(-t(1+sum lam)) dt / Gamma(q) leaves the Laguerre form
+    times Gamma(q - beta mn/2) / Gamma(q).  The ordered cone is 1/m! of the
+    orthant.  Singular values d enter as lam = d^2, Jacobian 2^m prod d.
+    """
+
+    FNS = [(log_joint_eig_beta2, False, False), (log_joint_eig_mv, True, False),
+           (log_joint_sv_matric_t, False, True), (log_joint_sv_matrix_mt, True, True)]
+
+    @pytest.mark.parametrize("tag", [R, C, H, O])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("fn,trace,singular", FNS)
+    def test_log_mass_is_zero(self, tag, m, fn, trace, singular):
+        beta = tag.beta
+        for n, nu in ((m, m - 0.25), (m + 2, m + 1.5)):
+            lam = 0.7 * np.arange(m, 0, -1.0)
+            a, q = beta * (n - m + 1) / 2.0, beta * (nu + m * n) / 2.0
+            kernel = (a - 1.0) * np.log(lam).sum() + beta * sum(
+                math.log(lam[i] - lam[j]) for i in range(m) for j in range(i + 1, m))
+            if trace:
+                kernel -= q * math.log1p(lam.sum())
+            else:
+                kernel -= beta * (nu + n) / 2.0 * np.log1p(lam).sum()
+            if singular:
+                log_c = (fn(tag, m, n, nu, np.sqrt(lam)) - kernel - m * math.log(2.0)
+                         - 0.5 * np.log(lam).sum())
+            else:
+                log_c = fn(tag, m, n, nu, lam) - kernel
+            if trace:
+                log_mass = (log_c + _log_laguerre_selberg(m, a, beta / 2.0)
+                            + math.lgamma(q - beta * m * n / 2.0) - math.lgamma(q))
+            else:
+                log_mass = log_c + _log_selberg(m, a, beta * (nu - m + 1) / 2.0,
+                                                beta / 2.0)
+            log_mass -= math.lgamma(m + 1.0)
+            assert abs(log_mass) < 1e-10, (n, nu, log_mass)
+
+
+class TestOctonionQuadratureMass:
+    @pytest.mark.parametrize("fn", [log_joint_eig_beta2, log_joint_eig_mv,
+                                    log_joint_sv_matric_t, log_joint_sv_matrix_mt])
+    def test_scalar_spectra(self, fn):
+        mass = quadrature_mass_positive(lambda x: fn(O, 1, 3, 3.5, [x]))
+        assert abs(mass - 1.0) < 1e-8
+
+    @pytest.mark.parametrize("fn", [log_joint_eig_beta2, log_joint_eig_mv])
+    def test_two_point_spectra(self, fn):
+        mass = quadrature_mass_eig2(lambda l1, l2: fn(O, 2, 3, 3.5, [l1, l2]))
+        assert abs(mass - 1.0) < 1e-4

@@ -164,16 +164,15 @@ class TestSuite:
 
     def test_unknown_check_rejected(self):
         with pytest.raises(ValueError, match="unknown check"):
-            run_suite([CheckSpec("no-such-check", "identity", {}, None, 1.0)],
-                      RngStream(1))
+            CheckSpec("no-such-check")
 
     def test_spec_threshold_validation(self):
-        with pytest.raises(ValueError):
-            CheckSpec("x", "ks1", {}, None, 1.5)
-        with pytest.raises(ValueError):
-            CheckSpec("x", "normalization", {}, None, 0.0)
-        with pytest.raises(ValueError):
-            CheckSpec("x", "wrong-kind", {}, None, 0.5)
+        with pytest.raises(ValueError, match="p-values"):
+            CheckSpec("scalar-law-cauchy", threshold=1.5)
+        with pytest.raises(ValueError, match="positive tolerance"):
+            CheckSpec("normalization-scalar-t", threshold=0.0)
+        with pytest.raises(ValueError, match="positive tolerance"):
+            CheckSpec("gamma-ratio-identity", threshold=-1e-10)
 
     def test_deterministic_reports(self):
         sub = [s for s in default_suite()
@@ -185,7 +184,7 @@ class TestSuite:
 
     def test_failure_recorded_not_thrown_and_rerun_once(self):
         # an impossible p-threshold forces the rerun path
-        spec = CheckSpec("scalar-law-cauchy", "ks1", {}, 5000, 0.9999999)
+        spec = CheckSpec("scalar-law-cauchy", {}, 5000, 0.9999999)
         report = run_suite([spec], RngStream(7))
         assert not report.overall_pass
         check = report.checks[0]
@@ -193,7 +192,7 @@ class TestSuite:
         assert "rerun" in check.detail
 
     def test_report_shape(self):
-        spec = CheckSpec("gamma-ratio-identity", "identity", {}, 50, 1e-10)
+        spec = CheckSpec("gamma-ratio-identity", {}, 50, 1e-10)
         report = run_suite([spec], RngStream(5))
         obj = json.loads(report.to_json())
         assert obj["overall_pass"] is True
@@ -206,4 +205,57 @@ class TestSuite:
         specs = default_suite()
         text = json.dumps([s.to_json_dict() for s in specs])
         back = [CheckSpec.from_json_dict(o) for o in json.loads(text)]
-        assert [s.name for s in back] == [s.name for s in specs]
+        assert back == specs
+        assert [CheckSpec.from_json_dict({"name": s.name}) for s in specs] == specs
+
+
+class TestSuiteTable:
+    """A CheckSpec resolves against its row of the suite table: the row fixes
+    the kind, and params, budget and threshold given override the row's."""
+
+    def test_partial_params_take_the_row_for_the_rest(self):
+        # nu = 5 would lie outside the inverse-root domain at beta = 4; the
+        # row's nu = 8 fills in
+        spec = CheckSpec.from_json_dict(
+            {"name": "construction-equivalence-beta4", "kind": "ks2",
+             "params": {"beta": 4}, "budget": 2000, "threshold": 0.005})
+        assert spec.params == {"beta": 4, "m": 2, "n": 3, "nu": 8.0}
+        check = run_suite([spec], RngStream(3)).checks[0]
+        assert "error" not in json.dumps(check.detail)
+
+    def test_overrides_are_cast_to_the_row_types(self):
+        spec = CheckSpec("elliptical-invariance-beta1",
+                         {"nu": 5, "weights": [0.5, 0.5], "scales": [1, 2]}, 100)
+        assert spec.params["weights"] == (0.5, 0.5)
+        assert type(spec.params["nu"]) is int and spec.budget == 100
+        assert spec.threshold == 0.005 and spec.kind == "ks2"
+        spec = CheckSpec("normalization-scalar-beta2", {"nu": 7})
+        assert type(spec.params["nu"]) is float
+
+    def test_unknown_param_key_is_refused(self):
+        with pytest.raises(ValueError, match="no param 'Nu'"):
+            CheckSpec.from_json_dict(
+                {"name": "normalization-scalar-beta2", "kind": "normalization",
+                 "params": {"Nu": 7.0}, "threshold": 1e-6})
+        with pytest.raises(ValueError, match="no param 'beta'"):
+            CheckSpec("scalar-law-cauchy", {"beta": 1})
+
+    def test_unknown_spec_key_is_refused(self):
+        with pytest.raises(ValueError, match="key 'budgett'"):
+            CheckSpec.from_json_dict({"name": "scalar-law-cauchy", "budgett": 10})
+
+    def test_kind_must_be_the_rows(self):
+        # kind "identity" would turn off the rerun and accept any threshold;
+        # the row's kind ks1 refuses the threshold too
+        with pytest.raises(ValueError):
+            CheckSpec.from_json_dict({"name": "scalar-law-cauchy", "kind": "identity",
+                                      "budget": 5000, "threshold": 1.5})
+        with pytest.raises(ValueError, match="of kind 'ks1', not 'identity'"):
+            CheckSpec.from_json_dict({"name": "scalar-law-cauchy", "kind": "identity",
+                                      "threshold": 0.005})
+        spec = CheckSpec.from_json_dict({"name": "scalar-law-cauchy", "kind": "ks1"})
+        assert spec == CheckSpec("scalar-law-cauchy")
+
+    def test_kind_is_not_a_constructor_argument(self):
+        with pytest.raises(TypeError):
+            CheckSpec("scalar-law-cauchy", kind="identity")

@@ -17,9 +17,12 @@ The matrix covers `sample` for every family at beta 1, 2, 4 and, where
 legal, 1x1 beta = 8, with each construction method and both formats;
 `density` for all four families in the standard form and in a scaled form
 read from --params (matric-t in both its primal and dual form); `spectrum`
-for each family and kind, with --grid where an overlay exists; and
-`verify --seed 11 --report`.  A few commands that must fail are included
-too, so their exit codes and messages are compared as well.
+for each family and kind, with --grid where an overlay exists;
+`verify --seed 11 --report` on the default suite and on small suite files
+(entries with partial params, with and without a kind, and ones the suite
+table refuses); and family-specific flags given to families that do not read
+them.  A few commands that must fail are included too, so their exit codes
+and messages are compared as well.
 """
 
 from __future__ import annotations
@@ -38,6 +41,20 @@ from rdmt import cli
 
 BETAS = (1, 2, 4)
 COUNT = "40"
+
+# name -> a verify suite file: only "name" is required, the other fields
+# override the check's row, and the last two are refused
+SUITES = {
+    "partial-params": [{"name": "construction-equivalence-beta4",
+                        "params": {"beta": 4}, "budget": 2000}],
+    "kind-omitted": [{"name": "gamma-ratio-identity"},
+                     {"name": "scalar-law-cauchy", "budget": 5000}],
+    "kind-matching": [{"name": "scalar-law-cauchy", "kind": "ks1", "budget": 5000,
+                       "threshold": 0.005}],
+    "kind-wrong": [{"name": "scalar-law-cauchy", "kind": "identity",
+                    "threshold": 0.005}],
+    "unknown-param": [{"name": "normalization-scalar-beta2", "params": {"Nu": 7.0}}],
+}
 
 
 def _conj(c: np.ndarray) -> np.ndarray:
@@ -105,6 +122,11 @@ def _inputs(root: str) -> dict:
             with open(path, "w") as fh:
                 json.dump(dict(record, beta=beta), fh)
             files[f"params-{family}-b{beta}"] = path
+    for name, suite in SUITES.items():
+        path = os.path.join(root, f"suite-{name}.json")
+        with open(path, "w") as fh:
+            json.dump(suite, fh)
+        files[f"suite-{name}"] = path
     return files
 
 
@@ -221,9 +243,23 @@ def _commands(files: dict) -> list:
         ("fail-density-octonion-1x2", ["density", "--dist", "matric-t", "--beta", "8",
                                        "--m", "1", "--n", "2", "--nu", "9", "--points",
                                        files["t-points-b1"], "--out", "{out}"]),
+        ("fail-density-matrix-mt-form",
+         ["density", "--dist", "matrix-mt", "--nu", "3.5", "--form", "dual"]
+         + shape(1) + ["--points", files["t-points-b1"], "--out", "{out}"]),
+        ("fail-sample-matric-t-rho", ["sample", "--dist", "matric-t", "--nu", "9",
+                                      "--rho", "5"] + shape(1) + seed),
+        ("fail-sample-gaussian-mix", ["sample", "--dist", "gaussian",
+                                      "--mix", "0.5:1,0.5:3"] + shape(1) + seed),
+        ("fail-spectrum-matrix-mt-mix",
+         ["spectrum", "--dist", "matrix-mt", "--nu", "3.5", "--mix", "0.5:1,0.5:3"]
+         + shape(1) + seed),
     ]
     cmds.append(("verify-seed-11", ["verify", "--suite", "default", "--seed", "11",
                                     "--report", "{out}"]))
+    for name in SUITES:
+        cmds.append((f"verify-suite-{name}",
+                     ["verify", "--suite", files[f"suite-{name}"], "--seed", "11",
+                      "--report", "{out}"]))
     return cmds
 
 
