@@ -324,10 +324,6 @@ def _grid_rows(family, kind, params, vals, overlay):
     """(v1, ..., vm, logpdf) rows of the analytic overlay on a grid over the
     range of the sampled spectra vals."""
     m = vals.shape[1]
-    n, nu = params.n, params.nu
-    if family == "beta2-matric" and params.orientation == "cogram":
-        # cogram orientation: the spectrum follows the dimension-swapped law
-        n, nu = params.m, nu + n - params.m
     lo = float(np.quantile(vals, 0.001))
     hi = float(np.quantile(vals, 0.999))
     lo = max(lo * 0.5, 1e-6)
@@ -346,7 +342,8 @@ def _grid_rows(family, kind, params, vals, overlay):
         # (Jacobian rho^m).
         power = 0.5 if kind == "singular" else 1.0
         scale, log_jacobian = params.rho ** power, m * power * math.log(params.rho)
-    logpdf = overlay(params.tag, m, n, nu, points * scale) + log_jacobian
+    logpdf = overlay(params.tag, params.m, params.n, params.nu,
+                     points * scale) + log_jacobian
     return np.column_stack([points, logpdf])
 
 

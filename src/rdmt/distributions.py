@@ -48,7 +48,7 @@ from .algebra import (
     _stack_index,
 )
 from .errors import DomainError
-from .special import _lmg, log_gamma, log_mvbeta
+from .special import _lmg, _wide, log_gamma, log_mvbeta
 
 __all__ = [
     "RngStream",
@@ -139,7 +139,8 @@ class _JsonRecord:
     dataclass fields: `tag` is written as "beta", a DivMatrix or HermitianPD
     as its schema dict (None as null), a tuple as a list.  On load each value
     goes through its field's type, and a missing key takes the field's
-    default.  A record states only its `family` string."""
+    default.  A record states only its `family` string, and a loaded
+    "family", if given, must be it."""
 
     family: ClassVar[str]
 
@@ -159,6 +160,9 @@ class _JsonRecord:
 
     @classmethod
     def from_json_dict(cls, obj: dict):
+        if obj.get("family", cls.family) != cls.family:
+            raise ValueError(f"params record of family {obj['family']!r}, not "
+                             f"{cls.family!r}")
         hints = get_type_hints(cls)
         kwargs = {"tag": AlgebraTag(int(obj["beta"]))}
         for f in fields(cls):
@@ -670,24 +674,18 @@ def _beta2_terms(params: BetaIIParams) -> dict:
     tag = params.tag
     beta = tag.beta
     m, n, nu = params.m, params.n, params.nu
-    if params.orientation == "gram":
-        a_par, b_par = beta * nu / 2.0, beta * n / 2.0
-        exp_f = beta * (n - m + 1) / 2.0 - 1.0
-        mv_const = -_lmg(tag, m, beta * n / 2.0)
-        scale_exp = beta * n / 2.0
-    else:
-        a_par, b_par = beta * (nu + n - m) / 2.0, beta * m / 2.0
-        exp_f = beta * (m - n + 1) / 2.0 - 1.0
-        mv_const = -_lmg(tag, n, beta * m / 2.0)
-        scale_exp = beta * m / 2.0
+    # the gram terms of T*'s law for the cogram T* T
+    d, n_wide, nu_wide = _wide(m, n, nu, trace=False)
+    a_par, b_par = beta * nu_wide / 2.0, beta * n_wide / 2.0
+    exp_f = beta * (n_wide - d + 1) / 2.0 - 1.0
     q1 = beta * (nu + m * n) / 2.0
-    matric_const = -log_mvbeta(tag, params.dim, a_par, b_par)
-    mv_const += log_gamma(q1) - log_gamma(beta * nu / 2.0)
+    matric_const = -log_mvbeta(tag, d, a_par, b_par)
+    mv_const = -_lmg(tag, d, b_par) + (log_gamma(q1) - log_gamma(beta * nu / 2.0))
     if params.scale is None:
-        base, scale = _identity_raw(params.dim, beta), None
+        base, scale = _identity_raw(d, beta), None
     else:
         matric_const += a_par * params.scale.logdet
-        mv_const += scale_exp * params.scale.logdet
+        mv_const += b_par * params.scale.logdet
         base = scale = params.scale.mat.data
     return {
         "matric": (beta * (n + nu) / 2.0, exp_f, base, matric_const),

@@ -75,6 +75,15 @@ def log_mvbeta(tag: AlgebraTag, m: int, a: float, b: float) -> float:
     return _lmg(tag, m, a) + _lmg(tag, m, b) - _lmg(tag, m, a + b)
 
 
+def _wide(m: int, n: int, nu: float, trace: bool) -> tuple:
+    """(m, n, nu) of the wide law with the spectra of the m x n T or beta II
+    law: a tall one is that of T*, at nu + n - m under the determinant
+    coupling (ERRATA.md section 2) and at nu under the trace coupling."""
+    if n >= m:
+        return m, n, nu
+    return n, m, nu if trace else nu + n - m
+
+
 def stiefel_log_volume(tag: AlgebraTag, m: int, n: int) -> float:
     """log volume of the manifold of m x n matrices with orthonormal rows:
 

@@ -30,7 +30,7 @@ from .algebra import (
     hermitian_eigenvalues,
     singular_values,
 )
-from .special import _lmg, log_gamma, log_mvbeta, tau
+from .special import _lmg, _wide, log_gamma, log_mvbeta, tau
 
 __all__ = [
     "SpectrumSample",
@@ -113,13 +113,12 @@ def _log_joint(tag: AlgebraTag, m: int, n: int, nu: float, values, *,
     (matrix multivariate) K = (1 + sum lambda_i)^(-beta(nu+mn)/2)
     Gamma[beta(nu+mn)/2] / (Gamma[beta nu/2] Gamma_m[beta n/2]).  Singular
     values d of the T matrix are the change of variables lambda = d^2, with
-    Jacobian 2^m prod d_i.  `values` is one spectrum (m,), giving a float,
-    or a batch (N, m), giving an (N,) array.
+    Jacobian 2^m prod d_i; a tall T takes `_wide`'s shape.  One spectrum of
+    min(m, n) values gives a float, a batch (N, min(m, n)) an (N,) array.
     """
     tag = AlgebraTag(tag)
     beta = tag.beta
-    if n < m:
-        raise ValueError("require n >= m")
+    m, n, nu = _wide(m, n, nu, trace)
     v, single = _ordered_rows(values, m)
     lam = v * v if singular else v
     pi_exp = beta * m * m * (1.0 if printed_variant else 0.5) + tau(tag, m)
@@ -149,7 +148,8 @@ def _log_joint(tag: AlgebraTag, m: int, n: int, nu: float, values, *,
 
 def log_joint_sv_matric_t(tag: AlgebraTag, m: int, n: int, nu: float, values,
                           *, printed_variant: bool = False):
-    """Joint log density of the singular values of a standard matricvariate T:
+    """Joint log density of the singular values of a standard m x n
+    matricvariate T; a tall T (n < m) takes its transpose's at nu + n - m:
 
         2^m pi^(beta m^2/2 + tau) / (Gamma_m[beta m/2] B_m[beta nu/2, beta n/2])
         * prod d_i^(beta(n-m+1)-1) (1+d_i^2)^(-beta(nu+n)/2)
@@ -160,22 +160,22 @@ def log_joint_sv_matric_t(tag: AlgebraTag, m: int, n: int, nu: float, values,
 
 
 def log_joint_sv_matrix_mt(tag: AlgebraTag, m: int, n: int, nu: float, values):
-    """Joint log density of the singular values of a standard matrix
-    multivariate T; the coupling runs through (1 + sum alpha_i^2)."""
+    """Joint log density of the singular values of a standard m x n matrix
+    multivariate T, through (1 + sum alpha_i^2); a tall T takes its T*'s."""
     return _log_joint(tag, m, n, nu, values, trace=True, singular=True)
 
 
 def log_joint_eig_beta2(tag: AlgebraTag, m: int, n: int, nu: float, values,
                         *, printed_variant: bool = False):
     """Joint log density of the eigenvalues of the gram beta type II matrix
-    (the squared singular values of the matricvariate T)."""
+    of an m x n matricvariate T, T* T's for a tall T (T*'s at nu + n - m)."""
     return _log_joint(tag, m, n, nu, values, trace=False, singular=False,
                       printed_variant=printed_variant)
 
 
 def log_joint_eig_mv(tag: AlgebraTag, m: int, n: int, nu: float, values):
     """Joint log density of the eigenvalues of the gram matrix multivariate
-    beta type II matrix; coupling through (1 + sum gamma_i)."""
+    beta type II matrix of an m x n T (T* T's if tall); kernel (1 + sum gamma_i)."""
     return _log_joint(tag, m, n, nu, values, trace=True, singular=False)
 
 

@@ -262,12 +262,26 @@ def quadrature_mass_eig2(log_joint2) -> float:
 _STOCHASTIC_KINDS = ("ks1", "ks2", "moment")
 
 
+def _cast_param(name: str, key: str, default, value):
+    """`value` as the type of the row's `default`, refusing what the cast
+    would change: a non-integral number for an int, a non-list for a tuple."""
+    if isinstance(default, tuple) and not isinstance(value, (list, tuple)):
+        raise ValueError(f"check {name!r} param {key!r} must be a list, "
+                         f"got {value!r}")
+    if isinstance(default, int) and (isinstance(value, bool)
+                                     or not float(value).is_integer()):
+        raise ValueError(f"check {name!r} param {key!r} must be an integer, "
+                         f"got {value!r}")
+    return type(default)(value)
+
+
 @dataclass(frozen=True)
 class CheckSpec:
     """One named check of the suite table `_CHECKS`, whose row fixes its
     runner and kind.  Params, budget and threshold given here override the
     row's, each param cast to the type of the row's value; a name or param
-    key that the table does not have raises ValueError."""
+    key that the table does not have, a non-integral value for an integer
+    param and a non-list for a tuple param raise ValueError."""
 
     name: str
     params: dict = field(default_factory=dict)
@@ -285,7 +299,8 @@ class CheckSpec:
                              f"its params are {sorted(params)}")
         resolved = {
             "kind": kind,
-            "params": {key: type(value)(self.params.get(key, value))
+            "params": {key: _cast_param(self.name, key, value,
+                                        self.params.get(key, value))
                        for key, value in params.items()},
             "budget": budget if self.budget is None else int(self.budget),
             "threshold": float(threshold if self.threshold is None else self.threshold),

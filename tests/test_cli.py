@@ -152,6 +152,14 @@ class TestSample:
         assert code == 0
         assert len(out.read_text().splitlines()) == 4
 
+    def test_params_file_without_a_family(self, tmp_path):
+        pfile = tmp_path / "params.json"
+        pfile.write_text(json.dumps({"beta": 1, "m": 1, "n": 1, "nu": 1.0}))
+        out = tmp_path / "o.jsonl"
+        code = run_cli("sample", "--dist", "matric-t", "--params", str(pfile),
+                       "--count", "3", "--seed", "5", "--out", str(out))
+        assert code == 0
+
 
 class TestDensity:
     def _density_values(self, path):
@@ -185,6 +193,21 @@ class TestDensity:
             outs.append(self._density_values(out))
         gaps = [abs(a - b) for a, b in zip(*outs)]
         assert max(gaps) < 1e-9
+
+    @pytest.mark.parametrize("dist", ["matrix-mt", "beta2-matric"])
+    def test_params_file_of_another_family_exit_2(self, tmp_path, capsys, dist):
+        # loaded as the wrong record, a matric-t file would drop its Xi and Sigma
+        pfile, pts, out = (tmp_path / name for name in ("p.json", "pts.jsonl", "d.txt"))
+        pfile.write_text(json.dumps({"family": "matric-t", "beta": 1, "m": 1, "n": 1,
+                                     "nu": 3.0, "Xi": {"beta": 1, "rows": 1, "cols": 1,
+                                                       "data": [[[2.0]]]}}))
+        pts.write_text(json.dumps({"beta": 1, "rows": 1, "cols": 1,
+                                   "data": [[[0.5]]]}) + "\n")
+        code = run_cli("density", "--dist", dist, "--params", str(pfile),
+                       "--points", str(pts), "--out", str(out))
+        assert code == 2
+        assert "params record of family 'matric-t'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_malformed_points_exit_2(self, tmp_path, capsys):
         pts = tmp_path / "bad.jsonl"
@@ -350,7 +373,11 @@ class TestSpectrum:
 
     @pytest.mark.parametrize("n,values", [(1, 1), (2, 2)])
     def test_tall_cogram_grid_is_written(self, tmp_path, n, values):
-        # a cogram draw is n x n, so m = 3 still has a spectrum of n values
+        # a cogram draw is n x n, so m = 3 still has a spectrum of n values,
+        # under the gram law of the n x 3 transpose at nu + n - 3
+        from rdmt.algebra import AlgebraTag
+        from rdmt.spectral import log_joint_eig_beta2
+
         out, grid = tmp_path / "s.csv", tmp_path / "g.csv"
         code = run_cli("spectrum", "--dist", "beta2-matric", "--beta", "1",
                        "--m", "3", "--n", str(n), "--nu", "5", "--count", "50",
@@ -359,6 +386,27 @@ class TestSpectrum:
         lines = grid.read_text().splitlines()
         assert lines[1] == ",".join([f"v{i + 1}" for i in range(values)] + ["logpdf"])
         assert len(lines) == 2 + (256 if values == 1 else 64 * 63 // 2)
+        *v, logpdf = (float(x) for x in lines[-1].split(","))
+        want = log_joint_eig_beta2(AlgebraTag.REAL, n, 3, 5.0 + n - 3, v)
+        assert math.isclose(logpdf, want, rel_tol=1e-13, abs_tol=1e-13)
+
+    @pytest.mark.parametrize("beta", [1, 2])
+    @pytest.mark.parametrize("m,n", [(2, 1), (3, 2)])
+    def test_tall_matric_t_grid_is_the_wide_law(self, tmp_path, beta, m, n):
+        # the singular values of an m x n T, m > n, follow its n x m
+        # transpose at nu + n - m
+        from rdmt.algebra import AlgebraTag
+        from rdmt.spectral import log_joint_sv_matric_t
+
+        out, grid = tmp_path / "s.csv", tmp_path / "g.csv"
+        code = run_cli("spectrum", "--dist", "matric-t", "--beta", str(beta),
+                       "--m", str(m), "--n", str(n), "--nu", "9", "--count", "50",
+                       "--seed", "2", "--out", str(out), "--grid", str(grid))
+        assert code == 0
+        for line in grid.read_text().splitlines()[2::97]:
+            *v, logpdf = (float(x) for x in line.split(","))
+            want = log_joint_sv_matric_t(AlgebraTag(beta), n, m, 9.0 + n - m, v)
+            assert math.isclose(logpdf, want, rel_tol=1e-13, abs_tol=1e-13)
 
     def test_eigen_kind_requires_wide_matrix(self, tmp_path, capsys):
         code = run_cli("spectrum", "--dist", "matric-t", "--beta", "1", "--m",
@@ -497,6 +545,12 @@ class TestVerify:
          "of kind 'ks1', not 'identity'"),
         ({"name": "scalar-law-cauchy", "threshold": 1.5}, "p-values"),
         ({"name": "scalar-law-cauchy", "budgett": 10}, "key 'budgett'"),
+        ({"name": "normalization-eig-2d", "params": {"m": 2.7}},
+         "param 'm' must be an integer"),
+        ({"name": "elliptical-invariance-beta1", "params": {"nu": 4.9}},
+         "param 'nu' must be an integer"),
+        ({"name": "elliptical-invariance-beta1", "params": {"weights": "abc"}},
+         "param 'weights' must be a list"),
     ])
     def test_bad_suite_file_exit_2(self, tmp_path, capsys, entry, message):
         suite, report = tmp_path / "suite.json", tmp_path / "r.json"

@@ -7,10 +7,12 @@ from rdmt.algebra import AlgebraTag, DivMatrix, HermitianPD, conj_transpose, mat
 from rdmt.distributions import (
     BetaIIParams,
     MatricTParams,
+    MatrixMTParams,
     RngStream,
     logpdf_beta2_matric,
     logpdf_beta2_multivariate,
     sample_matric_t,
+    sample_matrix_mt,
 )
 from rdmt.errors import OctonionMatrixError
 from rdmt.spectral import (
@@ -76,10 +78,6 @@ class TestSvMatricT:
     def test_ordering_violation(self):
         with pytest.raises(ValueError):
             log_joint_sv_matric_t(R, 2, 3, 4.0, [1.0, 2.0])
-
-    def test_requires_n_ge_m(self):
-        with pytest.raises(ValueError):
-            log_joint_sv_matric_t(R, 3, 2, 9.0, [3.0, 2.0, 1.0])
 
     def test_printed_variant_shifts_by_half_log_pi_m2(self):
         base = log_joint_sv_matric_t(R, 2, 3, 4.0, [2.0, 1.0])
@@ -227,6 +225,44 @@ class TestEmpiricalVsClosedForm:
         assert p > 0.005
 
 
+class TestTallSpectra:
+    """A tall (m > n) T has the spectra of its wide transpose, at nu + n - m
+    under the determinant coupling and at nu under the trace coupling: the
+    samplers, which draw the tall matrix itself, agree with the densities."""
+
+    LAWS = [pytest.param(MatricTParams, sample_matric_t, log_joint_sv_matric_t, -1.0,
+                         id="matric-t"),
+            pytest.param(MatrixMTParams, sample_matrix_mt, log_joint_sv_matrix_mt, 0.0,
+                         id="matrix-mt")]
+
+    @pytest.mark.parametrize("tag", [R, C])
+    @pytest.mark.parametrize("record,sampler,density,shift", LAWS)
+    def test_one_sample_ks_against_the_density(self, tag, record, sampler, density,
+                                               shift):
+        from rdmt.verify import _cumulative_cdf, ks_one_sample
+
+        raw = sampler(RngStream(41), record(tag, 2, 1, 4.0), size=2000)
+        d = np.sort(singular_values_batch(tag, raw)[:, 0])
+        xs = np.unique(np.quantile(d, np.linspace(0.0, 1.0, 101)))
+        cdf, total = _cumulative_cdf(
+            lambda x: math.exp(density(tag, 2, 1, 4.0, [x])), 0.0, xs, 1e-10)
+        assert abs(total - 1.0) < 1e-8
+        _, p = ks_one_sample(d, cdf)
+        assert p > 0.01
+
+    @pytest.mark.parametrize("tag", [R, C])
+    @pytest.mark.parametrize("record,sampler,density,shift", LAWS)
+    def test_two_sample_ks_against_the_wide_sampler(self, tag, record, sampler,
+                                                    density, shift):
+        from rdmt.verify import _per_sv_ks2
+
+        # the wide nu is nu + n - m: 5 - 1 under the determinant coupling
+        tall = sampler(RngStream(43), record(tag, 3, 2, 5.0), size=4000)
+        wide = sampler(RngStream(44), record(tag, 2, 3, 5.0 + shift), size=4000)
+        pmin, _ = _per_sv_ks2(tag, tall, wide)
+        assert pmin > 0.01
+
+
 class TestSpectralCore:
     PAIRS = [
         (log_joint_sv_matric_t, log_joint_eig_beta2, False),
@@ -265,6 +301,19 @@ class TestSpectralCore:
                 single = fn(tag, m, n, nu, row, **kw)
                 assert type(single) is float
                 assert abs(got - single) <= 1e-12 * max(1.0, abs(single))
+
+    @pytest.mark.parametrize("tag", [R, C, H, O])
+    @pytest.mark.parametrize("fn,wide_nu", [
+        (log_joint_sv_matric_t, 9.0 + 2 - 3), (log_joint_eig_beta2, 9.0 + 2 - 3),
+        (log_joint_sv_matrix_mt, 9.0), (log_joint_eig_mv, 9.0)])
+    def test_tall_is_the_wide_transpose(self, tag, fn, wide_nu):
+        # a 3 x 2 T has the spectra of its 2 x 3 transpose, at nu + n - m
+        # under the determinant coupling and at nu under the trace coupling
+        v = np.array([[3.0, 2.0], [1.5, 0.25]])
+        assert np.array_equal(fn(tag, 3, 2, 9.0, v), fn(tag, 2, 3, wide_nu, v))
+        assert fn(tag, 3, 2, 9.0, v[0]) == fn(tag, 2, 3, wide_nu, v[0])
+        with pytest.raises(ValueError, match="spectra of 2 values"):
+            fn(tag, 3, 2, 9.0, [3.0, 2.0, 1.0])
 
     def test_bad_row_is_named(self):
         v = np.array([[2.0, 1.0], [3.0, 0.5], [1.0, 1.0], [2.0, -1.0]])
@@ -313,32 +362,51 @@ class TestSelbergMass:
     FNS = [(log_joint_eig_beta2, False, False), (log_joint_eig_mv, True, False),
            (log_joint_sv_matric_t, False, True), (log_joint_sv_matrix_mt, True, True)]
 
+    @staticmethod
+    def _log_mass(tag, m, n, nu, fn, trace, singular, shape):
+        """log mass of the m x n law at nu (m <= n), whose density is fn
+        called at `shape`, the (rows, cols, nu) it is given."""
+        beta = tag.beta
+        lam = 0.7 * np.arange(m, 0, -1.0)
+        a, q = beta * (n - m + 1) / 2.0, beta * (nu + m * n) / 2.0
+        kernel = (a - 1.0) * np.log(lam).sum() + beta * sum(
+            math.log(lam[i] - lam[j]) for i in range(m) for j in range(i + 1, m))
+        if trace:
+            kernel -= q * math.log1p(lam.sum())
+        else:
+            kernel -= beta * (nu + n) / 2.0 * np.log1p(lam).sum()
+        if singular:
+            log_c = (fn(tag, *shape, np.sqrt(lam)) - kernel - m * math.log(2.0)
+                     - 0.5 * np.log(lam).sum())
+        else:
+            log_c = fn(tag, *shape, lam) - kernel
+        if trace:
+            log_mass = (log_c + _log_laguerre_selberg(m, a, beta / 2.0)
+                        + math.lgamma(q - beta * m * n / 2.0) - math.lgamma(q))
+        else:
+            log_mass = log_c + _log_selberg(m, a, beta * (nu - m + 1) / 2.0,
+                                            beta / 2.0)
+        return log_mass - math.lgamma(m + 1.0)
+
     @pytest.mark.parametrize("tag", [R, C, H, O])
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     @pytest.mark.parametrize("fn,trace,singular", FNS)
     def test_log_mass_is_zero(self, tag, m, fn, trace, singular):
-        beta = tag.beta
         for n, nu in ((m, m - 0.25), (m + 2, m + 1.5)):
-            lam = 0.7 * np.arange(m, 0, -1.0)
-            a, q = beta * (n - m + 1) / 2.0, beta * (nu + m * n) / 2.0
-            kernel = (a - 1.0) * np.log(lam).sum() + beta * sum(
-                math.log(lam[i] - lam[j]) for i in range(m) for j in range(i + 1, m))
-            if trace:
-                kernel -= q * math.log1p(lam.sum())
-            else:
-                kernel -= beta * (nu + n) / 2.0 * np.log1p(lam).sum()
-            if singular:
-                log_c = (fn(tag, m, n, nu, np.sqrt(lam)) - kernel - m * math.log(2.0)
-                         - 0.5 * np.log(lam).sum())
-            else:
-                log_c = fn(tag, m, n, nu, lam) - kernel
-            if trace:
-                log_mass = (log_c + _log_laguerre_selberg(m, a, beta / 2.0)
-                            + math.lgamma(q - beta * m * n / 2.0) - math.lgamma(q))
-            else:
-                log_mass = log_c + _log_selberg(m, a, beta * (nu - m + 1) / 2.0,
-                                                beta / 2.0)
-            log_mass -= math.lgamma(m + 1.0)
+            log_mass = self._log_mass(tag, m, n, nu, fn, trace, singular, (m, n, nu))
+            assert abs(log_mass) < 1e-10, (n, nu, log_mass)
+
+    @pytest.mark.parametrize("tag", [R, C, H, O])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("fn,trace,singular", FNS)
+    def test_tall_log_mass_is_zero(self, tag, m, fn, trace, singular):
+        # an n x m T, n > m, has min(m, n) = m values: its kernel's
+        # exponents beta(nu_T + m)/2 and beta(nu_T + mn)/2 are those of the
+        # m x n law at nu = nu_T + m - n (determinant) or nu = nu_T (trace)
+        for n, nu in ((m + 1, m + 0.5), (m + 2, m + 1.5)):
+            tall_nu = nu if trace else nu + n - m
+            log_mass = self._log_mass(tag, m, n, nu, fn, trace, singular,
+                                      (n, m, tall_nu))
             assert abs(log_mass) < 1e-10, (n, nu, log_mass)
 
 

@@ -231,6 +231,22 @@ class TestSuiteTable:
         assert spec.threshold == 0.005 and spec.kind == "ks2"
         spec = CheckSpec("normalization-scalar-beta2", {"nu": 7})
         assert type(spec.params["nu"]) is float
+        spec = CheckSpec("normalization-eig-2d", {"m": 2.0})
+        assert type(spec.params["m"]) is int and spec.params["m"] == 2
+
+    @pytest.mark.parametrize("name,params,message", [
+        ("normalization-eig-2d", {"m": 2.7}, "param 'm' must be an integer"),
+        ("elliptical-invariance-beta1", {"nu": 4.9}, "param 'nu' must be an integer"),
+        ("elliptical-invariance-beta1", {"nu": True}, "param 'nu' must be an integer"),
+        ("elliptical-invariance-beta1", {"weights": "abc"},
+         "param 'weights' must be a list"),
+        ("elliptical-invariance-beta1", {"scales": 3.0},
+         "param 'scales' must be a list"),
+    ])
+    def test_overrides_the_cast_would_change_are_refused(self, name, params, message):
+        # int(2.7) would run at m = 2, tuple("abc") at ('a', 'b', 'c')
+        with pytest.raises(ValueError, match=message):
+            CheckSpec(name, params)
 
     def test_unknown_param_key_is_refused(self):
         with pytest.raises(ValueError, match="no param 'Nu'"):

@@ -5,7 +5,8 @@
 Every command runs in this process through `rdmt.cli.main`.  Command NAME
 leaves OUTDIR/NAME/ holding its output files (`out`, and `grid` for
 spectrum overlays), its exit code (`exit`), and its stdout and stderr; the
-timings that `verify` prints are masked, so every file is deterministic.
+timings that `verify` prints are masked, and OUTDIR reads "OUTDIR" in argv
+and stdout, so every file is deterministic.
 The parameter and point files the commands read are built here from numpy
 alone and written to OUTDIR/inputs/.
 
@@ -17,7 +18,8 @@ The matrix covers `sample` for every family at beta 1, 2, 4 and, where
 legal, 1x1 beta = 8, with each construction method and both formats;
 `density` for all four families in the standard form and in a scaled form
 read from --params (matric-t in both its primal and dual form); `spectrum`
-for each family and kind, with --grid where an overlay exists;
+for each family and kind, with --grid where an overlay exists, and tall
+(m > n) singular grids of matric-t and matrix-mt;
 `verify --seed 11 --report` on the default suite and on small suite files
 (entries with partial params, with and without a kind, and ones the suite
 table refuses); and family-specific flags given to families that do not read
@@ -221,6 +223,15 @@ def _commands(files: dict) -> list:
             cmd = (["spectrum", "--dist", family, "--kind", kind] + argv + dims
                    + seed + (["--grid", "{grid}"] if grid else []))
             cmds.append((f"spectrum-{label}-{kind}-b{beta}", cmd))
+    # tall T (m > n): the grid is the law of the wide transpose
+    for beta in BETAS:
+        for family, argv in (("matric-t", ["--nu", "9"]),
+                             ("matrix-mt", ["--nu", "3.5", "--rho", "0.7"])):
+            for m, n in ((2, 1), (3, 2)):
+                cmds.append((f"spectrum-{family}-singular-{m}x{n}-b{beta}",
+                             ["spectrum", "--dist", family, "--kind", "singular"]
+                             + argv + shape(beta, m, n) + seed
+                             + ["--grid", "{grid}"]))
 
     # commands that must fail, with their messages
     cmds += [
@@ -250,6 +261,9 @@ def _commands(files: dict) -> list:
                                       "--rho", "5"] + shape(1) + seed),
         ("fail-sample-gaussian-mix", ["sample", "--dist", "gaussian",
                                       "--mix", "0.5:1,0.5:3"] + shape(1) + seed),
+        ("fail-spectrum-elliptical-t-tall",
+         ["spectrum", "--dist", "elliptical-t", "--nu", "4", "--mix", "0.5:1,0.5:3",
+          "--kind", "singular"] + shape(1, 3, 2) + seed + ["--grid", "{grid}"]),
         ("fail-spectrum-matrix-mt-mix",
          ["spectrum", "--dist", "matrix-mt", "--nu", "3.5", "--mix", "0.5:1,0.5:3"]
          + shape(1) + seed),
@@ -274,6 +288,7 @@ def _run(outdir: str, name: str, argv: list) -> int:
         warnings.simplefilter("always")
         code = cli.main(argv)
     text = re.sub(r"\d+\.\d+s\)", "<time>s)", stdout.getvalue())
+    text = text.replace(outdir, "OUTDIR")
     # warnings without the source path they carry
     warned = "".join(f"{w.category.__name__}: {w.message}\n" for w in caught)
     for part, content in (("exit", f"{code}\n"), ("stdout", text),
