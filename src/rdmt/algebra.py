@@ -33,6 +33,7 @@ division, its norm and its real part, so the scalar laws work at beta = 8.
 from __future__ import annotations
 
 import enum
+import math
 
 import numpy as np
 
@@ -160,8 +161,18 @@ def _octonion_scalar(x: np.ndarray) -> bool:
     return True
 
 
+def _batch(x: np.ndarray) -> int:
+    """Number of matrices in a (..., rows, cols, beta) stack."""
+    return math.prod(x.shape[:-3])
+
+
 def _matmul_raw(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product on (..., m, k, beta) x (..., k, n, beta) arrays."""
+    """Matrix product on (..., m, k, beta) x (..., k, n, beta) arrays; the
+    leading axes broadcast.  A stack of A times one shared B is one product:
+    the stack read as the single (N m) x k matrix of its rows, whose complex
+    representation is that of each A in turn.  Only stacks of A with two or
+    more complex rows fold, because numpy takes one-row products through
+    vector kernels that round differently from the matrix kernel."""
     if a.shape[-2] != b.shape[-3]:
         raise ValueError(
             f"matmul dimension mismatch: {a.shape[-3]}x{a.shape[-2]} by "
@@ -170,6 +181,10 @@ def _matmul_raw(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     beta = a.shape[-1]
     if _octonion_scalar(a) and _octonion_scalar(b):
         return _mul_coeffs(a, b)
+    if _batch(a) > 1 and _batch(b) == 1 and (beta == 4 or a.shape[-3] > 1):
+        lead = np.broadcast_shapes(a.shape[:-3], b.shape[:-3])
+        prod = _matmul_raw(a.reshape(-1, a.shape[-2], beta), b.reshape(b.shape[-3:]))
+        return prod.reshape(lead + (a.shape[-3], b.shape[-2], beta))
     return _complex_unembed_raw(
         _complex_embed_raw(a, beta) @ _complex_embed_raw(b, beta), beta
     )
@@ -299,11 +314,21 @@ def _logdet_hermitian_raw(a: np.ndarray) -> np.ndarray:
 
 def _solve_raw(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve A X = B for invertible (..., m, m, beta) A and (..., m, n, beta) B;
-    the leading axes broadcast.  A 1x1 octonion A must be real, as the
-    Cholesky factors that reach here are."""
+    the leading axes broadcast.  One shared A against a stack of B is one LU
+    solve of A [B_1 ... B_N], the stack side by side as a single m x (N n)
+    matrix.  Only stacks of B with two or more complex columns fold, because
+    LAPACK takes a single right-hand side through vector kernels that round
+    differently.  A 1x1 octonion A must be real, as the Cholesky factors
+    that reach here are."""
     beta = a.shape[-1]
     if _octonion_scalar(a):
         return b / a[..., :1]
+    if _batch(b) > 1 and _batch(a) == 1 and (beta == 4 or b.shape[-2] > 1):
+        lead = np.broadcast_shapes(a.shape[:-3], b.shape[:-3])
+        m, n = b.shape[-3:-1]
+        side_by_side = b.reshape(-1, m, n, beta).swapaxes(0, 1).reshape(m, -1, beta)
+        x = _solve_raw(a.reshape(a.shape[-3:]), side_by_side)
+        return x.reshape(m, -1, n, beta).swapaxes(0, 1).reshape(lead + (m, n, beta))
     return _complex_unembed_raw(
         np.linalg.solve(_complex_embed_raw(a, beta), _complex_embed_raw(b, beta)),
         beta,

@@ -407,7 +407,7 @@ def sample_gaussian(rng: RngStream, tag: AlgebraTag, m: int, n: int,
     raw = _std_normal_raw(rng.generator, tag.beta, (nsamp, m, n))
     if Sigma is not None:
         Sigma = _default_hpd(Sigma, tag, n, "Sigma")
-        raw = _matmul_raw(raw, _conj_t_raw(Sigma.chol.data)[None, ...])
+        raw = _matmul_raw(raw, _conj_t_raw(Sigma.chol.data))
     return _wrap_single(tag, raw, size)
 
 
@@ -466,7 +466,7 @@ def sample_wishart(rng: RngStream, params: WishartParams, method: str = "bartlet
         if nu_int != params.nu or nu_int < params.m:
             raise DomainError("gram construction requires integer nu >= m")
         y = _std_normal_raw(rng.generator, tag.beta, (nsamp, params.m, nu_int))
-        c = _matmul_raw(params.Xi.chol.data[None, ...], y)
+        c = _matmul_raw(params.Xi.chol.data, y)
     else:
         raise ValueError(f"unknown Wishart method {method!r}")
     return _wrap_single(tag, _gram_raw(c), size, hermitian=True)
@@ -478,7 +478,7 @@ def _wishart_chol_raw(gen: np.random.Generator, beta: int, m: int, nu: float,
     L_Xi * Bartlett (a product of lower triangulars with real positive
     diagonals is again one, so no refactorization is needed)."""
     lo = _bartlett_factor_raw(gen, beta, m, nu, nsamp)
-    return _matmul_raw(lxi[None, ...], lo)
+    return _matmul_raw(lxi, lo)
 
 
 def sample_matric_t(rng: RngStream, params: MatricTParams,
@@ -498,7 +498,7 @@ def sample_matric_t(rng: RngStream, params: MatricTParams,
     if method == "wishart_root":
         lw = _wishart_chol_raw(gen, beta, m, params.nu, params.Xi.chol.data, nsamp)
         y = _std_normal_raw(gen, beta, (nsamp, m, n))
-        y = _matmul_raw(y, _conj_t_raw(params.Sigma.chol.data)[None, ...])
+        y = _matmul_raw(y, _conj_t_raw(params.Sigma.chol.data))
         t = _solve_raw(lw, y)
     elif method == "inverse_root":
         nu_u = params.nu + n - m
@@ -509,11 +509,11 @@ def sample_matric_t(rng: RngStream, params: MatricTParams,
         g = _cholesky_raw(_hpd_inverse_raw(params.Sigma.mat.data))
         lu = _wishart_chol_raw(gen, beta, n, nu_u, g, nsamp)
         x = _std_normal_raw(gen, beta, (nsamp, m, n))
-        x = _solve_raw(_conj_t_raw(params.Xi.chol.data)[None, ...], x)
+        x = _solve_raw(_conj_t_raw(params.Xi.chol.data), x)
         t = _conj_t_raw(_solve_raw(_conj_t_raw(lu), _conj_t_raw(x)))
     else:
         raise ValueError(f"unknown matricvariate T method {method!r}")
-    t = t + params.mu.data[None, ...]
+    t = t + params.mu.data
     return _wrap_single(tag, t, size)
 
 
@@ -543,11 +543,11 @@ def sample_matrix_mt(rng: RngStream, params: MatrixMTParams,
                        f"that underflowed to 0; nu = {params.nu:g} is too small")
     y = _std_normal_raw(gen, beta, (nsamp, m, n))
     t1 = y / np.sqrt(s)[:, None, None, None]
-    p = _solve_raw(_conj_t_raw(params.Delta.chol.data)[None, ...], t1)
+    p = _solve_raw(_conj_t_raw(params.Delta.chol.data), t1)
     t1 = _conj_t_raw(
-        _solve_raw(_conj_t_raw(params.Lambda.chol.data)[None, ...], _conj_t_raw(p))
+        _solve_raw(_conj_t_raw(params.Lambda.chol.data), _conj_t_raw(p))
     )
-    t1 = t1 + params.mu.data[None, ...]
+    t1 = t1 + params.mu.data
     return _wrap_single(tag, t1, size)
 
 

@@ -17,6 +17,7 @@ behind `printed_variant` for the diagnostic evidence check.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -99,6 +100,30 @@ def _ordered_rows(values, m: int) -> tuple:
     return v, single
 
 
+@functools.lru_cache(maxsize=256)
+def _log_joint_const(tag: AlgebraTag, m: int, n: int, nu: float, trace: bool,
+                     singular: bool, printed_variant: bool) -> float:
+    """The point-independent log constant of `_log_joint` at the wide shape,
+    computed once per law: the normalizing coefficient, the coupling's
+    constant and the singular-value Jacobian's 2^m, added in that order."""
+    beta = tag.beta
+    pi_exp = beta * m * m * (1.0 if printed_variant else 0.5) + tau(tag, m)
+    const = pi_exp * _LOG_PI - _lmg(tag, m, beta * m / 2.0)
+    if beta > 1:
+        # the eigenvector phases give (pi^(beta/2) / Gamma(beta/2))^-m: tau
+        # holds the power of pi, this the Gamma(beta/2)^m, 6^m at beta = 8
+        # (ERRATA.md section 5); at beta = 1, tau = 0 is the whole factor
+        const += m * log_gamma(beta / 2.0)
+    if trace:
+        q1 = beta * (nu + m * n) / 2.0
+        const += log_gamma(q1) - log_gamma(beta * nu / 2.0) - _lmg(tag, m, beta * n / 2.0)
+    else:
+        const -= log_mvbeta(tag, m, beta * nu / 2.0, beta * n / 2.0)
+    if singular:
+        const += m * _LOG_2
+    return const
+
+
 def _log_joint(tag: AlgebraTag, m: int, n: int, nu: float, values, *,
                trace: bool, singular: bool, printed_variant: bool = False):
     """The one spectral-density core.
@@ -120,25 +145,15 @@ def _log_joint(tag: AlgebraTag, m: int, n: int, nu: float, values, *,
     beta = tag.beta
     m, n, nu = _wide(m, n, nu, trace)
     v, single = _ordered_rows(values, m)
+    const = _log_joint_const(tag, m, n, nu, trace, singular, printed_variant)
     lam = v * v if singular else v
-    pi_exp = beta * m * m * (1.0 if printed_variant else 0.5) + tau(tag, m)
-    const = pi_exp * _LOG_PI - _lmg(tag, m, beta * m / 2.0)
-    if beta > 1:
-        # the eigenvector phases give (pi^(beta/2) / Gamma(beta/2))^-m: tau
-        # holds the power of pi, this the Gamma(beta/2)^m, 6^m at beta = 8
-        # (ERRATA.md section 5); at beta = 1, tau = 0 is the whole factor
-        const += m * log_gamma(beta / 2.0)
     log_lam = np.log(lam)
     out = (beta * (n - m + 1) / 2.0 - 1.0) * log_lam.sum(axis=1)
     if trace:
-        q1 = beta * (nu + m * n) / 2.0
-        const += log_gamma(q1) - log_gamma(beta * nu / 2.0) - _lmg(tag, m, beta * n / 2.0)
-        out -= q1 * np.log1p(lam.sum(axis=1))
+        out -= beta * (nu + m * n) / 2.0 * np.log1p(lam.sum(axis=1))
     else:
-        const -= log_mvbeta(tag, m, beta * nu / 2.0, beta * n / 2.0)
         out -= beta * (nu + n) / 2.0 * np.log1p(lam).sum(axis=1)
     if singular:
-        const += m * _LOG_2
         out += 0.5 * log_lam.sum(axis=1)
     for i in range(m - 1):  # the Vandermonde factor, one row of pairs at a time
         out += beta * np.log(lam[:, i, None] - lam[:, i + 1:]).sum(axis=1)

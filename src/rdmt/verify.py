@@ -15,6 +15,28 @@ suite.  A correct implementation therefore passes with probability well
 above 0.9 while genuine distributional errors at the tested sample sizes
 drive p far below threshold.
 
+Quadrature: every integrand of a library density takes a whole set of
+nodes at once, so each batch is one density call on an (N, 1, 1, beta)
+stack (`_scalar_logpdf`) or on an (N, m) array of spectra.
+
+* `_quad`: adaptive 21-point Gauss-Kronrod on `scipy.integrate.cubature`
+  (no node on an endpoint; an infinite limit is mapped onto (0, 1]).  It
+  serves `quadrature_mass_positive` (normalization-scalar-beta2, the cogram
+  masses of printed-variant-evidence) and the singular-value masses of
+  printed-variant-evidence.
+* `_cumulative_cdf`: one elementwise `scipy.integrate.tanhsinh` call over
+  all the pieces of a CDF grid (scalar-law-mt-quadrature-cdf,
+  spectrum-vs-closed-form).
+* `quadrature_mass_row`: QUADPACK `quad`, node by node, on the closed-form
+  radial densities (normalization-scalar-t).
+* `quadrature_mass_eig2`: QUADPACK `dblquad` over the ordered cone
+  (normalization-eig-2d).
+
+The first three keep the same gates (`_converged`): a finite value, a
+converged status, and an error estimate of at most max(1e-8, 1e-6 |value|),
+for each piece; a failed gate raises RuntimeError, which the check records.
+`quadrature_mass_eig2` requires a finite value and an error of at most 1e-5.
+
 scipy is imported where it is called, and once by ``run_suite`` before its
 first check's clock starts, so that importing this module (as ``rdmt`` and
 ``rdmt.cli`` do) does not load scipy for the commands that never verify.
@@ -173,16 +195,31 @@ def moment_check(samples, expected: float, tol_se: float, estimator=None) -> Mom
 # ---------------------------------------------------------------------------
 
 
-def _quad(fn, lo, hi, epsabs=1e-10, epsrel=1e-10, target=1e-8) -> float:
-    from scipy import integrate
+def _converged(value, error, ok) -> None:
+    """The gates every integral here passes: a finite value, a converged
+    status, and an error estimate of at most max(1e-8, 1e-6 |value|), for
+    each of an array of pieces; RuntimeError names the first that fails."""
+    value, error = np.asarray(value, dtype=float), np.asarray(error, dtype=float)
+    bad = ~(np.asarray(ok) & np.isfinite(value)
+            & (error <= np.maximum(1e-8, 1e-6 * np.abs(value))))
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
+        where = f"quadrature piece {i}" if value.ndim else "quadrature"
+        raise RuntimeError(f"{where} did not converge (value {value.flat[i]}, "
+                           f"error estimate {error.flat[i]})")
 
-    out = integrate.quad(fn, lo, hi, epsabs=epsabs, epsrel=epsrel,
-                         limit=300, full_output=1)
-    val, abserr = out[0], out[1]
-    if len(out) > 3 or not np.isfinite(val) or abserr > max(target, 1e-6 * abs(val)):
-        raise RuntimeError(
-            f"quadrature did not converge (value {val}, error estimate {abserr})"
-        )
+
+def _quad(fn, lo, hi) -> float:
+    """int_lo^hi fn(x) dx by adaptive 21-point Gauss-Kronrod, the rule family
+    of QUADPACK, on `scipy.integrate.cubature`, to 1e-10.  `fn` takes an (N,)
+    array of nodes and returns the (N,) integrand values; no node is an
+    endpoint, and an infinite limit is mapped onto (0, 1]."""
+    from scipy.integrate import cubature
+
+    res = cubature(lambda x: fn(x[:, 0]), [lo], [hi], rule="gk21", rtol=1e-10,
+                   atol=1e-10, max_subdivisions=300)
+    val = float(res.estimate)
+    _converged(val, float(res.error), res.status == "converged")
     return val
 
 
@@ -195,8 +232,12 @@ def quadrature_mass_row(log_density_radial, tag: AlgebraTag, n: int = 1) -> floa
 
         mass = int_0^inf  2 pi^(d/2)/Gamma(d/2) * r^(d-1) * pdf(r) dr
 
-    with d = beta * n.
+    with d = beta * n.  The radial densities are closed-form scalars of r,
+    and their algebraic tails need QUADPACK's extrapolation: this is the one
+    integral on `scipy.integrate.quad`, node by node, under `_quad`'s gates.
     """
+    from scipy import integrate
+
     beta = AlgebraTag(tag).beta
     dim = beta * n
     log_surface = _LOG_2 + dim / 2.0 * _LOG_PI - log_gamma(dim / 2.0)
@@ -207,7 +248,10 @@ def quadrature_mass_row(log_density_radial, tag: AlgebraTag, n: int = 1) -> floa
         return math.exp(log_surface + (dim - 1) * math.log(r)
                         + log_density_radial(r))
 
-    return _quad(integrand, 0.0, np.inf)
+    out = integrate.quad(integrand, 0.0, np.inf, epsabs=1e-10, epsrel=1e-10,
+                         limit=300, full_output=1)
+    _converged(out[0], out[1], len(out) <= 3)
+    return out[0]
 
 
 def quadrature_mass_scalar(log_density_radial, tag: AlgebraTag) -> float:
@@ -217,21 +261,13 @@ def quadrature_mass_scalar(log_density_radial, tag: AlgebraTag) -> float:
 
 
 def quadrature_mass_positive(log_density) -> float:
-    """Mass of a density on the positive half line.
+    """Mass of a density on the positive half line; `log_density` maps an
+    (N,) array of x > 0 to their (N,) log densities.
 
     Integrates in u with x = u^2, which removes the integrable endpoint
     singularity every beta type II scalar kernel can have at the origin.
     """
-
-    def integrand(u: float) -> float:
-        if u <= 0.0:
-            return 0.0
-        x = u * u
-        if x == 0.0:
-            return 0.0
-        return math.exp(log_density(x) + math.log(2.0 * u))
-
-    return _quad(integrand, 0.0, np.inf)
+    return _quad(lambda u: np.exp(log_density(u * u) + np.log(2.0 * u)), 0.0, np.inf)
 
 
 def quadrature_mass_eig2(log_joint2) -> float:
@@ -275,13 +311,23 @@ def _cast_param(name: str, key: str, default, value):
     return type(default)(value)
 
 
+def _whole_budget(name: str, value) -> int:
+    """A given budget as an int, refusing what int(...) would turn into
+    another budget: a bool, a non-integral number, one below 1."""
+    if isinstance(value, bool) or not float(value).is_integer() or float(value) < 1:
+        raise ValueError(f"check {name!r} budget must be a whole number >= 1, "
+                         f"got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class CheckSpec:
     """One named check of the suite table `_CHECKS`, whose row fixes its
     runner and kind.  Params, budget and threshold given here override the
     row's, each param cast to the type of the row's value; a name or param
     key that the table does not have, a non-integral value for an integer
-    param and a non-list for a tuple param raise ValueError."""
+    param, a non-list for a tuple param and a budget that is not a whole
+    number >= 1 raise ValueError."""
 
     name: str
     params: dict = field(default_factory=dict)
@@ -302,7 +348,8 @@ class CheckSpec:
             "params": {key: _cast_param(self.name, key, value,
                                         self.params.get(key, value))
                        for key, value in params.items()},
-            "budget": budget if self.budget is None else int(self.budget),
+            "budget": budget if self.budget is None else _whole_budget(self.name,
+                                                                        self.budget),
             "threshold": float(threshold if self.threshold is None else self.threshold),
         }
         for key, value in resolved.items():
@@ -490,12 +537,16 @@ def _run_normalization_t(rng, budget, threshold, *, nu, rho):
 
 
 def _scalar_logpdf(evaluator, params, **options):
-    """x -> evaluator(params, [[x]], **options): a 1x1 law's log density as
-    a function of the real scalar x."""
-    tag = params.tag
+    """x -> evaluator(params, stack, **options): a 1x1 law's log density at
+    every real scalar of the array x, evaluated once on the (N, 1, 1, beta)
+    stack of the points x + 0 e1 + ... + 0 e_{beta-1}."""
+    beta = params.tag.beta
 
-    def log_density(x: float) -> float:
-        return evaluator(params, DivMatrix.from_real(tag, [[x]]), **options)
+    def log_density(x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        stack = np.zeros((x.size, 1, 1, beta))
+        stack[:, 0, 0, 0] = x.ravel()
+        return evaluator(params, stack, **options).reshape(x.shape)
 
     return log_density
 
@@ -567,15 +618,18 @@ def _run_scalar_law_beta_prime(rng, budget, threshold, *, nu):
 
 def _cumulative_cdf(pdf, lo: float, xs: np.ndarray, tol: float):
     """(CDF interpolator on the grid xs, total mass) of an unnormalized
-    density on (lo, inf), by quadrature over (lo, xs[0]], each grid interval
-    and [xs[-1], inf), in that order."""
+    density on (lo, inf), integrated over (lo, xs[0]], each grid interval
+    and [xs[-1], inf) by one elementwise tanh-sinh call over all the pieces,
+    summed in that order.  `pdf` maps an array of points to the density at
+    each; every piece passes `_quad`'s gates."""
+    from scipy.integrate import tanhsinh
     from scipy.interpolate import PchipInterpolator
 
-    pieces = [_quad(pdf, lo, xs[0], epsabs=tol, epsrel=tol)]
-    for a, b in zip(xs, xs[1:]):
-        pieces.append(_quad(pdf, a, b, epsabs=tol, epsrel=tol))
-    cum = np.cumsum(pieces)
-    total = cum[-1] + _quad(pdf, xs[-1], np.inf, epsabs=tol, epsrel=tol)
+    res = tanhsinh(pdf, np.concatenate([[lo], xs]), np.concatenate([xs, [np.inf]]),
+                   atol=tol, rtol=tol)
+    _converged(res.integral, res.error, res.status == 0)
+    cum = np.cumsum(res.integral[:-1])
+    total = cum[-1] + res.integral[-1]
     return PchipInterpolator(xs, cum / total, extrapolate=False), total
 
 
@@ -586,7 +640,7 @@ def _run_scalar_law_mt_cdf(rng, budget, threshold, *, nu, rho):
     qs = np.linspace(0.0, 1.0, 301)
     xs = np.unique(np.quantile(t, qs))
     xs = np.concatenate([[xs[0] - 1.0], xs, [xs[-1] + 1.0]])
-    cdf, total = _cumulative_cdf(lambda x: math.exp(logpdf_scalar(x)), -np.inf,
+    cdf, total = _cumulative_cdf(lambda x: np.exp(logpdf_scalar(x)), -np.inf,
                                  xs, 1e-11)
     inside = t[(t >= xs[0]) & (t <= xs[-1])]
     d, p = ks_one_sample(inside, cdf)
@@ -638,11 +692,11 @@ def _run_printed_variant_evidence(rng, budget, threshold):
     tag = AlgebraTag.REAL
     # Singular-value density coefficient: corrected vs printed pi exponent,
     # measured where the whole density is one scalar integral.
-    sv_corr = _quad(lambda x: math.exp(log_joint_sv_matric_t(tag, 1, 1, 1.0, [x])),
+    sv_corr = _quad(lambda x: np.exp(log_joint_sv_matric_t(tag, 1, 1, 1.0, x[:, None])),
                     0.0, np.inf)
     sv_printed = _quad(
-        lambda x: math.exp(log_joint_sv_matric_t(tag, 1, 1, 1.0, [x],
-                                                 printed_variant=True)),
+        lambda x: np.exp(log_joint_sv_matric_t(tag, 1, 1, 1.0, x[:, None],
+                                               printed_variant=True)),
         0.0, np.inf)
     # Cogram beta II bracket exponent: corrected vs printed extra -1.
     params = BetaIIParams(tag, 2, 1, 3.0, orientation="cogram")
@@ -672,17 +726,14 @@ def _lmax_cdf_eig_beta2_m2(n: int, nu: float, xs: np.ndarray):
 
     p = (n - 1) / 2.0 - 1.0
     q = (nu + n) / 2.0
+    if q - (p + 2.0) <= 0.0:
+        raise RuntimeError("tail too heavy for the closed-form reduction")
 
-    def inc(k: int, t: float) -> float:
+    def inc(k: int, t: np.ndarray) -> np.ndarray:
         a = p + k + 1.0
-        b = q - a
-        if b <= 0.0:
-            raise RuntimeError("tail too heavy for the closed-form reduction")
-        return math.exp(betaln(a, b)) * betainc(a, b, t / (1.0 + t))
+        return np.exp(betaln(a, q - a)) * betainc(a, q - a, t / (1.0 + t))
 
-    def outer(x: float) -> float:
-        if x <= 0.0:
-            return 0.0
+    def outer(x: np.ndarray) -> np.ndarray:
         return x ** p * (1.0 + x) ** (-q) * (x * inc(0, x) - inc(1, x))
 
     return _cumulative_cdf(outer, 0.0, xs, 1e-12)[0]

@@ -364,6 +364,75 @@ class TestKernelsAgainstEntrywiseOracle:
         np.testing.assert_array_equal(_collapse_pairs(vals[:1]), [[1e9, 1.0]])
 
 
+
+def _one_at_a_time(kernel, a, b, shared_left):
+    """kernel(a, b) with the shared factor applied to one matrix of the
+    stack at a time: each call is the single-matrix case."""
+    stack = b if shared_left else a
+    rows = [kernel(a, one) if shared_left else kernel(one, b)
+            for one in stack.reshape((-1,) + stack.shape[-3:])]
+    return np.stack(rows).reshape(stack.shape[:-3] + rows[0].shape)
+
+
+class TestSharedFactorFold:
+    """One shared factor against a stack is folded into one BLAS/LAPACK
+    call; every result equals the per-matrix one bit for bit."""
+
+    SHAPES = [(2, 3), (3, 2), (1, 3), (3, 1), (2, 2)]
+
+    @staticmethod
+    def _factors(rng, beta, m):
+        lo = _cholesky_raw(_oracle_hpd(rng, beta, m, 1))[0]
+        dense = rng.normal(size=(m, m, beta)) + 3.0 * _identity_raw(m, beta)
+        return lo, _conj_t_raw(lo), dense
+
+    @pytest.mark.parametrize("tag", [R, C, H])
+    @pytest.mark.parametrize("m,n", SHAPES)
+    @pytest.mark.parametrize("lead", [(7,), (2, 3)])
+    def test_solve(self, rng, tag, m, n, lead):
+        b = rng.normal(size=lead + (m, n, tag.beta))
+        for a in self._factors(rng, tag.beta, m):
+            want = _one_at_a_time(_solve_raw, a, b, shared_left=True)
+            np.testing.assert_array_equal(_solve_raw(a, b), want)
+            got = _solve_raw(a[None], b)  # a (1, m, m) factor
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("tag", [R, C, H])
+    @pytest.mark.parametrize("m,n", SHAPES)
+    @pytest.mark.parametrize("lead", [(7,), (2, 3)])
+    def test_matmul(self, rng, tag, m, n, lead):
+        x = rng.normal(size=lead + (m, n, tag.beta))
+        right = rng.normal(size=(n, n, tag.beta))
+        left = rng.normal(size=(m, m, tag.beta))
+        for a, b, shared_left in ((left, x, True), (x, right, False)):
+            want = _one_at_a_time(_matmul_raw, a, b, shared_left)
+            np.testing.assert_array_equal(_matmul_raw(a, b), want)
+            got = _matmul_raw(a[None], b) if shared_left else _matmul_raw(a, b[None])
+            np.testing.assert_array_equal(got, want)
+
+    def test_leading_axes_broadcast(self, rng):
+        x = rng.normal(size=(4, 2, 3, 2))
+        a = self._factors(rng, 2, 2)[0]
+        assert _solve_raw(a[None, None], x).shape == (1, 4, 2, 3, 2)
+        assert _matmul_raw(x, rng.normal(size=(1, 1, 3, 3, 2))).shape == (1, 4, 2, 3, 2)
+
+    def test_single_matrix_is_the_n1_case(self, rng):
+        a = self._factors(rng, 4, 2)[0]
+        b = rng.normal(size=(2, 3, 4))
+        np.testing.assert_array_equal(_solve_raw(a, b[None])[0], _solve_raw(a, b))
+        c = rng.normal(size=(3, 3, 4))
+        np.testing.assert_array_equal(_matmul_raw(b[None], c)[0], _matmul_raw(b, c))
+
+    def test_octonion_scalar_path(self, rng):
+        # a 1x1 octonion stays on the scalar product and the real division
+        x = rng.normal(size=(9, 1, 1, 8))
+        y = rng.normal(size=(1, 1, 8))
+        np.testing.assert_array_equal(_matmul_raw(x, y), _mul_coeffs(x, y))
+        np.testing.assert_array_equal(_matmul_raw(y, x), _mul_coeffs(y, x))
+        pivot = np.zeros((1, 1, 8))
+        pivot[..., 0] = 1.7
+        np.testing.assert_array_equal(_solve_raw(pivot, x), x / 1.7)
+
 class TestLogdet:
     def test_identity_zero(self):
         assert logdet_hpd(HermitianPD.identity(C, 4)) == 0.0

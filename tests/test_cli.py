@@ -551,6 +551,9 @@ class TestVerify:
          "param 'nu' must be an integer"),
         ({"name": "elliptical-invariance-beta1", "params": {"weights": "abc"}},
          "param 'weights' must be a list"),
+        ({"name": "wishart-mean", "budget": 2000.7}, "budget must be a whole number"),
+        ({"name": "wishart-mean", "budget": True}, "budget must be a whole number"),
+        ({"name": "wishart-mean", "budget": 0}, "budget must be a whole number"),
     ])
     def test_bad_suite_file_exit_2(self, tmp_path, capsys, entry, message):
         suite, report = tmp_path / "suite.json", tmp_path / "r.json"

@@ -244,8 +244,11 @@ class TestTallSpectra:
         raw = sampler(RngStream(41), record(tag, 2, 1, 4.0), size=2000)
         d = np.sort(singular_values_batch(tag, raw)[:, 0])
         xs = np.unique(np.quantile(d, np.linspace(0.0, 1.0, 101)))
+        # _cumulative_cdf hands the density every node of every piece at
+        # once, in an array of any shape
         cdf, total = _cumulative_cdf(
-            lambda x: math.exp(density(tag, 2, 1, 4.0, [x])), 0.0, xs, 1e-10)
+            lambda x: np.exp(density(tag, 2, 1, 4.0, x.reshape(-1, 1))).reshape(x.shape),
+            0.0, xs, 1e-10)
         assert abs(total - 1.0) < 1e-8
         _, p = ks_one_sample(d, cdf)
         assert p > 0.01
@@ -263,7 +266,63 @@ class TestTallSpectra:
         assert pmin > 0.01
 
 
+def _uncached_log_joint(tag, m, n, nu, v, trace, singular, printed_variant=False):
+    """The spectral-density core as one formula, every constant recomputed
+    at each call, in the order of additions the core keeps."""
+    from rdmt.special import _lmg, _wide, log_gamma, log_mvbeta, tau
+
+    beta = tag.beta
+    m, n, nu = _wide(m, n, nu, trace)
+    lam = v * v if singular else v
+    pi_exp = beta * m * m * (1.0 if printed_variant else 0.5) + tau(tag, m)
+    const = pi_exp * math.log(math.pi) - _lmg(tag, m, beta * m / 2.0)
+    if beta > 1:
+        const += m * log_gamma(beta / 2.0)
+    log_lam = np.log(lam)
+    out = (beta * (n - m + 1) / 2.0 - 1.0) * log_lam.sum(axis=1)
+    if trace:
+        q1 = beta * (nu + m * n) / 2.0
+        const += log_gamma(q1) - log_gamma(beta * nu / 2.0) - _lmg(tag, m, beta * n / 2.0)
+        out -= q1 * np.log1p(lam.sum(axis=1))
+    else:
+        const -= log_mvbeta(tag, m, beta * nu / 2.0, beta * n / 2.0)
+        out -= beta * (nu + n) / 2.0 * np.log1p(lam).sum(axis=1)
+    if singular:
+        const += m * math.log(2.0)
+        out += 0.5 * log_lam.sum(axis=1)
+    for i in range(m - 1):
+        out += beta * np.log(lam[:, i, None] - lam[:, i + 1:]).sum(axis=1)
+    return out + const
+
+
 class TestSpectralCore:
+    @pytest.mark.parametrize("tag", [R, C, H, O])
+    @pytest.mark.parametrize("fn,trace,singular,printed", [
+        (log_joint_sv_matric_t, False, True, False),
+        (log_joint_sv_matric_t, False, True, True),
+        (log_joint_sv_matrix_mt, True, True, None),
+        (log_joint_eig_beta2, False, False, False),
+        (log_joint_eig_beta2, False, False, True),
+        (log_joint_eig_mv, True, False, None),
+    ])
+    def test_cached_constant_is_bit_identical(self, rng, tag, fn, trace, singular,
+                                              printed):
+        from rdmt.spectral import _log_joint_const
+
+        _log_joint_const.cache_clear()
+        kw = {} if printed is None else {"printed_variant": printed}
+        shapes = ((1, 1, 1.5), (1, 3, 2.5), (2, 3, 4.5), (3, 4, 5.0), (3, 2, 9.0),
+                  (4, 2, 9.5), (2, 1, 4.0))
+        if tag == O:
+            shapes = ((1, 1, 1.5), (1, 3, 2.5), (3, 1, 4.5), (2, 3, 3.5))
+        for m, n, nu in shapes:
+            v = -np.sort(-rng.uniform(0.05, 4.0, size=(11, min(m, n))), axis=1)
+            want = _uncached_log_joint(tag, m, n, nu, v, trace, singular, bool(printed))
+            for _ in range(2):  # the call that fills the cache, then a cached one
+                np.testing.assert_array_equal(fn(tag, m, n, nu, v, **kw), want)
+                assert fn(tag, m, n, nu, v[3], **kw) == want[3]
+        assert _log_joint_const.cache_info().hits > 0
+
     PAIRS = [
         (log_joint_sv_matric_t, log_joint_eig_beta2, False),
         (log_joint_sv_matric_t, log_joint_eig_beta2, True),
@@ -414,7 +473,7 @@ class TestOctonionQuadratureMass:
     @pytest.mark.parametrize("fn", [log_joint_eig_beta2, log_joint_eig_mv,
                                     log_joint_sv_matric_t, log_joint_sv_matrix_mt])
     def test_scalar_spectra(self, fn):
-        mass = quadrature_mass_positive(lambda x: fn(O, 1, 3, 3.5, [x]))
+        mass = quadrature_mass_positive(lambda x: fn(O, 1, 3, 3.5, x[:, None]))
         assert abs(mass - 1.0) < 1e-8
 
     @pytest.mark.parametrize("fn", [log_joint_eig_beta2, log_joint_eig_mv])

@@ -6,7 +6,7 @@ import pytest
 import scipy.stats
 from scipy.special import kolmogorov
 
-from rdmt.algebra import AlgebraTag
+from rdmt.algebra import AlgebraTag, DivMatrix
 from rdmt.distributions import (
     GammaScalarParams,
     RngStream,
@@ -18,11 +18,17 @@ from rdmt.distributions import (
     sample_wishart,
     MatricTParams,
     BetaIIParams,
+    MatrixMTParams,
+    logpdf_beta2_matric,
     logpdf_beta2_multivariate,
+    logpdf_matric_t,
+    logpdf_matrix_mt,
 )
-from rdmt.algebra import DivMatrix
 from rdmt.verify import (
     CheckSpec,
+    _cumulative_cdf,
+    _quad,
+    _scalar_logpdf,
     _KS_REFERENCE_PAIRS,
     _ks_reference_cases,
     default_suite,
@@ -145,9 +151,10 @@ class TestQuadrature:
     def test_scalar_mv_beta2_octonion(self):
         params = BetaIIParams(O, 1, 1, 2.0)
 
-        def logpdf(x):
-            return logpdf_beta2_multivariate(
-                params, DivMatrix.from_real(O, [[x]]))
+        def logpdf(x):  # every node at once, as an (N, 1, 1, 8) stack
+            stack = np.zeros((x.size, 1, 1, 8))
+            stack[:, 0, 0, 0] = x
+            return logpdf_beta2_multivariate(params, stack)
 
         assert abs(quadrature_mass_positive(logpdf) - 1.0) < 1e-6
 
@@ -155,6 +162,91 @@ class TestQuadrature:
         mass = quadrature_mass_row(
             lambda r: radial_logpdf_matrix_mt(O, 3, 2.0, 1.3, r), O, 3)
         assert abs(mass - 1.0) < 1e-6
+
+
+def _quad_reference(logpdf_scalar, lo, hi, positive=False):
+    """The integral by QUADPACK, one scalar density call per node: with
+    positive=True in u with x = u^2, as quadrature_mass_positive does."""
+    from scipy import integrate
+
+    if positive:
+        def integrand(u):
+            return math.exp(logpdf_scalar(u * u) + math.log(2.0 * u)) if u > 0 else 0.0
+    else:
+        def integrand(x):
+            return math.exp(logpdf_scalar(x))
+    val, _ = integrate.quad(integrand, lo, hi, epsabs=1e-13, epsrel=1e-13, limit=500)
+    return val
+
+
+def _at_1x1(evaluator, params, **options):
+    """x -> evaluator at the 1x1 point [[x]], one point per call."""
+    return lambda x: evaluator(params, DivMatrix.from_real(params.tag, [[x]]), **options)
+
+
+class TestBatchedQuadrature:
+    """The node-set quadrature helper against QUADPACK, node by node."""
+
+    @pytest.mark.parametrize("tag", [R, C, H, O])
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("evaluator", [logpdf_beta2_matric, logpdf_beta2_multivariate])
+    def test_beta2_masses_match_quad(self, tag, n, evaluator):
+        params = BetaIIParams(tag, 1, n, 2.0)
+        got = quadrature_mass_positive(_scalar_logpdf(evaluator, params))
+        want = _quad_reference(_at_1x1(evaluator, params), 0.0, np.inf, positive=True)
+        assert abs(got - want) <= 1e-12
+
+    def test_cogram_and_printed_variant_match_quad(self):
+        params = BetaIIParams(R, 2, 1, 3.0, orientation="cogram")
+        for printed in (False, True):
+            got = quadrature_mass_positive(
+                _scalar_logpdf(logpdf_beta2_matric, params, printed_variant=printed))
+            want = _quad_reference(
+                _at_1x1(logpdf_beta2_matric, params, printed_variant=printed),
+                0.0, np.inf, positive=True)
+            assert abs(got - want) <= 1e-12
+
+    @pytest.mark.parametrize("tag", [R, C, H])
+    def test_t_laws_match_quad(self, tag):
+        # 1x1 T densities over the whole line, through the (-inf, inf) map
+        for params, evaluator in (
+                (MatricTParams(tag, 1, 1, 3.0), logpdf_matric_t),
+                (MatrixMTParams(tag, 1, 1, 3.0, 2.0), logpdf_matrix_mt)):
+            log_density = _scalar_logpdf(evaluator, params)
+            got = _quad(lambda x: np.exp(log_density(x)), -np.inf, np.inf)
+            want = _quad_reference(_at_1x1(evaluator, params), -np.inf, np.inf)
+            assert abs(got - want) <= 1e-12
+
+    def test_stack_builder_equals_single_points(self):
+        params = BetaIIParams(H, 1, 2, 2.5)
+        x = np.array([[0.3, 1.0], [2.5, 7.0]])
+        got = _scalar_logpdf(logpdf_beta2_matric, params)(x)
+        assert got.shape == x.shape
+        want = [_at_1x1(logpdf_beta2_matric, params)(v) for v in x.ravel()]
+        np.testing.assert_array_equal(got.ravel(), want)
+
+    def test_non_converging_integrand_raises(self):
+        with pytest.raises(RuntimeError, match="did not converge"):
+            _quad(lambda x: 1.0 / x, 0.0, 1.0)
+        with pytest.raises(RuntimeError, match="did not converge"):
+            _quad(lambda x: np.full_like(x, np.nan), 0.0, 1.0)
+        with pytest.raises(RuntimeError, match="did not converge"):
+            quadrature_mass_positive(lambda x: -0.5 * np.log(x))  # x^-1/2 on (0, inf)
+
+    def test_non_converging_cdf_piece_raises(self):
+        xs = np.array([1.0, 2.0, 3.0])
+        with pytest.raises(RuntimeError, match="piece 0 did not converge"):
+            _cumulative_cdf(lambda x: 1.0 / x, 0.0, xs, 1e-10)
+        with pytest.raises(RuntimeError, match="piece 3 did not converge"):
+            _cumulative_cdf(lambda x: np.ones_like(x), 0.0, xs, 1e-10)
+
+    def test_cdf_pieces_match_quad(self):
+        xs = np.array([0.5, 1.0, 2.0, 4.0])
+        pdf = lambda x: np.exp(-x) * np.sqrt(x)
+        cdf, total = _cumulative_cdf(pdf, 0.0, xs, 1e-12)
+        assert abs(total - math.sqrt(math.pi) / 2.0) <= 1e-12
+        want = [_quad_reference(lambda x: -x + 0.5 * math.log(x), 0.0, b) for b in xs]
+        np.testing.assert_allclose(cdf(xs) * total, want, rtol=0.0, atol=1e-12)
 
 
 class TestSuite:
@@ -247,6 +339,21 @@ class TestSuiteTable:
         # int(2.7) would run at m = 2, tuple("abc") at ('a', 'b', 'c')
         with pytest.raises(ValueError, match=message):
             CheckSpec(name, params)
+
+    @pytest.mark.parametrize("budget", [2000.7, True, False, 0, -5, 0.5,
+                                        float("nan"), float("inf")])
+    def test_budget_the_cast_would_change_is_refused(self, budget):
+        # int(2000.7) would run 2000 draws, int(True) one
+        with pytest.raises(ValueError, match="budget must be a whole number >= 1"):
+            CheckSpec("wishart-mean", {}, budget)
+        with pytest.raises(ValueError, match="budget must be a whole number >= 1"):
+            CheckSpec.from_json_dict({"name": "wishart-mean", "budget": budget})
+
+    def test_whole_budgets_are_kept(self):
+        assert CheckSpec("wishart-mean", {}, 2000.0).budget == 2000
+        assert type(CheckSpec("wishart-mean", {}, 2000.0).budget) is int
+        assert CheckSpec("wishart-mean", {}, 1).budget == 1
+        assert CheckSpec.from_json_dict({"name": "wishart-mean"}).budget == 20000
 
     def test_unknown_param_key_is_refused(self):
         with pytest.raises(ValueError, match="no param 'Nu'"):
