@@ -20,7 +20,10 @@ solves and inverses carry over exactly, the positive-diagonal Cholesky
 factor of the adjoint is the adjoint of the factor (it is unique), and each
 quaternion singular value or eigenvalue appears in the adjoint as a
 coincident (Kramers) pair.  Every kernel is one numpy call between
-`_complex_embed_raw` and `_complex_unembed_raw`.
+`_complex_embed_raw` and `_complex_unembed_raw`, with one exception: the
+singular values of a stack of two or more matrices with min(m, n) <= 2 have
+a closed form (`_singular_values_raw`), which works on the coefficients
+themselves and skips LAPACK's iterative SVD.
 
 Two rules of the algebra live here alone.  Gram products (`_gram_raw`) and
 every other matrix that Cholesky or eigvalsh reads one triangle of are
@@ -350,21 +353,102 @@ def _collapse_pairs(vals: np.ndarray) -> np.ndarray:
     """Average the coincident (Kramers) pairs of descending adjoint spectra,
     checking each matrix's pairs against its own largest value."""
     lead, trail = vals[..., 0::2], vals[..., 1::2]
-    scale = np.maximum(1.0, np.abs(vals).max(axis=-1, keepdims=True))
-    if np.any(np.abs(lead - trail) > PAIR_COLLAPSE_RTOL * scale):
-        raise ArithmeticError(
-            "adjoint spectrum does not split into coincident pairs"
-        )
+    gap = np.abs(lead - trail)
+    # Within the smallest tolerance every matrix passes: the common case.
+    if gap.size and gap.max() > PAIR_COLLAPSE_RTOL:
+        scale = np.maximum(1.0, np.abs(vals).max(axis=-1, keepdims=True))
+        if np.any(gap > PAIR_COLLAPSE_RTOL * scale):
+            raise ArithmeticError(
+                "adjoint spectrum does not split into coincident pairs"
+            )
     return 0.5 * (lead + trail)
 
 
 def _singular_values_raw(x: np.ndarray, beta: int) -> np.ndarray:
-    """Descending singular values on (..., m, n, beta), min(m, n) each; a
-    1x1 octonion's is its norm."""
-    if _octonion_scalar(x):
-        return np.sqrt(np.square(x[..., 0, :, :]).sum(axis=-1))
-    s = np.linalg.svd(_complex_embed_raw(x, beta), compute_uv=False)
-    return _collapse_pairs(s) if beta == 4 else s
+    """Descending singular values on (..., m, n, beta), min(m, n) each.
+
+    A matrix with a NaN or inf coefficient is refused (ValueError naming
+    it), before any LAPACK call.  A stack of two or more matrices with
+    min(m, n) <= 2, and a 1x1 octonion, take a closed form: a tall matrix is
+    read as its conjugate transpose, a one-row matrix's singular value is
+    the row's norm, and two rows go through `_two_row_singular_values`.
+    Each matrix is first scaled by a power of two near its largest
+    coefficient, which is exact and keeps sums of squares from over- or
+    underflowing.  A single matrix and every shape with min(m, n) >= 3 take
+    LAPACK's SVD of the complex representation."""
+    if not np.isfinite(x).all():
+        finite = np.isfinite(x).all(axis=(-3, -2, -1))
+        _raise_at(ValueError, _stack_index(~finite), "matrix",
+                  "has non-finite coefficients")
+    if not (_octonion_scalar(x) or (_batch(x) > 1 and 1 <= min(x.shape[-3:-1]) <= 2)):
+        s = np.linalg.svd(_complex_embed_raw(x, beta), compute_uv=False)
+        return _collapse_pairs(s) if beta == 4 else s
+    if x.shape[-3] > x.shape[-2]:
+        x = _conj_t_raw(x)
+    exp = np.frexp(np.abs(x).max(axis=(-3, -2, -1)))[1]
+    x = np.ldexp(x, -exp[..., None, None, None])
+    if x.shape[-3] == 1:
+        s = np.sqrt(_frobenius_sq_raw(x))[..., None]
+    else:
+        s = _two_row_singular_values(x.reshape((-1,) + x.shape[-3:]), beta)
+        s = s.reshape(x.shape[:-3] + (2,))
+    return np.ldexp(s, exp[..., None])
+
+
+def _two_row_singular_values(x: np.ndarray, beta: int) -> np.ndarray:
+    """(s_max, s_min) of each matrix of an (N, 2, n, beta) stack, beta <= 4,
+    whose coefficients are at most 1 in magnitude.  x is overwritten (its
+    rows are reordered in place), so the caller passes a copy.
+
+    Gram-Schmidt with one reorthogonalization pass, longer row first, writes
+    X = L Q with orthonormal rows Q and L = [[l11, 0], [l21, l22]], l11 and
+    l22 real.  Multiplying L's second row by conj(u) and its second column
+    by u, u = l21 / |l21|, leaves the real [[f, 0], [g, h]] = [[l11, 0],
+    [|l21|, l22]] with the same singular values.  Those are the closed form
+    LAPACK's dlas2 evaluates (Demmel & Kahan, SIAM J. Sci. Stat. Comput. 11,
+    1990); the coefficients' scale makes its overflow guards unnecessary.
+
+    Rows are real or complex for beta = 1, 2.  For beta = 4 a row is the
+    interleaved complex pairs (c, d) of its entries c + d j, the view
+    `_complex_embed_raw` reads.  By the doubling rule, (p, s) q1 = p q1 +
+    s k1 entrywise, where k1 holds the pairs (-conj(d), conj(c)) of q1, and
+    q1, k1 are orthonormal complex vectors.  So projecting onto the
+    quaternion line of q1 is projecting onto q1 and k1 over C, and
+    l21 = r2 conj(q1) summed is the pair of those two coefficients.
+    """
+    n_mat = len(x)
+    flat = x.reshape(n_mat, 2, -1)
+    sq = np.einsum("nil,nil->ni", flat, flat)
+    swap = sq[:, 1] > sq[:, 0]
+    x[swap] = x[swap, ::-1]
+    rows = x[..., 0] if beta == 1 else x.view(np.complex128).reshape(n_mat, 2, -1)
+    f = np.sqrt(np.maximum(sq[:, 0], sq[:, 1]))
+    q1 = rows[:, 0] / np.where(f > 0.0, f, 1.0)[:, None]
+    if beta == 4:
+        pairs = q1.reshape(n_mat, -1, 2)
+        k1 = np.stack([-pairs[..., 1].conj(), pairs[..., 0].conj()], axis=-1)
+        basis = np.stack([q1, k1.reshape(q1.shape)], axis=1)
+    else:
+        basis = q1[:, None]
+    r2 = rows[:, 1]
+    # sum_l r_l conj(b_l) as conj(sum_l conj(r_l) b_l): the conjugated copy
+    # is of one row, not of the whole basis
+    l21 = np.einsum("nl,nkl->nk", r2.conj(), basis).conj()
+    w = r2 - np.einsum("nk,nkl->nl", l21, basis)
+    fix = np.einsum("nl,nkl->nk", w.conj(), basis).conj()
+    w -= np.einsum("nk,nkl->nl", fix, basis)
+    g, h = _norms(l21 + fix), _norms(w)
+    s_max = 0.5 * (np.sqrt(np.square(f + h) + np.square(g))
+                   + np.sqrt(np.square(f - h) + np.square(g)))
+    s_min = f * (h / np.where(s_max > 0.0, s_max, 1.0))
+    return np.stack([s_max, s_min], axis=-1)
+
+
+def _norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a real or complex (N, L) array."""
+    if np.iscomplexobj(v):
+        v = v.view(np.float64)
+    return np.sqrt(np.einsum("nl,nl->n", v, v))
 
 
 def _eigvalsh_raw(a: np.ndarray, beta: int) -> np.ndarray:
@@ -698,7 +782,8 @@ def singular_values(x: DivMatrix) -> np.ndarray:
     """The min(m, n) singular values in descending order.
 
     For beta = 4 the values come from the complex adjoint, whose spectrum
-    consists of coincident pairs; each pair is reported once.
+    consists of coincident pairs; each pair is reported once.  A matrix with
+    a NaN or inf coefficient raises ValueError.
     """
     return _singular_values_raw(x.data, x.tag.beta)
 

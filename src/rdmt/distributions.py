@@ -140,7 +140,9 @@ class _JsonRecord:
     as its schema dict (None as null), a tuple as a list.  On load each value
     goes through its field's type, and a missing key takes the field's
     default.  A record states only its `family` string, and a loaded
-    "family", if given, must be it."""
+    "family", if given, must be it.  A key that is none of "family", "beta"
+    and the other fields is refused, so a misspelt key cannot fall back to
+    its field's default."""
 
     family: ClassVar[str]
 
@@ -163,6 +165,10 @@ class _JsonRecord:
         if obj.get("family", cls.family) != cls.family:
             raise ValueError(f"params record of family {obj['family']!r}, not "
                              f"{cls.family!r}")
+        known = ({f.name for f in fields(cls)} - {"tag"}) | {"family", "beta"}
+        unknown = sorted(set(obj) - known)
+        if unknown:
+            raise ValueError(f"unknown {cls.family} params key {unknown[0]!r}")
         hints = get_type_hints(cls)
         kwargs = {"tag": AlgebraTag(int(obj["beta"]))}
         for f in fields(cls):

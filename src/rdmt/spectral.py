@@ -220,7 +220,8 @@ def _beta_of(tag: AlgebraTag, raw: np.ndarray) -> int:
 
 
 def singular_values_batch(tag: AlgebraTag, raw: np.ndarray) -> np.ndarray:
-    """Descending singular values for a stacked (N, m, n, beta) sample array."""
+    """Descending singular values for a stacked (N, m, n, beta) sample array;
+    stacks with min(m, n) <= 2 take the closed form of `_singular_values_raw`."""
     return _singular_values_raw(raw, _beta_of(tag, raw))
 
 

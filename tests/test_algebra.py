@@ -20,6 +20,7 @@ from rdmt.algebra import (
     singular_values,
     _cholesky_raw,
     _collapse_pairs,
+    _complex_embed_raw,
     _conj_t_raw,
     _gram_raw,
     _hermitian_part,
@@ -28,6 +29,7 @@ from rdmt.algebra import (
     _identity_raw,
     _matmul_raw,
     _mul_coeffs,
+    _singular_values_raw,
     _solve_raw,
 )
 from rdmt.errors import NotPositiveDefinite, OctonionMatrixError
@@ -362,6 +364,10 @@ class TestKernelsAgainstEntrywiseOracle:
         with pytest.raises(ArithmeticError):
             _collapse_pairs(vals)
         np.testing.assert_array_equal(_collapse_pairs(vals[:1]), [[1e9, 1.0]])
+        # a gap above the bare tolerance passes within the matrix's own scale
+        np.testing.assert_array_equal(_collapse_pairs(np.array([1e9, 1e9 - 1.0])),
+                                      [1e9 - 0.5])
+        assert _collapse_pairs(np.zeros((0, 4))).shape == (0, 2)
 
 
 
@@ -552,6 +558,106 @@ class TestSpectra:
             hermitian_eigenvalues(DivMatrix.from_real(O, np.eye(2)))
 
 
+def _reference_singular_values(x, beta):
+    """Descending singular values of one (m, n, beta) matrix to 40 digits:
+    mpmath's SVD of its complex representation, Kramers pairs collapsed."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        s = mpmath.svd_c(mpmath.matrix(_complex_embed_raw(x, beta).tolist()),
+                         compute_uv=False)
+        s = np.sort([float(v) for v in s])[::-1]
+    return 0.5 * (s[0::2] + s[1::2]) if beta == 4 else s
+
+
+def _assert_near_reference(stack, beta):
+    """Every value of a stack's closed form within 8 eps s_max of the 40-digit
+    reference, each row descending and non-negative."""
+    got = _singular_values_raw(stack, beta)
+    assert got.shape == stack.shape[:-3] + (min(stack.shape[-3:-1]),)
+    assert np.all(got >= 0.0) and np.all(np.diff(got, axis=-1) <= 0.0)
+    flat = stack.reshape((-1,) + stack.shape[-3:])
+    for one, s in zip(flat, got.reshape(len(flat), -1)):
+        ref = _reference_singular_values(one, beta)
+        assert np.all(np.abs(s - ref) <= 8 * np.finfo(float).eps * ref[0]), (s, ref)
+
+
+def _left_multiples(rng, rows, beta):
+    """c_i r_i for random algebra scalars c_i and rows r_i of (N, n, beta)."""
+    c = rng.normal(size=(len(rows), 1, beta))
+    return _mul_coeffs(np.broadcast_to(c, rows.shape), rows)
+
+
+class TestClosedFormSingularValues:
+    """Stacks of two or more matrices with min(m, n) <= 2 take a closed form
+    (Gram-Schmidt to a 2x2 triangle, then dlas2's formula); it is checked
+    against mpmath at 40 digits to 8 eps times the largest singular value."""
+
+    @pytest.mark.parametrize("beta", [1, 2, 4])
+    def test_seeded_draws(self, rng, beta):
+        _assert_near_reference(rng.normal(size=(12, 2, 3, beta)), beta)
+        _assert_near_reference(rng.normal(size=(3, 2, 2, 5, beta)), beta)
+
+    @pytest.mark.parametrize("beta", [1, 2, 4])
+    @pytest.mark.parametrize("gap", [1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12])
+    def test_nearly_parallel_rows(self, rng, beta, gap):
+        # the second row is a left multiple of the first, up to `gap`
+        first = rng.normal(size=(6, 3, beta))
+        second = _left_multiples(rng, first, beta) + gap * rng.normal(size=first.shape)
+        _assert_near_reference(np.stack([first, second], axis=1), beta)
+
+    @pytest.mark.parametrize("beta", [1, 2, 4])
+    def test_rank_one_and_zero(self, rng, beta):
+        first = rng.normal(size=(4, 3, beta))
+        stack = np.stack([first, 0.75 * first], axis=1)
+        stack[1, 1] = 0.0
+        stack[2, 0] = 0.0
+        stack[3] = 0.0
+        _assert_near_reference(stack, beta)
+        got = _singular_values_raw(stack, beta)
+        # a zero row leaves nothing to round: s_min is exactly 0
+        assert np.all(got[1:3, 1] == 0.0) and np.all(got[3] == 0.0)
+        assert np.all(_singular_values_raw(np.zeros((3, 2, 3, beta)), beta) == 0.0)
+
+    @pytest.mark.parametrize("beta", [1, 2, 4])
+    @pytest.mark.parametrize("k", [600, -600])
+    def test_extreme_scales(self, rng, beta, k):
+        # unscaled, the squared entries would overflow or underflow; the
+        # power-of-two scaling makes the values exactly equivariant
+        x = rng.normal(size=(6, 2, 3, beta))
+        x[1, 1] = 1e-3 * _left_multiples(rng, x[1, :1], beta)[0]
+        _assert_near_reference(np.ldexp(x, k), beta)
+        assert np.array_equal(_singular_values_raw(np.ldexp(x, k), beta),
+                              np.ldexp(_singular_values_raw(x, beta), k))
+
+    @pytest.mark.parametrize("beta", [1, 2, 4])
+    @pytest.mark.parametrize("shape", [(1, 4), (1, 1), (4, 1), (5, 2), (3, 2), (2, 2)])
+    def test_one_row_one_column_and_tall(self, rng, beta, shape):
+        _assert_near_reference(rng.normal(size=(5,) + shape + (beta,)), beta)
+
+    def test_octonion_scalars(self, rng):
+        x = rng.normal(size=(4, 1, 1, 8))
+        np.testing.assert_allclose(_singular_values_raw(x, 8)[:, 0],
+                                   np.sqrt(np.square(x).sum(axis=(1, 2, 3))),
+                                   rtol=1e-15)
+        assert np.array_equal(_singular_values_raw(np.ldexp(x, 600), 8),
+                              np.ldexp(_singular_values_raw(x, 8), 600))
+
+    @pytest.mark.parametrize("beta", [1, 2, 4])
+    def test_only_single_matrices_and_larger_shapes_call_lapack(self, rng, monkeypatch,
+                                                                 beta):
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda *a, **k: calls.append(a[0].shape) or svd(*a, **k))
+        _singular_values_raw(rng.normal(size=(7, 2, 3, beta)), beta)
+        _singular_values_raw(rng.normal(size=(7, 3, 1, beta)), beta)
+        assert calls == []
+        _singular_values_raw(rng.normal(size=(2, 3, beta)), beta)
+        _singular_values_raw(rng.normal(size=(1, 2, 3, beta)), beta)
+        _singular_values_raw(rng.normal(size=(7, 3, 3, beta)), beta)
+        assert len(calls) == 3
+
+
 class TestSerialization:
     @pytest.mark.parametrize("tag", [R, C, H, O])
     def test_json_round_trip_precision(self, rng, tag):
@@ -606,6 +712,24 @@ class TestNonFiniteInput:
         a[:, 0, 1, 0] = 1e-8
         with pytest.raises(ValueError, match="index 1 is not Hermitian"):
             _hermitian_part(a)
+
+    @pytest.mark.parametrize("beta", [1, 2, 4])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("shape", [(2, 3), (8, 8)])
+    def test_singular_values_reject(self, capfd, beta, bad, shape):
+        # refused before LAPACK, which raises on NaN and returns NaN for inf
+        # (printing a DLASCL message); the stack goes through the closed form
+        # at 2x3
+        single = np.ones(shape + (beta,))
+        single[1, 2, beta - 1] = bad
+        with pytest.raises(ValueError, match="^matrix has non-finite coefficients"):
+            _singular_values_raw(single, beta)
+        stack = np.ones((3, 2) + shape + (beta,))
+        stack[1, 0] = single
+        with pytest.raises(ValueError,
+                           match="^matrix at index 2 has non-finite coefficients"):
+            _singular_values_raw(stack, beta)
+        assert capfd.readouterr().err == ""
 
     @pytest.mark.parametrize("tag", [R, C, H])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

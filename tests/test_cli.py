@@ -209,6 +209,21 @@ class TestDensity:
         assert "params record of family 'matric-t'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_params_file_with_an_unknown_key_exit_2(self, tmp_path, capsys):
+        # without a family, a matric-t file with a misspelt key would load as
+        # the standard matrix-mt law, its Xi and Sigmaa dropped
+        pfile, pts, out = (tmp_path / name for name in ("p.json", "pts.jsonl", "d.txt"))
+        pfile.write_text(json.dumps({"beta": 1, "m": 1, "n": 1, "nu": 3.0,
+                                     "Xi": {"beta": 1, "rows": 1, "cols": 1,
+                                            "data": [[[2.0]]]}, "Sigmaa": 5}))
+        pts.write_text(json.dumps({"beta": 1, "rows": 1, "cols": 1,
+                                   "data": [[[0.5]]]}) + "\n")
+        code = run_cli("density", "--dist", "matrix-mt", "--params", str(pfile),
+                       "--points", str(pts), "--out", str(out))
+        assert code == 2
+        assert "unknown matrix-mt params key 'Sigmaa'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_malformed_points_exit_2(self, tmp_path, capsys):
         pts = tmp_path / "bad.jsonl"
         pts.write_text("this is not json\n")

@@ -713,6 +713,16 @@ class TestParamSerialization:
             back = type(params).from_json_dict(json.loads(text))
             assert back.to_json_dict() == params.to_json_dict()
 
+    @pytest.mark.parametrize("key", ["Sigmaa", "Xi", "tag", "rows"])
+    def test_unknown_key_is_refused(self, key):
+        # Xi is a matric-t field, not a matrix-mt one; tag is written as beta
+        obj = {"beta": 1, "m": 1, "n": 1, "nu": 3.0, key: 5}
+        with pytest.raises(ValueError, match=f"unknown matrix-mt params key '{key}'"):
+            MatrixMTParams.from_json_dict(obj)
+        obj = {"family": "matrix-mt", "beta": 1, "m": 1, "n": 1, "nu": 3.0}
+        assert (MatrixMTParams.from_json_dict(obj).to_json_dict()
+                == MatrixMTParams(R, 1, 1, 3.0).to_json_dict())
+
     def test_density_terms_stay_out_of_fields_and_json(self, rng):
         params = MatricTParams(H, 2, 3, 9.0, random_matrix(rng, H, 2, 3),
                                random_hpd(rng, H, 2), random_hpd(rng, H, 3))
