@@ -20,10 +20,12 @@ solves and inverses carry over exactly, the positive-diagonal Cholesky
 factor of the adjoint is the adjoint of the factor (it is unique), and each
 quaternion singular value or eigenvalue appears in the adjoint as a
 coincident (Kramers) pair.  Every kernel is one numpy call between
-`_complex_embed_raw` and `_complex_unembed_raw`, with one exception: the
-singular values of a stack of two or more matrices with min(m, n) <= 2 have
-a closed form (`_singular_values_raw`), which works on the coefficients
-themselves and skips LAPACK's iterative SVD.
+`_complex_embed_raw` and `_complex_unembed_raw`, with two exceptions for
+stacks of two or more matrices, which work on the coefficients themselves:
+triangular systems of order m <= SUBSTITUTION_MAX_ORDER are solved by
+substitution (`_substitute_raw`), skipping LAPACK's LU, and matrices with
+min(m, n) <= 2 have closed-form singular values (`_singular_values_raw`),
+skipping LAPACK's iterative SVD.
 
 Two rules of the algebra live here alone.  Gram products (`_gram_raw`) and
 every other matrix that Cholesky or eigvalsh reads one triangle of are
@@ -315,27 +317,101 @@ def _logdet_hermitian_raw(a: np.ndarray) -> np.ndarray:
     return _chol_logdet_raw(_cholesky_raw(_hermitize_raw(a)))
 
 
-def _solve_raw(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve A X = B for invertible (..., m, m, beta) A and (..., m, n, beta) B;
-    the leading axes broadcast.  One shared A against a stack of B is one LU
-    solve of A [B_1 ... B_N], the stack side by side as a single m x (N n)
-    matrix.  Only stacks of B with two or more complex columns fold, because
-    LAPACK takes a single right-hand side through vector kernels that round
-    differently.  A 1x1 octonion A must be real, as the Cholesky factors
-    that reach here are."""
+# Largest order of a stack of triangular systems solved by substitution.
+SUBSTITUTION_MAX_ORDER = 4
+
+
+def _solve_raw(a: np.ndarray, b: np.ndarray, *, lower: bool) -> np.ndarray:
+    """Solve A X = B for triangular (..., m, m, beta) A, lower or upper as
+    `lower` says, and (..., m, n, beta) B; the leading axes broadcast.  A
+    must have a real positive diagonal, as the Cholesky factors and their
+    conjugate transposes that reach here do; only its diagonal's real part
+    and its `lower` triangle are read on the substitution path.
+
+    A stack of two or more systems of order m <= SUBSTITUTION_MAX_ORDER, and
+    a 1x1 octonion, go through `_substitute_raw`.  A single system (no batch
+    axis, or a batch of 1) and every larger order keep LAPACK's LU solve of
+    the complex representation.  There, one shared A against a stack of B is
+    one solve of A [B_1 ... B_N], the stack side by side as a single
+    m x (N n) matrix.  Only stacks of B with two or more complex columns
+    fold, because LAPACK takes a single right-hand side through vector
+    kernels that round differently."""
     beta = a.shape[-1]
-    if _octonion_scalar(a):
-        return b / a[..., :1]
+    if _octonion_scalar(a) or (a.shape[-3] <= SUBSTITUTION_MAX_ORDER
+                               and max(_batch(a), _batch(b)) > 1):
+        return _substitute_raw(a, b, lower)
     if _batch(b) > 1 and _batch(a) == 1 and (beta == 4 or b.shape[-2] > 1):
         lead = np.broadcast_shapes(a.shape[:-3], b.shape[:-3])
         m, n = b.shape[-3:-1]
         side_by_side = b.reshape(-1, m, n, beta).swapaxes(0, 1).reshape(m, -1, beta)
-        x = _solve_raw(a.reshape(a.shape[-3:]), side_by_side)
+        x = _solve_raw(a.reshape(a.shape[-3:]), side_by_side, lower=lower)
         return x.reshape(m, -1, n, beta).swapaxes(0, 1).reshape(lead + (m, n, beta))
     return _complex_unembed_raw(
         np.linalg.solve(_complex_embed_raw(a, beta), _complex_embed_raw(b, beta)),
         beta,
     )
+
+
+def _substitute_raw(a: np.ndarray, b: np.ndarray, lower: bool) -> np.ndarray:
+    """Forward (lower A) or back (upper A) substitution over the m rows of
+    A X = B, each step vectorized across the broadcast stack, for any beta
+    when m = 1 and beta <= 4 otherwise.  A's diagonal is real and positive,
+    so row i of X is (B_i - sum_k A_ik X_k) / a_ii, the sum over the rows
+    already solved, in the order they were solved; a 1x1 system is one
+    division, which is also how a 1x1 octonion solves.
+
+    The arithmetic is on the coefficients: real numbers for beta = 1, complex
+    for beta = 2, and for beta = 4 the interleaved complex pairs (c, d) of
+    c + d j, the view `_complex_embed_raw` reads.  By the doubling rule
+    (p, s) q = p q + s (j q) entrywise, and j q = (-conj(d), conj(c)), so a
+    quaternion coefficient of A acts on a solved row of X by two complex
+    products.  Every operation is elementwise, so a matrix's result does not
+    depend on the rest of the stack, and a shared A simply broadcasts."""
+    beta, m = a.shape[-1], a.shape[-3]
+    if m == 1:
+        return b / a[..., :1]
+    lead = np.broadcast_shapes(a.shape[:-3], b.shape[:-3])
+    n = b.shape[-2]
+    diag = np.diagonal(a[..., 0], axis1=-2, axis2=-1)
+    x = np.empty(lead + (m, n, beta))
+    flat = x.reshape(lead + (m, n * beta))    # each row's real coefficients
+    if beta == 1:
+        coef, rhs, rows = a[..., 0], b[..., 0], flat
+    else:
+        coef = np.ascontiguousarray(a).view(np.complex128)
+        rhs = np.ascontiguousarray(b).view(np.complex128).reshape(b.shape[:-2] + (-1,))
+        rows = flat.view(np.complex128)
+        if beta == 2:
+            coef = coef[..., 0]
+    j_rows = {}
+    order = range(m) if lower else range(m - 1, -1, -1)
+    for step, i in enumerate(order):
+        acc = rhs[..., i, :]
+        for k in order[:step]:
+            if beta == 4:
+                acc = acc - coef[..., i, k, 0, None] * rows[..., k, :]
+                acc -= coef[..., i, k, 1, None] * j_rows[k]
+            else:
+                acc = acc - coef[..., i, k, None] * rows[..., k, :]
+        np.divide(acc if beta == 1 else acc.view(np.float64), diag[..., i, None],
+                  out=flat[..., i, :])
+        if beta == 4 and step < m - 1:
+            j_rows[i] = _j_times_raw(x[..., i, :, :]).reshape(lead + (2 * n,))
+    return x
+
+
+def _j_times_raw(q: np.ndarray) -> np.ndarray:
+    """j q entrywise, as complex pairs, for (..., 4) quaternion coefficients
+    (w, x, y, z) = (c, d): the pairs (-conj(d), conj(c)), whose coefficients
+    are (-y, z, w, -x).  The signs flip by multiplying with -1 because
+    numpy 2.4.6's np.negative writes wrong values into a strided `out` when
+    its input's stride is 8 elements, which q[..., 2] has when m n = 2."""
+    out = np.empty(q.shape)
+    np.multiply(q[..., 2], -1.0, out=out[..., 0])
+    out[..., 1] = q[..., 3]
+    out[..., 2] = q[..., 0]
+    np.multiply(q[..., 1], -1.0, out=out[..., 3])
+    return out.view(np.complex128)
 
 
 def _hpd_inverse_raw(a: np.ndarray) -> np.ndarray:
@@ -385,7 +461,7 @@ def _singular_values_raw(x: np.ndarray, beta: int) -> np.ndarray:
         return _collapse_pairs(s) if beta == 4 else s
     if x.shape[-3] > x.shape[-2]:
         x = _conj_t_raw(x)
-    exp = np.frexp(np.abs(x).max(axis=(-3, -2, -1)))[1]
+    exp = np.frexp(_largest_coefficients(x))[1]
     x = np.ldexp(x, -exp[..., None, None, None])
     if x.shape[-3] == 1:
         s = np.sqrt(_frobenius_sq_raw(x))[..., None]
@@ -393,6 +469,18 @@ def _singular_values_raw(x: np.ndarray, beta: int) -> np.ndarray:
         s = _two_row_singular_values(x.reshape((-1,) + x.shape[-3:]), beta)
         s = s.reshape(x.shape[:-3] + (2,))
     return np.ldexp(s, exp[..., None])
+
+
+def _largest_coefficients(x: np.ndarray) -> np.ndarray:
+    """The largest |coefficient| of each matrix of a (..., m, n, beta) stack,
+    as a running np.maximum over the columns of the flattened coefficients:
+    numpy runs each step as one loop over the stack, where a reduction over
+    the small trailing axes pays its overhead once per matrix."""
+    flat = np.abs(x).reshape(x.shape[:-3] + (-1,))
+    out = flat[..., 0].copy()
+    for j in range(1, flat.shape[-1]):
+        np.maximum(out, flat[..., j], out=out)
+    return out
 
 
 def _two_row_singular_values(x: np.ndarray, beta: int) -> np.ndarray:

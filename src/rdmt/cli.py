@@ -21,6 +21,7 @@ rows included), so JSONL samples must be finite.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -416,7 +417,10 @@ def _cmd_verify(args) -> int:
     return 0 if report.overall_pass else 1
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args leaves it
+    as it was, and in-process callers of `main` run many commands."""
     parser = argparse.ArgumentParser(
         prog="rdmt",
         description="Matricvariate / matrix multivariate T and beta II "

@@ -505,7 +505,7 @@ def sample_matric_t(rng: RngStream, params: MatricTParams,
         lw = _wishart_chol_raw(gen, beta, m, params.nu, params.Xi.chol.data, nsamp)
         y = _std_normal_raw(gen, beta, (nsamp, m, n))
         y = _matmul_raw(y, _conj_t_raw(params.Sigma.chol.data))
-        t = _solve_raw(lw, y)
+        t = _solve_raw(lw, y, lower=True)
     elif method == "inverse_root":
         nu_u = params.nu + n - m
         if not nu_u > beta * (n - 1):
@@ -515,8 +515,8 @@ def sample_matric_t(rng: RngStream, params: MatricTParams,
         g = _cholesky_raw(_hpd_inverse_raw(params.Sigma.mat.data))
         lu = _wishart_chol_raw(gen, beta, n, nu_u, g, nsamp)
         x = _std_normal_raw(gen, beta, (nsamp, m, n))
-        x = _solve_raw(_conj_t_raw(params.Xi.chol.data), x)
-        t = _conj_t_raw(_solve_raw(_conj_t_raw(lu), _conj_t_raw(x)))
+        x = _solve_raw(_conj_t_raw(params.Xi.chol.data), x, lower=False)
+        t = _conj_t_raw(_solve_raw(_conj_t_raw(lu), _conj_t_raw(x), lower=False))
     else:
         raise ValueError(f"unknown matricvariate T method {method!r}")
     t = t + params.mu.data
@@ -549,9 +549,10 @@ def sample_matrix_mt(rng: RngStream, params: MatrixMTParams,
                        f"that underflowed to 0; nu = {params.nu:g} is too small")
     y = _std_normal_raw(gen, beta, (nsamp, m, n))
     t1 = y / np.sqrt(s)[:, None, None, None]
-    p = _solve_raw(_conj_t_raw(params.Delta.chol.data), t1)
+    p = _solve_raw(_conj_t_raw(params.Delta.chol.data), t1, lower=False)
     t1 = _conj_t_raw(
-        _solve_raw(_conj_t_raw(params.Lambda.chol.data), _conj_t_raw(p))
+        _solve_raw(_conj_t_raw(params.Lambda.chol.data), _conj_t_raw(p),
+                   lower=False)
     )
     t1 = t1 + params.mu.data
     return _wrap_single(tag, t1, size)
@@ -581,7 +582,7 @@ def sample_elliptical_t(rng: RngStream, tag: AlgebraTag, m: int, n: int, nu: int
     y = _std_normal_raw(gen, tag.beta, (nsamp, m, n + nu))
     y *= scale[:, None, None, None]
     y1, y2 = y[:, :, :n, :], y[:, :, n:, :]
-    t = _solve_raw(_cholesky_raw(_gram_raw(y2)), y1)
+    t = _solve_raw(_cholesky_raw(_gram_raw(y2)), y1, lower=True)
     return _wrap_single(tag, t, size)
 
 
@@ -666,7 +667,7 @@ def logpdf_matric_t(params: MatricTParams, t, form: str = "primal"):
     x, single = _points(params, t, (params.m, params.n))
     a = x - params.mu.data
     if form == "primal":
-        g = _solve_raw(factor, _conj_t_raw(a))  # L_Sigma^-1 (T-mu)*
+        g = _solve_raw(factor, _conj_t_raw(a), lower=True)  # L_Sigma^-1 (T-mu)*
     else:
         g = _matmul_raw(factor, a)  # L_Xi* (T-mu)
     out = const - q * _logdet_hermitian_raw(base + _matmul_raw(_conj_t_raw(g), g))

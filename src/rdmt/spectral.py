@@ -27,6 +27,7 @@ from .algebra import (
     AlgebraTag,
     HermitianPD,
     _eigvalsh_raw,
+    _hermitian_part,
     _singular_values_raw,
     hermitian_eigenvalues,
     singular_values,
@@ -226,5 +227,12 @@ def singular_values_batch(tag: AlgebraTag, raw: np.ndarray) -> np.ndarray:
 
 
 def eigenvalues_batch(tag: AlgebraTag, raw: np.ndarray) -> np.ndarray:
-    """Descending eigenvalues for stacked Hermitian (N, m, m, beta) samples."""
-    return _eigvalsh_raw(raw, _beta_of(tag, raw))
+    """Descending eigenvalues for stacked Hermitian (N, m, m, beta) samples.
+    A matrix with a NaN or inf coefficient, or one that is not Hermitian to
+    HERMITIAN_ATOL, is refused with ValueError naming its index; a Hermitian
+    stack is symmetrized as `hermitian_eigenvalues` does, which leaves an
+    exactly Hermitian one as it is."""
+    beta = _beta_of(tag, raw)
+    if raw.shape[-3] != raw.shape[-2]:
+        raise ValueError(f"eigenvalues require square matrices; got shape {raw.shape}")
+    return _eigvalsh_raw(_hermitian_part(raw), beta)

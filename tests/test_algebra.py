@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rdmt.algebra import (
+    SUBSTITUTION_MAX_ORDER,
     AlgebraTag,
     DivMatrix,
     DivScalar,
@@ -21,6 +22,7 @@ from rdmt.algebra import (
     _cholesky_raw,
     _collapse_pairs,
     _complex_embed_raw,
+    _complex_unembed_raw,
     _conj_t_raw,
     _gram_raw,
     _hermitian_part,
@@ -345,8 +347,8 @@ class TestKernelsAgainstEntrywiseOracle:
     def test_triangular_solve_residual(self, rng, tag, m, n):
         lo = _cholesky_raw(_oracle_hpd(rng, tag.beta, m, 1))
         b = rng.normal(size=(6, m, n, tag.beta))
-        for tri in (lo, _conj_t_raw(lo)):
-            x = _solve_raw(tri, b)
+        for tri, lower in ((lo, True), (_conj_t_raw(lo), False)):
+            x = _solve_raw(tri, b, lower=lower)
             _assert_rel_close(_entrywise_matmul(tri, x), b)
 
     @pytest.mark.parametrize("tag,m,n", _KERNEL_CASES)
@@ -381,26 +383,36 @@ def _one_at_a_time(kernel, a, b, shared_left):
 
 
 class TestSharedFactorFold:
-    """One shared factor against a stack is folded into one BLAS/LAPACK
-    call; every result equals the per-matrix one bit for bit."""
+    """One shared factor against a stack is one computation: one folded
+    BLAS/LAPACK call, or the factor broadcast through the substitution
+    kernel.  Every result equals the one with the factor given per matrix
+    (one at a time on the LAPACK path), bit for bit."""
 
     SHAPES = [(2, 3), (3, 2), (1, 3), (3, 1), (2, 2)]
+    # orders above SUBSTITUTION_MAX_ORDER keep LAPACK's folded solve
+    SOLVE_SHAPES = SHAPES + [(5, 2), (6, 1)]
 
     @staticmethod
     def _factors(rng, beta, m):
+        """A lower Cholesky factor and its upper conjugate transpose, each
+        with the `lower` flag of its triangle."""
         lo = _cholesky_raw(_oracle_hpd(rng, beta, m, 1))[0]
-        dense = rng.normal(size=(m, m, beta)) + 3.0 * _identity_raw(m, beta)
-        return lo, _conj_t_raw(lo), dense
+        return (lo, True), (_conj_t_raw(lo), False)
 
     @pytest.mark.parametrize("tag", [R, C, H])
-    @pytest.mark.parametrize("m,n", SHAPES)
+    @pytest.mark.parametrize("m,n", SOLVE_SHAPES)
     @pytest.mark.parametrize("lead", [(7,), (2, 3)])
     def test_solve(self, rng, tag, m, n, lead):
         b = rng.normal(size=lead + (m, n, tag.beta))
-        for a in self._factors(rng, tag.beta, m):
-            want = _one_at_a_time(_solve_raw, a, b, shared_left=True)
-            np.testing.assert_array_equal(_solve_raw(a, b), want)
-            got = _solve_raw(a[None], b)  # a (1, m, m) factor
+        for a, lower in self._factors(rng, tag.beta, m):
+            if m <= SUBSTITUTION_MAX_ORDER:
+                per_matrix = np.broadcast_to(a, lead + a.shape).copy()
+                want = _solve_raw(per_matrix, b, lower=lower)
+            else:
+                want = _one_at_a_time(lambda a_, b_: _solve_raw(a_, b_, lower=lower),
+                                      a, b, shared_left=True)
+            np.testing.assert_array_equal(_solve_raw(a, b, lower=lower), want)
+            got = _solve_raw(a[None], b, lower=lower)  # a (1, m, m) factor
             np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("tag", [R, C, H])
@@ -418,14 +430,15 @@ class TestSharedFactorFold:
 
     def test_leading_axes_broadcast(self, rng):
         x = rng.normal(size=(4, 2, 3, 2))
-        a = self._factors(rng, 2, 2)[0]
-        assert _solve_raw(a[None, None], x).shape == (1, 4, 2, 3, 2)
+        a = self._factors(rng, 2, 2)[0][0]
+        assert _solve_raw(a[None, None], x, lower=True).shape == (1, 4, 2, 3, 2)
         assert _matmul_raw(x, rng.normal(size=(1, 1, 3, 3, 2))).shape == (1, 4, 2, 3, 2)
 
     def test_single_matrix_is_the_n1_case(self, rng):
-        a = self._factors(rng, 4, 2)[0]
+        a = self._factors(rng, 4, 2)[0][0]
         b = rng.normal(size=(2, 3, 4))
-        np.testing.assert_array_equal(_solve_raw(a, b[None])[0], _solve_raw(a, b))
+        np.testing.assert_array_equal(_solve_raw(a, b[None], lower=True)[0],
+                                      _solve_raw(a, b, lower=True))
         c = rng.normal(size=(3, 3, 4))
         np.testing.assert_array_equal(_matmul_raw(b[None], c)[0], _matmul_raw(b, c))
 
@@ -437,7 +450,142 @@ class TestSharedFactorFold:
         np.testing.assert_array_equal(_matmul_raw(y, x), _mul_coeffs(y, x))
         pivot = np.zeros((1, 1, 8))
         pivot[..., 0] = 1.7
-        np.testing.assert_array_equal(_solve_raw(pivot, x), x / 1.7)
+        np.testing.assert_array_equal(_solve_raw(pivot, x, lower=True), x / 1.7)
+
+
+def _lapack_solve(a, b):
+    """LAPACK's LU solve of the complex representation, the reference the
+    substitution kernel is checked against."""
+    beta = a.shape[-1]
+    lead = np.broadcast_shapes(a.shape[:-3], b.shape[:-3])
+    b = np.broadcast_to(b, lead + b.shape[-3:])
+    return _complex_unembed_raw(
+        np.linalg.solve(_complex_embed_raw(a, beta), _complex_embed_raw(b, beta)), beta)
+
+
+def _triangles(gen, beta, m, lead, spread=1.0):
+    """A lead-shaped stack of lower Cholesky factors, row i scaled by
+    spread^(i/(m-1)): the diagonals, and the condition numbers, span
+    `spread`."""
+    lo = _cholesky_raw(_oracle_hpd(gen, beta, m, math.prod(lead)))
+    scale = np.geomspace(1.0, spread, m)[:, None, None]
+    return (lo * scale).reshape(lead + (m, m, beta))
+
+
+def _entry_norms(x):
+    return np.sqrt(np.square(x).sum(axis=-1))
+
+
+def _componentwise_backward_error(a, x, b):
+    """Per matrix, max_ij |B - A X|_ij / (|A| |X| + |B|)_ij (Oettli-Prager),
+    |.| the norm of an algebra entry; the product is the entrywise oracle."""
+    resid = _entry_norms(b - _entrywise_matmul(a, x))
+    scale = (np.einsum("...ik,...kj->...ij", _entry_norms(a), _entry_norms(x))
+             + _entry_norms(b))
+    return (resid / scale).max(axis=(-2, -1))
+
+
+class TestTriangularSubstitution:
+    """Stacks of triangular systems of order m <= SUBSTITUTION_MAX_ORDER are
+    solved by substitution on the coefficients; single systems and larger
+    orders keep LAPACK's LU solve bit for bit."""
+
+    EPS = np.finfo(float).eps
+
+    @pytest.mark.parametrize("tag", [R, C, H])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("spread", [1.0, 1e-8])
+    def test_against_lapack(self, rng, tag, m, spread):
+        # substitution is componentwise backward stable (Higham, Accuracy and
+        # Stability of Numerical Algorithms, ch. 8); LAPACK's pivoted LU of a
+        # triangle is not, so its worst error bounds the kernel's from above
+        lo = _triangles(rng, tag.beta, m, (40,), spread)
+        for a, lower in ((lo, True), (_conj_t_raw(lo), False)):
+            for n in (1, 3):
+                b = rng.normal(size=(40, m, n, tag.beta))
+                x, ref = _solve_raw(a, b, lower=lower), _lapack_solve(a, b)
+                worst = _componentwise_backward_error(a, x, b).max()
+                worst_ref = _componentwise_backward_error(a, ref, b).max()
+                assert worst <= max(worst_ref, self.EPS)
+                assert worst <= (m + 1) * self.EPS
+                cond = np.linalg.cond(_complex_embed_raw(a, tag.beta))
+                moved = _entry_norms(x - ref).max(axis=(-2, -1))
+                assert np.all(moved <= 8 * self.EPS * cond
+                              * _entry_norms(ref).max(axis=(-2, -1)))
+
+    def test_octonion_scalar_is_one_division(self, rng):
+        a = np.zeros((9, 1, 1, 8))
+        a[..., 0] = rng.uniform(0.5, 2.0, size=(9, 1, 1))
+        b = rng.normal(size=(9, 1, 1, 8))
+        for lower in (True, False):
+            x = _solve_raw(a, b, lower=lower)
+            np.testing.assert_array_equal(x, b / a[..., :1])
+            _assert_rel_close(_mul_coeffs(a, x), b, rtol=2 * self.EPS)
+
+    @pytest.mark.parametrize("tag", [R, C, H])
+    def test_shared_and_per_matrix_factors(self, rng, tag):
+        beta, m, n = tag.beta, 3, 2
+        per_matrix = _triangles(rng, beta, m, (2, 3))
+        shared = per_matrix[0, 0]
+        stack = rng.normal(size=(2, 3, m, n, beta))
+        one = stack[0, 0]
+        for a, b in ((per_matrix, stack), (shared, stack), (per_matrix, one),
+                     (per_matrix[0], stack[:, :1])):
+            x = _solve_raw(a, b, lower=True)
+            lead = np.broadcast_shapes(a.shape[:-3], b.shape[:-3])
+            assert x.shape == lead + (m, n, beta)
+            _assert_rel_close(x, _lapack_solve(a, b))
+            # the broadcast operand spelled out per matrix gives the same bits
+            full_a = np.broadcast_to(a, lead + a.shape[-3:]).copy()
+            full_b = np.broadcast_to(b, lead + b.shape[-3:]).copy()
+            np.testing.assert_array_equal(_solve_raw(full_a, full_b, lower=True), x)
+
+    @pytest.mark.parametrize("tag", [R, C, H])
+    @pytest.mark.parametrize("m", [1, 2, 4])
+    def test_a_result_depends_only_on_its_own_system(self, rng, tag, m):
+        beta = tag.beta
+        a, b = _triangles(rng, beta, m, (50,)), rng.normal(size=(50, m, 3, beta))
+        x = _solve_raw(a, b, lower=True)
+        for size in (2, 7):
+            np.testing.assert_array_equal(
+                _solve_raw(a[:size], b[:size], lower=True), x[:size])
+        # matrix 5 among other neighbours, at another position
+        others = _triangles(rng, beta, m, (3,))
+        mixed_a = np.concatenate([others[:2], a[5:6], others[2:]])
+        mixed_b = np.concatenate([b[:2], b[5:6], b[10:11]])
+        np.testing.assert_array_equal(_solve_raw(mixed_a, mixed_b, lower=True)[2], x[5])
+
+    @pytest.mark.parametrize("tag", [R, C, H])
+    @pytest.mark.parametrize("m", [1, 2, 5])
+    def test_single_systems_and_larger_orders_keep_lapack(self, rng, tag, m):
+        beta = tag.beta
+        a, b = _triangles(rng, beta, m, (4,)), rng.normal(size=(4, m, 3, beta))
+        single = _solve_raw(a[0], b[0], lower=True)
+        np.testing.assert_array_equal(single, _lapack_solve(a[0], b[0]))
+        np.testing.assert_array_equal(_solve_raw(a[:1], b[:1], lower=True)[0], single)
+        np.testing.assert_array_equal(_solve_raw(a[0], b[:1], lower=True)[0], single)
+        stacked = _solve_raw(a, b, lower=True)
+        if m > SUBSTITUTION_MAX_ORDER:
+            np.testing.assert_array_equal(stacked, _lapack_solve(a, b))
+
+    def test_only_single_systems_and_larger_orders_call_lapack(self, rng, monkeypatch):
+        calls = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve",
+                            lambda *a, **k: calls.append(a[0].shape) or solve(*a, **k))
+        for beta in (1, 2, 4):
+            lo = _triangles(rng, beta, 4, (3,))
+            b = rng.normal(size=(3, 4, 2, beta))
+            _solve_raw(lo, b, lower=True)
+            _solve_raw(lo[0], b, lower=True)
+            _solve_raw(_conj_t_raw(lo), b[0], lower=False)
+        assert calls == []
+        lo = _triangles(rng, 2, 5, (3,))
+        _solve_raw(lo, rng.normal(size=(3, 5, 2, 2)), lower=True)
+        _solve_raw(lo[0], rng.normal(size=(5, 2, 2)), lower=True)
+        _solve_raw(lo[:1], rng.normal(size=(1, 5, 2, 2)), lower=True)
+        assert len(calls) == 3
+
 
 class TestLogdet:
     def test_identity_zero(self):

@@ -584,6 +584,21 @@ class TestParsing:
     def test_unknown_subcommand_exit_2(self, capsys):
         assert run_cli("frobnicate") == 2
 
+    def test_parser_is_built_once_and_keeps_no_state(self, tmp_path):
+        from rdmt.cli import _build_parser
+
+        assert _build_parser() is _build_parser()
+        flags = ["sample", "--dist", "matric-t", "--beta", "1", "--m", "1",
+                 "--n", "2", "--nu", "3", "--count", "2", "--seed", "1"]
+        csv, jsonl = tmp_path / "a.csv", tmp_path / "b.jsonl"
+        assert run_cli(*flags, "--format", "csv", "--stream", "4", "--out", str(csv)) == 0
+        assert run_cli(*flags, "--out", str(jsonl)) == 0
+        # the second command reads its own defaults, not the first one's flags
+        header = json.loads(jsonl.read_text().splitlines()[0])
+        assert header["stream"] == 0
+        assert jsonl.read_text().splitlines()[1].startswith("{")
+        assert '"stream": 4' in csv.read_text().splitlines()[0]
+
     def test_unknown_family_exit_2(self, tmp_path, capsys):
         code = run_cli("sample", "--dist", "no-such-law", "--beta", "1",
                        "--nu", "1", "--count", "1", "--seed", "1")
@@ -843,15 +858,15 @@ class TestFrozenOutput:
          '"kind": "singular", "m": 1, "n": 2, "nu": 3.0, "scales": [1.0, 3.0], '
          '"weights": [0.5, 0.5]}, "record": "run-info", "seed": 5, "stream": 0, '
          '"version": "0.1.0"}',
-         258, "0.013888864588324522,-3.178537784881688",
-         "3.794533366595253,-4.4034988396228885"),
+         258, "0.013888864588324524,-3.178537784881688",
+         "3.7945333665952536,-4.4034988396228885"),
         ("beta2-matric", ["--beta", "1", "--m", "2", "--n", "1", "--nu", "3"],
          '# {"params": {"beta": 1, "count": 200, "family": "beta2", "kind": '
          '"eigen", "m": 2, "n": 1, "nu": 3.0, "orientation": "cogram", "scale": '
          'null}, "record": "run-info", "seed": 5, "stream": 0, "version": '
          '"0.1.0"}',
          258, "0.004742134519869814,-0.009461852041611032",
-         "940.79970170309,-13.695585242157541"),
+         "940.7997017030904,-13.695585242157541"),
         ("matrix-mt",
          ["--beta", "2", "--m", "2", "--n", "2", "--nu", "3", "--kind", "eigen"],
          None, 2018, "0.1363077251903421,0.0007391679729701101,0.9905072152270304",
@@ -995,3 +1010,38 @@ class TestWriter:
         values = logpdf_matric_t(MatricTParams(AlgebraTag.COMPLEX, 2, 3, 5.0), stack,
                                  form=form)
         assert _data_lines(out) == [repr(float(v)) for v in values]
+
+
+class TestCliOutputsCompare:
+    """tools/cli_outputs.py --compare: which files differ, and by how much."""
+
+    @staticmethod
+    def _tool():
+        import importlib.util
+
+        path = Path(__file__).resolve().parent.parent / "tools" / "cli_outputs.py"
+        spec = importlib.util.spec_from_file_location("cli_outputs", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    def test_reports_moved_numbers_text_and_missing_files(self, tmp_path, capsys):
+        tool = self._tool()
+        a, b = tmp_path / "a", tmp_path / "b"
+        for root in (a, b):
+            (root / "cmd").mkdir(parents=True)
+            (root / "cmd" / "exit").write_text("0\n")
+        (a / "cmd" / "out").write_text('# {"version": "0.1.0"}\n1.0,2.5\n-3e-05,4\n')
+        (b / "cmd" / "out").write_text('# {"version": "0.1.0"}\n1.0,2.5\n-3.00003e-05,4\n')
+        (a / "cmd" / "stderr").write_text("error: one\n")
+        (b / "cmd" / "stderr").write_text("error: two\n")
+        (a / "cmd" / "grid").write_text("1\n")
+        assert tool.compare(str(a), str(b)) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == [
+            f"cmd/grid: only in {a}",
+            "cmd/out: 1 of 4 values moved, largest relative move 1e-05 (line 3)",
+            "cmd/stderr: text differs beyond its numbers",
+            "3 of 4 files differ",
+        ]
+        assert tool.compare(str(a), str(a)) == 0

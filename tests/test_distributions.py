@@ -528,9 +528,9 @@ class TestMatrixMT:
         t1 = sample_matrix_mt(RngStream(22, 3), std, size=6)
         from rdmt.algebra import _conj_t_raw, _solve_raw
 
-        p = _solve_raw(_conj_t_raw(delta.chol.data)[None], t1)
+        p = _solve_raw(_conj_t_raw(delta.chol.data)[None], t1, lower=False)
         q = _conj_t_raw(_solve_raw(_conj_t_raw(lam.chol.data)[None],
-                                   _conj_t_raw(p)))
+                                   _conj_t_raw(p), lower=False))
         np.testing.assert_allclose(a, q, atol=1e-12)
 
     def test_octonion_scalar(self):
@@ -662,7 +662,7 @@ class TestEllipticalT:
         y = _std_normal_raw(gen, tag.beta, (size, m, n + nu))
         y1, y2 = y[:, :, :n, :], y[:, :, n:, :]
         v = _hermitize_raw(_matmul_raw(y2, _conj_t_raw(y2)))
-        expected = _solve_raw(_cholesky_raw(v), y1)
+        expected = _solve_raw(_cholesky_raw(v), y1, lower=True)
         np.testing.assert_array_equal(got, expected)
 
     @pytest.mark.parametrize("tag", [R, C])
@@ -849,3 +849,65 @@ class TestBatchedDensities:
         stack[1, 0, 1, 0] = 0.25
         with pytest.raises(ValueError, match="index 1 is not Hermitian"):
             fn(params, stack)
+
+
+class TestSolveContract:
+    """Every triangular solve of the samplers and densities hands the kernel
+    a triangle on the side its `lower` flag names, with a real positive
+    diagonal: the contract of the substitution kernel."""
+
+    @staticmethod
+    def _check(a, lower):
+        m = a.shape[-3]
+        rows, cols = np.triu_indices(m, 1) if lower else np.tril_indices(m, -1)
+        assert np.all(a[..., rows, cols, :] == 0.0)
+        diag = a[..., np.arange(m), np.arange(m), :]
+        assert np.all(diag[..., 0] > 0.0) and np.all(diag[..., 1:] == 0.0)
+
+    @pytest.mark.parametrize("tag", [R, C, H, O])
+    @pytest.mark.parametrize("size", [None, 5])
+    def test_every_solve_is_triangular(self, monkeypatch, tag, size):
+        import rdmt.distributions as dist
+
+        calls = []
+        solve = dist._solve_raw
+
+        def checked(a, b, *, lower):
+            self._check(a, lower)
+            calls.append(lower)
+            return solve(a, b, lower=lower)
+
+        monkeypatch.setattr(dist, "_solve_raw", checked)
+        beta = tag.beta
+        m, n = (1, 1) if tag == O else (2, 3)
+        gen = np.random.default_rng(31)
+
+        def hpd(d):
+            return HermitianPD(DivMatrix(tag, _hpd_stack(gen, beta, d, 1, 0.5)[0]))
+
+        def mu():
+            return DivMatrix(tag, gen.normal(size=(m, n, beta)))
+
+        nu = beta * n + 2.0
+        t_params = MatricTParams(tag, m, n, nu, mu(), hpd(m), hpd(n))
+        mt_params = MatrixMTParams(tag, m, n, nu, 1.5, mu(), hpd(m), hpd(n))
+        draws = [
+            lambda: sample_matric_t(RngStream(3), t_params, size=size),
+            lambda: sample_matric_t(RngStream(3), t_params, "inverse_root", size=size),
+            lambda: sample_matrix_mt(RngStream(3), mt_params, size=size),
+            lambda: sample_beta2_matric(RngStream(3), BetaIIParams(tag, m, n, nu),
+                                        size=size),
+        ]
+        if tag != O:
+            mix = ScaleMixtureSpec((0.5, 0.5), (1.0, 3.0))
+            draws.append(lambda: sample_elliptical_t(RngStream(3), tag, m, n, 4, mix,
+                                                     size=size))
+        for draw in draws:
+            before = len(calls)
+            draw()
+            assert len(calls) > before
+        points = gen.normal(size=(m, n, beta) if size is None else (size, m, n, beta))
+        before = len(calls)
+        logpdf_matric_t(t_params, points if size else DivMatrix(tag, points))
+        assert len(calls) > before
+        assert set(calls) == {True, False}

@@ -206,6 +206,46 @@ class TestEmpiricalSpectrum:
             np.testing.assert_allclose(batch[i], single.values, atol=1e-12)
 
 
+class TestEigenvaluesBatchInput:
+    """eigenvalues_batch refuses what hermitian_eigenvalues refuses, naming
+    the matrix, and leaves an exactly Hermitian stack's bits alone."""
+
+    @staticmethod
+    def _stack(rng, beta):
+        from rdmt.algebra import _gram_raw
+
+        return _gram_raw(rng.normal(size=(3, 2, 3, beta)))
+
+    @pytest.mark.parametrize("tag", [R, C, H])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_is_refused(self, rng, tag, bad):
+        f = self._stack(rng, tag.beta)
+        f[1, 1, 0, tag.beta - 1] = bad
+        with pytest.raises(ValueError,
+                           match="^matrix at index 1 has non-finite coefficients"):
+            eigenvalues_batch(tag, f)
+
+    @pytest.mark.parametrize("tag", [R, C, H])
+    def test_non_hermitian_is_refused(self, rng, tag):
+        f = self._stack(rng, tag.beta)
+        f[2] = 0.0
+        f[2, :, :, 0] = [[1.0, 5.0], [0.0, 1.0]]
+        with pytest.raises(ValueError, match="^matrix at index 2 is not Hermitian"):
+            eigenvalues_batch(tag, f)
+
+    @pytest.mark.parametrize("tag", [R, C, H])
+    def test_hermitian_stack_keeps_its_bits(self, rng, tag):
+        from rdmt.algebra import _eigvalsh_raw
+
+        f = self._stack(rng, tag.beta)
+        np.testing.assert_array_equal(eigenvalues_batch(tag, f),
+                                      _eigvalsh_raw(f, tag.beta))
+
+    def test_non_square_is_refused(self, rng):
+        with pytest.raises(ValueError, match="square"):
+            eigenvalues_batch(R, rng.normal(size=(3, 2, 3, 1)))
+
+
 class TestEmpiricalVsClosedForm:
     def test_lmax_cdf_matches_samples(self):
         # Empirical largest-eigenvalue law of the gram matrix vs the

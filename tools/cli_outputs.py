@@ -1,6 +1,7 @@
 """Run a fixed matrix of `rdmt` commands and write what each one produced.
 
     PYTHONPATH=src python tools/cli_outputs.py OUTDIR
+    python tools/cli_outputs.py --compare OUT_A OUT_B
 
 Every command runs in this process through `rdmt.cli.main`.  Command NAME
 leaves OUTDIR/NAME/ holding its output files (`out`, and `grid` for
@@ -12,7 +13,11 @@ alone and written to OUTDIR/inputs/.
 
 Run it once against each of two source trees and compare with
 `diff -r OUT_A OUT_B`: an empty diff means the two trees write the same
-bytes, exit codes and messages for every command below.
+bytes, exit codes and messages for every command below.  `--compare OUT_A
+OUT_B` says by how much they differ: for each file whose bytes differ, how
+many of its numbers moved and the largest relative move |a - b| / max(|a|,
+|b|), or that its text around the numbers differs; it exits 1 when any file
+differs and 0 when none does.
 
 The matrix covers `sample` for every family at beta 1, 2, 4 and, where
 legal, 1x1 beta = 8, with each construction method and both formats;
@@ -38,8 +43,6 @@ import sys
 import warnings
 
 import numpy as np
-
-from rdmt import cli
 
 BETAS = (1, 2, 4)
 COUNT = "40"
@@ -278,6 +281,8 @@ def _commands(files: dict) -> list:
 
 
 def _run(outdir: str, name: str, argv: list) -> int:
+    from rdmt import cli
+
     where = os.path.join(outdir, name)
     os.makedirs(where, exist_ok=True)
     paths = {"out": os.path.join(where, "out"), "grid": os.path.join(where, "grid")}
@@ -300,8 +305,63 @@ def _run(outdir: str, name: str, argv: list) -> int:
     return code
 
 
+# a decimal number standing alone: not part of a word or of "0.1.0"
+_NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?(?![\w.])")
+
+
+def _moves(text_a: str, text_b: str):
+    """(numbers, moved, largest relative move, line of it) between two texts
+    that differ only in their numbers; None when the text around the numbers
+    differs too."""
+    skel_a, skel_b = _NUMBER.sub("#", text_a), _NUMBER.sub("#", text_b)
+    if skel_a != skel_b:
+        return None
+    count, moved, worst, where = 0, 0, 0.0, 0
+    for ma, mb in zip(_NUMBER.finditer(text_a), _NUMBER.finditer(text_b)):
+        count += 1
+        if ma.group() == mb.group():
+            continue
+        moved += 1
+        x, y = float(ma.group()), float(mb.group())
+        rel = abs(x - y) / max(abs(x), abs(y)) if x != y else 0.0
+        if moved == 1 or rel > worst:
+            worst, where = rel, ma.start()
+    return count, moved, worst, text_a.count("\n", 0, where) + 1
+
+
+def compare(out_a: str, out_b: str) -> int:
+    """Print how the files of two output trees differ; 1 if any does."""
+    def files(root):
+        return {os.path.relpath(os.path.join(d, f), root)
+                for d, _, names in os.walk(root) for f in names}
+
+    in_a, in_b = files(out_a), files(out_b)
+    differ = 0
+    for rel in sorted(in_a | in_b):
+        if rel not in in_a or rel not in in_b:
+            print(f"{rel}: only in {out_a if rel in in_a else out_b}")
+            differ += 1
+            continue
+        with open(os.path.join(out_a, rel)) as fa, open(os.path.join(out_b, rel)) as fb:
+            text_a, text_b = fa.read(), fb.read()
+        if text_a == text_b:
+            continue
+        differ += 1
+        found = _moves(text_a, text_b)
+        if found is None:
+            print(f"{rel}: text differs beyond its numbers")
+            continue
+        count, moved, worst, line = found
+        print(f"{rel}: {moved} of {count} values moved, largest relative move "
+              f"{worst:.3g} (line {line})")
+    print(f"{differ} of {len(in_a | in_b)} files differ")
+    return 1 if differ else 0
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
+    if len(args) == 3 and args[0] == "--compare":
+        return compare(args[1], args[2])
     if len(args) != 1:
         print(__doc__, file=sys.stderr)
         return 2
