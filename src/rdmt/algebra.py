@@ -757,10 +757,13 @@ class HermitianPD:
     The input is checked Hermitian coefficient-wise (tolerance 1e-12 scaled
     by the largest coefficient, tolerating sampler round-off), symmetrized as
     (A + A*)/2, and Cholesky-factorized eagerly; the factor is cached and
-    reused by every determinant and solve downstream.
+    reused by every determinant and solve downstream.  `is_identity` says
+    whether the symmetrized matrix is exactly I, so its factor is too: the
+    samplers skip every product and solve by such a factor, each an exact
+    copy of its input.
     """
 
-    __slots__ = ("mat", "_chol", "_logdet")
+    __slots__ = ("mat", "_chol", "_logdet", "is_identity")
 
     def __init__(self, mat: DivMatrix):
         if not isinstance(mat, DivMatrix):
@@ -775,6 +778,8 @@ class HermitianPD:
         object.__setattr__(self, "mat", DivMatrix(mat.tag, sym))
         object.__setattr__(self, "_chol", DivMatrix(mat.tag, chol))
         object.__setattr__(self, "_logdet", float(_chol_logdet_raw(chol)))
+        object.__setattr__(self, "is_identity",
+                           np.array_equal(sym, _identity_raw(mat.m, mat.tag.beta)))
 
     def __setattr__(self, *_):
         raise AttributeError("HermitianPD is immutable")

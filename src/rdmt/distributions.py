@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import MISSING, dataclass, fields
-from functools import cached_property
+from functools import cache, cached_property
 from typing import ClassVar, get_args, get_type_hints
 
 import numpy as np
@@ -134,6 +134,16 @@ def _field_type(hint):
     return next(t for t in get_args(hint) or (hint,) if t is not type(None))
 
 
+@cache
+def _field_loaders(cls) -> tuple:
+    """(name, type, has a default) of each field of record class `cls` but
+    its tag, resolved once per class: `get_type_hints` evaluates every
+    annotation's string anew on each call."""
+    hints = get_type_hints(cls)
+    return tuple((f.name, _field_type(hints[f.name]), f.default is not MISSING)
+                 for f in fields(cls) if f.name != "tag")
+
+
 class _JsonRecord:
     """The one JSON (de)serializer of the parameter records, driven by the
     dataclass fields: `tag` is written as "beta", a DivMatrix or HermitianPD
@@ -165,20 +175,19 @@ class _JsonRecord:
         if obj.get("family", cls.family) != cls.family:
             raise ValueError(f"params record of family {obj['family']!r}, not "
                              f"{cls.family!r}")
-        known = ({f.name for f in fields(cls)} - {"tag"}) | {"family", "beta"}
+        loaders = _field_loaders(cls)
+        known = {name for name, _, _ in loaders} | {"family", "beta"}
         unknown = sorted(set(obj) - known)
         if unknown:
             raise ValueError(f"unknown {cls.family} params key {unknown[0]!r}")
-        hints = get_type_hints(cls)
         kwargs = {"tag": AlgebraTag(int(obj["beta"]))}
-        for f in fields(cls):
-            if f.name == "tag" or (f.name not in obj and f.default is not MISSING):
+        for name, kind, has_default in loaders:
+            if name not in obj and has_default:
                 continue
-            value = obj[f.name]
+            value = obj[name]
             if value is not None:
-                kind = _field_type(hints[f.name])
                 value = getattr(kind, "from_schema_dict", kind)(value)
-            kwargs[f.name] = value
+            kwargs[name] = value
         return cls(**kwargs)
 
 
@@ -192,8 +201,11 @@ def _check_dims(tag, rows: int, cols: int) -> AlgebraTag:
 
 @dataclass(frozen=True)
 class MatricTParams(_JsonRecord):
-    """Matricvariate T family: T = L^-1 Y + mu with L L* Wishart(nu, Xi)
-    and Y an algebra Gaussian with column scale Sigma."""
+    """Matricvariate T family: T = L^-* Y + mu with L L* Wishart(nu, Xi)
+    and Y an algebra Gaussian with column scale Sigma.  Given L, the rows of
+    T - mu have covariance (L L*)^-1 = W^-1, as the density's kernel
+    |Xi^-1 + (T-mu) Sigma^-1 (T-mu)*| needs; L^-1 Y would give (L* L)^-1,
+    which differs for m >= 2."""
 
     family: ClassVar[str] = "matric-t"
     tag: AlgebraTag
@@ -413,7 +425,8 @@ def sample_gaussian(rng: RngStream, tag: AlgebraTag, m: int, n: int,
     raw = _std_normal_raw(rng.generator, tag.beta, (nsamp, m, n))
     if Sigma is not None:
         Sigma = _default_hpd(Sigma, tag, n, "Sigma")
-        raw = _matmul_raw(raw, _conj_t_raw(Sigma.chol.data))
+        if not Sigma.is_identity:
+            raw = _matmul_raw(raw, _conj_t_raw(Sigma.chol.data))
     return _wrap_single(tag, raw, size)
 
 
@@ -466,35 +479,59 @@ def sample_wishart(rng: RngStream, params: WishartParams, method: str = "bartlet
     nsamp = 1 if size is None else int(size)
     if method == "bartlett":
         c = _wishart_chol_raw(rng.generator, tag.beta, params.m, params.nu,
-                              params.Xi.chol.data, nsamp)
+                              _factor(params.Xi), nsamp)
     elif method == "gram":
         nu_int = int(params.nu)
         if nu_int != params.nu or nu_int < params.m:
             raise DomainError("gram construction requires integer nu >= m")
         y = _std_normal_raw(rng.generator, tag.beta, (nsamp, params.m, nu_int))
-        c = _matmul_raw(params.Xi.chol.data, y)
+        c = y if params.Xi.is_identity else _matmul_raw(params.Xi.chol.data, y)
     else:
         raise ValueError(f"unknown Wishart method {method!r}")
     return _wrap_single(tag, _gram_raw(c), size, hermitian=True)
 
 
+def _factor(h: HermitianPD) -> np.ndarray | None:
+    """h's Cholesky factor for `_wishart_chol_raw`, None when h is exactly I."""
+    return None if h.is_identity else h.chol.data
+
+
 def _wishart_chol_raw(gen: np.random.Generator, beta: int, m: int, nu: float,
-                      lxi: np.ndarray, nsamp: int) -> np.ndarray:
+                      lxi: np.ndarray | None, nsamp: int) -> np.ndarray:
     """Cholesky factor of a Wishart(nu, Xi) draw, composed directly as
     L_Xi * Bartlett (a product of lower triangulars with real positive
-    diagonals is again one, so no refactorization is needed)."""
+    diagonals is again one, so no refactorization is needed).  lxi None
+    stands for L_Xi = I, whose product would copy the Bartlett factor
+    exactly, so the factor itself is returned."""
     lo = _bartlett_factor_raw(gen, beta, m, nu, nsamp)
-    return _matmul_raw(lxi, lo)
+    return lo if lxi is None else _matmul_raw(lxi, lo)
+
+
+def _add_mu(t: np.ndarray, mu: DivMatrix) -> np.ndarray:
+    """t + mu, added in place into the sampler's own array t, which is
+    returned; an exactly zero mu is not added (the draws, never exactly
+    zero, would come back unchanged).  `np.count_nonzero` tests it in a
+    third of the time of `.any()`, which shows in single draws."""
+    if np.count_nonzero(mu.data):
+        t += mu.data
+    return t
 
 
 def sample_matric_t(rng: RngStream, params: MatricTParams,
                     method: str = "wishart_root", size: int | None = None):
     """Matricvariate T draw.
 
-    method "wishart_root" uses T = L^-1 Y + mu with L L* ~ Wishart(nu, Xi);
+    method "wishart_root" uses T = L^-* Y + mu with L L* ~ Wishart(nu, Xi),
+    the upper factor L* solved, so that T - mu given W = L L* has row
+    covariance W^-1 (see MatricTParams);
     method "inverse_root" uses T = X L1^-1 + mu with L1 L1* ~
     Wishart(nu+n-m, Sigma^-1) and X row-scaled by Xi^-1.  Both target the
     same law; the verify suite checks them against each other.
+
+    A scale that is exactly the identity (`HermitianPD.is_identity`) skips
+    its product or solve, and an exactly zero mu its add: each would copy
+    its input exactly, so the draws keep their bits.  A standard record
+    therefore costs the Bartlett factor, Y and one solve.
     """
     tag = params.tag
     beta = tag.beta
@@ -502,25 +539,30 @@ def sample_matric_t(rng: RngStream, params: MatricTParams,
     nsamp = 1 if size is None else int(size)
     gen = rng.generator
     if method == "wishart_root":
-        lw = _wishart_chol_raw(gen, beta, m, params.nu, params.Xi.chol.data, nsamp)
+        # only the upper factor L* is kept, so L's stack is freed at once
+        lw_adj = _conj_t_raw(
+            _wishart_chol_raw(gen, beta, m, params.nu, _factor(params.Xi), nsamp))
         y = _std_normal_raw(gen, beta, (nsamp, m, n))
-        y = _matmul_raw(y, _conj_t_raw(params.Sigma.chol.data))
-        t = _solve_raw(lw, y, lower=True)
+        if not params.Sigma.is_identity:
+            y = _matmul_raw(y, _conj_t_raw(params.Sigma.chol.data))
+        t = _solve_raw(lw_adj, y, lower=False)
     elif method == "inverse_root":
         nu_u = params.nu + n - m
         if not nu_u > beta * (n - 1):
             raise DomainError(
                 f"inverse_root requires nu+n-m > beta*(n-1) = {beta * (n - 1)}"
             )
-        g = _cholesky_raw(_hpd_inverse_raw(params.Sigma.mat.data))
-        lu = _wishart_chol_raw(gen, beta, n, nu_u, g, nsamp)
+        # the inverse of I is exactly I, and so is its factor
+        g = (None if params.Sigma.is_identity
+             else _cholesky_raw(_hpd_inverse_raw(params.Sigma.mat.data)))
+        lu_adj = _conj_t_raw(_wishart_chol_raw(gen, beta, n, nu_u, g, nsamp))
         x = _std_normal_raw(gen, beta, (nsamp, m, n))
-        x = _solve_raw(_conj_t_raw(params.Xi.chol.data), x, lower=False)
-        t = _conj_t_raw(_solve_raw(_conj_t_raw(lu), _conj_t_raw(x), lower=False))
+        if not params.Xi.is_identity:
+            x = _solve_raw(_conj_t_raw(params.Xi.chol.data), x, lower=False)
+        t = _conj_t_raw(_solve_raw(lu_adj, _conj_t_raw(x), lower=False))
     else:
         raise ValueError(f"unknown matricvariate T method {method!r}")
-    t = t + params.mu.data
-    return _wrap_single(tag, t, size)
+    return _wrap_single(tag, _add_mu(t, params.mu), size)
 
 
 def sample_beta2_matric(rng: RngStream, params: BetaIIParams,
@@ -547,15 +589,16 @@ def sample_matrix_mt(rng: RngStream, params: MatrixMTParams,
     s = gen.gamma(shape, scale, size=nsamp)
     _check_gamma_draws(s, lambda _: f"has a scale S ~ Gamma({shape:g}, {scale:g}) "
                        f"that underflowed to 0; nu = {params.nu:g} is too small")
-    y = _std_normal_raw(gen, beta, (nsamp, m, n))
-    t1 = y / np.sqrt(s)[:, None, None, None]
-    p = _solve_raw(_conj_t_raw(params.Delta.chol.data), t1, lower=False)
-    t1 = _conj_t_raw(
-        _solve_raw(_conj_t_raw(params.Lambda.chol.data), _conj_t_raw(p),
-                   lower=False)
-    )
-    t1 = t1 + params.mu.data
-    return _wrap_single(tag, t1, size)
+    t1 = _std_normal_raw(gen, beta, (nsamp, m, n))
+    t1 /= np.sqrt(s)[:, None, None, None]
+    if not params.Delta.is_identity:
+        t1 = _solve_raw(_conj_t_raw(params.Delta.chol.data), t1, lower=False)
+    if not params.Lambda.is_identity:
+        t1 = _conj_t_raw(
+            _solve_raw(_conj_t_raw(params.Lambda.chol.data), _conj_t_raw(t1),
+                       lower=False)
+        )
+    return _wrap_single(tag, _add_mu(t1, params.mu), size)
 
 
 def sample_elliptical_t(rng: RngStream, tag: AlgebraTag, m: int, n: int, nu: int,
@@ -563,7 +606,8 @@ def sample_elliptical_t(rng: RngStream, tag: AlgebraTag, m: int, n: int, nu: int
     """Matricvariate T built from an elliptical (scale-mixture) source.
 
     One global scale multiplies the whole m x (n+nu) Gaussian block per draw;
-    T = L^-1 Y1 with L L* = Y2 Y2*.  The returned matrices are distributed
+    T = L^-* Y1 with L L* = Y2 Y2*, the upper factor solved as in
+    `sample_matric_t`'s "wishart_root".  The returned matrices are distributed
     standard matricvariate T regardless of the mixture, which is exactly the
     invariance property the verify suite tests.
     """
@@ -582,7 +626,7 @@ def sample_elliptical_t(rng: RngStream, tag: AlgebraTag, m: int, n: int, nu: int
     y = _std_normal_raw(gen, tag.beta, (nsamp, m, n + nu))
     y *= scale[:, None, None, None]
     y1, y2 = y[:, :, :n, :], y[:, :, n:, :]
-    t = _solve_raw(_cholesky_raw(_gram_raw(y2)), y1, lower=True)
+    t = _solve_raw(_conj_t_raw(_cholesky_raw(_gram_raw(y2))), y1, lower=False)
     return _wrap_single(tag, t, size)
 
 

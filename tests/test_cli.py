@@ -865,8 +865,8 @@ class TestFrozenOutput:
          '"eigen", "m": 2, "n": 1, "nu": 3.0, "orientation": "cogram", "scale": '
          'null}, "record": "run-info", "seed": 5, "stream": 0, "version": '
          '"0.1.0"}',
-         258, "0.004742134519869814,-0.009461852041611032",
-         "940.7997017030904,-13.695585242157541"),
+         258, "0.005420536031238385,-0.01081179560003921",
+         "949.875254902111,-13.714765762777066"),
         ("matrix-mt",
          ["--beta", "2", "--m", "2", "--n", "2", "--nu", "3", "--kind", "eigen"],
          None, 2018, "0.1363077251903421,0.0007391679729701101,0.9905072152270304",

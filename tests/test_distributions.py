@@ -662,7 +662,7 @@ class TestEllipticalT:
         y = _std_normal_raw(gen, tag.beta, (size, m, n + nu))
         y1, y2 = y[:, :, :n, :], y[:, :, n:, :]
         v = _hermitize_raw(_matmul_raw(y2, _conj_t_raw(y2)))
-        expected = _solve_raw(_cholesky_raw(v), y1, lower=True)
+        expected = _solve_raw(_conj_t_raw(_cholesky_raw(v)), y1, lower=False)
         np.testing.assert_array_equal(got, expected)
 
     @pytest.mark.parametrize("tag", [R, C])
@@ -722,6 +722,33 @@ class TestParamSerialization:
         obj = {"family": "matrix-mt", "beta": 1, "m": 1, "n": 1, "nu": 3.0}
         assert (MatrixMTParams.from_json_dict(obj).to_json_dict()
                 == MatrixMTParams(R, 1, 1, 3.0).to_json_dict())
+
+    def test_field_types_are_resolved_once_per_class(self, monkeypatch, rng):
+        import rdmt.distributions as dist
+
+        calls = []
+        resolve = dist.get_type_hints
+
+        def counted(cls):
+            calls.append(cls)
+            return resolve(cls)
+
+        dist._field_loaders.cache_clear()
+        monkeypatch.setattr(dist, "get_type_hints", counted)
+        try:
+            params = MatricTParams(H, 2, 3, 9.0, random_matrix(rng, H, 2, 3),
+                                   random_hpd(rng, H, 2))
+            obj = json.loads(json.dumps(params.to_json_dict()))
+            loads = [MatricTParams.from_json_dict(obj) for _ in range(3)]
+            loads.append(MatrixMTParams.from_json_dict(
+                {"beta": 1, "m": 1, "n": 1, "nu": 3.0}))
+        finally:
+            monkeypatch.undo()
+            dist._field_loaders.cache_clear()
+        assert calls == [MatricTParams, MatrixMTParams]
+        assert all(back.to_json_dict() == obj for back in loads[:3])
+        with pytest.raises(KeyError, match="nu"):
+            MatricTParams.from_json_dict({"beta": 1, "m": 1, "n": 1})
 
     def test_density_terms_stay_out_of_fields_and_json(self, rng):
         params = MatricTParams(H, 2, 3, 9.0, random_matrix(rng, H, 2, 3),

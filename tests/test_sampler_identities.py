@@ -1,0 +1,318 @@
+"""The samplers' matrix laws, and their identity-aware fast path.
+
+Score identities tie each matrix sampler to its density at m >= 2, where
+the spectral checks cannot see the matrix law: at standard scales a draw
+and any unitary rotation Q T of it have the same singular values.  Let p be
+the density of T and K a fixed real-linear map of T - mu.  The law of
+T + s K(T - mu) has density p(T_s^-1) / det(I + sK), which integrates to one
+for every s, so (Stein's identity)
+
+    E[d/ds log p(T + s K(T - mu))] at s = 0  =  -tr K,
+
+the trace of K as a map on the real coordinates.  For the left map
+K X = H X with H Hermitian m x m that is beta n tr H; for the right map
+X H it is beta m tr H; for the beta II congruence F -> (I + sH) F (I + sH)*
+on the d x d Hermitian cone it is (beta (d - 1) + 2) tr H, since F -> H F + F H
+scales the d real diagonal coordinates by 2 h_i and the beta real
+coordinates of entry (i, j) by h_i + h_j, for diagonal H and so, by unitary
+invariance, for every Hermitian H.  The scores are central differences of
+the library's batched log densities; z is the mean's distance from -tr K in
+standard errors.  A sampler that solves with the lower Cholesky factor in
+place of its adjoint draws the wrong row covariance, and the left map and
+the gram congruence see it at |z| of 13.5 and more at these budgets.
+
+The identity skip: a standard record (every scale exactly I, mu exactly 0)
+skips each product, solve and add by an identity factor.  Each of those
+would copy its input exactly, so the draws must equal, bit for bit, the
+same construction spelled out against the identity."""
+
+import math
+
+import numpy as np
+import pytest
+
+from rdmt.algebra import (
+    AlgebraTag,
+    HermitianPD,
+    _cholesky_raw,
+    _conj_t_raw,
+    _gram_raw,
+    _hermitize_raw,
+    _hpd_inverse_raw,
+    _identity_raw,
+    _matmul_raw,
+    _solve_raw,
+)
+from rdmt.distributions import (
+    BetaIIParams,
+    MatricTParams,
+    MatrixMTParams,
+    RngStream,
+    ScaleMixtureSpec,
+    WishartParams,
+    _bartlett_factor_raw,
+    _std_normal_raw,
+    logpdf_beta2_matric,
+    logpdf_matric_t,
+    sample_beta2_matric,
+    sample_elliptical_t,
+    sample_gaussian,
+    sample_matric_t,
+    sample_matrix_mt,
+    sample_wishart,
+)
+
+from conftest import random_hpd, random_matrix
+
+R, C, H, O = AlgebraTag.REAL, AlgebraTag.COMPLEX, AlgebraTag.QUATERNION, AlgebraTag.OCTONION
+
+# Draws per score identity, the difference step, and the |z| bound.  At this
+# budget the 36 cases below, each run at seeds 1-300 with its scales and H
+# drawn anew per seed, read |z| <= 4.21 (10800 values).  With the lower
+# factor solved, the left-map and gram cases read |z| >= 13.5 at seeds 1-40.
+SCORE_DRAWS = 2000
+SCORE_STEP = 1e-4
+SCORE_BOUND = 5.0
+SEED = 16
+
+
+def _map_matrix(gen, beta, d):
+    """A fixed Hermitian d x d H: the diagonal ramp 1 .. -1, which the
+    wrong row covariance shows most, plus 0.3 of a random Hermitian."""
+    h = 0.3 * _hermitize_raw(gen.normal(size=(d, d, beta)))
+    h[np.arange(d), np.arange(d), 0] += np.linspace(1.0, -1.0, d)
+    return h
+
+
+def _z(score, target):
+    return (score.mean() - target) / (score.std(ddof=1) / math.sqrt(score.size))
+
+
+def _t_score_z(draws, params, side, hmat):
+    """z of the left (H X) or right (X H) map's score for the matricvariate
+    T density of `params` at `draws`."""
+    beta = draws.shape[-1]
+    m, n = draws.shape[-3:-1]
+    x = draws - params.mu.data
+    move = _matmul_raw(hmat, x) if side == "left" else _matmul_raw(x, hmat)
+    score = (logpdf_matric_t(params, draws + SCORE_STEP * move)
+             - logpdf_matric_t(params, draws - SCORE_STEP * move)) / (2 * SCORE_STEP)
+    return _z(score, -beta * (n if side == "left" else m) * hmat[..., 0].trace())
+
+
+class TestScoreIdentities:
+    @pytest.mark.parametrize("tag", [R, C, H])
+    @pytest.mark.parametrize("method", ["wishart_root", "inverse_root"])
+    @pytest.mark.parametrize("scales", ["standard", "random"])
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_matric_t(self, tag, method, scales, side):
+        beta, m, n = tag.beta, 3, 4
+        nu = beta * (m - 1) + 6.5     # inverse_root's nu + n - m > beta(n - 1)
+        gen = np.random.default_rng([SEED, beta])
+        if scales == "random":
+            params = MatricTParams(tag, m, n, nu, random_matrix(gen, tag, m, n),
+                                   random_hpd(gen, tag, m), random_hpd(gen, tag, n))
+        else:
+            params = MatricTParams(tag, m, n, nu)
+        hmat = _map_matrix(gen, beta, m if side == "left" else n)
+        draws = sample_matric_t(RngStream(SEED), params, method, size=SCORE_DRAWS)
+        assert abs(_t_score_z(draws, params, side, hmat)) < SCORE_BOUND
+
+    @pytest.mark.parametrize("tag", [R, C, H])
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_elliptical_t(self, tag, side):
+        beta, m, n, nu = tag.beta, 3, 4, 9
+        gen = np.random.default_rng([SEED, beta])
+        hmat = _map_matrix(gen, beta, m if side == "left" else n)
+        mix = ScaleMixtureSpec((0.5, 0.5), (1.0, 3.0))
+        draws = sample_elliptical_t(RngStream(SEED), tag, m, n, nu, mix,
+                                    size=SCORE_DRAWS)
+        params = MatricTParams(tag, m, n, float(nu))
+        assert abs(_t_score_z(draws, params, side, hmat)) < SCORE_BOUND
+
+    @pytest.mark.parametrize("tag", [R, C, H])
+    @pytest.mark.parametrize("orientation,m,n", [("gram", 3, 4), ("cogram", 4, 3)])
+    def test_beta2_matric_congruence(self, tag, orientation, m, n):
+        beta, d = tag.beta, 3
+        params = BetaIIParams(tag, m, n, beta * (m - 1) + 6.5, orientation)
+        hmat = _map_matrix(np.random.default_rng([SEED, beta]), beta, d)
+        f = sample_beta2_matric(RngStream(SEED), params, size=SCORE_DRAWS)
+
+        def logpdf_moved(s):
+            a = _identity_raw(d, beta) + s * hmat
+            return logpdf_beta2_matric(
+                params, _hermitize_raw(_matmul_raw(_matmul_raw(a, f), _conj_t_raw(a))))
+
+        score = (logpdf_moved(SCORE_STEP) - logpdf_moved(-SCORE_STEP)) / (2 * SCORE_STEP)
+        target = -(beta * (d - 1) + 2) * hmat[..., 0].trace()
+        assert abs(_z(score, target)) < SCORE_BOUND
+
+
+# -- the identity skip -------------------------------------------------------
+
+def _bits(x) -> bytes:
+    """The bytes of a draw or a stack of draws, signed zeros included."""
+    data = x.mat.data if isinstance(x, HermitianPD) else getattr(x, "data", x)
+    return np.ascontiguousarray(data).tobytes()
+
+
+def _spelled_matric_t(params, method, gen, nsamp):
+    """sample_matric_t's construction with every product, solve and add
+    taken, against the record's own factors."""
+    beta, m, n = params.tag.beta, params.m, params.n
+    if method == "wishart_root":
+        lw = _matmul_raw(params.Xi.chol.data,
+                         _bartlett_factor_raw(gen, beta, m, params.nu, nsamp))
+        y = _std_normal_raw(gen, beta, (nsamp, m, n))
+        y = _matmul_raw(y, _conj_t_raw(params.Sigma.chol.data))
+        t = _solve_raw(_conj_t_raw(lw), y, lower=False)
+    else:
+        g = _cholesky_raw(_hpd_inverse_raw(params.Sigma.mat.data))
+        lu = _matmul_raw(g, _bartlett_factor_raw(gen, beta, n, params.nu + n - m, nsamp))
+        x = _std_normal_raw(gen, beta, (nsamp, m, n))
+        x = _solve_raw(_conj_t_raw(params.Xi.chol.data), x, lower=False)
+        t = _conj_t_raw(_solve_raw(_conj_t_raw(lu), _conj_t_raw(x), lower=False))
+    return t + params.mu.data
+
+
+def _spelled_matrix_mt(params, gen, nsamp):
+    beta, m, n = params.tag.beta, params.m, params.n
+    s = gen.gamma(beta * params.nu / 2.0, 2.0 * params.rho / beta, size=nsamp)
+    t1 = _std_normal_raw(gen, beta, (nsamp, m, n)) / np.sqrt(s)[:, None, None, None]
+    p = _solve_raw(_conj_t_raw(params.Delta.chol.data), t1, lower=False)
+    t1 = _conj_t_raw(_solve_raw(_conj_t_raw(params.Lambda.chol.data), _conj_t_raw(p),
+                                lower=False))
+    return t1 + params.mu.data
+
+
+def _spelled_wishart(params, method, gen, nsamp):
+    beta, m = params.tag.beta, params.m
+    if method == "bartlett":
+        c = _bartlett_factor_raw(gen, beta, m, params.nu, nsamp)
+    else:
+        c = _std_normal_raw(gen, beta, (nsamp, m, int(params.nu)))
+    return _gram_raw(_matmul_raw(params.Xi.chol.data, c))
+
+
+def _standard_cases(tag, m, n):
+    """(name, sampler(rng, size), spelled(gen, nsamp)) of every sampler on a
+    standard record of the algebra."""
+    beta = tag.beta
+    nu = beta * (max(m, n) - 1) + 3.0
+    t_params = MatricTParams(tag, m, n, nu)
+    mt_params = MatrixMTParams(tag, m, n, nu, 1.5)
+    w_params = WishartParams(tag, m, float(beta * m + 2))
+    cogram = n < m
+    b2_params = BetaIIParams(tag, m, n, nu, "cogram" if cogram else "gram")
+    sigma = HermitianPD.identity(tag, n)
+    cases = [
+        ("matrix-mt", lambda rng, size: sample_matrix_mt(rng, mt_params, size=size),
+         lambda gen, k: _spelled_matrix_mt(mt_params, gen, k)),
+        ("gaussian", lambda rng, size: sample_gaussian(rng, tag, m, n, sigma, size=size),
+         lambda gen, k: _matmul_raw(_std_normal_raw(gen, beta, (k, m, n)),
+                                    _conj_t_raw(sigma.chol.data))),
+        ("beta2-matric", lambda rng, size: sample_beta2_matric(rng, b2_params, size=size),
+         lambda gen, k: _gram_raw(_spelled_matric_t(t_params, "wishart_root", gen, k),
+                                  adjoint_first=cogram)),
+    ]
+    for method in ("wishart_root", "inverse_root"):
+        cases.append((f"matric-t {method}",
+                      lambda rng, size, method=method: sample_matric_t(
+                          rng, t_params, method, size=size),
+                      lambda gen, k, method=method: _spelled_matric_t(
+                          t_params, method, gen, k)))
+    # the Gram construction needs a 1 x nu octonion matrix, which is refused
+    for method in ("bartlett",) if tag == O else ("bartlett", "gram"):
+        cases.append((f"wishart {method}",
+                      lambda rng, size, method=method: sample_wishart(
+                          rng, w_params, method, size=size),
+                      lambda gen, k, method=method: _spelled_wishart(
+                          w_params, method, gen, k)))
+    return cases
+
+
+SHAPES = [(R, 2, 3), (C, 2, 3), (H, 2, 3), (R, 3, 2), (H, 5, 5), (O, 1, 1)]
+
+
+class TestIdentitySkip:
+    def test_the_flag_is_exact_identity(self):
+        for tag, m in ((R, 1), (C, 3), (H, 2), (O, 1)):
+            assert HermitianPD.identity(tag, m).is_identity
+            assert not HermitianPD.from_real(tag, 2.0 * np.eye(m)).is_identity
+            assert not HermitianPD.from_real(tag, (1 + 2.0**-52) * np.eye(m)).is_identity
+        off = np.eye(2)
+        off[0, 1] = off[1, 0] = 1e-300
+        assert not HermitianPD.from_real(R, off).is_identity
+
+    @pytest.mark.parametrize("tag,m,n", SHAPES)
+    @pytest.mark.parametrize("size", [None, 60])
+    def test_standard_draws_keep_the_product_bits(self, tag, m, n, size):
+        for name, sampler, spelled in _standard_cases(tag, m, n):
+            got = sampler(RngStream(5, 2), size)
+            want = spelled(RngStream(5, 2).generator, 1 if size is None else size)
+            assert _bits(got) == _bits(want if size else want[0]), name
+
+    @pytest.mark.parametrize("tag,m,n", SHAPES)
+    def test_no_identity_factor_reaches_a_kernel(self, monkeypatch, tag, m, n):
+        import rdmt.distributions as dist
+
+        seen = []
+
+        def spy(kernel):
+            def call(a, b, **kwargs):
+                for x in (a, b):
+                    k = x.shape[-3]
+                    if x.shape[-2] == k and np.all(x == _identity_raw(k, x.shape[-1])):
+                        seen.append((kernel.__name__, x.shape))
+                return kernel(a, b, **kwargs)
+            return call
+
+        monkeypatch.setattr(dist, "_matmul_raw", spy(_matmul_raw))
+        monkeypatch.setattr(dist, "_solve_raw", spy(_solve_raw))
+        for name, sampler, _ in _standard_cases(tag, m, n):
+            for size in (None, 7):
+                sampler(RngStream(3), size)
+                assert not seen, name
+        if tag != O and n >= m:
+            mix = ScaleMixtureSpec((0.5, 0.5), (1.0, 3.0))
+            sample_elliptical_t(RngStream(3), tag, m, n, n + 1, mix, size=7)
+            assert not seen
+
+    @pytest.mark.parametrize("tag", [R, C, H, O])
+    def test_near_identity_takes_the_product_path(self, monkeypatch, tag):
+        import rdmt.distributions as dist
+
+        m = 1 if tag == O else 2
+        n = 1 if tag == O else 3
+        xi = HermitianPD.from_real(tag, (1 + 2.0**-52) * np.eye(m))
+        params = MatricTParams(tag, m, n, tag.beta * m + 2.0, Xi=xi)
+        products = []
+
+        def counted(a, b):
+            products.append(a is xi.chol.data)
+            return _matmul_raw(a, b)
+
+        monkeypatch.setattr(dist, "_matmul_raw", counted)
+        got = sample_matric_t(RngStream(4), params, size=9)
+        want = _spelled_matric_t(params, "wishart_root", RngStream(4).generator, 9)
+        assert any(products)
+        assert _bits(got) == _bits(want)
+
+    def test_random_scales_keep_every_product(self):
+        gen = np.random.default_rng(8)
+        params = MatricTParams(H, 2, 3, 9.0, random_matrix(gen, H, 2, 3),
+                               random_hpd(gen, H, 2), random_hpd(gen, H, 3))
+        for method in ("wishart_root", "inverse_root"):
+            got = sample_matric_t(RngStream(6), params, method, size=11)
+            want = _spelled_matric_t(params, method, RngStream(6).generator, 11)
+            assert _bits(got) == _bits(want)
+
+    def test_mu_is_added_in_place_once(self):
+        gen = np.random.default_rng(9)
+        mu = random_matrix(gen, C, 2, 3)
+        params = MatricTParams(C, 2, 3, 6.0, mu)
+        before = mu.data.copy()
+        t = sample_matric_t(RngStream(7), params, size=5)
+        plain = sample_matric_t(RngStream(7), MatricTParams(C, 2, 3, 6.0), size=5)
+        assert _bits(t) == _bits(plain + mu.data)
+        assert np.array_equal(mu.data, before)
