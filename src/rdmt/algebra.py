@@ -22,10 +22,11 @@ quaternion singular value or eigenvalue appears in the adjoint as a
 coincident (Kramers) pair.  Every kernel is one numpy call between
 `_complex_embed_raw` and `_complex_unembed_raw`, with two exceptions for
 stacks of two or more matrices, which work on the coefficients themselves:
-triangular systems of order m <= SUBSTITUTION_MAX_ORDER are solved by
-substitution (`_substitute_raw`), skipping LAPACK's LU, and matrices with
-min(m, n) <= 2 have closed-form singular values (`_singular_values_raw`),
-skipping LAPACK's iterative SVD.
+the triangular systems L* X = B of a Cholesky factor L are solved by back
+substitution (`_substitute_raw`) at every order, skipping LAPACK's LU, and
+matrices with min(m, n) <= 2 have closed-form singular values
+(`_singular_values_raw`), skipping LAPACK's iterative SVD.  The quaternion
+rule j q of both, and of the adjoint's second block row, is `_j_times_raw`.
 
 Two rules of the algebra live here alone.  Gram products (`_gram_raw`) and
 every other matrix that Cholesky or eigvalsh reads one triangle of are
@@ -127,7 +128,8 @@ def _complex_embed_raw(x: np.ndarray, beta: int) -> np.ndarray:
     for beta = 2, and for beta = 4 the pair (a, b) of q = a + b j, with
     a = w + x i and b = y + z i.  beta = 1, 2 give the matrix itself; beta = 4
     gives the 2m x 2n adjoint, each entry becoming the block
-    [[a, b], [-conj(b), conj(a)]], which is multiplicative.
+    [[a, b], [-conj(b), conj(a)]], which is multiplicative; its second row
+    is the pair of j q (`_j_times_raw`).
     """
     if beta == 1:
         return x[..., 0]
@@ -139,8 +141,7 @@ def _complex_embed_raw(x: np.ndarray, beta: int) -> np.ndarray:
     m, n = x.shape[-3], x.shape[-2]
     out = np.empty(x.shape[:-3] + (m, 2, n, 2), dtype=np.complex128)
     out[..., 0, :, :] = c
-    out[..., 1, :, 0] = -np.conj(c[..., 1])
-    out[..., 1, :, 1] = np.conj(c[..., 0])
+    _j_times_raw(c, out[..., 1, :, :])
     return out.reshape(x.shape[:-3] + (2 * m, 2 * n))
 
 
@@ -317,101 +318,86 @@ def _logdet_hermitian_raw(a: np.ndarray) -> np.ndarray:
     return _chol_logdet_raw(_cholesky_raw(_hermitize_raw(a)))
 
 
-# Largest order of a stack of triangular systems solved by substitution.
-SUBSTITUTION_MAX_ORDER = 4
+def _solve_raw(lo: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve L* X = B for a lower Cholesky factor L, (..., m, m, beta), as
+    `_cholesky_raw`, `HermitianPD.chol` and the samplers' Wishart factors
+    give it, and (..., m, n, beta) B; the leading axes broadcast.  L's
+    diagonal must be real and positive.
 
-
-def _solve_raw(a: np.ndarray, b: np.ndarray, *, lower: bool) -> np.ndarray:
-    """Solve A X = B for triangular (..., m, m, beta) A, lower or upper as
-    `lower` says, and (..., m, n, beta) B; the leading axes broadcast.  A
-    must have a real positive diagonal, as the Cholesky factors and their
-    conjugate transposes that reach here do; only its diagonal's real part
-    and its `lower` triangle are read on the substitution path.
-
-    A stack of two or more systems of order m <= SUBSTITUTION_MAX_ORDER, and
-    a 1x1 octonion, go through `_substitute_raw`.  A single system (no batch
-    axis, or a batch of 1) and every larger order keep LAPACK's LU solve of
-    the complex representation.  There, one shared A against a stack of B is
-    one solve of A [B_1 ... B_N], the stack side by side as a single
-    m x (N n) matrix.  Only stacks of B with two or more complex columns
-    fold, because LAPACK takes a single right-hand side through vector
-    kernels that round differently."""
-    beta = a.shape[-1]
-    if _octonion_scalar(a) or (a.shape[-3] <= SUBSTITUTION_MAX_ORDER
-                               and max(_batch(a), _batch(b)) > 1):
-        return _substitute_raw(a, b, lower)
-    if _batch(b) > 1 and _batch(a) == 1 and (beta == 4 or b.shape[-2] > 1):
-        lead = np.broadcast_shapes(a.shape[:-3], b.shape[:-3])
-        m, n = b.shape[-3:-1]
-        side_by_side = b.reshape(-1, m, n, beta).swapaxes(0, 1).reshape(m, -1, beta)
-        x = _solve_raw(a.reshape(a.shape[-3:]), side_by_side, lower=lower)
-        return x.reshape(m, -1, n, beta).swapaxes(0, 1).reshape(lead + (m, n, beta))
+    A stack of two or more systems, and a 1x1 octonion, go through
+    `_substitute_raw`, which reads L in place, never forming L*: only its
+    strictly lower triangle and its diagonal's real part.  A single system
+    (no batch axis, or a batch of 1) takes LAPACK's solve of the
+    conjugate-transposed complex representation, which costs less for one
+    small system."""
+    beta = lo.shape[-1]
+    if _octonion_scalar(lo) or max(_batch(lo), _batch(b)) > 1:
+        return _substitute_raw(lo, b)
+    z = _complex_embed_raw(lo, beta)
     return _complex_unembed_raw(
-        np.linalg.solve(_complex_embed_raw(a, beta), _complex_embed_raw(b, beta)),
-        beta,
-    )
+        np.linalg.solve(z.conj().swapaxes(-1, -2), _complex_embed_raw(b, beta)), beta)
 
 
-def _substitute_raw(a: np.ndarray, b: np.ndarray, lower: bool) -> np.ndarray:
-    """Forward (lower A) or back (upper A) substitution over the m rows of
-    A X = B, each step vectorized across the broadcast stack, for any beta
-    when m = 1 and beta <= 4 otherwise.  A's diagonal is real and positive,
-    so row i of X is (B_i - sum_k A_ik X_k) / a_ii, the sum over the rows
-    already solved, in the order they were solved; a 1x1 system is one
-    division, which is also how a 1x1 octonion solves.
+def _substitute_raw(lo: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Back substitution over the m rows of L* X = B, each step vectorized
+    across the broadcast stack, for any beta when m = 1 and beta <= 4
+    otherwise.  Row i of X is (B_i - sum_k conj(L_ki) X_k) / l_ii, the sum
+    over the rows below it from the last up; a 1x1 system is one division,
+    which is also how a 1x1 octonion solves.
 
     The arithmetic is on the coefficients: real numbers for beta = 1, complex
     for beta = 2, and for beta = 4 the interleaved complex pairs (c, d) of
-    c + d j, the view `_complex_embed_raw` reads.  By the doubling rule
-    (p, s) q = p q + s (j q) entrywise, and j q = (-conj(d), conj(c)), so a
-    quaternion coefficient of A acts on a solved row of X by two complex
-    products.  Every operation is elementwise, so a matrix's result does not
-    depend on the rest of the stack, and a shared A simply broadcasts."""
-    beta, m = a.shape[-1], a.shape[-3]
+    L_ki = c + d j, the view `_complex_embed_raw` reads.  Then conj(L_ki) is
+    the pair (conj(c), -d), and by the doubling rule (p, s) q = p q + s (j q)
+    entrywise, so it acts on a solved row of X by two complex products, the
+    second with the row's j-multiple (`_j_times_raw`).  Every operation is
+    elementwise, so a matrix's result does not depend on the rest of the
+    stack, and a shared L simply broadcasts."""
+    beta, m = lo.shape[-1], lo.shape[-3]
     if m == 1:
-        return b / a[..., :1]
-    lead = np.broadcast_shapes(a.shape[:-3], b.shape[:-3])
+        return b / lo[..., :1]
+    lead = np.broadcast_shapes(lo.shape[:-3], b.shape[:-3])
     n = b.shape[-2]
-    diag = np.diagonal(a[..., 0], axis1=-2, axis2=-1)
+    diag = np.diagonal(lo[..., 0], axis1=-2, axis2=-1)
     x = np.empty(lead + (m, n, beta))
     flat = x.reshape(lead + (m, n * beta))    # each row's real coefficients
     if beta == 1:
-        coef, rhs, rows = a[..., 0], b[..., 0], flat
+        coef, rhs, rows = lo[..., 0], b[..., 0], flat
     else:
-        coef = np.ascontiguousarray(a).view(np.complex128)
+        coef = np.ascontiguousarray(lo).view(np.complex128)
         rhs = np.ascontiguousarray(b).view(np.complex128).reshape(b.shape[:-2] + (-1,))
         rows = flat.view(np.complex128)
         if beta == 2:
             coef = coef[..., 0]
     j_rows = {}
-    order = range(m) if lower else range(m - 1, -1, -1)
-    for step, i in enumerate(order):
+    for i in range(m - 1, -1, -1):
         acc = rhs[..., i, :]
-        for k in order[:step]:
+        for k in range(m - 1, i, -1):
             if beta == 4:
-                acc = acc - coef[..., i, k, 0, None] * rows[..., k, :]
-                acc -= coef[..., i, k, 1, None] * j_rows[k]
-            else:
-                acc = acc - coef[..., i, k, None] * rows[..., k, :]
+                acc = acc - np.conj(coef[..., k, i, 0, None]) * rows[..., k, :]
+                acc += coef[..., k, i, 1, None] * j_rows[k]
+            else:   # conj is the identity on beta = 1's real coefficients
+                acc = acc - np.conj(coef[..., k, i, None]) * rows[..., k, :]
         np.divide(acc if beta == 1 else acc.view(np.float64), diag[..., i, None],
                   out=flat[..., i, :])
-        if beta == 4 and step < m - 1:
-            j_rows[i] = _j_times_raw(x[..., i, :, :]).reshape(lead + (2 * n,))
+        if beta == 4 and i > 0:
+            pairs = rows[..., i, :].reshape(lead + (n, 2))
+            j_rows[i] = _j_times_raw(pairs).reshape(lead + (2 * n,))
     return x
 
 
-def _j_times_raw(q: np.ndarray) -> np.ndarray:
-    """j q entrywise, as complex pairs, for (..., 4) quaternion coefficients
-    (w, x, y, z) = (c, d): the pairs (-conj(d), conj(c)), whose coefficients
-    are (-y, z, w, -x).  The signs flip by multiplying with -1 because
-    numpy 2.4.6's np.negative writes wrong values into a strided `out` when
-    its input's stride is 8 elements, which q[..., 2] has when m n = 2."""
-    out = np.empty(q.shape)
-    np.multiply(q[..., 2], -1.0, out=out[..., 0])
-    out[..., 1] = q[..., 3]
-    out[..., 2] = q[..., 0]
-    np.multiply(q[..., 1], -1.0, out=out[..., 3])
-    return out.view(np.complex128)
+def _j_times_raw(q: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """j q entrywise for quaternions q = c + d j given as (..., 2) complex
+    pairs (c, d), the view `_complex_embed_raw` reads: the pairs
+    (-conj(d), conj(c)), written into `out` (a new array by default).  Each
+    half is computed into a fresh array and then copied, because numpy
+    2.4.6's np.negative writes wrong values into a strided `out` when its
+    input's stride is 8 elements, as a solved row's coefficients are in
+    `_substitute_raw` when m n = 2."""
+    out = np.empty(q.shape, np.complex128) if out is None else out
+    out[..., 0] = -np.conj(q[..., 1])
+    out[..., 1] = np.conj(q[..., 0])
+    return out
 
 
 def _hpd_inverse_raw(a: np.ndarray) -> np.ndarray:
@@ -513,8 +499,7 @@ def _two_row_singular_values(x: np.ndarray, beta: int) -> np.ndarray:
     f = np.sqrt(np.maximum(sq[:, 0], sq[:, 1]))
     q1 = rows[:, 0] / np.where(f > 0.0, f, 1.0)[:, None]
     if beta == 4:
-        pairs = q1.reshape(n_mat, -1, 2)
-        k1 = np.stack([-pairs[..., 1].conj(), pairs[..., 0].conj()], axis=-1)
+        k1 = _j_times_raw(q1.reshape(n_mat, -1, 2))
         basis = np.stack([q1, k1.reshape(q1.shape)], axis=1)
     else:
         basis = q1[:, None]

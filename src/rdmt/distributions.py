@@ -83,20 +83,24 @@ class RngStream:
 
     Identical (seed, stream) pairs reproduce identical draw sequences.
     `child(i)` derives an independent stream deterministically, which is how
-    the verify suite hands disjoint streams to concurrent checks.
+    the verify suite hands disjoint streams to concurrent checks: it extends
+    the `SeedSequence` spawn key (stream,) to (stream, i), then (stream, i, j).
     """
 
-    def __init__(self, seed: int, stream: int = 0):
+    def __init__(self, seed: int, stream: int = 0, *, path: tuple = ()):
         self.seed = int(seed)
         self.stream = int(stream)
-        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream,))
+        self.path = tuple(int(i) for i in path)
+        ss = np.random.SeedSequence(entropy=self.seed,
+                                    spawn_key=(self.stream,) + self.path)
         self.generator = np.random.Generator(np.random.PCG64(ss))
 
     def child(self, index: int) -> "RngStream":
-        return RngStream(self.seed, self.stream * 1000003 + index + 1)
+        return RngStream(self.seed, self.stream, path=self.path + (index,))
 
     def __repr__(self) -> str:
-        return f"RngStream(seed={self.seed}, stream={self.stream})"
+        path = f", path={self.path}" if self.path else ""
+        return f"RngStream(seed={self.seed}, stream={self.stream}{path})"
 
 
 def _std_normal_raw(gen: np.random.Generator, beta: int, shape: tuple) -> np.ndarray:
@@ -205,7 +209,8 @@ class MatricTParams(_JsonRecord):
     and Y an algebra Gaussian with column scale Sigma.  Given L, the rows of
     T - mu have covariance (L L*)^-1 = W^-1, as the density's kernel
     |Xi^-1 + (T-mu) Sigma^-1 (T-mu)*| needs; L^-1 Y would give (L* L)^-1,
-    which differs for m >= 2."""
+    which differs for m >= 2.  The primal density multiplies by M*, M the
+    record's cached lower factor of Sigma^-1 (`_sigma_inv_chol`)."""
 
     family: ClassVar[str] = "matric-t"
     tag: AlgebraTag
@@ -231,6 +236,13 @@ class MatricTParams(_JsonRecord):
     def _density_terms(self):
         """`_matric_t_terms(self)`, computed on first use (see Log densities)."""
         return _matric_t_terms(self)
+
+    @cached_property
+    def _sigma_inv_chol(self) -> np.ndarray | None:
+        """Lower M with M M* = Sigma^-1, None for Sigma = I (then M = I
+        exactly): the primal density's factor and inverse_root's scale."""
+        return (None if self.Sigma.is_identity
+                else _cholesky_raw(_hpd_inverse_raw(self.Sigma.mat.data)))
 
 
 @dataclass(frozen=True)
@@ -539,27 +551,22 @@ def sample_matric_t(rng: RngStream, params: MatricTParams,
     nsamp = 1 if size is None else int(size)
     gen = rng.generator
     if method == "wishart_root":
-        # only the upper factor L* is kept, so L's stack is freed at once
-        lw_adj = _conj_t_raw(
-            _wishart_chol_raw(gen, beta, m, params.nu, _factor(params.Xi), nsamp))
+        lw = _wishart_chol_raw(gen, beta, m, params.nu, _factor(params.Xi), nsamp)
         y = _std_normal_raw(gen, beta, (nsamp, m, n))
         if not params.Sigma.is_identity:
             y = _matmul_raw(y, _conj_t_raw(params.Sigma.chol.data))
-        t = _solve_raw(lw_adj, y, lower=False)
+        t = _solve_raw(lw, y)
     elif method == "inverse_root":
         nu_u = params.nu + n - m
         if not nu_u > beta * (n - 1):
             raise DomainError(
                 f"inverse_root requires nu+n-m > beta*(n-1) = {beta * (n - 1)}"
             )
-        # the inverse of I is exactly I, and so is its factor
-        g = (None if params.Sigma.is_identity
-             else _cholesky_raw(_hpd_inverse_raw(params.Sigma.mat.data)))
-        lu_adj = _conj_t_raw(_wishart_chol_raw(gen, beta, n, nu_u, g, nsamp))
+        lu = _wishart_chol_raw(gen, beta, n, nu_u, params._sigma_inv_chol, nsamp)
         x = _std_normal_raw(gen, beta, (nsamp, m, n))
         if not params.Xi.is_identity:
-            x = _solve_raw(_conj_t_raw(params.Xi.chol.data), x, lower=False)
-        t = _conj_t_raw(_solve_raw(lu_adj, _conj_t_raw(x), lower=False))
+            x = _solve_raw(params.Xi.chol.data, x)
+        t = _conj_t_raw(_solve_raw(lu, _conj_t_raw(x)))
     else:
         raise ValueError(f"unknown matricvariate T method {method!r}")
     return _wrap_single(tag, _add_mu(t, params.mu), size)
@@ -592,12 +599,9 @@ def sample_matrix_mt(rng: RngStream, params: MatrixMTParams,
     t1 = _std_normal_raw(gen, beta, (nsamp, m, n))
     t1 /= np.sqrt(s)[:, None, None, None]
     if not params.Delta.is_identity:
-        t1 = _solve_raw(_conj_t_raw(params.Delta.chol.data), t1, lower=False)
+        t1 = _solve_raw(params.Delta.chol.data, t1)
     if not params.Lambda.is_identity:
-        t1 = _conj_t_raw(
-            _solve_raw(_conj_t_raw(params.Lambda.chol.data), _conj_t_raw(t1),
-                       lower=False)
-        )
+        t1 = _conj_t_raw(_solve_raw(params.Lambda.chol.data, _conj_t_raw(t1)))
     return _wrap_single(tag, _add_mu(t1, params.mu), size)
 
 
@@ -626,7 +630,7 @@ def sample_elliptical_t(rng: RngStream, tag: AlgebraTag, m: int, n: int, nu: int
     y = _std_normal_raw(gen, tag.beta, (nsamp, m, n + nu))
     y *= scale[:, None, None, None]
     y1, y2 = y[:, :, :n, :], y[:, :, n:, :]
-    t = _solve_raw(_conj_t_raw(_cholesky_raw(_gram_raw(y2))), y1, lower=False)
+    t = _solve_raw(_cholesky_raw(_gram_raw(y2)), y1)
     return _wrap_single(tag, t, size)
 
 
@@ -670,8 +674,9 @@ def _points(params, t, shape: tuple) -> tuple:
 
 def _matric_t_terms(params: MatricTParams) -> dict:
     """form -> (q, factor, base, const) of logpdf_matric_t, whose kernel is
-    |base + g* g|^-q: primal g = L_Sigma^-1 (T-mu)* with factor L_Sigma and
-    base Xi^-1, dual g = L_Xi* (T-mu) with factor L_Xi* and base Sigma."""
+    |base + g* g|^-q: primal g = M* (T-mu)*, M M* = Sigma^-1, with factor M*
+    (None for Sigma = I) and base Xi^-1, dual g = L_Xi* (T-mu) with factor
+    L_Xi* and base Sigma."""
     tag = params.tag
     beta = tag.beta
     m, n, nu = params.m, params.n, params.nu
@@ -690,9 +695,10 @@ def _matric_t_terms(params: MatricTParams) -> dict:
         - m * n * beta / 2.0 * _LOG_PI
         - _lmg(tag, n, beta * (n + nu - m) / 2.0)
     )
+    m_inv = params._sigma_inv_chol
     return {
-        "primal": (q, params.Sigma.chol.data, _hpd_inverse_raw(params.Xi.mat.data),
-                   primal),
+        "primal": (q, None if m_inv is None else _conj_t_raw(m_inv),
+                   _hpd_inverse_raw(params.Xi.mat.data), primal),
         "dual": (q, _conj_t_raw(params.Xi.chol.data), params.Sigma.mat.data, dual),
     }
 
@@ -703,7 +709,9 @@ def logpdf_matric_t(params: MatricTParams, t, form: str = "primal"):
     The primal form carries the kernel |Xi^-1 + (T-mu) Sigma^-1 (T-mu)*|,
     the dual form |Sigma + (T-mu)* Xi (T-mu)|; they agree identically (the
     dimension-swap gamma identity plus a determinant identity) and both are
-    kept as a cross-check.  beta = 8 is permitted only at m = n = 1.
+    kept as a cross-check.  Each is g* g of one product, and neither solves:
+    primal g = M* (T-mu)* with M M* = Sigma^-1, dual g = L_Xi* (T-mu).
+    beta = 8 is permitted only at m = n = 1.
     """
     if form not in ("primal", "dual"):
         raise ValueError("form must be 'primal' or 'dual'")
@@ -711,9 +719,8 @@ def logpdf_matric_t(params: MatricTParams, t, form: str = "primal"):
     x, single = _points(params, t, (params.m, params.n))
     a = x - params.mu.data
     if form == "primal":
-        g = _solve_raw(factor, _conj_t_raw(a), lower=True)  # L_Sigma^-1 (T-mu)*
-    else:
-        g = _matmul_raw(factor, a)  # L_Xi* (T-mu)
+        a = _conj_t_raw(a)
+    g = a if factor is None else _matmul_raw(factor, a)  # M* (T-mu)* or L_Xi* (T-mu)
     out = const - q * _logdet_hermitian_raw(base + _matmul_raw(_conj_t_raw(g), g))
     return float(out) if single else out
 

@@ -71,6 +71,28 @@ class TestRngStream:
         b = RngStream(5, 2).child(7).generator.normal(size=4)
         np.testing.assert_array_equal(a, b)
 
+    def test_children_do_not_collide(self):
+        # one stream while a child's number was stream * 1000003 + index + 1
+        a, b = RngStream(1, 0).child(1000003), RngStream(1, 1).child(0)
+        assert not np.array_equal(a.generator.normal(size=8), b.generator.normal(size=8))
+        assert (a.stream, a.path, b.stream, b.path) == (0, (1000003,), 1, (0,))
+
+    def test_children_extend_the_spawn_key(self):
+        root = RngStream(5, 2)
+        grandchild = root.child(7).child(1)
+        assert (grandchild.seed, grandchild.stream, grandchild.path) == (5, 2, (7, 1))
+        assert repr(grandchild) == "RngStream(seed=5, stream=2, path=(7, 1))"
+        # child i is SeedSequence.spawn's child i of the stream's sequence
+        spawned = np.random.SeedSequence(5, spawn_key=(2,)).spawn(2)[1]
+        np.testing.assert_array_equal(
+            root.child(1).generator.normal(size=4),
+            np.random.Generator(np.random.PCG64(spawned)).normal(size=4))
+        draws = [s.generator.normal(size=4) for s in
+                 (root, root.child(0), root.child(1), root.child(7), grandchild,
+                  RngStream(5, 2).child(7).child(1))]
+        assert len({d.tobytes() for d in draws[:5]}) == 5
+        np.testing.assert_array_equal(draws[4], draws[5])
+
 
 class TestGaussian:
     def test_zero_mean_single_entry(self):
@@ -528,9 +550,8 @@ class TestMatrixMT:
         t1 = sample_matrix_mt(RngStream(22, 3), std, size=6)
         from rdmt.algebra import _conj_t_raw, _solve_raw
 
-        p = _solve_raw(_conj_t_raw(delta.chol.data)[None], t1, lower=False)
-        q = _conj_t_raw(_solve_raw(_conj_t_raw(lam.chol.data)[None],
-                                   _conj_t_raw(p), lower=False))
+        p = _solve_raw(delta.chol.data[None], t1)
+        q = _conj_t_raw(_solve_raw(lam.chol.data[None], _conj_t_raw(p)))
         np.testing.assert_allclose(a, q, atol=1e-12)
 
     def test_octonion_scalar(self):
@@ -662,7 +683,7 @@ class TestEllipticalT:
         y = _std_normal_raw(gen, tag.beta, (size, m, n + nu))
         y1, y2 = y[:, :, :n, :], y[:, :, n:, :]
         v = _hermitize_raw(_matmul_raw(y2, _conj_t_raw(y2)))
-        expected = _solve_raw(_conj_t_raw(_cholesky_raw(v)), y1, lower=False)
+        expected = _solve_raw(_cholesky_raw(v), y1)
         np.testing.assert_array_equal(got, expected)
 
     @pytest.mark.parametrize("tag", [R, C])
@@ -879,30 +900,31 @@ class TestBatchedDensities:
 
 
 class TestSolveContract:
-    """Every triangular solve of the samplers and densities hands the kernel
-    a triangle on the side its `lower` flag names, with a real positive
-    diagonal: the contract of the substitution kernel."""
+    """Every triangular solve of the samplers hands the kernel a lower
+    Cholesky factor L as it comes, lower triangular with a real positive
+    diagonal, and the kernel solves L* X = B.  The matric-t densities solve
+    nothing: both forms are products."""
 
     @staticmethod
-    def _check(a, lower):
-        m = a.shape[-3]
-        rows, cols = np.triu_indices(m, 1) if lower else np.tril_indices(m, -1)
-        assert np.all(a[..., rows, cols, :] == 0.0)
-        diag = a[..., np.arange(m), np.arange(m), :]
+    def _check(lo):
+        m = lo.shape[-3]
+        rows, cols = np.triu_indices(m, 1)
+        assert np.all(lo[..., rows, cols, :] == 0.0)
+        diag = lo[..., np.arange(m), np.arange(m), :]
         assert np.all(diag[..., 0] > 0.0) and np.all(diag[..., 1:] == 0.0)
 
     @pytest.mark.parametrize("tag", [R, C, H, O])
     @pytest.mark.parametrize("size", [None, 5])
-    def test_every_solve_is_triangular(self, monkeypatch, tag, size):
+    def test_every_solve_is_of_a_lower_factor(self, monkeypatch, tag, size):
         import rdmt.distributions as dist
 
         calls = []
         solve = dist._solve_raw
 
-        def checked(a, b, *, lower):
-            self._check(a, lower)
-            calls.append(lower)
-            return solve(a, b, lower=lower)
+        def checked(lo, b):
+            self._check(lo)
+            calls.append(lo.shape)
+            return solve(lo, b)
 
         monkeypatch.setattr(dist, "_solve_raw", checked)
         beta = tag.beta
@@ -935,6 +957,6 @@ class TestSolveContract:
             assert len(calls) > before
         points = gen.normal(size=(m, n, beta) if size is None else (size, m, n, beta))
         before = len(calls)
-        logpdf_matric_t(t_params, points if size else DivMatrix(tag, points))
-        assert len(calls) > before
-        assert set(calls) == {True, False}
+        for form in ("primal", "dual"):
+            logpdf_matric_t(t_params, points if size else DivMatrix(tag, points), form)
+        assert len(calls) == before

@@ -165,13 +165,13 @@ def _spelled_matric_t(params, method, gen, nsamp):
                          _bartlett_factor_raw(gen, beta, m, params.nu, nsamp))
         y = _std_normal_raw(gen, beta, (nsamp, m, n))
         y = _matmul_raw(y, _conj_t_raw(params.Sigma.chol.data))
-        t = _solve_raw(_conj_t_raw(lw), y, lower=False)
+        t = _solve_raw(lw, y)
     else:
         g = _cholesky_raw(_hpd_inverse_raw(params.Sigma.mat.data))
         lu = _matmul_raw(g, _bartlett_factor_raw(gen, beta, n, params.nu + n - m, nsamp))
         x = _std_normal_raw(gen, beta, (nsamp, m, n))
-        x = _solve_raw(_conj_t_raw(params.Xi.chol.data), x, lower=False)
-        t = _conj_t_raw(_solve_raw(_conj_t_raw(lu), _conj_t_raw(x), lower=False))
+        x = _solve_raw(params.Xi.chol.data, x)
+        t = _conj_t_raw(_solve_raw(lu, _conj_t_raw(x)))
     return t + params.mu.data
 
 
@@ -179,9 +179,8 @@ def _spelled_matrix_mt(params, gen, nsamp):
     beta, m, n = params.tag.beta, params.m, params.n
     s = gen.gamma(beta * params.nu / 2.0, 2.0 * params.rho / beta, size=nsamp)
     t1 = _std_normal_raw(gen, beta, (nsamp, m, n)) / np.sqrt(s)[:, None, None, None]
-    p = _solve_raw(_conj_t_raw(params.Delta.chol.data), t1, lower=False)
-    t1 = _conj_t_raw(_solve_raw(_conj_t_raw(params.Lambda.chol.data), _conj_t_raw(p),
-                                lower=False))
+    p = _solve_raw(params.Delta.chol.data, t1)
+    t1 = _conj_t_raw(_solve_raw(params.Lambda.chol.data, _conj_t_raw(p)))
     return t1 + params.mu.data
 
 
@@ -316,3 +315,41 @@ class TestIdentitySkip:
         plain = sample_matric_t(RngStream(7), MatricTParams(C, 2, 3, 6.0), size=5)
         assert _bits(t) == _bits(plain + mu.data)
         assert np.array_equal(mu.data, before)
+
+
+class TestCachedSigmaInverseFactor:
+    """The lower factor M of Sigma^-1 belongs to the record: the
+    "inverse_root" sampler's Wishart scale and the primal density's product
+    read the one copy, and the draws keep the bits of the construction that
+    factors Sigma^-1 anew."""
+
+    @pytest.mark.parametrize("tag", [R, C, H])
+    def test_sigma_is_inverted_once(self, monkeypatch, tag):
+        import rdmt.distributions as dist
+
+        gen = np.random.default_rng(10)
+        params = MatricTParams(tag, 2, 3, 4.0 * tag.beta + 3.0,
+                               random_matrix(gen, tag, 2, 3), random_hpd(gen, tag, 2),
+                               random_hpd(gen, tag, 3))
+        sigma = params.Sigma.mat.data
+        inverted = []
+
+        def spy(a):
+            inverted.append(a.shape == sigma.shape and np.array_equal(a, sigma))
+            return _hpd_inverse_raw(a)
+
+        monkeypatch.setattr(dist, "_hpd_inverse_raw", spy)
+        sizes = (11, None)
+        draws = [sample_matric_t(RngStream(6, k), params, "inverse_root", size=size)
+                 for k, size in enumerate(sizes)]
+        logpdf_matric_t(params, draws[0], "primal")
+        assert sum(inverted) == 1
+        for k, (got, size) in enumerate(zip(draws, sizes)):
+            want = _spelled_matric_t(params, "inverse_root", RngStream(6, k).generator,
+                                     size or 1)
+            assert _bits(got) == _bits(want if size else want[0])
+
+    def test_identity_sigma_has_no_factor(self):
+        params = MatricTParams(C, 2, 3, 7.0)
+        assert params._sigma_inv_chol is None
+        assert params._density_terms["primal"][1] is None

@@ -20,7 +20,9 @@ many of its numbers moved and the largest relative move |a - b| / max(|a|,
 differs and 0 when none does.
 
 The matrix covers `sample` for every family at beta 1, 2, 4 and, where
-legal, 1x1 beta = 8, with each construction method and both formats;
+legal, 1x1 beta = 8, with each construction method and both formats, plus
+5x6 matric-t (both methods) and 6x5 matrix-mt with random scales from
+--params, whose stacked triangular solves have orders 5 and 6;
 `density` for all four families in the standard form and in a scaled form
 read from --params (matric-t in both its primal and dual form); `spectrum`
 for each family and kind, with --grid where an overlay exists, and tall
@@ -46,6 +48,7 @@ import numpy as np
 
 BETAS = (1, 2, 4)
 COUNT = "40"
+LARGE_COUNT = "6"    # draws of the 5x6 and 6x5 samples
 
 # name -> a verify suite file: only "name" is required, the other fields
 # override the check's row, and the last two are refused
@@ -127,6 +130,27 @@ def _inputs(root: str) -> dict:
             with open(path, "w") as fh:
                 json.dump(dict(record, beta=beta), fh)
             files[f"params-{family}-b{beta}"] = path
+    # records of order 5 and 6, from their own generator so that the
+    # files above keep their bytes; diagonal 4 keeps the scales positive
+    # definite at beta = 4
+    gen = np.random.default_rng(20261019)
+    for beta in BETAS:
+        records = {
+            "matric-t-5x6": {"family": "matric-t", "m": 5, "n": 6, "nu": 21.0,
+                             "mu": _schema(0.5 * gen.standard_normal((5, 6, beta))),
+                             "Xi": _schema(_hermitian(gen, beta, 5, 4.0)),
+                             "Sigma": _schema(_hermitian(gen, beta, 6, 4.0))},
+            "matrix-mt-6x5": {"family": "matrix-mt", "m": 6, "n": 5, "nu": 3.5,
+                              "rho": 0.7,
+                              "mu": _schema(0.5 * gen.standard_normal((6, 5, beta))),
+                              "Delta": _schema(_hermitian(gen, beta, 6, 4.0)),
+                              "Lambda": _schema(_hermitian(gen, beta, 5, 4.0))},
+        }
+        for name, record in records.items():
+            path = os.path.join(root, f"params-{name}-b{beta}.json")
+            with open(path, "w") as fh:
+                json.dump(dict(record, beta=beta), fh)
+            files[f"params-{name}-b{beta}"] = path
     for name, suite in SUITES.items():
         path = os.path.join(root, f"suite-{name}.json")
         with open(path, "w") as fh:
@@ -175,6 +199,15 @@ def _commands(files: dict) -> list:
             cmds.append((f"sample-beta2-matric-cogram-b{beta}-jsonl",
                          ["sample", "--dist", "beta2-matric", "--nu", "9"]
                          + shape(beta, 3, 2) + seed))
+    large = ["--seed", "7", "--count", LARGE_COUNT, "--out", "{out}"]
+    for beta in BETAS:
+        for method in ("wishart_root", "inverse_root"):
+            cmds.append((f"sample-matric-t-5x6-params-{method}-b{beta}",
+                         ["sample", "--dist", "matric-t", "--method", method,
+                          "--params", files[f"params-matric-t-5x6-b{beta}"]] + large))
+        cmds.append((f"sample-matrix-mt-6x5-params-b{beta}",
+                     ["sample", "--dist", "matrix-mt",
+                      "--params", files[f"params-matrix-mt-6x5-b{beta}"]] + large))
 
     for beta in BETAS + (8,):
         dims = shape(beta)
