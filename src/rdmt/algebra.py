@@ -206,10 +206,12 @@ def _hermitize_raw(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + _conj_t_raw(a))
 
 
-def _gram_raw(x: np.ndarray, adjoint_first: bool = False) -> np.ndarray:
-    """X X* (X* X with adjoint_first) of (..., m, n, beta), symmetrized."""
+def _gram_raw(x: np.ndarray) -> np.ndarray:
+    """The min(m, n) square gram of (..., m, n, beta), symmetrized: X X* when
+    m <= n, X* X for a tall X."""
     xt = _conj_t_raw(x)
-    return _hermitize_raw(_matmul_raw(xt, x) if adjoint_first else _matmul_raw(x, xt))
+    return _hermitize_raw(_matmul_raw(x, xt) if x.shape[-3] <= x.shape[-2]
+                          else _matmul_raw(xt, x))
 
 
 def _stack_index(bad: np.ndarray):

@@ -7,12 +7,13 @@ seed, resolved parameters) as its first output line so any output file can
 be reproduced from its own header.  Outputs carry no timestamps: rerunning a
 command with the same seed produces byte-identical files.
 
-Each fact about a family sits in one table keyed by family: ``_RECORDS``,
-``_SAMPLERS``, ``_METHODS``, ``_DENSITIES``, ``_SPECTRUM_OVERLAYS`` and
-``_HERMITIAN``; ``_FAMILY_FLAGS`` names the families that read each of
-``--method``, ``--rho``, ``--mix`` and ``--form``, and any other family
-refuses the flag.  The eigen spectrum of a Hermitian family is that of the
-draw; of any other family (``gaussian`` too) it is that of the gram T T*.
+Each family is one row of ``_FAMILIES``.  Its record is the one source of
+its parameters: a flag fills the field of its name, the fields without a
+default need theirs, and flags and a ``--params`` file take the same
+defaults.  ``_FAMILY_FLAGS`` names the families that read each of
+``--method``, ``--rho``, ``--mix`` and ``--form``; any other refuses it.
+The eigen spectrum of a Hermitian family is that of the draw; of any other
+family (``gaussian`` too) it is that of the gram T T*.
 One writer, ``_write``, sends every output and opens its file only once
 every check has passed; each value is ``repr`` of a Python float (gamma CSV
 rows included), so JSONL samples must be finite.
@@ -26,6 +27,7 @@ import json
 import math
 import os
 import sys
+from collections import namedtuple
 from contextlib import nullcontext
 
 import numpy as np
@@ -46,6 +48,7 @@ from .distributions import (
     MatrixMTParams,
     RngStream,
     WishartParams,
+    _field_loaders,
     logpdf_beta2_matric,
     logpdf_beta2_multivariate,
     logpdf_matric_t,
@@ -123,79 +126,93 @@ def _write(path, info, template, rows, header=None, comment=True) -> None:
 
 def _parse_mix(text: str) -> dict:
     weights, scales = [], []
-    for part in text.split(","):
-        w, _, s = part.partition(":")
-        weights.append(float(w))
-        scales.append(float(s))
+    try:
+        for part in text.split(","):
+            w, _, s = part.partition(":")
+            weights.append(float(w))
+            scales.append(float(s))
+    except ValueError as exc:
+        raise _CliError(f"--mix {text!r}: expected 'w:s,w:s,...', weight:scale "
+                        f"pairs ({exc})") from exc
     return {"weights": tuple(weights), "scales": tuple(scales)}
 
 
-# family -> (parameter record, flags it needs when no --params file is given)
-_RECORDS = {
-    "matric-t": (MatricTParams, ("m", "n", "nu")),
-    "matrix-mt": (MatrixMTParams, ("m", "n", "nu")),
-    "wishart": (WishartParams, ("m", "nu")),
-    "gamma": (GammaScalarParams, ("nu",)),
-    "gaussian": (GaussianParams, ("m", "n")),
-    "beta2-matric": (BetaIIParams, ("m", "n", "nu")),
-    "beta2-mv": (BetaIIParams, ("m", "n", "nu")),
-    "elliptical-t": (EllipticalTParams, ("m", "n", "nu")),
+# family -> (record, sampler, method, density, overlays, hermitian): its
+# parameter record; sampler(rng, params, method, count), an (N,) array of
+# scalar draws (gamma) or an (N, m, n, beta) stack, which refuses a wrong
+# method; the default --method; the log density; the analytic overlays by
+# spectrum kind; and whether the draws are Hermitian.  An entry is None
+# where the family has none.
+_Family = namedtuple("_Family", "record sampler method density overlays hermitian")
+_FAMILIES = {
+    "matric-t": _Family(
+        MatricTParams, lambda r, p, how, k: sample_matric_t(r, p, how, size=k),
+        "wishart_root", logpdf_matric_t,
+        {"singular": log_joint_sv_matric_t, "eigen": log_joint_eig_beta2}, False),
+    "matrix-mt": _Family(
+        MatrixMTParams, lambda r, p, how, k: sample_matrix_mt(r, p, size=k),
+        None, logpdf_matrix_mt,
+        {"singular": log_joint_sv_matrix_mt, "eigen": log_joint_eig_mv}, False),
+    "wishart": _Family(
+        WishartParams, lambda r, p, how, k: sample_wishart(r, p, how, size=k),
+        "bartlett", None, None, True),
+    "gamma": _Family(
+        GammaScalarParams, lambda r, p, how, k: sample_gamma_scalar(r, p, size=k),
+        None, None, None, False),
+    "gaussian": _Family(
+        GaussianParams, lambda r, p, how, k: sample_gaussian(r, p.tag, p.m, p.n, size=k),
+        None, None, None, False),
+    "beta2-matric": _Family(
+        BetaIIParams, lambda r, p, how, k: sample_beta2_matric(r, p, size=k),
+        None, logpdf_beta2_matric, {"eigen": log_joint_eig_beta2}, True),
+    "beta2-mv": _Family(BetaIIParams, None, None, logpdf_beta2_multivariate, None, False),
+    "elliptical-t": _Family(
+        EllipticalTParams, lambda r, p, how, k: sample_elliptical_t(
+            r, p.tag, p.m, p.n, p.nu, p.mix, size=k),
+        None, None, {"singular": log_joint_sv_matric_t}, False),
 }
-
-
-def _build_params(args, family: str):
-    """Parameter record from --params JSON (if given) or from flags; a
-    family-specific flag the family does not read is refused first."""
-    for flag, (families, lack) in _FAMILY_FLAGS.items():
-        if getattr(args, flag, None) is not None and family not in families:
-            raise _CliError(f"{family} {lack}; drop --{flag}")
-    record, need = _RECORDS[family]
-    if getattr(args, "params", None):
-        with open(args.params) as fh:
-            return record.from_json_dict(json.load(fh))
-    if args.beta is None:
-        raise _CliError("--beta is required when no --params file is given")
-    for flag in need:
-        if getattr(args, flag, None) is None:
-            raise _CliError(f"--{flag} is required for family {family!r}")
-    values = {flag: getattr(args, flag) for flag in need}
-    if record in (MatrixMTParams, GammaScalarParams):
-        values["rho"] = 1.0 if args.rho is None else args.rho
-    elif record is BetaIIParams:
-        values["orientation"] = "gram" if args.n >= args.m else "cogram"
-    elif record is EllipticalTParams and args.mix:
-        values.update(_parse_mix(args.mix))
-    return record(AlgebraTag(int(args.beta)), **values)
-
-
-# family -> sampler(rng, params, method, count): an (N,) array of scalar
-# draws (gamma) or an (N, m, n, beta) stack of matrices
-_SAMPLERS = {
-    "matric-t": lambda rng, p, method, count: sample_matric_t(rng, p, method, size=count),
-    "matrix-mt": lambda rng, p, method, count: sample_matrix_mt(rng, p, size=count),
-    "wishart": lambda rng, p, method, count: sample_wishart(rng, p, method, size=count),
-    "gamma": lambda rng, p, method, count: sample_gamma_scalar(rng, p, size=count),
-    "gaussian": lambda rng, p, method, count: sample_gaussian(
-        rng, p.tag, p.m, p.n, size=count),
-    "beta2-matric": lambda rng, p, method, count: sample_beta2_matric(
-        rng, p, size=count),
-    "elliptical-t": lambda rng, p, method, count: sample_elliptical_t(
-        rng, p.tag, p.m, p.n, p.nu, p.mix, size=count),
-}
-
-# families that take --method -> its default; the sampler refuses a wrong one
-_METHODS = {"matric-t": "wishart_root", "wishart": "bartlett"}
 
 # family-specific flag -> (the families that read it, what the others lack)
 _FAMILY_FLAGS = {
-    "method": (tuple(_METHODS), "has no construction method"),
+    "method": (tuple(f for f, row in _FAMILIES.items() if row.method),
+               "has no construction method"),
     "rho": (("matrix-mt", "gamma"), "has no rho parameter"),
     "mix": (("elliptical-t",), "is not a scale mixture"),
     "form": (("matric-t",), "has one density form"),
 }
 
-# families whose draws are Hermitian matrices
-_HERMITIAN = {"wishart", "beta2-matric"}
+
+def _family(args, entry: str, command: str) -> _Family:
+    """The row of --dist, refused unless it has a sampler or a density."""
+    row = _FAMILIES.get(args.dist)
+    if row is None or getattr(row, entry) is None:
+        raise _CliError(f"unknown {command} family {args.dist!r}")
+    return row
+
+
+def _build_params(args, family: str):
+    """Parameter record from --params JSON (if given) or from flags, each
+    filling the field of its name; a family-specific flag the family does
+    not read is refused first."""
+    for flag, (families, lack) in _FAMILY_FLAGS.items():
+        if getattr(args, flag, None) is not None and family not in families:
+            raise _CliError(f"{family} {lack}; drop --{flag}")
+    record = _FAMILIES[family].record
+    if getattr(args, "params", None):
+        with open(args.params) as fh:
+            return record.from_json_dict(json.load(fh))
+    if args.beta is None:
+        raise _CliError("--beta is required when no --params file is given")
+    values = {}
+    for name, _, has_default in _field_loaders(record):
+        value = getattr(args, name, None)
+        if value is not None:
+            values[name] = value
+        elif not has_default:
+            raise _CliError(f"--{name} is required for family {family!r}")
+    if getattr(args, "mix", None):
+        values.update(_parse_mix(args.mix))
+    return record(AlgebraTag(int(args.beta)), **values)
 
 
 def _count(args) -> int:
@@ -206,33 +223,26 @@ def _count(args) -> int:
     return count
 
 
-def _draw(args, family: str, params, seed: int, count: int):
+def _draw(args, row: _Family, params, seed: int, count: int):
     """The draws of sample and spectrum, by the family's sampler."""
-    return _SAMPLERS[family](RngStream(seed, args.stream), params,
-                             args.method or _METHODS.get(family), count)
+    return row.sampler(RngStream(seed, args.stream), params,
+                       args.method or row.method, count)
 
 
-def _params_dict(params, method=None, count=None, fmt=None):
-    d = params.to_json_dict()
-    if method:
-        d["method"] = method
-    if count is not None:
-        d["count"] = count
-    if fmt:
-        d["format"] = fmt
-    return d
+def _params_dict(params, **flags) -> dict:
+    """The run-info params: the record's JSON and the flags that are set."""
+    return {**params.to_json_dict(),
+            **{flag: value for flag, value in flags.items() if value is not None}}
 
 
 def _cmd_sample(args) -> int:
     seed = _resolve_seed(args)
-    family = args.dist
-    if family not in _SAMPLERS:
-        raise _CliError(f"unknown sample family {args.dist!r}")
-    params = _build_params(args, family)
+    row = _family(args, "sampler", "sample")
+    params = _build_params(args, args.dist)
     count = _count(args)
-    draws = _draw(args, family, params, seed, count)
-    info = _run_info(seed, args.stream, _params_dict(params, args.method, count,
-                                                     args.format))
+    draws = _draw(args, row, params, seed, count)
+    info = _run_info(seed, args.stream, _params_dict(
+        params, method=args.method, count=count, format=args.format))
     if draws.ndim == 1:
         rows, columns, jsonl = draws, ["value"], '{"value": %r}'
     else:
@@ -252,14 +262,6 @@ def _cmd_sample(args) -> int:
                                "(--format csv writes inf and nan)")
         _write(args.out, info, jsonl, rows, comment=False)
     return 0
-
-
-_DENSITIES = {
-    "matric-t": logpdf_matric_t,
-    "matrix-mt": logpdf_matrix_mt,
-    "beta2-matric": logpdf_beta2_matric,
-    "beta2-mv": logpdf_beta2_multivariate,
-}
 
 
 def _read_points(path) -> tuple:
@@ -291,34 +293,21 @@ def _read_points(path) -> tuple:
 
 def _cmd_density(args) -> int:
     family = args.dist
-    if family not in _DENSITIES:
-        raise _CliError(f"unknown density family {args.dist!r}")
+    row = _family(args, "density", "density")
     params = _build_params(args, family)
-    info = _run_info(None, None, _params_dict(params))
-    if args.form:
-        info["params"]["form"] = args.form
+    info = _run_info(None, None, _params_dict(params, form=args.form))
     stack, linenos = _read_points(args.points)
     values = np.empty(0)
     if stack is not None:
-        form = {"form": args.form or "primal"} if family == "matric-t" else {}
+        form = {"form": args.form} if args.form else {}   # read by matric-t alone
         try:
-            values = _DENSITIES[family](params, stack, **form)
+            values = row.density(params, stack, **form)
         except _CONFIG_ERRORS as exc:
             # an error about one point carries its stack index
             line = linenos[getattr(exc, "index", None) or 0]
             raise _CliError(f"--points line {line}: {exc}") from exc
     _write(args.out, info, "%r", values)
     return 0
-
-
-_SPECTRUM_OVERLAYS = {
-    ("matric-t", "singular"): log_joint_sv_matric_t,
-    ("matric-t", "eigen"): log_joint_eig_beta2,
-    ("elliptical-t", "singular"): log_joint_sv_matric_t,
-    ("matrix-mt", "singular"): log_joint_sv_matrix_mt,
-    ("matrix-mt", "eigen"): log_joint_eig_mv,
-    ("beta2-matric", "eigen"): log_joint_eig_beta2,
-}
 
 
 def _grid_rows(family, kind, params, vals, overlay):
@@ -351,21 +340,22 @@ def _grid_rows(family, kind, params, vals, overlay):
 def _cmd_spectrum(args) -> int:
     seed = _resolve_seed(args)
     family = args.dist
-    if family not in _SAMPLERS or family == "gamma":  # gamma draws are scalars
+    row = _family(args, "sampler", "spectrum")
+    if family == "gamma":  # gamma draws are scalars
         raise _CliError(f"unknown spectrum family {args.dist!r}")
     if args.params:
         raise _CliError("spectrum works on the standard families; use flags, "
                         "not --params")
     params = _build_params(args, family)
     count = _count(args)
-    hermitian = family in _HERMITIAN
+    hermitian = row.hermitian
     kind = args.kind or ("eigen" if hermitian else "singular")
     if kind == "singular" and hermitian:
         raise _CliError(f"{family} samples are Hermitian; use --kind eigen")
     if kind == "eigen" and not hermitian and params.m > params.n:
         raise _CliError("eigen spectra of T T* need m <= n; "
                         "use --kind singular for tall matrices")
-    overlay = _SPECTRUM_OVERLAYS.get((family, kind))
+    overlay = (row.overlays or {}).get(kind)
     if args.grid:
         if overlay is None:
             raise _CliError(f"no analytic overlay for {family}/{kind}")
@@ -373,7 +363,7 @@ def _cmd_spectrum(args) -> int:
         # m <= n, and a beta2-matric draw is min(m, n) square
         if min(params.m, params.n) > 2:
             raise _CliError("analytic grids are emitted for m <= 2 only")
-    raw = _draw(args, family, params, seed, count)
+    raw = _draw(args, row, params, seed, count)
     if kind == "singular":
         vals = singular_values_batch(params.tag, raw)
     else:
@@ -381,8 +371,8 @@ def _cmd_spectrum(args) -> int:
             raw = _gram_raw(raw)
         vals = eigenvalues_batch(params.tag, raw)
     grid = _grid_rows(family, kind, params, vals, overlay) if args.grid else None
-    info = _run_info(seed, args.stream, _params_dict(params, args.method, count))
-    info["params"]["kind"] = kind
+    info = _run_info(seed, args.stream, _params_dict(
+        params, method=args.method, count=count, kind=kind))
     columns = [f"v{i + 1}" for i in range(vals.shape[1])]
     _write(args.out, info, _csv_template(len(columns)), vals, ",".join(columns))
     if args.grid:
@@ -429,7 +419,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, with_seed=True):
+    def common(p, draws=True):
+        """The flags of a family command; those of the drawing ones too."""
+        p.add_argument("--dist", required=True)
         p.add_argument("--beta", type=int, choices=[1, 2, 4, 8])
         p.add_argument("--m", type=int)
         p.add_argument("--n", type=int)
@@ -437,23 +429,21 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--rho", type=float)
         p.add_argument("--params", help="JSON parameter file (overrides flags)")
         p.add_argument("--out", help="output path (default stdout)")
-        if with_seed:
+        if draws:
             p.add_argument("--seed", type=int,
                            help="RNG seed (falls back to RDMT_SEED)")
             p.add_argument("--stream", type=int, default=0)
+            p.add_argument("--count", type=int, required=True)
+            p.add_argument("--method", choices=["wishart_root", "inverse_root",
+                                                "bartlett", "gram"])
+            p.add_argument("--mix", help="elliptical mixture 'w:s,w:s,...'")
 
     p_sample = sub.add_parser("sample", help="draw and write samples")
     common(p_sample)
-    p_sample.add_argument("--dist", required=True)
-    p_sample.add_argument("--count", type=int, required=True)
-    p_sample.add_argument("--method",
-                          choices=["wishart_root", "inverse_root", "bartlett", "gram"])
     p_sample.add_argument("--format", choices=["jsonl", "csv"], default="jsonl")
-    p_sample.add_argument("--mix", help="elliptical mixture 'w:s,w:s,...'")
 
     p_density = sub.add_parser("density", help="evaluate log densities at points")
-    common(p_density, with_seed=False)
-    p_density.add_argument("--dist", required=True)
+    common(p_density, draws=False)
     p_density.add_argument("--points", required=True,
                            help="JSONL file of matrices ('-' for stdin)")
     p_density.add_argument("--form", choices=["primal", "dual"])
@@ -461,13 +451,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_spectrum = sub.add_parser("spectrum",
                                 help="sample and extract sorted spectra (CSV)")
     common(p_spectrum)
-    p_spectrum.add_argument("--dist", required=True)
-    p_spectrum.add_argument("--count", type=int, required=True)
     p_spectrum.add_argument("--kind", choices=["singular", "eigen"])
-    p_spectrum.add_argument("--method",
-                            choices=["wishart_root", "inverse_root",
-                                     "bartlett", "gram"])
-    p_spectrum.add_argument("--mix", help="elliptical mixture 'w:s,w:s,...'")
     p_spectrum.add_argument("--grid", help="also write an analytic log-density grid")
 
     p_verify = sub.add_parser("verify", help="run the verification suite")
@@ -492,10 +476,7 @@ def main(argv=None) -> int:
     }
     try:
         return commands[args.subcommand](args)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except _CONFIG_ERRORS as exc:
+    except (_CliError, *_CONFIG_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # genuine runtime failure

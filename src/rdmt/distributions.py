@@ -21,7 +21,7 @@ Conventions fixed here once and used everywhere:
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
 from functools import cache, cached_property
 from typing import ClassVar, get_args, get_type_hints
 
@@ -140,23 +140,24 @@ def _field_type(hint):
 
 @cache
 def _field_loaders(cls) -> tuple:
-    """(name, type, has a default) of each field of record class `cls` but
-    its tag, resolved once per class: `get_type_hints` evaluates every
-    annotation's string anew on each call."""
+    """(name, type, has a default) of each field that record class `cls`
+    takes at construction, but its tag, resolved once per class:
+    `get_type_hints` evaluates every annotation's string anew on each
+    call."""
     hints = get_type_hints(cls)
     return tuple((f.name, _field_type(hints[f.name]), f.default is not MISSING)
-                 for f in fields(cls) if f.name != "tag")
+                 for f in fields(cls) if f.init and f.name != "tag")
 
 
 class _JsonRecord:
     """The one JSON (de)serializer of the parameter records, driven by the
     dataclass fields: `tag` is written as "beta", a DivMatrix or HermitianPD
     as its schema dict (None as null), a tuple as a list.  On load each value
-    goes through its field's type, and a missing key takes the field's
-    default.  A record states only its `family` string, and a loaded
-    "family", if given, must be it.  A key that is none of "family", "beta"
-    and the other fields is refused, so a misspelt key cannot fall back to
-    its field's default."""
+    goes through its field's type, a missing key takes the field's default,
+    and a derived field (`init=False`), if given, must equal what the record
+    derives.  A loaded "family", if given, must be the record's, and any
+    other key that is not a field is refused, so a misspelt key cannot fall
+    back to its field's default.  A refusal names the family and the key."""
 
     family: ClassVar[str]
 
@@ -176,23 +177,35 @@ class _JsonRecord:
 
     @classmethod
     def from_json_dict(cls, obj: dict):
+        if not isinstance(obj, dict):
+            raise ValueError(f"{cls.family} params must be a JSON object, not "
+                             f"{type(obj).__name__}")
         if obj.get("family", cls.family) != cls.family:
             raise ValueError(f"params record of family {obj['family']!r}, not "
                              f"{cls.family!r}")
-        loaders = _field_loaders(cls)
-        known = {name for name, _, _ in loaders} | {"family", "beta"}
-        unknown = sorted(set(obj) - known)
+        loaders = (("beta", AlgebraTag, False),) + _field_loaders(cls)
+        derived = [f.name for f in fields(cls) if not f.init]
+        unknown = sorted(set(obj) - {n for n, _, _ in loaders} - {"family", *derived})
         if unknown:
             raise ValueError(f"unknown {cls.family} params key {unknown[0]!r}")
-        kwargs = {"tag": AlgebraTag(int(obj["beta"]))}
+        kwargs = {}
         for name, kind, has_default in loaders:
             if name not in obj and has_default:
                 continue
-            value = obj[name]
-            if value is not None:
-                value = getattr(kind, "from_schema_dict", kind)(value)
-            kwargs[name] = value
-        return cls(**kwargs)
+            try:
+                value = obj[name]
+                if value is not None:
+                    value = getattr(kind, "from_schema_dict", kind)(value)
+            except (ValueError, TypeError, KeyError) as exc:
+                raise ValueError(f"{cls.family} params key {name!r}: "
+                                 f"{exc if name in obj else 'missing'}") from exc
+            kwargs["tag" if name == "beta" else name] = value
+        record = cls(**kwargs)
+        for name in derived:
+            if obj.get(name, getattr(record, name)) != getattr(record, name):
+                raise ValueError(f"{cls.family} params key {name!r} is {obj[name]!r}, "
+                                 f"but the record derives {getattr(record, name)!r}")
+        return record
 
 
 def _check_dims(tag, rows: int, cols: int) -> AlgebraTag:
@@ -299,12 +312,13 @@ class WishartParams(_JsonRecord):
 
 @dataclass(frozen=True)
 class GammaScalarParams(_JsonRecord):
-    """Scalar gamma law with shape beta*nu/2 and scale 2*rho/beta."""
+    """Scalar gamma law with shape beta*nu/2 and scale 2*rho/beta; rho
+    defaults to 1, as in MatrixMTParams."""
 
     family: ClassVar[str] = "gamma"
     tag: AlgebraTag
     nu: float
-    rho: float
+    rho: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "tag", AlgebraTag(self.tag))
@@ -317,9 +331,10 @@ class BetaIIParams(_JsonRecord):
     """Beta type II families of either kind (matricvariate or matrix
     multivariate pick the evaluator; the parameter record is shared).
 
-    orientation "gram" is the law of T T* (needs n >= m, the sample lives in
-    the m x m cone); "cogram" is the law of T* T (needs n < m, lives in the
-    n x n cone).  `scale` selects the nonstandardised form.
+    The law is that of the min(m, n) square gram of an m x n T, so its
+    shape fixes the derived `orientation`: "gram", the law of T T* in the
+    m x m cone, when n >= m, and "cogram", the law of T* T in the n x n
+    cone, when n < m.  `scale` selects the nonstandardised form.
     """
 
     family: ClassVar[str] = "beta2"
@@ -327,17 +342,13 @@ class BetaIIParams(_JsonRecord):
     m: int
     n: int
     nu: float
-    orientation: str = "gram"
+    orientation: str = field(init=False)
     scale: HermitianPD | None = None
 
     def __post_init__(self):
-        if self.orientation not in ("gram", "cogram"):
-            raise ValueError("orientation must be 'gram' or 'cogram'")
-        if self.orientation == "gram" and self.n < self.m:
-            raise ValueError("gram orientation requires n >= m")
-        if self.orientation == "cogram" and self.n >= self.m:
-            raise ValueError("cogram orientation requires n < m")
-        tag = _check_dims(self.tag, self.dim, self.dim)   # dim = min(m, n)
+        object.__setattr__(self, "orientation",
+                           "gram" if self.n >= self.m else "cogram")
+        tag = _check_dims(self.tag, self.dim, self.dim)
         object.__setattr__(self, "tag", tag)
         if not self.nu > 0:
             raise DomainError("require nu > 0")
@@ -347,8 +358,8 @@ class BetaIIParams(_JsonRecord):
 
     @property
     def dim(self) -> int:
-        """Side length of the sampled positive definite matrix."""
-        return self.m if self.orientation == "gram" else self.n
+        """Side length of the sampled positive definite matrix, min(m, n)."""
+        return min(self.m, self.n)
 
     @cached_property
     def _density_terms(self):
@@ -574,12 +585,13 @@ def sample_matric_t(rng: RngStream, params: MatricTParams,
 
 def sample_beta2_matric(rng: RngStream, params: BetaIIParams,
                         size: int | None = None):
-    """Gram (T T*) or cogram (T* T) of a standard matricvariate T draw."""
+    """The min(m, n) square gram of a standard matricvariate T draw: T T*
+    (gram) or, for a tall T, T* T (cogram)."""
     if params.scale is not None:
         raise ValueError("sampling is defined for the standard form only (scale=None)")
     tparams = MatricTParams(params.tag, params.m, params.n, params.nu)
     t = sample_matric_t(rng, tparams, size=1 if size is None else size)
-    f = _gram_raw(t, adjoint_first=params.orientation == "cogram")
+    f = _gram_raw(t)
     return _wrap_single(params.tag, f, size, hermitian=True)
 
 

@@ -699,7 +699,7 @@ def _run_printed_variant_evidence(rng, budget, threshold):
                                                printed_variant=True)),
         0.0, np.inf)
     # Cogram beta II bracket exponent: corrected vs printed extra -1.
-    params = BetaIIParams(tag, 2, 1, 3.0, orientation="cogram")
+    params = BetaIIParams(tag, 2, 1, 3.0)   # tall: the cogram law
     co_corr = quadrature_mass_positive(_scalar_logpdf(logpdf_beta2_matric, params))
     co_printed = quadrature_mass_positive(
         _scalar_logpdf(logpdf_beta2_matric, params, printed_variant=True))

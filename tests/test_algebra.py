@@ -324,11 +324,16 @@ class TestKernelsAgainstEntrywiseOracle:
 
     @pytest.mark.parametrize("tag,m,n", _KERNEL_CASES)
     def test_gram_is_the_symmetrized_product(self, rng, tag, m, n):
-        # bit for bit the product it replaced, on both sides, exactly Hermitian
-        x = rng.normal(size=(5, m, n, tag.beta))
-        xt = _conj_t_raw(x)
-        for adjoint_first, a, b in ((False, x, xt), (True, xt, x)):
-            g = _gram_raw(x, adjoint_first=adjoint_first)
+        # bit for bit the product it replaced, exactly Hermitian, and
+        # min(m, n) square: X X* of a wide or square X, X* X of a tall one
+        wide = rng.normal(size=(5, m, n, tag.beta))
+        tall = rng.normal(size=(5, n, m, tag.beta))
+        cases = [(wide, wide, _conj_t_raw(wide))]
+        if n > m:   # the kernel cases are wide or square
+            cases.append((tall, _conj_t_raw(tall), tall))
+        for x, a, b in cases:
+            g = _gram_raw(x)
+            assert g.shape == (5, m, m, tag.beta)
             np.testing.assert_array_equal(g, _hermitize_raw(_matmul_raw(a, b)))
             np.testing.assert_array_equal(g, _conj_t_raw(g))
             _assert_rel_close(g, _entrywise_matmul(a, b))

@@ -161,6 +161,78 @@ class TestSample:
         assert code == 0
 
 
+# sample family -> the keys without a default, given once as flags and once
+# as a minimal params file
+_MINIMAL_RECORDS = [
+    ("matric-t", {"m": 2, "n": 3, "nu": 9.0}),
+    ("matrix-mt", {"m": 2, "n": 3, "nu": 3.5}),
+    ("wishart", {"m": 2, "nu": 9.0}),
+    ("gamma", {"nu": 2.5}),
+    ("gaussian", {"m": 2, "n": 3}),
+    ("beta2-matric", {"m": 2, "n": 3, "nu": 9.0}),
+    ("beta2-matric", {"m": 3, "n": 2, "nu": 9.0}),
+    ("elliptical-t", {"m": 2, "n": 3, "nu": 4}),
+]
+
+
+class TestParamsFiles:
+    @pytest.mark.parametrize("family,keys", _MINIMAL_RECORDS,
+                             ids=["matric-t", "matrix-mt", "wishart", "gamma",
+                                  "gaussian", "beta2-matric-wide", "beta2-matric-tall",
+                                  "elliptical-t"])
+    def test_flags_and_a_minimal_params_file_agree(self, tmp_path, family, keys):
+        from rdmt.cli import _build_params, _build_parser
+
+        pfile = tmp_path / "params.json"
+        pfile.write_text(json.dumps(dict(keys, beta=2)))
+        flags = ["--beta", "2"] + [a for k, v in keys.items() for a in (f"--{k}", str(v))]
+        made = []
+        for source in (flags, ["--params", str(pfile)]):
+            argv = ["sample", "--dist", family, "--count", "5", "--seed", "3"] + source
+            record = _build_params(_build_parser().parse_args(argv), family)
+            out = tmp_path / f"{len(made)}.jsonl"
+            assert run_cli(*argv, "--out", str(out)) == 0
+            # HermitianPD compares by identity, so the records by their JSON
+            made.append((type(record), record.to_json_dict(), out.read_bytes()))
+        assert made[0] == made[1]
+
+    def _refusal(self, tmp_path, capsys, content, dist="matric-t"):
+        pfile, out = tmp_path / "p.json", tmp_path / "o.jsonl"
+        pfile.write_text(content)
+        code = run_cli("sample", "--dist", dist, "--params", str(pfile),
+                       "--count", "2", "--seed", "1", "--out", str(out))
+        assert code == 2 and not out.exists()
+        return capsys.readouterr().err
+
+    @pytest.mark.parametrize("record,message", [
+        pytest.param({"beta": 1, "m": 1, "n": 1},
+                     "matric-t params key 'nu': missing", id="no-nu"),
+        pytest.param({"m": 1, "n": 1, "nu": 3.0},
+                     "matric-t params key 'beta': missing", id="no-beta"),
+        pytest.param({"beta": 1, "m": 1, "n": 2, "nu": 3.0,
+                      "Sigma": {"beta": 1, "rows": 2, "cols": 2,
+                                "data": [[[1.0], [2.0]], [[2.0], [1.0]]]}},
+                     "matric-t params key 'Sigma': matrix is not positive definite",
+                     id="non-pd-Sigma"),
+        pytest.param({"beta": 1, "m": 1, "n": 1, "nu": 3.0, "Sigma": [[1]]},
+                     "matric-t params key 'Sigma': ", id="Sigma-not-a-schema-dict"),
+        pytest.param({"beta": 3, "m": 1, "n": 1, "nu": 3.0},
+                     "matric-t params key 'beta': ", id="beta-3"),
+    ])
+    def test_a_bad_key_exits_2_naming_it(self, tmp_path, capsys, record, message):
+        assert message in self._refusal(tmp_path, capsys, json.dumps(record))
+
+    def test_a_file_that_is_not_an_object_exits_2(self, tmp_path, capsys):
+        err = self._refusal(tmp_path, capsys, json.dumps([{"beta": 1}]))
+        assert "matric-t params must be a JSON object, not list" in err
+
+    def test_a_wrong_orientation_exits_2_naming_it(self, tmp_path, capsys):
+        record = {"beta": 1, "m": 3, "n": 2, "nu": 9.0, "orientation": "gram"}
+        err = self._refusal(tmp_path, capsys, json.dumps(record), "beta2-matric")
+        assert "beta2 params key 'orientation' is 'gram'" in err
+        assert "'cogram'" in err
+
+
 class TestDensity:
     def _density_values(self, path):
         return [float(l) for l in path.read_text().splitlines()
@@ -292,13 +364,14 @@ class TestDensity:
         import rdmt.cli
 
         calls = []
-        real = rdmt.cli._DENSITIES["beta2-mv"]
+        row = rdmt.cli._FAMILIES["beta2-mv"]
 
         def counted(params, points, **kw):
             calls.append(points.shape)
-            return real(params, points, **kw)
+            return row.density(params, points, **kw)
 
-        monkeypatch.setitem(rdmt.cli._DENSITIES, "beta2-mv", counted)
+        monkeypatch.setitem(rdmt.cli._FAMILIES, "beta2-mv",
+                            row._replace(density=counted))
         point = {"beta": 2, "rows": 1, "cols": 1, "data": [[[0.75, 0.0]]]}
         code, out = self._run_density(tmp_path, [json.dumps(point)] * 7, "--dist",
                                       "beta2-mv", "--beta", "2", "--m", "1",
@@ -670,6 +743,16 @@ class TestParsing:
         assert code == 2
         assert f"{dist} is not a scale mixture; drop --mix" in capsys.readouterr().err
         assert not out.exists()
+
+
+    @pytest.mark.parametrize("mix", ["0.5", "0.5:1,x:3", "a:b"])
+    def test_malformed_mix_exits_2_naming_the_flag(self, tmp_path, capsys, mix):
+        out = tmp_path / "x"
+        code = run_cli("sample", "--dist", "elliptical-t", "--beta", "1", "--m", "1",
+                       "--n", "2", "--nu", "3", "--mix", mix, "--count", "5",
+                       "--seed", "1", "--out", str(out))
+        assert code == 2 and not out.exists()
+        assert f"--mix {mix!r}: expected 'w:s,w:s,...'" in capsys.readouterr().err
 
 
 _STARTUP_SCRIPT = """

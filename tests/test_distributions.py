@@ -457,18 +457,24 @@ class TestBetaII:
 
     def test_orientation_shapes(self):
         gram = sample_beta2_matric(RngStream(18), BetaIIParams(R, 2, 3, 4.0))
-        cogram = sample_beta2_matric(RngStream(18), BetaIIParams(R, 3, 2, 4.0,
-                                                                 "cogram"))
+        cogram = sample_beta2_matric(RngStream(18), BetaIIParams(R, 3, 2, 4.0))
         assert gram.m == 2 and cogram.m == 2
 
-    def test_orientation_constraints(self):
-        with pytest.raises(ValueError):
-            BetaIIParams(R, 3, 2, 4.0, "gram")
-        with pytest.raises(ValueError):
-            BetaIIParams(R, 2, 3, 4.0, "cogram")
+    @pytest.mark.parametrize("m,n,derived", [(2, 3, "gram"), (2, 2, "gram"),
+                                             (3, 2, "cogram")])
+    def test_orientation_comes_from_the_shape(self, m, n, derived):
+        params = BetaIIParams(R, m, n, 4.0)
+        assert params.orientation == derived and params.dim == min(m, n)
+        with pytest.raises(TypeError):
+            BetaIIParams(R, m, n, 4.0, orientation=derived)
+        obj = {"beta": 1, "m": m, "n": n, "nu": 4.0}
+        assert BetaIIParams.from_json_dict(dict(obj, orientation=derived)) == params
+        wrong = "cogram" if derived == "gram" else "gram"
+        with pytest.raises(ValueError, match="beta2 params key 'orientation'"):
+            BetaIIParams.from_json_dict(dict(obj, orientation=wrong))
 
     def test_cogram_printed_variant_changes_exponent_only(self, rng):
-        params = BetaIIParams(R, 3, 1, 4.0, "cogram")
+        params = BetaIIParams(R, 3, 1, 4.0)
         f = HermitianPD.from_real(R, [[0.8]])
         base = logpdf_beta2_matric(params, f)
         printed = logpdf_beta2_matric(params, f, printed_variant=True)
@@ -616,7 +622,7 @@ _MIX = ScaleMixtureSpec((1.0,), (1.0,))
     pytest.param(lambda: logpdf_beta2_matric(BetaIIParams(O, 2, 3, 3.0),
                                              DivMatrix.identity(O, 2)),
                  "2x2", id="logpdf_beta2_matric"),
-    pytest.param(lambda: logpdf_beta2_multivariate(BetaIIParams(O, 3, 2, 3.0, "cogram"),
+    pytest.param(lambda: logpdf_beta2_multivariate(BetaIIParams(O, 3, 2, 3.0),
                                                    DivMatrix.identity(O, 2)),
                  "2x2", id="logpdf_beta2_multivariate"),
 ])
@@ -725,7 +731,7 @@ class TestParamSerialization:
             MatrixMTParams(C, 2, 2, 3.0, 1.5),
             WishartParams(R, 2, 6.0),
             GammaScalarParams(O, 2.0, 0.5),
-            BetaIIParams(C, 3, 2, 5.0, "cogram"),
+            BetaIIParams(C, 3, 2, 5.0),
             GaussianParams(H, 1, 2),
             EllipticalTParams(R, 2, 3, 4.0, (0.25, 0.75), (0.5, 2.0)),
         ]
@@ -768,7 +774,7 @@ class TestParamSerialization:
             dist._field_loaders.cache_clear()
         assert calls == [MatricTParams, MatrixMTParams]
         assert all(back.to_json_dict() == obj for back in loads[:3])
-        with pytest.raises(KeyError, match="nu"):
+        with pytest.raises(ValueError, match="matric-t params key 'nu': missing"):
             MatricTParams.from_json_dict({"beta": 1, "m": 1, "n": 1})
 
     def test_density_terms_stay_out_of_fields_and_json(self, rng):
@@ -834,10 +840,9 @@ class TestBatchedDensities:
         for fn, params, kw in t_cases:
             single = [fn(params, DivMatrix(tag, x), **kw) for x in points]
             _close_to(fn(params, points, **kw), single)
-        orientation = "gram" if n >= m else "cogram"
         d = min(m, n)
         for scale in (None, hpd(d)):
-            params = BetaIIParams(tag, m, n, nu, orientation, scale)
+            params = BetaIIParams(tag, m, n, nu, scale)
             cone = _hpd_stack(gen, beta, d, nsamp, 0.01)
             for fn in (logpdf_beta2_matric, logpdf_beta2_multivariate):
                 single = [fn(params, DivMatrix(tag, f)) for f in cone]

@@ -134,7 +134,8 @@ class TestScoreIdentities:
     @pytest.mark.parametrize("orientation,m,n", [("gram", 3, 4), ("cogram", 4, 3)])
     def test_beta2_matric_congruence(self, tag, orientation, m, n):
         beta, d = tag.beta, 3
-        params = BetaIIParams(tag, m, n, beta * (m - 1) + 6.5, orientation)
+        params = BetaIIParams(tag, m, n, beta * (m - 1) + 6.5)
+        assert params.orientation == orientation
         hmat = _map_matrix(np.random.default_rng([SEED, beta]), beta, d)
         f = sample_beta2_matric(RngStream(SEED), params, size=SCORE_DRAWS)
 
@@ -201,8 +202,7 @@ def _standard_cases(tag, m, n):
     t_params = MatricTParams(tag, m, n, nu)
     mt_params = MatrixMTParams(tag, m, n, nu, 1.5)
     w_params = WishartParams(tag, m, float(beta * m + 2))
-    cogram = n < m
-    b2_params = BetaIIParams(tag, m, n, nu, "cogram" if cogram else "gram")
+    b2_params = BetaIIParams(tag, m, n, nu)
     sigma = HermitianPD.identity(tag, n)
     cases = [
         ("matrix-mt", lambda rng, size: sample_matrix_mt(rng, mt_params, size=size),
@@ -211,8 +211,7 @@ def _standard_cases(tag, m, n):
          lambda gen, k: _matmul_raw(_std_normal_raw(gen, beta, (k, m, n)),
                                     _conj_t_raw(sigma.chol.data))),
         ("beta2-matric", lambda rng, size: sample_beta2_matric(rng, b2_params, size=size),
-         lambda gen, k: _gram_raw(_spelled_matric_t(t_params, "wishart_root", gen, k),
-                                  adjoint_first=cogram)),
+         lambda gen, k: _gram_raw(_spelled_matric_t(t_params, "wishart_root", gen, k))),
     ]
     for method in ("wishart_root", "inverse_root"):
         cases.append((f"matric-t {method}",

@@ -197,7 +197,7 @@ class TestBatchedQuadrature:
         assert abs(got - want) <= 1e-12
 
     def test_cogram_and_printed_variant_match_quad(self):
-        params = BetaIIParams(R, 2, 1, 3.0, orientation="cogram")
+        params = BetaIIParams(R, 2, 1, 3.0)   # tall: the cogram law
         for printed in (False, True):
             got = quadrature_mass_positive(
                 _scalar_logpdf(logpdf_beta2_matric, params, printed_variant=printed))

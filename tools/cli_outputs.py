@@ -31,7 +31,11 @@ for each family and kind, with --grid where an overlay exists, and tall
 (entries with partial params, with and without a kind, and ones the suite
 table refuses); and family-specific flags given to families that do not read
 them.  A few commands that must fail are included too, so their exit codes
-and messages are compared as well.
+and messages are compared as well.  The last additions read --params files
+that give only the keys without a default (gamma without rho, beta II
+without an orientation, wide and tall), files that are refused (a wrong
+orientation, no nu, a Sigma that is not positive definite, a JSON list),
+and a --mix that is not weight:scale pairs.
 """
 
 from __future__ import annotations
@@ -62,6 +66,22 @@ SUITES = {
     "kind-wrong": [{"name": "scalar-law-cauchy", "kind": "identity",
                     "threshold": 0.005}],
     "unknown-param": [{"name": "normalization-scalar-beta2", "params": {"Nu": 7.0}}],
+}
+
+# name -> a params file: the first three name only the keys without a
+# default (gamma's rho is 1, the beta II orientation comes from the shape),
+# and the others are refused, naming the key or saying what the file lacks
+MINIMAL_PARAMS = {
+    "gamma-minimal": {"beta": 2, "nu": 2.5},
+    "beta2-minimal-2x3": {"beta": 2, "m": 2, "n": 3, "nu": 9.0},
+    "beta2-minimal-3x2": {"beta": 2, "m": 3, "n": 2, "nu": 9.0},
+    "beta2-wrong-orientation": {"beta": 2, "m": 3, "n": 2, "nu": 9.0,
+                                "orientation": "gram"},
+    "matric-t-no-nu": {"beta": 1, "m": 2, "n": 3},
+    "matric-t-non-pd-sigma": {"beta": 1, "m": 1, "n": 2, "nu": 9.0,
+                              "Sigma": {"beta": 1, "rows": 2, "cols": 2,
+                                        "data": [[[1.0], [2.0]], [[2.0], [1.0]]]}},
+    "matric-t-list": [{"beta": 1, "m": 2, "n": 3, "nu": 9.0}],
 }
 
 
@@ -151,6 +171,13 @@ def _inputs(root: str) -> dict:
             with open(path, "w") as fh:
                 json.dump(dict(record, beta=beta), fh)
             files[f"params-{name}-b{beta}"] = path
+    # params files that name every key without a default and no more, or
+    # that the record refuses; written out whole, so no generator moves
+    for name, record in MINIMAL_PARAMS.items():
+        path = os.path.join(root, f"params-{name}.json")
+        with open(path, "w") as fh:
+            json.dump(record, fh)
+        files[f"params-{name}"] = path
     for name, suite in SUITES.items():
         path = os.path.join(root, f"suite-{name}.json")
         with open(path, "w") as fh:
@@ -304,6 +331,28 @@ def _commands(files: dict) -> list:
          ["spectrum", "--dist", "matrix-mt", "--nu", "3.5", "--mix", "0.5:1,0.5:3"]
          + shape(1) + seed),
     ]
+    # minimal params files, and ones that are refused
+    cmds.append(("sample-gamma-params-minimal",
+                 ["sample", "--dist", "gamma", "--params",
+                  files["params-gamma-minimal"]] + seed))
+    for dims in ("2x3", "3x2"):
+        cmds.append((f"sample-beta2-matric-params-minimal-{dims}",
+                     ["sample", "--dist", "beta2-matric", "--params",
+                      files[f"params-beta2-minimal-{dims}"]] + seed))
+    for family in ("beta2-matric", "beta2-mv"):
+        cmds.append((f"density-{family}-params-minimal-3x2",
+                     ["density", "--dist", family, "--params",
+                      files["params-beta2-minimal-3x2"], "--points",
+                      files["f-points-b2-d2"], "--out", "{out}"]))
+    for name in ("beta2-wrong-orientation", "matric-t-no-nu",
+                 "matric-t-non-pd-sigma", "matric-t-list"):
+        family = "beta2-matric" if name.startswith("beta2") else "matric-t"
+        cmds.append((f"fail-sample-params-{name}",
+                     ["sample", "--dist", family, "--params",
+                      files[f"params-{name}"]] + seed))
+    cmds.append(("fail-sample-elliptical-t-mix-one-number",
+                 ["sample", "--dist", "elliptical-t", "--nu", "4", "--mix", "0.5"]
+                 + shape(1) + seed))
     cmds.append(("verify-seed-11", ["verify", "--suite", "default", "--seed", "11",
                                     "--report", "{out}"]))
     for name in SUITES:
