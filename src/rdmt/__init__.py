@@ -25,7 +25,6 @@ from .distributions import (
     MatricTParams,
     MatrixMTParams,
     RngStream,
-    ScaleMixtureSpec,
     WishartParams,
     logpdf_beta2_matric,
     logpdf_beta2_multivariate,

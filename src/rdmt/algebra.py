@@ -720,6 +720,17 @@ class DivMatrix:
             and bool(np.allclose(self.data, other.data, atol=atol, rtol=0.0))
         )
 
+    def __eq__(self, other) -> bool:
+        """Equal tag and coefficients, so records holding matrices compare
+        by value."""
+        if not isinstance(other, DivMatrix):
+            return NotImplemented
+        return self.tag == other.tag and np.array_equal(self.data, other.data)
+
+    def __hash__(self) -> int:
+        # + 0.0 maps -0.0 to 0.0, which == holds equal
+        return hash((self.tag, self.data.shape, (self.data + 0.0).tobytes()))
+
     # -- serialization (repo-wide JSON schema) ------------------------------
 
     def to_schema_dict(self) -> dict:
@@ -798,6 +809,14 @@ class HermitianPD:
 
     def inverse(self) -> "HermitianPD":
         return HermitianPD(DivMatrix(self.tag, _hpd_inverse_raw(self.mat.data)))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, HermitianPD):
+            return NotImplemented
+        return self.mat == other.mat
+
+    def __hash__(self) -> int:
+        return hash(self.mat)
 
     def to_schema_dict(self) -> dict:
         return self.mat.to_schema_dict()

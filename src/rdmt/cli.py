@@ -7,11 +7,14 @@ seed, resolved parameters) as its first output line so any output file can
 be reproduced from its own header.  Outputs carry no timestamps: rerunning a
 command with the same seed produces byte-identical files.
 
-Each family is one row of ``_FAMILIES``.  Its record is the one source of
-its parameters: a flag fills the field of its name, the fields without a
+Each family is one row of ``_FAMILIES``, which holds the library's own
+sampler, density and overlays.  Its record is the one source of its
+parameters: a flag fills the field of its name, the fields without a
 default need theirs, and flags and a ``--params`` file take the same
-defaults.  ``_FAMILY_FLAGS`` names the families that read each of
-``--method``, ``--rho``, ``--mix`` and ``--form``; any other refuses it.
+defaults.  ``--m``, ``--n``, ``--nu`` or ``--rho`` given to a family whose
+record has no such field exits 2, and ``_FAMILY_FLAGS`` names the families
+that read each of ``--method``, ``--mix`` and ``--form``; any other refuses
+it.  Without ``--method`` the sampler's own default method applies.
 The eigen spectrum of a Hermitian family is that of the draw; of any other
 family (``gaussian`` too) it is that of the gram T T*.
 One writer, ``_write``, sends every output and opens its file only once
@@ -137,46 +140,35 @@ def _parse_mix(text: str) -> dict:
     return {"weights": tuple(weights), "scales": tuple(scales)}
 
 
-# family -> (record, sampler, method, density, overlays, hermitian): its
-# parameter record; sampler(rng, params, method, count), an (N,) array of
-# scalar draws (gamma) or an (N, m, n, beta) stack, which refuses a wrong
-# method; the default --method; the log density; the analytic overlays by
-# spectrum kind; and whether the draws are Hermitian.  An entry is None
-# where the family has none.
-_Family = namedtuple("_Family", "record sampler method density overlays hermitian")
+# family -> (record, sampler, density, overlays, hermitian): its parameter
+# record; the library sampler, sample_*(rng, params, size=count), which
+# gives an (N,) array of scalar draws (gamma) or an (N, m, n, beta) stack
+# and takes `method=` for matric-t and wishart; the log density; the
+# analytic overlays by spectrum kind; and whether the draws are Hermitian.
+# An entry is None where the family has none.
+_Family = namedtuple("_Family", "record sampler density overlays hermitian")
 _FAMILIES = {
     "matric-t": _Family(
-        MatricTParams, lambda r, p, how, k: sample_matric_t(r, p, how, size=k),
-        "wishart_root", logpdf_matric_t,
+        MatricTParams, sample_matric_t, logpdf_matric_t,
         {"singular": log_joint_sv_matric_t, "eigen": log_joint_eig_beta2}, False),
     "matrix-mt": _Family(
-        MatrixMTParams, lambda r, p, how, k: sample_matrix_mt(r, p, size=k),
-        None, logpdf_matrix_mt,
+        MatrixMTParams, sample_matrix_mt, logpdf_matrix_mt,
         {"singular": log_joint_sv_matrix_mt, "eigen": log_joint_eig_mv}, False),
-    "wishart": _Family(
-        WishartParams, lambda r, p, how, k: sample_wishart(r, p, how, size=k),
-        "bartlett", None, None, True),
-    "gamma": _Family(
-        GammaScalarParams, lambda r, p, how, k: sample_gamma_scalar(r, p, size=k),
-        None, None, None, False),
-    "gaussian": _Family(
-        GaussianParams, lambda r, p, how, k: sample_gaussian(r, p.tag, p.m, p.n, size=k),
-        None, None, None, False),
+    "wishart": _Family(WishartParams, sample_wishart, None, None, True),
+    "gamma": _Family(GammaScalarParams, sample_gamma_scalar, None, None, False),
+    "gaussian": _Family(GaussianParams, sample_gaussian, None, None, False),
     "beta2-matric": _Family(
-        BetaIIParams, lambda r, p, how, k: sample_beta2_matric(r, p, size=k),
-        None, logpdf_beta2_matric, {"eigen": log_joint_eig_beta2}, True),
-    "beta2-mv": _Family(BetaIIParams, None, None, logpdf_beta2_multivariate, None, False),
+        BetaIIParams, sample_beta2_matric, logpdf_beta2_matric,
+        {"eigen": log_joint_eig_beta2}, True),
+    "beta2-mv": _Family(BetaIIParams, None, logpdf_beta2_multivariate, None, False),
     "elliptical-t": _Family(
-        EllipticalTParams, lambda r, p, how, k: sample_elliptical_t(
-            r, p.tag, p.m, p.n, p.nu, p.mix, size=k),
-        None, None, {"singular": log_joint_sv_matric_t}, False),
+        EllipticalTParams, sample_elliptical_t, None,
+        {"singular": log_joint_sv_matric_t}, False),
 }
 
 # family-specific flag -> (the families that read it, what the others lack)
 _FAMILY_FLAGS = {
-    "method": (tuple(f for f, row in _FAMILIES.items() if row.method),
-               "has no construction method"),
-    "rho": (("matrix-mt", "gamma"), "has no rho parameter"),
+    "method": (("matric-t", "wishart"), "has no construction method"),
     "mix": (("elliptical-t",), "is not a scale mixture"),
     "form": (("matric-t",), "has one density form"),
 }
@@ -192,19 +184,25 @@ def _family(args, entry: str, command: str) -> _Family:
 
 def _build_params(args, family: str):
     """Parameter record from --params JSON (if given) or from flags, each
-    filling the field of its name; a family-specific flag the family does
-    not read is refused first."""
+    filling the field of its name; a flag the family does not read is
+    refused first: one of `_FAMILY_FLAGS`, or one of --m, --n, --nu and
+    --rho whose field the record lacks."""
     for flag, (families, lack) in _FAMILY_FLAGS.items():
         if getattr(args, flag, None) is not None and family not in families:
             raise _CliError(f"{family} {lack}; drop --{flag}")
     record = _FAMILIES[family].record
+    loaders = _field_loaders(record)
+    names = {name for name, _, _ in loaders}
+    for flag in ("m", "n", "nu", "rho"):
+        if getattr(args, flag) is not None and flag not in names:
+            raise _CliError(f"{family} has no {flag} parameter; drop --{flag}")
     if getattr(args, "params", None):
         with open(args.params) as fh:
             return record.from_json_dict(json.load(fh))
     if args.beta is None:
         raise _CliError("--beta is required when no --params file is given")
     values = {}
-    for name, _, has_default in _field_loaders(record):
+    for name, _, has_default in loaders:
         value = getattr(args, name, None)
         if value is not None:
             values[name] = value
@@ -224,9 +222,10 @@ def _count(args) -> int:
 
 
 def _draw(args, row: _Family, params, seed: int, count: int):
-    """The draws of sample and spectrum, by the family's sampler."""
-    return row.sampler(RngStream(seed, args.stream), params,
-                       args.method or row.method, count)
+    """The draws of sample and spectrum, by the family's sampler; its own
+    default method applies unless --method is given."""
+    method = {"method": args.method} if args.method else {}
+    return row.sampler(RngStream(seed, args.stream), params, size=count, **method)
 
 
 def _params_dict(params, **flags) -> dict:

@@ -10,8 +10,11 @@ Conventions fixed here once and used everywhere:
   the convention under which all the closed-form constants below normalize.
 * A scalar gamma variate with parameters (nu, rho) is Gamma-distributed with
   shape beta*nu/2 and scale 2*rho/beta (mean nu*rho).
-* Samplers accept an optional `size` and then return a stacked coefficient
-  array of shape (size, m, n, beta) instead of a single wrapped matrix.
+* Every sampler is `sample_*(rng, params, size=None)`: it takes its
+  parameter record, which has refused what the sampler cannot draw, and
+  `sample_matric_t` and `sample_wishart` also take a construction `method`.
+  With `size` given a sampler returns a stacked coefficient array of shape
+  (size, m, n, beta) instead of a single wrapped matrix.
 * Log densities take points the same way: one wrapped matrix gives a float,
   and an (N, m, n, beta) stack gives an (N,) array, through one code path.
   They are assembled in log space, and what does not depend on the point
@@ -57,7 +60,6 @@ __all__ = [
     "WishartParams",
     "GammaScalarParams",
     "BetaIIParams",
-    "ScaleMixtureSpec",
     "GaussianParams",
     "EllipticalTParams",
     "sample_gaussian",
@@ -381,30 +383,11 @@ class GaussianParams(_JsonRecord):
 
 
 @dataclass(frozen=True)
-class ScaleMixtureSpec:
-    """Finite scale mixture of normals: one global standard-deviation
-    multiplier per component, realizing an elliptical generator."""
-
-    weights: tuple
-    scales: tuple
-
-    def __post_init__(self):
-        w = tuple(float(x) for x in self.weights)
-        s = tuple(float(x) for x in self.scales)
-        if len(w) != len(s) or not w:
-            raise ValueError("weights and scales must be equal-length, non-empty")
-        if any(x < 0 for x in w) or abs(sum(w) - 1.0) > 1e-9:
-            raise ValueError("weights must be nonnegative and sum to 1")
-        if any(x <= 0 for x in s):
-            raise ValueError("scales must be positive")
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "scales", s)
-
-
-@dataclass(frozen=True)
 class EllipticalTParams(_JsonRecord):
     """Standard matricvariate T built from a scale-mixture source (see
-    `sample_elliptical_t`); the mixture is validated as a ScaleMixtureSpec."""
+    `sample_elliptical_t`): a finite mixture of normals with one global
+    standard-deviation multiplier per component, scales[i] with probability
+    weights[i].  The construction needs an integer nu >= m and n >= m."""
 
     family: ClassVar[str] = "elliptical-t"
     tag: AlgebraTag
@@ -416,13 +399,18 @@ class EllipticalTParams(_JsonRecord):
 
     def __post_init__(self):
         object.__setattr__(self, "tag", _check_dims(self.tag, self.m, self.n))
-        mix = ScaleMixtureSpec(self.weights, self.scales)
-        object.__setattr__(self, "weights", mix.weights)
-        object.__setattr__(self, "scales", mix.scales)
-
-    @property
-    def mix(self) -> ScaleMixtureSpec:
-        return ScaleMixtureSpec(self.weights, self.scales)
+        w = tuple(float(x) for x in self.weights)
+        s = tuple(float(x) for x in self.scales)
+        if len(w) != len(s) or not w:
+            raise ValueError("weights and scales must be equal-length, non-empty")
+        if any(x < 0 for x in w) or abs(sum(w) - 1.0) > 1e-9:
+            raise ValueError("weights must be nonnegative and sum to 1")
+        if any(x <= 0 for x in s):
+            raise ValueError("scales must be positive")
+        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "scales", s)
+        if not float(self.nu).is_integer() or self.nu < self.m or self.n < self.m:
+            raise ValueError("require integer nu >= m and n >= m")
 
 
 # ---------------------------------------------------------------------------
@@ -438,19 +426,11 @@ def _wrap_single(tag: AlgebraTag, raw: np.ndarray, size, hermitian: bool = False
     return HermitianPD(mat) if hermitian else mat
 
 
-def sample_gaussian(rng: RngStream, tag: AlgebraTag, m: int, n: int,
-                    Sigma: HermitianPD | None = None, size: int | None = None):
-    """Draw from the matrix Gaussian with identity row scale and column
-    scale Sigma; each coefficient is N(0, 1/beta) at Sigma = I."""
-    tag = AlgebraTag(tag)
-    _check_beta_shape(tag.beta, m, n)
+def sample_gaussian(rng: RngStream, params: GaussianParams, size: int | None = None):
+    """Draw the standard matrix Gaussian: i.i.d. coefficients N(0, 1/beta)."""
     nsamp = 1 if size is None else int(size)
-    raw = _std_normal_raw(rng.generator, tag.beta, (nsamp, m, n))
-    if Sigma is not None:
-        Sigma = _default_hpd(Sigma, tag, n, "Sigma")
-        if not Sigma.is_identity:
-            raw = _matmul_raw(raw, _conj_t_raw(Sigma.chol.data))
-    return _wrap_single(tag, raw, size)
+    raw = _std_normal_raw(rng.generator, params.tag.beta, (nsamp, params.m, params.n))
+    return _wrap_single(params.tag, raw, size)
 
 
 def _check_gamma_draws(s: np.ndarray, problem) -> None:
@@ -617,8 +597,8 @@ def sample_matrix_mt(rng: RngStream, params: MatrixMTParams,
     return _wrap_single(tag, _add_mu(t1, params.mu), size)
 
 
-def sample_elliptical_t(rng: RngStream, tag: AlgebraTag, m: int, n: int, nu: int,
-                        mix: ScaleMixtureSpec, size: int | None = None):
+def sample_elliptical_t(rng: RngStream, params: EllipticalTParams,
+                        size: int | None = None):
     """Matricvariate T built from an elliptical (scale-mixture) source.
 
     One global scale multiplies the whole m x (n+nu) Gaussian block per draw;
@@ -627,23 +607,19 @@ def sample_elliptical_t(rng: RngStream, tag: AlgebraTag, m: int, n: int, nu: int
     standard matricvariate T regardless of the mixture, which is exactly the
     invariance property the verify suite tests.
     """
-    tag = AlgebraTag(tag)
-    _check_beta_shape(tag.beta, m, n)
-    if int(nu) != nu or nu < m or n < m:
-        raise ValueError("require integer nu >= m and n >= m")
-    nu = int(nu)
+    m, n, nu = params.m, params.n, int(params.nu)
     nsamp = 1 if size is None else int(size)
     gen = rng.generator
-    if len(mix.weights) == 1:
-        scale = np.full(nsamp, mix.scales[0])
+    if len(params.weights) == 1:
+        scale = np.full(nsamp, params.scales[0])
     else:
-        comp = gen.choice(len(mix.weights), p=mix.weights, size=nsamp)
-        scale = np.asarray(mix.scales)[comp]
-    y = _std_normal_raw(gen, tag.beta, (nsamp, m, n + nu))
+        comp = gen.choice(len(params.weights), p=params.weights, size=nsamp)
+        scale = np.asarray(params.scales)[comp]
+    y = _std_normal_raw(gen, params.tag.beta, (nsamp, m, n + nu))
     y *= scale[:, None, None, None]
     y1, y2 = y[:, :, :n, :], y[:, :, n:, :]
     t = _solve_raw(_cholesky_raw(_gram_raw(y2)), y1)
-    return _wrap_single(tag, t, size)
+    return _wrap_single(params.tag, t, size)
 
 
 # ---------------------------------------------------------------------------

@@ -61,10 +61,10 @@ from .algebra import (
 )
 from .distributions import (
     BetaIIParams,
+    EllipticalTParams,
     MatricTParams,
     MatrixMTParams,
     RngStream,
-    ScaleMixtureSpec,
     WishartParams,
     logpdf_beta2_matric,
     logpdf_beta2_multivariate,
@@ -681,8 +681,8 @@ def _run_wishart_mean(rng, budget, threshold, *, beta, m, nu):
 def _run_elliptical_invariance(rng, budget, threshold, *, beta, m, n, nu,
                                weights, scales):
     tag = AlgebraTag(beta)
-    mix = ScaleMixtureSpec(weights, scales)
-    a = sample_elliptical_t(rng, tag, m, n, nu, mix, size=budget)
+    params = EllipticalTParams(tag, m, n, nu, weights, scales)
+    a = sample_elliptical_t(rng, params, size=budget)
     b = sample_matric_t(rng, MatricTParams(tag, m, n, float(nu)), size=budget)
     pmin, detail = _per_sv_ks2(tag, a, b)
     return pmin, pmin > threshold, detail

@@ -843,6 +843,33 @@ class TestImmutability:
             x.tag = AlgebraTag.REAL
 
 
+class TestEquality:
+    def test_matrices_compare_and_hash_by_value(self, rng):
+        x = random_matrix(rng, H, 2, 3)
+        y = DivMatrix(H, x.data.copy())
+        assert x == y and hash(x) == hash(y) and not x != y
+        changed = x.data.copy()
+        changed[1, 2, 3] += 1e-15
+        assert x != DivMatrix(H, changed)
+        # the same coefficients over another algebra, or in another shape
+        assert DivMatrix.identity(R, 2) != DivMatrix.from_real(C, np.eye(2))
+        assert DivMatrix.zeros(R, 2, 3) != DivMatrix.zeros(R, 3, 2)
+        assert DivMatrix.zeros(R, 1, 1) != 0.0
+
+    def test_signed_zeros_are_equal_and_hash_alike(self):
+        a = DivMatrix.from_real(R, [[0.0, 1.0]])
+        b = DivMatrix.from_real(R, [[-0.0, 1.0]])
+        assert a == b and hash(a) == hash(b)
+
+    def test_hermitian_pd_compares_its_matrix(self, rng):
+        a = random_hpd(rng, C, 3)
+        b = HermitianPD(DivMatrix(C, a.mat.data.copy()))
+        assert a == b and hash(a) == hash(b)
+        assert a != a.inverse()
+        assert HermitianPD.identity(R, 2) == HermitianPD.from_real(R, np.eye(2))
+        assert HermitianPD.identity(R, 2) != DivMatrix.identity(R, 2)
+
+
 class TestNonFiniteInput:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_schema_dict_rejects(self, bad):

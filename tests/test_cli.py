@@ -192,8 +192,7 @@ class TestParamsFiles:
             record = _build_params(_build_parser().parse_args(argv), family)
             out = tmp_path / f"{len(made)}.jsonl"
             assert run_cli(*argv, "--out", str(out)) == 0
-            # HermitianPD compares by identity, so the records by their JSON
-            made.append((type(record), record.to_json_dict(), out.read_bytes()))
+            made.append((record, out.read_bytes()))
         assert made[0] == made[1]
 
     def _refusal(self, tmp_path, capsys, content, dist="matric-t"):
@@ -386,7 +385,8 @@ class TestRho:
     @pytest.mark.parametrize("rho", ["0", "-1.5"])
     def test_non_positive_rho_is_a_config_error(self, tmp_path, capsys, dist, rho):
         out = tmp_path / "s.jsonl"
-        code = run_cli("sample", "--dist", dist, "--beta", "1", "--m", "1", "--n", "1",
+        shape = ["--m", "1", "--n", "1"] if dist == "matrix-mt" else []
+        code = run_cli("sample", "--dist", dist, "--beta", "1", *shape,
                        "--nu", "2", "--rho", rho, "--count", "2", "--seed", "1",
                        "--out", str(out))
         assert code == 2
@@ -506,7 +506,7 @@ class TestSpectrum:
     @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (1, 2)])
     def test_gaussian_eigen_is_the_gram_spectrum(self, tmp_path, m, n):
         from rdmt.algebra import AlgebraTag
-        from rdmt.distributions import RngStream, sample_gaussian
+        from rdmt.distributions import GaussianParams, RngStream, sample_gaussian
         from rdmt.spectral import singular_values_batch
 
         out = tmp_path / "e.csv"
@@ -516,7 +516,8 @@ class TestSpectrum:
         assert code == 0
         got = np.array([[float(v) for v in l.split(",")]
                         for l in out.read_text().splitlines()[2:]])
-        draws = sample_gaussian(RngStream(6, 0), AlgebraTag.COMPLEX, m, n, size=40)
+        draws = sample_gaussian(RngStream(6, 0), GaussianParams(AlgebraTag.COMPLEX, m, n),
+                                size=40)
         want = singular_values_batch(AlgebraTag.COMPLEX, draws) ** 2
         assert got.shape == want.shape
         assert np.allclose(got, want, rtol=1e-12, atol=0.0)
@@ -731,6 +732,31 @@ class TestParsing:
         assert code == 2
         assert "matric-t has no rho parameter; drop --rho" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command,dist,flags,name", [
+        ("sample", "wishart", ["--m", "2", "--n", "3", "--nu", "9"], "n"),
+        ("spectrum", "wishart", ["--m", "2", "--n", "3", "--nu", "9"], "n"),
+        ("sample", "gamma", ["--m", "9", "--nu", "2"], "m"),
+        ("sample", "gamma", ["--n", "7", "--nu", "2"], "n"),
+        ("sample", "gaussian", ["--m", "2", "--n", "3", "--nu", "4"], "nu"),
+    ])
+    def test_a_flag_that_fills_no_field_is_refused(self, tmp_path, capsys, command,
+                                                   dist, flags, name):
+        out = tmp_path / "x"
+        code = run_cli(command, "--dist", dist, "--beta", "1", *flags, "--count", "5",
+                       "--seed", "1", "--out", str(out))
+        assert code == 2 and not out.exists()
+        assert (f"{dist} has no {name} parameter; drop --{name}"
+                in capsys.readouterr().err)
+
+    def test_a_flag_that_fills_no_field_is_refused_with_a_params_file(
+            self, tmp_path, capsys):
+        pfile, out = tmp_path / "p.json", tmp_path / "x"
+        pfile.write_text(json.dumps({"beta": 1, "m": 2, "nu": 9.0}))
+        code = run_cli("sample", "--dist", "wishart", "--params", str(pfile), "--n", "3",
+                       "--count", "5", "--seed", "1", "--out", str(out))
+        assert code == 2 and not out.exists()
+        assert "wishart has no n parameter; drop --n" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command,dist", [("sample", "matric-t"),
                                               ("sample", "gaussian"),
@@ -1010,14 +1036,14 @@ class TestWriter:
                                           size=count))
         if family == "gaussian":
             return (["--m", str(m), "--n", str(n)],
-                    D.sample_gaussian(rng, tag, m, n, size=count))
+                    D.sample_gaussian(rng, D.GaussianParams(tag, m, n), size=count))
         if family == "beta2-matric":
             return (["--m", str(m), "--n", str(n), "--nu", "9"],
                     D.sample_beta2_matric(rng, D.BetaIIParams(tag, m, n, 9.0),
                                           size=count))
         params = D.EllipticalTParams(tag, m, n, 4.0, (0.5, 0.5), (1.0, 3.0))
         return (["--m", str(m), "--n", str(n), "--nu", "4", "--mix", "0.5:1,0.5:3"],
-                D.sample_elliptical_t(rng, tag, m, n, 4, params.mix, size=count))
+                D.sample_elliptical_t(rng, params, size=count))
 
     CASES = [(f, b) for f in ("matric-t", "matrix-mt", "wishart", "gamma", "gaussian",
                               "beta2-matric", "elliptical-t") for b in (1, 2, 4)]

@@ -29,7 +29,6 @@ from rdmt.distributions import (
     MatricTParams,
     MatrixMTParams,
     RngStream,
-    ScaleMixtureSpec,
     WishartParams,
     logpdf_beta2_matric,
     logpdf_beta2_multivariate,
@@ -96,36 +95,25 @@ class TestRngStream:
 
 class TestGaussian:
     def test_zero_mean_single_entry(self):
-        y = sample_gaussian(RngStream(1), C, 1, 1, size=100000)
+        y = sample_gaussian(RngStream(1), GaussianParams(C, 1, 1), size=100000)
         se = 1.0 / math.sqrt(2.0 * 100000)
         assert np.abs(y.mean(axis=0)).max() < 4 * se
 
     def test_unit_entry_norm(self):
         m, n = 2, 3
-        y = sample_gaussian(RngStream(2), H, m, n, size=20000)
+        y = sample_gaussian(RngStream(2), GaussianParams(H, m, n), size=20000)
         sq = np.square(y).sum(axis=(1, 2, 3))
         res = moment_check(sq, float(m * n), 3.0)
         assert res.passed, res
 
-    def test_column_scale_applied(self, rng):
-        sigma = random_hpd(rng, C, 2)
-        y = sample_gaussian(RngStream(3), C, 3, 2, Sigma=sigma, size=40000)
-        from rdmt.algebra import _conj_t_raw, _matmul_raw
-
-        gram = _matmul_raw(_conj_t_raw(y), y)  # expect m * Sigma
-        mean = gram.mean(axis=0)
-        se = gram.std(axis=0, ddof=1) / math.sqrt(40000)
-        z = np.abs(mean - 3.0 * sigma.mat.data) / np.where(se > 1e-12, se, 1.0)
-        assert z.max() < 4.0
-
     def test_determinism(self):
-        a = sample_gaussian(RngStream(7, 1), C, 2, 2, size=10)
-        b = sample_gaussian(RngStream(7, 1), C, 2, 2, size=10)
+        a = sample_gaussian(RngStream(7, 1), GaussianParams(C, 2, 2), size=10)
+        b = sample_gaussian(RngStream(7, 1), GaussianParams(C, 2, 2), size=10)
         np.testing.assert_array_equal(a, b)
 
     def test_octonion_rejected(self):
         with pytest.raises(OctonionMatrixError):
-            sample_gaussian(RngStream(1), O, 2, 2)
+            GaussianParams(O, 2, 2)
 
 
 class TestGammaScalar:
@@ -589,9 +577,6 @@ class TestMatrixMT:
         assert p > 0.005
 
 
-_MIX = ScaleMixtureSpec((1.0,), (1.0,))
-
-
 @pytest.mark.parametrize("call,shape", [
     pytest.param(lambda: MatricTParams(O, 1, 2, 3.0), "1x2", id="MatricTParams"),
     pytest.param(lambda: MatrixMTParams(O, 2, 2, 3.0), "2x2", id="MatrixMTParams"),
@@ -601,10 +586,8 @@ _MIX = ScaleMixtureSpec((1.0,), (1.0,))
     pytest.param(lambda: EllipticalTParams(O, 1, 2, 4.0), "1x2",
                  id="EllipticalTParams"),
     pytest.param(lambda: HermitianPD.identity(O, 2), "2x2", id="HermitianPD"),
-    pytest.param(lambda: sample_gaussian(RngStream(1), O, 1, 2), "1x2",
-                 id="sample_gaussian"),
-    pytest.param(lambda: sample_elliptical_t(RngStream(1), O, 2, 2, 4, _MIX), "2x2",
-                 id="sample_elliptical_t"),
+    pytest.param(lambda: EllipticalTParams(O, 2, 2, 4.0, (0.5, 0.5), (1.0, 3.0)),
+                 "2x2", id="EllipticalTParams-2x2"),
     pytest.param(lambda: sample_matric_t(RngStream(1), MatricTParams(O, 2, 2, 9.0)),
                  "2x2", id="sample_matric_t"),
     pytest.param(lambda: sample_matrix_mt(RngStream(1), MatrixMTParams(O, 1, 2, 3.0)),
@@ -679,8 +662,8 @@ class TestEllipticalT:
         # consumed, so the draws coincide with the plain Gaussian-based
         # gram construction replayed from the same stream.
         tag, m, n, nu, size = C, 2, 3, 4, 8
-        mix = ScaleMixtureSpec((1.0,), (1.0,))
-        got = sample_elliptical_t(RngStream(24, 1), tag, m, n, nu, mix, size=size)
+        got = sample_elliptical_t(RngStream(24, 1), EllipticalTParams(tag, m, n, nu),
+                                  size=size)
 
         from rdmt.algebra import (_cholesky_raw, _conj_t_raw, _hermitize_raw,
                                   _matmul_raw, _solve_raw)
@@ -694,9 +677,9 @@ class TestEllipticalT:
 
     @pytest.mark.parametrize("tag", [R, C])
     def test_invariance_vs_normal_built(self, tag):
-        mix = ScaleMixtureSpec((0.7, 0.3), (1.0, 3.0))
+        params = EllipticalTParams(tag, 2, 3, 4.0, (0.7, 0.3), (1.0, 3.0))
         rng = RngStream(25)
-        a = sample_elliptical_t(rng, tag, 2, 3, 4, mix, size=20000)
+        a = sample_elliptical_t(rng, params, size=20000)
         b = sample_matric_t(rng, MatricTParams(tag, 2, 3, 4.0), size=20000)
         sa = singular_values_batch(tag, a)
         sb = singular_values_batch(tag, b)
@@ -704,16 +687,26 @@ class TestEllipticalT:
             _, p = ks_two_sample(np.sort(sa[:, i]), np.sort(sb[:, i]))
             assert p > 0.005
 
-    def test_invalid_mixture(self):
-        with pytest.raises(ValueError):
-            ScaleMixtureSpec((0.7, 0.7), (1.0, 2.0))
-        with pytest.raises(ValueError):
-            ScaleMixtureSpec((1.0,), (-1.0,))
-
-    def test_requires_integer_nu_ge_m(self):
-        mix = ScaleMixtureSpec((1.0,), (1.0,))
-        with pytest.raises(ValueError):
-            sample_elliptical_t(RngStream(1), R, 2, 3, 1, mix)
+    @pytest.mark.parametrize("fields,message", [
+        ({"m": 2, "n": 3, "nu": 1.0}, "require integer nu >= m and n >= m"),
+        ({"m": 2, "n": 3, "nu": 2.5}, "require integer nu >= m and n >= m"),
+        ({"m": 3, "n": 2, "nu": 4.0}, "require integer nu >= m and n >= m"),
+        ({"m": 2, "n": 3, "nu": 4.0, "weights": (0.7, 0.7), "scales": (1.0, 2.0)},
+         "weights must be nonnegative and sum to 1"),
+        ({"m": 2, "n": 3, "nu": 4.0, "weights": (0.5, 0.4), "scales": (1.0, 2.0)},
+         "weights must be nonnegative and sum to 1"),
+        ({"m": 2, "n": 3, "nu": 4.0, "weights": (1.0,), "scales": (-1.0,)},
+         "scales must be positive"),
+        ({"m": 2, "n": 3, "nu": 4.0, "weights": (0.5, 0.5), "scales": (1.0,)},
+         "weights and scales must be equal-length, non-empty"),
+    ], ids=["nu-below-m", "fractional-nu", "tall", "weights-sum-1.4",
+            "weights-sum-0.9", "negative-scale", "unequal-lengths"])
+    def test_a_record_its_sampler_cannot_draw_is_refused(self, fields, message):
+        # built, or loaded from a params file, before any draw
+        with pytest.raises(ValueError, match=message):
+            EllipticalTParams(R, **fields)
+        with pytest.raises(ValueError, match=message):
+            EllipticalTParams.from_json_dict(dict(fields, beta=1))
 
 
 class TestParamSerialization:
@@ -739,6 +732,20 @@ class TestParamSerialization:
             text = json.dumps(params.to_json_dict())
             back = type(params).from_json_dict(json.loads(text))
             assert back.to_json_dict() == params.to_json_dict()
+
+    def test_records_compare_and_hash_by_value(self, rng):
+        params = MatricTParams(H, 2, 3, 9.0, random_matrix(rng, H, 2, 3),
+                               random_hpd(rng, H, 2), random_hpd(rng, H, 3))
+        d = params.to_json_dict()
+        a, b = MatricTParams.from_json_dict(d), MatricTParams.from_json_dict(d)
+        assert a == b == params and hash(a) == hash(b)
+        assert MatricTParams(C, 2, 3, 9.0) == MatricTParams(C, 2, 3, 9.0)
+        assert len({MatrixMTParams(C, 2, 2, 3.0), MatrixMTParams(C, 2, 2, 3.0)}) == 1
+        # one coefficient, or the algebra alone, tells records apart
+        mu = params.mu.data.copy()
+        mu[0, 0, 3] += 1e-12
+        assert dataclasses.replace(params, mu=DivMatrix(H, mu)) != params
+        assert MatricTParams(R, 2, 3, 9.0) != MatricTParams(C, 2, 3, 9.0)
 
     @pytest.mark.parametrize("key", ["Sigmaa", "Xi", "tag", "rows"])
     def test_unknown_key_is_refused(self, key):
@@ -953,9 +960,8 @@ class TestSolveContract:
                                         size=size),
         ]
         if tag != O:
-            mix = ScaleMixtureSpec((0.5, 0.5), (1.0, 3.0))
-            draws.append(lambda: sample_elliptical_t(RngStream(3), tag, m, n, 4, mix,
-                                                     size=size))
+            e_params = EllipticalTParams(tag, m, n, 4.0, (0.5, 0.5), (1.0, 3.0))
+            draws.append(lambda: sample_elliptical_t(RngStream(3), e_params, size=size))
         for draw in draws:
             before = len(calls)
             draw()

@@ -45,10 +45,11 @@ from rdmt.algebra import (
 )
 from rdmt.distributions import (
     BetaIIParams,
+    EllipticalTParams,
+    GaussianParams,
     MatricTParams,
     MatrixMTParams,
     RngStream,
-    ScaleMixtureSpec,
     WishartParams,
     _bartlett_factor_raw,
     _std_normal_raw,
@@ -124,9 +125,8 @@ class TestScoreIdentities:
         beta, m, n, nu = tag.beta, 3, 4, 9
         gen = np.random.default_rng([SEED, beta])
         hmat = _map_matrix(gen, beta, m if side == "left" else n)
-        mix = ScaleMixtureSpec((0.5, 0.5), (1.0, 3.0))
-        draws = sample_elliptical_t(RngStream(SEED), tag, m, n, nu, mix,
-                                    size=SCORE_DRAWS)
+        e_params = EllipticalTParams(tag, m, n, nu, (0.5, 0.5), (1.0, 3.0))
+        draws = sample_elliptical_t(RngStream(SEED), e_params, size=SCORE_DRAWS)
         params = MatricTParams(tag, m, n, float(nu))
         assert abs(_t_score_z(draws, params, side, hmat)) < SCORE_BOUND
 
@@ -203,13 +203,12 @@ def _standard_cases(tag, m, n):
     mt_params = MatrixMTParams(tag, m, n, nu, 1.5)
     w_params = WishartParams(tag, m, float(beta * m + 2))
     b2_params = BetaIIParams(tag, m, n, nu)
-    sigma = HermitianPD.identity(tag, n)
+    g_params = GaussianParams(tag, m, n)
     cases = [
         ("matrix-mt", lambda rng, size: sample_matrix_mt(rng, mt_params, size=size),
          lambda gen, k: _spelled_matrix_mt(mt_params, gen, k)),
-        ("gaussian", lambda rng, size: sample_gaussian(rng, tag, m, n, sigma, size=size),
-         lambda gen, k: _matmul_raw(_std_normal_raw(gen, beta, (k, m, n)),
-                                    _conj_t_raw(sigma.chol.data))),
+        ("gaussian", lambda rng, size: sample_gaussian(rng, g_params, size=size),
+         lambda gen, k: _std_normal_raw(gen, beta, (k, m, n))),
         ("beta2-matric", lambda rng, size: sample_beta2_matric(rng, b2_params, size=size),
          lambda gen, k: _gram_raw(_spelled_matric_t(t_params, "wishart_root", gen, k))),
     ]
@@ -272,8 +271,8 @@ class TestIdentitySkip:
                 sampler(RngStream(3), size)
                 assert not seen, name
         if tag != O and n >= m:
-            mix = ScaleMixtureSpec((0.5, 0.5), (1.0, 3.0))
-            sample_elliptical_t(RngStream(3), tag, m, n, n + 1, mix, size=7)
+            e_params = EllipticalTParams(tag, m, n, n + 1, (0.5, 0.5), (1.0, 3.0))
+            sample_elliptical_t(RngStream(3), e_params, size=7)
             assert not seen
 
     @pytest.mark.parametrize("tag", [R, C, H, O])

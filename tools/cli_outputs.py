@@ -35,7 +35,9 @@ and messages are compared as well.  The last additions read --params files
 that give only the keys without a default (gamma without rho, beta II
 without an orientation, wide and tall), files that are refused (a wrong
 orientation, no nu, a Sigma that is not positive definite, a JSON list),
-and a --mix that is not weight:scale pairs.
+and a --mix that is not weight:scale pairs.  Then come elliptical-t files
+whose record its sampler cannot draw (a fractional nu, weights summing to
+0.9), and --m, --n or --nu given to a family whose record has no such field.
 """
 
 from __future__ import annotations
@@ -82,6 +84,9 @@ MINIMAL_PARAMS = {
                               "Sigma": {"beta": 1, "rows": 2, "cols": 2,
                                         "data": [[[1.0], [2.0]], [[2.0], [1.0]]]}},
     "matric-t-list": [{"beta": 1, "m": 2, "n": 3, "nu": 9.0}],
+    "elliptical-t-fractional-nu": {"beta": 1, "m": 2, "n": 3, "nu": 2.5},
+    "elliptical-t-weights-0.9": {"beta": 1, "m": 2, "n": 3, "nu": 4.0,
+                                 "weights": [0.5, 0.4], "scales": [1.0, 3.0]},
 }
 
 
@@ -345,8 +350,10 @@ def _commands(files: dict) -> list:
                       files["params-beta2-minimal-3x2"], "--points",
                       files["f-points-b2-d2"], "--out", "{out}"]))
     for name in ("beta2-wrong-orientation", "matric-t-no-nu",
-                 "matric-t-non-pd-sigma", "matric-t-list"):
-        family = "beta2-matric" if name.startswith("beta2") else "matric-t"
+                 "matric-t-non-pd-sigma", "matric-t-list",
+                 "elliptical-t-fractional-nu", "elliptical-t-weights-0.9"):
+        family = {"beta2": "beta2-matric", "matric": "matric-t",
+                  "elliptical": "elliptical-t"}[name.split("-")[0]]
         cmds.append((f"fail-sample-params-{name}",
                      ["sample", "--dist", family, "--params",
                       files[f"params-{name}"]] + seed))
@@ -359,6 +366,13 @@ def _commands(files: dict) -> list:
         cmds.append((f"verify-suite-{name}",
                      ["verify", "--suite", files[f"suite-{name}"], "--seed", "11",
                       "--report", "{out}"]))
+    # a flag that fills no field of the family's record
+    for label, argv in (("wishart-n", ["--dist", "wishart", "--nu", "9", "--m", "2",
+                                       "--n", "7"]),
+                        ("gamma-m", ["--dist", "gamma", "--nu", "2.5", "--m", "9"]),
+                        ("gaussian-nu", ["--dist", "gaussian", "--m", "2", "--n", "3",
+                                         "--nu", "4"])):
+        cmds.append((f"fail-sample-{label}", ["sample", "--beta", "1"] + argv + seed))
     return cmds
 
 
