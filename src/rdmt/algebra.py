@@ -20,13 +20,20 @@ solves and inverses carry over exactly, the positive-diagonal Cholesky
 factor of the adjoint is the adjoint of the factor (it is unique), and each
 quaternion singular value or eigenvalue appears in the adjoint as a
 coincident (Kramers) pair.  Every kernel is one numpy call between
-`_complex_embed_raw` and `_complex_unembed_raw`, with two exceptions for
-stacks of two or more matrices, which work on the coefficients themselves:
-the triangular systems L* X = B of a Cholesky factor L are solved by back
-substitution (`_substitute_raw`) at every order, skipping LAPACK's LU, and
-matrices with min(m, n) <= 2 have closed-form singular values
-(`_singular_values_raw`), skipping LAPACK's iterative SVD.  The quaternion
-rule j q of both, and of the adjoint's second block row, is `_j_times_raw`.
+`_complex_embed_raw` and `_complex_unembed_raw`, with three exceptions.  Two
+are for stacks of two or more matrices, and work on the coefficients
+themselves: the triangular systems L* X = B of a Cholesky factor L are
+solved by back substitution (`_substitute_raw`) at every order, skipping
+LAPACK's LU, and matrices with min(m, n) <= 2 have closed-form singular
+values (`_singular_values_raw`), skipping LAPACK's iterative SVD.  The
+quaternion rule j q of both, and of the adjoint's second block row, is
+`_j_times_raw`.  The third is the log-det-of-Gram kernel of the matric-t
+densities, `_logdet_gram_raw`: log|B + g* g| with g = F A is formed,
+factored and read off entirely in the representation, so A is embedded once
+and nothing is unembedded.  It and `_frobenius_sq_product_raw`, the trace
+|F A G|_F^2 of the matrix-mt density, take their constant factors and bases
+already embedded (`_representation_raw`), so a parameter record embeds them
+once.
 
 Two rules of the algebra live here alone.  Gram products (`_gram_raw`) and
 every other matrix that Cholesky or eigvalsh reads one triangle of are
@@ -231,6 +238,14 @@ def _raise_at(error: type, index, what: str, problem: str):
     raise exc
 
 
+def _refuse_non_finite(x: np.ndarray, what: str) -> None:
+    """ValueError "<what> [at index i] has non-finite coefficients" for the
+    first matrix of a (..., m, n, beta) stack with a NaN or inf coefficient."""
+    if not np.isfinite(x).all():
+        finite = np.isfinite(x).all(axis=(-3, -2, -1))
+        _raise_at(ValueError, _stack_index(~finite), what, "has non-finite coefficients")
+
+
 def _hermitian_part(a: np.ndarray, what: str = "matrix") -> np.ndarray:
     """(A + A*)/2 of each matrix of a (..., m, m, beta) stack, after checking
     |A - A*| <= HERMITIAN_ATOL * max(1, |A|_max) coefficient-wise; ValueError
@@ -273,27 +288,38 @@ def _cholesky_raw(a: np.ndarray) -> np.ndarray:
     matrix by its index.
     """
     beta = a.shape[-1]
-    if _octonion_scalar(a):
-        piv = a[..., 0, 0, 0]
-        if not np.all(piv > 0.0):
-            _raise_at(NotPositiveDefinite, _stack_index(~(piv > 0.0)),
-                      "matrix", "has a non-positive pivot")
-        lo = np.zeros_like(a)
-        lo[..., 0] = np.sqrt(a[..., 0])
-    else:
-        z = _complex_embed_raw(a, beta)
-        try:
-            lo = np.linalg.cholesky(z)
-        except np.linalg.LinAlgError:
-            _raise_at(NotPositiveDefinite, _first_non_pd(z),
-                      "matrix", "is not positive definite")
-        lo = _complex_unembed_raw(lo, beta)
-    # LAPACK passes NaN through and factors an infinite diagonal.
-    finite = np.isfinite(lo).all(axis=(-3, -2, -1))
-    if not finite.all():
+    if not _octonion_scalar(a):
+        return _complex_unembed_raw(_complex_cholesky(_complex_embed_raw(a, beta)), beta)
+    piv = a[..., 0, 0, 0]
+    if not np.all(piv > 0.0):
+        _raise_at(NotPositiveDefinite, _stack_index(~(piv > 0.0)),
+                  "matrix", "has a non-positive pivot")
+    lo = np.zeros_like(a)
+    lo[..., 0] = np.sqrt(a[..., 0])
+    _check_factor_finite(lo, (-3, -2, -1))
+    return lo
+
+
+def _complex_cholesky(z: np.ndarray) -> np.ndarray:
+    """np.linalg.cholesky of a Hermitian complex representation, (..., k, k),
+    with the guard of `_cholesky_raw`: NotPositiveDefinite names the first
+    matrix that is not positive definite or has a non-finite factor."""
+    try:
+        lo = np.linalg.cholesky(z)
+    except np.linalg.LinAlgError:
+        _raise_at(NotPositiveDefinite, _first_non_pd(z),
+                  "matrix", "is not positive definite")
+    _check_factor_finite(lo, (-2, -1))
+    return lo
+
+
+def _check_factor_finite(lo: np.ndarray, axes: tuple) -> None:
+    """Refuse a stack of Cholesky factors, each over `axes`, with a NaN or
+    inf entry: LAPACK passes NaN through and factors an infinite diagonal."""
+    if not np.isfinite(lo).all():
+        finite = np.isfinite(lo).all(axis=axes)
         _raise_at(NotPositiveDefinite, _stack_index(~finite),
                   "matrix", "has a non-finite Cholesky factor")
-    return lo
 
 
 def _first_non_pd(z: np.ndarray):
@@ -318,6 +344,76 @@ def _chol_logdet_raw(lo: np.ndarray) -> np.ndarray:
 def _logdet_hermitian_raw(a: np.ndarray) -> np.ndarray:
     """log det of a nearly Hermitian PD (..., m, m, beta), symmetrized first."""
     return _chol_logdet_raw(_cholesky_raw(_hermitize_raw(a)))
+
+
+def _representation_raw(x: np.ndarray | None) -> np.ndarray | None:
+    """A constant as `_logdet_gram_raw` and `_frobenius_sq_product_raw` take
+    it: the complex representation of (m, n, beta) coefficients for
+    beta <= 4, a 1x1 octonion's coefficients as they are, and None (an
+    exact identity factor, which is skipped) as None."""
+    if x is None or _octonion_scalar(x):
+        return x
+    return _complex_embed_raw(x, x.shape[-1])
+
+
+def _represented_product(a: np.ndarray, left=None, right=None) -> np.ndarray:
+    """Complex representation of left a right for a (..., k, p, beta) stack
+    a, beta <= 4, with left and right as `_representation_raw` gives them:
+    a is embedded once.  A stack of two or more times a shared right factor
+    is one product, folded as `_matmul_raw` folds it."""
+    z = _complex_embed_raw(a, a.shape[-1])
+    if left is not None:
+        z = left @ z
+    if right is not None:
+        if _batch(a) > 1 and right.ndim == 2 and z.shape[-2] > 1:
+            z = (z.reshape(-1, z.shape[-1]) @ right).reshape(z.shape[:-1] + right.shape[-1:])
+        else:
+            z = z @ right
+    return z
+
+
+def _logdet_gram_raw(base: np.ndarray, a: np.ndarray, factor=None) -> np.ndarray:
+    """log|base + g* g| of each matrix of a (..., k, p, beta) stack a, with
+    g = a, or g = factor a for a (k, k) factor; base (p, p) is Hermitian
+    positive definite, and base and factor are given as
+    `_representation_raw` gives them.  Shared and stacked constants
+    broadcast.
+
+    For beta <= 4 a is embedded once; the product, the Gram, its sum with
+    base and the symmetrization (B + B*)/2 are formed in the complex
+    representation and factored under `_cholesky_raw`'s guard
+    (`_complex_cholesky`).  The log det is read from the real parts of the
+    factor's diagonal, for beta = 4 from the rows `_complex_unembed_raw`
+    reads, so nothing is unembedded.  A 1x1 octonion takes the coefficient
+    products of the other kernels."""
+    if _octonion_scalar(a):
+        g = a if factor is None else _matmul_raw(factor, a)
+        return _logdet_hermitian_raw(base + _matmul_raw(_conj_t_raw(g), g))
+    z = _represented_product(a, factor)
+    b = z.conj().swapaxes(-1, -2) @ z
+    del z
+    # in place, so a stack holds one bracket-sized temporary at a time
+    b += base
+    b += b.conj().swapaxes(-1, -2)
+    b *= 0.5
+    lo = _complex_cholesky(b)
+    diag = np.diagonal(lo, axis1=-2, axis2=-1).real
+    return 2.0 * np.log(diag[..., ::2] if a.shape[-1] == 4 else diag).sum(axis=-1)
+
+
+def _frobenius_sq_product_raw(a: np.ndarray, left=None, right=None) -> np.ndarray:
+    """|left a right|_F^2 of each matrix of a (..., m, n, beta) stack, with
+    left and right as `_representation_raw` gives them (None for I).  With
+    no factor it is `_frobenius_sq_raw(a)`; otherwise a is embedded once and
+    only the product is unembedded.  A 1x1 octonion takes the coefficient
+    products."""
+    if left is None and right is None:
+        return _frobenius_sq_raw(a)
+    beta = a.shape[-1]
+    if _octonion_scalar(a):
+        g = a if left is None else _matmul_raw(left, a)
+        return _frobenius_sq_raw(g if right is None else _matmul_raw(g, right))
+    return _frobenius_sq_raw(_complex_unembed_raw(_represented_product(a, left, right), beta))
 
 
 def _solve_raw(lo: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -440,10 +536,7 @@ def _singular_values_raw(x: np.ndarray, beta: int) -> np.ndarray:
     coefficient, which is exact and keeps sums of squares from over- or
     underflowing.  A single matrix and every shape with min(m, n) >= 3 take
     LAPACK's SVD of the complex representation."""
-    if not np.isfinite(x).all():
-        finite = np.isfinite(x).all(axis=(-3, -2, -1))
-        _raise_at(ValueError, _stack_index(~finite), "matrix",
-                  "has non-finite coefficients")
+    _refuse_non_finite(x, "matrix")
     if not (_octonion_scalar(x) or (_batch(x) > 1 and 1 <= min(x.shape[-3:-1]) <= 2)):
         s = np.linalg.svd(_complex_embed_raw(x, beta), compute_uv=False)
         return _collapse_pairs(s) if beta == 4 else s

@@ -38,15 +38,18 @@ from .algebra import (
     _cholesky_raw,
     _conj_t_raw,
     _eigvalsh_raw,
-    _frobenius_sq_raw,
+    _frobenius_sq_product_raw,
     _gram_raw,
     _hermitian_part,
     _hpd_inverse_raw,
     _identity_raw,
+    _logdet_gram_raw,
     _logdet_hermitian_raw,
     _matmul_raw,
     _raise_at,
     _real_trace_raw,
+    _refuse_non_finite,
+    _representation_raw,
     _solve_raw,
     _stack_index,
 )
@@ -495,7 +498,8 @@ def sample_wishart(rng: RngStream, params: WishartParams, method: str = "bartlet
 
 
 def _factor(h: HermitianPD) -> np.ndarray | None:
-    """h's Cholesky factor for `_wishart_chol_raw`, None when h is exactly I."""
+    """h's Cholesky factor, None when h is exactly I: for `_wishart_chol_raw`
+    and the densities' cached factors."""
     return None if h.is_identity else h.chol.data
 
 
@@ -626,10 +630,14 @@ def sample_elliptical_t(rng: RngStream, params: EllipticalTParams,
 # Log densities.  Each takes one point (a DivMatrix, or for the beta II laws
 # also a HermitianPD), giving a float, or an (N, rows, cols, beta) stack of
 # points, giving an (N,) array, through one code path: the raw kernels take
-# any leading axes, so one point simply has none.  The pieces that do not
-# depend on the point are computed once per parameter record and cached on
-# it as `_density_terms`: an attribute, not a dataclass field, so it stays
-# out of ==, repr and the JSON.
+# any leading axes, so one point simply has none.  A point with a NaN or inf
+# coefficient is refused by `_points`, naming its index.  The pieces that do
+# not depend on the point are computed once per parameter record and cached
+# on it as `_density_terms`: an attribute, not a dataclass field, so it stays
+# out of ==, repr and the JSON.  The T laws cache their constant factors and
+# bases in the form their kernels read, the complex representation for
+# beta <= 4, so a call embeds only its points once: the matric-t bracket is
+# `_logdet_gram_raw`, the matrix-mt trace `_frobenius_sq_product_raw`.
 # ---------------------------------------------------------------------------
 
 
@@ -642,7 +650,8 @@ def _libm(fn, x: np.ndarray) -> np.ndarray:
 
 def _points(params, t, shape: tuple) -> tuple:
     """(coefficients, single) of one point or of a stack of points, checked
-    against the point shape (rows, cols) over the record's algebra."""
+    against the point shape (rows, cols) over the record's algebra.  A point
+    with a NaN or inf coefficient is refused (ValueError naming it)."""
     if isinstance(t, DivMatrix):
         x, single = t.data, True
         ok = t.tag == params.tag and t.shape == shape
@@ -657,14 +666,18 @@ def _points(params, t, shape: tuple) -> tuple:
             f"point shape/algebra mismatch: expected {shape[0]}x{shape[1]} "
             f"over {params.tag.name}"
         )
+    _refuse_non_finite(x, "the evaluation point")
     return x, single
 
 
 def _matric_t_terms(params: MatricTParams) -> dict:
     """form -> (q, factor, base, const) of logpdf_matric_t, whose kernel is
     |base + g* g|^-q: primal g = M* (T-mu)*, M M* = Sigma^-1, with factor M*
-    (None for Sigma = I) and base Xi^-1, dual g = L_Xi* (T-mu) with factor
-    L_Xi* and base Sigma."""
+    and base Xi^-1, dual g = L_Xi* (T-mu) with factor L_Xi* and base Sigma.
+    factor and base are cached as `_logdet_gram_raw` reads them, embedded
+    once in the complex representation for beta <= 4; a factor is None when
+    its scale (Sigma, Xi) is exactly I, so its exact-copy product is
+    skipped."""
     tag = params.tag
     beta = tag.beta
     m, n, nu = params.m, params.n, params.nu
@@ -683,12 +696,18 @@ def _matric_t_terms(params: MatricTParams) -> dict:
         - m * n * beta / 2.0 * _LOG_PI
         - _lmg(tag, n, beta * (n + nu - m) / 2.0)
     )
-    m_inv = params._sigma_inv_chol
     return {
-        "primal": (q, None if m_inv is None else _conj_t_raw(m_inv),
-                   _hpd_inverse_raw(params.Xi.mat.data), primal),
-        "dual": (q, _conj_t_raw(params.Xi.chol.data), params.Sigma.mat.data, dual),
+        "primal": (q, _star(params._sigma_inv_chol),
+                   _representation_raw(_hpd_inverse_raw(params.Xi.mat.data)), primal),
+        "dual": (q, _star(_factor(params.Xi)),
+                 _representation_raw(params.Sigma.mat.data), dual),
     }
+
+
+def _star(lo: np.ndarray | None) -> np.ndarray | None:
+    """L* of a Cholesky factor L, as `_representation_raw` gives it; None
+    (L = I) stays None."""
+    return None if lo is None else _representation_raw(_conj_t_raw(lo))
 
 
 def logpdf_matric_t(params: MatricTParams, t, form: str = "primal"):
@@ -708,8 +727,7 @@ def logpdf_matric_t(params: MatricTParams, t, form: str = "primal"):
     a = x - params.mu.data
     if form == "primal":
         a = _conj_t_raw(a)
-    g = a if factor is None else _matmul_raw(factor, a)  # M* (T-mu)* or L_Xi* (T-mu)
-    out = const - q * _logdet_hermitian_raw(base + _matmul_raw(_conj_t_raw(g), g))
+    out = const - q * _logdet_gram_raw(base, a, factor)
     return float(out) if single else out
 
 
@@ -792,7 +810,10 @@ def logpdf_beta2_matric(params: BetaIIParams, f, *, printed_variant: bool = Fals
 
 def _matrix_mt_terms(params: MatrixMTParams) -> tuple:
     """(q1, left, right, const) of logpdf_matrix_mt: the kernel's exponent,
-    its congruence factors L_Delta* and L_Lambda, and the constant."""
+    its congruence factors L_Delta* and L_Lambda, and the constant.  The
+    factors are cached as `_frobenius_sq_product_raw` reads them, embedded
+    once in the complex representation for beta <= 4, and None when their
+    scale is exactly I."""
     tag = params.tag
     beta = tag.beta
     m, n, nu = params.m, params.n, params.nu
@@ -804,7 +825,7 @@ def _matrix_mt_terms(params: MatrixMTParams) -> tuple:
         + beta * n / 2.0 * params.Delta.logdet
         + beta * m / 2.0 * params.Lambda.logdet
     )
-    return q1, _conj_t_raw(params.Delta.chol.data), params.Lambda.chol.data, const
+    return q1, _star(_factor(params.Delta)), _representation_raw(_factor(params.Lambda)), const
 
 
 def logpdf_matrix_mt(params: MatrixMTParams, t):
@@ -814,8 +835,7 @@ def logpdf_matrix_mt(params: MatrixMTParams, t):
     """
     q1, left, right, const = params._density_terms
     x, single = _points(params, t, (params.m, params.n))
-    g = _matmul_raw(_matmul_raw(left, x - params.mu.data), right)
-    bracket = 1.0 + params.rho * _frobenius_sq_raw(g)
+    bracket = 1.0 + params.rho * _frobenius_sq_product_raw(x - params.mu.data, left, right)
     out = const - q1 * _libm(math.log, bracket)
     return float(out) if single else out
 

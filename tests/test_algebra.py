@@ -29,8 +29,11 @@ from rdmt.algebra import (
     _hpd_inverse_raw,
     _identity_raw,
     _j_times_raw,
+    _logdet_gram_raw,
+    _logdet_hermitian_raw,
     _matmul_raw,
     _mul_coeffs,
+    _representation_raw,
     _singular_values_raw,
     _solve_raw,
 )
@@ -625,6 +628,60 @@ class TestLogdet:
         lhs = logdet_hpd(HermitianPD(axa))
         rhs = logdet_hpd(HermitianPD(aa)) + logdet_hpd(x)
         assert abs(lhs - rhs) < 1e-9
+
+
+def _gram_logdet_by_coefficients(base, a, factor):
+    """log|base + g* g|, g = factor a, composed of the coefficient kernels."""
+    g = a if factor is None else _matmul_raw(factor, a)
+    return _logdet_hermitian_raw(base + _matmul_raw(_conj_t_raw(g), g))
+
+
+class TestLogdetGram:
+    """`_logdet_gram_raw` forms log|base + g* g| in the complex
+    representation; composed of the coefficient kernels instead, each
+    product embedded and unembedded, it gives the same value to rounding."""
+
+    @pytest.mark.parametrize("tag", [R, C, H])
+    @pytest.mark.parametrize("lead", [(), (0,), (1,), (6,)])
+    @pytest.mark.parametrize("factor_kind", [None, "shared", "stacked"])
+    def test_matches_the_coefficient_composition(self, rng, tag, lead, factor_kind):
+        beta = tag.beta
+        for k in range(1, 5):
+            for p in range(1, 5):
+                base = _oracle_hpd(rng, beta, p, 1)[0]
+                a = rng.normal(size=lead + (k, p, beta))
+                factor = {None: None,
+                          "shared": rng.normal(size=(k, k, beta)),
+                          "stacked": rng.normal(size=lead + (k, k, beta))}[factor_kind]
+                want = _gram_logdet_by_coefficients(base, a, factor)
+                got = _logdet_gram_raw(_representation_raw(base), a,
+                                       _representation_raw(factor))
+                assert got.shape == want.shape == lead
+                assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+
+    @pytest.mark.parametrize("lead", [(), (5,)])
+    def test_octonion_scalar_keeps_the_coefficient_composition(self, rng, lead):
+        base = np.zeros((1, 1, 8))
+        base[..., 0] = 1.5
+        factor = np.zeros((1, 1, 8))
+        factor[..., 0] = 0.7
+        a = rng.normal(size=lead + (1, 1, 8))
+        for f in (None, factor):
+            assert np.array_equal(_logdet_gram_raw(base, a, f),
+                                  _gram_logdet_by_coefficients(base, a, f))
+
+    @pytest.mark.parametrize("tag", [R, C, H])
+    def test_overflow_names_its_matrix(self, rng, tag):
+        base = _representation_raw(_oracle_hpd(rng, tag.beta, 3, 1)[0])
+        a = rng.normal(size=(5, 2, 3, tag.beta))
+        a[3, 1, 0, 0] = 1e200
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NotPositiveDefinite, match="^matrix at index 3 ") as info:
+                _logdet_gram_raw(base, a)
+            assert info.value.index == 3
+            with pytest.raises(NotPositiveDefinite, match="^matrix ") as info:
+                _logdet_gram_raw(base, a[3])
+            assert info.value.index is None
 
 
 class TestComplexAdjoint:

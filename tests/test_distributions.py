@@ -910,6 +910,59 @@ class TestBatchedDensities:
         with pytest.raises(ValueError, match="index 1 is not Hermitian"):
             fn(params, stack)
 
+    @pytest.mark.parametrize("tag", [R, C, H, O])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_point_is_refused_naming_its_index(self, tag, bad):
+        m, n = (1, 1) if tag == O else (2, 3)
+        d = min(m, n)
+        cases = [
+            (lambda p: logpdf_matric_t(MatricTParams(tag, m, n, 9.0), p), (m, n)),
+            (lambda p: logpdf_matric_t(MatricTParams(tag, m, n, 9.0), p, "dual"), (m, n)),
+            (lambda p: logpdf_matrix_mt(MatrixMTParams(tag, m, n, 3.0), p), (m, n)),
+            (lambda p: logpdf_beta2_matric(BetaIIParams(tag, m, n, 9.0), p), (d, d)),
+            (lambda p: logpdf_beta2_multivariate(BetaIIParams(tag, m, n, 9.0), p), (d, d)),
+        ]
+        for density, shape in cases:
+            stack = np.zeros((4,) + shape + (tag.beta,))
+            stack[..., 0] = np.eye(*shape)
+            stack[1, 0, 0, tag.beta - 1] = bad
+            with pytest.raises(ValueError, match="^the evaluation point has non-finite "
+                                                 "coefficients$") as info:
+                density(DivMatrix(tag, stack[1]))
+            assert info.value.index is None
+            with pytest.raises(ValueError, match="^the evaluation point at index 1 has "
+                                                 "non-finite coefficients$") as info:
+                density(stack)
+            assert info.value.index == 1
+
+    @pytest.mark.parametrize("scaled", [False, True])
+    def test_second_call_embeds_only_the_point(self, monkeypatch, rng, scaled):
+        # the records cache their constant factors and bases embedded
+        import rdmt.algebra as alg
+
+        calls = []
+        embed = alg._complex_embed_raw
+
+        def counted(x, beta):
+            calls.append(x.shape)
+            return embed(x, beta)
+
+        monkeypatch.setattr(alg, "_complex_embed_raw", counted)
+        scales = ((random_matrix(rng, H, 2, 3), random_hpd(rng, H, 2), random_hpd(rng, H, 3))
+                  if scaled else ())
+        t_params = MatricTParams(H, 2, 3, 9.0, *scales)
+        mt_params = MatrixMTParams(H, 2, 3, 3.0, 1.5, *scales)
+        # matrix-mt with identity scales skips both factors: no embed at all
+        densities = [(lambda p: logpdf_matric_t(t_params, p), 1),
+                     (lambda p: logpdf_matric_t(t_params, p, "dual"), 1),
+                     (lambda p: logpdf_matrix_mt(mt_params, p), 1 if scaled else 0)]
+        for point in (random_matrix(rng, H, 2, 3), rng.normal(size=(7, 2, 3, 4))):
+            for density, embeds in densities:
+                density(point)
+                calls.clear()
+                density(point)
+                assert len(calls) == embeds
+
 
 class TestSolveContract:
     """Every triangular solve of the samplers hands the kernel a lower
