@@ -179,13 +179,23 @@ def _batch(x: np.ndarray) -> int:
     return math.prod(x.shape[:-3])
 
 
+def _folded_matmul(z: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """z @ w of (..., r, k) x (..., k, c) complex representations; the
+    leading axes broadcast.  A stack of z times one shared w is one product:
+    the stack read as the single matrix of its rows, which the row-wise
+    embedding keeps in order.  Only stacks of z with two or more rows fold,
+    because numpy takes one-row products through vector kernels that round
+    differently from the matrix kernel."""
+    if math.prod(z.shape[:-2]) > 1 and math.prod(w.shape[:-2]) == 1 and z.shape[-2] > 1:
+        lead = np.broadcast_shapes(z.shape[:-2], w.shape[:-2])
+        prod = z.reshape(-1, z.shape[-1]) @ w.reshape(w.shape[-2:])
+        return prod.reshape(lead + (z.shape[-2], w.shape[-1]))
+    return z @ w
+
+
 def _matmul_raw(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product on (..., m, k, beta) x (..., k, n, beta) arrays; the
-    leading axes broadcast.  A stack of A times one shared B is one product:
-    the stack read as the single (N m) x k matrix of its rows, whose complex
-    representation is that of each A in turn.  Only stacks of A with two or
-    more complex rows fold, because numpy takes one-row products through
-    vector kernels that round differently from the matrix kernel."""
+    leading axes broadcast (`_folded_matmul` of the representations)."""
     if a.shape[-2] != b.shape[-3]:
         raise ValueError(
             f"matmul dimension mismatch: {a.shape[-3]}x{a.shape[-2]} by "
@@ -194,13 +204,8 @@ def _matmul_raw(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     beta = a.shape[-1]
     if _octonion_scalar(a) and _octonion_scalar(b):
         return _mul_coeffs(a, b)
-    if _batch(a) > 1 and _batch(b) == 1 and (beta == 4 or a.shape[-3] > 1):
-        lead = np.broadcast_shapes(a.shape[:-3], b.shape[:-3])
-        prod = _matmul_raw(a.reshape(-1, a.shape[-2], beta), b.reshape(b.shape[-3:]))
-        return prod.reshape(lead + (a.shape[-3], b.shape[-2], beta))
-    return _complex_unembed_raw(
-        _complex_embed_raw(a, beta) @ _complex_embed_raw(b, beta), beta
-    )
+    z = _folded_matmul(_complex_embed_raw(a, beta), _complex_embed_raw(b, beta))
+    return _complex_unembed_raw(z, beta)
 
 
 def _identity_raw(m: int, beta: int) -> np.ndarray:
@@ -359,17 +364,11 @@ def _representation_raw(x: np.ndarray | None) -> np.ndarray | None:
 def _represented_product(a: np.ndarray, left=None, right=None) -> np.ndarray:
     """Complex representation of left a right for a (..., k, p, beta) stack
     a, beta <= 4, with left and right as `_representation_raw` gives them:
-    a is embedded once.  A stack of two or more times a shared right factor
-    is one product, folded as `_matmul_raw` folds it."""
+    a is embedded once, and its product with right is `_folded_matmul`'s."""
     z = _complex_embed_raw(a, a.shape[-1])
     if left is not None:
         z = left @ z
-    if right is not None:
-        if _batch(a) > 1 and right.ndim == 2 and z.shape[-2] > 1:
-            z = (z.reshape(-1, z.shape[-1]) @ right).reshape(z.shape[:-1] + right.shape[-1:])
-        else:
-            z = z @ right
-    return z
+    return z if right is None else _folded_matmul(z, right)
 
 
 def _logdet_gram_raw(base: np.ndarray, a: np.ndarray, factor=None) -> np.ndarray:

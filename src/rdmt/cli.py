@@ -7,30 +7,32 @@ seed, resolved parameters) as its first output line so any output file can
 be reproduced from its own header.  Outputs carry no timestamps: rerunning a
 command with the same seed produces byte-identical files.
 
-Each family is one row of ``_FAMILIES``, which holds the library's own
-sampler, density and overlays.  Its record is the one source of its
-parameters: a flag fills the field of its name, the fields without a
-default need theirs, and flags and a ``--params`` file take the same
-defaults.  ``--m``, ``--n``, ``--nu`` or ``--rho`` given to a family whose
-record has no such field exits 2, and ``_FAMILY_FLAGS`` names the families
-that read each of ``--method``, ``--mix`` and ``--form``; any other refuses
-it.  Without ``--method`` the sampler's own default method applies.
+Each family is one row of the law table `distributions._FAMILIES`; this
+module reads every family fact from the row or its record, never from a
+family name.  The record is the one source of a family's parameters: a
+flag fills the field of its name, the fields without a default need
+theirs, and flags and a ``--params`` file take the same defaults.  A flag
+the family does not read exits 2: ``--method`` unless its sampler takes a
+``method``, ``--form`` unless its density takes a ``form``, ``--mix``
+unless its record has ``weights``, and ``--m``, ``--n``, ``--nu`` or
+``--rho`` unless its record has that field.  Flags are spelt in full.  A
+record without ``m`` draws scalars, which have no spectrum.
 The eigen spectrum of a Hermitian family is that of the draw; of any other
-family (``gaussian`` too) it is that of the gram T T*.
+family it is that of the gram T T*.
 One writer, ``_write``, sends every output and opens its file only once
-every check has passed; each value is ``repr`` of a Python float (gamma CSV
-rows included), so JSONL samples must be finite.
+every check has passed; each value is ``repr`` of a Python float (scalar
+CSV rows included), so JSONL samples must be finite.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import json
 import math
 import os
 import sys
-from collections import namedtuple
 from contextlib import nullcontext
 
 import numpy as np
@@ -42,37 +44,9 @@ from .algebra import (
     _schema_data,
     _schema_template,
 )
-from .distributions import (
-    BetaIIParams,
-    EllipticalTParams,
-    GammaScalarParams,
-    GaussianParams,
-    MatricTParams,
-    MatrixMTParams,
-    RngStream,
-    WishartParams,
-    _field_loaders,
-    logpdf_beta2_matric,
-    logpdf_beta2_multivariate,
-    logpdf_matric_t,
-    logpdf_matrix_mt,
-    sample_beta2_matric,
-    sample_elliptical_t,
-    sample_gamma_scalar,
-    sample_gaussian,
-    sample_matric_t,
-    sample_matrix_mt,
-    sample_wishart,
-)
+from .distributions import _FAMILIES, RngStream, _Family, _field_loaders
 from .errors import DomainError, NotPositiveDefinite, OctonionMatrixError
-from .spectral import (
-    eigenvalues_batch,
-    log_joint_eig_beta2,
-    log_joint_eig_mv,
-    log_joint_sv_matric_t,
-    log_joint_sv_matrix_mt,
-    singular_values_batch,
-)
+from .spectral import eigenvalues_batch, singular_values_batch
 from .verify import CheckSpec, default_suite, run_suite
 
 _CONFIG_ERRORS = (
@@ -140,38 +114,19 @@ def _parse_mix(text: str) -> dict:
     return {"weights": tuple(weights), "scales": tuple(scales)}
 
 
-# family -> (record, sampler, density, overlays, hermitian): its parameter
-# record; the library sampler, sample_*(rng, params, size=count), which
-# gives an (N,) array of scalar draws (gamma) or an (N, m, n, beta) stack
-# and takes `method=` for matric-t and wishart; the log density; the
-# analytic overlays by spectrum kind; and whether the draws are Hermitian.
-# An entry is None where the family has none.
-_Family = namedtuple("_Family", "record sampler density overlays hermitian")
-_FAMILIES = {
-    "matric-t": _Family(
-        MatricTParams, sample_matric_t, logpdf_matric_t,
-        {"singular": log_joint_sv_matric_t, "eigen": log_joint_eig_beta2}, False),
-    "matrix-mt": _Family(
-        MatrixMTParams, sample_matrix_mt, logpdf_matrix_mt,
-        {"singular": log_joint_sv_matrix_mt, "eigen": log_joint_eig_mv}, False),
-    "wishart": _Family(WishartParams, sample_wishart, None, None, True),
-    "gamma": _Family(GammaScalarParams, sample_gamma_scalar, None, None, False),
-    "gaussian": _Family(GaussianParams, sample_gaussian, None, None, False),
-    "beta2-matric": _Family(
-        BetaIIParams, sample_beta2_matric, logpdf_beta2_matric,
-        {"eigen": log_joint_eig_beta2}, True),
-    "beta2-mv": _Family(BetaIIParams, None, logpdf_beta2_multivariate, None, False),
-    "elliptical-t": _Family(
-        EllipticalTParams, sample_elliptical_t, None,
-        {"singular": log_joint_sv_matric_t}, False),
+# family flag -> what a family that does not read it lacks
+_FAMILY_FLAGS = {
+    "method": "has no construction method",
+    "mix": "is not a scale mixture",
+    "form": "has one density form",
 }
 
-# family-specific flag -> (the families that read it, what the others lack)
-_FAMILY_FLAGS = {
-    "method": (("matric-t", "wishart"), "has no construction method"),
-    "mix": (("elliptical-t",), "is not a scale mixture"),
-    "form": (("matric-t",), "has one density form"),
-}
+
+@functools.cache
+def _takes(entry, name: str) -> bool:
+    """Whether a row's sampler, density or record (None: no such entry)
+    takes the parameter `name`; each signature is read once."""
+    return entry is not None and name in inspect.signature(entry).parameters
 
 
 def _family(args, entry: str, command: str) -> _Family:
@@ -185,24 +140,25 @@ def _family(args, entry: str, command: str) -> _Family:
 def _build_params(args, family: str):
     """Parameter record from --params JSON (if given) or from flags, each
     filling the field of its name; a flag the family does not read is
-    refused first: one of `_FAMILY_FLAGS`, or one of --m, --n, --nu and
-    --rho whose field the record lacks."""
-    for flag, (families, lack) in _FAMILY_FLAGS.items():
-        if getattr(args, flag, None) is not None and family not in families:
+    refused first: one of `_FAMILY_FLAGS`, read by a sampler that takes a
+    method, a density that takes a form and a record with weights, or one
+    of --m, --n, --nu and --rho whose field the record lacks."""
+    row = _FAMILIES[family]
+    readers = {"method": (row.sampler, "method"), "mix": (row.record, "weights"),
+               "form": (row.density, "form")}
+    for flag, lack in _FAMILY_FLAGS.items():
+        if getattr(args, flag, None) is not None and not _takes(*readers[flag]):
             raise _CliError(f"{family} {lack}; drop --{flag}")
-    record = _FAMILIES[family].record
-    loaders = _field_loaders(record)
-    names = {name for name, _, _ in loaders}
     for flag in ("m", "n", "nu", "rho"):
-        if getattr(args, flag) is not None and flag not in names:
+        if getattr(args, flag) is not None and not _takes(row.record, flag):
             raise _CliError(f"{family} has no {flag} parameter; drop --{flag}")
     if getattr(args, "params", None):
         with open(args.params) as fh:
-            return record.from_json_dict(json.load(fh))
+            return row.record.from_json_dict(json.load(fh))
     if args.beta is None:
         raise _CliError("--beta is required when no --params file is given")
     values = {}
-    for name, _, has_default in loaders:
+    for name, _, has_default in _field_loaders(row.record):
         value = getattr(args, name, None)
         if value is not None:
             values[name] = value
@@ -210,7 +166,7 @@ def _build_params(args, family: str):
             raise _CliError(f"--{name} is required for family {family!r}")
     if getattr(args, "mix", None):
         values.update(_parse_mix(args.mix))
-    return record(AlgebraTag(int(args.beta)), **values)
+    return row.record(AlgebraTag(int(args.beta)), **values)
 
 
 def _count(args) -> int:
@@ -291,14 +247,13 @@ def _read_points(path) -> tuple:
 
 
 def _cmd_density(args) -> int:
-    family = args.dist
     row = _family(args, "density", "density")
-    params = _build_params(args, family)
+    params = _build_params(args, args.dist)
     info = _run_info(None, None, _params_dict(params, form=args.form))
     stack, linenos = _read_points(args.points)
     values = np.empty(0)
     if stack is not None:
-        form = {"form": args.form} if args.form else {}   # read by matric-t alone
+        form = {"form": args.form} if args.form else {}
         try:
             values = row.density(params, stack, **form)
         except _CONFIG_ERRORS as exc:
@@ -309,7 +264,7 @@ def _cmd_density(args) -> int:
     return 0
 
 
-def _grid_rows(family, kind, params, vals, overlay):
+def _grid_rows(kind, params, vals, overlay):
     """(v1, ..., vm, logpdf) rows of the analytic overlay on a grid over the
     range of the sampled spectra vals."""
     m = vals.shape[1]
@@ -324,13 +279,13 @@ def _grid_rows(family, kind, params, vals, overlay):
         v1, v2 = np.meshgrid(grid, grid, indexing="ij")
         below = v2 < v1
         points = np.stack([v1[below], v2[below]], axis=1)
-    scale, log_jacobian = 1.0, 0.0
-    if family == "matrix-mt":
-        # sqrt(rho) T follows the standard law, so its singular values are
-        # sqrt(rho) d (Jacobian rho^(m/2)) and its gram eigenvalues rho lambda
-        # (Jacobian rho^m).
-        power = 0.5 if kind == "singular" else 1.0
-        scale, log_jacobian = params.rho ** power, m * power * math.log(params.rho)
+    # the overlay is the standard law's; for a record with rho, sqrt(rho) T
+    # follows it, so its singular values are sqrt(rho) d (Jacobian
+    # rho^(m/2)) and its gram eigenvalues rho lambda (Jacobian rho^m); any
+    # other record keeps scale 1.0 and log Jacobian 0.0
+    rho = getattr(params, "rho", 1.0)
+    power = 0.5 if kind == "singular" else 1.0
+    scale, log_jacobian = rho ** power, m * power * math.log(rho)
     logpdf = overlay(params.tag, params.m, params.n, params.nu,
                      points * scale) + log_jacobian
     return np.column_stack([points, logpdf])
@@ -340,8 +295,8 @@ def _cmd_spectrum(args) -> int:
     seed = _resolve_seed(args)
     family = args.dist
     row = _family(args, "sampler", "spectrum")
-    if family == "gamma":  # gamma draws are scalars
-        raise _CliError(f"unknown spectrum family {args.dist!r}")
+    if not _takes(row.record, "m"):  # a record without m draws scalars
+        raise _CliError(f"unknown spectrum family {family!r}")
     if args.params:
         raise _CliError("spectrum works on the standard families; use flags, "
                         "not --params")
@@ -359,7 +314,7 @@ def _cmd_spectrum(args) -> int:
         if overlay is None:
             raise _CliError(f"no analytic overlay for {family}/{kind}")
         # every overlay family has min(m, n) values: eigen of T T* needs
-        # m <= n, and a beta2-matric draw is min(m, n) square
+        # m <= n, and a Hermitian draw is min(m, n) square
         if min(params.m, params.n) > 2:
             raise _CliError("analytic grids are emitted for m <= 2 only")
     raw = _draw(args, row, params, seed, count)
@@ -369,7 +324,7 @@ def _cmd_spectrum(args) -> int:
         if not hermitian:
             raw = _gram_raw(raw)
         vals = eigenvalues_batch(params.tag, raw)
-    grid = _grid_rows(family, kind, params, vals, overlay) if args.grid else None
+    grid = _grid_rows(kind, params, vals, overlay) if args.grid else None
     info = _run_info(seed, args.stream, _params_dict(
         params, method=args.method, count=count, kind=kind))
     columns = [f"v{i + 1}" for i in range(vals.shape[1])]
@@ -409,9 +364,11 @@ def _cmd_verify(args) -> int:
 @functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parse_args leaves it
-    as it was, and in-process callers of `main` run many commands."""
+    as it was, and in-process callers of `main` run many commands.  No
+    parser takes a prefix of a flag for the flag (`allow_abbrev=False`), so
+    `sample --form` is not read as `--format`."""
     parser = argparse.ArgumentParser(
-        prog="rdmt",
+        prog="rdmt", allow_abbrev=False,
         description="Matricvariate / matrix multivariate T and beta II "
                     "distributions over the real normed division algebras.",
     )
@@ -437,23 +394,26 @@ def _build_parser() -> argparse.ArgumentParser:
                                                 "bartlett", "gram"])
             p.add_argument("--mix", help="elliptical mixture 'w:s,w:s,...'")
 
-    p_sample = sub.add_parser("sample", help="draw and write samples")
+    p_sample = sub.add_parser("sample", allow_abbrev=False,
+                              help="draw and write samples")
     common(p_sample)
     p_sample.add_argument("--format", choices=["jsonl", "csv"], default="jsonl")
 
-    p_density = sub.add_parser("density", help="evaluate log densities at points")
+    p_density = sub.add_parser("density", allow_abbrev=False,
+                               help="evaluate log densities at points")
     common(p_density, draws=False)
     p_density.add_argument("--points", required=True,
                            help="JSONL file of matrices ('-' for stdin)")
     p_density.add_argument("--form", choices=["primal", "dual"])
 
-    p_spectrum = sub.add_parser("spectrum",
+    p_spectrum = sub.add_parser("spectrum", allow_abbrev=False,
                                 help="sample and extract sorted spectra (CSV)")
     common(p_spectrum)
     p_spectrum.add_argument("--kind", choices=["singular", "eigen"])
     p_spectrum.add_argument("--grid", help="also write an analytic log-density grid")
 
-    p_verify = sub.add_parser("verify", help="run the verification suite")
+    p_verify = sub.add_parser("verify", allow_abbrev=False,
+                              help="run the verification suite")
     p_verify.add_argument("--suite", help="'default' or a JSON CheckSpec list")
     p_verify.add_argument("--seed", type=int)
     p_verify.add_argument("--stream", type=int, default=0)

@@ -19,11 +19,15 @@ Conventions fixed here once and used everywhere:
   and an (N, m, n, beta) stack gives an (N,) array, through one code path.
   They are assembled in log space, and what does not depend on the point
   is computed once per parameter record.
+
+The law table `_FAMILIES`, at the end, is the one place that pairs each
+family with its record, sampler, density and overlays; the CLI reads it.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import MISSING, dataclass, field, fields
 from functools import cache, cached_property
 from typing import ClassVar, get_args, get_type_hints
@@ -55,6 +59,12 @@ from .algebra import (
 )
 from .errors import DomainError
 from .special import _lmg, _wide, log_gamma, log_mvbeta
+from .spectral import (
+    log_joint_eig_beta2,
+    log_joint_eig_mv,
+    log_joint_sv_matric_t,
+    log_joint_sv_matrix_mt,
+)
 
 __all__ = [
     "RngStream",
@@ -881,3 +891,32 @@ def radial_logpdf_matrix_mt(tag: AlgebraTag, n: int, nu: float, rho: float,
         - log_gamma(beta * nu / 2.0)
     )
     return const - beta * (nu + n) / 2.0 * math.log1p(rho * r * r)
+
+
+# ---------------------------------------------------------------------------
+# The law table: family -> (record, sampler, density, overlays, hermitian).
+# The sampler gives an (N,) array of scalar draws or an (N, m, n, beta)
+# stack; the overlays are the standard law's spectral log densities by kind
+# ("singular", "eigen"); hermitian says whether the draws are Hermitian.
+# An entry is None where the family has none.
+# ---------------------------------------------------------------------------
+
+_Family = namedtuple("_Family", "record sampler density overlays hermitian")
+_FAMILIES = {
+    "matric-t": _Family(
+        MatricTParams, sample_matric_t, logpdf_matric_t,
+        {"singular": log_joint_sv_matric_t, "eigen": log_joint_eig_beta2}, False),
+    "matrix-mt": _Family(
+        MatrixMTParams, sample_matrix_mt, logpdf_matrix_mt,
+        {"singular": log_joint_sv_matrix_mt, "eigen": log_joint_eig_mv}, False),
+    "wishart": _Family(WishartParams, sample_wishart, None, None, True),
+    "gamma": _Family(GammaScalarParams, sample_gamma_scalar, None, None, False),
+    "gaussian": _Family(GaussianParams, sample_gaussian, None, None, False),
+    "beta2-matric": _Family(
+        BetaIIParams, sample_beta2_matric, logpdf_beta2_matric,
+        {"eigen": log_joint_eig_beta2}, True),
+    "beta2-mv": _Family(BetaIIParams, None, logpdf_beta2_multivariate, None, False),
+    "elliptical-t": _Family(
+        EllipticalTParams, sample_elliptical_t, None,
+        {"singular": log_joint_sv_matric_t}, False),
+}

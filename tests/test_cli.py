@@ -10,6 +10,7 @@ import pytest
 
 import rdmt
 from rdmt.cli import main
+from rdmt.distributions import _FAMILIES
 
 
 def run_cli(*argv):
@@ -360,16 +361,16 @@ class TestDensity:
         assert "--points line 3:" in err and "Hermitian" in err
 
     def test_one_density_call_per_command(self, tmp_path, monkeypatch):
-        import rdmt.cli
+        import rdmt.distributions
 
         calls = []
-        row = rdmt.cli._FAMILIES["beta2-mv"]
+        row = rdmt.distributions._FAMILIES["beta2-mv"]
 
         def counted(params, points, **kw):
             calls.append(points.shape)
             return row.density(params, points, **kw)
 
-        monkeypatch.setitem(rdmt.cli._FAMILIES, "beta2-mv",
+        monkeypatch.setitem(rdmt.distributions._FAMILIES, "beta2-mv",
                             row._replace(density=counted))
         point = {"beta": 2, "rows": 1, "cols": 1, "data": [[[0.75, 0.0]]]}
         code, out = self._run_density(tmp_path, [json.dumps(point)] * 7, "--dist",
@@ -672,6 +673,24 @@ class TestParsing:
         assert header["stream"] == 0
         assert jsonl.read_text().splitlines()[1].startswith("{")
         assert '"stream": 4' in csv.read_text().splitlines()[0]
+
+    @pytest.mark.parametrize("command,flags,short", [
+        ("sample", ["--count", "2", "--seed", "1"], ["--form", "csv"]),
+        ("sample", ["--seed", "1"], ["--co", "2"]),
+        ("sample", ["--count", "2"], ["--se", "1"]),
+        ("density", [], ["--point", "{points}"]),
+    ], ids=["sample-form", "sample-co", "sample-se", "density-point"])
+    def test_a_shortened_flag_is_refused(self, tmp_path, capsys, command, flags,
+                                         short):
+        # argparse would read a prefix as the flag it starts: --form as
+        # --format, --point as --points, --co as --count, --se as --seed
+        pts, out = tmp_path / "pts.jsonl", tmp_path / "x"
+        pts.write_text('{"beta": 1, "rows": 1, "cols": 2, "data": [[[0.5], [1.0]]]}\n')
+        short = [a.format(points=pts) for a in short]
+        code = run_cli(command, "--dist", "matric-t", "--beta", "1", "--m", "1",
+                       "--n", "2", "--nu", "3", *flags, *short, "--out", str(out))
+        assert code == 2 and not out.exists()
+        assert short[0] in capsys.readouterr().err
 
     def test_unknown_family_exit_2(self, tmp_path, capsys):
         code = run_cli("sample", "--dist", "no-such-law", "--beta", "1",
@@ -1045,10 +1064,11 @@ class TestWriter:
         return (["--m", str(m), "--n", str(n), "--nu", "4", "--mix", "0.5:1,0.5:3"],
                 D.sample_elliptical_t(rng, params, size=count))
 
-    CASES = [(f, b) for f in ("matric-t", "matrix-mt", "wishart", "gamma", "gaussian",
-                              "beta2-matric", "elliptical-t") for b in (1, 2, 4)]
-    CASES += [(f, 8) for f in ("matric-t", "matrix-mt", "wishart", "gamma",
-                               "gaussian", "beta2-matric")]
+    # every family with a sampler; at beta 8 all but the scale mixture,
+    # whose m x (n + nu) Gaussian block is never 1x1
+    CASES = [(f, b) for f, row in _FAMILIES.items() if row.sampler for b in (1, 2, 4)]
+    CASES += [(f, 8) for f, row in _FAMILIES.items()
+              if row.sampler and "weights" not in row.record.__dataclass_fields__]
 
     @pytest.fixture(autouse=True)
     def _small_blocks(self, monkeypatch):

@@ -1,18 +1,26 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from rdmt.algebra import AlgebraTag, DivMatrix, HermitianPD, conj_transpose, matmul
+from rdmt.algebra import (
+    AlgebraTag,
+    DivMatrix,
+    HermitianPD,
+    conj_transpose,
+    hermitian_eigenvalues,
+    matmul,
+    singular_values,
+)
 from rdmt.distributions import (
+    _FAMILIES,
     BetaIIParams,
     MatricTParams,
-    MatrixMTParams,
     RngStream,
     logpdf_beta2_matric,
     logpdf_beta2_multivariate,
     sample_matric_t,
-    sample_matrix_mt,
 )
 from rdmt.errors import OctonionMatrixError
 from rdmt.spectral import (
@@ -27,7 +35,7 @@ from rdmt.spectral import (
 )
 from rdmt.verify import quadrature_mass_eig2, quadrature_mass_positive
 
-from conftest import random_matrix
+from conftest import random_hpd, random_matrix
 
 R, C, H, O = AlgebraTag.REAL, AlgebraTag.COMPLEX, AlgebraTag.QUATERNION, AlgebraTag.OCTONION
 
@@ -270,18 +278,17 @@ class TestTallSpectra:
     under the determinant coupling and at nu under the trace coupling: the
     samplers, which draw the tall matrix itself, agree with the densities."""
 
-    LAWS = [pytest.param(MatricTParams, sample_matric_t, log_joint_sv_matric_t, -1.0,
-                         id="matric-t"),
-            pytest.param(MatrixMTParams, sample_matrix_mt, log_joint_sv_matrix_mt, 0.0,
-                         id="matrix-mt")]
+    # the law table's T laws: its rows with a density and a singular overlay
+    LAWS = [pytest.param(row, id=name) for name, row in _FAMILIES.items()
+            if row.density and "singular" in (row.overlays or {})]
 
     @pytest.mark.parametrize("tag", [R, C])
-    @pytest.mark.parametrize("record,sampler,density,shift", LAWS)
-    def test_one_sample_ks_against_the_density(self, tag, record, sampler, density,
-                                               shift):
+    @pytest.mark.parametrize("row", LAWS)
+    def test_one_sample_ks_against_the_density(self, tag, row):
         from rdmt.verify import _cumulative_cdf, ks_one_sample
 
-        raw = sampler(RngStream(41), record(tag, 2, 1, 4.0), size=2000)
+        density = row.overlays["singular"]
+        raw = row.sampler(RngStream(41), row.record(tag, 2, 1, 4.0), size=2000)
         d = np.sort(singular_values_batch(tag, raw)[:, 0])
         xs = np.unique(np.quantile(d, np.linspace(0.0, 1.0, 101)))
         # _cumulative_cdf hands the density every node of every piece at
@@ -294,16 +301,103 @@ class TestTallSpectra:
         assert p > 0.01
 
     @pytest.mark.parametrize("tag", [R, C])
-    @pytest.mark.parametrize("record,sampler,density,shift", LAWS)
-    def test_two_sample_ks_against_the_wide_sampler(self, tag, record, sampler,
-                                                    density, shift):
+    @pytest.mark.parametrize("row", LAWS)
+    def test_two_sample_ks_against_the_wide_sampler(self, tag, row):
         from rdmt.verify import _per_sv_ks2
 
-        # the wide nu is nu + n - m: 5 - 1 under the determinant coupling
-        tall = sampler(RngStream(43), record(tag, 3, 2, 5.0), size=4000)
-        wide = sampler(RngStream(44), record(tag, 2, 3, 5.0 + shift), size=4000)
+        # the wide nu is nu + n - m = 4 under the determinant coupling and
+        # nu = 5 under the trace coupling: the one whose wide overlay is the
+        # tall one's
+        density, d = row.overlays["singular"], np.array([[1.7, 0.6]])
+        (nu_wide,) = [nu for nu in (4.0, 5.0) if np.allclose(
+            density(tag, 3, 2, 5.0, d), density(tag, 2, 3, nu, d), rtol=1e-13)]
+        tall = row.sampler(RngStream(43), row.record(tag, 3, 2, 5.0), size=4000)
+        wide = row.sampler(RngStream(44), row.record(tag, 2, 3, nu_wide), size=4000)
         pmin, _ = _per_sv_ks2(tag, tall, wide)
         assert pmin > 0.01
+
+
+class TestMatrixAgainstSpectralDensity:
+    """Each matrix density of the law table against its spectral density:
+    the identity that turns the one into the other holds with the paper's
+    constants, at every point, nu, shape and beta.
+
+    The SVD volume element (Edelman & Rao, "Random matrix theory", Acta
+    Numerica 2005, section 3): a k x N matrix T = U diag(s) V*, k <= N, with
+    U in the k x k unitary group of the algebra and V* a k x N matrix with
+    orthonormal rows, has
+
+        dT = prod s_i^(beta(N-k+1)-1) prod_{i<j} (s_i^2 - s_j^2)^beta
+             ds (U* dU) (V* dV),
+
+    and on the ordered cone s_1 > ... > s_k the pair (U, V) is fixed up to
+    (U D, V D), D diagonal with unit entries: k copies of the unit sphere of
+    the algebra, the 1 x 1 Stiefel manifold.  A tall T has T*'s singular
+    values and the same Lebesgue measure.  A standard law's density depends
+    on T only through s, so integrating out (U, V) gives
+
+        log_joint_sv(s) - logpdf(T) - (beta(N-k+1)-1) sum log s_i
+            - beta sum_{i<j} log(s_i^2 - s_j^2) = C,
+        C = log vol V_k(N) + log vol V_k(k) - k log vol V_1(1),
+
+    with k = min(m, n), N = max(m, n) and log vol V_k(N) the
+    `stiefel_log_volume(tag, k, N)`.  A Hermitian d x d F = U diag(l) U*
+    has dF = prod_{i<j} (l_i - l_j)^beta dl (U* dU), U fixed up to the same
+    diagonal, so for the beta II laws
+
+        log_joint_eig(l) - logpdf(F) - beta sum_{i<j} log(l_i - l_j) = C',
+        C' = log vol V_d(d) - d log vol V_1(1).
+
+    Both sides are computed apart: the matrix densities' constants in
+    `distributions`, the spectral ones in `spectral`."""
+
+    # the table's rows with a density and an overlay, each with the overlay
+    # of its points: the singular values of T, the eigenvalues of a Hermitian
+    # F; beta2-mv has no overlay in the table (no sampler draws it)
+    LAWS = [pytest.param(row.record, row.density,
+                         row.overlays["eigen" if row.hermitian else "singular"],
+                         row.hermitian, id=name)
+            for name, row in _FAMILIES.items() if row.density and row.overlays]
+    LAWS.append(pytest.param(BetaIIParams, _FAMILIES["beta2-mv"].density,
+                             log_joint_eig_mv, True, id="beta2-mv"))
+
+    @pytest.mark.parametrize("tag", [R, C, H])
+    @pytest.mark.parametrize("m,n", [(1, 3), (2, 3), (2, 2), (3, 4), (4, 5), (5, 5),
+                                     (2, 5), (3, 1), (3, 2), (4, 3), (5, 4), (5, 2)])
+    @pytest.mark.parametrize("record,density,overlay,hermitian", LAWS)
+    def test_the_gap_is_the_stiefel_constant(self, tag, m, n, record, density, overlay,
+                                             hermitian):
+        from rdmt.special import stiefel_log_volume
+
+        def log_volume(rows, cols):
+            return stiefel_log_volume(tag, rows, cols)
+
+        beta = tag.beta
+        k, big = min(m, n), max(m, n)
+        const = log_volume(k, k) - k * log_volume(1, 1)
+        if not hermitian:
+            const += log_volume(k, big)
+        rng = np.random.default_rng(1000 * m + 10 * n + beta)
+        gaps, scale = [], max(1.0, abs(const))
+        for nu in (beta * (m - 1) + 0.7, beta * (m - 1) + 6.3):
+            params = record(tag, m, n, nu)
+            for _ in range(4):
+                if hermitian:
+                    point = random_hpd(rng, tag, k)
+                    v = hermitian_eigenvalues(point)
+                    jacobian = 0.0
+                    pairs = [v[i] - v[j] for i, j in itertools.combinations(range(k), 2)]
+                else:
+                    point = random_matrix(rng, tag, m, n)
+                    v = singular_values(point)
+                    jacobian = (beta * (big - k + 1) - 1) * float(np.log(v).sum())
+                    pairs = [v[i] ** 2 - v[j] ** 2
+                             for i, j in itertools.combinations(range(k), 2)]
+                spectral, matrix = overlay(tag, m, n, nu, v), density(params, point)
+                gaps.append(spectral - matrix - jacobian
+                            - beta * sum(math.log(p) for p in pairs))
+                scale = max(scale, abs(spectral), abs(matrix))
+        assert max(abs(gap - const) for gap in gaps) <= 1e-12 * scale
 
 
 def _uncached_log_joint(tag, m, n, nu, v, trace, singular, printed_variant=False):

@@ -3,11 +3,12 @@
     PYTHONPATH=src python tools/cli_outputs.py OUTDIR
     python tools/cli_outputs.py --compare OUT_A OUT_B
 
-Every command runs in this process through `rdmt.cli.main`.  Command NAME
-leaves OUTDIR/NAME/ holding its output files (`out`, and `grid` for
-spectrum overlays), its exit code (`exit`), and its stdout and stderr; the
-timings that `verify` prints are masked, and OUTDIR reads "OUTDIR" in argv
-and stdout, so every file is deterministic.
+Every command runs in this process through `rdmt.cli.main`, the only part
+of rdmt this file uses, so the same file runs on an older source tree too.
+Command NAME leaves OUTDIR/NAME/ holding its output files (`out`, and
+`grid` for spectrum overlays), its exit code (`exit`), and its stdout and
+stderr; the timings that `verify` prints are masked, and OUTDIR reads
+"OUTDIR" in argv and stdout, so every file is deterministic.
 The parameter and point files the commands read are built here from numpy
 alone and written to OUTDIR/inputs/.
 
@@ -38,6 +39,8 @@ orientation, no nu, a Sigma that is not positive definite, a JSON list),
 and a --mix that is not weight:scale pairs.  Then come elliptical-t files
 whose record its sampler cannot draw (a fractional nu, weights summing to
 0.9), and --m, --n or --nu given to a family whose record has no such field.
+Last come flags spelt short, `sample --form csv` and `density --point`,
+which argparse would read as `--format` and `--points` if it took prefixes.
 """
 
 from __future__ import annotations
@@ -373,6 +376,13 @@ def _commands(files: dict) -> list:
                         ("gaussian-nu", ["--dist", "gaussian", "--m", "2", "--n", "3",
                                          "--nu", "4"])):
         cmds.append((f"fail-sample-{label}", ["sample", "--beta", "1"] + argv + seed))
+    # a flag spelt short
+    cmds += [
+        ("fail-sample-form-csv", ["sample", "--dist", "matric-t", "--nu", "9"]
+         + shape(1) + seed + ["--form", "csv"]),
+        ("fail-density-point", ["density", "--dist", "matric-t", "--nu", "9"] + shape(1)
+         + ["--point", files["t-points-b1"], "--out", "{out}"]),
+    ]
     return cmds
 
 
