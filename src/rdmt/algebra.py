@@ -255,9 +255,10 @@ def _hermitian_part(a: np.ndarray, what: str = "matrix") -> np.ndarray:
     """(A + A*)/2 of each matrix of a (..., m, m, beta) stack, after checking
     |A - A*| <= HERMITIAN_ATOL * max(1, |A|_max) coefficient-wise; ValueError
     names the first matrix that fails.  A NaN or inf coefficient makes the
-    gap NaN or inf, so it is refused too."""
+    gap NaN or inf, so it is refused too, with no warning for inf - inf."""
     at = _conj_t_raw(a)
-    gap = np.abs(a - at)
+    with np.errstate(invalid="ignore"):
+        gap = np.abs(a - at)
     # Within the smallest tolerance every matrix passes: the common case.
     if gap.size and gap.max() <= HERMITIAN_ATOL:
         return 0.5 * (a + at)
@@ -619,12 +620,11 @@ def _norms(v: np.ndarray) -> np.ndarray:
 
 
 def _eigvalsh_raw(a: np.ndarray, beta: int) -> np.ndarray:
-    """Descending real eigenvalues of Hermitian (..., m, m, beta); a 1x1
-    octonion's is its real coefficient."""
-    if _octonion_scalar(a):
-        return a[..., 0, 0, :1].copy()
-    w = np.linalg.eigvalsh(_complex_embed_raw(a, beta))[..., ::-1]
-    return _collapse_pairs(w) if beta == 4 else w
+    """Descending real eigenvalues of Hermitian (..., m, m, beta), C-contiguous
+    (numpy logs one matrix's as a stack's); a 1x1 octonion's is its real coefficient."""
+    w = (a[..., 0, 0, :1] if _octonion_scalar(a)
+         else np.linalg.eigvalsh(_complex_embed_raw(a, beta))[..., ::-1])
+    return _collapse_pairs(w) if beta == 4 else w.copy()
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,7 @@ from .algebra import (
     _solve_raw,
     _stack_index,
 )
-from .errors import DomainError
+from .errors import DomainError, OctonionMatrixError
 from .special import _lmg, _wide, log_gamma, log_mvbeta
 from .spectral import (
     log_joint_eig_beta2,
@@ -400,7 +400,7 @@ class EllipticalTParams(_JsonRecord):
     """Standard matricvariate T built from a scale-mixture source (see
     `sample_elliptical_t`): a finite mixture of normals with one global
     standard-deviation multiplier per component, scales[i] with probability
-    weights[i].  The construction needs an integer nu >= m and n >= m."""
+    weights[i].  The construction needs an integer nu >= m, n >= m and beta <= 4."""
 
     family: ClassVar[str] = "elliptical-t"
     tag: AlgebraTag
@@ -424,6 +424,10 @@ class EllipticalTParams(_JsonRecord):
         object.__setattr__(self, "scales", s)
         if not float(self.nu).is_integer() or self.nu < self.m or self.n < self.m:
             raise ValueError("require integer nu >= m and n >= m")
+        if self.tag.beta == 8:
+            raise OctonionMatrixError(
+                "octonion (beta = 8) support is limited to 1x1 matrices; elliptical-t "
+                f"draws an m x (n + nu) block, here {self.m}x{self.n + int(self.nu)}")
 
 
 # ---------------------------------------------------------------------------
@@ -648,14 +652,9 @@ def sample_elliptical_t(rng: RngStream, params: EllipticalTParams,
 # bases in the form their kernels read, the complex representation for
 # beta <= 4, so a call embeds only its points once: the matric-t bracket is
 # `_logdet_gram_raw`, the matrix-mt trace `_frobenius_sq_product_raw`.
+# A point's logs are numpy's log or log1p of positive-stride arrays (a
+# reversed 1-D array takes another log), so a point gives a stack's bits.
 # ---------------------------------------------------------------------------
-
-
-def _libm(fn, x: np.ndarray) -> np.ndarray:
-    """`fn` (math.log or math.log1p) elementwise.  numpy's vectorized log and
-    log1p round differently from the C library's in the last bit on part of
-    their inputs; the densities keep the C library's values."""
-    return np.array([fn(v) for v in x.ravel().tolist()]).reshape(x.shape)
 
 
 def _points(params, t, shape: tuple) -> tuple:
@@ -845,8 +844,8 @@ def logpdf_matrix_mt(params: MatrixMTParams, t):
     """
     q1, left, right, const = params._density_terms
     x, single = _points(params, t, (params.m, params.n))
-    bracket = 1.0 + params.rho * _frobenius_sq_product_raw(x - params.mu.data, left, right)
-    out = const - q1 * _libm(math.log, bracket)
+    trace = _frobenius_sq_product_raw(x - params.mu.data, left, right)
+    out = const - q1 * np.log1p(params.rho * trace)
     return float(out) if single else out
 
 
@@ -858,7 +857,7 @@ def logpdf_beta2_multivariate(params: BetaIIParams, f):
     data, single, logdet_f, finite = _beta2_points(params, f, exp_f)
     trace = _real_trace_raw(data if scale is None else _matmul_raw(scale, data))
     out = np.where(finite, const + exp_f * logdet_f
-                   - q1 * _libm(math.log1p, trace), -math.inf)
+                   - q1 * np.log1p(trace), -math.inf)
     return float(out) if single else out
 
 

@@ -937,6 +937,7 @@ class TestNonFiniteInput:
         with pytest.raises(ValueError, match="finite"):
             HermitianPD.from_schema_dict(obj)
 
+    @pytest.mark.filterwarnings("error")  # refused without a RuntimeWarning
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_hermitian_check_names_the_matrix(self, bad):
         a = np.zeros((5, 2, 2, 2))
@@ -973,6 +974,7 @@ class TestNonFiniteInput:
             _singular_values_raw(stack, beta)
         assert capfd.readouterr().err == ""
 
+    @pytest.mark.filterwarnings("error")  # refused without a RuntimeWarning
     @pytest.mark.parametrize("tag", [R, C, H])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("where", [(0, 0), (0, 1)])

@@ -87,6 +87,21 @@ class TestSample:
         assert "octonion" in capsys.readouterr().err.lower()
         assert not out.exists()
 
+    def test_an_octonion_elliptical_t_record_is_refused(self, tmp_path, capsys):
+        # at 1x1 too: the record names the sampler's m x (n + nu) block
+        pfile = tmp_path / "p.json"
+        pfile.write_text(json.dumps({"beta": 8, "m": 1, "n": 1, "nu": 4}))
+        out = tmp_path / "x.jsonl"
+        for source in (["--beta", "8", "--m", "1", "--n", "1", "--nu", "4"],
+                       ["--params", str(pfile)]):
+            code = run_cli("sample", "--dist", "elliptical-t", *source, "--count", "2",
+                           "--seed", "1", "--out", str(out))
+            assert code == 2
+            assert capsys.readouterr().err == (
+                "error: octonion (beta = 8) support is limited to 1x1 matrices; "
+                "elliptical-t draws an m x (n + nu) block, here 1x5\n")
+            assert not out.exists()
+
     def test_non_finite_draws_are_refused_in_jsonl(self, tmp_path, capsys):
         # rho = 1e308 overflows the gamma scale: JSON cannot hold the inf draws
         args = ("sample", "--dist", "gamma", "--beta", "1", "--nu", "2", "--rho",

@@ -13,10 +13,12 @@ from rdmt.algebra import (
     DivMatrix,
     HermitianPD,
     _conj_t_raw,
+    _eigvalsh_raw,
     _hermitize_raw,
     _identity_raw,
     _matmul_raw,
     conj_transpose,
+    hermitian_eigenvalues,
     logdet_hpd,
     matmul,
     singular_values,
@@ -708,6 +710,14 @@ class TestEllipticalT:
         with pytest.raises(ValueError, match=message):
             EllipticalTParams.from_json_dict(dict(fields, beta=1))
 
+    def test_an_octonion_record_is_refused_naming_its_block(self):
+        # the sampler's m x (n + nu) Gaussian block is never 1x1
+        message = r"^octonion .* elliptical-t draws an m x \(n \+ nu\) block, here 1x5$"
+        with pytest.raises(OctonionMatrixError, match=message):
+            EllipticalTParams(O, 1, 1, 4.0)
+        with pytest.raises(OctonionMatrixError, match=message):
+            EllipticalTParams.from_json_dict({"beta": 8, "m": 1, "n": 1, "nu": 4})
+
 
 class TestParamSerialization:
     def test_matric_t_round_trip(self, rng):
@@ -962,6 +972,49 @@ class TestBatchedDensities:
                 calls.clear()
                 density(point)
                 assert len(calls) == embeds
+
+
+class TestPointIsAStackOfOne:
+    """One point gives the bits of the same point inside a stack, in all four
+    densities: each takes numpy's log of a positive-stride array, and the
+    eigenvalues behind log|F| are C-contiguous at every beta.  numpy takes
+    the log of a reversed 1-D array another way, so a reversed view of one
+    matrix's eigenvalues moves the last bit of 7 of the beta II values below
+    at beta 1 and 2."""
+
+    @pytest.mark.parametrize("scaled", [False, True])
+    @pytest.mark.parametrize("tag,m,n", [(tag, m, n) for tag in (R, C, H)
+                                         for m, n in ((3, 8), (8, 3))] + [(O, 1, 1)])
+    def test_a_point_gives_its_bits_in_a_stack(self, tag, m, n, scaled):
+        gen, beta, d = np.random.default_rng(40), tag.beta, min(m, n)
+
+        def hpd(k):
+            return HermitianPD(DivMatrix(tag, _hpd_stack(gen, beta, k, 1, 0.5)[0]))
+
+        beta2 = BetaIIParams(tag, m, n, 9.5, hpd(d) if scaled else None)
+        cone = _hpd_stack(gen, beta, d, 300, 0.01)
+        scales = (DivMatrix(tag, gen.normal(size=(m, n, beta))), hpd(m), hpd(n))
+        nu = beta * (m - 1) + 2.5
+        t = MatricTParams(tag, m, n, nu, *scales if scaled else ())
+        mt = MatrixMTParams(tag, m, n, nu, 1.7, *scales if scaled else ())
+        points = gen.normal(size=(100, m, n, beta))
+        for density, params, stack, kw in [
+                (logpdf_beta2_matric, beta2, cone, {}),
+                (logpdf_beta2_multivariate, beta2, cone, {}),
+                (logpdf_matric_t, t, points, {"form": "primal"}),
+                (logpdf_matric_t, t, points, {"form": "dual"}),
+                (logpdf_matrix_mt, mt, points, {})]:
+            single = [density(params, DivMatrix(tag, x), **kw) for x in stack]
+            assert np.array_equal(density(params, stack, **kw), single)
+
+    @pytest.mark.parametrize("tag", [R, C, H, O])
+    def test_eigenvalues_are_c_contiguous(self, tag):
+        d = 1 if tag == O else 3
+        stack = _hpd_stack(np.random.default_rng(1), tag.beta, d, 4, 0.5)
+        for eigs in (_eigvalsh_raw(stack, tag.beta), _eigvalsh_raw(stack[0], tag.beta),
+                     eigenvalues_batch(tag, stack),
+                     hermitian_eigenvalues(DivMatrix(tag, stack[0]))):
+            assert eigs.flags.c_contiguous
 
 
 class TestSolveContract:

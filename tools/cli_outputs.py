@@ -36,9 +36,10 @@ and messages are compared as well.  The last additions read --params files
 that give only the keys without a default (gamma without rho, beta II
 without an orientation, wide and tall), files that are refused (a wrong
 orientation, no nu, a Sigma that is not positive definite, a JSON list),
-and a --mix that is not weight:scale pairs.  Then come elliptical-t files
-whose record its sampler cannot draw (a fractional nu, weights summing to
-0.9), and --m, --n or --nu given to a family whose record has no such field.
+and a --mix that is not weight:scale pairs.  Then come elliptical-t records
+that its sampler cannot draw (files with a fractional nu or weights summing
+to 0.9, and flags with beta = 8, whose m x (n + nu) block is never 1x1), and
+--m, --n or --nu given to a family whose record has no such field.
 Last come flags spelt short, `sample --form csv` and `density --point`,
 which argparse would read as `--format` and `--points` if it took prefixes.
 """
@@ -363,6 +364,8 @@ def _commands(files: dict) -> list:
     cmds.append(("fail-sample-elliptical-t-mix-one-number",
                  ["sample", "--dist", "elliptical-t", "--nu", "4", "--mix", "0.5"]
                  + shape(1) + seed))
+    cmds.append(("fail-sample-elliptical-t-octonion",
+                 ["sample", "--dist", "elliptical-t", "--nu", "4"] + shape(8) + seed))
     cmds.append(("verify-seed-11", ["verify", "--suite", "default", "--seed", "11",
                                     "--report", "{out}"]))
     for name in SUITES:
