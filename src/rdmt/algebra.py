@@ -33,7 +33,8 @@ factored and read off entirely in the representation, so A is embedded once
 and nothing is unembedded.  It and `_frobenius_sq_product_raw`, the trace
 |F A G|_F^2 of the matrix-mt density, take their constant factors and bases
 already embedded (`_representation_raw`), so a parameter record embeds them
-once.
+once; so does `_eigvalsh_raw` for the congruence M* A M of the beta II
+densities.
 
 Two rules of the algebra live here alone.  Gram products (`_gram_raw`) and
 every other matrix that Cholesky or eigvalsh reads one triangle of are
@@ -276,11 +277,6 @@ def _hermitian_part(a: np.ndarray, what: str = "matrix") -> np.ndarray:
     return 0.5 * (a + at)
 
 
-def _real_trace_raw(a: np.ndarray) -> np.ndarray:
-    """Real part of the trace, the scalar every trace kernel here means."""
-    return np.einsum("...iik->...k", a)[..., 0]
-
-
 def _frobenius_sq_raw(a: np.ndarray) -> np.ndarray:
     return np.square(a).sum(axis=(-1, -2, -3))
 
@@ -347,11 +343,6 @@ def _chol_logdet_raw(lo: np.ndarray) -> np.ndarray:
     return 2.0 * np.log(diag).sum(axis=-1)
 
 
-def _logdet_hermitian_raw(a: np.ndarray) -> np.ndarray:
-    """log det of a nearly Hermitian PD (..., m, m, beta), symmetrized first."""
-    return _chol_logdet_raw(_cholesky_raw(_hermitize_raw(a)))
-
-
 def _representation_raw(x: np.ndarray | None) -> np.ndarray | None:
     """A constant as `_logdet_gram_raw` and `_frobenius_sq_product_raw` take
     it: the complex representation of (m, n, beta) coefficients for
@@ -385,10 +376,12 @@ def _logdet_gram_raw(base: np.ndarray, a: np.ndarray, factor=None) -> np.ndarray
     (`_complex_cholesky`).  The log det is read from the real parts of the
     factor's diagonal, for beta = 4 from the rows `_complex_unembed_raw`
     reads, so nothing is unembedded.  A 1x1 octonion takes the coefficient
-    products of the other kernels."""
+    product g = factor a, and g* g is |g|^2 in the real coefficient."""
     if _octonion_scalar(a):
         g = a if factor is None else _matmul_raw(factor, a)
-        return _logdet_hermitian_raw(base + _matmul_raw(_conj_t_raw(g), g))
+        gram = np.zeros(g.shape)
+        gram[..., 0] = _frobenius_sq_raw(g)[..., None, None]
+        return _chol_logdet_raw(_cholesky_raw(_hermitize_raw(base + gram)))
     z = _represented_product(a, factor)
     b = z.conj().swapaxes(-1, -2) @ z
     del z
@@ -619,11 +612,16 @@ def _norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("nl,nl->n", v, v))
 
 
-def _eigvalsh_raw(a: np.ndarray, beta: int) -> np.ndarray:
+def _eigvalsh_raw(a: np.ndarray, beta: int, left=None, right=None) -> np.ndarray:
     """Descending real eigenvalues of Hermitian (..., m, m, beta), C-contiguous
-    (numpy logs one matrix's as a stack's); a 1x1 octonion's is its real coefficient."""
-    w = (a[..., 0, 0, :1] if _octonion_scalar(a)
-         else np.linalg.eigvalsh(_complex_embed_raw(a, beta))[..., ::-1])
+    (numpy logs one matrix's as a stack's); a 1x1 octonion's is its real
+    coefficient.  With left = M* and right = M, as `_representation_raw`
+    gives them, those of M* a M, formed by `_represented_product`."""
+    if _octonion_scalar(a):
+        g = a if left is None else _matmul_raw(_matmul_raw(left, a), right)
+        w = g[..., 0, 0, :1]
+    else:
+        w = np.linalg.eigvalsh(_represented_product(a, left, right))[..., ::-1]
     return _collapse_pairs(w) if beta == 4 else w.copy()
 
 

@@ -46,12 +46,9 @@ from .algebra import (
     _gram_raw,
     _hermitian_part,
     _hpd_inverse_raw,
-    _identity_raw,
     _logdet_gram_raw,
-    _logdet_hermitian_raw,
     _matmul_raw,
     _raise_at,
-    _real_trace_raw,
     _refuse_non_finite,
     _representation_raw,
     _solve_raw,
@@ -91,6 +88,7 @@ __all__ = [
 ]
 
 _LOG_PI = math.log(math.pi)
+_LOG_2 = math.log(2.0)
 
 
 class RngStream:
@@ -648,10 +646,11 @@ def sample_elliptical_t(rng: RngStream, params: EllipticalTParams,
 # coefficient is refused by `_points`, naming its index.  The pieces that do
 # not depend on the point are computed once per parameter record and cached
 # on it as `_density_terms`: an attribute, not a dataclass field, so it stays
-# out of ==, repr and the JSON.  The T laws cache their constant factors and
-# bases in the form their kernels read, the complex representation for
+# out of ==, repr and the JSON.  The records cache their constant factors
+# and bases in the form their kernels read, the complex representation for
 # beta <= 4, so a call embeds only its points once: the matric-t bracket is
-# `_logdet_gram_raw`, the matrix-mt trace `_frobenius_sq_product_raw`.
+# `_logdet_gram_raw`, the matrix-mt trace `_frobenius_sq_product_raw`, and
+# both beta II laws read one eigendecomposition per point (`_beta2_logpdf`).
 # A point's logs are numpy's log or log1p of positive-stride arrays (a
 # reversed 1-D array takes another log), so a point gives a stack's bits.
 # ---------------------------------------------------------------------------
@@ -741,9 +740,11 @@ def logpdf_matric_t(params: MatricTParams, t, form: str = "primal"):
 
 
 def _beta2_terms(params: BetaIIParams) -> dict:
-    """law -> (q, exp_f, base, const) of the two beta II densities: "matric"
-    with the bracket base I or scale, "mv" with the scale of its trace
-    (None for the standard form)."""
+    """law -> (q, exp_f, factor, const) of `_beta2_logpdf`, which reads
+    G = M* F M: "matric" takes M M* = scale^-1, so |scale + F| = |scale|
+    |I + G|, and "mv" M M* = scale, so tr(scale F) = tr G.  const holds the
+    Jacobian |M M*|^(beta(d-1)/2 + 1) of the congruence, and factor is
+    (M*, M) as `_eigvalsh_raw` takes them, () in the standard form."""
     tag = params.tag
     beta = tag.beta
     m, n, nu = params.m, params.n, params.nu
@@ -754,67 +755,87 @@ def _beta2_terms(params: BetaIIParams) -> dict:
     q1 = beta * (nu + m * n) / 2.0
     matric_const = -log_mvbeta(tag, d, a_par, b_par)
     mv_const = -_lmg(tag, d, b_par) + (log_gamma(q1) - log_gamma(beta * nu / 2.0))
-    if params.scale is None:
-        base, scale = _identity_raw(d, beta), None
-    else:
-        matric_const += a_par * params.scale.logdet
-        mv_const += b_par * params.scale.logdet
-        base = scale = params.scale.mat.data
+    matric = mv = ()
+    if params.scale is not None:
+        jacobian = (beta * (d - 1) / 2.0 + 1.0) * params.scale.logdet
+        matric_const -= jacobian
+        mv_const += jacobian
+        matric, mv = [(_star(lo), _representation_raw(lo)) for lo in
+                      (_factor(params.scale.inverse()), _factor(params.scale))]
     return {
-        "matric": (beta * (n + nu) / 2.0, exp_f, base, matric_const),
-        "mv": (q1, exp_f, scale, mv_const),
+        "matric": (beta * (n + nu) / 2.0, exp_f, matric, matric_const),
+        "mv": (q1, exp_f, mv, mv_const),
     }
 
 
-def _beta2_points(params: BetaIIParams, f, exp_f: float) -> tuple:
-    """(data, single, logdet_f, finite) of beta II points in the d x d cone;
-    a HermitianPD point is read as its matrix, like any other.
+def _beta2_logpdf(params: BetaIIParams, f, terms: tuple, trace: bool):
+    """const + exp_f sum log lambda_i - q K at beta II points F, with terms
+    = (q, exp_f, factor, const) of `_beta2_terms`, lambda the eigenvalues
+    of G = M* F M, and K a coupling of `spectral._log_joint`: sum log1p
+    lambda_i, or log1p(sum lambda_i) with `trace`.
 
-    A point strictly inside the positive definite cone has a finite density.
-    Outside the cone the density is zero.  On the boundary a positive kernel
-    exponent exp_f also gives zero, a zero exponent leaves a finite limit (the
-    determinant factor drops out), and a negative exponent diverges, which
-    raises DomainError naming the point.  A point that is not Hermitian
-    raises ValueError.  `data` holds the hermitized points, with 0 in place
-    of those of zero density so every bracket stays finite; `logdet_f` is
-    log|F| (from the eigenvalues) inside the cone and 0 elsewhere; `finite`
-    marks the points with a finite density."""
+    The cone test measures lambda_min against 1e-12 |lambda|_max, whatever
+    the point's size.  Inside the cone the density is finite, outside it is
+    zero; on the boundary a kernel exponent exp_f > 0 gives zero, exp_f = 0
+    a finite limit (an eigenvalue below 0 counting as 0), and exp_f < 0
+    diverges (DomainError naming the point).  A point whose largest
+    coefficient has a binary exponent e with |e| > 256 is scaled by 2^-e
+    first, so that G neither over- nor underflows; e log 2 goes into each
+    log, and log1p(2^e lambda) is log(2^e lambda) where 2^e lambda is inf."""
+    q, exp_f, factor, const = terms
     d = params.dim
     x, single = _points(params, f.mat if isinstance(f, HermitianPD) else f, (d, d))
     data = _hermitian_part(x, "the evaluation point")
-    eigs = _eigvalsh_raw(data, params.tag.beta)
-    # eigs descend, so with a positive last one the first is the largest |eig|
-    low = eigs[..., -1]
-    interior = low > 1e-12 * np.maximum(1.0, eigs[..., 0])
-    if interior.all():
-        return data, single, np.log(eigs).sum(axis=-1), True
-    outside = low < -1e-12 * np.maximum(1.0, np.abs(data).max(axis=(-3, -2, -1)))
-    boundary = ~interior & ~outside
-    if exp_f < 0.0 and boundary.any():
-        _raise_at(DomainError, _stack_index(boundary), "the density",
-                  "diverges on the boundary of the positive definite cone")
-    finite = interior | (boundary & (exp_f == 0.0))
-    logdet_f = np.log(np.where(interior[..., None], eigs, 1.0)).sum(axis=-1)
-    data = np.where(finite[..., None, None, None], data, 0.0)
-    return data, single, logdet_f, finite
+    e = np.frexp(np.abs(data).max(axis=(-3, -2, -1)))[1]
+    e = np.where(np.abs(e) > 256, e, 0)
+    scaled = e.any()
+    if scaled:
+        data = np.ldexp(data, -e[..., None, None, None])
+    lam = _eigvalsh_raw(data, params.tag.beta, *factor)
+    low = lam[..., -1]
+    top = np.maximum(lam[..., 0], -low)
+    interior = low > 1e-12 * top
+    inside = interior.all()
+    if not inside:
+        boundary = ~interior & (low >= -1e-12 * top)
+        if exp_f < 0.0 and boundary.any():
+            _raise_at(DomainError, _stack_index(boundary), "the density",
+                      "diverges on the boundary of the positive definite cone")
+        lam = np.maximum(lam, 0.0)
+    # log 0 = -inf only where the density is zero or exp_f = 0
+    with np.errstate(divide="ignore", over="ignore"):
+        log_g = np.log(lam).sum(axis=-1)
+        if trace:
+            lam = lam.sum(axis=-1, keepdims=True)
+        if scaled:
+            log_g += (d * _LOG_2) * e
+            big = np.ldexp(lam, e[..., None])
+            k = np.where(np.isinf(big), np.log(lam) + _LOG_2 * e[..., None],
+                         np.log1p(big))
+        else:
+            k = np.log1p(lam)
+    out = const - q * k.sum(axis=-1)
+    if exp_f:
+        out = out + exp_f * log_g
+    if not inside:
+        out = np.where(interior | (boundary & (exp_f == 0.0)), out, -math.inf)
+    return float(out) if single else out
 
 
 def logpdf_beta2_matric(params: BetaIIParams, f, *, printed_variant: bool = False):
     """Log density of the matricvariate beta type II law (determinant kernel).
 
-    With a scale present the nonstandardised form replaces I + F by scale + Z
+    With a scale present the nonstandardised form replaces I + F by scale + F
     and multiplies by |scale|^(beta*nu'/2).  `printed_variant` switches the
-    cogram bracket exponent to the uncorrected literature variant (one extra
-    -1), which fails normalization and exists purely for the diagnostic
-    evidence check; see ERRATA.md.
+    cogram bracket exponent to the uncorrected literature variant (one more
+    |scale + F|^-1), which fails normalization and exists purely for the
+    diagnostic evidence check; see ERRATA.md.
     """
-    q, exp_f, base, const = params._density_terms["matric"]
+    q, exp_f, factor, const = params._density_terms["matric"]
     if printed_variant and params.orientation == "cogram":
-        q = q + 1.0
-    data, single, logdet_f, finite = _beta2_points(params, f, exp_f)
-    out = np.where(finite, const + exp_f * logdet_f
-                   - q * _logdet_hermitian_raw(base + data), -math.inf)
-    return float(out) if single else out
+        q += 1.0
+        const -= 0.0 if params.scale is None else params.scale.logdet
+    return _beta2_logpdf(params, f, (q, exp_f, factor, const), trace=False)
 
 
 def _matrix_mt_terms(params: MatrixMTParams) -> tuple:
@@ -852,13 +873,8 @@ def logpdf_matrix_mt(params: MatrixMTParams, t):
 def logpdf_beta2_multivariate(params: BetaIIParams, f):
     """Log density of the matrix multivariate beta type II law (trace kernel
     (1 + tr F)^(-beta(nu+mn)/2)); a scale gives the nonstandardised bracket
-    (1 + tr scale*Z) and the factor |scale|^(beta n/2) (m/2 for cogram)."""
-    q1, exp_f, scale, const = params._density_terms["mv"]
-    data, single, logdet_f, finite = _beta2_points(params, f, exp_f)
-    trace = _real_trace_raw(data if scale is None else _matmul_raw(scale, data))
-    out = np.where(finite, const + exp_f * logdet_f
-                   - q1 * np.log1p(trace), -math.inf)
-    return float(out) if single else out
+    (1 + tr scale*F) and the factor |scale|^(beta n/2) (m/2 for cogram)."""
+    return _beta2_logpdf(params, f, params._density_terms["mv"], trace=True)
 
 
 # ---------------------------------------------------------------------------

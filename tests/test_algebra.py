@@ -18,6 +18,7 @@ from rdmt.algebra import (
     matmul,
     scalar_mul,
     singular_values,
+    _chol_logdet_raw,
     _cholesky_raw,
     _collapse_pairs,
     _complex_embed_raw,
@@ -30,7 +31,6 @@ from rdmt.algebra import (
     _identity_raw,
     _j_times_raw,
     _logdet_gram_raw,
-    _logdet_hermitian_raw,
     _matmul_raw,
     _mul_coeffs,
     _representation_raw,
@@ -633,7 +633,8 @@ class TestLogdet:
 def _gram_logdet_by_coefficients(base, a, factor):
     """log|base + g* g|, g = factor a, composed of the coefficient kernels."""
     g = a if factor is None else _matmul_raw(factor, a)
-    return _logdet_hermitian_raw(base + _matmul_raw(_conj_t_raw(g), g))
+    gram = _matmul_raw(_conj_t_raw(g), g)
+    return _chol_logdet_raw(_cholesky_raw(_hermitize_raw(base + gram)))
 
 
 class TestLogdetGram:

@@ -12,6 +12,7 @@ from rdmt.algebra import (
     AlgebraTag,
     DivMatrix,
     HermitianPD,
+    _complex_embed_raw,
     _conj_t_raw,
     _eigvalsh_raw,
     _hermitize_raw,
@@ -658,6 +659,98 @@ class TestBetaIIMultivariate:
                 != logpdf_beta2_multivariate(params, f))
 
 
+def _reference_beta2(law, params, f):
+    """(log density, largest term) of a beta II law at the (d, d, beta) point
+    f, to 40 digits: mpmath's determinants (Moore's, squared, at beta = 4)
+    and trace of the complex representations of f, scale + f and scale f,
+    and its log gammas, as the laws are written:
+
+        matric: |S|^a |F|^e |S + F|^-(a + b) / B_d(a, b),
+        mv:     Gamma(q1) / (Gamma(beta nu/2) Gamma_d(b)) |S|^b |F|^e
+                (1 + tr S F)^-q1,
+
+    with a = beta nu'/2, b = beta n'/2 and e = beta(n' - d + 1)/2 - 1 at the
+    gram shape (n', nu') = (max(m, n), nu + min(0, n - m)), q1 = beta(nu +
+    mn)/2, and S = I in the standard form."""
+    mp = pytest.importorskip("mpmath")
+    beta, m, n, d = params.tag.beta, params.m, params.n, params.dim
+    scale = _identity_raw(d, beta) if params.scale is None else params.scale.mat.data
+    with mp.workdps(40):
+        nu = mp.mpf(params.nu)
+        n_w, nu_w = (n, nu) if n >= m else (m, nu + n - m)
+        a, b = beta * nu_w / 2, mp.mpf(beta * n_w) / 2
+        e = mp.mpf(beta * (n_w - d + 1)) / 2 - 1
+
+        def rep(x):
+            return mp.matrix(_complex_embed_raw(x, beta).tolist())
+
+        def logdet(z):
+            return mp.log(mp.re(mp.det(z))) / (2 if beta == 4 else 1)
+
+        def lmg(x):
+            return (d * (d - 1) * beta * mp.log(mp.pi) / 4
+                    + mp.fsum(mp.loggamma(x - mp.mpf(i * beta) / 2) for i in range(d)))
+
+        s, fz = rep(scale), rep(f)
+        if law == "matric":
+            terms = [lmg(a + b) - lmg(a) - lmg(b), a * logdet(s), e * logdet(fz),
+                     -(a + b) * logdet(s + fz)]
+        else:
+            q1 = beta * (nu + m * n) / 2
+            trace = mp.re(sum((s * fz)[i, i] for i in range(s.rows))) / (
+                2 if beta == 4 else 1)
+            terms = [mp.loggamma(q1) - mp.loggamma(beta * nu / 2) - lmg(b),
+                     b * logdet(s), e * logdet(fz), -q1 * mp.log1p(trace)]
+        return float(mp.fsum(terms)), float(max(abs(t) for t in terms))
+
+
+class TestBetaIIAgainstMpmath:
+    """Both beta II laws against a 40-digit reference (`_reference_beta2`),
+    within 8 eps of the largest term, standard and scaled, gram and cogram,
+    at beta 1, 2 and 4.  The points are well-conditioned ones, ones whose
+    eigenvalues are all near 1e-10, and ones near the ends of the doubles,
+    whose congruence G = M* F M only stays in range because the point is
+    scaled by a power of two first."""
+
+    @staticmethod
+    def _check(params, points):
+        for law, fn in (("matric", logpdf_beta2_matric),
+                        ("mv", logpdf_beta2_multivariate)):
+            got = fn(params, points)
+            for value, f in zip(got, points):
+                want, largest = _reference_beta2(law, params, f)
+                assert abs(value - want) <= 8 * np.finfo(float).eps * largest, (
+                    law, value, want)
+
+    @pytest.mark.parametrize("tag", [R, C, H])
+    @pytest.mark.parametrize("m,n", [(2, 3), (3, 2)])
+    @pytest.mark.parametrize("scaled", [False, True])
+    def test_ordinary_and_tiny_points(self, rng, tag, m, n, scaled):
+        params = BetaIIParams(tag, m, n, 4.5, random_hpd(rng, tag, 2) if scaled else None)
+        cone = _hpd_stack(rng, tag.beta, 2, 4, 0.5)
+        self._check(params, np.concatenate([cone, 1e-10 * cone]))
+
+    @pytest.mark.parametrize("tag", [R, C, H])
+    def test_graded_point_of_a_standard_record(self, tag):
+        # exact eigenvalues 1 and 1e-10: log1p keeps the small one
+        point = np.zeros((1, 2, 2, tag.beta))
+        point[0, ..., 0] = np.diag([1.0, 1e-10])
+        self._check(BetaIIParams(tag, 2, 3, 4.5), point)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("tag", [R, C, H])
+    @pytest.mark.parametrize("m,n", [(2, 3), (3, 2)])
+    @pytest.mark.parametrize("scale,size", [(None, 1e300), (None, 1e-300),
+                                            (1e-10, 1e300), (1e10, 1e-300),
+                                            (1e150, 1e-150), (1e-150, 1e150)])
+    def test_points_near_the_ends_of_the_doubles(self, rng, tag, m, n, scale, size):
+        record = None if scale is None else HermitianPD.from_real(tag, scale * np.eye(2))
+        point = np.zeros((2, 2, 2, tag.beta))
+        point[0, ..., 0] = size * np.array([[3.0, 0.5], [0.5, 1.0]])
+        point[1] = size * _hpd_stack(rng, tag.beta, 2, 1, 0.5)[0]
+        self._check(BetaIIParams(tag, m, n, 4.5, record), point)
+
+
 class TestEllipticalT:
     def test_degenerate_mixture_is_exact_normal_construction(self):
         # With a single unit-scale component no mixture randomness is
@@ -885,25 +978,39 @@ class TestBatchedDensities:
         with pytest.raises(TypeError):
             logpdf_matrix_mt(params, rng.normal(size=(2, 3, 1)).tolist())
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("fn", [logpdf_beta2_matric, logpdf_beta2_multivariate])
-    @pytest.mark.parametrize("n,boundary_is_finite", [(3, True), (4, False)])
-    def test_cone_edges_in_one_stack(self, fn, n, boundary_is_finite):
-        # kernel exponent beta(n-m+1)/2 - 1: 0 at n = 3, 1/2 at n = 4
-        params = BetaIIParams(R, 2, n, 4.0)
-        stack = np.array([[[2.0], [0.5]], [[0.5], [1.0]]])[None].repeat(5, axis=0)
-        stack[1] = [[[1.0], [0.0]], [[0.0], [0.0]]]      # boundary
-        stack[2] = [[[1.0], [0.0]], [[0.0], [-0.5]]]     # outside the cone
-        stack[3] = [[[3.0], [1.0]], [[1.0], [1.0]]]
-        stack[4] = [[[0.0], [0.0]], [[0.0], [1e-14]]]    # boundary, in tolerance
-        single = [fn(params, DivMatrix(R, f)) for f in stack]
+    @pytest.mark.parametrize("scaled", [False, True])
+    @pytest.mark.parametrize("tag,n,boundary_is_finite", [
+        (R, 3, True), (R, 4, False), (C, 2, True), (C, 3, False), (H, 2, False)])
+    def test_cone_edges_in_one_stack(self, fn, scaled, tag, n, boundary_is_finite):
+        # kernel exponent beta(n-m+1)/2 - 1: 0 at (R, 3) and (C, 2), 1/2 at
+        # (R, 4), 1 at (C, 3) and (H, 2).  The cone test reads each point's
+        # eigenvalues against its own largest, so a tiny positive definite
+        # point is inside and a tiny indefinite one outside, and a scaled
+        # record (a congruence) keeps every decision.
+        scale = (HermitianPD.from_real(tag, [[2.0, 0.5], [0.5, 1.0]]) if scaled
+                 else None)
+        params = BetaIIParams(tag, 2, n, 4.0, scale)
+        base = np.array([[2.0, 0.5], [0.5, 1.0]])
+        real = np.array([base, np.diag([1.0, 0.0]),                 # inside, boundary
+                         np.diag([1.0, -0.5]), [[3.0, 1.0], [1.0, 1.0]],  # outside, inside
+                         np.diag([0.0, 1e-14]),                     # boundary
+                         np.diag([2e-13, 1e-13]), np.diag([2e-12, 0.9e-12]),
+                         1e-300 * base, 1e300 * base,               # all inside
+                         np.diag([1e-13, -5e-14]),                  # outside
+                         np.diag([1.0, -5e-14])])                   # boundary
+        inside, outside, boundary = [0, 3, 5, 6, 7, 8], [2, 9], [1, 4, 10]
+        stack = np.zeros(real.shape + (tag.beta,))
+        stack[..., 0] = real
+        single = [fn(params, DivMatrix(tag, f)) for f in stack]
         got = fn(params, stack)
-        _close_to(got, single)
         assert np.array_equal(got, single)
-        assert got[2] == -math.inf
-        assert np.isfinite(got[[0, 3]]).all()
-        assert np.isfinite(got[[1, 4]]).all() == boundary_is_finite
+        assert np.all(got[outside] == -math.inf)
+        assert np.isfinite(got[inside]).all()
+        assert np.isfinite(got[boundary]).all() == boundary_is_finite
         if not boundary_is_finite:
-            assert np.all(got[[1, 4]] == -math.inf)
+            assert np.all(got[boundary] == -math.inf)
 
     @pytest.mark.parametrize("fn", [logpdf_beta2_matric, logpdf_beta2_multivariate])
     def test_diverging_or_non_hermitian_point_names_its_index(self, fn):
@@ -919,6 +1026,8 @@ class TestBatchedDensities:
         stack[1, 0, 1, 0] = 0.25
         with pytest.raises(ValueError, match="index 1 is not Hermitian"):
             fn(params, stack)
+        # a tiny positive definite point is inside the cone, not on its edge
+        assert math.isfinite(fn(params, DivMatrix.from_real(R, np.diag([2e-13, 1e-13]))))
 
     @pytest.mark.parametrize("tag", [R, C, H, O])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -972,6 +1081,35 @@ class TestBatchedDensities:
                 calls.clear()
                 density(point)
                 assert len(calls) == embeds
+
+
+    @pytest.mark.parametrize("tag", [R, C, H])
+    @pytest.mark.parametrize("scaled", [False, True])
+    def test_a_stack_is_decomposed_once(self, monkeypatch, rng, tag, scaled):
+        # one eigendecomposition per call gives |F| and the bracket of both
+        # laws; no Cholesky factor of scale + F is taken
+        calls = []
+
+        def counted(name):
+            kernel = getattr(np.linalg, name)
+
+            def call(*args, **kw):
+                calls.append(name)
+                return kernel(*args, **kw)
+            return call
+
+        params = BetaIIParams(tag, 2, 3, 4.5, random_hpd(rng, tag, 2) if scaled else None)
+        stack = _hpd_stack(rng, tag.beta, 2, 6, 0.5)
+        stack[1] *= 1e300    # scaled by a power of two before the congruence
+        stack[2, 1, 1] = -stack[2, 1, 1]    # outside the cone
+        for fn in (logpdf_beta2_matric, logpdf_beta2_multivariate):
+            fn(params, stack)    # the record's terms are computed once, here
+            monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh"))
+            monkeypatch.setattr(np.linalg, "cholesky", counted("cholesky"))
+            fn(params, stack)
+            monkeypatch.undo()
+            assert calls == ["eigvalsh"]
+            calls.clear()
 
 
 class TestPointIsAStackOfOne:

@@ -25,7 +25,9 @@ legal, 1x1 beta = 8, with each construction method and both formats, plus
 5x6 matric-t (both methods) and 6x5 matrix-mt with random scales from
 --params, whose stacked triangular solves have orders 5 and 6;
 `density` for all four families in the standard form and in a scaled form
-read from --params (matric-t in both its primal and dual form); `spectrum`
+read from --params (matric-t in both its primal and dual form), and for
+both beta II laws, standard and scaled, at points on and near the edges of
+the cone and of the doubles (`edge-points-b*`); `spectrum`
 for each family and kind, with --grid where an overlay exists, and tall
 (m > n) singular grids of matric-t and matrix-mt;
 `verify --seed 11 --report` on the default suite and on small suite files
@@ -180,6 +182,21 @@ def _inputs(root: str) -> dict:
             with open(path, "w") as fh:
                 json.dump(dict(record, beta=beta), fh)
             files[f"params-{name}-b{beta}"] = path
+    # beta II points at the edges of the cone and of the doubles, written
+    # out whole: inside, on the boundary, outside, tiny positive definite
+    # and tiny indefinite points, and points of size 1e+-150 and 1e+-300
+    base = np.array([[3.0, 0.5], [0.5, 1.0]])
+    edges = [base, np.diag([1.0, 0.0]), np.diag([1.0, -0.5]), np.diag([0.0, 1e-14]),
+             np.diag([2e-12, 1.1e-12]), np.diag([2e-12, 0.9e-12]),
+             np.diag([2e-13, 1e-13]), np.diag([1e-13, -5e-14]),
+             np.diag([1.0, -5e-14])] + [size * base for size in (1e-300, 1e-150,
+                                                                  1e150, 1e300)]
+    for beta in BETAS:
+        pts = [np.zeros((2, 2, beta)) for _ in edges]
+        for p, real in zip(pts, edges):
+            p[..., 0] = real
+        files[f"edge-points-b{beta}"] = _write_jsonl(
+            os.path.join(root, f"edge-points-b{beta}.jsonl"), pts)
     # params files that name every key without a default and no more, or
     # that the record refuses; written out whole, so no generator moves
     for name, record in MINIMAL_PARAMS.items():
@@ -274,6 +291,16 @@ def _commands(files: dict) -> list:
             cmds.append((f"density-{family}-params-b{beta}",
                          ["density", "--dist", family, "--params",
                           files[f"params-beta2-b{beta}"]] + f_points))
+
+    for beta in BETAS:
+        e_points = ["--points", files[f"edge-points-b{beta}"], "--out", "{out}"]
+        for family in ("beta2-matric", "beta2-mv"):
+            cmds.append((f"density-{family}-edges-b{beta}",
+                         ["density", "--dist", family, "--nu", "9"] + shape(beta)
+                         + e_points))
+            cmds.append((f"density-{family}-edges-params-b{beta}",
+                         ["density", "--dist", family, "--params",
+                          files[f"params-beta2-b{beta}"]] + e_points))
 
     spectra = [
         ("matric-t", "singular", True, ["--nu", "9"]),
