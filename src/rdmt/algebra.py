@@ -549,8 +549,11 @@ def _largest_coefficients(x: np.ndarray) -> np.ndarray:
     """The largest |coefficient| of each matrix of a (..., m, n, beta) stack,
     as a running np.maximum over the columns of the flattened coefficients:
     numpy runs each step as one loop over the stack, where a reduction over
-    the small trailing axes pays its overhead once per matrix."""
-    flat = np.abs(x).reshape(x.shape[:-3] + (-1,))
+    the small trailing axes pays its overhead once per matrix.  One matrix
+    takes one reduction."""
+    if x.ndim == 3:
+        return np.abs(x).max()
+    flat = np.abs(x).reshape(x.shape[:-3] + (math.prod(x.shape[-3:]),))
     out = flat[..., 0].copy()
     for j in range(1, flat.shape[-1]):
         np.maximum(out, flat[..., j], out=out)

@@ -46,6 +46,7 @@ from .algebra import (
     _gram_raw,
     _hermitian_part,
     _hpd_inverse_raw,
+    _largest_coefficients,
     _logdet_gram_raw,
     _matmul_raw,
     _raise_at,
@@ -740,11 +741,12 @@ def logpdf_matric_t(params: MatricTParams, t, form: str = "primal"):
 
 
 def _beta2_terms(params: BetaIIParams) -> dict:
-    """law -> (q, exp_f, factor, const) of `_beta2_logpdf`, which reads
+    """law -> (q, exp_f, congruence, const) of `_beta2_logpdf`, which reads
     G = M* F M: "matric" takes M M* = scale^-1, so |scale + F| = |scale|
     |I + G|, and "mv" M M* = scale, so tr(scale F) = tr G.  const holds the
-    Jacobian |M M*|^(beta(d-1)/2 + 1) of the congruence, and factor is
-    (M*, M) as `_eigvalsh_raw` takes them, () in the standard form."""
+    Jacobian |M M*|^(beta(d-1)/2 + 1) of the congruence, and congruence is
+    ((M*, M) as `_eigvalsh_raw` takes them, the binary exponent of |M M*|,
+    cond(scale)), ((), 0, 1) in the standard form."""
     tag = params.tag
     beta = tag.beta
     m, n, nu = params.m, params.n, params.nu
@@ -755,13 +757,16 @@ def _beta2_terms(params: BetaIIParams) -> dict:
     q1 = beta * (nu + m * n) / 2.0
     matric_const = -log_mvbeta(tag, d, a_par, b_par)
     mv_const = -_lmg(tag, d, b_par) + (log_gamma(q1) - log_gamma(beta * nu / 2.0))
-    matric = mv = ()
+    matric = mv = ((), 0, 1.0)
     if params.scale is not None:
         jacobian = (beta * (d - 1) / 2.0 + 1.0) * params.scale.logdet
         matric_const -= jacobian
         mv_const += jacobian
-        matric, mv = [(_star(lo), _representation_raw(lo)) for lo in
-                      (_factor(params.scale.inverse()), _factor(params.scale))]
+        w = _eigvalsh_raw(params.scale.mat.data, beta)
+        matric, mv = [((_star(lo), _representation_raw(lo)), int(np.frexp(size)[1]),
+                       w[0] / w[-1]) for lo, size in
+                      ((_factor(params.scale.inverse()), 1.0 / w[-1]),
+                       (_factor(params.scale), w[0]))]
     return {
         "matric": (beta * (n + nu) / 2.0, exp_f, matric, matric_const),
         "mv": (q1, exp_f, mv, mv_const),
@@ -770,51 +775,52 @@ def _beta2_terms(params: BetaIIParams) -> dict:
 
 def _beta2_logpdf(params: BetaIIParams, f, terms: tuple, trace: bool):
     """const + exp_f sum log lambda_i - q K at beta II points F, with terms
-    = (q, exp_f, factor, const) of `_beta2_terms`, lambda the eigenvalues
-    of G = M* F M, and K a coupling of `spectral._log_joint`: sum log1p
-    lambda_i, or log1p(sum lambda_i) with `trace`.
+    = (q, exp_f, congruence, const) of `_beta2_terms`, lambda the
+    eigenvalues of G = M* F M, and K a coupling of `spectral._log_joint`:
+    sum log1p lambda_i, or log1p(sum lambda_i) with `trace`.
 
     The cone test measures lambda_min against 1e-12 |lambda|_max, whatever
-    the point's size.  Inside the cone the density is finite, outside it is
-    zero; on the boundary a kernel exponent exp_f > 0 gives zero, exp_f = 0
-    a finite limit (an eigenvalue below 0 counting as 0), and exp_f < 0
-    diverges (DomainError naming the point).  A point whose largest
-    coefficient has a binary exponent e with |e| > 256 is scaled by 2^-e
-    first, so that G neither over- nor underflows; e log 2 goes into each
-    log, and log1p(2^e lambda) is log(2^e lambda) where 2^e lambda is inf."""
-    q, exp_f, factor, const = terms
+    the point's size.  A congruence moves an eigenvalue ratio by at most
+    kappa = cond(scale), so the interior bound is divided by kappa and the
+    outside bound multiplied by it: a point inside or on the boundary by its
+    own eigenvalues stays so.  Inside the cone the density is finite,
+    outside it is zero; on the boundary a kernel exponent exp_f > 0 gives
+    zero, exp_f = 0 a finite limit (an eigenvalue below 0 counting as 0),
+    and exp_f < 0 diverges (DomainError naming the point).  G's size is
+    about 2^t, t the binary exponent of F's largest coefficient plus that
+    of |M M*|; where |t| > 256, F is scaled by 2^-t first, so that neither
+    G nor M* F over- or underflows, t log 2 goes into each log, and
+    log1p(2^t lambda) is log(2^t lambda) where 2^t lambda is inf.  At t = 0
+    this is the plain log1p arithmetic."""
+    q, exp_f, (factor, shift, kappa), const = terms
     d = params.dim
     x, single = _points(params, f.mat if isinstance(f, HermitianPD) else f, (d, d))
     data = _hermitian_part(x, "the evaluation point")
-    e = np.frexp(np.abs(data).max(axis=(-3, -2, -1)))[1]
-    e = np.where(np.abs(e) > 256, e, 0)
-    scaled = e.any()
-    if scaled:
-        data = np.ldexp(data, -e[..., None, None, None])
-    lam = _eigvalsh_raw(data, params.tag.beta, *factor)
+    t = np.frexp(_largest_coefficients(data))[1] + shift
+    t = np.where(np.abs(t) > 256, t, 0)
+    lam = _eigvalsh_raw(np.ldexp(data, -t[..., None, None, None]), params.tag.beta,
+                        *factor)
     low = lam[..., -1]
-    top = np.maximum(lam[..., 0], -low)
-    interior = low > 1e-12 * top
+    interior = low > 1e-12 / kappa * lam[..., 0]    # lambda_max = |lambda|_max there
     inside = interior.all()
     if not inside:
-        boundary = ~interior & (low >= -1e-12 * top)
+        top = np.maximum(lam[..., 0], -low)
+        boundary = ~interior & (low >= -1e-12 * kappa * top)
         if exp_f < 0.0 and boundary.any():
             _raise_at(DomainError, _stack_index(boundary), "the density",
                       "diverges on the boundary of the positive definite cone")
         lam = np.maximum(lam, 0.0)
     # log 0 = -inf only where the density is zero or exp_f = 0
     with np.errstate(divide="ignore", over="ignore"):
-        log_g = np.log(lam).sum(axis=-1)
+        log_lam = np.log(lam)
+        log_g = log_lam.sum(axis=-1) + (d * _LOG_2) * t
         if trace:
             lam = lam.sum(axis=-1, keepdims=True)
-        if scaled:
-            log_g += (d * _LOG_2) * e
-            big = np.ldexp(lam, e[..., None])
-            k = np.where(np.isinf(big), np.log(lam) + _LOG_2 * e[..., None],
-                         np.log1p(big))
-        else:
-            k = np.log1p(lam)
-    out = const - q * k.sum(axis=-1)
+            log_lam = np.log(lam)
+        t = t[..., None]
+        big = np.ldexp(lam, t)
+        k = np.where(np.isinf(big), log_lam + _LOG_2 * t, np.log1p(big)).sum(axis=-1)
+    out = const - q * k
     if exp_f:
         out = out + exp_f * log_g
     if not inside:
@@ -831,11 +837,11 @@ def logpdf_beta2_matric(params: BetaIIParams, f, *, printed_variant: bool = Fals
     |scale + F|^-1), which fails normalization and exists purely for the
     diagnostic evidence check; see ERRATA.md.
     """
-    q, exp_f, factor, const = params._density_terms["matric"]
+    q, exp_f, congruence, const = params._density_terms["matric"]
     if printed_variant and params.orientation == "cogram":
         q += 1.0
         const -= 0.0 if params.scale is None else params.scale.logdet
-    return _beta2_logpdf(params, f, (q, exp_f, factor, const), trace=False)
+    return _beta2_logpdf(params, f, (q, exp_f, congruence, const), trace=False)
 
 
 def _matrix_mt_terms(params: MatrixMTParams) -> tuple:

@@ -709,8 +709,9 @@ class TestBetaIIAgainstMpmath:
     within 8 eps of the largest term, standard and scaled, gram and cogram,
     at beta 1, 2 and 4.  The points are well-conditioned ones, ones whose
     eigenvalues are all near 1e-10, and ones near the ends of the doubles,
-    whose congruence G = M* F M only stays in range because the point is
-    scaled by a power of two first."""
+    alone or through the scale, whose congruence G = M* F M only stays in
+    range because the point and the factor M are scaled by powers of two
+    first."""
 
     @staticmethod
     def _check(params, points):
@@ -742,7 +743,9 @@ class TestBetaIIAgainstMpmath:
     @pytest.mark.parametrize("m,n", [(2, 3), (3, 2)])
     @pytest.mark.parametrize("scale,size", [(None, 1e300), (None, 1e-300),
                                             (1e-10, 1e300), (1e10, 1e-300),
-                                            (1e150, 1e-150), (1e-150, 1e150)])
+                                            (1e150, 1e-150), (1e-150, 1e150),
+                                            (1e-250, 1e70), (1e-250, 1e-77),
+                                            (1e250, 1e-70), (1e250, 1e77)])
     def test_points_near_the_ends_of_the_doubles(self, rng, tag, m, n, scale, size):
         record = None if scale is None else HermitianPD.from_real(tag, scale * np.eye(2))
         point = np.zeros((2, 2, 2, tag.beta))
@@ -980,17 +983,19 @@ class TestBatchedDensities:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("fn", [logpdf_beta2_matric, logpdf_beta2_multivariate])
-    @pytest.mark.parametrize("scaled", [False, True])
+    @pytest.mark.parametrize("scale", [None, [[2.0, 0.5], [0.5, 1.0]], [[1.0, 0.0], [0.0, 1e-4]]],
+                             ids=["standard", "scaled", "graded"])
     @pytest.mark.parametrize("tag,n,boundary_is_finite", [
         (R, 3, True), (R, 4, False), (C, 2, True), (C, 3, False), (H, 2, False)])
-    def test_cone_edges_in_one_stack(self, fn, scaled, tag, n, boundary_is_finite):
+    def test_cone_edges_in_one_stack(self, fn, scale, tag, n, boundary_is_finite):
         # kernel exponent beta(n-m+1)/2 - 1: 0 at (R, 3) and (C, 2), 1/2 at
         # (R, 4), 1 at (C, 3) and (H, 2).  The cone test reads each point's
         # eigenvalues against its own largest, so a tiny positive definite
-        # point is inside and a tiny indefinite one outside, and a scaled
-        # record (a congruence) keeps every decision.
-        scale = (HermitianPD.from_real(tag, [[2.0, 0.5], [0.5, 1.0]]) if scaled
-                 else None)
+        # point is inside and a tiny indefinite one outside.  A scaled record
+        # (a congruence) keeps every decision, also with a scale of condition
+        # number 1e4, under which diag(1, 1e-9) and diag(1e-9, 1) have G
+        # eigenvalue ratios of 1e-13.
+        scale = None if scale is None else HermitianPD.from_real(tag, scale)
         params = BetaIIParams(tag, 2, n, 4.0, scale)
         base = np.array([[2.0, 0.5], [0.5, 1.0]])
         real = np.array([base, np.diag([1.0, 0.0]),                 # inside, boundary
@@ -999,8 +1004,9 @@ class TestBatchedDensities:
                          np.diag([2e-13, 1e-13]), np.diag([2e-12, 0.9e-12]),
                          1e-300 * base, 1e300 * base,               # all inside
                          np.diag([1e-13, -5e-14]),                  # outside
-                         np.diag([1.0, -5e-14])])                   # boundary
-        inside, outside, boundary = [0, 3, 5, 6, 7, 8], [2, 9], [1, 4, 10]
+                         np.diag([1.0, -5e-14]),                    # boundary
+                         np.diag([1.0, 1e-9]), np.diag([1e-9, 1.0])])   # inside
+        inside, outside, boundary = [0, 3, 5, 6, 7, 8, 11, 12], [2, 9], [1, 4, 10]
         stack = np.zeros(real.shape + (tag.beta,))
         stack[..., 0] = real
         single = [fn(params, DivMatrix(tag, f)) for f in stack]

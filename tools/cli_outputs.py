@@ -26,8 +26,9 @@ legal, 1x1 beta = 8, with each construction method and both formats, plus
 --params, whose stacked triangular solves have orders 5 and 6;
 `density` for all four families in the standard form and in a scaled form
 read from --params (matric-t in both its primal and dual form), and for
-both beta II laws, standard and scaled, at points on and near the edges of
-the cone and of the doubles (`edge-points-b*`); `spectrum`
+both beta II laws, standard and scaled (by a random, a graded and a tiny
+scale), at points on and near the edges of the cone and of the doubles
+(`edge-points-b*`); `spectrum`
 for each family and kind, with --grid where an overlay exists, and tall
 (m > n) singular grids of matric-t and matrix-mt;
 `verify --seed 11 --report` on the default suite and on small suite files
@@ -184,19 +185,29 @@ def _inputs(root: str) -> dict:
             files[f"params-{name}-b{beta}"] = path
     # beta II points at the edges of the cone and of the doubles, written
     # out whole: inside, on the boundary, outside, tiny positive definite
-    # and tiny indefinite points, and points of size 1e+-150 and 1e+-300
+    # and tiny indefinite points, graded ones, and points of size 1e+-150,
+    # 1e+-300, 1e70 and 1e-77; and records whose scale is graded,
+    # diag(1, 1e-4), or tiny, 1e-250 I
     base = np.array([[3.0, 0.5], [0.5, 1.0]])
     edges = [base, np.diag([1.0, 0.0]), np.diag([1.0, -0.5]), np.diag([0.0, 1e-14]),
              np.diag([2e-12, 1.1e-12]), np.diag([2e-12, 0.9e-12]),
              np.diag([2e-13, 1e-13]), np.diag([1e-13, -5e-14]),
-             np.diag([1.0, -5e-14])] + [size * base for size in (1e-300, 1e-150,
-                                                                  1e150, 1e300)]
+             np.diag([1.0, -5e-14]), np.diag([1.0, 1e-9]), np.diag([1e-9, 1.0])]
+    edges += [size * base for size in (1e-300, 1e-150, 1e150, 1e300, 1e70, 1e-77)]
     for beta in BETAS:
         pts = [np.zeros((2, 2, beta)) for _ in edges]
         for p, real in zip(pts, edges):
             p[..., 0] = real
         files[f"edge-points-b{beta}"] = _write_jsonl(
             os.path.join(root, f"edge-points-b{beta}.jsonl"), pts)
+        for name, scale in (("graded", np.diag([1.0, 1e-4])), ("tiny", 1e-250 * np.eye(2))):
+            coeffs = np.zeros((2, 2, beta))
+            coeffs[..., 0] = scale
+            path = os.path.join(root, f"params-beta2-{name}-b{beta}.json")
+            with open(path, "w") as fh:
+                json.dump({"family": "beta2", "beta": beta, "m": 2, "n": 3, "nu": 9.0,
+                           "orientation": "gram", "scale": _schema(coeffs)}, fh)
+            files[f"params-beta2-{name}-b{beta}"] = path
     # params files that name every key without a default and no more, or
     # that the record refuses; written out whole, so no generator moves
     for name, record in MINIMAL_PARAMS.items():
@@ -298,9 +309,10 @@ def _commands(files: dict) -> list:
             cmds.append((f"density-{family}-edges-b{beta}",
                          ["density", "--dist", family, "--nu", "9"] + shape(beta)
                          + e_points))
-            cmds.append((f"density-{family}-edges-params-b{beta}",
-                         ["density", "--dist", family, "--params",
-                          files[f"params-beta2-b{beta}"]] + e_points))
+            for record in ("", "graded-", "tiny-"):
+                cmds.append((f"density-{family}-edges-params-{record}b{beta}",
+                             ["density", "--dist", family, "--params",
+                              files[f"params-beta2-{record}b{beta}"]] + e_points))
 
     spectra = [
         ("matric-t", "singular", True, ["--nu", "9"]),
