@@ -42,13 +42,14 @@ from .algebra import (
     _cholesky_raw,
     _conj_t_raw,
     _eigvalsh_raw,
-    _frobenius_sq_product_raw,
+    _factor_representations,
+    _frobenius_sq_raw,
     _gram_raw,
     _hermitian_part,
     _hpd_inverse_raw,
     _largest_coefficients,
     _logdet_gram_raw,
-    _matmul_raw,
+    _product_raw,
     _raise_at,
     _refuse_non_finite,
     _representation_raw,
@@ -237,7 +238,12 @@ class MatricTParams(_JsonRecord):
     T - mu have covariance (L L*)^-1 = W^-1, as the density's kernel
     |Xi^-1 + (T-mu) Sigma^-1 (T-mu)*| needs; L^-1 Y would give (L* L)^-1,
     which differs for m >= 2.  The primal density multiplies by M*, M the
-    record's cached lower factor of Sigma^-1 (`_sigma_inv_chol`)."""
+    record's cached lower factor of Sigma^-1 (`_sigma_inv_chol`).
+
+    The products' constant factors are cached on first use, embedded as
+    `_product_raw` reads them (None for an exact identity): L and L* of Xi
+    and Sigma on the scales (`HermitianPD._factor_reps`), and M, like
+    `_density_terms`, as an attribute, not a field (`_sigma_inv_reps`)."""
 
     family: ClassVar[str] = "matric-t"
     tag: AlgebraTag
@@ -270,6 +276,12 @@ class MatricTParams(_JsonRecord):
         exactly): the primal density's factor and inverse_root's scale."""
         return (None if self.Sigma.is_identity
                 else _cholesky_raw(_hpd_inverse_raw(self.Sigma.mat.data)))
+
+    @cached_property
+    def _sigma_inv_reps(self) -> tuple:
+        """(M, M*) of `_sigma_inv_chol`, as a scale's `_factor_reps`:
+        inverse_root's left factor and the primal density's."""
+        return _factor_representations(self._sigma_inv_chol)
 
 
 @dataclass(frozen=True)
@@ -497,34 +509,16 @@ def sample_wishart(rng: RngStream, params: WishartParams, method: str = "bartlet
     tag = params.tag
     nsamp = 1 if size is None else int(size)
     if method == "bartlett":
-        c = _wishart_chol_raw(rng.generator, tag.beta, params.m, params.nu,
-                              _factor(params.Xi), nsamp)
+        c = _bartlett_factor_raw(rng.generator, tag.beta, params.m, params.nu, nsamp)
     elif method == "gram":
         nu_int = int(params.nu)
         if nu_int != params.nu or nu_int < params.m:
             raise DomainError("gram construction requires integer nu >= m")
-        y = _std_normal_raw(rng.generator, tag.beta, (nsamp, params.m, nu_int))
-        c = y if params.Xi.is_identity else _matmul_raw(params.Xi.chol.data, y)
+        c = _std_normal_raw(rng.generator, tag.beta, (nsamp, params.m, nu_int))
     else:
         raise ValueError(f"unknown Wishart method {method!r}")
+    c = _product_raw(c, params.Xi._factor_reps[0])
     return _wrap_single(tag, _gram_raw(c), size, hermitian=True)
-
-
-def _factor(h: HermitianPD) -> np.ndarray | None:
-    """h's Cholesky factor, None when h is exactly I: for `_wishart_chol_raw`
-    and the densities' cached factors."""
-    return None if h.is_identity else h.chol.data
-
-
-def _wishart_chol_raw(gen: np.random.Generator, beta: int, m: int, nu: float,
-                      lxi: np.ndarray | None, nsamp: int) -> np.ndarray:
-    """Cholesky factor of a Wishart(nu, Xi) draw, composed directly as
-    L_Xi * Bartlett (a product of lower triangulars with real positive
-    diagonals is again one, so no refactorization is needed).  lxi None
-    stands for L_Xi = I, whose product would copy the Bartlett factor
-    exactly, so the factor itself is returned."""
-    lo = _bartlett_factor_raw(gen, beta, m, nu, nsamp)
-    return lo if lxi is None else _matmul_raw(lxi, lo)
 
 
 def _add_mu(t: np.ndarray, mu: DivMatrix) -> np.ndarray:
@@ -543,7 +537,9 @@ def sample_matric_t(rng: RngStream, params: MatricTParams,
 
     method "wishart_root" uses T = L^-* Y + mu with L L* ~ Wishart(nu, Xi),
     the upper factor L* solved, so that T - mu given W = L L* has row
-    covariance W^-1 (see MatricTParams);
+    covariance W^-1 (see MatricTParams).  L is composed directly as
+    L_Xi * Bartlett: a product of lower triangulars with real positive
+    diagonals is again one, so no refactorization is needed;
     method "inverse_root" uses T = X L1^-1 + mu with L1 L1* ~
     Wishart(nu+n-m, Sigma^-1) and X row-scaled by Xi^-1.  Both target the
     same law; the verify suite checks them against each other.
@@ -551,7 +547,10 @@ def sample_matric_t(rng: RngStream, params: MatricTParams,
     A scale that is exactly the identity (`HermitianPD.is_identity`) skips
     its product or solve, and an exactly zero mu its add: each would copy
     its input exactly, so the draws keep their bits.  A standard record
-    therefore costs the Bartlett factor, Y and one solve.
+    therefore costs the Bartlett factor, Y and one solve.  The constant
+    factors of the products are the record's, embedded once
+    (`HermitianPD._factor_reps`, `_sigma_inv_reps`), so a draw embeds
+    only its own random matrices.
     """
     tag = params.tag
     beta = tag.beta
@@ -559,10 +558,10 @@ def sample_matric_t(rng: RngStream, params: MatricTParams,
     nsamp = 1 if size is None else int(size)
     gen = rng.generator
     if method == "wishart_root":
-        lw = _wishart_chol_raw(gen, beta, m, params.nu, _factor(params.Xi), nsamp)
-        y = _std_normal_raw(gen, beta, (nsamp, m, n))
-        if not params.Sigma.is_identity:
-            y = _matmul_raw(y, _conj_t_raw(params.Sigma.chol.data))
+        lw = _product_raw(_bartlett_factor_raw(gen, beta, m, params.nu, nsamp),
+                          params.Xi._factor_reps[0])
+        y = _product_raw(_std_normal_raw(gen, beta, (nsamp, m, n)),
+                         right=params.Sigma._factor_reps[1])
         t = _solve_raw(lw, y)
     elif method == "inverse_root":
         nu_u = params.nu + n - m
@@ -570,7 +569,8 @@ def sample_matric_t(rng: RngStream, params: MatricTParams,
             raise DomainError(
                 f"inverse_root requires nu+n-m > beta*(n-1) = {beta * (n - 1)}"
             )
-        lu = _wishart_chol_raw(gen, beta, n, nu_u, params._sigma_inv_chol, nsamp)
+        lu = _product_raw(_bartlett_factor_raw(gen, beta, n, nu_u, nsamp),
+                          params._sigma_inv_reps[0])
         x = _std_normal_raw(gen, beta, (nsamp, m, n))
         if not params.Xi.is_identity:
             x = _solve_raw(params.Xi.chol.data, x)
@@ -650,7 +650,7 @@ def sample_elliptical_t(rng: RngStream, params: EllipticalTParams,
 # out of ==, repr and the JSON.  The records cache their constant factors
 # and bases in the form their kernels read, the complex representation for
 # beta <= 4, so a call embeds only its points once: the matric-t bracket is
-# `_logdet_gram_raw`, the matrix-mt trace `_frobenius_sq_product_raw`, and
+# `_logdet_gram_raw`, the matrix-mt trace `_product_raw`'s, and
 # both beta II laws read one eigendecomposition per point (`_beta2_logpdf`).
 # A point's logs are numpy's log or log1p of positive-stride arrays (a
 # reversed 1-D array takes another log), so a point gives a stack's bits.
@@ -706,17 +706,11 @@ def _matric_t_terms(params: MatricTParams) -> dict:
         - _lmg(tag, n, beta * (n + nu - m) / 2.0)
     )
     return {
-        "primal": (q, _star(params._sigma_inv_chol),
+        "primal": (q, params._sigma_inv_reps[1],
                    _representation_raw(_hpd_inverse_raw(params.Xi.mat.data)), primal),
-        "dual": (q, _star(_factor(params.Xi)),
+        "dual": (q, params.Xi._factor_reps[1],
                  _representation_raw(params.Sigma.mat.data), dual),
     }
-
-
-def _star(lo: np.ndarray | None) -> np.ndarray | None:
-    """L* of a Cholesky factor L, as `_representation_raw` gives it; None
-    (L = I) stays None."""
-    return None if lo is None else _representation_raw(_conj_t_raw(lo))
 
 
 def logpdf_matric_t(params: MatricTParams, t, form: str = "primal"):
@@ -763,10 +757,9 @@ def _beta2_terms(params: BetaIIParams) -> dict:
         matric_const -= jacobian
         mv_const += jacobian
         w = _eigvalsh_raw(params.scale.mat.data, beta)
-        matric, mv = [((_star(lo), _representation_raw(lo)), int(np.frexp(size)[1]),
-                       w[0] / w[-1]) for lo, size in
-                      ((_factor(params.scale.inverse()), 1.0 / w[-1]),
-                       (_factor(params.scale), w[0]))]
+        matric, mv = [(h._factor_reps[::-1], int(np.frexp(size)[1]), w[0] / w[-1])
+                      for h, size in ((params.scale.inverse(), 1.0 / w[-1]),
+                                      (params.scale, w[0]))]
     return {
         "matric": (beta * (n + nu) / 2.0, exp_f, matric, matric_const),
         "mv": (q1, exp_f, mv, mv_const),
@@ -847,7 +840,7 @@ def logpdf_beta2_matric(params: BetaIIParams, f, *, printed_variant: bool = Fals
 def _matrix_mt_terms(params: MatrixMTParams) -> tuple:
     """(q1, left, right, const) of logpdf_matrix_mt: the kernel's exponent,
     its congruence factors L_Delta* and L_Lambda, and the constant.  The
-    factors are cached as `_frobenius_sq_product_raw` reads them, embedded
+    factors are cached as `_product_raw` reads them, embedded
     once in the complex representation for beta <= 4, and None when their
     scale is exactly I."""
     tag = params.tag
@@ -861,7 +854,7 @@ def _matrix_mt_terms(params: MatrixMTParams) -> tuple:
         + beta * n / 2.0 * params.Delta.logdet
         + beta * m / 2.0 * params.Lambda.logdet
     )
-    return q1, _star(_factor(params.Delta)), _representation_raw(_factor(params.Lambda)), const
+    return q1, params.Delta._factor_reps[1], params.Lambda._factor_reps[0], const
 
 
 def logpdf_matrix_mt(params: MatrixMTParams, t):
@@ -871,7 +864,7 @@ def logpdf_matrix_mt(params: MatrixMTParams, t):
     """
     q1, left, right, const = params._density_terms
     x, single = _points(params, t, (params.m, params.n))
-    trace = _frobenius_sq_product_raw(x - params.mu.data, left, right)
+    trace = _frobenius_sq_raw(_product_raw(x - params.mu.data, left, right))
     out = const - q1 * np.log1p(params.rho * trace)
     return float(out) if single else out
 

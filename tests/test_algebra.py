@@ -376,6 +376,13 @@ class TestKernelsAgainstEntrywiseOracle:
         # a gap above the bare tolerance passes within the matrix's own scale
         np.testing.assert_array_equal(_collapse_pairs(np.array([1e9, 1e9 - 1.0])),
                                       [1e9 - 0.5])
+        # and a split pair fails within it, whatever the spectrum's size
+        for size in (1.0, 1e-6, 1e-20, 1e-300):
+            with pytest.raises(ArithmeticError):
+                _collapse_pairs(size * np.array([1.0 + 1e-6, 1.0]))
+            with pytest.raises(ArithmeticError):
+                _collapse_pairs(size * np.array([1.0, 1.0, -2.0, -2.0 - 1e-6]))
+            _collapse_pairs(size * np.array([1.0, 1.0, -2.0, -2.0 - 1e-12]))
         assert _collapse_pairs(np.zeros((0, 4))).shape == (0, 2)
 
 
@@ -711,6 +718,27 @@ class TestComplexAdjoint:
     def test_octonion_rejected(self, rng):
         with pytest.raises(OctonionMatrixError):
             complex_adjoint(random_matrix(rng, O, 1, 1))
+
+    @pytest.mark.parametrize("lead", [(), (1,), (1, 1), (5,), (2, 3)])
+    # single matrices up to 12x12 are gathered, larger ones copied by block
+    @pytest.mark.parametrize("m,n", [(1, 1), (1, 4), (3, 1), (2, 3), (8, 8), (12, 12),
+                                     (13, 12)])
+    def test_block_definition_bit_for_bit(self, rng, lead, m, n):
+        # every entry a + b j becomes [[a, b], [-conj(b), conj(a)]]; signed
+        # zeros in each coefficient of the first and last entries
+        x = rng.normal(size=lead + (m, n, 4))
+        x[..., 0, 0, :] = [0.0, -0.0, 0.0, -0.0]
+        x[..., -1, -1, :] = [-0.0, 0.0, -0.0, 0.0] if m * n > 1 else x[..., -1, -1, :]
+        for data in (x, x.swapaxes(-3, -2)):    # and a non-contiguous view
+            a, b = np.empty(data.shape[:-1], complex), np.empty(data.shape[:-1], complex)
+            a.real, a.imag, b.real, b.imag = np.moveaxis(data, -1, 0)
+            want = np.empty(data.shape[:-3] + (data.shape[-3], 2, data.shape[-2], 2),
+                            complex)
+            want[..., 0, :, 0], want[..., 0, :, 1] = a, b
+            want[..., 1, :, 0], want[..., 1, :, 1] = -np.conj(b), np.conj(a)
+            got = _complex_embed_raw(data, 4)
+            assert got.shape == data.shape[:-3] + (2 * data.shape[-3], 2 * data.shape[-2])
+            assert got.tobytes() == want.tobytes()
 
 
 class TestSpectra:

@@ -901,6 +901,34 @@ class TestParamSerialization:
         fresh = dataclasses.replace(params)
         assert "_density_terms" not in vars(fresh) and fresh == params
 
+    def test_sampler_factors_stay_out_of_fields_and_json(self, rng):
+        t_params = MatricTParams(H, 2, 3, 9.0, random_matrix(rng, H, 2, 3),
+                                 random_hpd(rng, H, 2), random_hpd(rng, H, 3))
+        w_params = WishartParams(C, 2, 5.0, random_hpd(rng, C, 2))
+        # each record, the attributes it caches, and the scales whose
+        # factors' representations its samplers cache on the HermitianPD
+        cases = [(t_params, ("_sigma_inv_reps",), (t_params.Xi, t_params.Sigma),
+                  lambda: [sample_matric_t(RngStream(1), t_params, method)
+                           for method in ("wishart_root", "inverse_root")]),
+                 (w_params, (), (w_params.Xi,),
+                  lambda: [sample_wishart(RngStream(1), w_params, method)
+                           for method in ("bartlett", "gram")])]
+        for params, names, scales, draw in cases:
+            before = json.dumps(params.to_json_dict()), repr(params)
+            fresh_scales = [HermitianPD(h.mat) for h in scales]
+            assert all(h._reps is None for h in scales)
+            draw()
+            assert set(names) <= set(vars(params))
+            assert all(h._reps is not None for h in scales)
+            assert not set(names) & {f.name for f in dataclasses.fields(params)}
+            assert (json.dumps(params.to_json_dict()), repr(params)) == before
+            for h, fresh_h in zip(scales, fresh_scales):
+                assert (h == fresh_h and hash(h) == hash(fresh_h)
+                        and repr(h) == repr(fresh_h)
+                        and h.to_schema_dict() == fresh_h.to_schema_dict())
+            fresh = dataclasses.replace(params)
+            assert not set(names) & set(vars(fresh)) and fresh == params
+
 
 # -- the log densities take one point or a stack of points through one code
 #    path; the stack must give the per-point values.
@@ -1034,6 +1062,31 @@ class TestBatchedDensities:
             fn(params, stack)
         # a tiny positive definite point is inside the cone, not on its edge
         assert math.isfinite(fn(params, DivMatrix.from_real(R, np.diag([2e-13, 1e-13]))))
+
+    @pytest.mark.parametrize("tag", [R, C, H])
+    @pytest.mark.parametrize("size", [1.0, 1e-6, 1e-13, 1e-300])
+    def test_hermitian_check_does_not_depend_on_size(self, tag, size):
+        # the gap is measured against the matrix's own largest coefficient,
+        # so a matrix that far from Hermitian is refused at every size
+        params = BetaIIParams(tag, 2, 3, 4.0)
+        skew = DivMatrix.from_real(tag, size * np.array([[1.0, 1.0], [0.0, 1.0]]))
+        exact = DivMatrix.from_real(tag, size * np.array([[3.0, 0.5], [0.5, 1.0]]))
+        # nearly Hermitian at size 1, so the stack takes the per-matrix check
+        near = exact.data / size
+        near[0, 1, 0] += 1e-14
+        for fn in (logpdf_beta2_matric, logpdf_beta2_multivariate):
+            with pytest.raises(ValueError, match="point is not Hermitian"):
+                fn(params, skew)
+            with pytest.raises(ValueError, match="index 2 is not Hermitian"):
+                fn(params, np.stack([near, exact.data, skew.data]))
+            assert np.isfinite(fn(params, np.stack([near, exact.data]))).all()
+        with pytest.raises(ValueError, match="^matrix is not Hermitian"):
+            HermitianPD(skew)
+        with pytest.raises(ValueError, match="^matrix at index 2 is not Hermitian"):
+            eigenvalues_batch(tag, np.stack([near, exact.data, skew.data]))
+        assert HermitianPD(exact).mat == exact
+        np.testing.assert_array_equal(eigenvalues_batch(tag, exact.data[None]),
+                                      hermitian_eigenvalues(exact)[None])
 
     @pytest.mark.parametrize("tag", [R, C, H, O])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

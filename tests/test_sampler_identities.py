@@ -24,7 +24,9 @@ the gram congruence see it at |z| of 13.5 and more at these budgets.
 The identity skip: a standard record (every scale exactly I, mu exactly 0)
 skips each product, solve and add by an identity factor.  Each of those
 would copy its input exactly, so the draws must equal, bit for bit, the
-same construction spelled out against the identity."""
+same construction spelled out against the identity.  A record with scales
+embeds its constant factors once (`_product_raw` takes them embedded), and
+its draws too must equal the spelled-out products bit for bit."""
 
 import math
 
@@ -41,6 +43,8 @@ from rdmt.algebra import (
     _hpd_inverse_raw,
     _identity_raw,
     _matmul_raw,
+    _product_raw,
+    _representation_raw,
     _solve_raw,
 )
 from rdmt.distributions import (
@@ -231,6 +235,17 @@ def _standard_cases(tag, m, n):
 SHAPES = [(R, 2, 3), (C, 2, 3), (H, 2, 3), (R, 3, 2), (H, 5, 5), (O, 1, 1)]
 
 
+def _is_identity(x) -> bool:
+    """Whether x is an identity factor: a coefficient array, or a constant
+    as `_representation_raw` gives it (one 2-D complex representation)."""
+    if not isinstance(x, np.ndarray):
+        return False
+    if x.ndim == 2:
+        return x.shape[0] == x.shape[1] and np.array_equal(x, np.eye(x.shape[0]))
+    k = x.shape[-3]
+    return x.shape[-2] == k and bool(np.all(x == _identity_raw(k, x.shape[-1])))
+
+
 class TestIdentitySkip:
     def test_the_flag_is_exact_identity(self):
         for tag, m in ((R, 1), (C, 3), (H, 2), (O, 1)):
@@ -256,15 +271,16 @@ class TestIdentitySkip:
         seen = []
 
         def spy(kernel):
-            def call(a, b, **kwargs):
-                for x in (a, b):
-                    k = x.shape[-3]
-                    if x.shape[-2] == k and np.all(x == _identity_raw(k, x.shape[-1])):
+            def call(*args, **kwargs):
+                for x in list(args) + list(kwargs.values()):
+                    if _is_identity(x):
                         seen.append((kernel.__name__, x.shape))
-                return kernel(a, b, **kwargs)
+                return kernel(*args, **kwargs)
             return call
 
-        monkeypatch.setattr(dist, "_matmul_raw", spy(_matmul_raw))
+        # the products take the records' cached factors, the solves the
+        # factors as they come
+        monkeypatch.setattr(dist, "_product_raw", spy(_product_raw))
         monkeypatch.setattr(dist, "_solve_raw", spy(_solve_raw))
         for name, sampler, _ in _standard_cases(tag, m, n):
             for size in (None, 7):
@@ -285,24 +301,74 @@ class TestIdentitySkip:
         params = MatricTParams(tag, m, n, tag.beta * m + 2.0, Xi=xi)
         products = []
 
-        def counted(a, b):
-            products.append(a is xi.chol.data)
-            return _matmul_raw(a, b)
+        def counted(a, left=None, right=None):
+            products.append(left is not None and left is params.Xi._factor_reps[0])
+            return _product_raw(a, left, right)
 
-        monkeypatch.setattr(dist, "_matmul_raw", counted)
+        monkeypatch.setattr(dist, "_product_raw", counted)
         got = sample_matric_t(RngStream(4), params, size=9)
         want = _spelled_matric_t(params, "wishart_root", RngStream(4).generator, 9)
         assert any(products)
+        assert np.array_equal(params.Xi._factor_reps[0], _representation_raw(xi.chol.data))
         assert _bits(got) == _bits(want)
 
-    def test_random_scales_keep_every_product(self):
+    @pytest.mark.parametrize("tag,m,n", [(R, 2, 3), (C, 2, 3), (H, 2, 3), (O, 1, 1)])
+    @pytest.mark.parametrize("size", [None, 1, 7, 60])
+    def test_random_scales_keep_every_product(self, tag, m, n, size):
         gen = np.random.default_rng(8)
-        params = MatricTParams(H, 2, 3, 9.0, random_matrix(gen, H, 2, 3),
-                               random_hpd(gen, H, 2), random_hpd(gen, H, 3))
-        for method in ("wishart_root", "inverse_root"):
-            got = sample_matric_t(RngStream(6), params, method, size=11)
-            want = _spelled_matric_t(params, method, RngStream(6).generator, 11)
-            assert _bits(got) == _bits(want)
+        params = MatricTParams(tag, m, n, tag.beta * n + 3.0, random_matrix(gen, tag, m, n),
+                               random_hpd(gen, tag, m), random_hpd(gen, tag, n))
+        # the Gram construction of a 1x1 octonion needs nu = 1
+        w_params = WishartParams(tag, m, 1.0 if tag == O else tag.beta * m + 2.0,
+                                 random_hpd(gen, tag, m))
+        cases = [(lambda rng, method=method: sample_matric_t(rng, params, method, size),
+                  lambda g, k, method=method: _spelled_matric_t(params, method, g, k))
+                 for method in ("wishart_root", "inverse_root")]
+        cases += [(lambda rng, method=method: sample_wishart(rng, w_params, method, size),
+                   lambda g, k, method=method: _spelled_wishart(w_params, method, g, k))
+                  for method in ("bartlett", "gram")]
+        for sampler, spelled in cases:
+            # twice: the first draw builds the record's cached factors
+            for k in range(2):
+                got = sampler(RngStream(6, k))
+                want = spelled(RngStream(6, k).generator, size or 1)
+                assert _bits(got) == _bits(want if size else want[0])
+
+    @pytest.mark.parametrize("tag,m,n", [(R, 2, 3), (C, 2, 3), (H, 2, 3), (O, 1, 1)])
+    def test_record_constants_are_embedded_once(self, monkeypatch, tag, m, n):
+        import rdmt.algebra as algebra
+
+        gen = np.random.default_rng(9)
+        params = MatricTParams(tag, m, n, tag.beta * n + 3.0, random_matrix(gen, tag, m, n),
+                               random_hpd(gen, tag, m), random_hpd(gen, tag, n))
+        w_params = WishartParams(tag, m, 1.0 if tag == O else tag.beta * m + 2.0,
+                                 random_hpd(gen, tag, m))
+        # each sampler and the constant factors it multiplies by; inverse_root
+        # solves by L_Xi, which goes to `_solve_raw` as it comes
+        draws = [
+            (lambda rng, size: sample_matric_t(rng, params, "wishart_root", size),
+             [params.Xi.chol.data, _conj_t_raw(params.Sigma.chol.data)]),
+            (lambda rng, size: sample_matric_t(rng, params, "inverse_root", size),
+             [params._sigma_inv_chol]),
+        ]
+        draws += [(lambda rng, size, method=method: sample_wishart(rng, w_params, method,
+                                                                   size),
+                   [w_params.Xi.chol.data]) for method in ("bartlett", "gram")]
+        embed, embedded = algebra._complex_embed_raw, []
+
+        def spy(x, beta):
+            embedded.append(any(x.shape == c.shape and np.array_equal(x, c)
+                                for c in constants))
+            return embed(x, beta)
+
+        monkeypatch.setattr(algebra, "_complex_embed_raw", spy)
+        for draw, constants in draws:
+            draw(RngStream(1), None)    # builds the record's cached factors
+            embedded.clear()
+            for size in (None, 1, 7):
+                draw(RngStream(2), size)
+            assert not any(embedded)
+            assert (tag == O) == (not embedded)
 
     def test_mu_is_added_in_place_once(self):
         gen = np.random.default_rng(9)

@@ -23,7 +23,10 @@ differs and 0 when none does.
 The matrix covers `sample` for every family at beta 1, 2, 4 and, where
 legal, 1x1 beta = 8, with each construction method and both formats, plus
 5x6 matric-t (both methods) and 6x5 matrix-mt with random scales from
---params, whose stacked triangular solves have orders 5 and 6;
+--params, whose stacked triangular solves have orders 5 and 6, and
+matric-t and Wishart (both methods each) with random scales from --params
+at --count 1, a single draw, whose products do not fold and whose solve is
+LAPACK's, and at --count 40;
 `density` for all four families in the standard form and in a scaled form
 read from --params (matric-t in both its primal and dual form), and for
 both beta II laws, standard and scaled (by a random, a graded and a tiny
@@ -51,6 +54,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import json
 import os
 import re
@@ -183,6 +187,17 @@ def _inputs(root: str) -> dict:
             with open(path, "w") as fh:
                 json.dump(dict(record, beta=beta), fh)
             files[f"params-{name}-b{beta}"] = path
+    # Wishart records with a random Xi, from their own generator too; nu = 1
+    # lets the 1x1 octonion take the Gram construction, a 1 x nu block
+    gen = np.random.default_rng(20261020)
+    for beta in BETAS + (8,):
+        m = 1 if beta == 8 else 2
+        path = os.path.join(root, f"params-wishart-b{beta}.json")
+        with open(path, "w") as fh:
+            json.dump({"family": "wishart", "beta": beta, "m": m,
+                       "nu": 1.0 if beta == 8 else 9.0,
+                       "Xi": _schema(_hermitian(gen, beta, m, 1.5))}, fh)
+        files[f"params-wishart-b{beta}"] = path
     # beta II points at the edges of the cone and of the doubles, written
     # out whole: inside, on the boundary, outside, tiny positive definite
     # and tiny indefinite points, graded ones, and points of size 1e+-150,
@@ -272,6 +287,14 @@ def _commands(files: dict) -> list:
         cmds.append((f"sample-matrix-mt-6x5-params-b{beta}",
                      ["sample", "--dist", "matrix-mt",
                       "--params", files[f"params-matrix-mt-6x5-b{beta}"]] + large))
+    for beta in BETAS + (8,):
+        for family, methods in (("matric-t", ("wishart_root", "inverse_root")),
+                                ("wishart", ("bartlett", "gram"))):
+            for method, count in itertools.product(methods, ("1", COUNT)):
+                cmds.append((f"sample-{family}-params-{method}-b{beta}-count{count}",
+                             ["sample", "--dist", family, "--method", method, "--params",
+                              files[f"params-{family}-b{beta}"], "--seed", "7",
+                              "--count", count, "--out", "{out}"]))
 
     for beta in BETAS + (8,):
         dims = shape(beta)
