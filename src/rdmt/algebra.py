@@ -386,15 +386,6 @@ def _representation_raw(x: np.ndarray | None) -> np.ndarray | None:
     return _complex_embed_raw(x, x.shape[-1])
 
 
-def _factor_representations(lo: np.ndarray | None) -> tuple:
-    """(L, L*) of a lower factor L as `_representation_raw` gives them, the
-    one form the records cache their product factors in; (None, None) for
-    L None, an exact identity."""
-    if lo is None:
-        return None, None
-    return _representation_raw(lo), _representation_raw(_conj_t_raw(lo))
-
-
 def _represented_product(a: np.ndarray, left=None, right=None) -> np.ndarray:
     """Complex representation of left a right for a (..., k, p, beta) stack
     a, beta <= 4, with left and right as `_representation_raw` gives them:
@@ -894,11 +885,14 @@ class HermitianPD:
     reused by every determinant and solve downstream.  `is_identity` says
     whether the symmetrized matrix is exactly I, so its factor is too: the
     samplers skip every product and solve by such a factor, each an exact
-    copy of its input.  The factor's representation, which the samplers'
-    and densities' products read, is cached on first use (`_factor_reps`).
+    copy of its input.  The constant factors that the samplers' and
+    densities' products read are cached on first use, in their
+    representation: L (`_factor_reps`) and the lower factor M of the
+    inverse, M M* = A^-1 (`_inverse_factor_reps`).  Neither cache takes
+    part in ==, hash, repr or the schema dict.
     """
 
-    __slots__ = ("mat", "_chol", "_logdet", "is_identity", "_reps")
+    __slots__ = ("mat", "_chol", "_logdet", "is_identity", "_reps", "_inverse_reps")
 
     def __init__(self, mat: DivMatrix):
         if not isinstance(mat, DivMatrix):
@@ -916,6 +910,7 @@ class HermitianPD:
         object.__setattr__(self, "is_identity",
                            np.array_equal(sym, _identity_raw(mat.m, mat.tag.beta)))
         object.__setattr__(self, "_reps", None)
+        object.__setattr__(self, "_inverse_reps", None)
 
     def __setattr__(self, *_):
         raise AttributeError("HermitianPD is immutable")
@@ -945,17 +940,30 @@ class HermitianPD:
     def logdet(self) -> float:
         return self._logdet
 
+    def _fill_reps(self, slot: str, factor) -> tuple:
+        """Cache in `slot`, and return, (F, F*) of the lower factor F =
+        factor() as `_representation_raw` gives them; (None, None) when the
+        matrix is exactly I, and so is F, so the products by it are
+        skipped.  Filled on first use: a matrix no product reads embeds
+        nothing."""
+        lo = None if self.is_identity else factor()
+        reps = (None, None) if lo is None else (
+            _representation_raw(lo), _representation_raw(_conj_t_raw(lo)))
+        object.__setattr__(self, slot, reps)
+        return reps
+
     @property
     def _factor_reps(self) -> tuple:
-        """(L, L*) of the cached factor as `_representation_raw` gives them,
-        the constant factors of the samplers' and densities' products;
-        (None, None) when the matrix is exactly I, so those products are
-        skipped.  Built on first use: a matrix no product reads embeds
-        nothing."""
-        if self._reps is None:
-            object.__setattr__(self, "_reps", _factor_representations(
-                None if self.is_identity else self._chol.data))
-        return self._reps
+        """(L, L*) of the cached factor L, L L* = A."""
+        return self._reps or self._fill_reps("_reps", lambda: self._chol.data)
+
+    @property
+    def _inverse_factor_reps(self) -> tuple:
+        """(M, M*) of the lower factor M of the inverse, M M* = A^-1: the
+        factor alone, not a HermitianPD of A^-1, whose checks, log det and
+        identity test no product reads."""
+        return self._inverse_reps or self._fill_reps(
+            "_inverse_reps", lambda: _cholesky_raw(_hpd_inverse_raw(self.mat.data)))
 
     def inverse(self) -> "HermitianPD":
         return HermitianPD(DivMatrix(self.tag, _hpd_inverse_raw(self.mat.data)))

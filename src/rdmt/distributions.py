@@ -42,7 +42,6 @@ from .algebra import (
     _cholesky_raw,
     _conj_t_raw,
     _eigvalsh_raw,
-    _factor_representations,
     _frobenius_sq_raw,
     _gram_raw,
     _hermitian_part,
@@ -238,12 +237,12 @@ class MatricTParams(_JsonRecord):
     T - mu have covariance (L L*)^-1 = W^-1, as the density's kernel
     |Xi^-1 + (T-mu) Sigma^-1 (T-mu)*| needs; L^-1 Y would give (L* L)^-1,
     which differs for m >= 2.  The primal density multiplies by M*, M the
-    record's cached lower factor of Sigma^-1 (`_sigma_inv_chol`).
+    lower factor of Sigma^-1.
 
-    The products' constant factors are cached on first use, embedded as
-    `_product_raw` reads them (None for an exact identity): L and L* of Xi
-    and Sigma on the scales (`HermitianPD._factor_reps`), and M, like
-    `_density_terms`, as an attribute, not a field (`_sigma_inv_reps`)."""
+    The products' constant factors are cached on first use on the scales
+    that own them, embedded as `_product_raw` reads them (None for an exact
+    identity): L and L* of Xi and Sigma (`HermitianPD._factor_reps`), and M
+    and M* (`HermitianPD._inverse_factor_reps` of Sigma)."""
 
     family: ClassVar[str] = "matric-t"
     tag: AlgebraTag
@@ -269,19 +268,6 @@ class MatricTParams(_JsonRecord):
     def _density_terms(self):
         """`_matric_t_terms(self)`, computed on first use (see Log densities)."""
         return _matric_t_terms(self)
-
-    @cached_property
-    def _sigma_inv_chol(self) -> np.ndarray | None:
-        """Lower M with M M* = Sigma^-1, None for Sigma = I (then M = I
-        exactly): the primal density's factor and inverse_root's scale."""
-        return (None if self.Sigma.is_identity
-                else _cholesky_raw(_hpd_inverse_raw(self.Sigma.mat.data)))
-
-    @cached_property
-    def _sigma_inv_reps(self) -> tuple:
-        """(M, M*) of `_sigma_inv_chol`, as a scale's `_factor_reps`:
-        inverse_root's left factor and the primal density's."""
-        return _factor_representations(self._sigma_inv_chol)
 
 
 @dataclass(frozen=True)
@@ -548,8 +534,8 @@ def sample_matric_t(rng: RngStream, params: MatricTParams,
     its product or solve, and an exactly zero mu its add: each would copy
     its input exactly, so the draws keep their bits.  A standard record
     therefore costs the Bartlett factor, Y and one solve.  The constant
-    factors of the products are the record's, embedded once
-    (`HermitianPD._factor_reps`, `_sigma_inv_reps`), so a draw embeds
+    factors of the products are the scales', embedded once
+    (`HermitianPD._factor_reps`, `_inverse_factor_reps`), so a draw embeds
     only its own random matrices.
     """
     tag = params.tag
@@ -570,7 +556,7 @@ def sample_matric_t(rng: RngStream, params: MatricTParams,
                 f"inverse_root requires nu+n-m > beta*(n-1) = {beta * (n - 1)}"
             )
         lu = _product_raw(_bartlett_factor_raw(gen, beta, n, nu_u, nsamp),
-                          params._sigma_inv_reps[0])
+                          params.Sigma._inverse_factor_reps[0])
         x = _std_normal_raw(gen, beta, (nsamp, m, n))
         if not params.Xi.is_identity:
             x = _solve_raw(params.Xi.chol.data, x)
@@ -683,9 +669,10 @@ def _matric_t_terms(params: MatricTParams) -> dict:
     """form -> (q, factor, base, const) of logpdf_matric_t, whose kernel is
     |base + g* g|^-q: primal g = M* (T-mu)*, M M* = Sigma^-1, with factor M*
     and base Xi^-1, dual g = L_Xi* (T-mu) with factor L_Xi* and base Sigma.
-    factor and base are cached as `_logdet_gram_raw` reads them, embedded
-    once in the complex representation for beta <= 4; a factor is None when
-    its scale (Sigma, Xi) is exactly I, so its exact-copy product is
+    factor and base are as `_logdet_gram_raw` reads them, embedded once in
+    the complex representation for beta <= 4: each factor is its scale's
+    cached one (`HermitianPD._inverse_factor_reps` of Sigma, `_factor_reps`
+    of Xi), None when the scale is exactly I, so its exact-copy product is
     skipped."""
     tag = params.tag
     beta = tag.beta
@@ -706,7 +693,7 @@ def _matric_t_terms(params: MatricTParams) -> dict:
         - _lmg(tag, n, beta * (n + nu - m) / 2.0)
     )
     return {
-        "primal": (q, params._sigma_inv_reps[1],
+        "primal": (q, params.Sigma._inverse_factor_reps[1],
                    _representation_raw(_hpd_inverse_raw(params.Xi.mat.data)), primal),
         "dual": (q, params.Xi._factor_reps[1],
                  _representation_raw(params.Sigma.mat.data), dual),
@@ -740,7 +727,8 @@ def _beta2_terms(params: BetaIIParams) -> dict:
     |I + G|, and "mv" M M* = scale, so tr(scale F) = tr G.  const holds the
     Jacobian |M M*|^(beta(d-1)/2 + 1) of the congruence, and congruence is
     ((M*, M) as `_eigvalsh_raw` takes them, the binary exponent of |M M*|,
-    cond(scale)), ((), 0, 1) in the standard form."""
+    cond(scale)), ((), 0, 1) in the standard form.  Both M are the scale's
+    cached factors (`HermitianPD._inverse_factor_reps`, `_factor_reps`)."""
     tag = params.tag
     beta = tag.beta
     m, n, nu = params.m, params.n, params.nu
@@ -756,10 +744,10 @@ def _beta2_terms(params: BetaIIParams) -> dict:
         jacobian = (beta * (d - 1) / 2.0 + 1.0) * params.scale.logdet
         matric_const -= jacobian
         mv_const += jacobian
-        w = _eigvalsh_raw(params.scale.mat.data, beta)
-        matric, mv = [(h._factor_reps[::-1], int(np.frexp(size)[1]), w[0] / w[-1])
-                      for h, size in ((params.scale.inverse(), 1.0 / w[-1]),
-                                      (params.scale, w[0]))]
+        h, w = params.scale, _eigvalsh_raw(params.scale.mat.data, beta)
+        matric, mv = [(reps[::-1], int(np.frexp(size)[1]), w[0] / w[-1])
+                      for reps, size in ((h._inverse_factor_reps, 1.0 / w[-1]),
+                                         (h._factor_reps, w[0]))]
     return {
         "matric": (beta * (n + nu) / 2.0, exp_f, matric, matric_const),
         "mv": (q1, exp_f, mv, mv_const),

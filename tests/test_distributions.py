@@ -905,29 +905,35 @@ class TestParamSerialization:
         t_params = MatricTParams(H, 2, 3, 9.0, random_matrix(rng, H, 2, 3),
                                  random_hpd(rng, H, 2), random_hpd(rng, H, 3))
         w_params = WishartParams(C, 2, 5.0, random_hpd(rng, C, 2))
-        # each record, the attributes it caches, and the scales whose
-        # factors' representations its samplers cache on the HermitianPD
-        cases = [(t_params, ("_sigma_inv_reps",), (t_params.Xi, t_params.Sigma),
+        # each record, the caches its samplers fill on its scales' HermitianPD
+        # (the factor's representation, and that of the inverse's factor),
+        # and the draws that fill them
+        cases = [(t_params, [(t_params.Xi, "_reps"), (t_params.Sigma, "_reps"),
+                             (t_params.Sigma, "_inverse_reps")],
                   lambda: [sample_matric_t(RngStream(1), t_params, method)
                            for method in ("wishart_root", "inverse_root")]),
-                 (w_params, (), (w_params.Xi,),
+                 (w_params, [(w_params.Xi, "_reps")],
                   lambda: [sample_wishart(RngStream(1), w_params, method)
                            for method in ("bartlett", "gram")])]
-        for params, names, scales, draw in cases:
-            before = json.dumps(params.to_json_dict()), repr(params)
+        for params, caches, draw in cases:
+            before = json.dumps(params.to_json_dict()), repr(params), hash(params)
+            scales = {id(h): h for h, _ in caches}.values()
             fresh_scales = [HermitianPD(h.mat) for h in scales]
-            assert all(h._reps is None for h in scales)
+            assert all(getattr(h, slot) is None for h, slot in caches)
             draw()
-            assert set(names) <= set(vars(params))
-            assert all(h._reps is not None for h in scales)
-            assert not set(names) & {f.name for f in dataclasses.fields(params)}
-            assert (json.dumps(params.to_json_dict()), repr(params)) == before
+            assert all(getattr(h, slot) is not None for h, slot in caches)
+            assert set(vars(params)) <= {f.name for f in dataclasses.fields(params)}
+            assert (json.dumps(params.to_json_dict()), repr(params),
+                    hash(params)) == before
             for h, fresh_h in zip(scales, fresh_scales):
                 assert (h == fresh_h and hash(h) == hash(fresh_h)
                         and repr(h) == repr(fresh_h)
                         and h.to_schema_dict() == fresh_h.to_schema_dict())
+                inverse, fresh_inverse = h.inverse(), fresh_h.inverse()
+                assert (inverse == fresh_inverse
+                        and inverse._inverse_reps is fresh_inverse._inverse_reps is None)
             fresh = dataclasses.replace(params)
-            assert not set(names) & set(vars(fresh)) and fresh == params
+            assert fresh == params and hash(fresh) == hash(params)
 
 
 # -- the log densities take one point or a stack of points through one code

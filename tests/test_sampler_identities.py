@@ -349,7 +349,7 @@ class TestIdentitySkip:
             (lambda rng, size: sample_matric_t(rng, params, "wishart_root", size),
              [params.Xi.chol.data, _conj_t_raw(params.Sigma.chol.data)]),
             (lambda rng, size: sample_matric_t(rng, params, "inverse_root", size),
-             [params._sigma_inv_chol]),
+             [_cholesky_raw(_hpd_inverse_raw(params.Sigma.mat.data))]),
         ]
         draws += [(lambda rng, size, method=method: sample_wishart(rng, w_params, method,
                                                                    size),
@@ -382,27 +382,34 @@ class TestIdentitySkip:
 
 
 class TestCachedSigmaInverseFactor:
-    """The lower factor M of Sigma^-1 belongs to the record: the
-    "inverse_root" sampler's Wishart scale and the primal density's product
-    read the one copy, and the draws keep the bits of the construction that
-    factors Sigma^-1 anew."""
+    """The lower factor M of Sigma^-1, M M* = Sigma^-1, belongs to Sigma's
+    HermitianPD (`_inverse_factor_reps`): the "inverse_root" sampler's
+    Wishart scale and the primal density's product read the one copy, and
+    the draws keep the bits of the construction that factors Sigma^-1 anew.
+    The beta II scale's inverse factor is cached the same way."""
+
+    @staticmethod
+    def _inversions(monkeypatch, target):
+        """A list that records, for each Hermitian inverse taken from now
+        on, whether it inverts `target`."""
+        import rdmt.algebra as algebra
+
+        inverted = []
+
+        def spy(a):
+            inverted.append(a.shape == target.shape and np.array_equal(a, target))
+            return _hpd_inverse_raw(a)
+
+        monkeypatch.setattr(algebra, "_hpd_inverse_raw", spy)
+        return inverted
 
     @pytest.mark.parametrize("tag", [R, C, H])
     def test_sigma_is_inverted_once(self, monkeypatch, tag):
-        import rdmt.distributions as dist
-
         gen = np.random.default_rng(10)
         params = MatricTParams(tag, 2, 3, 4.0 * tag.beta + 3.0,
                                random_matrix(gen, tag, 2, 3), random_hpd(gen, tag, 2),
                                random_hpd(gen, tag, 3))
-        sigma = params.Sigma.mat.data
-        inverted = []
-
-        def spy(a):
-            inverted.append(a.shape == sigma.shape and np.array_equal(a, sigma))
-            return _hpd_inverse_raw(a)
-
-        monkeypatch.setattr(dist, "_hpd_inverse_raw", spy)
+        inverted = self._inversions(monkeypatch, params.Sigma.mat.data)
         sizes = (11, None)
         draws = [sample_matric_t(RngStream(6, k), params, "inverse_root", size=size)
                  for k, size in enumerate(sizes)]
@@ -413,7 +420,55 @@ class TestCachedSigmaInverseFactor:
                                      size or 1)
             assert _bits(got) == _bits(want if size else want[0])
 
+    def test_records_sharing_sigma_invert_it_once(self, monkeypatch):
+        gen = np.random.default_rng(11)
+        sigma = random_hpd(gen, C, 3)
+        inverted = self._inversions(monkeypatch, sigma.mat.data)
+        for xi in (None, random_hpd(gen, C, 2)):
+            params = MatricTParams(C, 2, 3, 9.0, Xi=xi, Sigma=sigma)
+            sample_matric_t(RngStream(1), params, "inverse_root", size=3)
+            logpdf_matric_t(params, random_matrix(gen, C, 2, 3), "primal")
+        assert sum(inverted) == 1
+
     def test_identity_sigma_has_no_factor(self):
         params = MatricTParams(C, 2, 3, 7.0)
-        assert params._sigma_inv_chol is None
+        assert params.Sigma._inverse_factor_reps == (None, None)
         assert params._density_terms["primal"][1] is None
+
+    def test_beta2_terms_build_no_hermitian_pd(self, monkeypatch):
+        import rdmt.distributions as dist
+
+        gen = np.random.default_rng(12)
+        params = BetaIIParams(H, 2, 3, 9.0, scale=random_hpd(gen, H, 2))
+        built = []
+        init = HermitianPD.__init__
+
+        def spy(self, mat):
+            built.append(mat)
+            init(self, mat)
+
+        monkeypatch.setattr(HermitianPD, "__init__", spy)
+        terms = dist._beta2_terms(params)
+        assert not built
+        cached = params.scale._inverse_factor_reps[::-1]
+        assert all(a is b for a, b in zip(terms["matric"][2][0], cached))
+
+    @pytest.mark.parametrize("tag,d", [(R, 2), (C, 2), (H, 2), (O, 1)])
+    def test_beta2_densities_keep_the_inverse_factor_bits(self, tag, d):
+        import rdmt.distributions as dist
+
+        gen = np.random.default_rng(13)
+        params = BetaIIParams(tag, d, d + 1, 9.0, scale=random_hpd(gen, tag, d))
+        points = np.stack([random_hpd(gen, tag, d).mat.data for _ in range(6)])
+        scale = params.scale.mat.data
+        # the factors as a HermitianPD of scale^-1 and the scale's own gave them
+        factors = {"matric": _cholesky_raw(_hpd_inverse_raw(scale)),
+                   "mv": params.scale.chol.data}
+        for law, logpdf in (("matric", logpdf_beta2_matric),
+                            ("mv", dist.logpdf_beta2_multivariate)):
+            q, exp_f, (_, shift, kappa), const = params._density_terms[law]
+            lo = factors[law]
+            spelled = (q, exp_f, ((_representation_raw(_conj_t_raw(lo)),
+                                   _representation_raw(lo)), shift, kappa), const)
+            want = dist._beta2_logpdf(params, points, spelled, trace=law == "mv")
+            assert _bits(logpdf(params, points)) == _bits(want)
