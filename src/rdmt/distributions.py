@@ -147,6 +147,34 @@ def _default_mu(value, tag: AlgebraTag, m: int, n: int) -> DivMatrix:
     return value
 
 
+def _refuse_non_finite_fields(record, error: type, *names: str) -> None:
+    """Refuse, by `error` naming the field, a NaN or inf in any of the
+    record's given fields `names`: a number, a tuple of numbers or a
+    DivMatrix's coefficients."""
+    for name in names:
+        value = getattr(record, name)
+        data = value.data if isinstance(value, DivMatrix) else value
+        if value is not None and not np.isfinite(data).all():
+            got = "" if data is not value else f", got {value!r}"
+            raise error(f"{name} must be finite (no NaN or inf){got}")
+
+
+def _cast(kind: type, value):
+    """`value` as type `kind`, refusing what the cast would change: a bool
+    for a number, a non-integral or non-finite number for an integer
+    (int(2.7) is 2, int(True) 1), and a non-list for a tuple (tuple("ab")
+    is ("a", "b")).  A kind with a `from_schema_dict` reads a schema dict.
+    ValueError says what the value must be, for the caller to name it."""
+    if issubclass(kind, tuple) and not isinstance(value, (list, tuple)):
+        raise ValueError(f"must be a list, got {value!r}")
+    if issubclass(kind, (int, float)) and (
+            isinstance(value, bool)
+            or issubclass(kind, int) and not float(value).is_integer()):
+        what = "an integer" if issubclass(kind, int) else "a number"
+        raise ValueError(f"must be {what}, got {value!r}")
+    return getattr(kind, "from_schema_dict", kind)(value)
+
+
 def _field_type(hint):
     """The type of a field annotation, less its `| None`."""
     return next(t for t in get_args(hint) or (hint,) if t is not type(None))
@@ -167,9 +195,9 @@ class _JsonRecord:
     """The one JSON (de)serializer of the parameter records, driven by the
     dataclass fields: `tag` is written as "beta", a DivMatrix or HermitianPD
     as its schema dict (None as null), a tuple as a list.  On load each value
-    goes through its field's type, a missing key takes the field's default,
-    and a derived field (`init=False`), if given, must equal what the record
-    derives.  A loaded "family", if given, must be the record's, and any
+    is cast to its field's type (`_cast`), a missing key takes the field's
+    default, and a derived field (`init=False`), if given, must equal what
+    the record derives.  A loaded "family", if given, must be the record's, and any
     other key that is not a field is refused, so a misspelt key cannot fall
     back to its field's default.  A refusal names the family and the key."""
 
@@ -209,7 +237,7 @@ class _JsonRecord:
             try:
                 value = obj[name]
                 if value is not None:
-                    value = getattr(kind, "from_schema_dict", kind)(value)
+                    value = _cast(kind, value)
             except (ValueError, TypeError, KeyError) as exc:
                 raise ValueError(f"{cls.family} params key {name!r}: "
                                  f"{exc if name in obj else 'missing'}") from exc
@@ -256,6 +284,7 @@ class MatricTParams(_JsonRecord):
     def __post_init__(self):
         tag = _check_dims(self.tag, self.m, self.n)
         object.__setattr__(self, "tag", tag)
+        _refuse_non_finite_fields(self, DomainError, "nu", "mu")
         if not self.nu > tag.beta * (self.m - 1):
             raise DomainError(
                 f"matricvariate T requires nu > beta*(m-1) = {tag.beta * (self.m - 1)}"
@@ -292,6 +321,7 @@ class MatrixMTParams(_JsonRecord):
     def __post_init__(self):
         tag = _check_dims(self.tag, self.m, self.n)
         object.__setattr__(self, "tag", tag)
+        _refuse_non_finite_fields(self, DomainError, "nu", "rho", "mu")
         if not (self.nu > 0 and self.rho > 0):
             raise DomainError("require nu > 0 and rho > 0")
         object.__setattr__(self, "mu", _default_mu(self.mu, tag, self.m, self.n))
@@ -315,6 +345,7 @@ class WishartParams(_JsonRecord):
     def __post_init__(self):
         tag = _check_dims(self.tag, self.m, self.m)
         object.__setattr__(self, "tag", tag)
+        _refuse_non_finite_fields(self, DomainError, "nu")
         if not self.nu > tag.beta * (self.m - 1):
             raise DomainError(
                 f"Wishart requires nu > beta*(m-1) = {tag.beta * (self.m - 1)}"
@@ -334,6 +365,7 @@ class GammaScalarParams(_JsonRecord):
 
     def __post_init__(self):
         object.__setattr__(self, "tag", AlgebraTag(self.tag))
+        _refuse_non_finite_fields(self, DomainError, "nu", "rho")
         if not (self.nu > 0 and self.rho > 0):
             raise DomainError("require nu > 0 and rho > 0")
 
@@ -362,6 +394,7 @@ class BetaIIParams(_JsonRecord):
                            "gram" if self.n >= self.m else "cogram")
         tag = _check_dims(self.tag, self.dim, self.dim)
         object.__setattr__(self, "tag", tag)
+        _refuse_non_finite_fields(self, DomainError, "nu")
         if not self.nu > 0:
             raise DomainError("require nu > 0")
         if self.scale is not None:
@@ -411,14 +444,15 @@ class EllipticalTParams(_JsonRecord):
         object.__setattr__(self, "tag", _check_dims(self.tag, self.m, self.n))
         w = tuple(float(x) for x in self.weights)
         s = tuple(float(x) for x in self.scales)
+        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "scales", s)
+        _refuse_non_finite_fields(self, ValueError, "nu", "weights", "scales")
         if len(w) != len(s) or not w:
             raise ValueError("weights and scales must be equal-length, non-empty")
         if any(x < 0 for x in w) or abs(sum(w) - 1.0) > 1e-9:
             raise ValueError("weights must be nonnegative and sum to 1")
         if any(x <= 0 for x in s):
             raise ValueError("scales must be positive")
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "scales", s)
         if not float(self.nu).is_integer() or self.nu < self.m or self.n < self.m:
             raise ValueError("require integer nu >= m and n >= m")
         if self.tag.beta == 8:

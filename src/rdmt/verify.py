@@ -66,6 +66,7 @@ from .distributions import (
     MatrixMTParams,
     RngStream,
     WishartParams,
+    _cast,
     logpdf_beta2_matric,
     logpdf_beta2_multivariate,
     logpdf_matric_t,
@@ -299,25 +300,25 @@ _STOCHASTIC_KINDS = ("ks1", "ks2", "moment")
 
 
 def _cast_param(name: str, key: str, default, value):
-    """`value` as the type of the row's `default`, refusing what the cast
-    would change: a non-integral number for an int, a non-list for a tuple."""
-    if isinstance(default, tuple) and not isinstance(value, (list, tuple)):
-        raise ValueError(f"check {name!r} param {key!r} must be a list, "
-                         f"got {value!r}")
-    if isinstance(default, int) and (isinstance(value, bool)
-                                     or not float(value).is_integer()):
-        raise ValueError(f"check {name!r} param {key!r} must be an integer, "
-                         f"got {value!r}")
-    return type(default)(value)
+    """`value` as the type of the row's `default` (`distributions._cast`),
+    a refusal naming the check and the param."""
+    try:
+        return _cast(type(default), value)
+    except ValueError as exc:
+        raise ValueError(f"check {name!r} param {key!r} {exc}") from exc
 
 
 def _whole_budget(name: str, value) -> int:
-    """A given budget as an int, refusing what int(...) would turn into
-    another budget: a bool, a non-integral number, one below 1."""
-    if isinstance(value, bool) or not float(value).is_integer() or float(value) < 1:
+    """A given budget as an int (`_cast`, which refuses a bool and a
+    non-integral number), refusing one below 1 too."""
+    try:
+        budget = _cast(int, value)
+    except ValueError:
+        budget = 0
+    if budget < 1:
         raise ValueError(f"check {name!r} budget must be a whole number >= 1, "
                          f"got {value!r}")
-    return int(value)
+    return budget
 
 
 @dataclass(frozen=True)
@@ -325,9 +326,9 @@ class CheckSpec:
     """One named check of the suite table `_CHECKS`, whose row fixes its
     runner and kind.  Params, budget and threshold given here override the
     row's, each param cast to the type of the row's value; a name or param
-    key that the table does not have, a non-integral value for an integer
-    param, a non-list for a tuple param and a budget that is not a whole
-    number >= 1 raise ValueError."""
+    key that the table does not have, a bool for a number param, a
+    non-integral value for an integer param, a non-list for a tuple param
+    and a budget that is not a whole number >= 1 raise ValueError."""
 
     name: str
     params: dict = field(default_factory=dict)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,34 @@ def random_unitary(rng, tag, m):
         v /= np.sqrt(np.square(v).sum())
         q[:, j, :] = v
     return DivMatrix(tag, q)
+
+
+# the fields of a legal record of each family of the law table, but its tag
+LEGAL_FIELDS = {
+    "matric-t": {"m": 2, "n": 3, "nu": 9.0},
+    "matrix-mt": {"m": 2, "n": 3, "nu": 3.5, "rho": 0.7},
+    "wishart": {"m": 2, "nu": 9.0},
+    "gamma": {"nu": 2.5, "rho": 0.7},
+    "gaussian": {"m": 2, "n": 3},
+    "beta2-matric": {"m": 2, "n": 3, "nu": 9.0},
+    "beta2-mv": {"m": 2, "n": 3, "nu": 9.0},
+    "elliptical-t": {"m": 2, "n": 3, "nu": 4.0, "weights": (0.5, 0.5),
+                     "scales": (1.0, 3.0)},
+}
+
+
+def non_finite_fields():
+    """(family, field, value) for each float field of each law-table record
+    of `LEGAL_FIELDS` set to +inf, -inf and NaN: a number field as the
+    whole value, a tuple field as its first entry."""
+    cases = []
+    for family, legal in LEGAL_FIELDS.items():
+        for name, value in legal.items():
+            if isinstance(value, (float, tuple)):
+                for bad in (math.inf, -math.inf, math.nan):
+                    cases.append((family, name, (bad,) + value[1:]
+                                  if isinstance(value, tuple) else bad))
+    return cases
 
 
 @pytest.fixture

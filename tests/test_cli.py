@@ -12,6 +12,8 @@ import rdmt
 from rdmt.cli import main
 from rdmt.distributions import _FAMILIES
 
+from conftest import LEGAL_FIELDS, non_finite_fields
+
 
 def run_cli(*argv):
     return main(list(argv))
@@ -236,6 +238,22 @@ class TestParamsFiles:
     ])
     def test_a_bad_key_exits_2_naming_it(self, tmp_path, capsys, record, message):
         assert message in self._refusal(tmp_path, capsys, json.dumps(record))
+
+    @pytest.mark.parametrize("command", ["sample", "density"])
+    @pytest.mark.parametrize("text,value", [("1.5", "1.5"), ("true", "True"),
+                                            ("Infinity", "inf")])
+    def test_an_integer_field_takes_no_other_number(self, tmp_path, capsys, command,
+                                                     text, value):
+        # int(1.5) would draw 1 x n matrices, int(True) too, and int(inf)
+        # would be a runtime error
+        pfile = tmp_path / "p.json"
+        pfile.write_text(f'{{"beta": 1, "m": {text}, "n": 2, "nu": 9.0}}')
+        argv, out = _record_command(tmp_path, "matric-t", ["--params", str(pfile)],
+                                    command)
+        assert run_cli(*argv) == 2
+        assert (f"error: matric-t params key 'm': must be an integer, got {value}\n"
+                == capsys.readouterr().err)
+        assert not out.exists()
 
     def test_a_file_that_is_not_an_object_exits_2(self, tmp_path, capsys):
         err = self._refusal(tmp_path, capsys, json.dumps([{"beta": 1}]))
@@ -813,6 +831,60 @@ class TestParsing:
                        "--seed", "1", "--out", str(out))
         assert code == 2 and not out.exists()
         assert f"--mix {mix!r}: expected 'w:s,w:s,...'" in capsys.readouterr().err
+
+
+def _record_command(tmp_path, family: str, source: list, command=None) -> tuple:
+    """(argv, output path) of the `command` that builds `family`'s record
+    from `source` and would write its draws, or its densities at one 2x2
+    point; by default "sample" if the family has a sampler."""
+    out = tmp_path / "out"
+    if command == "density" or _FAMILIES[family].sampler is None:
+        points = tmp_path / "f.jsonl"
+        points.write_text(json.dumps({"beta": 1, "rows": 2, "cols": 2,
+                                      "data": [[[2.0], [0.5]], [[0.5], [1.0]]]}) + "\n")
+        return ["density", "--dist", family, *source, "--points", str(points),
+                "--out", str(out)], out
+    return ["sample", "--dist", family, *source, "--count", "2", "--seed", "1",
+            "--out", str(out)], out
+
+
+class TestNonFiniteFields:
+    """A NaN or inf given for a record's float field, by a flag or in a
+    --params file, exits 2 naming the field and writes no output."""
+
+    @staticmethod
+    def _flags(legal: dict) -> list:
+        flags = ["--beta", "1"]
+        for name, value in legal.items():
+            if isinstance(value, tuple):
+                continue
+            flags.append(f"--{name}={value}")
+        if "weights" in legal:
+            flags.append("--mix=" + ",".join(f"{w}:{s}" for w, s in
+                                             zip(legal["weights"], legal["scales"])))
+        return flags
+
+    @pytest.mark.parametrize("family,name,value", non_finite_fields())
+    def test_a_flag_is_refused_naming_the_field(self, tmp_path, capsys, family, name,
+                                                value):
+        flags = self._flags(dict(LEGAL_FIELDS[family], **{name: value}))
+        argv, out = _record_command(tmp_path, family, flags)
+        assert run_cli(*argv) == 2
+        assert f"error: {name} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("family,name,value", non_finite_fields())
+    def test_a_params_file_is_refused_naming_the_field(self, tmp_path, capsys, family,
+                                                       name, value):
+        pfile = tmp_path / "p.json"
+        # json writes the non-finite numbers as Infinity, -Infinity and NaN
+        text = json.dumps(dict(LEGAL_FIELDS[family], beta=1, **{name: value}))
+        assert any(word in text for word in ("Infinity", "NaN"))
+        pfile.write_text(text)
+        argv, out = _record_command(tmp_path, family, ["--params", str(pfile)])
+        assert run_cli(*argv) == 2
+        assert f"error: {name} must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
 
 _STARTUP_SCRIPT = """

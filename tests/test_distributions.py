@@ -33,6 +33,7 @@ from rdmt.distributions import (
     MatrixMTParams,
     RngStream,
     WishartParams,
+    _FAMILIES,
     logpdf_beta2_matric,
     logpdf_beta2_multivariate,
     logpdf_matric_t,
@@ -52,7 +53,13 @@ from rdmt.errors import DomainError, OctonionMatrixError
 from rdmt.spectral import eigenvalues_batch, singular_values_batch
 from rdmt.verify import ks_one_sample, ks_two_sample, moment_check
 
-from conftest import random_hpd, random_matrix, random_unitary
+from conftest import (
+    LEGAL_FIELDS,
+    non_finite_fields,
+    random_hpd,
+    random_matrix,
+    random_unitary,
+)
 
 R, C, H, O = AlgebraTag.REAL, AlgebraTag.COMPLEX, AlgebraTag.QUATERNION, AlgebraTag.OCTONION
 
@@ -813,6 +820,32 @@ class TestEllipticalT:
             EllipticalTParams(O, 1, 1, 4.0)
         with pytest.raises(OctonionMatrixError, match=message):
             EllipticalTParams.from_json_dict({"beta": 8, "m": 1, "n": 1, "nu": 4})
+
+
+class TestNonFiniteFields:
+    """Each record refuses a NaN or inf in a number field, an entry of a
+    tuple field or mu's coefficients, naming the field, by its own error
+    type: DomainError for nu and rho, ValueError for the mixture."""
+
+    def test_the_legal_records_cover_the_law_table(self):
+        assert set(LEGAL_FIELDS) == set(_FAMILIES)
+        for family, legal in LEGAL_FIELDS.items():
+            _FAMILIES[family].record(R, **legal)
+
+    @pytest.mark.parametrize("family,name,value", non_finite_fields())
+    def test_a_non_finite_field_is_refused(self, family, name, value):
+        record = _FAMILIES[family].record
+        error = ValueError if record is EllipticalTParams else DomainError
+        with pytest.raises(ValueError, match=f"^{name} must be finite") as info:
+            record(R, **dict(LEGAL_FIELDS[family], **{name: value}))
+        assert type(info.value) is error
+
+    @pytest.mark.parametrize("record", [MatricTParams, MatrixMTParams])
+    def test_a_non_finite_mu_is_refused(self, record):
+        mu = np.zeros((2, 3, 2))
+        mu[1, 2, 1] = math.nan
+        with pytest.raises(DomainError, match="^mu must be finite"):
+            record(C, **LEGAL_FIELDS[record.family], mu=DivMatrix(C, mu))
 
 
 class TestParamSerialization:

@@ -46,8 +46,11 @@ and a --mix that is not weight:scale pairs.  Then come elliptical-t records
 that its sampler cannot draw (files with a fractional nu or weights summing
 to 0.9, and flags with beta = 8, whose m x (n + nu) block is never 1x1), and
 --m, --n or --nu given to a family whose record has no such field.
-Last come flags spelt short, `sample --form csv` and `density --point`,
+Then come flags spelt short, `sample --form csv` and `density --point`,
 which argparse would read as `--format` and `--points` if it took prefixes.
+Last come records refused for a number: a nu, rho or mixture entry that is
+NaN or inf, by flag or in a params file, and an integer field given 1.5,
+true or Infinity in a params file.
 """
 
 from __future__ import annotations
@@ -56,6 +59,7 @@ import contextlib
 import io
 import itertools
 import json
+import math
 import os
 import re
 import sys
@@ -98,6 +102,15 @@ MINIMAL_PARAMS = {
     "elliptical-t-fractional-nu": {"beta": 1, "m": 2, "n": 3, "nu": 2.5},
     "elliptical-t-weights-0.9": {"beta": 1, "m": 2, "n": 3, "nu": 4.0,
                                  "weights": [0.5, 0.4], "scales": [1.0, 3.0]},
+}
+
+# name -> a params file with a non-finite number, or an integer field given
+# a number that int(...) would change; each is refused naming its field
+BAD_NUMBER_PARAMS = {
+    "matric-t-nu-infinity": {"beta": 1, "m": 2, "n": 3, "nu": math.inf},
+    "matric-t-m-1.5": {"beta": 1, "m": 1.5, "n": 3, "nu": 9.0},
+    "matric-t-m-true": {"beta": 1, "m": True, "n": 3, "nu": 9.0},
+    "matric-t-m-infinity": {"beta": 1, "m": math.inf, "n": 3, "nu": 9.0},
 }
 
 
@@ -226,6 +239,12 @@ def _inputs(root: str) -> dict:
     # params files that name every key without a default and no more, or
     # that the record refuses; written out whole, so no generator moves
     for name, record in MINIMAL_PARAMS.items():
+        path = os.path.join(root, f"params-{name}.json")
+        with open(path, "w") as fh:
+            json.dump(record, fh)
+        files[f"params-{name}"] = path
+    # json writes inf as Infinity and True as true
+    for name, record in BAD_NUMBER_PARAMS.items():
         path = os.path.join(root, f"params-{name}.json")
         with open(path, "w") as fh:
             json.dump(record, fh)
@@ -448,6 +467,32 @@ def _commands(files: dict) -> list:
         ("fail-density-point", ["density", "--dist", "matric-t", "--nu", "9"] + shape(1)
          + ["--point", files["t-points-b1"], "--out", "{out}"]),
     ]
+    # a non-finite nu, rho or mixture entry, by flag or in a params file,
+    # and an integer field given 1.5, true or Infinity in a params file
+    t_points = ["--points", files["t-points-b1"], "--out", "{out}"]
+    cmds += [
+        ("fail-sample-matric-t-nu-inf",
+         ["sample", "--dist", "matric-t", "--nu", "inf"] + shape(1) + seed),
+        ("fail-density-matric-t-nu-inf",
+         ["density", "--dist", "matric-t", "--nu", "inf"] + shape(1) + t_points),
+        ("fail-sample-matrix-mt-rho-inf",
+         ["sample", "--dist", "matrix-mt", "--nu", "3.5", "--rho", "inf"] + shape(1)
+         + seed),
+        ("fail-density-matrix-mt-rho-inf",
+         ["density", "--dist", "matrix-mt", "--nu", "3.5", "--rho", "inf"] + shape(1)
+         + t_points),
+    ]
+    for label, mix in (("scale-inf", "0.5:1,0.5:inf"), ("weight-nan", "nan:1")):
+        cmds.append((f"fail-sample-elliptical-t-mix-{label}",
+                     ["sample", "--dist", "elliptical-t", "--nu", "4", "--mix", mix]
+                     + shape(1) + seed))
+    for name in BAD_NUMBER_PARAMS:
+        cmds.append((f"fail-sample-params-{name}",
+                     ["sample", "--dist", "matric-t", "--params",
+                      files[f"params-{name}"]] + seed))
+        cmds.append((f"fail-density-params-{name}",
+                     ["density", "--dist", "matric-t", "--params",
+                      files[f"params-{name}"]] + t_points))
     return cmds
 
 
