@@ -155,18 +155,21 @@ def _refuse_non_finite_fields(record, error: type, *names: str) -> None:
         value = getattr(record, name)
         data = value.data if isinstance(value, DivMatrix) else value
         if value is not None and not np.isfinite(data).all():
-            got = "" if data is not value else f", got {value!r}"
-            raise error(f"{name} must be finite (no NaN or inf){got}")
+            raise error(f"{name} must be finite (no NaN or inf)")
 
 
 def _cast(kind: type, value):
     """`value` as type `kind`, refusing what the cast would change: a bool
-    for a number, a non-integral or non-finite number for an integer
-    (int(2.7) is 2, int(True) 1), and a non-list for a tuple (tuple("ab")
-    is ("a", "b")).  A kind with a `from_schema_dict` reads a schema dict.
-    ValueError says what the value must be, for the caller to name it."""
-    if issubclass(kind, tuple) and not isinstance(value, (list, tuple)):
-        raise ValueError(f"must be a list, got {value!r}")
+    for a number, also in a tuple, a non-integral or non-finite number for
+    an integer (int(2.7) is 2, int(True) 1), and a non-list for a tuple
+    (tuple("ab") is ("a", "b")).  A kind with a `from_schema_dict` reads a
+    schema dict.  ValueError says what the value must be, for the caller to
+    name it."""
+    if issubclass(kind, tuple):
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"must be a list, got {value!r}")
+        if any(isinstance(x, bool) for x in value):
+            raise ValueError(f"must be a list of numbers, got {value!r}")
     if issubclass(kind, (int, float)) and (
             isinstance(value, bool)
             or issubclass(kind, int) and not float(value).is_integer()):
@@ -197,9 +200,10 @@ class _JsonRecord:
     as its schema dict (None as null), a tuple as a list.  On load each value
     is cast to its field's type (`_cast`), a missing key takes the field's
     default, and a derived field (`init=False`), if given, must equal what
-    the record derives.  A loaded "family", if given, must be the record's, and any
-    other key that is not a field is refused, so a misspelt key cannot fall
-    back to its field's default.  A refusal names the family and the key."""
+    the record derives.  A loaded "family", if given, must be the record's,
+    and any other key that is not a field is refused, so a misspelt key
+    cannot fall back to its field's default.  A refusal names the family and
+    the key."""
 
     family: ClassVar[str]
 

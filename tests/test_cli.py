@@ -255,6 +255,12 @@ class TestParamsFiles:
                 == capsys.readouterr().err)
         assert not out.exists()
 
+    def test_a_mixture_entry_takes_no_bool(self, tmp_path, capsys):
+        record = {"beta": 1, "m": 2, "n": 3, "nu": 4, "weights": [True],
+                  "scales": [1.0]}
+        err = self._refusal(tmp_path, capsys, json.dumps(record), "elliptical-t")
+        assert "elliptical-t params key 'weights': must be a list of numbers" in err
+
     def test_a_file_that_is_not_an_object_exits_2(self, tmp_path, capsys):
         err = self._refusal(tmp_path, capsys, json.dumps([{"beta": 1}]))
         assert "matric-t params must be a JSON object, not list" in err

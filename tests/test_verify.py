@@ -331,6 +331,8 @@ class TestSuiteTable:
         ("elliptical-invariance-beta1", {"nu": 4.9}, "param 'nu' must be an integer"),
         ("elliptical-invariance-beta1", {"nu": True}, "param 'nu' must be an integer"),
         ("normalization-scalar-beta2", {"nu": True}, "param 'nu' must be a number"),
+        ("elliptical-invariance-beta1", {"weights": [True]},
+         "param 'weights' must be a list of numbers"),
         ("elliptical-invariance-beta1", {"weights": "abc"},
          "param 'weights' must be a list"),
         ("elliptical-invariance-beta1", {"scales": 3.0},
