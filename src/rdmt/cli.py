@@ -18,7 +18,7 @@ unless its record has ``weights``, and ``--m``, ``--n``, ``--nu`` or
 ``--rho`` unless its record has that field.  Flags are spelt in full.  A
 record without ``m`` draws scalars, which have no spectrum.
 The eigen spectrum of a Hermitian family is that of the draw; of any other
-family it is that of the gram T T*.
+family it is that of the min(m, n) square gram.
 One writer, ``_write``, sends every output and opens its file only once
 every check has passed; each value is ``repr`` of a Python float (scalar
 CSV rows included), so JSONL samples must be finite.
@@ -306,15 +306,12 @@ def _cmd_spectrum(args) -> int:
     kind = args.kind or ("eigen" if hermitian else "singular")
     if kind == "singular" and hermitian:
         raise _CliError(f"{family} samples are Hermitian; use --kind eigen")
-    if kind == "eigen" and not hermitian and params.m > params.n:
-        raise _CliError("eigen spectra of T T* need m <= n; "
-                        "use --kind singular for tall matrices")
     overlay = (row.overlays or {}).get(kind)
     if args.grid:
         if overlay is None:
             raise _CliError(f"no analytic overlay for {family}/{kind}")
-        # every overlay family has min(m, n) values: eigen of T T* needs
-        # m <= n, and a Hermitian draw is min(m, n) square
+        # every overlay family has min(m, n) values: those of the min(m, n)
+        # square gram, or of a Hermitian draw of that side
         if min(params.m, params.n) > 2:
             raise _CliError("analytic grids are emitted for m <= 2 only")
     raw = _draw(args, row, params, seed, count)

@@ -382,7 +382,9 @@ class BetaIIParams(_JsonRecord):
     The law is that of the min(m, n) square gram of an m x n T, so its
     shape fixes the derived `orientation`: "gram", the law of T T* in the
     m x m cone, when n >= m, and "cogram", the law of T* T in the n x n
-    cone, when n < m.  `scale` selects the nonstandardised form.
+    cone, when n < m.  `scale` selects the nonstandardised form.  The
+    record takes every nu > 0, the trace-kernel law's domain; the
+    matricvariate density needs nu > m - 1 (ERRATA.md section 2).
     """
 
     family: ClassVar[str] = "beta2"
@@ -412,8 +414,10 @@ class BetaIIParams(_JsonRecord):
 
     @cached_property
     def _density_terms(self):
-        """`_beta2_terms(self)`, computed on first use (see Log densities)."""
-        return _beta2_terms(self)
+        """law -> `_beta2_terms(self, law)`, each law's filled in on its first
+        use (`_law_terms`, see Log densities), so one law never meets the
+        other's domain."""
+        return {}
 
 
 @dataclass(frozen=True)
@@ -759,37 +763,55 @@ def logpdf_matric_t(params: MatricTParams, t, form: str = "primal"):
     return float(out) if single else out
 
 
-def _beta2_terms(params: BetaIIParams) -> dict:
-    """law -> (q, exp_f, congruence, const) of `_beta2_logpdf`, which reads
-    G = M* F M: "matric" takes M M* = scale^-1, so |scale + F| = |scale|
-    |I + G|, and "mv" M M* = scale, so tr(scale F) = tr G.  const holds the
-    Jacobian |M M*|^(beta(d-1)/2 + 1) of the congruence, and congruence is
-    ((M*, M) as `_eigvalsh_raw` takes them, the binary exponent of |M M*|,
-    cond(scale)), ((), 0, 1) in the standard form.  Both M are the scale's
-    cached factors (`HermitianPD._inverse_factor_reps`, `_factor_reps`)."""
+def _beta2_terms(params: BetaIIParams, law: str) -> tuple:
+    """(q, exp_f, congruence, const) of `_beta2_logpdf` for one law, which
+    reads G = M* F M: "matric" takes M M* = scale^-1, so |scale + F| =
+    |scale| |I + G|, and "mv" M M* = scale, so tr(scale F) = tr G.  const
+    holds the Jacobian |M M*|^(beta(d-1)/2 + 1) of the congruence, and
+    congruence is ((M*, M) as `_eigvalsh_raw` takes them, the binary exponent
+    of |M M*|, cond(scale)), ((), 0, 1) in the standard form.  Both M are the
+    scale's cached factors (`HermitianPD._inverse_factor_reps`,
+    `_factor_reps`).  "mv" takes every nu > 0 that the record does; "matric"
+    needs the wide law's nu above d - 1, which is nu > m - 1 for both
+    orientations, and refuses a smaller nu with DomainError."""
     tag = params.tag
     beta = tag.beta
     m, n, nu = params.m, params.n, params.nu
     # the gram terms of T*'s law for the cogram T* T
     d, n_wide, nu_wide = _wide(m, n, nu, trace=False)
-    a_par, b_par = beta * nu_wide / 2.0, beta * n_wide / 2.0
+    b_par = beta * n_wide / 2.0
     exp_f = beta * (n_wide - d + 1) / 2.0 - 1.0
-    q1 = beta * (nu + m * n) / 2.0
-    matric_const = -log_mvbeta(tag, d, a_par, b_par)
-    mv_const = -_lmg(tag, d, b_par) + (log_gamma(q1) - log_gamma(beta * nu / 2.0))
-    matric = mv = ((), 0, 1.0)
+    matric = law == "matric"
+    if matric:
+        if not nu_wide > d - 1:
+            raise DomainError(f"the matricvariate beta II law requires "
+                              f"nu > m - 1 = {m - 1}, got nu = {nu}")
+        q = beta * (n + nu) / 2.0
+        const = -log_mvbeta(tag, d, beta * nu_wide / 2.0, b_par)
+    else:
+        q = beta * (nu + m * n) / 2.0
+        const = -_lmg(tag, d, b_par) + (log_gamma(q) - log_gamma(beta * nu / 2.0))
+    congruence = ((), 0, 1.0)
     if params.scale is not None:
         jacobian = (beta * (d - 1) / 2.0 + 1.0) * params.scale.logdet
-        matric_const -= jacobian
-        mv_const += jacobian
         h, w = params.scale, _eigvalsh_raw(params.scale.mat.data, beta)
-        matric, mv = [(reps[::-1], int(np.frexp(size)[1]), w[0] / w[-1])
-                      for reps, size in ((h._inverse_factor_reps, 1.0 / w[-1]),
-                                         (h._factor_reps, w[0]))]
-    return {
-        "matric": (beta * (n + nu) / 2.0, exp_f, matric, matric_const),
-        "mv": (q1, exp_f, mv, mv_const),
-    }
+        if matric:
+            const -= jacobian
+            reps, size = h._inverse_factor_reps, 1.0 / w[-1]
+        else:
+            const += jacobian
+            reps, size = h._factor_reps, w[0]
+        congruence = (reps[::-1], int(np.frexp(size)[1]), w[0] / w[-1])
+    return q, exp_f, congruence, const
+
+
+def _law_terms(params: BetaIIParams, law: str) -> tuple:
+    """`_beta2_terms(params, law)`, cached in `params._density_terms` on
+    the law's first use."""
+    terms = params._density_terms
+    if law not in terms:
+        terms[law] = _beta2_terms(params, law)
+    return terms[law]
 
 
 def _beta2_logpdf(params: BetaIIParams, f, terms: tuple, trace: bool):
@@ -847,20 +869,14 @@ def _beta2_logpdf(params: BetaIIParams, f, terms: tuple, trace: bool):
     return float(out) if single else out
 
 
-def logpdf_beta2_matric(params: BetaIIParams, f, *, printed_variant: bool = False):
+def logpdf_beta2_matric(params: BetaIIParams, f):
     """Log density of the matricvariate beta type II law (determinant kernel).
 
     With a scale present the nonstandardised form replaces I + F by scale + F
-    and multiplies by |scale|^(beta*nu'/2).  `printed_variant` switches the
-    cogram bracket exponent to the uncorrected literature variant (one more
-    |scale + F|^-1), which fails normalization and exists purely for the
-    diagnostic evidence check; see ERRATA.md.
+    and multiplies by |scale|^(beta*nu'/2).  The law needs nu > m - 1 in
+    both orientations; a smaller nu raises DomainError.
     """
-    q, exp_f, congruence, const = params._density_terms["matric"]
-    if printed_variant and params.orientation == "cogram":
-        q += 1.0
-        const -= 0.0 if params.scale is None else params.scale.logdet
-    return _beta2_logpdf(params, f, (q, exp_f, congruence, const), trace=False)
+    return _beta2_logpdf(params, f, _law_terms(params, "matric"), trace=False)
 
 
 def _matrix_mt_terms(params: MatrixMTParams) -> tuple:
@@ -897,9 +913,10 @@ def logpdf_matrix_mt(params: MatrixMTParams, t):
 
 def logpdf_beta2_multivariate(params: BetaIIParams, f):
     """Log density of the matrix multivariate beta type II law (trace kernel
-    (1 + tr F)^(-beta(nu+mn)/2)); a scale gives the nonstandardised bracket
-    (1 + tr scale*F) and the factor |scale|^(beta n/2) (m/2 for cogram)."""
-    return _beta2_logpdf(params, f, params._density_terms["mv"], trace=True)
+    (1 + tr F)^(-beta(nu+mn)/2)), at every nu > 0; a scale gives the
+    nonstandardised bracket (1 + tr scale*F) and the factor |scale|^(beta
+    n/2) (m/2 for cogram)."""
+    return _beta2_logpdf(params, f, _law_terms(params, "mv"), trace=True)
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,9 @@ core is batch-first: one spectrum is the N = 1 case of an (N, m) array.
 All densities are for the standard (identity-scale, zero-location) laws and
 live on the open ordered cone v_1 > ... > v_m > 0.  The normalizing
 coefficient carries pi^(beta m^2/2 + tau); a variant with pi^(beta m^2 + tau)
-circulates in print but fails normalization, see ERRATA.md, and is available
-behind `printed_variant` for the diagnostic evidence check.
+circulates in print but fails normalization, see ERRATA.md.  Only the
+corrected formula is here: verify's printed-variant-evidence check builds
+the printed one from it.
 """
 
 from __future__ import annotations
@@ -54,9 +55,10 @@ TIE_RTOL = 1e-12
 class SpectrumSample:
     """Sorted positive spectrum of one sampled matrix.
 
-    Values must descend strictly; a tie within relative tolerance 1e-12 is
-    rejected (a measure-zero event that indicates an upstream problem rather
-    than a legitimate sample).
+    Values must descend strictly; a gap of at most 1e-12 times the largest
+    value is a tie and is rejected (a measure-zero event that indicates an
+    upstream problem rather than a legitimate sample), at every size of the
+    values alike.
     """
 
     values: tuple
@@ -70,9 +72,9 @@ class SpectrumSample:
             raise ValueError("empty spectrum")
         if vals[-1] <= 0.0:
             raise ValueError("spectrum values must be strictly positive")
-        scale = max(1.0, abs(vals[0]))
+        tol = TIE_RTOL * abs(vals[0])
         for hi, lo in zip(vals, vals[1:]):
-            if hi - lo <= TIE_RTOL * scale:
+            if hi - lo <= tol:
                 raise ValueError(
                     f"spectrum values must descend strictly; got tie {hi} ~ {lo}"
                 )
@@ -103,13 +105,12 @@ def _ordered_rows(values, m: int) -> tuple:
 
 @functools.lru_cache(maxsize=256)
 def _log_joint_const(tag: AlgebraTag, m: int, n: int, nu: float, trace: bool,
-                     singular: bool, printed_variant: bool) -> float:
+                     singular: bool) -> float:
     """The point-independent log constant of `_log_joint` at the wide shape,
     computed once per law: the normalizing coefficient, the coupling's
     constant and the singular-value Jacobian's 2^m, added in that order."""
     beta = tag.beta
-    pi_exp = beta * m * m * (1.0 if printed_variant else 0.5) + tau(tag, m)
-    const = pi_exp * _LOG_PI - _lmg(tag, m, beta * m / 2.0)
+    const = (beta * m * m / 2.0 + tau(tag, m)) * _LOG_PI - _lmg(tag, m, beta * m / 2.0)
     if beta > 1:
         # the eigenvector phases give (pi^(beta/2) / Gamma(beta/2))^-m: tau
         # holds the power of pi, this the Gamma(beta/2)^m, 6^m at beta = 8
@@ -126,7 +127,7 @@ def _log_joint_const(tag: AlgebraTag, m: int, n: int, nu: float, trace: bool,
 
 
 def _log_joint(tag: AlgebraTag, m: int, n: int, nu: float, values, *,
-               trace: bool, singular: bool, printed_variant: bool = False):
+               trace: bool, singular: bool):
     """The one spectral-density core.
 
     On ordered eigenvalues lambda of the gram beta type II matrix,
@@ -146,7 +147,7 @@ def _log_joint(tag: AlgebraTag, m: int, n: int, nu: float, values, *,
     beta = tag.beta
     m, n, nu = _wide(m, n, nu, trace)
     v, single = _ordered_rows(values, m)
-    const = _log_joint_const(tag, m, n, nu, trace, singular, printed_variant)
+    const = _log_joint_const(tag, m, n, nu, trace, singular)
     lam = v * v if singular else v
     log_lam = np.log(lam)
     out = (beta * (n - m + 1) / 2.0 - 1.0) * log_lam.sum(axis=1)
@@ -162,8 +163,7 @@ def _log_joint(tag: AlgebraTag, m: int, n: int, nu: float, values, *,
     return float(out[0]) if single else out
 
 
-def log_joint_sv_matric_t(tag: AlgebraTag, m: int, n: int, nu: float, values,
-                          *, printed_variant: bool = False):
+def log_joint_sv_matric_t(tag: AlgebraTag, m: int, n: int, nu: float, values):
     """Joint log density of the singular values of a standard m x n
     matricvariate T; a tall T (n < m) takes its transpose's at nu + n - m:
 
@@ -171,8 +171,7 @@ def log_joint_sv_matric_t(tag: AlgebraTag, m: int, n: int, nu: float, values,
         * prod d_i^(beta(n-m+1)-1) (1+d_i^2)^(-beta(nu+n)/2)
         * prod_{i<j} (d_i^2-d_j^2)^beta
     """
-    return _log_joint(tag, m, n, nu, values, trace=False, singular=True,
-                      printed_variant=printed_variant)
+    return _log_joint(tag, m, n, nu, values, trace=False, singular=True)
 
 
 def log_joint_sv_matrix_mt(tag: AlgebraTag, m: int, n: int, nu: float, values):
@@ -181,12 +180,10 @@ def log_joint_sv_matrix_mt(tag: AlgebraTag, m: int, n: int, nu: float, values):
     return _log_joint(tag, m, n, nu, values, trace=True, singular=True)
 
 
-def log_joint_eig_beta2(tag: AlgebraTag, m: int, n: int, nu: float, values,
-                        *, printed_variant: bool = False):
+def log_joint_eig_beta2(tag: AlgebraTag, m: int, n: int, nu: float, values):
     """Joint log density of the eigenvalues of the gram beta type II matrix
     of an m x n matricvariate T, T* T's for a tall T (T*'s at nu + n - m)."""
-    return _log_joint(tag, m, n, nu, values, trace=False, singular=False,
-                      printed_variant=printed_variant)
+    return _log_joint(tag, m, n, nu, values, trace=False, singular=False)
 
 
 def log_joint_eig_mv(tag: AlgebraTag, m: int, n: int, nu: float, values):

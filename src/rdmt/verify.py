@@ -537,17 +537,17 @@ def _run_normalization_t(rng, budget, threshold, *, nu, rho):
     return worst, worst < threshold, detail
 
 
-def _scalar_logpdf(evaluator, params, **options):
-    """x -> evaluator(params, stack, **options): a 1x1 law's log density at
-    every real scalar of the array x, evaluated once on the (N, 1, 1, beta)
-    stack of the points x + 0 e1 + ... + 0 e_{beta-1}."""
+def _scalar_logpdf(evaluator, params):
+    """x -> evaluator(params, stack): a 1x1 law's log density at every real
+    scalar of the array x, evaluated once on the (N, 1, 1, beta) stack of the
+    points x + 0 e1 + ... + 0 e_{beta-1}."""
     beta = params.tag.beta
 
     def log_density(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         stack = np.zeros((x.size, 1, 1, beta))
         stack[:, 0, 0, 0] = x.ravel()
-        return evaluator(params, stack, **options).reshape(x.shape)
+        return evaluator(params, stack).reshape(x.shape)
 
     return log_density
 
@@ -689,21 +689,27 @@ def _run_elliptical_invariance(rng, budget, threshold, *, beta, m, n, nu,
     return pmin, pmin > threshold, detail
 
 
-def _run_printed_variant_evidence(rng, budget, threshold):
-    tag = AlgebraTag.REAL
-    # Singular-value density coefficient: corrected vs printed pi exponent,
-    # measured where the whole density is one scalar integral.
-    sv_corr = _quad(lambda x: np.exp(log_joint_sv_matric_t(tag, 1, 1, 1.0, x[:, None])),
-                    0.0, np.inf)
-    sv_printed = _quad(
-        lambda x: np.exp(log_joint_sv_matric_t(tag, 1, 1, 1.0, x[:, None],
-                                               printed_variant=True)),
-        0.0, np.inf)
-    # Cogram beta II bracket exponent: corrected vs printed extra -1.
-    params = BetaIIParams(tag, 2, 1, 3.0)   # tall: the cogram law
-    co_corr = quadrature_mass_positive(_scalar_logpdf(logpdf_beta2_matric, params))
-    co_printed = quadrature_mass_positive(
-        _scalar_logpdf(logpdf_beta2_matric, params, printed_variant=True))
+def _printed_densities():
+    """The (corrected, printed) log density pairs of ERRATA.md sections 1
+    and 2, each on an (N,) array, at 1x1 real laws whose whole density is
+    one scalar integral; each printed one is its corrected one plus the
+    difference stated there:
+    * the singular value of the standard T at nu = 1, whose printed
+      coefficient pi^(beta m^2 + tau) adds (beta m^2/2) log pi = 0.5 log pi;
+    * the cogram beta II law at (m, n, nu) = (2, 1, 3), whose printed
+      bracket has one more factor |I + F|^-1, adding -log1p(x)."""
+    def sv(x):
+        return log_joint_sv_matric_t(AlgebraTag.REAL, 1, 1, 1.0, x[:, None])
+
+    cogram = _scalar_logpdf(logpdf_beta2_matric, BetaIIParams(AlgebraTag.REAL, 2, 1, 3.0))
+    return ((sv, lambda x: sv(x) + 0.5 * _LOG_PI),
+            (cogram, lambda x: cogram(x) - np.log1p(x)))
+
+
+def _run_printed_evidence(rng, budget, threshold):
+    sv, cogram = _printed_densities()
+    sv_corr, sv_printed = (_quad(lambda x: np.exp(f(x)), 0.0, np.inf) for f in sv)
+    co_corr, co_printed = map(quadrature_mass_positive, cogram)
     detail = {
         "sv-coefficient": {"corrected_mass": sv_corr, "printed_mass": sv_printed},
         "cogram-exponent": {"corrected_mass": co_corr, "printed_mass": co_printed},
@@ -799,7 +805,7 @@ _CHECKS = {
                                     {"beta": 2, "m": 2, "n": 3, "nu": 4,
                                      "weights": (0.7, 0.3), "scales": (1.0, 3.0)},
                                     20000, 0.005),
-    "printed-variant-evidence": (_run_printed_variant_evidence, "normalization",
+    "printed-variant-evidence": (_run_printed_evidence, "normalization",
                                  {}, None, 0.10),
     "spectrum-vs-closed-form": (_run_spectrum_closed_form, "ks1",
                                 {"beta": 1, "m": 2, "n": 3, "nu": 4.0}, 20000, 0.005),

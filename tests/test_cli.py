@@ -536,12 +536,30 @@ class TestSpectrum:
             want = log_joint_sv_matric_t(AlgebraTag(beta), n, m, 9.0 + n - m, v)
             assert math.isclose(logpdf, want, rel_tol=1e-13, abs_tol=1e-13)
 
-    def test_eigen_kind_requires_wide_matrix(self, tmp_path, capsys):
-        code = run_cli("spectrum", "--dist", "matric-t", "--beta", "1", "--m",
-                       "3", "--n", "2", "--nu", "9", "--count", "10",
-                       "--seed", "5", "--kind", "eigen",
-                       "--out", str(tmp_path / "x.csv"))
-        assert code == 2
+    @pytest.mark.parametrize("family,wide_nu", [("matric-t", 5.0 + 2 - 3),
+                                                 ("matrix-mt", 5.0)])
+    def test_tall_eigen_is_the_wide_law(self, tmp_path, family, wide_nu):
+        # a tall T's eigen spectrum is that of its n x n gram T* T: the
+        # squared singular values, under the law of the wide n x m transpose
+        # (at nu + n - m for the determinant kernel, at nu for the trace's)
+        from rdmt.algebra import AlgebraTag
+
+        flags = ("spectrum", "--dist", family, "--beta", "2", "--m", "3", "--n", "2",
+                 "--nu", "5", "--count", "60", "--seed", "5")
+        sv, eig, grid = tmp_path / "s.csv", tmp_path / "e.csv", tmp_path / "g.csv"
+        assert run_cli(*flags, "--out", str(sv)) == 0
+        assert run_cli(*flags, "--kind", "eigen", "--out", str(eig),
+                       "--grid", str(grid)) == 0
+
+        def rows(path):
+            return np.array([[float(v) for v in line.split(",")]
+                             for line in path.read_text().splitlines()[2:]])
+
+        np.testing.assert_allclose(rows(eig), rows(sv) ** 2, rtol=1e-12)
+        overlay = _FAMILIES[family].overlays["eigen"]
+        table = rows(grid)
+        want = overlay(AlgebraTag.COMPLEX, 2, 3, wide_nu, table[:, :2])
+        np.testing.assert_allclose(table[:, 2], want, rtol=1e-13, atol=1e-13)
 
     @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (1, 2)])
     def test_gaussian_eigen_is_the_gram_spectrum(self, tmp_path, m, n):

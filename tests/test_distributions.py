@@ -471,13 +471,6 @@ class TestBetaII:
         with pytest.raises(ValueError, match="beta2 params key 'orientation'"):
             BetaIIParams.from_json_dict(dict(obj, orientation=wrong))
 
-    def test_cogram_printed_variant_changes_exponent_only(self, rng):
-        params = BetaIIParams(R, 3, 1, 4.0)
-        f = HermitianPD.from_real(R, [[0.8]])
-        base = logpdf_beta2_matric(params, f)
-        printed = logpdf_beta2_matric(params, f, printed_variant=True)
-        assert math.isclose(printed - base, -math.log1p(0.8), rel_tol=1e-12)
-
     def test_sampling_nonstandardised_rejected(self, rng):
         params = BetaIIParams(R, 2, 3, 4.0, scale=random_hpd(rng, R, 2))
         with pytest.raises(ValueError):

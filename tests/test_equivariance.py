@@ -19,7 +19,18 @@ A scaled record's constants come from its scales' cached factors, so the
 oracle sees a factor, or its inverse's factor, that goes astray under
 scale, at any k that keeps c^2 and c^-2 normal doubles.  A beta II point's
 refusal (not Hermitian) and its place against the cone (outside, on the
-boundary) must not change with k either."""
+boundary) must not change with k either.
+
+The decision rules under them measure each tolerance against the size of
+the matrix or spectrum at hand, so at c = 4^k = 2^(2k) they decide alike
+at every k: `HermitianPD` accepts or refuses c A as it does A (not
+Hermitian, not positive definite, non-finite), and then its factor is 2^k
+times A's; the quaternion adjoint's pair collapse and `SpectrumSample`'s
+tie test give the same answer.  The spectra of c A are c times A's: bit
+for bit on the closed forms (the 1x1 octonion, and stacks of at most two
+rows or columns for singular values), and within a few eps of the largest
+value on LAPACK's, whose own rescaling of a very large or small matrix is
+not a power of two."""
 
 import math
 import warnings
@@ -28,8 +39,24 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rdmt.algebra import AlgebraTag, DivMatrix, HermitianPD
+from rdmt.algebra import (
+    PAIR_COLLAPSE_RTOL,
+    AlgebraTag,
+    DivMatrix,
+    HermitianPD,
+    _collapse_pairs,
+    _conj_t_raw,
+    _hermitize_raw,
+    _matmul_raw,
+)
 from rdmt.distributions import _FAMILIES, BetaIIParams, MatricTParams, MatrixMTParams
+from rdmt.spectral import (
+    TIE_RTOL,
+    SpectrumSample,
+    eigenvalues_batch,
+    empirical_spectrum,
+    singular_values_batch,
+)
 
 from conftest import random_hpd
 
@@ -60,8 +87,8 @@ def _law(name: str, tag, m: int, n: int, gen):
     beta = tag.beta
     if name.startswith("beta2"):
         d = min(m, n)
-        # the wide law's nu + n - m (for a tall shape) must exceed d - 1
-        nu = d - 1 + max(m - n, 0) + gen.uniform(0.5, 6.0)
+        # the matricvariate law needs nu > m - 1, the mv law only nu > 0
+        nu = (m - 1 if name == "beta2-matric" else 0) + gen.uniform(0.5, 6.0)
         scale = random_hpd(gen, tag, d)
         sign = 1 if name == "beta2-matric" else -1
         points = np.stack([random_hpd(gen, tag, d).mat.data for _ in range(4)])
@@ -164,3 +191,131 @@ def _check_equivariance(law, shape, seed, k1, k2):
             _assert_moved_by_jacobian(moved, value, jacobian)
         else:
             assert moved == value, what
+
+
+# -- the decision rules at c = 4^k.  |k| <= 250 keeps c A, its factor and
+# its spectra normal doubles; LAPACK rescales a matrix past about 2^+-460.
+K4_MAX = 250
+FEW_EPS = 4 * np.finfo(float).eps
+MATRICES = ["positive definite", "rank one", "indefinite", "not hermitian",
+            "at the hermitian tolerance", "non-finite"]
+
+
+def _matrix(kind: str, tag, d: int, gen) -> np.ndarray:
+    """A d x d matrix over tag, of `kind`: the ones HermitianPD accepts, the
+    ones it refuses, and ones whose answer is a toss-up of round-off (rank
+    one, a gap at the Hermitian tolerance), which must still not move."""
+    beta = tag.beta
+    g = gen.normal(size=(d, d, beta))
+    a = _hermitize_raw(_matmul_raw(g, _conj_t_raw(g)))
+    if kind == "rank one":
+        a = _hermitize_raw(_matmul_raw(g[:, :1], _conj_t_raw(g[:, :1])))
+    elif kind == "indefinite":
+        a[-1, -1, 0] = -abs(a[-1, -1, 0])
+    elif kind in ("not hermitian", "at the hermitian tolerance"):
+        step = 1e-6 if kind == "not hermitian" else 1e-12
+        i, j, part = (0, 1, 0) if d > 1 else (0, 0, beta - 1)
+        a[i, j, part] += step * np.abs(a).max()
+    elif kind == "non-finite":
+        a[0, 0, 0] = np.nan
+    return a
+
+
+def _hpd_outcome(tag, a):
+    """(the error type raised, or None; the HermitianPD, or None)."""
+    try:
+        return None, HermitianPD(DivMatrix(tag, a))
+    except ValueError as exc:
+        return type(exc), None
+
+
+@settings(max_examples=60, deadline=None)
+@given(tag=st.sampled_from([R, C, H, O]), d=st.integers(1, 3),
+       kind=st.sampled_from(MATRICES), seed=st.integers(0, 2**32 - 1),
+       k=st.integers(-K4_MAX, K4_MAX))
+def test_hermitian_pd_decides_alike_at_every_power_of_four(tag, d, kind, seed, k):
+    d = 1 if tag == O else d
+    if kind in ("not hermitian", "at the hermitian tolerance") and tag == R and d == 1:
+        kind = "positive definite"    # a real 1x1 is Hermitian
+    a = _matrix(kind, tag, d, np.random.default_rng(seed))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        error, h = _hpd_outcome(tag, a)
+        moved_error, moved = _hpd_outcome(tag, np.ldexp(a, 2 * k))
+    assert moved_error is error
+    if kind in ("positive definite", "indefinite", "not hermitian", "non-finite"):
+        assert (error is None) == (kind == "positive definite")
+    if h is not None:
+        assert np.array_equal(moved.mat.data, np.ldexp(h.mat.data, 2 * k))
+        assert np.array_equal(moved.chol.data, np.ldexp(h.chol.data, k))
+
+
+def _assert_scaled(moved, base, k, exact):
+    """moved == 4^k base: bit for bit, or within a few eps of each
+    spectrum's largest |value|."""
+    want = np.ldexp(base, 2 * k)
+    if exact:
+        assert np.array_equal(moved, want)
+    else:
+        size = np.abs(want).max(axis=-1, keepdims=True)
+        assert np.all(np.abs(moved - want) <= FEW_EPS * size)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=st.sampled_from(SHAPES + [(R, 3, 4), (C, 4, 3), (H, 3, 3)]),
+       seed=st.integers(0, 2**32 - 1), k=st.integers(-K4_MAX, K4_MAX))
+def test_spectra_of_a_power_of_four_times_a_matrix(shape, seed, k):
+    tag, m, n = shape
+    gen = np.random.default_rng(seed)
+    x = gen.normal(size=(3, m, n, tag.beta))
+    d = min(m, n)
+    a = np.stack([_matrix("positive definite", tag, d, gen) for _ in range(3)])
+    scalar = tag == O
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _assert_scaled(singular_values_batch(tag, np.ldexp(x, 2 * k)),
+                       singular_values_batch(tag, x), k, scalar or d <= 2)
+        _assert_scaled(eigenvalues_batch(tag, np.ldexp(a, 2 * k)),
+                       eigenvalues_batch(tag, a), k, scalar)
+        for kind, one in (("singular", x[0]), ("eigen", a[0])):
+            base = empirical_spectrum(DivMatrix(tag, one), kind).values
+            moved = empirical_spectrum(DivMatrix(tag, np.ldexp(one, 2 * k)), kind).values
+            _assert_scaled(np.array(moved), np.array(base), k, scalar)
+
+
+# relative gaps at and around each rule's tolerance, where the answer is
+# round-off's, and well away from it on both sides
+GAPS = [0.0, 0.3, 0.999, 1.0, 1.001, 3.0, 1e6]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(-K4_MAX, K4_MAX),
+       gaps=st.lists(st.sampled_from(GAPS), min_size=1, max_size=3))
+def test_pair_collapse_and_ties_decide_alike(seed, k, gaps):
+    gen = np.random.default_rng(seed)
+    gaps = np.array(gaps)
+    # a descending adjoint spectrum of pairs, of either sign, each split by
+    # its gap times the tolerance of its lead: a pair near 0 passes on the
+    # spectrum's largest |value|
+    lead = gen.uniform(-2.0, 2.0) - 0.5 * np.arange(len(gaps))
+    trail = lead - gaps * PAIR_COLLAPSE_RTOL * np.abs(lead)
+    vals = np.stack([lead, trail], axis=-1).reshape(-1)
+    # a positive spectrum, each step its gap times the tie tolerance of the top
+    top = gen.uniform(0.5, 2.0)
+    spectrum = top - np.cumsum(np.concatenate([[0.0], gaps])) * (TIE_RTOL * top)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for rule, values in ((_collapse_pairs, vals),
+                             (lambda v: SpectrumSample(tuple(v), "eigen").values,
+                              spectrum)):
+            outcomes = []
+            for scale in (0, 2 * k):
+                try:
+                    outcomes.append((None, np.ldexp(rule(np.ldexp(values, scale)),
+                                                    -scale)))
+                except (ArithmeticError, ValueError) as exc:
+                    outcomes.append((type(exc), None))
+            (error, base), (moved_error, moved) = outcomes
+            assert moved_error is error
+            if error is None:
+                assert np.array_equal(np.asarray(moved), np.asarray(base))

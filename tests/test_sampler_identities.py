@@ -448,10 +448,10 @@ class TestCachedSigmaInverseFactor:
             init(self, mat)
 
         monkeypatch.setattr(HermitianPD, "__init__", spy)
-        terms = dist._beta2_terms(params)
+        terms = dist._beta2_terms(params, "matric")
         assert not built
         cached = params.scale._inverse_factor_reps[::-1]
-        assert all(a is b for a, b in zip(terms["matric"][2][0], cached))
+        assert all(a is b for a, b in zip(terms[2][0], cached))
 
     @pytest.mark.parametrize("tag,d", [(R, 2), (C, 2), (H, 2), (O, 1)])
     def test_beta2_densities_keep_the_inverse_factor_bits(self, tag, d):
@@ -466,7 +466,7 @@ class TestCachedSigmaInverseFactor:
                    "mv": params.scale.chol.data}
         for law, logpdf in (("matric", logpdf_beta2_matric),
                             ("mv", dist.logpdf_beta2_multivariate)):
-            q, exp_f, (_, shift, kappa), const = params._density_terms[law]
+            q, exp_f, (_, shift, kappa), const = dist._beta2_terms(params, law)
             lo = factors[law]
             spelled = (q, exp_f, ((_representation_raw(_conj_t_raw(lo)),
                                    _representation_raw(lo)), shift, kappa), const)

@@ -22,7 +22,7 @@ from rdmt.distributions import (
     logpdf_beta2_multivariate,
     sample_matric_t,
 )
-from rdmt.errors import OctonionMatrixError
+from rdmt.errors import DomainError, OctonionMatrixError
 from rdmt.spectral import (
     SpectrumSample,
     empirical_spectrum,
@@ -50,6 +50,18 @@ class TestSpectrumSample:
             SpectrumSample((2.0, 2.0), "eigen")
         with pytest.raises(ValueError, match="tie"):
             SpectrumSample((2.0, 2.0 - 1e-14), "eigen")
+
+    def test_tie_is_relative_to_the_largest_value_alone(self):
+        # 2.5x apart at 2^-40 are distinct values, as they are at 2^0 and 2^40
+        x = np.random.default_rng(4).normal(size=(2, 3, 1))
+        base = empirical_spectrum(DivMatrix(R, x)).values
+        for k in (-40, 0, 40):
+            got = empirical_spectrum(DivMatrix(R, np.ldexp(x, k))).values
+            np.testing.assert_allclose(got, np.ldexp(base, k), rtol=1e-14)
+        assert len(SpectrumSample((7.885e-13, 3.156e-13), "singular")) == 2
+        for k in (-40, 0, 40):
+            with pytest.raises(ValueError, match="tie"):
+                SpectrumSample((math.ldexp(2.0, k), math.ldexp(2.0 - 1e-14, k)), "eigen")
 
     def test_rejects_nonpositive_and_unsorted(self):
         with pytest.raises(ValueError):
@@ -86,13 +98,6 @@ class TestSvMatricT:
     def test_ordering_violation(self):
         with pytest.raises(ValueError):
             log_joint_sv_matric_t(R, 2, 3, 4.0, [1.0, 2.0])
-
-    def test_printed_variant_shifts_by_half_log_pi_m2(self):
-        base = log_joint_sv_matric_t(R, 2, 3, 4.0, [2.0, 1.0])
-        printed = log_joint_sv_matric_t(R, 2, 3, 4.0, [2.0, 1.0],
-                                        printed_variant=True)
-        assert math.isclose(printed - base, 2.0 * math.log(math.pi),
-                            rel_tol=1e-12)
 
 
 class TestSvMatrixMT:
@@ -399,8 +404,34 @@ class TestMatrixAgainstSpectralDensity:
                 scale = max(scale, abs(spectral), abs(matrix))
         assert max(abs(gap - const) for gap in gaps) <= 1e-12 * scale
 
+    @pytest.mark.parametrize("tag", [R, C, H])
+    @pytest.mark.parametrize("m,n", [(2, 3), (3, 3), (3, 2), (4, 3)])
+    def test_beta2_mv_takes_nu_below_the_matricvariate_bound(self, tag, m, n):
+        # the mv law needs only nu > 0, the matricvariate one nu > m - 1 (the
+        # wide law's nu above d - 1), which it refuses by name on the same record
+        from rdmt.special import stiefel_log_volume
 
-def _uncached_log_joint(tag, m, n, nu, v, trace, singular, printed_variant=False):
+        beta, d = tag.beta, min(m, n)
+        const = stiefel_log_volume(tag, d, d) - d * stiefel_log_volume(tag, 1, 1)
+        rng = np.random.default_rng(100 * m + n + beta)
+        for nu in (0.5, m - 1.0):
+            params = BetaIIParams(tag, m, n, nu)
+            with pytest.raises(DomainError, match=rf"requires nu > m - 1 = {m - 1}, "
+                                                  rf"got nu = {nu}"):
+                logpdf_beta2_matric(params, random_hpd(rng, tag, d))
+            for _ in range(4):
+                point = random_hpd(rng, tag, d)
+                v = hermitian_eigenvalues(point)
+                spectral = log_joint_eig_mv(tag, m, n, nu, v)
+                matrix = logpdf_beta2_multivariate(params, point)
+                assert math.isfinite(matrix)
+                vandermonde = beta * sum(math.log(v[i] - v[j])
+                                         for i, j in itertools.combinations(range(d), 2))
+                scale = max(1.0, abs(spectral), abs(matrix), abs(const))
+                assert abs(spectral - matrix - vandermonde - const) <= 1e-12 * scale
+
+
+def _uncached_log_joint(tag, m, n, nu, v, trace, singular):
     """The spectral-density core as one formula, every constant recomputed
     at each call, in the order of additions the core keeps."""
     from rdmt.special import _lmg, _wide, log_gamma, log_mvbeta, tau
@@ -408,8 +439,8 @@ def _uncached_log_joint(tag, m, n, nu, v, trace, singular, printed_variant=False
     beta = tag.beta
     m, n, nu = _wide(m, n, nu, trace)
     lam = v * v if singular else v
-    pi_exp = beta * m * m * (1.0 if printed_variant else 0.5) + tau(tag, m)
-    const = pi_exp * math.log(math.pi) - _lmg(tag, m, beta * m / 2.0)
+    const = ((beta * m * m / 2.0 + tau(tag, m)) * math.log(math.pi)
+             - _lmg(tag, m, beta * m / 2.0))
     if beta > 1:
         const += m * log_gamma(beta / 2.0)
     log_lam = np.log(lam)
@@ -431,67 +462,55 @@ def _uncached_log_joint(tag, m, n, nu, v, trace, singular, printed_variant=False
 
 class TestSpectralCore:
     @pytest.mark.parametrize("tag", [R, C, H, O])
-    @pytest.mark.parametrize("fn,trace,singular,printed", [
-        (log_joint_sv_matric_t, False, True, False),
-        (log_joint_sv_matric_t, False, True, True),
-        (log_joint_sv_matrix_mt, True, True, None),
-        (log_joint_eig_beta2, False, False, False),
-        (log_joint_eig_beta2, False, False, True),
-        (log_joint_eig_mv, True, False, None),
+    @pytest.mark.parametrize("fn,trace,singular", [
+        (log_joint_sv_matric_t, False, True),
+        (log_joint_sv_matrix_mt, True, True),
+        (log_joint_eig_beta2, False, False),
+        (log_joint_eig_mv, True, False),
     ])
-    def test_cached_constant_is_bit_identical(self, rng, tag, fn, trace, singular,
-                                              printed):
+    def test_cached_constant_is_bit_identical(self, rng, tag, fn, trace, singular):
         from rdmt.spectral import _log_joint_const
 
         _log_joint_const.cache_clear()
-        kw = {} if printed is None else {"printed_variant": printed}
         shapes = ((1, 1, 1.5), (1, 3, 2.5), (2, 3, 4.5), (3, 4, 5.0), (3, 2, 9.0),
                   (4, 2, 9.5), (2, 1, 4.0))
         if tag == O:
             shapes = ((1, 1, 1.5), (1, 3, 2.5), (3, 1, 4.5), (2, 3, 3.5))
         for m, n, nu in shapes:
             v = -np.sort(-rng.uniform(0.05, 4.0, size=(11, min(m, n))), axis=1)
-            want = _uncached_log_joint(tag, m, n, nu, v, trace, singular, bool(printed))
+            want = _uncached_log_joint(tag, m, n, nu, v, trace, singular)
             for _ in range(2):  # the call that fills the cache, then a cached one
-                np.testing.assert_array_equal(fn(tag, m, n, nu, v, **kw), want)
-                assert fn(tag, m, n, nu, v[3], **kw) == want[3]
+                np.testing.assert_array_equal(fn(tag, m, n, nu, v), want)
+                assert fn(tag, m, n, nu, v[3]) == want[3]
         assert _log_joint_const.cache_info().hits > 0
 
     PAIRS = [
-        (log_joint_sv_matric_t, log_joint_eig_beta2, False),
-        (log_joint_sv_matric_t, log_joint_eig_beta2, True),
-        (log_joint_sv_matrix_mt, log_joint_eig_mv, None),
+        (log_joint_sv_matric_t, log_joint_eig_beta2),
+        (log_joint_sv_matrix_mt, log_joint_eig_mv),
     ]
 
     @pytest.mark.parametrize("tag", [R, C, H, O])
-    @pytest.mark.parametrize("fn_sv,fn_eig,printed", PAIRS)
-    def test_singular_is_eigen_under_squares(self, rng, tag, fn_sv, fn_eig, printed):
+    @pytest.mark.parametrize("fn_sv,fn_eig", PAIRS)
+    def test_singular_is_eigen_under_squares(self, rng, tag, fn_sv, fn_eig):
         # lambda = d^2: p_sv(d) = p_eig(d^2) * prod |d lambda / d d| = 2^m prod d
-        kw = {} if printed is None else {"printed_variant": printed}
         for m, n, nu in ((1, 1, 1.5), (1, 3, 2.5), (2, 2, 3.0), (2, 3, 4.5),
                          (3, 4, 5.0)):
             d = np.sort(rng.uniform(0.05, 3.0, size=m))[::-1]
-            sv = fn_sv(tag, m, n, nu, d, **kw)
-            eig = fn_eig(tag, m, n, nu, d * d, **kw)
+            sv = fn_sv(tag, m, n, nu, d)
+            eig = fn_eig(tag, m, n, nu, d * d)
             want = eig + m * math.log(2.0) + float(np.log(d).sum())
             assert abs(sv - want) <= 1e-12 * max(1.0, abs(want))
 
     @pytest.mark.parametrize("tag", [R, C, H, O])
-    @pytest.mark.parametrize("fn,kw", [
-        (log_joint_sv_matric_t, {}),
-        (log_joint_sv_matric_t, {"printed_variant": True}),
-        (log_joint_sv_matrix_mt, {}),
-        (log_joint_eig_beta2, {}),
-        (log_joint_eig_beta2, {"printed_variant": True}),
-        (log_joint_eig_mv, {}),
-    ])
-    def test_batch_equals_rows(self, rng, tag, fn, kw):
+    @pytest.mark.parametrize("fn", [log_joint_sv_matric_t, log_joint_sv_matrix_mt,
+                                    log_joint_eig_beta2, log_joint_eig_mv])
+    def test_batch_equals_rows(self, rng, tag, fn):
         for m, n, nu in ((1, 2, 3.0), (2, 3, 4.5), (3, 3, 5.0)):
             v = -np.sort(-rng.uniform(0.05, 4.0, size=(17, m)), axis=1)
-            batch = fn(tag, m, n, nu, v, **kw)
+            batch = fn(tag, m, n, nu, v)
             assert isinstance(batch, np.ndarray) and batch.shape == (17,)
             for row, got in zip(v, batch):
-                single = fn(tag, m, n, nu, row, **kw)
+                single = fn(tag, m, n, nu, row)
                 assert type(single) is float
                 assert abs(got - single) <= 1e-12 * max(1.0, abs(single))
 

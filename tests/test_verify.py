@@ -31,6 +31,7 @@ from rdmt.verify import (
     _scalar_logpdf,
     _KS_REFERENCE_PAIRS,
     _ks_reference_cases,
+    _printed_densities,
     default_suite,
     ks_one_sample,
     ks_two_sample,
@@ -179,9 +180,9 @@ def _quad_reference(logpdf_scalar, lo, hi, positive=False):
     return val
 
 
-def _at_1x1(evaluator, params, **options):
+def _at_1x1(evaluator, params):
     """x -> evaluator at the 1x1 point [[x]], one point per call."""
-    return lambda x: evaluator(params, DivMatrix.from_real(params.tag, [[x]]), **options)
+    return lambda x: evaluator(params, DivMatrix.from_real(params.tag, [[x]]))
 
 
 class TestBatchedQuadrature:
@@ -198,12 +199,12 @@ class TestBatchedQuadrature:
 
     def test_cogram_and_printed_variant_match_quad(self):
         params = BetaIIParams(R, 2, 1, 3.0)   # tall: the cogram law
-        for printed in (False, True):
-            got = quadrature_mass_positive(
-                _scalar_logpdf(logpdf_beta2_matric, params, printed_variant=printed))
-            want = _quad_reference(
-                _at_1x1(logpdf_beta2_matric, params, printed_variant=printed),
-                0.0, np.inf, positive=True)
+        corrected, printed = _printed_densities()[1]
+        node = _at_1x1(logpdf_beta2_matric, params)
+        for batched, scalar in ((corrected, node),
+                                (printed, lambda x: node(x) - math.log1p(x))):
+            got = quadrature_mass_positive(batched)
+            want = _quad_reference(scalar, 0.0, np.inf, positive=True)
             assert abs(got - want) <= 1e-12
 
     @pytest.mark.parametrize("tag", [R, C, H])
@@ -247,6 +248,34 @@ class TestBatchedQuadrature:
         assert abs(total - math.sqrt(math.pi) / 2.0) <= 1e-12
         want = [_quad_reference(lambda x: -x + 0.5 * math.log(x), 0.0, b) for b in xs]
         np.testing.assert_allclose(cdf(xs) * total, want, rtol=0.0, atol=1e-12)
+
+
+class TestPrintedVariants:
+    """The printed formulas of printed-variant-evidence against the paper's
+    print, spelt out at the two 1x1 laws the check integrates."""
+
+    X = np.array([1e-3, 0.3, 1.0, 2.5, 40.0])
+
+    def test_sv_coefficient_is_pi_to_the_beta_m_squared(self):
+        # corrected: the half-Cauchy 2 / (pi (1 + d^2)); printed: pi^(beta m^2
+        # + tau) = pi for pi^(beta m^2/2 + tau) = pi^0.5, 0.5 log pi more
+        corrected, printed = _printed_densities()[0]
+        kernel = -np.log1p(self.X * self.X)
+        np.testing.assert_allclose(corrected(self.X), math.log(2 / math.pi) + kernel,
+                                   rtol=1e-14, atol=1e-14)
+        np.testing.assert_allclose(printed(self.X), math.log(2 / math.sqrt(math.pi))
+                                   + kernel, rtol=1e-14, atol=1e-14)
+        np.testing.assert_allclose(printed(self.X) - corrected(self.X),
+                                   0.5 * math.log(math.pi), rtol=1e-13)
+
+    def test_cogram_bracket_has_one_more_factor(self):
+        # the wide law at nu' = nu + n - m = 2, n' = 2: (1 + f)^-2, B(1, 1) = 1;
+        # printed (1 + f)^-3
+        corrected, printed = _printed_densities()[1]
+        np.testing.assert_allclose(corrected(self.X), -2 * np.log1p(self.X), rtol=1e-14)
+        np.testing.assert_allclose(printed(self.X), -3 * np.log1p(self.X), rtol=1e-14)
+        np.testing.assert_allclose(printed(self.X) - corrected(self.X),
+                                   -np.log1p(self.X), rtol=1e-12)
 
 
 class TestSuite:

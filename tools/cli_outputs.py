@@ -48,9 +48,12 @@ to 0.9, and flags with beta = 8, whose m x (n + nu) block is never 1x1), and
 --m, --n or --nu given to a family whose record has no such field.
 Then come flags spelt short, `sample --form csv` and `density --point`,
 which argparse would read as `--format` and `--points` if it took prefixes.
-Last come records refused for a number: a nu, rho or mixture entry that is
+Then come records refused for a number: a nu, rho or mixture entry that is
 NaN or inf, by flag or in a params file, and an integer field given 1.5,
-true or Infinity in a params file.
+true or Infinity in a params file.  Last come both beta II densities at
+2x3 with nu = 0.5, which the mv law takes and the matricvariate law
+refuses (it needs nu > m - 1), and 3x2 `spectrum --kind eigen --grid` of
+matric-t and matrix-mt, the spectra of the n x n gram T* T.
 """
 
 from __future__ import annotations
@@ -493,6 +496,22 @@ def _commands(files: dict) -> list:
         cmds.append((f"fail-density-params-{name}",
                      ["density", "--dist", "matric-t", "--params",
                       files[f"params-{name}"]] + t_points))
+    # a beta II nu below the matricvariate law's bound nu > m - 1, which the
+    # mv law takes, and the eigen spectra of a tall T, those of its n x n
+    # gram T* T under the law of the wide transpose
+    f_points = ["--points", files["f-points-b1-d2"], "--out", "{out}"]
+    cmds += [
+        ("density-beta2-mv-nu-0.5-b1",
+         ["density", "--dist", "beta2-mv", "--nu", "0.5"] + shape(1) + f_points),
+        ("fail-density-beta2-matric-nu-0.5-b1",
+         ["density", "--dist", "beta2-matric", "--nu", "0.5"] + shape(1) + f_points),
+    ]
+    for beta in BETAS:
+        for family, argv in (("matric-t", ["--nu", "9"]),
+                             ("matrix-mt", ["--nu", "3.5", "--rho", "0.7"])):
+            cmds.append((f"spectrum-{family}-eigen-3x2-b{beta}",
+                         ["spectrum", "--dist", family, "--kind", "eigen"] + argv
+                         + shape(beta, 3, 2) + seed + ["--grid", "{grid}"]))
     return cmds
 
 
