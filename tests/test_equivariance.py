@@ -28,9 +28,10 @@ Hermitian, not positive definite, non-finite), and then its factor is 2^k
 times A's; the quaternion adjoint's pair collapse and `SpectrumSample`'s
 tie test give the same answer.  The spectra of c A are c times A's: bit
 for bit on the closed forms (the 1x1 octonion, and stacks of at most two
-rows or columns for singular values), and within a few eps of the largest
+rows or columns for singular values), and within 64 eps of the largest
 value on LAPACK's, whose own rescaling of a very large or small matrix is
-not a power of two."""
+not a power of two (30000 random cases at |2k| of 400 to 500 moved by at
+most 9.3 eps; 300 cases at |2k| <= 300 moved by none)."""
 
 import math
 import warnings
@@ -47,6 +48,7 @@ from rdmt.algebra import (
     _collapse_pairs,
     _conj_t_raw,
     _hermitize_raw,
+    _identity_raw,
     _matmul_raw,
 )
 from rdmt.distributions import _FAMILIES, BetaIIParams, MatricTParams, MatrixMTParams
@@ -196,7 +198,7 @@ def _check_equivariance(law, shape, seed, k1, k2):
 # -- the decision rules at c = 4^k.  |k| <= 250 keeps c A, its factor and
 # its spectra normal doubles; LAPACK rescales a matrix past about 2^+-460.
 K4_MAX = 250
-FEW_EPS = 4 * np.finfo(float).eps
+LAPACK_RTOL = 64 * np.finfo(float).eps
 MATRICES = ["positive definite", "rank one", "indefinite", "not hermitian",
             "at the hermitian tolerance", "non-finite"]
 
@@ -207,7 +209,8 @@ def _matrix(kind: str, tag, d: int, gen) -> np.ndarray:
     one, a gap at the Hermitian tolerance), which must still not move."""
     beta = tag.beta
     g = gen.normal(size=(d, d, beta))
-    a = _hermitize_raw(_matmul_raw(g, _conj_t_raw(g)))
+    # g g* + d I has eigenvalues of at least d, so it is surely positive definite
+    a = _hermitize_raw(_matmul_raw(g, _conj_t_raw(g))) + d * _identity_raw(d, beta)
     if kind == "rank one":
         a = _hermitize_raw(_matmul_raw(g[:, :1], _conj_t_raw(g[:, :1])))
     elif kind == "indefinite":
@@ -251,14 +254,14 @@ def test_hermitian_pd_decides_alike_at_every_power_of_four(tag, d, kind, seed, k
 
 
 def _assert_scaled(moved, base, k, exact):
-    """moved == 4^k base: bit for bit, or within a few eps of each
+    """moved == 4^k base: bit for bit, or within LAPACK_RTOL of each
     spectrum's largest |value|."""
     want = np.ldexp(base, 2 * k)
     if exact:
         assert np.array_equal(moved, want)
     else:
         size = np.abs(want).max(axis=-1, keepdims=True)
-        assert np.all(np.abs(moved - want) <= FEW_EPS * size)
+        assert np.all(np.abs(moved - want) <= LAPACK_RTOL * size)
 
 
 @settings(max_examples=60, deadline=None)
