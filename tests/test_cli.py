@@ -419,6 +419,33 @@ class TestDensity:
         assert calls == [(7, 1, 1, 2)]
         assert len(self._density_values(out)) == 7
 
+    @pytest.mark.parametrize("beta", [1, 4])
+    def test_beta2_nu_below_the_matricvariate_bound(self, tmp_path, capsys, beta):
+        # at 2x3, nu = 0.5: the mv law writes the library's values, the
+        # matricvariate law exits 2 naming nu and its bound m - 1
+        from rdmt.algebra import AlgebraTag, HermitianPD
+        from rdmt.distributions import BetaIIParams, logpdf_beta2_multivariate
+
+        tag = AlgebraTag(beta)
+        points = [[[2.0, 0.3], [0.3, 1.0]], [[0.5, 0.1], [0.1, 0.25]]]
+        lines = [json.dumps({"beta": beta, "rows": 2, "cols": 2,
+                             "data": [[[x] + [0.0] * (beta - 1) for x in row]
+                                      for row in p]}) for p in points]
+        flags = ["--beta", str(beta), "--m", "2", "--n", "3", "--nu", "0.5"]
+        code, out = self._run_density(tmp_path, lines, "--dist", "beta2-mv", *flags)
+        assert code == 0
+        params = BetaIIParams(tag, 2, 3, 0.5)
+        want = [logpdf_beta2_multivariate(params, HermitianPD.from_real(tag, p))
+                for p in points]
+        got = self._density_values(out)
+        assert all(math.isfinite(v) for v in got)
+        np.testing.assert_allclose(got, want, rtol=1e-14)
+        out.unlink()
+        code, out = self._run_density(tmp_path, lines, "--dist", "beta2-matric", *flags)
+        assert code == 2 and not out.exists()
+        assert ("the matricvariate beta II law requires nu > m - 1 = 1, got nu = 0.5"
+                in capsys.readouterr().err)
+
 
 class TestRho:
     @pytest.mark.parametrize("dist", ["gamma", "matrix-mt"])

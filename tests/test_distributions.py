@@ -376,6 +376,16 @@ class TestBetaII:
                        BetaIIParams(tag, d, n, 4.0, scale=random_hpd(rng, tag, d))):
             assert logpdf(params, HermitianPD(x)) == logpdf(params, x)
 
+    def test_the_record_takes_every_positive_nu(self):
+        # the record holds the mv law's domain; the matricvariate bound
+        # nu > m - 1 belongs to that density alone
+        for m, n in ((2, 3), (3, 2)):
+            for nu in (1e-3, 0.5, m - 1.0):
+                assert BetaIIParams(R, m, n, nu).nu == nu
+            for nu in (0.0, -0.5):
+                with pytest.raises(DomainError, match="^require nu > 0$"):
+                    BetaIIParams(R, m, n, nu)
+
     def test_scalar_value(self):
         params = BetaIIParams(R, 1, 2, 2.0)
         f = HermitianPD.from_real(R, [[1.0]])
