@@ -257,9 +257,12 @@ def _cmd_density(args) -> int:
         try:
             values = row.density(params, stack, **form)
         except _CONFIG_ERRORS as exc:
-            # an error about one point carries its stack index
-            line = linenos[getattr(exc, "index", None) or 0]
-            raise _CliError(f"--points line {line}: {exc}") from exc
+            # an error about the points carries the stack index of the first
+            # one at fault; any other is the record's (a law's domain)
+            index = getattr(exc, "index", None)
+            if index is None:
+                raise _CliError(str(exc)) from exc
+            raise _CliError(f"--points line {linenos[index]}: {exc}") from exc
     _write(args.out, info, "%r", values)
     return 0
 

@@ -412,12 +412,17 @@ class BetaIIParams(_JsonRecord):
         """Side length of the sampled positive definite matrix, min(m, n)."""
         return min(self.m, self.n)
 
+    # each law's terms are computed on its first use (see Log densities), so
+    # one law never meets the other's domain
     @cached_property
-    def _density_terms(self):
-        """law -> `_beta2_terms(self, law)`, each law's filled in on its first
-        use (`_law_terms`, see Log densities), so one law never meets the
-        other's domain."""
-        return {}
+    def _matric_terms(self):
+        """`_beta2_terms(self, "matric")`."""
+        return _beta2_terms(self, "matric")
+
+    @cached_property
+    def _mv_terms(self):
+        """`_beta2_terms(self, "mv")`."""
+        return _beta2_terms(self, "mv")
 
 
 @dataclass(frozen=True)
@@ -674,7 +679,8 @@ def sample_elliptical_t(rng: RngStream, params: EllipticalTParams,
 # any leading axes, so one point simply has none.  A point with a NaN or inf
 # coefficient is refused by `_points`, naming its index.  The pieces that do
 # not depend on the point are computed once per parameter record and cached
-# on it as `_density_terms`: an attribute, not a dataclass field, so it stays
+# on it as `_density_terms` (a beta II record as `_matric_terms` and
+# `_mv_terms`, one per law): an attribute, not a dataclass field, so it stays
 # out of ==, repr and the JSON.  The records cache their constant factors
 # and bases in the form their kernels read, the complex representation for
 # beta <= 4, so a call embeds only its points once: the matric-t bracket is
@@ -688,7 +694,9 @@ def sample_elliptical_t(rng: RngStream, params: EllipticalTParams,
 def _points(params, t, shape: tuple) -> tuple:
     """(coefficients, single) of one point or of a stack of points, checked
     against the point shape (rows, cols) over the record's algebra.  A point
-    with a NaN or inf coefficient is refused (ValueError naming it)."""
+    with a NaN or inf coefficient is refused (ValueError naming it); a stack
+    of the wrong shape is refused at its first point (the error's `index` is
+    0, as `_raise_at` sets it)."""
     if isinstance(t, DivMatrix):
         x, single = t.data, True
         ok = t.tag == params.tag and t.shape == shape
@@ -699,10 +707,10 @@ def _points(params, t, shape: tuple) -> tuple:
         raise TypeError("the evaluation point must be a DivMatrix, or a stack "
                         "of points as an (N, rows, cols, beta) array")
     if not ok:
-        raise ValueError(
-            f"point shape/algebra mismatch: expected {shape[0]}x{shape[1]} "
-            f"over {params.tag.name}"
-        )
+        exc = ValueError(f"point shape/algebra mismatch: expected "
+                         f"{shape[0]}x{shape[1]} over {params.tag.name}")
+        exc.index = None if single else 0
+        raise exc
     _refuse_non_finite(x, "the evaluation point")
     return x, single
 
@@ -805,15 +813,6 @@ def _beta2_terms(params: BetaIIParams, law: str) -> tuple:
     return q, exp_f, congruence, const
 
 
-def _law_terms(params: BetaIIParams, law: str) -> tuple:
-    """`_beta2_terms(params, law)`, cached in `params._density_terms` on
-    the law's first use."""
-    terms = params._density_terms
-    if law not in terms:
-        terms[law] = _beta2_terms(params, law)
-    return terms[law]
-
-
 def _beta2_logpdf(params: BetaIIParams, f, terms: tuple, trace: bool):
     """const + exp_f sum log lambda_i - q K at beta II points F, with terms
     = (q, exp_f, congruence, const) of `_beta2_terms`, lambda the
@@ -876,7 +875,7 @@ def logpdf_beta2_matric(params: BetaIIParams, f):
     and multiplies by |scale|^(beta*nu'/2).  The law needs nu > m - 1 in
     both orientations; a smaller nu raises DomainError.
     """
-    return _beta2_logpdf(params, f, _law_terms(params, "matric"), trace=False)
+    return _beta2_logpdf(params, f, params._matric_terms, trace=False)
 
 
 def _matrix_mt_terms(params: MatrixMTParams) -> tuple:
@@ -916,7 +915,7 @@ def logpdf_beta2_multivariate(params: BetaIIParams, f):
     (1 + tr F)^(-beta(nu+mn)/2)), at every nu > 0; a scale gives the
     nonstandardised bracket (1 + tr scale*F) and the factor |scale|^(beta
     n/2) (m/2 for cogram)."""
-    return _beta2_logpdf(params, f, _law_terms(params, "mv"), trace=True)
+    return _beta2_logpdf(params, f, params._mv_terms, trace=True)
 
 
 # ---------------------------------------------------------------------------

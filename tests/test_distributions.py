@@ -1046,8 +1046,13 @@ class TestBatchedDensities:
         params = MatrixMTParams(R, 2, 3, 3.0)
         with pytest.raises(ValueError, match="mismatch"):
             logpdf_matrix_mt(params, rng.normal(size=(4, 3, 2, 1)))
-        with pytest.raises(ValueError, match="mismatch"):
+        with pytest.raises(ValueError, match="mismatch") as info:
             logpdf_matrix_mt(params, rng.normal(size=(4, 2, 3, 2)))
+        # every point has the stack's shape: the first one is at fault
+        assert info.value.index == 0
+        with pytest.raises(ValueError, match="mismatch") as info:
+            logpdf_matrix_mt(params, DivMatrix(R, rng.normal(size=(3, 2, 1))))
+        assert info.value.index is None
         with pytest.raises(TypeError):
             logpdf_matrix_mt(params, rng.normal(size=(2, 3, 1)).tolist())
 

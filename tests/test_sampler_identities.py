@@ -448,10 +448,10 @@ class TestCachedSigmaInverseFactor:
             init(self, mat)
 
         monkeypatch.setattr(HermitianPD, "__init__", spy)
-        terms = dist._beta2_terms(params, "matric")
+        terms = {law: dist._beta2_terms(params, law) for law in ("matric", "mv")}
         assert not built
         cached = params.scale._inverse_factor_reps[::-1]
-        assert all(a is b for a, b in zip(terms[2][0], cached))
+        assert all(a is b for a, b in zip(terms["matric"][2][0], cached))
 
     @pytest.mark.parametrize("tag,d", [(R, 2), (C, 2), (H, 2), (O, 1)])
     def test_beta2_densities_keep_the_inverse_factor_bits(self, tag, d):
