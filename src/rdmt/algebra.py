@@ -19,22 +19,20 @@ homomorphism that commutes with the conjugate transpose.  So products,
 solves and inverses carry over exactly, the positive-diagonal Cholesky
 factor of the adjoint is the adjoint of the factor (it is unique), and each
 quaternion singular value or eigenvalue appears in the adjoint as a
-coincident (Kramers) pair.  Every kernel is one numpy call between
-`_complex_embed_raw` and `_complex_unembed_raw`, with three exceptions.  Two
-are for stacks of two or more matrices, and work on the coefficients
-themselves: the triangular systems L* X = B of a Cholesky factor L are
-solved by back substitution (`_substitute_raw`) at every order, skipping
-LAPACK's LU, and matrices with min(m, n) <= 2 have closed-form singular
-values (`_singular_values_raw`), skipping LAPACK's iterative SVD.  The
-quaternion rule j q of both, and of the adjoint's second block row, is
-`_j_times_raw`.  The third is the log-det-of-Gram kernel of the matric-t
-densities, `_logdet_gram_raw`: log|B + g* g| with g = F A is formed,
-factored and read off entirely in the representation, so A is embedded once
-and nothing is unembedded.  It and `_product_raw`, the product F A G of the
-samplers' scale factors and of the matrix-mt density's trace |F A G|_F^2,
-take their constant factors and bases already embedded
-(`_representation_raw`), so a parameter record embeds them once; so does
-`_eigvalsh_raw` for the congruence M* A M of the beta II densities.
+coincident (Kramers) pair.  A kernel embeds each operand once
+(`_complex_embed_raw`) and unembeds its result once (`_complex_unembed_raw`);
+a parameter record's constant factors and bases come already embedded
+(`_representation_raw`), so a record embeds them once.  A sampler's
+construction is one kernel: T = (F L)^-* Y G (K L')^-1 (`_solve_raw`) or
+the Wishart gram (`_gram_raw`).  The densities' log|B + g* g|
+(`_logdet_gram_raw`) and spectrum of M* A M (`_eigvalsh_raw`) unembed
+nothing.  One rule, `_in_representation`, sends a single system to the
+representation and a stack of two or more, or a 1x1 octonion, to the
+coefficients: there triangular systems are solved by back substitution
+(`_substitute_raw`), skipping LAPACK's LU, and matrices with min(m, n) <= 2
+have closed-form singular values (`_singular_values_raw`), skipping
+LAPACK's iterative SVD.  The quaternion rule j q of both, and of the
+adjoint's second block row, is `_j_times_raw`.
 
 Two rules of the algebra live here alone.  Gram products (`_gram_raw`) and
 every other matrix that Cholesky or eigvalsh reads one triangle of are
@@ -229,17 +227,15 @@ def _folded_matmul(z: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def _matmul_raw(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product on (..., m, k, beta) x (..., k, n, beta) arrays; the
-    leading axes broadcast (`_folded_matmul` of the representations)."""
+    leading axes broadcast (`_product_raw` by b's representation)."""
     if a.shape[-2] != b.shape[-3]:
         raise ValueError(
             f"matmul dimension mismatch: {a.shape[-3]}x{a.shape[-2]} by "
             f"{b.shape[-3]}x{b.shape[-2]}"
         )
-    beta = a.shape[-1]
     if _octonion_scalar(a) and _octonion_scalar(b):
         return _mul_coeffs(a, b)
-    z = _folded_matmul(_complex_embed_raw(a, beta), _complex_embed_raw(b, beta))
-    return _complex_unembed_raw(z, beta)
+    return _product_raw(a, right=_representation_raw(b))
 
 
 def _identity_raw(m: int, beta: int) -> np.ndarray:
@@ -252,12 +248,18 @@ def _hermitize_raw(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + _conj_t_raw(a))
 
 
-def _gram_raw(x: np.ndarray) -> np.ndarray:
-    """The min(m, n) square gram of (..., m, n, beta), symmetrized: X X* when
-    m <= n, X* X for a tall X."""
+def _gram_raw(x: np.ndarray, left=None) -> np.ndarray:
+    """The min(m, n) square gram of G = left X, symmetrized, for (..., m, n,
+    beta) X and a constant left (None: G = X): G G* when m <= n, G* G for a
+    tall X.  One matrix forms G and its gram in the representation."""
+    wide = x.shape[-3] <= x.shape[-2]
+    if _in_representation(x):
+        z = _represented_product(x, left)
+        zt = np.conjugate(z.swapaxes(-1, -2), order="C")
+        return _hermitize_raw(_complex_unembed_raw(z @ zt if wide else zt @ z, x.shape[-1]))
+    x = _product_raw(x, left)
     xt = _conj_t_raw(x)
-    return _hermitize_raw(_matmul_raw(x, xt) if x.shape[-3] <= x.shape[-2]
-                          else _matmul_raw(xt, x))
+    return _hermitize_raw(_matmul_raw(x, xt) if wide else _matmul_raw(xt, x))
 
 
 def _stack_index(bad: np.ndarray):
@@ -377,10 +379,9 @@ def _chol_logdet_raw(lo: np.ndarray) -> np.ndarray:
 
 
 def _representation_raw(x: np.ndarray | None) -> np.ndarray | None:
-    """A constant as `_logdet_gram_raw`, `_product_raw` and `_eigvalsh_raw`
-    take it: the complex representation of (m, n, beta) coefficients for
-    beta <= 4, a 1x1 octonion's coefficients as they are, and None (an
-    exact identity factor, which is skipped) as None."""
+    """A constant as the kernels take it: the complex representation of
+    (m, n, beta) coefficients for beta <= 4, a 1x1 octonion's coefficients
+    as they are, and None (an exact identity, skipped) as None."""
     if x is None or _octonion_scalar(x):
         return x
     return _complex_embed_raw(x, x.shape[-1])
@@ -388,8 +389,7 @@ def _representation_raw(x: np.ndarray | None) -> np.ndarray | None:
 
 def _represented_product(a: np.ndarray, left=None, right=None) -> np.ndarray:
     """Complex representation of left a right for a (..., k, p, beta) stack
-    a, beta <= 4, with left and right as `_representation_raw` gives them:
-    a is embedded once, and its product with right is `_folded_matmul`'s."""
+    a, beta <= 4: a is embedded once, and a right is `_folded_matmul`'s."""
     z = _complex_embed_raw(a, a.shape[-1])
     if left is not None:
         z = left @ z
@@ -397,12 +397,10 @@ def _represented_product(a: np.ndarray, left=None, right=None) -> np.ndarray:
 
 
 def _product_raw(a: np.ndarray, left=None, right=None) -> np.ndarray:
-    """left a right of a (..., k, p, beta) stack a, with constant factors
-    left and right as `_representation_raw` gives them, so a caller that
-    keeps them embeds only a: the bits of `_matmul_raw(_matmul_raw(left,
-    a), right)` on the factors' coefficients.  A factor None (an exact
-    identity) is skipped, and with neither a itself is returned.  A 1x1
-    octonion takes the coefficient products."""
+    """left a right of a (..., k, p, beta) stack a on the coefficients: the
+    bits of `_matmul_raw(_matmul_raw(left, a), right)`, with a alone
+    embedded.  A factor None is skipped, and with neither a itself is
+    returned; a 1x1 octonion takes the coefficient products."""
     if left is None and right is None:
         return a
     if _octonion_scalar(a):
@@ -411,20 +409,22 @@ def _product_raw(a: np.ndarray, left=None, right=None) -> np.ndarray:
     return _complex_unembed_raw(_represented_product(a, left, right), a.shape[-1])
 
 
+def _in_representation(*arrays) -> bool:
+    """The kernels' one rule: one matrix over R, C or H (None skipped) takes the
+    representation; a stack of two or more, or a 1x1 octonion, the coefficients."""
+    return not any(_octonion_scalar(x) or _batch(x) > 1 for x in arrays if x is not None)
+
+
 def _logdet_gram_raw(base: np.ndarray, a: np.ndarray, factor=None) -> np.ndarray:
     """log|base + g* g| of each matrix of a (..., k, p, beta) stack a, with
-    g = a, or g = factor a for a (k, k) factor; base (p, p) is Hermitian
-    positive definite, and base and factor are given as
-    `_representation_raw` gives them.  Shared and stacked constants
-    broadcast.
-
-    For beta <= 4 a is embedded once; the product, the Gram, its sum with
-    base and the symmetrization (B + B*)/2 are formed in the complex
-    representation and factored under `_cholesky_raw`'s guard
-    (`_complex_cholesky`).  The log det is read from the real parts of the
-    factor's diagonal, for beta = 4 from the rows `_complex_unembed_raw`
-    reads, so nothing is unembedded.  A 1x1 octonion takes the coefficient
-    product g = factor a, and g* g is |g|^2 in the real coefficient."""
+    g = a, or g = factor a for a (k, k) factor, and base (p, p) Hermitian
+    positive definite; shared and stacked constants broadcast.  For
+    beta <= 4, g, its Gram, the sum with base and its symmetrization
+    (B + B*)/2 are formed in the representation and factored under
+    `_cholesky_raw`'s guard (`_complex_cholesky`); the log det is read from
+    the real parts of the factor's diagonal (for beta = 4 its even rows), so
+    nothing is unembedded.  A 1x1 octonion takes g = factor a on the
+    coefficients, and g* g is |g|^2 in the real coefficient."""
     if _octonion_scalar(a):
         g = _product_raw(a, factor)
         gram = np.zeros(g.shape)
@@ -442,24 +442,38 @@ def _logdet_gram_raw(base: np.ndarray, a: np.ndarray, factor=None) -> np.ndarray
     return 2.0 * np.log(diag[..., ::2] if a.shape[-1] == 4 else diag).sum(axis=-1)
 
 
-def _solve_raw(lo: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve L* X = B for a lower Cholesky factor L, (..., m, m, beta), as
-    `_cholesky_raw`, `HermitianPD.chol` and the samplers' Wishart factors
-    give it, and (..., m, n, beta) B; the leading axes broadcast.  L's
-    diagonal must be real and positive.
+def _solve_raw(lo, b: np.ndarray, left=None, right=None, post=(None, None)) -> np.ndarray:
+    """X = A^-* B C^-1 (the systems A* Y = B, then X C = Y) for B = b right,
+    A = left lo and, with post = (c, c_left), C = c_left c: b is (..., m, n,
+    beta), lo, c and b coefficients, left, c_left and right constants, and A
+    and C lower triangular with real positive diagonals (as `_cholesky_raw`,
+    `HermitianPD.chol` and the Wishart factors give them).  A None is an
+    exact identity: a system without a factor is skipped, and with nothing
+    to do b is returned.  The leading axes broadcast.
 
-    A stack of two or more systems, and a 1x1 octonion, go through
-    `_substitute_raw`, which reads L in place, never forming L*: only its
-    strictly lower triangle and its diagonal's real part.  A single system
-    (no batch axis, or a batch of 1) takes LAPACK's solve of the
-    conjugate-transposed complex representation, which costs less for one
-    small system."""
-    beta = lo.shape[-1]
-    if _octonion_scalar(lo) or max(_batch(lo), _batch(b)) > 1:
-        return _substitute_raw(lo, b)
-    z = _complex_embed_raw(lo, beta)
-    return _complex_unembed_raw(
-        np.linalg.solve(z.conj().swapaxes(-1, -2), _complex_embed_raw(b, beta)), beta)
+    One system stays in the complex representation: b, lo and c are embedded
+    once and multiplied there, each system is one LAPACK solve (X C = Y as
+    C* X* = Y*), and X is unembedded once.  A stack of two or more, and a 1x1
+    octonion, form A, B and C on the coefficients (`_product_raw`) for
+    `_substitute_raw`, which reads a factor's strictly lower triangle and
+    its diagonal's real part in place."""
+    first, second = lo is not None or left is not None, any(f is not None for f in post)
+    if not (first or second or right is not None):
+        return b
+    if _in_representation(b, lo, post[0]):
+        def solve(f, g, y):     # A^-* Y for A = g f
+            a = g if f is None else _represented_product(f, g)
+            return np.linalg.solve(a.conj().swapaxes(-1, -2), y)
+        x, adj = _represented_product(b, right=right), (lambda z: z.conj().swapaxes(-1, -2))
+        done = (lambda z: _complex_unembed_raw(z, b.shape[-1]))
+    else:
+        def solve(f, g, y):
+            a = (_product_raw(f, g) if f is not None else g if _octonion_scalar(b)
+                 else _complex_unembed_raw(g, b.shape[-1]))
+            return _substitute_raw(a, y)
+        x, adj, done = _product_raw(b, right=right), _conj_t_raw, (lambda z: z)
+    x = solve(lo, left, x) if first else x
+    return _conj_t_raw(done(solve(*post, adj(x)))) if second else done(x)
 
 
 def _substitute_raw(lo: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -565,7 +579,7 @@ def _singular_values_raw(x: np.ndarray, beta: int) -> np.ndarray:
     underflowing.  A single matrix and every shape with min(m, n) >= 3 take
     LAPACK's SVD of the complex representation."""
     _refuse_non_finite(x, "matrix")
-    if not (_octonion_scalar(x) or (_batch(x) > 1 and 1 <= min(x.shape[-3:-1]) <= 2)):
+    if _in_representation(x) or not 1 <= min(x.shape[-3:-1]) <= 2:
         s = np.linalg.svd(_complex_embed_raw(x, beta), compute_uv=False)
         return _collapse_pairs(s) if beta == 4 else s
     if x.shape[-3] > x.shape[-2]:
@@ -653,8 +667,7 @@ def _norms(v: np.ndarray) -> np.ndarray:
 def _eigvalsh_raw(a: np.ndarray, beta: int, left=None, right=None) -> np.ndarray:
     """Descending real eigenvalues of Hermitian (..., m, m, beta), C-contiguous
     (numpy logs one matrix's as a stack's); a 1x1 octonion's is its real
-    coefficient.  With left = M* and right = M, as `_representation_raw`
-    gives them, those of M* a M, formed by `_represented_product`."""
+    coefficient.  With constants left = M* and right = M, those of M* a M."""
     if _octonion_scalar(a):
         w = _product_raw(a, left, right)[..., 0, 0, :1]
     else:
@@ -881,15 +894,13 @@ class HermitianPD:
 
     The input is checked Hermitian coefficient-wise (tolerance 1e-12 scaled
     by the largest coefficient, tolerating sampler round-off), symmetrized as
-    (A + A*)/2, and Cholesky-factorized eagerly; the factor is cached and
-    reused by every determinant and solve downstream.  `is_identity` says
-    whether the symmetrized matrix is exactly I, so its factor is too: the
-    samplers skip every product and solve by such a factor, each an exact
-    copy of its input.  The constant factors that the samplers' and
-    densities' products read are cached on first use, in their
-    representation: L (`_factor_reps`) and the lower factor M of the
-    inverse, M M* = A^-1 (`_inverse_factor_reps`).  Neither cache takes
-    part in ==, hash, repr or the schema dict.
+    (A + A*)/2, and Cholesky-factorized eagerly; the factor is cached for
+    every determinant and solve downstream.  The factors that the kernels
+    multiply and solve by are cached on first use in their representation:
+    L (`_factor_reps`) and the lower factor M of A^-1 = M M*
+    (`_inverse_factor_reps`), each None when the matrix is exactly I
+    (`is_identity`), so the kernels skip it, an exact copy of its input.
+    Neither cache takes part in ==, hash, repr or the schema dict.
     """
 
     __slots__ = ("mat", "_chol", "_logdet", "is_identity", "_reps", "_inverse_reps")
@@ -943,9 +954,7 @@ class HermitianPD:
     def _fill_reps(self, slot: str, factor) -> tuple:
         """Cache in `slot`, and return, (F, F*) of the lower factor F =
         factor() as `_representation_raw` gives them; (None, None) when the
-        matrix is exactly I, and so is F, so the products by it are
-        skipped.  Filled on first use: a matrix no product reads embeds
-        nothing."""
+        matrix, and so F, is exactly I."""
         lo = None if self.is_identity else factor()
         reps = (None, None) if lo is None else (
             _representation_raw(lo), _representation_raw(_conj_t_raw(lo)))
@@ -961,7 +970,7 @@ class HermitianPD:
     def _inverse_factor_reps(self) -> tuple:
         """(M, M*) of the lower factor M of the inverse, M M* = A^-1: the
         factor alone, not a HermitianPD of A^-1, whose checks, log det and
-        identity test no product reads."""
+        identity test no kernel reads."""
         return self._inverse_reps or self._fill_reps(
             "_inverse_reps", lambda: _cholesky_raw(_hpd_inverse_raw(self.mat.data)))
 

@@ -271,10 +271,10 @@ class MatricTParams(_JsonRecord):
     which differs for m >= 2.  The primal density multiplies by M*, M the
     lower factor of Sigma^-1.
 
-    The products' constant factors are cached on first use on the scales
-    that own them, embedded as `_product_raw` reads them (None for an exact
-    identity): L and L* of Xi and Sigma (`HermitianPD._factor_reps`), and M
-    and M* (`HermitianPD._inverse_factor_reps` of Sigma)."""
+    The constant factors are cached on first use on the scales that own
+    them, embedded as the kernels read them (None for an exact identity): L
+    and L* of Xi and Sigma (`HermitianPD._factor_reps`), and M and M*
+    (`HermitianPD._inverse_factor_reps` of Sigma)."""
 
     family: ClassVar[str] = "matric-t"
     tag: AlgebraTag
@@ -550,8 +550,7 @@ def sample_wishart(rng: RngStream, params: WishartParams, method: str = "bartlet
         c = _std_normal_raw(rng.generator, tag.beta, (nsamp, params.m, nu_int))
     else:
         raise ValueError(f"unknown Wishart method {method!r}")
-    c = _product_raw(c, params.Xi._factor_reps[0])
-    return _wrap_single(tag, _gram_raw(c), size, hermitian=True)
+    return _wrap_single(tag, _gram_raw(c, params.Xi._factor_reps[0]), size, hermitian=True)
 
 
 def _add_mu(t: np.ndarray, mu: DivMatrix) -> np.ndarray:
@@ -577,13 +576,11 @@ def sample_matric_t(rng: RngStream, params: MatricTParams,
     Wishart(nu+n-m, Sigma^-1) and X row-scaled by Xi^-1.  Both target the
     same law; the verify suite checks them against each other.
 
-    A scale that is exactly the identity (`HermitianPD.is_identity`) skips
-    its product or solve, and an exactly zero mu its add: each would copy
-    its input exactly, so the draws keep their bits.  A standard record
-    therefore costs the Bartlett factor, Y and one solve.  The constant
-    factors of the products are the scales', embedded once
-    (`HermitianPD._factor_reps`, `_inverse_factor_reps`), so a draw embeds
-    only its own random matrices.
+    The construction is one `_solve_raw` call by the scales' cached factors
+    (`HermitianPD._factor_reps`, `_inverse_factor_reps`): a draw embeds its
+    random matrices once, and a single draw unembeds T once.  An identity
+    scale's product or solve and an exactly zero mu's add are skipped, as
+    exact copies of their inputs, so a standard record costs one solve.
     """
     tag = params.tag
     beta = tag.beta
@@ -591,23 +588,19 @@ def sample_matric_t(rng: RngStream, params: MatricTParams,
     nsamp = 1 if size is None else int(size)
     gen = rng.generator
     if method == "wishart_root":
-        lw = _product_raw(_bartlett_factor_raw(gen, beta, m, params.nu, nsamp),
-                          params.Xi._factor_reps[0])
-        y = _product_raw(_std_normal_raw(gen, beta, (nsamp, m, n)),
-                         right=params.Sigma._factor_reps[1])
-        t = _solve_raw(lw, y)
+        t = _solve_raw(_bartlett_factor_raw(gen, beta, m, params.nu, nsamp),
+                       _std_normal_raw(gen, beta, (nsamp, m, n)),
+                       params.Xi._factor_reps[0], params.Sigma._factor_reps[1])
     elif method == "inverse_root":
         nu_u = params.nu + n - m
         if not nu_u > beta * (n - 1):
             raise DomainError(
                 f"inverse_root requires nu+n-m > beta*(n-1) = {beta * (n - 1)}"
             )
-        lu = _product_raw(_bartlett_factor_raw(gen, beta, n, nu_u, nsamp),
-                          params.Sigma._inverse_factor_reps[0])
-        x = _std_normal_raw(gen, beta, (nsamp, m, n))
-        if not params.Xi.is_identity:
-            x = _solve_raw(params.Xi.chol.data, x)
-        t = _conj_t_raw(_solve_raw(lu, _conj_t_raw(x)))
+        lu = _bartlett_factor_raw(gen, beta, n, nu_u, nsamp)
+        t = _solve_raw(None, _std_normal_raw(gen, beta, (nsamp, m, n)),
+                       params.Xi._factor_reps[0],
+                       post=(lu, params.Sigma._inverse_factor_reps[0]))
     else:
         raise ValueError(f"unknown matricvariate T method {method!r}")
     return _wrap_single(tag, _add_mu(t, params.mu), size)
@@ -640,10 +633,8 @@ def sample_matrix_mt(rng: RngStream, params: MatrixMTParams,
                        f"that underflowed to 0; nu = {params.nu:g} is too small")
     t1 = _std_normal_raw(gen, beta, (nsamp, m, n))
     t1 /= np.sqrt(s)[:, None, None, None]
-    if not params.Delta.is_identity:
-        t1 = _solve_raw(params.Delta.chol.data, t1)
-    if not params.Lambda.is_identity:
-        t1 = _conj_t_raw(_solve_raw(params.Lambda.chol.data, _conj_t_raw(t1)))
+    t1 = _solve_raw(None, t1, params.Delta._factor_reps[0],
+                    post=(None, params.Lambda._factor_reps[0]))
     return _wrap_single(tag, _add_mu(t1, params.mu), size)
 
 

@@ -13,6 +13,7 @@ from rdmt.algebra import (
     DivMatrix,
     HermitianPD,
     _complex_embed_raw,
+    _complex_unembed_raw,
     _conj_t_raw,
     _eigvalsh_raw,
     _hermitize_raw,
@@ -1262,10 +1263,11 @@ class TestPointIsAStackOfOne:
 
 
 class TestSolveContract:
-    """Every triangular solve of the samplers hands the kernel a lower
-    Cholesky factor L as it comes, lower triangular with a real positive
-    diagonal, and the kernel solves L* X = B.  The matric-t densities solve
-    nothing: both forms are products."""
+    """Every triangular solve of the samplers hands the kernel lower
+    factors A = left lo, lower triangular with real positive diagonals, a
+    random lo as it comes and a record's factor as its cached
+    representation, and the kernel solves A* X = B.  The matric-t densities
+    solve nothing: both forms are products."""
 
     @staticmethod
     def _check(lo):
@@ -1283,10 +1285,15 @@ class TestSolveContract:
         calls = []
         solve = dist._solve_raw
 
-        def checked(lo, b):
-            self._check(lo)
-            calls.append(lo.shape)
-            return solve(lo, b)
+        def checked(lo, b, left=None, right=None, post=(None, None)):
+            for f, g in ((lo, left), post):
+                if f is not None:
+                    self._check(f)
+                if g is not None:   # a constant, as `_representation_raw` gives it
+                    self._check(g if tag == O else _complex_unembed_raw(g, tag.beta))
+                if f is not None or g is not None:
+                    calls.append((f is None, g is None))
+            return solve(lo, b, left, right, post)
 
         monkeypatch.setattr(dist, "_solve_raw", checked)
         beta = tag.beta

@@ -37,6 +37,8 @@ from rdmt.algebra import (
     AlgebraTag,
     HermitianPD,
     _cholesky_raw,
+    _complex_embed_raw,
+    _complex_unembed_raw,
     _conj_t_raw,
     _gram_raw,
     _hermitize_raw,
@@ -161,20 +163,40 @@ def _bits(x) -> bytes:
     return np.ascontiguousarray(data).tobytes()
 
 
+def _embed(x):
+    return _complex_embed_raw(x, x.shape[-1])
+
+
+def _adj(z):
+    return z.conj().swapaxes(-1, -2)
+
+
 def _spelled_matric_t(params, method, gen, nsamp):
     """sample_matric_t's construction with every product, solve and add
-    taken, against the record's own factors."""
+    taken, against the record's own factors.  One draw over R, C or H is
+    composed in the complex representation: its random matrices embedded
+    once, T unembedded once."""
     beta, m, n = params.tag.beta, params.m, params.n
+    single = nsamp == 1 and beta <= 4
     if method == "wishart_root":
-        lw = _matmul_raw(params.Xi.chol.data,
-                         _bartlett_factor_raw(gen, beta, m, params.nu, nsamp))
+        bart = _bartlett_factor_raw(gen, beta, m, params.nu, nsamp)
         y = _std_normal_raw(gen, beta, (nsamp, m, n))
+        if single:
+            lw = _embed(params.Xi.chol.data) @ _embed(bart)
+            y = _embed(y) @ _embed(_conj_t_raw(params.Sigma.chol.data))
+            return _complex_unembed_raw(np.linalg.solve(_adj(lw), y), beta) + params.mu.data
+        lw = _matmul_raw(params.Xi.chol.data, bart)
         y = _matmul_raw(y, _conj_t_raw(params.Sigma.chol.data))
         t = _solve_raw(lw, y)
     else:
         g = _cholesky_raw(_hpd_inverse_raw(params.Sigma.mat.data))
-        lu = _matmul_raw(g, _bartlett_factor_raw(gen, beta, n, params.nu + n - m, nsamp))
+        bart = _bartlett_factor_raw(gen, beta, n, params.nu + n - m, nsamp)
         x = _std_normal_raw(gen, beta, (nsamp, m, n))
+        if single:
+            x = np.linalg.solve(_adj(_embed(params.Xi.chol.data)), _embed(x))
+            t = np.linalg.solve(_adj(_embed(g) @ _embed(bart)), _adj(x))
+            return _conj_t_raw(_complex_unembed_raw(t, beta)) + params.mu.data
+        lu = _matmul_raw(g, bart)
         x = _solve_raw(params.Xi.chol.data, x)
         t = _conj_t_raw(_solve_raw(lu, _conj_t_raw(x)))
     return t + params.mu.data
@@ -184,6 +206,10 @@ def _spelled_matrix_mt(params, gen, nsamp):
     beta, m, n = params.tag.beta, params.m, params.n
     s = gen.gamma(beta * params.nu / 2.0, 2.0 * params.rho / beta, size=nsamp)
     t1 = _std_normal_raw(gen, beta, (nsamp, m, n)) / np.sqrt(s)[:, None, None, None]
+    if nsamp == 1 and beta <= 4:
+        p = np.linalg.solve(_adj(_embed(params.Delta.chol.data)), _embed(t1))
+        t1 = np.linalg.solve(_adj(_embed(params.Lambda.chol.data)), _adj(p))
+        return _conj_t_raw(_complex_unembed_raw(t1, beta)) + params.mu.data
     p = _solve_raw(params.Delta.chol.data, t1)
     t1 = _conj_t_raw(_solve_raw(params.Lambda.chol.data, _conj_t_raw(p)))
     return t1 + params.mu.data
@@ -195,6 +221,9 @@ def _spelled_wishart(params, method, gen, nsamp):
         c = _bartlett_factor_raw(gen, beta, m, params.nu, nsamp)
     else:
         c = _std_normal_raw(gen, beta, (nsamp, m, int(params.nu)))
+    if nsamp == 1 and beta <= 4:
+        z = _embed(params.Xi.chol.data) @ _embed(c)
+        return _hermitize_raw(_complex_unembed_raw(z @ _adj(z), beta))
     return _gram_raw(_matmul_raw(params.Xi.chol.data, c))
 
 
@@ -273,15 +302,17 @@ class TestIdentitySkip:
         def spy(kernel):
             def call(*args, **kwargs):
                 for x in list(args) + list(kwargs.values()):
-                    if _is_identity(x):
-                        seen.append((kernel.__name__, x.shape))
+                    # the solve's second system comes as a pair
+                    for y in x if isinstance(x, tuple) else (x,):
+                        if _is_identity(y):
+                            seen.append((kernel.__name__, y.shape))
                 return kernel(*args, **kwargs)
             return call
 
-        # the products take the records' cached factors, the solves the
-        # factors as they come
-        monkeypatch.setattr(dist, "_product_raw", spy(_product_raw))
-        monkeypatch.setattr(dist, "_solve_raw", spy(_solve_raw))
+        # the products, solves and grams take the records' cached factors,
+        # and the solves the random factors as they come
+        for kernel in (_product_raw, _solve_raw, _gram_raw):
+            monkeypatch.setattr(dist, kernel.__name__, spy(kernel))
         for name, sampler, _ in _standard_cases(tag, m, n):
             for size in (None, 7):
                 sampler(RngStream(3), size)
@@ -301,11 +332,11 @@ class TestIdentitySkip:
         params = MatricTParams(tag, m, n, tag.beta * m + 2.0, Xi=xi)
         products = []
 
-        def counted(a, left=None, right=None):
+        def counted(lo, b, left=None, right=None, post=(None, None)):
             products.append(left is not None and left is params.Xi._factor_reps[0])
-            return _product_raw(a, left, right)
+            return _solve_raw(lo, b, left, right, post)
 
-        monkeypatch.setattr(dist, "_product_raw", counted)
+        monkeypatch.setattr(dist, "_solve_raw", counted)
         got = sample_matric_t(RngStream(4), params, size=9)
         want = _spelled_matric_t(params, "wishart_root", RngStream(4).generator, 9)
         assert any(products)
@@ -334,41 +365,85 @@ class TestIdentitySkip:
                 want = spelled(RngStream(6, k).generator, size or 1)
                 assert _bits(got) == _bits(want if size else want[0])
 
-    @pytest.mark.parametrize("tag,m,n", [(R, 2, 3), (C, 2, 3), (H, 2, 3), (O, 1, 1)])
-    def test_record_constants_are_embedded_once(self, monkeypatch, tag, m, n):
-        import rdmt.algebra as algebra
-
-        gen = np.random.default_rng(9)
+    @staticmethod
+    def _scaled_draws(tag, m, n, seed):
+        """(draw(rng, size), random operands, record constants) of each
+        sampler that multiplies or solves by a record's factors, on records
+        with random scales."""
+        gen = np.random.default_rng(seed)
         params = MatricTParams(tag, m, n, tag.beta * n + 3.0, random_matrix(gen, tag, m, n),
                                random_hpd(gen, tag, m), random_hpd(gen, tag, n))
+        mt_params = MatrixMTParams(tag, m, n, tag.beta * n + 3.0, 1.5,
+                                   random_matrix(gen, tag, m, n), random_hpd(gen, tag, m),
+                                   random_hpd(gen, tag, n))
         w_params = WishartParams(tag, m, 1.0 if tag == O else tag.beta * m + 2.0,
                                  random_hpd(gen, tag, m))
-        # each sampler and the constant factors it multiplies by; inverse_root
-        # solves by L_Xi, which goes to `_solve_raw` as it comes
+        sigma_inverse = _cholesky_raw(_hpd_inverse_raw(params.Sigma.mat.data))
         draws = [
-            (lambda rng, size: sample_matric_t(rng, params, "wishart_root", size),
+            (lambda rng, size: sample_matric_t(rng, params, "wishart_root", size), 2,
              [params.Xi.chol.data, _conj_t_raw(params.Sigma.chol.data)]),
-            (lambda rng, size: sample_matric_t(rng, params, "inverse_root", size),
-             [_cholesky_raw(_hpd_inverse_raw(params.Sigma.mat.data))]),
+            (lambda rng, size: sample_matric_t(rng, params, "inverse_root", size), 2,
+             [params.Xi.chol.data, sigma_inverse]),
+            (lambda rng, size: sample_matrix_mt(rng, mt_params, size), 1,
+             [mt_params.Delta.chol.data, mt_params.Lambda.chol.data]),
         ]
         draws += [(lambda rng, size, method=method: sample_wishart(rng, w_params, method,
                                                                    size),
-                   [w_params.Xi.chol.data]) for method in ("bartlett", "gram")]
-        embed, embedded = algebra._complex_embed_raw, []
+                   1, [w_params.Xi.chol.data]) for method in ("bartlett", "gram")]
+        return draws
 
-        def spy(x, beta):
+    @staticmethod
+    def _spy_embeds(monkeypatch, constants):
+        """Lists that record, from now on, for each embed whether it embeds
+        one of `constants`, and each unembed."""
+        import rdmt.algebra as algebra
+
+        embed, unembed = algebra._complex_embed_raw, algebra._complex_unembed_raw
+        embedded, unembedded = [], []
+
+        def spy_embed(x, beta):
             embedded.append(any(x.shape == c.shape and np.array_equal(x, c)
                                 for c in constants))
             return embed(x, beta)
 
-        monkeypatch.setattr(algebra, "_complex_embed_raw", spy)
-        for draw, constants in draws:
+        def spy_unembed(z, beta):
+            unembedded.append(z.shape)
+            return unembed(z, beta)
+
+        monkeypatch.setattr(algebra, "_complex_embed_raw", spy_embed)
+        monkeypatch.setattr(algebra, "_complex_unembed_raw", spy_unembed)
+        return embedded, unembedded
+
+    @pytest.mark.parametrize("tag,m,n", [(R, 2, 3), (C, 2, 3), (H, 2, 3), (O, 1, 1)])
+    def test_record_constants_are_embedded_once(self, monkeypatch, tag, m, n):
+        constants = []
+        embedded, _ = self._spy_embeds(monkeypatch, constants)
+        for draw, _, record_constants in self._scaled_draws(tag, m, n, 9):
+            constants[:] = record_constants
             draw(RngStream(1), None)    # builds the record's cached factors
             embedded.clear()
             for size in (None, 1, 7):
                 draw(RngStream(2), size)
             assert not any(embedded)
             assert (tag == O) == (not embedded)
+
+    @pytest.mark.parametrize("tag", [R, C, H])
+    def test_a_single_draw_embeds_each_operand_once(self, monkeypatch, tag):
+        # its random operands (the Bartlett factor, Y or X) are embedded once
+        # each and T once unembedded; a Wishart draw without `size` is also
+        # factored as a HermitianPD, so it is drawn as a batch of 1 here
+        constants = []
+        embedded, unembedded = self._spy_embeds(monkeypatch, constants)
+        for k, (draw, operands, record_constants) in enumerate(
+                self._scaled_draws(tag, 2, 3, 14)):
+            constants[:] = record_constants
+            draw(RngStream(1), 1)
+            for size in (None, 1) if k < 3 else (1,):
+                embedded.clear()
+                unembedded.clear()
+                draw(RngStream(2), size)
+                assert embedded == [False] * operands
+                assert len(unembedded) == 1
 
     def test_mu_is_added_in_place_once(self):
         gen = np.random.default_rng(9)
