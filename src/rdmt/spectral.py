@@ -55,7 +55,7 @@ TIE_RTOL = 1e-12
 class SpectrumSample:
     """Sorted positive spectrum of one sampled matrix.
 
-    Values must descend strictly; a gap of at most 1e-12 times the largest
+    Values must be finite and descend strictly; a gap of at most 1e-12 times the largest
     value is a tie and is rejected (a measure-zero event that indicates an
     upstream problem rather than a legitimate sample), at every size of the
     values alike.
@@ -70,6 +70,9 @@ class SpectrumSample:
         vals = tuple(float(v) for v in self.values)
         if not vals:
             raise ValueError("empty spectrum")
+        if not all(map(math.isfinite, vals)):
+            bad = next(v for v in vals if not math.isfinite(v))
+            raise ValueError(f"spectrum values must be finite; got {bad}")
         if vals[-1] <= 0.0:
             raise ValueError("spectrum values must be strictly positive")
         tol = TIE_RTOL * abs(vals[0])

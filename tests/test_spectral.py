@@ -73,6 +73,15 @@ class TestSpectrumSample:
         with pytest.raises(ValueError):
             SpectrumSample((1.0,), "spectral")
 
+    @pytest.mark.parametrize("values,bad", [((3.0, math.nan, 1.0), "nan"),
+                                            ((math.nan,), "nan"),
+                                            ((math.inf, 1.0), "inf")])
+    def test_rejects_non_finite_values_first(self, values, bad):
+        # NaN fails every comparison, so the order and tie checks miss it,
+        # and inf - 1.0 is no tie
+        with pytest.raises(ValueError, match=f"^spectrum values must be finite; got {bad}$"):
+            SpectrumSample(values, "singular")
+
 
 class TestSvMatricT:
     def test_scalar_folded_cauchy(self):
