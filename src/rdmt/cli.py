@@ -251,18 +251,21 @@ def _cmd_density(args) -> int:
     params = _build_params(args, args.dist)
     info = _run_info(None, None, _params_dict(params, form=args.form))
     stack, linenos = _read_points(args.points)
-    values = np.empty(0)
-    if stack is not None:
-        form = {"form": args.form} if args.form else {}
-        try:
-            values = row.density(params, stack, **form)
-        except _CONFIG_ERRORS as exc:
-            # an error about the points carries the stack index of the first
-            # one at fault; any other is the record's (a law's domain)
-            index = getattr(exc, "index", None)
-            if index is None:
-                raise _CliError(str(exc)) from exc
-            raise _CliError(f"--points line {linenos[index]}: {exc}") from exc
+    if stack is None:
+        # no point: a zero-length stack of the law's point shape still
+        # builds the record's terms, so a record the law refuses is refused
+        d = getattr(params, "dim", None)
+        stack = np.empty((0,) + ((d, d) if d else (params.m, params.n)) + (params.tag.beta,))
+    form = {"form": args.form} if args.form else {}
+    try:
+        values = row.density(params, stack, **form)
+    except _CONFIG_ERRORS as exc:
+        # an error about the points carries the stack index of the first
+        # one at fault; any other is the record's (a law's domain)
+        index = getattr(exc, "index", None)
+        if index is None:
+            raise _CliError(str(exc)) from exc
+        raise _CliError(f"--points line {linenos[index]}: {exc}") from exc
     _write(args.out, info, "%r", values)
     return 0
 

@@ -447,6 +447,45 @@ class TestDensity:
         assert capsys.readouterr().err == ("error: the matricvariate beta II law "
                                            "requires nu > m - 1 = 1, got nu = 0.5\n")
 
+    @pytest.mark.parametrize("beta", [1, 4])
+    def test_an_empty_points_file_still_refuses_the_record(self, tmp_path, capsys, beta):
+        # no point to evaluate, and still the refusal that one point gives
+        flags = ["--dist", "beta2-matric", "--beta", str(beta), "--m", "2", "--n", "3",
+                 "--nu", "0.5"]
+        point = json.dumps({"beta": beta, "rows": 2, "cols": 2,
+                            "data": [[[1.0 if i == j else 0.0] + [0.0] * (beta - 1)
+                                      for j in range(2)] for i in range(2)]})
+        errors = []
+        for lines in ([point], []):
+            code, out = self._run_density(tmp_path, lines, *flags)
+            assert code == 2 and not out.exists()
+            errors.append(capsys.readouterr().err)
+        assert errors[1] == errors[0] == ("error: the matricvariate beta II law "
+                                          "requires nu > m - 1 = 1, got nu = 0.5\n")
+
+    @pytest.mark.parametrize("flags,rows,cols", [
+        (["--dist", "matric-t", "--beta", "4", "--m", "2", "--n", "3", "--nu", "9",
+          "--form", "dual"], 2, 3),
+        (["--dist", "matrix-mt", "--beta", "2", "--m", "3", "--n", "2", "--nu", "3.5",
+          "--rho", "0.7"], 3, 2),
+        (["--dist", "beta2-matric", "--beta", "4", "--m", "3", "--n", "2", "--nu", "9"],
+         2, 2),
+        (["--dist", "beta2-mv", "--beta", "1", "--m", "2", "--n", "3", "--nu", "0.5"],
+         2, 2),
+        (["--dist", "matric-t", "--beta", "8", "--m", "1", "--n", "1", "--nu", "3"], 1, 1),
+    ])
+    def test_an_empty_points_file_of_a_legal_record_writes_its_header(
+            self, tmp_path, flags, rows, cols):
+        beta = int(flags[flags.index("--beta") + 1])
+        point = json.dumps({"beta": beta, "rows": rows, "cols": cols,
+                            "data": [[[1.0 if i == j else 0.0] + [0.0] * (beta - 1)
+                                      for j in range(cols)] for i in range(rows)]})
+        code, out = self._run_density(tmp_path, [point], *flags)
+        assert code == 0
+        header = out.read_text().splitlines(keepends=True)[0]
+        code, out = self._run_density(tmp_path, [], *flags)
+        assert code == 0 and out.read_text() == header
+
 
 class TestRho:
     @pytest.mark.parametrize("dist", ["gamma", "matrix-mt"])
