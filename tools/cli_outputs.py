@@ -53,7 +53,10 @@ NaN or inf, by flag or in a params file, and an integer field given 1.5,
 true or Infinity in a params file.  Last come both beta II densities at
 2x3 with nu = 0.5, which the mv law takes and the matricvariate law
 refuses (it needs nu > m - 1), and 3x2 `spectrum --kind eigen --grid` of
-matric-t and matrix-mt, the spectra of the n x n gram T* T.
+matric-t and matrix-mt, the spectra of the n x n gram T* T.  Then 2x3
+matrix-mt with random scales from --params at --count 1 and 40, at beta 1,
+2 and 4, and `density` of beta2-matric on an empty points file, at a nu the
+law refuses and at one it takes.
 """
 
 from __future__ import annotations
@@ -252,6 +255,7 @@ def _inputs(root: str) -> dict:
         with open(path, "w") as fh:
             json.dump(record, fh)
         files[f"params-{name}"] = path
+    files["empty-points"] = _write_jsonl(os.path.join(root, "empty-points.jsonl"), [])
     for name, suite in SUITES.items():
         path = os.path.join(root, f"suite-{name}.json")
         with open(path, "w") as fh:
@@ -512,6 +516,21 @@ def _commands(files: dict) -> list:
             cmds.append((f"spectrum-{family}-eigen-3x2-b{beta}",
                          ["spectrum", "--dist", family, "--kind", "eigen"] + argv
                          + shape(beta, 3, 2) + seed + ["--grid", "{grid}"]))
+    # single and stacked draws of 2x3 matrix-mt with random scales, and an
+    # empty points file for a record the matricvariate beta II law refuses
+    # and for one it takes
+    for beta, count in itertools.product(BETAS, ("1", COUNT)):
+        cmds.append((f"sample-matrix-mt-params-b{beta}-count{count}",
+                     ["sample", "--dist", "matrix-mt", "--params",
+                      files[f"params-matrix-mt-b{beta}"], "--seed", "7",
+                      "--count", count, "--out", "{out}"]))
+    empty = ["--points", files["empty-points"], "--out", "{out}"]
+    cmds += [
+        ("fail-density-beta2-matric-nu-0.5-b1-empty",
+         ["density", "--dist", "beta2-matric", "--nu", "0.5"] + shape(1) + empty),
+        ("density-beta2-matric-b1-empty",
+         ["density", "--dist", "beta2-matric", "--nu", "9"] + shape(1) + empty),
+    ]
     return cmds
 
 
