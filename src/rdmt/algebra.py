@@ -461,19 +461,19 @@ def _solve_raw(lo, b: np.ndarray, left=None, right=None, post=(None, None)) -> n
     if not (first or second or right is not None):
         return b
     if _in_representation(b, lo, post[0]):
-        def solve(f, g, y):     # A^-* Y for A = g f
-            a = g if f is None else _represented_product(f, g)
-            return np.linalg.solve(a.conj().swapaxes(-1, -2), y)
-        x, adj = _represented_product(b, right=right), (lambda z: z.conj().swapaxes(-1, -2))
-        done = (lambda z: _complex_unembed_raw(z, b.shape[-1]))
+        adj, done = (lambda z: z.conj().swapaxes(-1, -2)), (lambda z: _complex_unembed_raw(z, b.shape[-1]))
+        factor = (lambda f, g: adj(g if f is None else _represented_product(f, g)))    # A*, A = g f
+        x, solve = _represented_product(b, right=right), np.linalg.solve
     else:
-        def solve(f, g, y):
-            a = (_product_raw(f, g) if f is not None else g if _octonion_scalar(b)
-                 else _complex_unembed_raw(g, b.shape[-1]))
-            return _substitute_raw(a, y)
-        x, adj, done = _product_raw(b, right=right), _conj_t_raw, (lambda z: z)
-    x = solve(lo, left, x) if first else x
-    return _conj_t_raw(done(solve(*post, adj(x)))) if second else done(x)
+        def factor(f, g):       # the coefficients of A = g f
+            return (_product_raw(f, g) if f is not None else g if _octonion_scalar(b)
+                    else _complex_unembed_raw(g, b.shape[-1]))
+        x, solve, adj, done = _product_raw(b, right=right), _substitute_raw, _conj_t_raw, (lambda z: z)
+    # both factors before either solve, so that no solved stack is alive
+    # while a factor is formed
+    a, c = (factor(lo, left) if first else None), (factor(*post) if second else None)
+    x = solve(a, x) if first else x
+    return _conj_t_raw(done(solve(c, adj(x)))) if second else done(x)
 
 
 def _substitute_raw(lo: np.ndarray, b: np.ndarray) -> np.ndarray:
