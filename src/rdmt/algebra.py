@@ -29,8 +29,8 @@ the Wishart gram (`_gram_raw`).  The densities' log|B + g* g|
 nothing.  One rule, `_in_representation`, sends a single system to the
 representation and a stack of two or more, or a 1x1 octonion, to the
 coefficients: there triangular systems are solved by back substitution
-(`_substitute_raw`), skipping LAPACK's LU, and matrices with min(m, n) <= 2
-have closed-form singular values (`_singular_values_raw`), skipping
+(`_substitute_raw`), skipping LAPACK's LU.  Such stacks with min(m, n) <= 2
+also have closed-form singular values (`_singular_values_raw`), skipping
 LAPACK's iterative SVD.  The quaternion rule j q of both, and of the
 adjoint's second block row, is `_j_times_raw`.
 
@@ -579,7 +579,7 @@ def _singular_values_raw(x: np.ndarray, beta: int) -> np.ndarray:
     underflowing.  A single matrix and every shape with min(m, n) >= 3 take
     LAPACK's SVD of the complex representation."""
     _refuse_non_finite(x, "matrix")
-    if _in_representation(x) or not 1 <= min(x.shape[-3:-1]) <= 2:
+    if not (_octonion_scalar(x) or (_batch(x) > 1 and 1 <= min(x.shape[-3:-1]) <= 2)):
         s = np.linalg.svd(_complex_embed_raw(x, beta), compute_uv=False)
         return _collapse_pairs(s) if beta == 4 else s
     if x.shape[-3] > x.shape[-2]:

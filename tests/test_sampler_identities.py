@@ -25,8 +25,10 @@ The identity skip: a standard record (every scale exactly I, mu exactly 0)
 skips each product, solve and add by an identity factor.  Each of those
 would copy its input exactly, so the draws must equal, bit for bit, the
 same construction spelled out against the identity.  A record with scales
-embeds its constant factors once (`_product_raw` takes them embedded), and
-its draws too must equal the spelled-out products bit for bit."""
+embeds its constant factors once (`_solve_raw` and `_gram_raw` take them
+embedded), and its draws too must equal the spelled-out products bit for
+bit: a single draw's as one composition in the complex representation,
+which embeds each random matrix once and unembeds the draw once."""
 
 import math
 
