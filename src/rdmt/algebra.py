@@ -24,15 +24,25 @@ coincident (Kramers) pair.  A kernel embeds each operand once
 a parameter record's constant factors and bases come already embedded
 (`_representation_raw`), so a record embeds them once.  A sampler's
 construction is one kernel: T = (F L)^-* Y G (K L')^-1 (`_solve_raw`) or
-the Wishart gram (`_gram_raw`).  The densities' log|B + g* g|
-(`_logdet_gram_raw`) and spectrum of M* A M (`_eigvalsh_raw`) unembed
-nothing.  One rule, `_in_representation`, sends a single system to the
-representation and a stack of two or more, or a 1x1 octonion, to the
-coefficients: there triangular systems are solved by back substitution
-(`_substitute_raw`), skipping LAPACK's LU.  Such stacks with min(m, n) <= 2
-also have closed-form singular values (`_singular_values_raw`), skipping
-LAPACK's iterative SVD.  The quaternion rule j q of both, and of the
-adjoint's second block row, is `_j_times_raw`.
+the Wishart gram (`_gram_raw`).  The gram, the densities' log|B + g* g|
+(`_logdet_gram_raw`) and the spectrum of M* A M (`_eigvalsh_raw`) take
+every batch size in the representation; the last two unembed nothing.  A
+kernel reads beta from its operand's coefficient axis.
+
+Four kernels fork on the batch size, each because a benchmark workload
+measures both sides (perfbench):
+  * `_solve_raw` solves a stack of two or more systems, and a 1x1
+    octonion, on the coefficients by back substitution (`_substitute_raw`),
+    skipping LAPACK's LU (the kernels-8x8 stacks); one system is one LAPACK
+    solve in the representation (the single-draw `call_min_us`);
+  * `_singular_values_raw` gives such stacks with min(m, n) <= 2 a closed
+    form, skipping LAPACK's iterative SVD (spectrum-h2x3);
+  * `_complex_embed_raw` gathers one quaternion matrix of at most 144
+    entries in one pass (sample-h2x3 and density-h2x3 `call_min_us`);
+  * `_folded_matmul` takes a stack times one shared matrix as one product
+    (the sampling stacks).
+The quaternion rule j q of the substitution, the closed form and the
+adjoint's second block row is `_j_times_raw`.
 
 Two rules of the algebra live here alone.  Gram products (`_gram_raw`) and
 every other matrix that Cholesky or eigvalsh reads one triangle of are
@@ -128,7 +138,7 @@ def _check_beta_shape(beta: int, m: int, n: int) -> None:
         )
 
 
-def _complex_embed_raw(x: np.ndarray, beta: int) -> np.ndarray:
+def _complex_embed_raw(x: np.ndarray) -> np.ndarray:
     """Complex representation of (..., m, n, beta) coefficients.
 
     The coefficients are laid out as numpy stores complex numbers: (re, im)
@@ -141,6 +151,7 @@ def _complex_embed_raw(x: np.ndarray, beta: int) -> np.ndarray:
     coefficients in one pass (`_adjoint_gather`); larger matrices and
     stacks take the block copies, which cost less there.
     """
+    beta = x.shape[-1]
     if beta == 1:
         return x[..., 0]
     if beta == 8:
@@ -251,15 +262,15 @@ def _hermitize_raw(a: np.ndarray) -> np.ndarray:
 def _gram_raw(x: np.ndarray, left=None) -> np.ndarray:
     """The min(m, n) square gram of G = left X, symmetrized, for (..., m, n,
     beta) X and a constant left (None: G = X): G G* when m <= n, G* G for a
-    tall X.  One matrix forms G and its gram in the representation."""
+    tall X.  G and its gram are formed in the representation; a 1x1
+    octonion takes the coefficient products."""
+    if _octonion_scalar(x):
+        g = _product_raw(x, left)
+        return _hermitize_raw(_mul_coeffs(g, _conj_t_raw(g)))
+    z = _represented_product(x, left)
+    zt = np.conjugate(z.swapaxes(-1, -2), order="C")
     wide = x.shape[-3] <= x.shape[-2]
-    if _in_representation(x):
-        z = _represented_product(x, left)
-        zt = np.conjugate(z.swapaxes(-1, -2), order="C")
-        return _hermitize_raw(_complex_unembed_raw(z @ zt if wide else zt @ z, x.shape[-1]))
-    x = _product_raw(x, left)
-    xt = _conj_t_raw(x)
-    return _hermitize_raw(_matmul_raw(x, xt) if wide else _matmul_raw(xt, x))
+    return _hermitize_raw(_complex_unembed_raw(z @ zt if wide else zt @ z, x.shape[-1]))
 
 
 def _stack_index(bad: np.ndarray):
@@ -326,7 +337,7 @@ def _cholesky_raw(a: np.ndarray) -> np.ndarray:
     """
     beta = a.shape[-1]
     if not _octonion_scalar(a):
-        return _complex_unembed_raw(_complex_cholesky(_complex_embed_raw(a, beta)), beta)
+        return _complex_unembed_raw(_complex_cholesky(_complex_embed_raw(a)), beta)
     piv = a[..., 0, 0, 0]
     if not np.all(piv > 0.0):
         _raise_at(NotPositiveDefinite, _stack_index(~(piv > 0.0)),
@@ -384,13 +395,13 @@ def _representation_raw(x: np.ndarray | None) -> np.ndarray | None:
     as they are, and None (an exact identity, skipped) as None."""
     if x is None or _octonion_scalar(x):
         return x
-    return _complex_embed_raw(x, x.shape[-1])
+    return _complex_embed_raw(x)
 
 
 def _represented_product(a: np.ndarray, left=None, right=None) -> np.ndarray:
     """Complex representation of left a right for a (..., k, p, beta) stack
     a, beta <= 4: a is embedded once, and a right is `_folded_matmul`'s."""
-    z = _complex_embed_raw(a, a.shape[-1])
+    z = _complex_embed_raw(a)
     if left is not None:
         z = left @ z
     return z if right is None else _folded_matmul(z, right)
@@ -407,12 +418,6 @@ def _product_raw(a: np.ndarray, left=None, right=None) -> np.ndarray:
         g = a if left is None else _matmul_raw(left, a)
         return g if right is None else _matmul_raw(g, right)
     return _complex_unembed_raw(_represented_product(a, left, right), a.shape[-1])
-
-
-def _in_representation(*arrays) -> bool:
-    """The kernels' one rule: one matrix over R, C or H (None skipped) takes the
-    representation; a stack of two or more, or a 1x1 octonion, the coefficients."""
-    return not any(_octonion_scalar(x) or _batch(x) > 1 for x in arrays if x is not None)
 
 
 def _logdet_gram_raw(base: np.ndarray, a: np.ndarray, factor=None) -> np.ndarray:
@@ -460,7 +465,7 @@ def _solve_raw(lo, b: np.ndarray, left=None, right=None, post=(None, None)) -> n
     first, second = lo is not None or left is not None, any(f is not None for f in post)
     if not (first or second or right is not None):
         return b
-    if _in_representation(b, lo, post[0]):
+    if not any(_octonion_scalar(x) or _batch(x) > 1 for x in (b, lo, post[0]) if x is not None):
         adj, done = (lambda z: z.conj().swapaxes(-1, -2)), (lambda z: _complex_unembed_raw(z, b.shape[-1]))
         factor = (lambda f, g: adj(g if f is None else _represented_product(f, g)))    # A*, A = g f
         x, solve = _represented_product(b, right=right), np.linalg.solve
@@ -545,7 +550,7 @@ def _hpd_inverse_raw(a: np.ndarray) -> np.ndarray:
         out = np.zeros_like(a)
         out[..., 0] = 1.0 / a[..., 0]
         return out
-    inv = np.linalg.inv(_complex_embed_raw(a, beta))
+    inv = np.linalg.inv(_complex_embed_raw(a))
     return _hermitize_raw(_complex_unembed_raw(inv, beta))
 
 
@@ -566,7 +571,7 @@ def _collapse_pairs(vals: np.ndarray) -> np.ndarray:
     return 0.5 * (lead + trail)
 
 
-def _singular_values_raw(x: np.ndarray, beta: int) -> np.ndarray:
+def _singular_values_raw(x: np.ndarray) -> np.ndarray:
     """Descending singular values on (..., m, n, beta), min(m, n) each.
 
     A matrix with a NaN or inf coefficient is refused (ValueError naming
@@ -579,8 +584,9 @@ def _singular_values_raw(x: np.ndarray, beta: int) -> np.ndarray:
     underflowing.  A single matrix and every shape with min(m, n) >= 3 take
     LAPACK's SVD of the complex representation."""
     _refuse_non_finite(x, "matrix")
+    beta = x.shape[-1]
     if not (_octonion_scalar(x) or (_batch(x) > 1 and 1 <= min(x.shape[-3:-1]) <= 2)):
-        s = np.linalg.svd(_complex_embed_raw(x, beta), compute_uv=False)
+        s = np.linalg.svd(_complex_embed_raw(x), compute_uv=False)
         return _collapse_pairs(s) if beta == 4 else s
     if x.shape[-3] > x.shape[-2]:
         x = _conj_t_raw(x)
@@ -589,7 +595,7 @@ def _singular_values_raw(x: np.ndarray, beta: int) -> np.ndarray:
     if x.shape[-3] == 1:
         s = np.sqrt(_frobenius_sq_raw(x))[..., None]
     else:
-        s = _two_row_singular_values(x.reshape((-1,) + x.shape[-3:]), beta)
+        s = _two_row_singular_values(x.reshape((-1,) + x.shape[-3:]))
         s = s.reshape(x.shape[:-3] + (2,))
     return np.ldexp(s, exp[..., None])
 
@@ -609,7 +615,7 @@ def _largest_coefficients(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _two_row_singular_values(x: np.ndarray, beta: int) -> np.ndarray:
+def _two_row_singular_values(x: np.ndarray) -> np.ndarray:
     """(s_max, s_min) of each matrix of an (N, 2, n, beta) stack, beta <= 4,
     whose coefficients are at most 1 in magnitude.  x is overwritten (its
     rows are reordered in place), so the caller passes a copy.
@@ -630,7 +636,7 @@ def _two_row_singular_values(x: np.ndarray, beta: int) -> np.ndarray:
     quaternion line of q1 is projecting onto q1 and k1 over C, and
     l21 = r2 conj(q1) summed is the pair of those two coefficients.
     """
-    n_mat = len(x)
+    n_mat, beta = len(x), x.shape[-1]
     flat = x.reshape(n_mat, 2, -1)
     sq = np.einsum("nil,nil->ni", flat, flat)
     swap = sq[:, 1] > sq[:, 0]
@@ -664,7 +670,7 @@ def _norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("nl,nl->n", v, v))
 
 
-def _eigvalsh_raw(a: np.ndarray, beta: int, left=None, right=None) -> np.ndarray:
+def _eigvalsh_raw(a: np.ndarray, left=None, right=None) -> np.ndarray:
     """Descending real eigenvalues of Hermitian (..., m, m, beta), C-contiguous
     (numpy logs one matrix's as a stack's); a 1x1 octonion's is its real
     coefficient.  With constants left = M* and right = M, those of M* a M."""
@@ -672,7 +678,7 @@ def _eigvalsh_raw(a: np.ndarray, beta: int, left=None, right=None) -> np.ndarray
         w = _product_raw(a, left, right)[..., 0, 0, :1]
     else:
         w = np.linalg.eigvalsh(_represented_product(a, left, right))[..., ::-1]
-    return _collapse_pairs(w) if beta == 4 else w.copy()
+    return _collapse_pairs(w) if a.shape[-1] == 4 else w.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -896,14 +902,12 @@ class HermitianPD:
     by the largest coefficient, tolerating sampler round-off), symmetrized as
     (A + A*)/2, and Cholesky-factorized eagerly; the factor is cached for
     every determinant and solve downstream.  The factors that the kernels
-    multiply and solve by are cached on first use in their representation:
-    L (`_factor_reps`) and the lower factor M of A^-1 = M M*
-    (`_inverse_factor_reps`), each None when the matrix is exactly I
-    (`is_identity`), so the kernels skip it, an exact copy of its input.
-    Neither cache takes part in ==, hash, repr or the schema dict.
+    multiply and solve by are cached on first use in their representation
+    (`functools.cached_property`): L (`_factor_reps`) and the lower factor M
+    of A^-1 = M M* (`_inverse_factor_reps`), each None when the matrix is
+    exactly I (`is_identity`), so the kernels skip it, an exact copy of its
+    input.  Neither cache takes part in ==, hash, repr or the schema dict.
     """
-
-    __slots__ = ("mat", "_chol", "_logdet", "is_identity", "_reps", "_inverse_reps")
 
     def __init__(self, mat: DivMatrix):
         if not isinstance(mat, DivMatrix):
@@ -920,8 +924,6 @@ class HermitianPD:
         object.__setattr__(self, "_logdet", float(_chol_logdet_raw(chol)))
         object.__setattr__(self, "is_identity",
                            np.array_equal(sym, _identity_raw(mat.m, mat.tag.beta)))
-        object.__setattr__(self, "_reps", None)
-        object.__setattr__(self, "_inverse_reps", None)
 
     def __setattr__(self, *_):
         raise AttributeError("HermitianPD is immutable")
@@ -951,28 +953,25 @@ class HermitianPD:
     def logdet(self) -> float:
         return self._logdet
 
-    def _fill_reps(self, slot: str, factor) -> tuple:
-        """Cache in `slot`, and return, (F, F*) of the lower factor F =
-        factor() as `_representation_raw` gives them; (None, None) when the
-        matrix, and so F, is exactly I."""
-        lo = None if self.is_identity else factor()
-        reps = (None, None) if lo is None else (
+    @staticmethod
+    def _representations(lo) -> tuple:
+        """(F, F*) of a lower factor F as `_representation_raw` gives them;
+        (None, None) for None, an exact identity."""
+        return (None, None) if lo is None else (
             _representation_raw(lo), _representation_raw(_conj_t_raw(lo)))
-        object.__setattr__(self, slot, reps)
-        return reps
 
-    @property
+    @functools.cached_property
     def _factor_reps(self) -> tuple:
         """(L, L*) of the cached factor L, L L* = A."""
-        return self._reps or self._fill_reps("_reps", lambda: self._chol.data)
+        return self._representations(None if self.is_identity else self._chol.data)
 
-    @property
+    @functools.cached_property
     def _inverse_factor_reps(self) -> tuple:
         """(M, M*) of the lower factor M of the inverse, M M* = A^-1: the
         factor alone, not a HermitianPD of A^-1, whose checks, log det and
         identity test no kernel reads."""
-        return self._inverse_reps or self._fill_reps(
-            "_inverse_reps", lambda: _cholesky_raw(_hpd_inverse_raw(self.mat.data)))
+        return self._representations(
+            None if self.is_identity else _cholesky_raw(_hpd_inverse_raw(self.mat.data)))
 
     def inverse(self) -> "HermitianPD":
         return HermitianPD(DivMatrix(self.tag, _hpd_inverse_raw(self.mat.data)))
@@ -1040,7 +1039,7 @@ def logdet_hpd(a: HermitianPD) -> float:
 def complex_adjoint(x: DivMatrix) -> DivMatrix:
     """Complex representation of a matrix: identity embedding for beta <= 2,
     the multiplicative 2m x 2n block representation for beta = 4."""
-    z = _complex_embed_raw(x.data, x.tag.beta)
+    z = _complex_embed_raw(x.data)
     return DivMatrix(AlgebraTag.COMPLEX, np.stack([z.real, z.imag], axis=-1))
 
 
@@ -1051,7 +1050,7 @@ def singular_values(x: DivMatrix) -> np.ndarray:
     consists of coincident pairs; each pair is reported once.  A matrix with
     a NaN or inf coefficient raises ValueError.
     """
-    return _singular_values_raw(x.data, x.tag.beta)
+    return _singular_values_raw(x.data)
 
 
 def hermitian_eigenvalues(a) -> np.ndarray:
@@ -1064,4 +1063,4 @@ def hermitian_eigenvalues(a) -> np.ndarray:
     mat = a.mat if isinstance(a, HermitianPD) else a
     if mat.m != mat.n:
         raise ValueError("eigenvalues require a square matrix")
-    return _eigvalsh_raw(_hermitian_part(mat.data), mat.tag.beta)
+    return _eigvalsh_raw(_hermitian_part(mat.data))

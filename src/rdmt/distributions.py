@@ -793,7 +793,7 @@ def _beta2_terms(params: BetaIIParams, law: str) -> tuple:
     congruence = ((), 0, 1.0)
     if params.scale is not None:
         jacobian = (beta * (d - 1) / 2.0 + 1.0) * params.scale.logdet
-        h, w = params.scale, _eigvalsh_raw(params.scale.mat.data, beta)
+        h, w = params.scale, _eigvalsh_raw(params.scale.mat.data)
         if matric:
             const -= jacobian
             reps, size = h._inverse_factor_reps, 1.0 / w[-1]
@@ -829,8 +829,7 @@ def _beta2_logpdf(params: BetaIIParams, f, terms: tuple, trace: bool):
     data = _hermitian_part(x, "the evaluation point")
     t = np.frexp(_largest_coefficients(data))[1] + shift
     t = np.where(np.abs(t) > 256, t, 0)
-    lam = _eigvalsh_raw(np.ldexp(data, -t[..., None, None, None]), params.tag.beta,
-                        *factor)
+    lam = _eigvalsh_raw(np.ldexp(data, -t[..., None, None, None]), *factor)
     low = lam[..., -1]
     interior = low > 1e-12 / kappa * lam[..., 0]    # lambda_max = |lambda|_max there
     inside = interior.all()

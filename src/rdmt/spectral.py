@@ -211,19 +211,20 @@ def empirical_spectrum(x, kind: str = "singular") -> SpectrumSample:
     return SpectrumSample(tuple(float(v) for v in vals), kind)
 
 
-def _beta_of(tag: AlgebraTag, raw: np.ndarray) -> int:
-    """The tag's beta, which must be the length of raw's coefficient axis."""
+def _check_beta(tag: AlgebraTag, raw: np.ndarray) -> None:
+    """ValueError unless raw's coefficient axis has the tag's beta as its
+    length."""
     beta = AlgebraTag(tag).beta
     if np.shape(raw)[-1:] != (beta,):
         raise ValueError(f"beta = {beta} stacks end in a coefficient axis of "
                          f"length {beta}; got shape {np.shape(raw)}")
-    return beta
 
 
 def singular_values_batch(tag: AlgebraTag, raw: np.ndarray) -> np.ndarray:
     """Descending singular values for a stacked (N, m, n, beta) sample array;
     stacks with min(m, n) <= 2 take the closed form of `_singular_values_raw`."""
-    return _singular_values_raw(raw, _beta_of(tag, raw))
+    _check_beta(tag, raw)
+    return _singular_values_raw(raw)
 
 
 def eigenvalues_batch(tag: AlgebraTag, raw: np.ndarray) -> np.ndarray:
@@ -232,7 +233,7 @@ def eigenvalues_batch(tag: AlgebraTag, raw: np.ndarray) -> np.ndarray:
     HERMITIAN_ATOL, is refused with ValueError naming its index; a Hermitian
     stack is symmetrized as `hermitian_eigenvalues` does, which leaves an
     exactly Hermitian one as it is."""
-    beta = _beta_of(tag, raw)
+    _check_beta(tag, raw)
     if raw.shape[-3] != raw.shape[-2]:
         raise ValueError(f"eigenvalues require square matrices; got shape {raw.shape}")
-    return _eigvalsh_raw(_hermitian_part(raw), beta)
+    return _eigvalsh_raw(_hermitian_part(raw))

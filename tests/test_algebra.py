@@ -463,7 +463,7 @@ def _lapack_solve(a, b):
     lead = np.broadcast_shapes(a.shape[:-3], b.shape[:-3])
     b = np.broadcast_to(b, lead + b.shape[-3:])
     return _complex_unembed_raw(
-        np.linalg.solve(_complex_embed_raw(a, beta), _complex_embed_raw(b, beta)), beta)
+        np.linalg.solve(_complex_embed_raw(a), _complex_embed_raw(b)), beta)
 
 
 def _triangles(gen, beta, m, lead, spread=1.0):
@@ -517,7 +517,7 @@ class TestTriangularSubstitution:
             # kernel above, 1.13 against 0.86 eps, with long-double residuals)
             if m <= 4:
                 assert worst <= max(worst_ref, self.EPS)
-            cond = np.linalg.cond(_complex_embed_raw(a, tag.beta))
+            cond = np.linalg.cond(_complex_embed_raw(a))
             moved = _entry_norms(x - ref).max(axis=(-2, -1))
             assert np.all(moved <= 8 * self.EPS * cond
                           * _entry_norms(ref).max(axis=(-2, -1)))
@@ -736,7 +736,7 @@ class TestComplexAdjoint:
                             complex)
             want[..., 0, :, 0], want[..., 0, :, 1] = a, b
             want[..., 1, :, 0], want[..., 1, :, 1] = -np.conj(b), np.conj(a)
-            got = _complex_embed_raw(data, 4)
+            got = _complex_embed_raw(data)
             assert got.shape == data.shape[:-3] + (2 * data.shape[-3], 2 * data.shape[-2])
             assert got.tobytes() == want.tobytes()
 
@@ -807,7 +807,7 @@ def _reference_singular_values(x, beta):
     mpmath's SVD of its complex representation, Kramers pairs collapsed."""
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(40):
-        s = mpmath.svd_c(mpmath.matrix(_complex_embed_raw(x, beta).tolist()),
+        s = mpmath.svd_c(mpmath.matrix(_complex_embed_raw(x).tolist()),
                          compute_uv=False)
         s = np.sort([float(v) for v in s])[::-1]
     return 0.5 * (s[0::2] + s[1::2]) if beta == 4 else s
@@ -816,7 +816,7 @@ def _reference_singular_values(x, beta):
 def _assert_near_reference(stack, beta):
     """Every value of a stack's closed form within 8 eps s_max of the 40-digit
     reference, each row descending and non-negative."""
-    got = _singular_values_raw(stack, beta)
+    got = _singular_values_raw(stack)
     assert got.shape == stack.shape[:-3] + (min(stack.shape[-3:-1]),)
     assert np.all(got >= 0.0) and np.all(np.diff(got, axis=-1) <= 0.0)
     flat = stack.reshape((-1,) + stack.shape[-3:])
@@ -857,10 +857,10 @@ class TestClosedFormSingularValues:
         stack[2, 0] = 0.0
         stack[3] = 0.0
         _assert_near_reference(stack, beta)
-        got = _singular_values_raw(stack, beta)
+        got = _singular_values_raw(stack)
         # a zero row leaves nothing to round: s_min is exactly 0
         assert np.all(got[1:3, 1] == 0.0) and np.all(got[3] == 0.0)
-        assert np.all(_singular_values_raw(np.zeros((3, 2, 3, beta)), beta) == 0.0)
+        assert np.all(_singular_values_raw(np.zeros((3, 2, 3, beta))) == 0.0)
 
     @pytest.mark.parametrize("beta", [1, 2, 4])
     @pytest.mark.parametrize("k", [600, -600])
@@ -870,8 +870,8 @@ class TestClosedFormSingularValues:
         x = rng.normal(size=(6, 2, 3, beta))
         x[1, 1] = 1e-3 * _left_multiples(rng, x[1, :1], beta)[0]
         _assert_near_reference(np.ldexp(x, k), beta)
-        assert np.array_equal(_singular_values_raw(np.ldexp(x, k), beta),
-                              np.ldexp(_singular_values_raw(x, beta), k))
+        assert np.array_equal(_singular_values_raw(np.ldexp(x, k)),
+                              np.ldexp(_singular_values_raw(x), k))
 
     @pytest.mark.parametrize("beta", [1, 2, 4])
     @pytest.mark.parametrize("shape", [(1, 4), (1, 1), (4, 1), (5, 2), (3, 2), (2, 2)])
@@ -880,11 +880,11 @@ class TestClosedFormSingularValues:
 
     def test_octonion_scalars(self, rng):
         x = rng.normal(size=(4, 1, 1, 8))
-        np.testing.assert_allclose(_singular_values_raw(x, 8)[:, 0],
+        np.testing.assert_allclose(_singular_values_raw(x)[:, 0],
                                    np.sqrt(np.square(x).sum(axis=(1, 2, 3))),
                                    rtol=1e-15)
-        assert np.array_equal(_singular_values_raw(np.ldexp(x, 600), 8),
-                              np.ldexp(_singular_values_raw(x, 8), 600))
+        assert np.array_equal(_singular_values_raw(np.ldexp(x, 600)),
+                              np.ldexp(_singular_values_raw(x), 600))
 
     @pytest.mark.parametrize("beta", [1, 2, 4])
     def test_only_single_matrices_and_larger_shapes_call_lapack(self, rng, monkeypatch,
@@ -893,12 +893,12 @@ class TestClosedFormSingularValues:
         svd = np.linalg.svd
         monkeypatch.setattr(np.linalg, "svd",
                             lambda *a, **k: calls.append(a[0].shape) or svd(*a, **k))
-        _singular_values_raw(rng.normal(size=(7, 2, 3, beta)), beta)
-        _singular_values_raw(rng.normal(size=(7, 3, 1, beta)), beta)
+        _singular_values_raw(rng.normal(size=(7, 2, 3, beta)))
+        _singular_values_raw(rng.normal(size=(7, 3, 1, beta)))
         assert calls == []
-        _singular_values_raw(rng.normal(size=(2, 3, beta)), beta)
-        _singular_values_raw(rng.normal(size=(1, 2, 3, beta)), beta)
-        _singular_values_raw(rng.normal(size=(7, 3, 3, beta)), beta)
+        _singular_values_raw(rng.normal(size=(2, 3, beta)))
+        _singular_values_raw(rng.normal(size=(1, 2, 3, beta)))
+        _singular_values_raw(rng.normal(size=(7, 3, 3, beta)))
         assert len(calls) == 3
 
 
@@ -995,12 +995,12 @@ class TestNonFiniteInput:
         single = np.ones(shape + (beta,))
         single[1, 2, beta - 1] = bad
         with pytest.raises(ValueError, match="^matrix has non-finite coefficients"):
-            _singular_values_raw(single, beta)
+            _singular_values_raw(single)
         stack = np.ones((3, 2) + shape + (beta,))
         stack[1, 0] = single
         with pytest.raises(ValueError,
                            match="^matrix at index 2 has non-finite coefficients"):
-            _singular_values_raw(stack, beta)
+            _singular_values_raw(stack)
         assert capfd.readouterr().err == ""
 
     @pytest.mark.filterwarnings("error")  # refused without a RuntimeWarning

@@ -261,7 +261,7 @@ class TestEigenvaluesBatchInput:
 
         f = self._stack(rng, tag.beta)
         np.testing.assert_array_equal(eigenvalues_batch(tag, f),
-                                      _eigvalsh_raw(f, tag.beta))
+                                      _eigvalsh_raw(f))
 
     def test_non_square_is_refused(self, rng):
         with pytest.raises(ValueError, match="square"):
