@@ -50,7 +50,6 @@ from .spectral import (
     log_joint_sv_matrix_mt,
 )
 from .special import (
-    GammaArgs,
     log_gamma,
     log_gamma_ratio_identity_gap,
     log_mvbeta,

@@ -272,11 +272,13 @@ def _cmd_density(args) -> int:
 
 def _grid_rows(kind, params, vals, overlay):
     """(v1, ..., vm, logpdf) rows of the analytic overlay on a grid over the
-    range of the sampled spectra vals."""
+    range of the sampled spectra vals: from half their 0.1% quantile (half
+    their smallest positive value where that quantile is 0) to their 99.9%
+    quantile, so the grid scales with the spectra."""
     m = vals.shape[1]
     lo = float(np.quantile(vals, 0.001))
     hi = float(np.quantile(vals, 0.999))
-    lo = max(lo * 0.5, 1e-6)
+    lo = 0.5 * (lo if lo > 0.0 else float(vals[vals > 0.0].min(initial=hi)))
     if m == 1:
         points = np.linspace(lo, hi, 256)[:, None]
     else:

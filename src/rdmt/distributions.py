@@ -56,7 +56,7 @@ from .algebra import (
     _stack_index,
 )
 from .errors import DomainError, OctonionMatrixError
-from .special import _lmg, _wide, log_gamma, log_mvbeta
+from .special import _wide, log_gamma, log_mvbeta, log_mvgamma
 from .spectral import (
     log_joint_eig_beta2,
     log_joint_eig_mv,
@@ -720,18 +720,18 @@ def _matric_t_terms(params: MatricTParams) -> dict:
     m, n, nu = params.m, params.n, params.nu
     q = beta * (n + nu) / 2.0
     primal = (
-        _lmg(tag, m, q)
+        log_mvgamma(tag, m, q)
         - m * n * beta / 2.0 * _LOG_PI
-        - _lmg(tag, m, beta * nu / 2.0)
+        - log_mvgamma(tag, m, beta * nu / 2.0)
         - beta * nu / 2.0 * params.Xi.logdet
         - beta * m / 2.0 * params.Sigma.logdet
     )
     dual = (
-        _lmg(tag, n, q)
+        log_mvgamma(tag, n, q)
         + beta * n / 2.0 * params.Xi.logdet
         + beta * (n + nu - m) / 2.0 * params.Sigma.logdet
         - m * n * beta / 2.0 * _LOG_PI
-        - _lmg(tag, n, beta * (n + nu - m) / 2.0)
+        - log_mvgamma(tag, n, beta * (n + nu - m) / 2.0)
     )
     return {
         "primal": (q, params.Sigma._inverse_factor_reps[1],
@@ -789,7 +789,7 @@ def _beta2_terms(params: BetaIIParams, law: str) -> tuple:
         const = -log_mvbeta(tag, d, beta * nu_wide / 2.0, b_par)
     else:
         q = beta * (nu + m * n) / 2.0
-        const = -_lmg(tag, d, b_par) + (log_gamma(q) - log_gamma(beta * nu / 2.0))
+        const = -log_mvgamma(tag, d, b_par) + (log_gamma(q) - log_gamma(beta * nu / 2.0))
     congruence = ((), 0, 1.0)
     if params.scale is not None:
         jacobian = (beta * (d - 1) / 2.0 + 1.0) * params.scale.logdet

@@ -8,13 +8,11 @@ are assembled from these logs and exponentiated at the boundary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .algebra import AlgebraTag
 from .errors import DomainError
 
 __all__ = [
-    "GammaArgs",
     "log_gamma",
     "log_mvgamma",
     "log_mvbeta",
@@ -34,45 +32,30 @@ def log_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
-@dataclass(frozen=True)
-class GammaArgs:
-    """Argument record for the multivariate gamma of an algebra."""
-
-    tag: AlgebraTag
-    m: int
-    a: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "tag", AlgebraTag(self.tag))
-        if self.m < 1:
-            raise ValueError("m must be a positive integer")
-        lower = (self.m - 1) * self.tag.beta / 2.0
-        if not self.a > lower:
-            raise DomainError(
-                f"multivariate gamma requires a > (m-1)*beta/2 = {lower}, "
-                f"got a = {self.a}"
-            )
-
-
-def log_mvgamma(args: GammaArgs) -> float:
+def log_mvgamma(tag: AlgebraTag, m: int, a: float) -> float:
     """log of the multivariate gamma for the algebra's Hermitian cone:
 
         pi^(m(m-1)beta/4) * prod_{i=1..m} Gamma[a - (i-1)beta/2]
+
+    It requires m >= 1 (ValueError) and a > (m-1)beta/2 (DomainError).
     """
-    beta, m, a = args.tag.beta, args.m, args.a
+    beta = AlgebraTag(tag).beta
+    if m < 1:
+        raise ValueError("m must be a positive integer")
+    lower = (m - 1) * beta / 2.0
+    if not a > lower:
+        raise DomainError(
+            f"multivariate gamma requires a > (m-1)*beta/2 = {lower}, got a = {a}"
+        )
     out = m * (m - 1) * beta / 4.0 * _LOG_PI
     for i in range(1, m + 1):
         out += log_gamma(a - (i - 1) * beta / 2.0)
     return out
 
 
-def _lmg(tag: AlgebraTag, m: int, a: float) -> float:
-    return log_mvgamma(GammaArgs(tag, m, a))
-
-
 def log_mvbeta(tag: AlgebraTag, m: int, a: float, b: float) -> float:
     """log multivariate beta: Gamma_m[a] Gamma_m[b] / Gamma_m[a+b]."""
-    return _lmg(tag, m, a) + _lmg(tag, m, b) - _lmg(tag, m, a + b)
+    return log_mvgamma(tag, m, a) + log_mvgamma(tag, m, b) - log_mvgamma(tag, m, a + b)
 
 
 def _wide(m: int, n: int, nu: float, trace: bool) -> tuple:
@@ -92,7 +75,8 @@ def stiefel_log_volume(tag: AlgebraTag, m: int, n: int) -> float:
     if not 1 <= m <= n:
         raise ValueError(f"require n >= m >= 1, got m={m}, n={n}")
     beta = AlgebraTag(tag).beta
-    return m * math.log(2.0) + m * n * beta / 2.0 * _LOG_PI - _lmg(tag, m, n * beta / 2.0)
+    return (m * math.log(2.0) + m * n * beta / 2.0 * _LOG_PI
+            - log_mvgamma(tag, m, n * beta / 2.0))
 
 
 def tau(tag: AlgebraTag, m: int) -> int:
@@ -113,8 +97,8 @@ def log_gamma_ratio_identity_gap(tag: AlgebraTag, m: int, n: int, nu: float) -> 
     matricvariate T normalizing constant together and should vanish to
     rounding error for every admissible (beta, m, n, nu).
     """
-    tag = AlgebraTag(tag)
-    beta = tag.beta
-    left = _lmg(tag, m, beta * (n + nu) / 2.0) - _lmg(tag, m, beta * nu / 2.0)
-    right = _lmg(tag, n, beta * (n + nu) / 2.0) - _lmg(tag, n, beta * (n + nu - m) / 2.0)
+    beta = AlgebraTag(tag).beta
+    left = log_mvgamma(tag, m, beta * (n + nu) / 2.0) - log_mvgamma(tag, m, beta * nu / 2.0)
+    right = (log_mvgamma(tag, n, beta * (n + nu) / 2.0)
+             - log_mvgamma(tag, n, beta * (n + nu - m) / 2.0))
     return left - right

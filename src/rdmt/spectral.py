@@ -33,7 +33,7 @@ from .algebra import (
     hermitian_eigenvalues,
     singular_values,
 )
-from .special import _lmg, _wide, log_gamma, log_mvbeta, tau
+from .special import _wide, log_gamma, log_mvbeta, log_mvgamma, tau
 
 __all__ = [
     "SpectrumSample",
@@ -113,7 +113,8 @@ def _log_joint_const(tag: AlgebraTag, m: int, n: int, nu: float, trace: bool,
     computed once per law: the normalizing coefficient, the coupling's
     constant and the singular-value Jacobian's 2^m, added in that order."""
     beta = tag.beta
-    const = (beta * m * m / 2.0 + tau(tag, m)) * _LOG_PI - _lmg(tag, m, beta * m / 2.0)
+    const = ((beta * m * m / 2.0 + tau(tag, m)) * _LOG_PI
+             - log_mvgamma(tag, m, beta * m / 2.0))
     if beta > 1:
         # the eigenvector phases give (pi^(beta/2) / Gamma(beta/2))^-m: tau
         # holds the power of pi, this the Gamma(beta/2)^m, 6^m at beta = 8
@@ -121,7 +122,8 @@ def _log_joint_const(tag: AlgebraTag, m: int, n: int, nu: float, trace: bool,
         const += m * log_gamma(beta / 2.0)
     if trace:
         q1 = beta * (nu + m * n) / 2.0
-        const += log_gamma(q1) - log_gamma(beta * nu / 2.0) - _lmg(tag, m, beta * n / 2.0)
+        const += (log_gamma(q1) - log_gamma(beta * nu / 2.0)
+                  - log_mvgamma(tag, m, beta * n / 2.0))
     else:
         const -= log_mvbeta(tag, m, beta * nu / 2.0, beta * n / 2.0)
     if singular:

@@ -154,6 +154,46 @@ class TestScalarMul:
         assert q.conj().isclose(DivScalar(H, [1.0, -1.0, 0.0, 0.0]))
 
 
+class TestDivScalarOperators:
+    @pytest.mark.parametrize("tag", [R, C, H, O])
+    def test_operators_are_the_coefficient_arithmetic(self, rng, tag):
+        a, b = (DivScalar(tag, rng.normal(size=tag.beta)) for _ in range(2))
+        f = float(rng.normal())
+        before = a.coeffs.copy(), b.coeffs.copy()
+        for got, want in [(a + b, a.coeffs + b.coeffs), (a - b, a.coeffs - b.coeffs),
+                          (-a, -a.coeffs), (a * b, scalar_mul(a, b).coeffs),
+                          (a * b, _mul_coeffs(a.coeffs, b.coeffs)), (a * f, a.coeffs * f),
+                          (f * a, f * a.coeffs), (2 * a, 2.0 * a.coeffs)]:
+            assert isinstance(got, DivScalar) and got.tag == tag
+            assert np.array_equal(got.coeffs, want)
+        assert np.array_equal(a.coeffs, before[0]) and np.array_equal(b.coeffs, before[1])
+        assert type(a.real) is float and a.real == a.coeffs[0]
+
+    @pytest.mark.parametrize("tag", [R, C, H, O])
+    def test_refusals(self, tag):
+        a = DivScalar.from_real(tag, 1.0)
+        other = DivScalar.from_real(C if tag == R else R, 1.0)
+        for op in (lambda: a + other, lambda: a - other, lambda: a * other):
+            with pytest.raises(ValueError, match="^algebra mismatch"):
+                op()
+        for count in (tag.beta - 1, tag.beta + 1):
+            with pytest.raises(ValueError, match=f"^expected {tag.beta} coefficients"):
+                DivScalar(tag, np.ones(count))
+
+    @pytest.mark.parametrize("tag", [R, C, H, O])
+    def test_immutable_and_repr(self, tag):
+        source = np.arange(1.0, tag.beta + 1.0)
+        a = DivScalar(tag, source)
+        source[0] = 9.0     # the scalar holds its own copy
+        assert a.coeffs[0] == 1.0
+        with pytest.raises(AttributeError, match="DivScalar is immutable"):
+            a.tag = R
+        with pytest.raises(ValueError):
+            a.coeffs[0] = 5.0
+        assert repr(a) == f"DivScalar({tag.name}, {np.arange(1.0, tag.beta + 1.0).tolist()})"
+        assert repr(DivScalar(C, [1.5, -2])) == "DivScalar(COMPLEX, [1.5, -2.0])"
+
+
 class TestConjTranspose:
     def test_real_is_plain_transpose(self, rng):
         x = random_matrix(rng, R, 2, 3)

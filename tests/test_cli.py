@@ -695,6 +695,16 @@ class TestSpectrum:
 
 
 class TestVerify:
+    def test_default_suite_report_is_the_library_report(self, tmp_path, capsys):
+        from rdmt import RngStream, default_suite, run_suite
+
+        report = tmp_path / "r.json"
+        assert run_cli("verify", "--seed", "11", "--report", str(report)) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert sum(line.startswith("PASS ") for line in lines) == 18
+        assert lines[-1].startswith("overall: PASS ")
+        assert report.read_text() == run_suite(default_suite(), RngStream(11)).to_json() + "\n"
+
     def test_custom_suite_pass_and_report(self, tmp_path, capsys):
         suite = tmp_path / "suite.json"
         suite.write_text(json.dumps([

@@ -31,12 +31,14 @@ for bit on the closed forms (the 1x1 octonion, and stacks of at most two
 rows or columns for singular values), and within 64 eps of the largest
 value on LAPACK's, whose own rescaling of a very large or small matrix is
 not a power of two (30000 random cases at |2k| of 400 to 500 moved by at
-most 9.3 eps; 300 cases at |2k| <= 300 moved by none)."""
+most 9.3 eps; 300 cases at |2k| <= 300 moved by none).  So does the grid
+of `rdmt spectrum --grid`: a matrix-mt record at rho 4^k draws T / 2^k."""
 
 import math
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -51,6 +53,7 @@ from rdmt.algebra import (
     _identity_raw,
     _matmul_raw,
 )
+from rdmt.cli import main
 from rdmt.distributions import _FAMILIES, BetaIIParams, MatricTParams, MatrixMTParams
 from rdmt.spectral import (
     TIE_RTOL,
@@ -322,3 +325,24 @@ def test_pair_collapse_and_ties_decide_alike(seed, k, gaps):
             assert moved_error is error
             if error is None:
                 assert np.array_equal(np.asarray(moved), np.asarray(base))
+
+
+# the draws at rho = 1e20 are about 1e-10, where a fixed floor of the grid
+# would leave their range
+@pytest.mark.parametrize("beta", [1, 2, 4])
+def test_spectrum_grid_scales_with_the_spectra(tmp_path, beta):
+    m, runs = 2, {}
+    for k in (0, 1, 9, -7):
+        out, grid = tmp_path / f"s{k}.csv", tmp_path / f"g{k}.csv"
+        assert main(["spectrum", "--dist", "matrix-mt", "--beta", str(beta), "--m", str(m),
+                     "--n", "3", "--nu", "3", "--rho", repr(math.ldexp(1e20, 2 * k)),
+                     "--count", "200", "--seed", "1", "--out", str(out),
+                     "--grid", str(grid)]) == 0
+        runs[k] = [np.loadtxt(p, delimiter=",", skiprows=2) for p in (out, grid)]
+    vals, grid = runs.pop(0)
+    for k, (moved_vals, moved_grid) in runs.items():
+        assert np.array_equal(moved_vals, np.ldexp(vals, -k))
+        assert np.array_equal(moved_grid[:, :m], np.ldexp(grid[:, :m], -k))
+        shift = moved_grid[:, m] - grid[:, m] - m * k * math.log(2.0)
+        size = np.maximum(np.abs(grid[:, m]), np.abs(moved_grid[:, m]))
+        assert np.all(np.abs(shift) <= 4 * np.finfo(float).eps * size)

@@ -27,8 +27,9 @@ would copy its input exactly, so the draws must equal, bit for bit, the
 same construction spelled out against the identity.  A record with scales
 embeds its constant factors once (`_solve_raw` and `_gram_raw` take them
 embedded), and its draws too must equal the spelled-out products bit for
-bit: a single draw's as one composition in the complex representation,
-which embeds each random matrix once and unembeds the draw once."""
+bit: a single draw's, and a Wishart draw's at every batch size, as one
+composition in the complex representation, which embeds each random
+matrix once and unembeds the draw once."""
 
 import math
 

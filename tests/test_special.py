@@ -6,7 +6,6 @@ from scipy.special import gammaln
 from rdmt.algebra import AlgebraTag
 from rdmt.errors import DomainError
 from rdmt.special import (
-    GammaArgs,
     log_gamma,
     log_gamma_ratio_identity_gap,
     log_mvbeta,
@@ -63,24 +62,24 @@ class TestLogGamma:
 class TestMultivariateGamma:
     def test_reduces_to_gamma_half(self):
         for tag in (R, C, H, O):
-            assert math.isclose(log_mvgamma(GammaArgs(tag, 1, 0.5)),
+            assert math.isclose(log_mvgamma(tag, 1, 0.5),
                                 math.log(math.sqrt(math.pi)), rel_tol=1e-14)
 
     def test_real_two_by_two(self):
         # sqrt(pi) * Gamma(2) * Gamma(3/2) = pi/2
-        assert math.isclose(log_mvgamma(GammaArgs(R, 2, 2.0)),
+        assert math.isclose(log_mvgamma(R, 2, 2.0),
                             math.log(math.pi / 2.0), rel_tol=1e-13)
 
     def test_quaternion_two_by_two(self):
         # pi^2 * Gamma(3) * Gamma(1) = 2 pi^2
-        assert math.isclose(log_mvgamma(GammaArgs(H, 2, 3.0)),
+        assert math.isclose(log_mvgamma(H, 2, 3.0),
                             math.log(2.0 * math.pi ** 2), rel_tol=1e-13)
 
     def test_recurrence_m1(self, rng):
         for tag in (R, C, H, O):
             for a in rng.uniform(0.2, 40.0, size=50):
-                lhs = log_mvgamma(GammaArgs(tag, 1, a + 1.0))
-                rhs = math.log(a) + log_mvgamma(GammaArgs(tag, 1, a))
+                lhs = log_mvgamma(tag, 1, a + 1.0)
+                rhs = math.log(a) + log_mvgamma(tag, 1, a)
                 assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 
     @pytest.mark.parametrize("tag", [R, C, H, O])
@@ -90,11 +89,13 @@ class TestMultivariateGamma:
             a = beta / 2.0 + rng.uniform(0.1, 10.0)
             direct = (math.log(math.pi) * beta / 2.0
                       + log_gamma(a) + log_gamma(a - beta / 2.0))
-            assert abs(log_mvgamma(GammaArgs(tag, 2, a)) - direct) < 1e-12
+            assert abs(log_mvgamma(tag, 2, a) - direct) < 1e-12
 
     def test_domain_condition(self):
-        with pytest.raises(DomainError):
-            GammaArgs(H, 3, 3.9)  # needs a > (m-1)*beta/2 = 4
+        with pytest.raises(DomainError, match=r"a > \(m-1\)\*beta/2 = 4.0, got a = 3.9"):
+            log_mvgamma(H, 3, 3.9)
+        with pytest.raises(ValueError, match="m must be a positive integer"):
+            log_mvgamma(R, 0, 1.0)
 
 
 class TestMultivariateBeta:

@@ -443,20 +443,21 @@ class TestMatrixAgainstSpectralDensity:
 def _uncached_log_joint(tag, m, n, nu, v, trace, singular):
     """The spectral-density core as one formula, every constant recomputed
     at each call, in the order of additions the core keeps."""
-    from rdmt.special import _lmg, _wide, log_gamma, log_mvbeta, tau
+    from rdmt.special import _wide, log_gamma, log_mvbeta, log_mvgamma, tau
 
     beta = tag.beta
     m, n, nu = _wide(m, n, nu, trace)
     lam = v * v if singular else v
     const = ((beta * m * m / 2.0 + tau(tag, m)) * math.log(math.pi)
-             - _lmg(tag, m, beta * m / 2.0))
+             - log_mvgamma(tag, m, beta * m / 2.0))
     if beta > 1:
         const += m * log_gamma(beta / 2.0)
     log_lam = np.log(lam)
     out = (beta * (n - m + 1) / 2.0 - 1.0) * log_lam.sum(axis=1)
     if trace:
         q1 = beta * (nu + m * n) / 2.0
-        const += log_gamma(q1) - log_gamma(beta * nu / 2.0) - _lmg(tag, m, beta * n / 2.0)
+        const += (log_gamma(q1) - log_gamma(beta * nu / 2.0)
+                  - log_mvgamma(tag, m, beta * n / 2.0))
         out -= q1 * np.log1p(lam.sum(axis=1))
     else:
         const -= log_mvbeta(tag, m, beta * nu / 2.0, beta * n / 2.0)
