@@ -21,22 +21,23 @@ factor of the adjoint is the adjoint of the factor (it is unique), and each
 quaternion singular value or eigenvalue appears in the adjoint as a
 coincident (Kramers) pair.  A kernel embeds each operand once
 (`_complex_embed_raw`) and unembeds its result once (`_complex_unembed_raw`);
-a parameter record's constant factors and bases come already embedded
-(`_representation_raw`), so a record embeds them once.  A sampler's
-construction is one kernel: T = (F L)^-* Y G (K L')^-1 (`_solve_raw`) or
-the Wishart gram (`_gram_raw`).  The gram, the densities' log|B + g* g|
-(`_logdet_gram_raw`) and the spectrum of M* A M (`_eigvalsh_raw`) take
-every batch size in the representation; the last two unembed nothing.  A
-kernel reads beta from its operand's coefficient axis.
+a parameter record's constant factors and bases come already embedded, so
+a record embeds them once.  A sampler's construction is one kernel:
+T = (F L)^-* Y G (K L')^-1 (`_solve_raw`) or the Wishart gram
+(`_gram_raw`).  The gram, the densities' log|B + g* g| (`_logdet_gram_raw`)
+and the spectrum of M* A M (`_eigvalsh_raw`) take every batch size in the
+representation; the last two unembed nothing.  A kernel reads beta from
+its operand's coefficient axis.
 
 Four kernels fork on the batch size, each because a benchmark workload
 measures both sides (perfbench):
-  * `_solve_raw` solves a stack of two or more systems, and a 1x1
-    octonion, on the coefficients by back substitution (`_substitute_raw`),
-    skipping LAPACK's LU (the kernels-8x8 stacks); one system is one LAPACK
-    solve in the representation (the single-draw `call_min_us`);
-  * `_singular_values_raw` gives such stacks with min(m, n) <= 2 a closed
-    form, skipping LAPACK's iterative SVD (spectrum-h2x3);
+  * `_solve_raw` solves a stack of two or more systems on the coefficients
+    by back substitution (`_substitute_raw`), skipping LAPACK's LU (the
+    kernels-8x8 stacks); one system is one LAPACK solve in the
+    representation (the single-draw `call_min_us`);
+  * `_singular_values_raw` gives stacks with min(m, n) = 2 a closed form,
+    skipping LAPACK's iterative SVD (spectrum-h2x3); a one-row or
+    one-column matrix is its norm at every batch size;
   * `_complex_embed_raw` gathers one quaternion matrix of at most 144
     entries in one pass (sample-h2x3 and density-h2x3 `call_min_us`);
   * `_folded_matmul` takes a stack times one shared matrix as one product
@@ -47,9 +48,9 @@ adjoint's second block row is `_j_times_raw`.
 Two rules of the algebra live here alone.  Gram products (`_gram_raw`) and
 every other matrix that Cholesky or eigvalsh reads one triangle of are
 symmetrized here.  Octonion matrices larger than 1x1 are rejected: octonion
-matrix algebra is non-associative and has no complex representation.  The
-kernels take a 1x1 octonion (`_octonion_scalar`) by the scalar product, real
-division, its norm and its real part, so the scalar laws work at beta = 8.
+matrix algebra is non-associative and has no complex representation.  No
+kernel takes an octonion: the public operations hand it a 1x1 octonion's
+real image (`_octonion_guard`), and `matmul` takes the scalar product.
 """
 
 from __future__ import annotations
@@ -209,12 +210,27 @@ def _complex_unembed_raw(z: np.ndarray, beta: int) -> np.ndarray:
     return z.view(np.float64).reshape(z.shape[:-1] + (2 * z.shape[-1] // beta, beta))
 
 
-def _octonion_scalar(x: np.ndarray) -> bool:
-    """True for a beta = 8 array; the kernels take one only as (..., 1, 1, 8)."""
+def _real_image(x: np.ndarray, hermitian: bool = False) -> np.ndarray:
+    """The real image of 1x1 octonions: their coefficient rows, or Hermitian
+    ones' real coefficients; any other beta's x itself.  A larger octonion
+    raises OctonionMatrixError, naming its shape."""
     if x.shape[-1] != 8:
-        return False
+        return x
     _check_beta_shape(8, x.shape[-3], x.shape[-2])
-    return True
+    return x[..., :1] if hermitian else x.reshape(x.shape[:-2] + (8, 1))
+
+
+def _octonion_of(y: np.ndarray, hermitian: bool = False) -> np.ndarray:
+    """The (..., 1, 1, 8) octonions whose real image (`_real_image`) is y."""
+    return (np.pad(y, [(0, 0)] * (y.ndim - 1) + [(0, 7)]) if hermitian
+            else y.reshape(y.shape[:-2] + (1, 8)))
+
+
+def _octonion_guard(kernel, x: np.ndarray, hermitian: bool = False):
+    """kernel(x), the one octonion guard of the public operations: a 1x1
+    octonion's kernel takes its real image, and a 1x1 result maps back."""
+    out = kernel(_real_image(x, hermitian))
+    return _octonion_of(out, True) if x.shape[-1] == 8 and out.ndim == x.ndim else out
 
 
 def _batch(x: np.ndarray) -> int:
@@ -244,9 +260,7 @@ def _matmul_raw(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             f"matmul dimension mismatch: {a.shape[-3]}x{a.shape[-2]} by "
             f"{b.shape[-3]}x{b.shape[-2]}"
         )
-    if _octonion_scalar(a) and _octonion_scalar(b):
-        return _mul_coeffs(a, b)
-    return _product_raw(a, right=_representation_raw(b))
+    return _product_raw(a, right=_complex_embed_raw(b))
 
 
 def _identity_raw(m: int, beta: int) -> np.ndarray:
@@ -262,11 +276,7 @@ def _hermitize_raw(a: np.ndarray) -> np.ndarray:
 def _gram_raw(x: np.ndarray, left=None) -> np.ndarray:
     """The min(m, n) square gram of G = left X, symmetrized, for (..., m, n,
     beta) X and a constant left (None: G = X): G G* when m <= n, G* G for a
-    tall X.  G and its gram are formed in the representation; a 1x1
-    octonion takes the coefficient products."""
-    if _octonion_scalar(x):
-        g = _product_raw(x, left)
-        return _hermitize_raw(_mul_coeffs(g, _conj_t_raw(g)))
+    tall X.  G and its gram are formed in the representation."""
     z = _represented_product(x, left)
     zt = np.conjugate(z.swapaxes(-1, -2), order="C")
     wide = x.shape[-3] <= x.shape[-2]
@@ -335,17 +345,7 @@ def _cholesky_raw(a: np.ndarray) -> np.ndarray:
     positive definite or has a non-finite factor, naming the first such
     matrix by its index.
     """
-    beta = a.shape[-1]
-    if not _octonion_scalar(a):
-        return _complex_unembed_raw(_complex_cholesky(_complex_embed_raw(a)), beta)
-    piv = a[..., 0, 0, 0]
-    if not np.all(piv > 0.0):
-        _raise_at(NotPositiveDefinite, _stack_index(~(piv > 0.0)),
-                  "matrix", "has a non-positive pivot")
-    lo = np.zeros_like(a)
-    lo[..., 0] = np.sqrt(a[..., 0])
-    _check_factor_finite(lo, (-3, -2, -1))
-    return lo
+    return _complex_unembed_raw(_complex_cholesky(_complex_embed_raw(a)), a.shape[-1])
 
 
 def _complex_cholesky(z: np.ndarray) -> np.ndarray:
@@ -357,17 +357,12 @@ def _complex_cholesky(z: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError:
         _raise_at(NotPositiveDefinite, _first_non_pd(z),
                   "matrix", "is not positive definite")
-    _check_factor_finite(lo, (-2, -1))
-    return lo
-
-
-def _check_factor_finite(lo: np.ndarray, axes: tuple) -> None:
-    """Refuse a stack of Cholesky factors, each over `axes`, with a NaN or
-    inf entry: LAPACK passes NaN through and factors an infinite diagonal."""
+    # LAPACK passes NaN through and factors an infinite diagonal
     if not np.isfinite(lo).all():
-        finite = np.isfinite(lo).all(axis=axes)
+        finite = np.isfinite(lo).all(axis=(-2, -1))
         _raise_at(NotPositiveDefinite, _stack_index(~finite),
                   "matrix", "has a non-finite Cholesky factor")
+    return lo
 
 
 def _first_non_pd(z: np.ndarray):
@@ -389,15 +384,6 @@ def _chol_logdet_raw(lo: np.ndarray) -> np.ndarray:
     return 2.0 * np.log(diag).sum(axis=-1)
 
 
-def _representation_raw(x: np.ndarray | None) -> np.ndarray | None:
-    """A constant as the kernels take it: the complex representation of
-    (m, n, beta) coefficients for beta <= 4, a 1x1 octonion's coefficients
-    as they are, and None (an exact identity, skipped) as None."""
-    if x is None or _octonion_scalar(x):
-        return x
-    return _complex_embed_raw(x)
-
-
 def _represented_product(a: np.ndarray, left=None, right=None) -> np.ndarray:
     """Complex representation of left a right for a (..., k, p, beta) stack
     a, beta <= 4: a is embedded once, and a right is `_folded_matmul`'s."""
@@ -411,30 +397,21 @@ def _product_raw(a: np.ndarray, left=None, right=None) -> np.ndarray:
     """left a right of a (..., k, p, beta) stack a on the coefficients: the
     bits of `_matmul_raw(_matmul_raw(left, a), right)`, with a alone
     embedded.  A factor None is skipped, and with neither a itself is
-    returned; a 1x1 octonion takes the coefficient products."""
+    returned."""
     if left is None and right is None:
         return a
-    if _octonion_scalar(a):
-        g = a if left is None else _matmul_raw(left, a)
-        return g if right is None else _matmul_raw(g, right)
     return _complex_unembed_raw(_represented_product(a, left, right), a.shape[-1])
 
 
 def _logdet_gram_raw(base: np.ndarray, a: np.ndarray, factor=None) -> np.ndarray:
     """log|base + g* g| of each matrix of a (..., k, p, beta) stack a, with
     g = a, or g = factor a for a (k, k) factor, and base (p, p) Hermitian
-    positive definite; shared and stacked constants broadcast.  For
-    beta <= 4, g, its Gram, the sum with base and its symmetrization
-    (B + B*)/2 are formed in the representation and factored under
-    `_cholesky_raw`'s guard (`_complex_cholesky`); the log det is read from
-    the real parts of the factor's diagonal (for beta = 4 its even rows), so
-    nothing is unembedded.  A 1x1 octonion takes g = factor a on the
-    coefficients, and g* g is |g|^2 in the real coefficient."""
-    if _octonion_scalar(a):
-        g = _product_raw(a, factor)
-        gram = np.zeros(g.shape)
-        gram[..., 0] = _frobenius_sq_raw(g)[..., None, None]
-        return _chol_logdet_raw(_cholesky_raw(_hermitize_raw(base + gram)))
+    positive definite; shared and stacked constants broadcast.  g, its Gram,
+    the sum with base and its symmetrization (B + B*)/2 are formed in the
+    representation and factored under `_cholesky_raw`'s guard
+    (`_complex_cholesky`); the log det is read from the real parts of the
+    factor's diagonal (for beta = 4 its even rows), so nothing is
+    unembedded."""
     z = _represented_product(a, factor)
     b = z.conj().swapaxes(-1, -2) @ z
     del z
@@ -458,21 +435,20 @@ def _solve_raw(lo, b: np.ndarray, left=None, right=None, post=(None, None)) -> n
 
     One system stays in the complex representation: b, lo and c are embedded
     once and multiplied there, each system is one LAPACK solve (X C = Y as
-    C* X* = Y*), and X is unembedded once.  A stack of two or more, and a 1x1
-    octonion, form A, B and C on the coefficients (`_product_raw`) for
-    `_substitute_raw`, which reads a factor's strictly lower triangle and
-    its diagonal's real part in place."""
+    C* X* = Y*), and X is unembedded once.  A stack of two or more forms A,
+    B and C on the coefficients (`_product_raw`) for `_substitute_raw`,
+    which reads a factor's strictly lower triangle and its diagonal's real
+    part in place."""
     first, second = lo is not None or left is not None, any(f is not None for f in post)
     if not (first or second or right is not None):
         return b
-    if not any(_octonion_scalar(x) or _batch(x) > 1 for x in (b, lo, post[0]) if x is not None):
+    if not any(_batch(x) > 1 for x in (b, lo, post[0]) if x is not None):
         adj, done = (lambda z: z.conj().swapaxes(-1, -2)), (lambda z: _complex_unembed_raw(z, b.shape[-1]))
         factor = (lambda f, g: adj(g if f is None else _represented_product(f, g)))    # A*, A = g f
         x, solve = _represented_product(b, right=right), np.linalg.solve
     else:
         def factor(f, g):       # the coefficients of A = g f
-            return (_product_raw(f, g) if f is not None else g if _octonion_scalar(b)
-                    else _complex_unembed_raw(g, b.shape[-1]))
+            return _product_raw(f, g) if f is not None else _complex_unembed_raw(g, b.shape[-1])
         x, solve, adj, done = _product_raw(b, right=right), _substitute_raw, _conj_t_raw, (lambda z: z)
     # both factors before either solve, so that no solved stack is alive
     # while a factor is formed
@@ -482,11 +458,9 @@ def _solve_raw(lo, b: np.ndarray, left=None, right=None, post=(None, None)) -> n
 
 
 def _substitute_raw(lo: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Back substitution over the m rows of L* X = B, each step vectorized
-    across the broadcast stack, for any beta when m = 1 and beta <= 4
-    otherwise.  Row i of X is (B_i - sum_k conj(L_ki) X_k) / l_ii, the sum
-    over the rows below it from the last up; a 1x1 system is one division,
-    which is also how a 1x1 octonion solves.
+    """Back substitution over the m rows of L* X = B, beta <= 4, each step
+    vectorized across the broadcast stack.  Row i of X is (B_i - sum_k
+    conj(L_ki) X_k) / l_ii, the sum over the rows below it from the last up.
 
     The arithmetic is on the coefficients: real numbers for beta = 1, complex
     for beta = 2, and for beta = 4 the interleaved complex pairs (c, d) of
@@ -497,8 +471,6 @@ def _substitute_raw(lo: np.ndarray, b: np.ndarray) -> np.ndarray:
     elementwise, so a matrix's result does not depend on the rest of the
     stack, and a shared L simply broadcasts."""
     beta, m = lo.shape[-1], lo.shape[-3]
-    if m == 1:
-        return b / lo[..., :1]
     lead = np.broadcast_shapes(lo.shape[:-3], b.shape[:-3])
     n = b.shape[-2]
     diag = np.diagonal(lo[..., 0], axis1=-2, axis2=-1)
@@ -545,13 +517,8 @@ def _j_times_raw(q: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 def _hpd_inverse_raw(a: np.ndarray) -> np.ndarray:
     """Inverse of a Hermitian positive definite array, hermitized."""
-    beta = a.shape[-1]
-    if _octonion_scalar(a):
-        out = np.zeros_like(a)
-        out[..., 0] = 1.0 / a[..., 0]
-        return out
     inv = np.linalg.inv(_complex_embed_raw(a))
-    return _hermitize_raw(_complex_unembed_raw(inv, beta))
+    return _hermitize_raw(_complex_unembed_raw(inv, a.shape[-1]))
 
 
 def _collapse_pairs(vals: np.ndarray) -> np.ndarray:
@@ -575,19 +542,19 @@ def _singular_values_raw(x: np.ndarray) -> np.ndarray:
     """Descending singular values on (..., m, n, beta), min(m, n) each.
 
     A matrix with a NaN or inf coefficient is refused (ValueError naming
-    it), before any LAPACK call.  A stack of two or more matrices with
-    min(m, n) <= 2, and a 1x1 octonion, take a closed form: a tall matrix is
+    it), before any LAPACK call.  A matrix with min(m, n) = 1, and a stack
+    of two or more with min(m, n) = 2, take a closed form: a tall matrix is
     read as its conjugate transpose, a one-row matrix's singular value is
     the row's norm, and two rows go through `_two_row_singular_values`.
     Each matrix is first scaled by a power of two near its largest
     coefficient, which is exact and keeps sums of squares from over- or
-    underflowing.  A single matrix and every shape with min(m, n) >= 3 take
-    LAPACK's SVD of the complex representation."""
+    underflowing.  A single matrix with min(m, n) = 2 and every shape with
+    min(m, n) >= 3 take LAPACK's SVD of the complex representation."""
     _refuse_non_finite(x, "matrix")
-    beta = x.shape[-1]
-    if not (_octonion_scalar(x) or (_batch(x) > 1 and 1 <= min(x.shape[-3:-1]) <= 2)):
+    d = min(x.shape[-3:-1])
+    if not (d == 1 or (d == 2 and _batch(x) > 1)):
         s = np.linalg.svd(_complex_embed_raw(x), compute_uv=False)
-        return _collapse_pairs(s) if beta == 4 else s
+        return _collapse_pairs(s) if x.shape[-1] == 4 else s
     if x.shape[-3] > x.shape[-2]:
         x = _conj_t_raw(x)
     exp = np.frexp(_largest_coefficients(x))[1]
@@ -672,12 +639,9 @@ def _norms(v: np.ndarray) -> np.ndarray:
 
 def _eigvalsh_raw(a: np.ndarray, left=None, right=None) -> np.ndarray:
     """Descending real eigenvalues of Hermitian (..., m, m, beta), C-contiguous
-    (numpy logs one matrix's as a stack's); a 1x1 octonion's is its real
-    coefficient.  With constants left = M* and right = M, those of M* a M."""
-    if _octonion_scalar(a):
-        w = _product_raw(a, left, right)[..., 0, 0, :1]
-    else:
-        w = np.linalg.eigvalsh(_represented_product(a, left, right))[..., ::-1]
+    (numpy logs one matrix's as a stack's).  With constants left = M* and
+    right = M, those of M* a M."""
+    w = np.linalg.eigvalsh(_represented_product(a, left, right))[..., ::-1]
     return _collapse_pairs(w) if a.shape[-1] == 4 else w.copy()
 
 
@@ -918,7 +882,7 @@ class HermitianPD:
         if not np.isfinite(mat.data).all():
             raise NotPositiveDefinite("matrix has non-finite coefficients")
         sym = _hermitian_part(mat.data)
-        chol = _cholesky_raw(sym)  # raises NotPositiveDefinite
+        chol = _octonion_guard(_cholesky_raw, sym, hermitian=True)  # raises NotPositiveDefinite
         object.__setattr__(self, "mat", DivMatrix(mat.tag, sym))
         object.__setattr__(self, "_chol", DivMatrix(mat.tag, chol))
         object.__setattr__(self, "_logdet", float(_chol_logdet_raw(chol)))
@@ -955,10 +919,10 @@ class HermitianPD:
 
     @staticmethod
     def _representations(lo) -> tuple:
-        """(F, F*) of a lower factor F as `_representation_raw` gives them;
+        """(F, F*) of a lower factor F, embedded (`_complex_embed_raw`);
         (None, None) for None, an exact identity."""
         return (None, None) if lo is None else (
-            _representation_raw(lo), _representation_raw(_conj_t_raw(lo)))
+            _complex_embed_raw(lo), _complex_embed_raw(_conj_t_raw(lo)))
 
     @functools.cached_property
     def _factor_reps(self) -> tuple:
@@ -974,7 +938,8 @@ class HermitianPD:
             None if self.is_identity else _cholesky_raw(_hpd_inverse_raw(self.mat.data)))
 
     def inverse(self) -> "HermitianPD":
-        return HermitianPD(DivMatrix(self.tag, _hpd_inverse_raw(self.mat.data)))
+        return HermitianPD(DivMatrix(
+            self.tag, _octonion_guard(_hpd_inverse_raw, self.mat.data, hermitian=True)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HermitianPD):
@@ -1018,6 +983,10 @@ def conj_transpose(x: DivMatrix) -> DivMatrix:
 def matmul(a: DivMatrix, b: DivMatrix) -> DivMatrix:
     if a.tag != b.tag:
         raise ValueError(f"algebra mismatch: {a.tag!r} vs {b.tag!r}")
+    if a.tag == AlgebraTag.OCTONION:    # 1x1 only: the Cayley-Dickson product
+        for x in (a, b):
+            _check_beta_shape(8, x.m, x.n)
+        return DivMatrix(a.tag, _mul_coeffs(a.data, b.data))
     return DivMatrix(a.tag, _matmul_raw(a.data, b.data))
 
 
@@ -1050,7 +1019,7 @@ def singular_values(x: DivMatrix) -> np.ndarray:
     consists of coincident pairs; each pair is reported once.  A matrix with
     a NaN or inf coefficient raises ValueError.
     """
-    return _singular_values_raw(x.data)
+    return _octonion_guard(_singular_values_raw, x.data)
 
 
 def hermitian_eigenvalues(a) -> np.ndarray:
@@ -1063,4 +1032,4 @@ def hermitian_eigenvalues(a) -> np.ndarray:
     mat = a.mat if isinstance(a, HermitianPD) else a
     if mat.m != mat.n:
         raise ValueError("eigenvalues require a square matrix")
-    return _eigvalsh_raw(_hermitian_part(mat.data))
+    return _octonion_guard(_eigvalsh_raw, _hermitian_part(mat.data), hermitian=True)

@@ -41,6 +41,7 @@ from ._version import __version__
 from .algebra import (
     AlgebraTag,
     _gram_raw,
+    _octonion_guard,
     _schema_data,
     _schema_template,
 )
@@ -327,7 +328,7 @@ def _cmd_spectrum(args) -> int:
         vals = singular_values_batch(params.tag, raw)
     else:
         if not hermitian:
-            raw = _gram_raw(raw)
+            raw = _octonion_guard(_gram_raw, raw)
         vals = eigenvalues_batch(params.tag, raw)
     grid = _grid_rows(kind, params, vals, overlay) if args.grid else None
     info = _run_info(seed, args.stream, _params_dict(

@@ -40,6 +40,7 @@ from .algebra import (
     HermitianPD,
     _check_beta_shape,
     _cholesky_raw,
+    _complex_embed_raw,
     _conj_t_raw,
     _eigvalsh_raw,
     _frobenius_sq_raw,
@@ -48,14 +49,15 @@ from .algebra import (
     _hpd_inverse_raw,
     _largest_coefficients,
     _logdet_gram_raw,
+    _octonion_of,
     _product_raw,
     _raise_at,
+    _real_image,
     _refuse_non_finite,
-    _representation_raw,
     _solve_raw,
     _stack_index,
 )
-from .errors import DomainError, OctonionMatrixError
+from .errors import DomainError
 from .special import _wide, log_gamma, log_mvbeta, log_mvgamma
 from .spectral import (
     log_joint_eig_beta2,
@@ -253,13 +255,19 @@ class _JsonRecord:
                                  f"but the record derives {getattr(record, name)!r}")
         return record
 
+    @cached_property
+    def _image(self):
+        """A 1x1 octonion record's real image (`_octonion_image`), built once."""
+        return _octonion_image(self)
 
-def _check_dims(tag, rows: int, cols: int) -> AlgebraTag:
-    """AlgebraTag(tag), once the record's rows x cols shape is legal for it."""
+
+def _check_dims(record, rows: int, cols: int) -> AlgebraTag:
+    """The record's tag as AlgebraTag(tag), set once its rows x cols is legal."""
     if min(rows, cols) < 1:
         raise ValueError("dimensions must be positive")
-    _check_beta_shape(AlgebraTag(tag).beta, rows, cols)
-    return AlgebraTag(tag)
+    _check_beta_shape(AlgebraTag(record.tag).beta, rows, cols)
+    object.__setattr__(record, "tag", AlgebraTag(record.tag))
+    return record.tag
 
 
 @dataclass(frozen=True)
@@ -286,8 +294,7 @@ class MatricTParams(_JsonRecord):
     Sigma: HermitianPD | None = None
 
     def __post_init__(self):
-        tag = _check_dims(self.tag, self.m, self.n)
-        object.__setattr__(self, "tag", tag)
+        tag = _check_dims(self, self.m, self.n)
         _refuse_non_finite_fields(self, DomainError, "nu", "mu")
         if not self.nu > tag.beta * (self.m - 1):
             raise DomainError(
@@ -299,8 +306,8 @@ class MatricTParams(_JsonRecord):
 
     @cached_property
     def _density_terms(self):
-        """`_matric_t_terms(self)`, computed on first use (see Log densities)."""
-        return _matric_t_terms(self)
+        """`_matric_t_terms(_computed(self))`, on first use (see Log densities)."""
+        return _matric_t_terms(_computed(self))
 
 
 @dataclass(frozen=True)
@@ -323,8 +330,7 @@ class MatrixMTParams(_JsonRecord):
     Lambda: HermitianPD | None = None
 
     def __post_init__(self):
-        tag = _check_dims(self.tag, self.m, self.n)
-        object.__setattr__(self, "tag", tag)
+        tag = _check_dims(self, self.m, self.n)
         _refuse_non_finite_fields(self, DomainError, "nu", "rho", "mu")
         if not (self.nu > 0 and self.rho > 0):
             raise DomainError("require nu > 0 and rho > 0")
@@ -334,8 +340,8 @@ class MatrixMTParams(_JsonRecord):
 
     @cached_property
     def _density_terms(self):
-        """`_matrix_mt_terms(self)`, computed on first use (see Log densities)."""
-        return _matrix_mt_terms(self)
+        """`_matrix_mt_terms(_computed(self))`, on first use (see Log densities)."""
+        return _matrix_mt_terms(_computed(self))
 
 
 @dataclass(frozen=True)
@@ -347,8 +353,7 @@ class WishartParams(_JsonRecord):
     Xi: HermitianPD | None = None
 
     def __post_init__(self):
-        tag = _check_dims(self.tag, self.m, self.m)
-        object.__setattr__(self, "tag", tag)
+        tag = _check_dims(self, self.m, self.m)
         _refuse_non_finite_fields(self, DomainError, "nu")
         if not self.nu > tag.beta * (self.m - 1):
             raise DomainError(
@@ -398,8 +403,7 @@ class BetaIIParams(_JsonRecord):
     def __post_init__(self):
         object.__setattr__(self, "orientation",
                            "gram" if self.n >= self.m else "cogram")
-        tag = _check_dims(self.tag, self.dim, self.dim)
-        object.__setattr__(self, "tag", tag)
+        tag = _check_dims(self, self.dim, self.dim)
         _refuse_non_finite_fields(self, DomainError, "nu")
         if not self.nu > 0:
             raise DomainError("require nu > 0")
@@ -435,7 +439,7 @@ class GaussianParams(_JsonRecord):
     n: int
 
     def __post_init__(self):
-        object.__setattr__(self, "tag", _check_dims(self.tag, self.m, self.n))
+        _check_dims(self, self.m, self.n)
 
 
 @dataclass(frozen=True)
@@ -443,7 +447,7 @@ class EllipticalTParams(_JsonRecord):
     """Standard matricvariate T built from a scale-mixture source (see
     `sample_elliptical_t`): a finite mixture of normals with one global
     standard-deviation multiplier per component, scales[i] with probability
-    weights[i].  The construction needs an integer nu >= m, n >= m and beta <= 4."""
+    weights[i].  The construction needs an integer nu >= m and n >= m."""
 
     family: ClassVar[str] = "elliptical-t"
     tag: AlgebraTag
@@ -454,7 +458,7 @@ class EllipticalTParams(_JsonRecord):
     scales: tuple = (1.0,)
 
     def __post_init__(self):
-        object.__setattr__(self, "tag", _check_dims(self.tag, self.m, self.n))
+        _check_dims(self, self.m, self.n)
         w = tuple(float(x) for x in self.weights)
         s = tuple(float(x) for x in self.scales)
         object.__setattr__(self, "weights", w)
@@ -468,10 +472,33 @@ class EllipticalTParams(_JsonRecord):
             raise ValueError("scales must be positive")
         if not float(self.nu).is_integer() or self.nu < self.m or self.n < self.m:
             raise ValueError("require integer nu >= m and n >= m")
-        if self.tag.beta == 8:
-            raise OctonionMatrixError(
-                "octonion (beta = 8) support is limited to 1x1 matrices; elliptical-t "
-                f"draws an m x (n + nu) block, here {self.m}x{self.n + int(self.nu)}")
+
+
+def _octonion_image(params, law: str = "matric"):
+    """The real record with the law of a 1x1 octonion record.  Its scales are
+    positive reals, so it is the law of the 1 x 8 coefficient row at
+    nu' = 8 nu, mu's coefficients as the row, a column scale s as s I_8 and
+    the Wishart's Xi / 8 (a real Gaussian coefficient has variance 1, not
+    1/8); a beta II record's is its wide law's (`special._wide`)."""
+    def real(h, k=1, t=1.0):     # t h I_k over R for a scale h
+        return None if h is None else HermitianPD.from_real(r, t * h.mat.data[0, 0, 0] * np.eye(k))
+    r, nu = AlgebraTag.REAL, 8.0 * params.nu
+    if isinstance(params, BetaIIParams):
+        _, n_wide, nu_wide = _wide(params.m, params.n, params.nu, trace=law == "mv")
+        return BetaIIParams(r, 1, 8 * n_wide, 8.0 * nu_wide, real(params.scale))
+    if isinstance(params, WishartParams):
+        return WishartParams(r, 1, nu, real(params.Xi, t=0.125))
+    if isinstance(params, EllipticalTParams):
+        return EllipticalTParams(r, 1, 8, nu, params.weights, params.scales)
+    mu = DivMatrix(r, _real_image(params.mu.data))
+    if isinstance(params, MatricTParams):
+        return MatricTParams(r, 1, 8, nu, mu, real(params.Xi), real(params.Sigma, 8))
+    return MatrixMTParams(r, 1, 8, nu, params.rho, mu, real(params.Delta), real(params.Lambda, 8))
+
+
+def _computed(params):
+    """The record the kernels compute: a 1x1 octonion record's real image."""
+    return params._image if params.tag.beta == 8 else params
 
 
 # ---------------------------------------------------------------------------
@@ -481,6 +508,8 @@ class EllipticalTParams(_JsonRecord):
 
 
 def _wrap_single(tag: AlgebraTag, raw: np.ndarray, size, hermitian: bool = False):
+    if tag.beta == 8:   # a 1x1 octonion's draws come as their real images
+        raw = _octonion_of(raw, hermitian)
     if size is not None:
         return raw
     mat = DivMatrix(tag, raw[0])
@@ -539,18 +568,17 @@ def sample_wishart(rng: RngStream, params: WishartParams, method: str = "bartlet
                    size: int | None = None):
     """Wishart draw by the Bartlett factorization (any real nu in the domain)
     or by the Gram construction Y Y* (integer nu >= m only)."""
-    tag = params.tag
-    nsamp = 1 if size is None else int(size)
+    tag, image = params.tag, _computed(params)
+    nsamp, gen, beta = 1 if size is None else int(size), rng.generator, image.tag.beta
     if method == "bartlett":
-        c = _bartlett_factor_raw(rng.generator, tag.beta, params.m, params.nu, nsamp)
+        c = _bartlett_factor_raw(gen, beta, image.m, image.nu, nsamp)
     elif method == "gram":
-        nu_int = int(params.nu)
-        if nu_int != params.nu or nu_int < params.m:
+        if int(params.nu) != params.nu or params.nu < params.m:
             raise DomainError("gram construction requires integer nu >= m")
-        c = _std_normal_raw(rng.generator, tag.beta, (nsamp, params.m, nu_int))
+        c = _std_normal_raw(gen, beta, (nsamp, image.m, int(image.nu)))
     else:
         raise ValueError(f"unknown Wishart method {method!r}")
-    return _wrap_single(tag, _gram_raw(c, params.Xi._factor_reps[0]), size, hermitian=True)
+    return _wrap_single(tag, _gram_raw(c, image.Xi._factor_reps[0]), size, hermitian=True)
 
 
 def _add_mu(t: np.ndarray, mu: DivMatrix) -> np.ndarray:
@@ -582,8 +610,8 @@ def sample_matric_t(rng: RngStream, params: MatricTParams,
     scale's product or solve and an exactly zero mu's add are skipped, as
     exact copies of their inputs, so a standard record costs one solve.
     """
-    tag = params.tag
-    beta = tag.beta
+    tag, params = params.tag, _computed(params)
+    beta = params.tag.beta
     m, n = params.m, params.n
     nsamp = 1 if size is None else int(size)
     gen = rng.generator
@@ -609,21 +637,21 @@ def sample_matric_t(rng: RngStream, params: MatricTParams,
 def sample_beta2_matric(rng: RngStream, params: BetaIIParams,
                         size: int | None = None):
     """The min(m, n) square gram of a standard matricvariate T draw: T T*
-    (gram) or, for a tall T, T* T (cogram)."""
+    (gram) or, for a tall T, T* T (cogram); an octonion T must be a row."""
     if params.scale is not None:
         raise ValueError("sampling is defined for the standard form only (scale=None)")
-    tparams = MatricTParams(params.tag, params.m, params.n, params.nu)
+    image = _computed(params) if params.m == 1 else params
+    tparams = MatricTParams(image.tag, image.m, image.n, image.nu)
     t = sample_matric_t(rng, tparams, size=1 if size is None else size)
-    f = _gram_raw(t)
-    return _wrap_single(params.tag, f, size, hermitian=True)
+    return _wrap_single(params.tag, _gram_raw(t), size, hermitian=True)
 
 
 def sample_matrix_mt(rng: RngStream, params: MatrixMTParams,
                      size: int | None = None):
     """Matrix multivariate T draw: T1 = S^-1/2 Y + mu, then the congruence
     (M*)^-1 T1 N^-1 mapping identity scales to (Delta, Lambda)."""
-    tag = params.tag
-    beta = tag.beta
+    tag, params = params.tag, _computed(params)
+    beta = params.tag.beta
     m, n = params.m, params.n
     nsamp = 1 if size is None else int(size)
     gen = rng.generator
@@ -648,6 +676,7 @@ def sample_elliptical_t(rng: RngStream, params: EllipticalTParams,
     standard matricvariate T regardless of the mixture, which is exactly the
     invariance property the verify suite tests.
     """
+    tag, params = params.tag, _computed(params)
     m, n, nu = params.m, params.n, int(params.nu)
     nsamp = 1 if size is None else int(size)
     gen = rng.generator
@@ -660,7 +689,7 @@ def sample_elliptical_t(rng: RngStream, params: EllipticalTParams,
     y *= scale[:, None, None, None]
     y1, y2 = y[:, :, :n, :], y[:, :, n:, :]
     t = _solve_raw(_cholesky_raw(_gram_raw(y2)), y1)
-    return _wrap_single(params.tag, t, size)
+    return _wrap_single(tag, t, size)
 
 
 # ---------------------------------------------------------------------------
@@ -673,8 +702,8 @@ def sample_elliptical_t(rng: RngStream, params: EllipticalTParams,
 # on it as `_density_terms` (a beta II record as `_matric_terms` and
 # `_mv_terms`, one per law): an attribute, not a dataclass field, so it stays
 # out of ==, repr and the JSON.  The records cache their constant factors
-# and bases in the form their kernels read, the complex representation for
-# beta <= 4, so a call embeds only its points once: the matric-t bracket is
+# and bases in the complex representation, which their kernels read, so a
+# call embeds only its points once: the matric-t bracket is
 # `_logdet_gram_raw`, the matrix-mt trace `_product_raw`'s, and
 # both beta II laws read one eigendecomposition per point (`_beta2_logpdf`).
 # A point's logs are numpy's log or log1p of positive-stride arrays (a
@@ -710,11 +739,10 @@ def _matric_t_terms(params: MatricTParams) -> dict:
     """form -> (q, factor, base, const) of logpdf_matric_t, whose kernel is
     |base + g* g|^-q: primal g = M* (T-mu)*, M M* = Sigma^-1, with factor M*
     and base Xi^-1, dual g = L_Xi* (T-mu) with factor L_Xi* and base Sigma.
-    factor and base are as `_logdet_gram_raw` reads them, embedded once in
-    the complex representation for beta <= 4: each factor is its scale's
-    cached one (`HermitianPD._inverse_factor_reps` of Sigma, `_factor_reps`
-    of Xi), None when the scale is exactly I, so its exact-copy product is
-    skipped."""
+    factor and base are embedded once, as `_logdet_gram_raw` reads them:
+    each factor is its scale's cached one (`HermitianPD._inverse_factor_reps`
+    of Sigma, `_factor_reps` of Xi), None when the scale is exactly I, so
+    its exact-copy product is skipped."""
     tag = params.tag
     beta = tag.beta
     m, n, nu = params.m, params.n, params.nu
@@ -735,9 +763,9 @@ def _matric_t_terms(params: MatricTParams) -> dict:
     )
     return {
         "primal": (q, params.Sigma._inverse_factor_reps[1],
-                   _representation_raw(_hpd_inverse_raw(params.Xi.mat.data)), primal),
+                   _complex_embed_raw(_hpd_inverse_raw(params.Xi.mat.data)), primal),
         "dual": (q, params.Xi._factor_reps[1],
-                 _representation_raw(params.Sigma.mat.data), dual),
+                 _complex_embed_raw(params.Sigma.mat.data), dual),
     }
 
 
@@ -755,7 +783,7 @@ def logpdf_matric_t(params: MatricTParams, t, form: str = "primal"):
         raise ValueError("form must be 'primal' or 'dual'")
     q, factor, base, const = params._density_terms[form]
     x, single = _points(params, t, (params.m, params.n))
-    a = x - params.mu.data
+    a = _real_image(x - params.mu.data)
     if form == "primal":
         a = _conj_t_raw(a)
     out = const - q * _logdet_gram_raw(base, a, factor)
@@ -781,10 +809,12 @@ def _beta2_terms(params: BetaIIParams, law: str) -> tuple:
     b_par = beta * n_wide / 2.0
     exp_f = beta * (n_wide - d + 1) / 2.0 - 1.0
     matric = law == "matric"
+    if matric and not nu_wide > d - 1:
+        raise DomainError(f"the matricvariate beta II law requires "
+                          f"nu > m - 1 = {m - 1}, got nu = {nu}")
+    if beta == 8:
+        return _beta2_terms(_octonion_image(params, law), law)
     if matric:
-        if not nu_wide > d - 1:
-            raise DomainError(f"the matricvariate beta II law requires "
-                              f"nu > m - 1 = {m - 1}, got nu = {nu}")
         q = beta * (n + nu) / 2.0
         const = -log_mvbeta(tag, d, beta * nu_wide / 2.0, b_par)
     else:
@@ -826,7 +856,7 @@ def _beta2_logpdf(params: BetaIIParams, f, terms: tuple, trace: bool):
     q, exp_f, (factor, shift, kappa), const = terms
     d = params.dim
     x, single = _points(params, f.mat if isinstance(f, HermitianPD) else f, (d, d))
-    data = _hermitian_part(x, "the evaluation point")
+    data = _real_image(_hermitian_part(x, "the evaluation point"), hermitian=True)
     t = np.frexp(_largest_coefficients(data))[1] + shift
     t = np.where(np.abs(t) > 256, t, 0)
     lam = _eigvalsh_raw(np.ldexp(data, -t[..., None, None, None]), *factor)
@@ -871,9 +901,8 @@ def logpdf_beta2_matric(params: BetaIIParams, f):
 def _matrix_mt_terms(params: MatrixMTParams) -> tuple:
     """(q1, left, right, const) of logpdf_matrix_mt: the kernel's exponent,
     its congruence factors L_Delta* and L_Lambda, and the constant.  The
-    factors are cached as `_product_raw` reads them, embedded
-    once in the complex representation for beta <= 4, and None when their
-    scale is exactly I."""
+    factors are cached embedded, as `_product_raw` reads them, and None
+    when their scale is exactly I."""
     tag = params.tag
     beta = tag.beta
     m, n, nu = params.m, params.n, params.nu
@@ -895,7 +924,7 @@ def logpdf_matrix_mt(params: MatrixMTParams, t):
     """
     q1, left, right, const = params._density_terms
     x, single = _points(params, t, (params.m, params.n))
-    trace = _frobenius_sq_raw(_product_raw(x - params.mu.data, left, right))
+    trace = _frobenius_sq_raw(_product_raw(_real_image(x - params.mu.data), left, right))
     out = const - q1 * np.log1p(params.rho * trace)
     return float(out) if single else out
 

@@ -29,6 +29,7 @@ from .algebra import (
     HermitianPD,
     _eigvalsh_raw,
     _hermitian_part,
+    _octonion_guard,
     _singular_values_raw,
     hermitian_eigenvalues,
     singular_values,
@@ -226,7 +227,7 @@ def singular_values_batch(tag: AlgebraTag, raw: np.ndarray) -> np.ndarray:
     """Descending singular values for a stacked (N, m, n, beta) sample array;
     stacks with min(m, n) <= 2 take the closed form of `_singular_values_raw`."""
     _check_beta(tag, raw)
-    return _singular_values_raw(raw)
+    return _octonion_guard(_singular_values_raw, raw)
 
 
 def eigenvalues_batch(tag: AlgebraTag, raw: np.ndarray) -> np.ndarray:
@@ -238,4 +239,4 @@ def eigenvalues_batch(tag: AlgebraTag, raw: np.ndarray) -> np.ndarray:
     _check_beta(tag, raw)
     if raw.shape[-3] != raw.shape[-2]:
         raise ValueError(f"eigenvalues require square matrices; got shape {raw.shape}")
-    return _eigvalsh_raw(_hermitian_part(raw))
+    return _octonion_guard(_eigvalsh_raw, _hermitian_part(raw), hermitian=True)

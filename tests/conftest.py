@@ -7,10 +7,10 @@ from rdmt.algebra import (
     AlgebraTag,
     DivMatrix,
     HermitianPD,
-    _conj_t_raw,
     _hermitize_raw,
     _identity_raw,
-    _matmul_raw,
+    conj_transpose,
+    matmul,
 )
 
 
@@ -24,7 +24,8 @@ def random_hpd(rng, tag, m, boost=None):
     g = rng.normal(size=(m, m, beta))
     if boost is None:
         boost = 0.5 + 0.5 * m
-    a = _matmul_raw(g, _conj_t_raw(g)) + boost * _identity_raw(m, beta)
+    g = DivMatrix(tag, g)
+    a = matmul(g, conj_transpose(g)).data + boost * _identity_raw(m, beta)
     return HermitianPD(DivMatrix(tag, _hermitize_raw(a)))
 
 

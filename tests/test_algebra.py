@@ -33,7 +33,7 @@ from rdmt.algebra import (
     _logdet_gram_raw,
     _matmul_raw,
     _mul_coeffs,
-    _representation_raw,
+    _octonion_guard,
     _singular_values_raw,
     _solve_raw,
 )
@@ -310,10 +310,11 @@ class TestCholesky:
         assert info.value.index is None
 
     def test_octonion_stack_names_its_index(self):
+        # the real image of a Hermitian octonion stack keeps its positions
         a = np.zeros((4, 1, 1, 8))
         a[:, 0, 0, 0] = [1.0, 2.0, -1.0, 3.0]
-        with pytest.raises(NotPositiveDefinite, match="index 2 has a non-positive"):
-            _cholesky_raw(a)
+        with pytest.raises(NotPositiveDefinite, match="index 2 is not positive definite"):
+            _octonion_guard(_cholesky_raw, a, hermitian=True)
 
 
 # -- the matrix kernels run on the complex representation; the independent
@@ -345,15 +346,14 @@ def _assert_rel_close(got, want, rtol=1e-12):
     assert np.abs(got - want).max() <= rtol * np.abs(want).max()
 
 
-_KERNEL_CASES = [(R, 3, 4), (C, 3, 4), (H, 3, 4), (H, 1, 2), (O, 1, 1)]
+_KERNEL_CASES = [(R, 3, 4), (C, 3, 4), (H, 3, 4), (H, 1, 2)]
 
 
 class TestKernelsAgainstEntrywiseOracle:
     @pytest.mark.parametrize("tag,m,n", _KERNEL_CASES)
     def test_matmul_batched(self, rng, tag, m, n):
-        k = 1 if tag == O else 2
-        a = rng.normal(size=(5, m, k, tag.beta))
-        b = rng.normal(size=(5, k, n, tag.beta))
+        a = rng.normal(size=(5, m, 2, tag.beta))
+        b = rng.normal(size=(5, 2, n, tag.beta))
         _assert_rel_close(_matmul_raw(a, b), _entrywise_matmul(a, b))
 
     @pytest.mark.parametrize("tag,m,n", _KERNEL_CASES)
@@ -426,6 +426,43 @@ class TestKernelsAgainstEntrywiseOracle:
         assert _collapse_pairs(np.zeros((0, 4))).shape == (0, 2)
 
 
+class TestOctonionGuard:
+    """No kernel takes an octonion.  The public operations take a 1x1 one
+    through `_octonion_guard`, which hands the kernel its real image: the
+    1 x 8 coefficient row, or a Hermitian octonion's real coefficient.  The
+    results against the entrywise oracle, whose scalar product is the
+    Cayley-Dickson product."""
+
+    def test_matmul_is_the_scalar_product(self, rng):
+        x, y = random_matrix(rng, O, 1, 1), random_matrix(rng, O, 1, 1)
+        np.testing.assert_array_equal(matmul(x, y).data, _mul_coeffs(x.data, y.data))
+        _assert_rel_close(matmul(x, y).data, _entrywise_matmul(x.data, y.data))
+
+    def test_factor_and_inverse(self, rng):
+        a = np.zeros((1, 1, 8))
+        a[..., 0] = rng.uniform(0.5, 2.0)
+        h = HermitianPD(DivMatrix(O, a))
+        lo = cholesky_hpd(h).data
+        assert lo[0, 0, 0] == math.sqrt(a[0, 0, 0]) and not lo[..., 1:].any()
+        _assert_rel_close(_entrywise_matmul(lo, _conj_t_raw(lo)), a)
+        assert logdet_hpd(h) == 2.0 * math.log(lo[0, 0, 0])
+        inv = h.inverse().mat.data
+        assert inv[0, 0, 0] == 1.0 / a[0, 0, 0] and not inv[..., 1:].any()
+
+    def test_gram_of_a_stack(self, rng):
+        x = rng.normal(size=(5, 1, 1, 8))
+        g = _octonion_guard(_gram_raw, x)
+        assert g.shape == x.shape and not g[..., 1:].any()
+        _assert_rel_close(g, _hermitize_raw(_entrywise_matmul(x, _conj_t_raw(x))))
+
+    @pytest.mark.parametrize("kernel,hermitian", [(_gram_raw, False),
+                                                  (_singular_values_raw, False),
+                                                  (_cholesky_raw, True)])
+    def test_a_larger_octonion_is_refused_naming_its_shape(self, kernel, hermitian):
+        with pytest.raises(OctonionMatrixError, match="got 1x2$"):
+            _octonion_guard(kernel, np.ones((3, 1, 2, 8)), hermitian)
+
+
 
 def _one_at_a_time(kernel, a, b, shared_left):
     """kernel(a, b) with the shared factor applied to one matrix of the
@@ -484,16 +521,6 @@ class TestSharedFactorFold:
         np.testing.assert_array_equal(_solve_raw(a, b[None])[0], _solve_raw(a, b))
         c = rng.normal(size=(3, 3, 4))
         np.testing.assert_array_equal(_matmul_raw(b[None], c)[0], _matmul_raw(b, c))
-
-    def test_octonion_scalar_path(self, rng):
-        # a 1x1 octonion stays on the scalar product and the real division
-        x = rng.normal(size=(9, 1, 1, 8))
-        y = rng.normal(size=(1, 1, 8))
-        np.testing.assert_array_equal(_matmul_raw(x, y), _mul_coeffs(x, y))
-        np.testing.assert_array_equal(_matmul_raw(y, x), _mul_coeffs(y, x))
-        pivot = np.zeros((1, 1, 8))
-        pivot[..., 0] = 1.7
-        np.testing.assert_array_equal(_solve_raw(pivot, x), x / 1.7)
 
 
 def _lapack_solve(a, b):
@@ -561,14 +588,6 @@ class TestTriangularSubstitution:
             moved = _entry_norms(x - ref).max(axis=(-2, -1))
             assert np.all(moved <= 8 * self.EPS * cond
                           * _entry_norms(ref).max(axis=(-2, -1)))
-
-    def test_octonion_scalar_is_one_division(self, rng):
-        a = np.zeros((9, 1, 1, 8))
-        a[..., 0] = rng.uniform(0.5, 2.0, size=(9, 1, 1))
-        b = rng.normal(size=(9, 1, 1, 8))
-        x = _solve_raw(a, b)
-        np.testing.assert_array_equal(x, b / a[..., :1])
-        _assert_rel_close(_mul_coeffs(a, x), b, rtol=2 * self.EPS)
 
     @pytest.mark.parametrize("m,n", [(2, 1), (1, 2), (2, 3)])
     def test_j_rule_is_the_product_by_j(self, rng, m, n):
@@ -702,25 +721,14 @@ class TestLogdetGram:
                           "shared": rng.normal(size=(k, k, beta)),
                           "stacked": rng.normal(size=lead + (k, k, beta))}[factor_kind]
                 want = _gram_logdet_by_coefficients(base, a, factor)
-                got = _logdet_gram_raw(_representation_raw(base), a,
-                                       _representation_raw(factor))
+                got = _logdet_gram_raw(_complex_embed_raw(base), a, None if factor is None
+                                       else _complex_embed_raw(factor))
                 assert got.shape == want.shape == lead
                 assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
 
-    @pytest.mark.parametrize("lead", [(), (5,)])
-    def test_octonion_scalar_keeps_the_coefficient_composition(self, rng, lead):
-        base = np.zeros((1, 1, 8))
-        base[..., 0] = 1.5
-        factor = np.zeros((1, 1, 8))
-        factor[..., 0] = 0.7
-        a = rng.normal(size=lead + (1, 1, 8))
-        for f in (None, factor):
-            assert np.array_equal(_logdet_gram_raw(base, a, f),
-                                  _gram_logdet_by_coefficients(base, a, f))
-
     @pytest.mark.parametrize("tag", [R, C, H])
     def test_overflow_names_its_matrix(self, rng, tag):
-        base = _representation_raw(_oracle_hpd(rng, tag.beta, 3, 1)[0])
+        base = _complex_embed_raw(_oracle_hpd(rng, tag.beta, 3, 1)[0])
         a = rng.normal(size=(5, 2, 3, tag.beta))
         a[3, 1, 0, 0] = 1e200
         with np.errstate(over="ignore", invalid="ignore"):
@@ -919,12 +927,13 @@ class TestClosedFormSingularValues:
         _assert_near_reference(rng.normal(size=(5,) + shape + (beta,)), beta)
 
     def test_octonion_scalars(self, rng):
+        # through the guard, which hands the closed form the coefficient rows
         x = rng.normal(size=(4, 1, 1, 8))
-        np.testing.assert_allclose(_singular_values_raw(x)[:, 0],
-                                   np.sqrt(np.square(x).sum(axis=(1, 2, 3))),
+        s = _octonion_guard(_singular_values_raw, x)
+        np.testing.assert_allclose(s[:, 0], np.sqrt(np.square(x).sum(axis=(1, 2, 3))),
                                    rtol=1e-15)
-        assert np.array_equal(_singular_values_raw(np.ldexp(x, 600)),
-                              np.ldexp(_singular_values_raw(x), 600))
+        assert np.array_equal(_octonion_guard(_singular_values_raw, np.ldexp(x, 600)),
+                              np.ldexp(s, 600))
 
     @pytest.mark.parametrize("beta", [1, 2, 4])
     def test_only_single_matrices_and_larger_shapes_call_lapack(self, rng, monkeypatch,

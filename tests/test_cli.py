@@ -10,7 +10,7 @@ import pytest
 
 import rdmt
 from rdmt.cli import main
-from rdmt.distributions import _FAMILIES
+from rdmt.distributions import _FAMILIES, RngStream
 
 from conftest import LEGAL_FIELDS, non_finite_fields
 
@@ -89,20 +89,29 @@ class TestSample:
         assert "octonion" in capsys.readouterr().err.lower()
         assert not out.exists()
 
-    def test_an_octonion_elliptical_t_record_is_refused(self, tmp_path, capsys):
-        # at 1x1 too: the record names the sampler's m x (n + nu) block
-        pfile = tmp_path / "p.json"
-        pfile.write_text(json.dumps({"beta": 8, "m": 1, "n": 1, "nu": 4}))
+    @pytest.mark.parametrize("flags,fields", [
+        (["--dist", "wishart", "--m", "1", "--nu", "3", "--method", "gram"],
+         {"m": 1, "nu": 3.0}),
+        (["--dist", "beta2-matric", "--m", "1", "--n", "3", "--nu", "2"],
+         {"m": 1, "n": 3, "nu": 2.0}),
+        (["--dist", "elliptical-t", "--m", "1", "--n", "1", "--nu", "4"],
+         {"m": 1, "n": 1, "nu": 4.0}),
+    ], ids=["wishart-gram", "beta2-matric-1x3", "elliptical-t"])
+    def test_octonion_records_with_a_larger_block_draw(self, tmp_path, capsys, flags,
+                                                       fields):
+        # a 1x1 octonion record whose construction draws a 1 x k block,
+        # k > 1, draws it as the real 1 x 8 k block
+        from rdmt.algebra import AlgebraTag, DivMatrix
+
         out = tmp_path / "x.jsonl"
-        for source in (["--beta", "8", "--m", "1", "--n", "1", "--nu", "4"],
-                       ["--params", str(pfile)]):
-            code = run_cli("sample", "--dist", "elliptical-t", *source, "--count", "2",
-                           "--seed", "1", "--out", str(out))
-            assert code == 2
-            assert capsys.readouterr().err == (
-                "error: octonion (beta = 8) support is limited to 1x1 matrices; "
-                "elliptical-t draws an m x (n + nu) block, here 1x5\n")
-            assert not out.exists()
+        code = run_cli("sample", "--beta", "8", *flags, "--count", "5", "--seed", "3",
+                       "--out", str(out))
+        assert (code, capsys.readouterr().err) == (0, "")
+        row, octonion = _FAMILIES[flags[1]], AlgebraTag.OCTONION
+        method = {"method": "gram"} if "--method" in flags else {}
+        draws = row.sampler(RngStream(3), row.record(octonion, **fields), size=5, **method)
+        want = [json.dumps(DivMatrix(octonion, d).to_schema_dict()) for d in draws]
+        assert out.read_text().splitlines()[1:] == want
 
     def test_non_finite_draws_are_refused_in_jsonl(self, tmp_path, capsys):
         # rho = 1e308 overflows the gamma scale: JSON cannot hold the inf draws
@@ -1252,11 +1261,8 @@ class TestWriter:
         return (["--m", str(m), "--n", str(n), "--nu", "4", "--mix", "0.5:1,0.5:3"],
                 D.sample_elliptical_t(rng, params, size=count))
 
-    # every family with a sampler; at beta 8 all but the scale mixture,
-    # whose m x (n + nu) Gaussian block is never 1x1
-    CASES = [(f, b) for f, row in _FAMILIES.items() if row.sampler for b in (1, 2, 4)]
-    CASES += [(f, 8) for f, row in _FAMILIES.items()
-              if row.sampler and "weights" not in row.record.__dataclass_fields__]
+    # every family with a sampler, at every beta
+    CASES = [(f, b) for f, row in _FAMILIES.items() if row.sampler for b in (1, 2, 4, 8)]
 
     @pytest.fixture(autouse=True)
     def _small_blocks(self, monkeypatch):

@@ -372,7 +372,8 @@ class TestBetaII:
         # eigen-decomposed like the nearly Hermitian matrix it wraps
         d, n = (1, 1) if tag == O else (2, 3)
         g = rng.normal(size=(d, d, tag.beta))
-        x = DivMatrix(tag, _matmul_raw(g, _conj_t_raw(g)) + _identity_raw(d, tag.beta))
+        g = DivMatrix(tag, g)
+        x = DivMatrix(tag, matmul(g, conj_transpose(g)).data + _identity_raw(d, tag.beta))
         for params in (BetaIIParams(tag, d, n, 4.0),
                        BetaIIParams(tag, d, n, 4.0, scale=random_hpd(rng, tag, d))):
             assert logpdf(params, HermitianPD(x)) == logpdf(params, x)
@@ -817,13 +818,19 @@ class TestEllipticalT:
         with pytest.raises(ValueError, match=message):
             EllipticalTParams.from_json_dict(dict(fields, beta=1))
 
-    def test_an_octonion_record_is_refused_naming_its_block(self):
-        # the sampler's m x (n + nu) Gaussian block is never 1x1
-        message = r"^octonion .* elliptical-t draws an m x \(n \+ nu\) block, here 1x5$"
-        with pytest.raises(OctonionMatrixError, match=message):
-            EllipticalTParams(O, 1, 1, 4.0)
-        with pytest.raises(OctonionMatrixError, match=message):
-            EllipticalTParams.from_json_dict({"beta": 8, "m": 1, "n": 1, "nu": 4})
+    def test_an_octonion_record_draws_its_real_image(self):
+        # a 1x1 record is legal: its 1 x (1 + nu) octonion block is the real
+        # 1 x 8 (1 + nu) block, so it draws the rows of (R, 1, 8, 8 nu)
+        params = EllipticalTParams(O, 1, 1, 4.0, (0.5, 0.5), (1.0, 3.0))
+        assert EllipticalTParams.from_json_dict(params.to_json_dict()) == params
+        real = EllipticalTParams(R, 1, 8, 32.0, (0.5, 0.5), (1.0, 3.0))
+        for size in (None, 6):
+            got = sample_elliptical_t(RngStream(9), params, size=size)
+            want = sample_elliptical_t(RngStream(9), real, size=size)
+            if size is None:
+                got, want = got.data[None], want.data[None]
+            assert got.shape == (len(want), 1, 1, 8)
+            assert got.tobytes() == want.reshape(got.shape).tobytes()
 
 
 class TestNonFiniteFields:
@@ -989,9 +996,12 @@ def _close_to(batched, single):
 
 def _hpd_stack(gen, beta, d, nsamp, boost):
     g = gen.normal(size=(nsamp, d, d, beta))
-    if beta == 8:  # a Hermitian 1x1 octonion is real
+    if beta == 8:  # a Hermitian 1x1 octonion is real, and so is its square
         g[..., 1:] = 0.0
-    a = _matmul_raw(g, _conj_t_raw(g)) + boost * _identity_raw(d, beta)
+        a = np.square(g)
+    else:
+        a = _matmul_raw(g, _conj_t_raw(g))
+    a = a + boost * _identity_raw(d, beta)
     return _hermitize_raw(a)
 
 
@@ -1257,9 +1267,11 @@ class TestPointIsAStackOfOne:
     def test_eigenvalues_are_c_contiguous(self, tag):
         d = 1 if tag == O else 3
         stack = _hpd_stack(np.random.default_rng(1), tag.beta, d, 4, 0.5)
-        for eigs in (_eigvalsh_raw(stack), _eigvalsh_raw(stack[0]),
-                     eigenvalues_batch(tag, stack),
-                     hermitian_eigenvalues(DivMatrix(tag, stack[0]))):
+        # no kernel takes an octonion: the public operations give it its
+        # real image
+        kernels = () if tag == O else (_eigvalsh_raw(stack), _eigvalsh_raw(stack[0]))
+        for eigs in kernels + (eigenvalues_batch(tag, stack),
+                               hermitian_eigenvalues(DivMatrix(tag, stack[0]))):
             assert eigs.flags.c_contiguous
 
 
@@ -1290,8 +1302,8 @@ class TestSolveContract:
             for f, g in ((lo, left), post):
                 if f is not None:
                     self._check(f)
-                if g is not None:   # a constant, as `_representation_raw` gives it
-                    self._check(g if tag == O else _complex_unembed_raw(g, tag.beta))
+                if g is not None:   # a constant, embedded as the records cache it
+                    self._check(_complex_unembed_raw(g, b.shape[-1]))
                 if f is not None or g is not None:
                     calls.append((f is None, g is None))
             return solve(lo, b, left, right, post)
@@ -1317,9 +1329,8 @@ class TestSolveContract:
             lambda: sample_beta2_matric(RngStream(3), BetaIIParams(tag, m, n, nu),
                                         size=size),
         ]
-        if tag != O:
-            e_params = EllipticalTParams(tag, m, n, 4.0, (0.5, 0.5), (1.0, 3.0))
-            draws.append(lambda: sample_elliptical_t(RngStream(3), e_params, size=size))
+        e_params = EllipticalTParams(tag, m, n, 4.0, (0.5, 0.5), (1.0, 3.0))
+        draws.append(lambda: sample_elliptical_t(RngStream(3), e_params, size=size))
         for draw in draws:
             before = len(calls)
             draw()
@@ -1329,3 +1340,124 @@ class TestSolveContract:
         for form in ("primal", "dual"):
             logpdf_matric_t(t_params, points if size else DivMatrix(tag, points), form)
         assert len(calls) == before
+
+
+def _octonion_hpd(value):
+    return HermitianPD.from_real(O, [[value]])
+
+
+def _real_hpd(value, k=1):
+    return HermitianPD.from_real(R, value * np.eye(k))
+
+
+def _octonion_images():
+    """family -> [(1x1 octonion record, its real record built by hand,
+    keyword sets of the sampler, or None where it refuses the record)]: the
+    coefficient row at nu' = 8 nu, each scale's real value, times I_8 on the
+    column side, the Wishart's Xi / 8 (a real Gaussian coefficient has
+    variance 1, not 1/8), and a beta II record's wide law (1, n', nu') as
+    (R, 1, 8 n', 8 nu')."""
+    mu = np.linspace(-0.7, 0.7, 8).reshape(1, 1, 8)
+    mu_o, mu_r = DivMatrix(O, mu), DivMatrix(R, mu.reshape(1, 8, 1))
+    beta2 = [(BetaIIParams(O, 1, 3, 2.0), BetaIIParams(R, 1, 24, 16.0), [{}]),
+             (BetaIIParams(O, 1, 2, 3.5, _octonion_hpd(2.3)),
+              BetaIIParams(R, 1, 16, 28.0, _real_hpd(2.3)), None)]
+    return {
+        "matric-t": [(MatricTParams(O, 1, 1, 2.5, mu_o, _octonion_hpd(2.3),
+                                    _octonion_hpd(0.6)),
+                      MatricTParams(R, 1, 8, 20.0, mu_r, _real_hpd(2.3), _real_hpd(0.6, 8)),
+                      [{"method": "wishart_root"}, {"method": "inverse_root"}]),
+                     (MatricTParams(O, 1, 1, 0.7), MatricTParams(R, 1, 8, 5.6),
+                      [{"method": "wishart_root"}, {"method": "inverse_root"}])],
+        "matrix-mt": [(MatrixMTParams(O, 1, 1, 3.5, 0.7, mu_o, _octonion_hpd(2.3),
+                                      _octonion_hpd(0.6)),
+                       MatrixMTParams(R, 1, 8, 28.0, 0.7, mu_r, _real_hpd(2.3),
+                                      _real_hpd(0.6, 8)), [{}])],
+        "wishart": [(WishartParams(O, 1, 3.0, _octonion_hpd(2.3)),
+                     WishartParams(R, 1, 24.0, _real_hpd(2.3 / 8)),
+                     [{"method": "bartlett"}, {"method": "gram"}])],
+        "elliptical-t": [(EllipticalTParams(O, 1, 1, 4.0, (0.5, 0.5), (1.0, 3.0)),
+                          EllipticalTParams(R, 1, 8, 32.0, (0.5, 0.5), (1.0, 3.0)), [{}])],
+        # the cogram law is the wide law's: nu' = nu + n - m for the
+        # matricvariate law, nu for the mv law
+        "beta2-matric": beta2 + [(BetaIIParams(O, 3, 1, 4.5),
+                                  BetaIIParams(R, 1, 24, 20.0), None)],
+        "beta2-mv": beta2 + [(BetaIIParams(O, 3, 1, 4.5), BetaIIParams(R, 1, 24, 36.0),
+                              None)],
+        # no kernel: the draws are octonion coefficients as they come
+        "gamma": [],
+        "gaussian": [],
+    }
+
+
+def _octonion_of_real(x, hermitian):
+    """(N, 1, 1, 8) octonions of the real image: rows (N, 1, 8, 1), or the
+    (N, 1, 1, 1) real coefficients of Hermitian octonions."""
+    if not hermitian:
+        return x.reshape(len(x), 1, 1, 8)
+    out = np.zeros(x.shape[:-1] + (8,))
+    out[..., 0] = x[..., 0]
+    return out
+
+
+class TestOctonionImages:
+    """A 1x1 octonion law is a real law of the 1 x 8 coefficient row of its
+    points, at nu' = 8 nu.  For every row of the law table at beta = 8,
+    against the real record built by hand: each log density agrees within
+    1e-14 of |logpdf|, and the draws at a seed are the real record's draws
+    mapped back, bit for bit."""
+
+    def test_every_row_has_its_cases(self):
+        assert set(_octonion_images()) == set(_FAMILIES)
+
+    @pytest.mark.parametrize("family", sorted(f for f, r in _FAMILIES.items() if r.density))
+    def test_the_density_is_the_real_records(self, family):
+        row, gen = _FAMILIES[family], np.random.default_rng(41)
+        forms = [{"form": "primal"}, {"form": "dual"}] if family == "matric-t" else [{}]
+        for params, real, _ in _octonion_images()[family]:
+            hermitian = isinstance(params, BetaIIParams)
+            points = gen.normal(size=(5, 1, 1, 8))
+            if hermitian:
+                points = _octonion_of_real(np.abs(points[..., :1]), True)
+            image = points[..., :1] if hermitian else points.reshape(5, 1, 8, 1)
+            for kw in forms:
+                got = row.density(params, points, **kw)
+                want = row.density(real, image, **kw)
+                assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+                one = row.density(params, DivMatrix(O, points[0]), **kw)
+                assert one == got[0]
+
+    @pytest.mark.parametrize("family", sorted(f for f, r in _FAMILIES.items() if r.sampler))
+    def test_the_draws_are_the_real_records_mapped_back(self, family):
+        row = _FAMILIES[family]
+        for params, real, keywords in _octonion_images()[family]:
+            for kw in keywords or ():
+                for size in (None, 6):
+                    got = row.sampler(RngStream(12, 3), params, size=size, **kw)
+                    want = row.sampler(RngStream(12, 3), real, size=size, **kw)
+                    if size is None:
+                        assert isinstance(got, type(want))
+                        got, want = (x.mat if row.hermitian else x for x in (got, want))
+                        got, want = got.data[None], want.data[None]
+                    assert got.tobytes() == _octonion_of_real(want, row.hermitian).tobytes()
+
+    def test_the_checks_run_on_the_octonion_record(self):
+        with pytest.raises(DomainError, match="gram construction requires integer nu"):
+            sample_wishart(RngStream(1), WishartParams(O, 1, 0.5), "gram")   # 8 nu = 4
+        cogram = BetaIIParams(O, 3, 1, 1.5)
+        with pytest.raises(DomainError, match=r"nu > m - 1 = 2, got nu = 1.5$"):
+            logpdf_beta2_matric(cogram, DivMatrix.from_real(O, [[1.0]]))
+        assert np.isfinite(logpdf_beta2_multivariate(cogram, DivMatrix.from_real(O, [[1.0]])))
+        with pytest.raises(OctonionMatrixError, match="got 3x1$"):
+            sample_beta2_matric(RngStream(1), BetaIIParams(O, 3, 1, 4.5))
+        f = np.zeros((3, 1, 1, 8))
+        f[:, 0, 0, 0] = 1.0
+        f[1, 0, 0, 5] = 0.1
+        with pytest.raises(ValueError, match="at index 1 is not Hermitian"):
+            logpdf_beta2_matric(BetaIIParams(O, 1, 2, 3.0), f)
+        t = np.zeros((3, 1, 1, 8))
+        t[2, 0, 0, 3] = np.nan
+        with pytest.raises(ValueError, match="at index 2 has non-finite"):
+            logpdf_matric_t(MatricTParams(O, 1, 1, 3.0), t)
+        with pytest.raises(ValueError, match="expected 1x1 over OCTONION"):
+            logpdf_matrix_mt(MatrixMTParams(O, 1, 1, 3.0), np.zeros((2, 1, 8, 1)))

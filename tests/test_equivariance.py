@@ -48,10 +48,10 @@ from rdmt.algebra import (
     DivMatrix,
     HermitianPD,
     _collapse_pairs,
-    _conj_t_raw,
     _hermitize_raw,
     _identity_raw,
-    _matmul_raw,
+    conj_transpose,
+    matmul,
 )
 from rdmt.cli import main
 from rdmt.distributions import _FAMILIES, BetaIIParams, MatricTParams, MatrixMTParams
@@ -212,10 +212,15 @@ def _matrix(kind: str, tag, d: int, gen) -> np.ndarray:
     one, a gap at the Hermitian tolerance), which must still not move."""
     beta = tag.beta
     g = gen.normal(size=(d, d, beta))
+
+    def gram(x):
+        x = DivMatrix(tag, x)
+        return _hermitize_raw(matmul(x, conj_transpose(x)).data)
+
     # g g* + d I has eigenvalues of at least d, so it is surely positive definite
-    a = _hermitize_raw(_matmul_raw(g, _conj_t_raw(g))) + d * _identity_raw(d, beta)
+    a = gram(g) + d * _identity_raw(d, beta)
     if kind == "rank one":
-        a = _hermitize_raw(_matmul_raw(g[:, :1], _conj_t_raw(g[:, :1])))
+        a = gram(g[:, :1])
     elif kind == "indefinite":
         a[-1, -1, 0] = -abs(a[-1, -1, 0])
     elif kind in ("not hermitian", "at the hermitian tolerance"):

@@ -29,7 +29,9 @@ embeds its constant factors once (`_solve_raw` and `_gram_raw` take them
 embedded), and its draws too must equal the spelled-out products bit for
 bit: a single draw's, and a Wishart draw's at every batch size, as one
 composition in the complex representation, which embeds each random
-matrix once and unembeds the draw once."""
+matrix once and unembeds the draw once.  A 1x1 octonion record draws its
+real record's law (`distributions._octonion_image`), so its spelled draws
+are the real record's, spelled by hand and mapped back."""
 
 import math
 
@@ -38,6 +40,7 @@ import pytest
 
 from rdmt.algebra import (
     AlgebraTag,
+    DivMatrix,
     HermitianPD,
     _cholesky_raw,
     _complex_embed_raw,
@@ -49,7 +52,6 @@ from rdmt.algebra import (
     _identity_raw,
     _matmul_raw,
     _product_raw,
-    _representation_raw,
     _solve_raw,
 )
 from rdmt.distributions import (
@@ -173,13 +175,46 @@ def _adj(z):
     return z.conj().swapaxes(-1, -2)
 
 
+def _real_record(params):
+    """The real record of a 1x1 octonion matric-t, matrix-mt or Wishart
+    record, spelled out: nu' = 8 nu, mu's coefficients as a 1 x 8 row, each
+    scale's real coefficient, times I_8 on the column side, and the
+    Wishart's Xi / 8, since a real Gaussian coefficient has variance 1, not
+    1/8."""
+    def real(h, k=1, times=1.0):
+        return HermitianPD.from_real(R, times * h.mat.data[0, 0, 0] * np.eye(k))
+
+    nu = 8.0 * params.nu
+    if isinstance(params, WishartParams):
+        return WishartParams(R, 1, nu, real(params.Xi, times=0.125))
+    mu = DivMatrix(R, params.mu.data.reshape(1, 8, 1))
+    if isinstance(params, MatricTParams):
+        return MatricTParams(R, 1, 8, nu, mu, real(params.Xi), real(params.Sigma, 8))
+    return MatrixMTParams(R, 1, 8, nu, params.rho, mu, real(params.Delta),
+                          real(params.Lambda, 8))
+
+
+def _octonion_rows(t):
+    """(N, 1, 1, 8) octonions of an (N, 1, 8, 1) stack of real rows."""
+    return t.reshape(len(t), 1, 1, 8)
+
+
+def _octonion_reals(w):
+    """(N, 1, 1, 8) octonions of an (N, 1, 1, 1) stack of reals."""
+    out = np.zeros(w.shape[:-1] + (8,))
+    out[..., 0] = w[..., 0]
+    return out
+
+
 def _spelled_matric_t(params, method, gen, nsamp):
     """sample_matric_t's construction with every product, solve and add
     taken, against the record's own factors.  One draw over R, C or H is
     composed in the complex representation: its random matrices embedded
-    once, T unembedded once."""
+    once, T unembedded once.  A 1x1 octonion draws its real record's rows."""
+    if params.tag == O:
+        return _octonion_rows(_spelled_matric_t(_real_record(params), method, gen, nsamp))
     beta, m, n = params.tag.beta, params.m, params.n
-    single = nsamp == 1 and beta <= 4
+    single = nsamp == 1
     if method == "wishart_root":
         bart = _bartlett_factor_raw(gen, beta, m, params.nu, nsamp)
         y = _std_normal_raw(gen, beta, (nsamp, m, n))
@@ -205,10 +240,12 @@ def _spelled_matric_t(params, method, gen, nsamp):
 
 
 def _spelled_matrix_mt(params, gen, nsamp):
+    if params.tag == O:
+        return _octonion_rows(_spelled_matrix_mt(_real_record(params), gen, nsamp))
     beta, m, n = params.tag.beta, params.m, params.n
     s = gen.gamma(beta * params.nu / 2.0, 2.0 * params.rho / beta, size=nsamp)
     t1 = _std_normal_raw(gen, beta, (nsamp, m, n)) / np.sqrt(s)[:, None, None, None]
-    if nsamp == 1 and beta <= 4:
+    if nsamp == 1:
         p = np.linalg.solve(_adj(_embed(params.Delta.chol.data)), _embed(t1))
         t1 = np.linalg.solve(_adj(_embed(params.Lambda.chol.data)), _adj(p))
         return _conj_t_raw(_complex_unembed_raw(t1, beta)) + params.mu.data
@@ -218,15 +255,22 @@ def _spelled_matrix_mt(params, gen, nsamp):
 
 
 def _spelled_wishart(params, method, gen, nsamp):
+    if params.tag == O:
+        return _octonion_reals(_spelled_wishart(_real_record(params), method, gen, nsamp))
     beta, m = params.tag.beta, params.m
     if method == "bartlett":
         c = _bartlett_factor_raw(gen, beta, m, params.nu, nsamp)
     else:
         c = _std_normal_raw(gen, beta, (nsamp, m, int(params.nu)))
-    if beta <= 4:
-        z = _embed(params.Xi.chol.data) @ _embed(c)
-        return _hermitize_raw(_complex_unembed_raw(z @ _adj(z), beta))
-    return _gram_raw(_matmul_raw(params.Xi.chol.data, c))
+    z = _embed(params.Xi.chol.data) @ _embed(c)
+    return _hermitize_raw(_complex_unembed_raw(z @ _adj(z), beta))
+
+
+def _spelled_gram(t):
+    """The gram of a stack of T, the real rows' of 1x1 octonions."""
+    if t.shape[-1] == 8:
+        return _octonion_reals(_gram_raw(t.reshape(len(t), 1, 8, 1)))
+    return _gram_raw(t)
 
 
 def _standard_cases(tag, m, n):
@@ -245,7 +289,7 @@ def _standard_cases(tag, m, n):
         ("gaussian", lambda rng, size: sample_gaussian(rng, g_params, size=size),
          lambda gen, k: _std_normal_raw(gen, beta, (k, m, n))),
         ("beta2-matric", lambda rng, size: sample_beta2_matric(rng, b2_params, size=size),
-         lambda gen, k: _gram_raw(_spelled_matric_t(t_params, "wishart_root", gen, k))),
+         lambda gen, k: _spelled_gram(_spelled_matric_t(t_params, "wishart_root", gen, k))),
     ]
     for method in ("wishart_root", "inverse_root"):
         cases.append((f"matric-t {method}",
@@ -253,8 +297,7 @@ def _standard_cases(tag, m, n):
                           rng, t_params, method, size=size),
                       lambda gen, k, method=method: _spelled_matric_t(
                           t_params, method, gen, k)))
-    # the Gram construction needs a 1 x nu octonion matrix, which is refused
-    for method in ("bartlett",) if tag == O else ("bartlett", "gram"):
+    for method in ("bartlett", "gram"):
         cases.append((f"wishart {method}",
                       lambda rng, size, method=method: sample_wishart(
                           rng, w_params, method, size=size),
@@ -268,7 +311,7 @@ SHAPES = [(R, 2, 3), (C, 2, 3), (H, 2, 3), (R, 3, 2), (H, 5, 5), (O, 1, 1)]
 
 def _is_identity(x) -> bool:
     """Whether x is an identity factor: a coefficient array, or a constant
-    as `_representation_raw` gives it (one 2-D complex representation)."""
+    as the records embed it (one 2-D complex representation)."""
     if not isinstance(x, np.ndarray):
         return False
     if x.ndim == 2:
@@ -319,7 +362,7 @@ class TestIdentitySkip:
             for size in (None, 7):
                 sampler(RngStream(3), size)
                 assert not seen, name
-        if tag != O and n >= m:
+        if n >= m:
             e_params = EllipticalTParams(tag, m, n, n + 1, (0.5, 0.5), (1.0, 3.0))
             sample_elliptical_t(RngStream(3), e_params, size=7)
             assert not seen
@@ -332,17 +375,20 @@ class TestIdentitySkip:
         n = 1 if tag == O else 3
         xi = HermitianPD.from_real(tag, (1 + 2.0**-52) * np.eye(m))
         params = MatricTParams(tag, m, n, tag.beta * m + 2.0, Xi=xi)
+        # a 1x1 octonion record draws its real image's law
+        computed = params._image if tag == O else params
         products = []
 
         def counted(lo, b, left=None, right=None, post=(None, None)):
-            products.append(left is not None and left is params.Xi._factor_reps[0])
+            products.append(left is not None and left is computed.Xi._factor_reps[0])
             return _solve_raw(lo, b, left, right, post)
 
         monkeypatch.setattr(dist, "_solve_raw", counted)
         got = sample_matric_t(RngStream(4), params, size=9)
         want = _spelled_matric_t(params, "wishart_root", RngStream(4).generator, 9)
         assert any(products)
-        assert np.array_equal(params.Xi._factor_reps[0], _representation_raw(xi.chol.data))
+        assert np.array_equal(computed.Xi._factor_reps[0],
+                              _complex_embed_raw(computed.Xi.chol.data))
         assert _bits(got) == _bits(want)
 
     @pytest.mark.parametrize("tag,m,n", [(R, 2, 3), (C, 2, 3), (H, 2, 3), (O, 1, 1)])
@@ -351,9 +397,7 @@ class TestIdentitySkip:
         gen = np.random.default_rng(8)
         params = MatricTParams(tag, m, n, tag.beta * n + 3.0, random_matrix(gen, tag, m, n),
                                random_hpd(gen, tag, m), random_hpd(gen, tag, n))
-        # the Gram construction of a 1x1 octonion needs nu = 1
-        w_params = WishartParams(tag, m, 1.0 if tag == O else tag.beta * m + 2.0,
-                                 random_hpd(gen, tag, m))
+        w_params = WishartParams(tag, m, tag.beta * m + 2.0, random_hpd(gen, tag, m))
         cases = [(lambda rng, method=method: sample_matric_t(rng, params, method, size),
                   lambda g, k, method=method: _spelled_matric_t(params, method, g, k))
                  for method in ("wishart_root", "inverse_root")]
@@ -378,20 +422,21 @@ class TestIdentitySkip:
         mt_params = MatrixMTParams(tag, m, n, tag.beta * n + 3.0, 1.5,
                                    random_matrix(gen, tag, m, n), random_hpd(gen, tag, m),
                                    random_hpd(gen, tag, n))
-        w_params = WishartParams(tag, m, 1.0 if tag == O else tag.beta * m + 2.0,
-                                 random_hpd(gen, tag, m))
-        sigma_inverse = _cholesky_raw(_hpd_inverse_raw(params.Sigma.mat.data))
+        w_params = WishartParams(tag, m, tag.beta * m + 2.0, random_hpd(gen, tag, m))
+        # a 1x1 octonion record's kernels take its real record's constants
+        t, mt, w = ((_real_record(p) if tag == O else p) for p in (params, mt_params, w_params))
+        sigma_inverse = _cholesky_raw(_hpd_inverse_raw(t.Sigma.mat.data))
         draws = [
             (lambda rng, size: sample_matric_t(rng, params, "wishart_root", size), 2,
-             [params.Xi.chol.data, _conj_t_raw(params.Sigma.chol.data)]),
+             [t.Xi.chol.data, _conj_t_raw(t.Sigma.chol.data)]),
             (lambda rng, size: sample_matric_t(rng, params, "inverse_root", size), 2,
-             [params.Xi.chol.data, sigma_inverse]),
+             [t.Xi.chol.data, sigma_inverse]),
             (lambda rng, size: sample_matrix_mt(rng, mt_params, size), 1,
-             [mt_params.Delta.chol.data, mt_params.Lambda.chol.data]),
+             [mt.Delta.chol.data, mt.Lambda.chol.data]),
         ]
         draws += [(lambda rng, size, method=method: sample_wishart(rng, w_params, method,
                                                                    size),
-                   1, [w_params.Xi.chol.data]) for method in ("bartlett", "gram")]
+                   1, [w.Xi.chol.data]) for method in ("bartlett", "gram")]
         return draws
 
     @staticmethod
@@ -426,8 +471,7 @@ class TestIdentitySkip:
             embedded.clear()
             for size in (None, 1, 7):
                 draw(RngStream(2), size)
-            assert not any(embedded)
-            assert (tag == O) == (not embedded)
+            assert embedded and not any(embedded)
 
     @pytest.mark.parametrize("tag", [R, C, H])
     def test_a_single_draw_embeds_each_operand_once(self, monkeypatch, tag):
@@ -537,15 +581,16 @@ class TestCachedSigmaInverseFactor:
         gen = np.random.default_rng(13)
         params = BetaIIParams(tag, d, d + 1, 9.0, scale=random_hpd(gen, tag, d))
         points = np.stack([random_hpd(gen, tag, d).mat.data for _ in range(6)])
-        scale = params.scale.mat.data
+        # a 1x1 octonion's scale is its real image's, the real coefficient
+        scale = params.scale.mat.data[..., :1] if tag == O else params.scale.mat.data
         # the factors as a HermitianPD of scale^-1 and the scale's own gave them
         factors = {"matric": _cholesky_raw(_hpd_inverse_raw(scale)),
-                   "mv": params.scale.chol.data}
+                   "mv": _cholesky_raw(scale)}
         for law, logpdf in (("matric", logpdf_beta2_matric),
                             ("mv", dist.logpdf_beta2_multivariate)):
             q, exp_f, (_, shift, kappa), const = dist._beta2_terms(params, law)
             lo = factors[law]
-            spelled = (q, exp_f, ((_representation_raw(_conj_t_raw(lo)),
-                                   _representation_raw(lo)), shift, kappa), const)
+            spelled = (q, exp_f, ((_complex_embed_raw(_conj_t_raw(lo)),
+                                   _complex_embed_raw(lo)), shift, kappa), const)
             want = dist._beta2_logpdf(params, points, spelled, trace=law == "mv")
             assert _bits(logpdf(params, points)) == _bits(want)
