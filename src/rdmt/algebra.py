@@ -58,6 +58,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import numbers
 
 import numpy as np
 
@@ -722,19 +723,51 @@ class DivScalar:
         return f"DivScalar({self.tag.name}, {self.coeffs.tolist()})"
 
 
-def _schema_data(obj: dict) -> tuple:
-    """(tag, coefficient array) of a schema dict, checked: the data must have
-    the declared shape and be finite."""
-    tag = AlgebraTag(int(obj["beta"]))
-    arr = np.asarray(obj["data"], dtype=float)
-    if arr.shape != (int(obj["rows"]), int(obj["cols"]), tag.beta):
-        raise ValueError(
-            f"schema shape mismatch: declared {obj['rows']}x{obj['cols']} "
-            f"beta={obj['beta']}, data has shape {arr.shape}"
-        )
+_SCHEMA_KEYS = frozenset(("beta", "rows", "cols", "data"))
+_ALGEBRAS = {tag.beta: tag for tag in AlgebraTag}
+
+
+def _schema_data(obj) -> tuple:
+    """(tag, coefficient array) of a schema dict, the one reader of a JSON
+    matrix.  It must be a dict of exactly the keys beta, rows and cols,
+    each a positive integer (also an integral float or a numpy integer, not
+    a bool), beta one of 1, 2, 4 and 8, and data: nested lists of the
+    declared shape of finite real numbers, not bools.  A refusal
+    (ValueError) names the key."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"a schema matrix must be a JSON object, not {type(obj).__name__}")
+    if obj.keys() != _SCHEMA_KEYS:
+        missing = sorted(_SCHEMA_KEYS - obj.keys())
+        if missing:
+            raise ValueError(f"schema key {missing[0]!r}: missing")
+        raise ValueError(f"unknown schema key {sorted(obj.keys() - _SCHEMA_KEYS)[0]!r}")
+    for key in ("beta", "rows", "cols"):
+        value = obj[key]
+        integral = type(value) is int or isinstance(value, float) and value.is_integer() or (
+            isinstance(value, numbers.Integral) and not isinstance(value, bool))
+        if not integral or value < 1:
+            raise ValueError(f"schema key {key!r}: must be a positive integer, "
+                             f"got {value!r}")
+    beta, rows, cols, data = obj["beta"], obj["rows"], obj["cols"], obj["data"]
+    if beta not in _ALGEBRAS:
+        raise ValueError(f"schema key 'beta': must be 1, 2, 4 or 8, got {beta!r}")
+    try:
+        arr = np.asarray(data, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"schema key 'data': {exc}") from exc
+    if arr.shape != (rows, cols, beta):
+        raise ValueError(f"schema key 'data': declared {rows}x{cols} beta={beta}, "
+                         f"data has shape {arr.shape}")
+    # float and int are what json.loads gives; any other type is looked at
+    if not {type(x) for row in data for entry in row for x in entry} <= {float, int}:
+        bad = [x for row in data for entry in row for x in entry
+               if isinstance(x, bool) or not isinstance(x, numbers.Real)]
+        if bad:
+            raise ValueError(f"schema key 'data': coefficients must be numbers, "
+                             f"got {bad[0]!r}")
     if not np.isfinite(arr).all():
-        raise ValueError("schema data must be finite (no NaN or inf)")
-    return tag, arr
+        raise ValueError("schema key 'data': must be finite (no NaN or inf)")
+    return _ALGEBRAS[beta], arr
 
 
 def _schema_template(beta: int, rows: int, cols: int) -> str:

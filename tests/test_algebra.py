@@ -968,6 +968,45 @@ class TestSerialization:
             DivMatrix.from_schema_dict(
                 {"beta": 1, "rows": 2, "cols": 2, "data": [[[1.0]]]})
 
+    @pytest.mark.parametrize("obj,message", [
+        ({"beta": 2.7, "rows": 2.9, "cols": "3", "data": [[[1.0, 0.0]] * 3] * 2},
+         "schema key 'beta': must be a positive integer, got 2.7"),
+        ({"beta": 2, "rows": 2.9, "cols": 3, "data": [[[1.0, 0.0]] * 3] * 2},
+         "schema key 'rows': must be a positive integer, got 2.9"),
+        ({"beta": 2, "rows": 2, "cols": "3", "data": [[[1.0, 0.0]] * 3] * 2},
+         "schema key 'cols': must be a positive integer, got '3'"),
+        ({"beta": True, "rows": 1, "cols": 1, "data": [[[1.0]]]},
+         "schema key 'beta': must be a positive integer, got True"),
+        ({"beta": 3, "rows": 1, "cols": 1, "data": [[[1.0, 0.0, 0.0]]]},
+         "schema key 'beta': must be 1, 2, 4 or 8, got 3"),
+        ({"beta": 1, "rows": 0, "cols": 1, "data": []},
+         "schema key 'rows': must be a positive integer, got 0"),
+        ({"beta": 1, "rows": 1, "cols": 1, "data": [[[True]]]},
+         "schema key 'data': coefficients must be numbers, got True"),
+        ({"beta": 2, "rows": 1, "cols": 1, "data": [[[1.0, "1.5"]]]},
+         "schema key 'data': coefficients must be numbers, got '1.5'"),
+        ({"beta": 1, "rows": 1, "cols": 1, "data": [[[None]]]},
+         "schema key 'data': coefficients must be numbers, got None"),
+        ({"beta": 1, "rows": 1, "cols": 1, "data": [[[1.0]]], "tag": 1},
+         "unknown schema key 'tag'"),
+        ({"beta": 1, "rows": 1, "cols": 1}, "schema key 'data': missing"),
+        ([], "a schema matrix must be a JSON object, not list"),
+        (None, "a schema matrix must be a JSON object, not NoneType"),
+    ])
+    def test_the_reader_refuses_garbage_naming_its_key(self, obj, message):
+        for read in (DivMatrix.from_schema_dict, HermitianPD.from_schema_dict):
+            with pytest.raises(ValueError) as info:
+                read(obj)
+            assert str(info.value) == message
+
+    def test_integral_floats_and_numpy_numbers_are_read(self):
+        x = DivMatrix.from_schema_dict({"beta": 1.0, "rows": np.int64(1), "cols": 2.0,
+                                        "data": np.array([[[1.5], [2]]])})
+        assert x == DivMatrix.from_real(R, [[1.5, 2.0]])
+        with pytest.raises(ValueError, match="'rows': must be a positive integer, got"):
+            DivMatrix.from_schema_dict({"beta": 1, "rows": np.bool_(True), "cols": 1,
+                                        "data": [[[1.0]]]})
+
 
 class TestImmutability:
     def test_matrix_data_read_only(self, rng):

@@ -496,6 +496,63 @@ class TestDensity:
         assert code == 0 and out.read_text() == header
 
 
+def _schema(beta, rows, cols, value=0.5):
+    return {"beta": beta, "rows": rows, "cols": cols,
+            "data": [[[value] * beta] * cols] * rows}
+
+
+# a malformed JSON matrix -> the reader's message, which names the key
+MALFORMED_MATRICES = {
+    "float-dims": (dict(_schema(2, 2, 2), beta=2.7, rows=2.9, cols="2"),
+                   "schema key 'beta': must be a positive integer, got 2.7"),
+    "beta-true": (dict(_schema(1, 2, 2), beta=True),
+                  "schema key 'beta': must be a positive integer, got True"),
+    "rows-string": (dict(_schema(1, 2, 2), rows="2"),
+                    "schema key 'rows': must be a positive integer, got '2'"),
+    "coefficient-true": (dict(_schema(1, 2, 2), data=[[[2.0], [0.0]], [[0.0], [True]]]),
+                         "schema key 'data': coefficients must be numbers, got True"),
+    "coefficient-string": (dict(_schema(1, 2, 2), data=[[["1.5"], [0.0]], [[0.0], [1.0]]]),
+                           "schema key 'data': coefficients must be numbers, got '1.5'"),
+    "unknown-key": (dict(_schema(1, 2, 2), note=1), "unknown schema key 'note'"),
+    "no-data": ({"beta": 1, "rows": 2, "cols": 2}, "schema key 'data': missing"),
+    "list": ([1, 2, 2], "a schema matrix must be a JSON object, not list"),
+    "null": (None, "a schema matrix must be a JSON object, not NoneType"),
+}
+
+
+class TestMalformedMatrices:
+    """Every JSON matrix goes through one reader, which refuses a malformed
+    one naming its key; the command names the points line or the params
+    key, exits 2 and writes nothing."""
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_MATRICES))
+    def test_a_points_line(self, tmp_path, capsys, case):
+        bad, message = MALFORMED_MATRICES[case]
+        pts, out = tmp_path / "pts.jsonl", tmp_path / "d.txt"
+        good = dict(_schema(1, 2, 2, 0.0), data=[[[2.0], [0.5]], [[0.5], [1.0]]])
+        pts.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+        code = run_cli("density", "--dist", "beta2-mv", "--beta", "1", "--m", "2",
+                       "--n", "3", "--nu", "4", "--points", str(pts), "--out", str(out))
+        assert (code, capsys.readouterr().err) == (2, f"error: --points line 2: {message}\n")
+        assert not out.exists()
+
+    # a null Xi is the identity, the field's default
+    @pytest.mark.parametrize("case", sorted(set(MALFORMED_MATRICES) - {"null"}))
+    @pytest.mark.parametrize("command", ["density", "sample"])
+    def test_a_params_key(self, tmp_path, capsys, case, command):
+        bad, message = MALFORMED_MATRICES[case]
+        pfile, pts, out = (tmp_path / name for name in ("p.json", "pts.jsonl", "x.txt"))
+        pfile.write_text(json.dumps({"beta": 1, "m": 2, "n": 3, "nu": 9.0, "Xi": bad}))
+        pts.write_text(json.dumps(_schema(1, 2, 3)) + "\n")
+        inputs = (["--points", str(pts)] if command == "density"
+                  else ["--count", "2", "--seed", "1"])
+        code = run_cli(command, "--dist", "matric-t", "--params", str(pfile), *inputs,
+                       "--out", str(out))
+        assert (code, capsys.readouterr().err) == (
+            2, f"error: matric-t params key 'Xi': {message}\n")
+        assert not out.exists()
+
+
 class TestRho:
     @pytest.mark.parametrize("dist", ["gamma", "matrix-mt"])
     @pytest.mark.parametrize("rho", ["0", "-1.5"])

@@ -44,8 +44,8 @@ without an orientation, wide and tall), files that are refused (a wrong
 orientation, no nu, a Sigma that is not positive definite, a JSON list),
 and a --mix that is not weight:scale pairs.  Then come elliptical-t records
 that its sampler cannot draw (files with a fractional nu or weights summing
-to 0.9, and flags with beta = 8, whose m x (n + nu) block is never 1x1), and
---m, --n or --nu given to a family whose record has no such field.
+to 0.9), and --m, --n or --nu given to a family whose record has no such
+field.
 Then come flags spelt short, `sample --form csv` and `density --point`,
 which argparse would read as `--format` and `--points` if it took prefixes.
 Then come records refused for a number: a nu, rho or mixture entry that is
@@ -56,7 +56,15 @@ refuses (it needs nu > m - 1), and 3x2 `spectrum --kind eigen --grid` of
 matric-t and matrix-mt, the spectra of the n x n gram T* T.  Then 2x3
 matrix-mt with random scales from --params at --count 1 and 40, at beta 1,
 2 and 4, and `density` of beta2-matric on an empty points file, at a nu the
-law refuses and at one it takes.
+law refuses and at one it takes.  Then the 1x1 octonion records whose
+construction draws a 1 x k block, k > 1, which they draw as the real
+1 x 8 k block (the Gram Wishart at nu = 3, the 1x3 beta2-matric and
+elliptical-t), the 3x1 beta II densities at beta = 8, whose laws are the
+wide laws', and the 3x1 beta2-matric sample, which is refused.  Last come
+JSON matrices that the one schema reader refuses, each as a --points line
+and as a --params file's Xi: numbers where integers belong, a bool or a
+string for a number, an unknown or a missing key, and a list or null
+(null only as a point, since a null Xi is the default).
 """
 
 from __future__ import annotations
@@ -117,6 +125,23 @@ BAD_NUMBER_PARAMS = {
     "matric-t-m-1.5": {"beta": 1, "m": 1.5, "n": 3, "nu": 9.0},
     "matric-t-m-true": {"beta": 1, "m": True, "n": 3, "nu": 9.0},
     "matric-t-m-infinity": {"beta": 1, "m": math.inf, "n": 3, "nu": 9.0},
+}
+
+
+# name -> a 2x2 JSON matrix that the schema reader refuses
+_REAL_2X2 = [[[2.0], [0.5]], [[0.5], [1.0]]]
+MALFORMED = {
+    "float-dims": {"beta": 2.7, "rows": 2.9, "cols": "2",
+                   "data": [[[2.0, 0.0], [0.5, 0.0]], [[0.5, 0.0], [1.0, 0.0]]]},
+    "beta-true": {"beta": True, "rows": 2, "cols": 2, "data": _REAL_2X2},
+    "coefficient-true": {"beta": 1, "rows": 2, "cols": 2,
+                         "data": [[[2.0], [0.5]], [[0.5], [True]]]},
+    "coefficient-string": {"beta": 1, "rows": 2, "cols": 2,
+                           "data": [[[2.0], ["0.5"]], [[0.5], [1.0]]]},
+    "unknown-key": {"beta": 1, "rows": 2, "cols": 2, "data": _REAL_2X2, "note": 1},
+    "no-data": {"beta": 1, "rows": 2, "cols": 2},
+    "list": [1, 2, 2],
+    "null": None,
 }
 
 
@@ -256,6 +281,19 @@ def _inputs(root: str) -> dict:
             json.dump(record, fh)
         files[f"params-{name}"] = path
     files["empty-points"] = _write_jsonl(os.path.join(root, "empty-points.jsonl"), [])
+    # a good 2x2 point, then a malformed one; and matric-t files whose Xi
+    # is the malformed matrix
+    good = _schema(np.array([[[2.0], [0.5]], [[0.5], [1.0]]]))
+    for name, bad in MALFORMED.items():
+        path = os.path.join(root, f"malformed-points-{name}.jsonl")
+        with open(path, "w") as fh:
+            fh.write(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+        files[f"malformed-points-{name}"] = path
+        path = os.path.join(root, f"params-malformed-Xi-{name}.json")
+        with open(path, "w") as fh:
+            json.dump({"family": "matric-t", "beta": 1, "m": 2, "n": 3, "nu": 9.0,
+                       "Xi": bad}, fh)
+        files[f"params-malformed-Xi-{name}"] = path
     for name, suite in SUITES.items():
         path = os.path.join(root, f"suite-{name}.json")
         with open(path, "w") as fh:
@@ -294,8 +332,6 @@ def _commands(files: dict) -> list:
     ]
     for beta in BETAS + (8,):
         for label, argv in variants:
-            if beta == 8 and label in ("wishart-gram", "elliptical-t"):
-                continue    # both draw a 1 x k Gaussian block, k > 1
             dims = shape(beta, family=argv[1])
             for fmt in ("jsonl", "csv"):
                 cmds.append((f"sample-{label}-b{beta}-{fmt}",
@@ -452,8 +488,6 @@ def _commands(files: dict) -> list:
     cmds.append(("fail-sample-elliptical-t-mix-one-number",
                  ["sample", "--dist", "elliptical-t", "--nu", "4", "--mix", "0.5"]
                  + shape(1) + seed))
-    cmds.append(("fail-sample-elliptical-t-octonion",
-                 ["sample", "--dist", "elliptical-t", "--nu", "4"] + shape(8) + seed))
     cmds.append(("verify-seed-11", ["verify", "--suite", "default", "--seed", "11",
                                     "--report", "{out}"]))
     for name in SUITES:
@@ -531,6 +565,32 @@ def _commands(files: dict) -> list:
         ("density-beta2-matric-b1-empty",
          ["density", "--dist", "beta2-matric", "--nu", "9"] + shape(1) + empty),
     ]
+    # 1x1 octonion records that draw a 1 x k block, k > 1, the 3x1 beta II
+    # laws at beta = 8, and the 3x1 sample, which is refused
+    octonion = ["--beta", "8", "--m", "1"]
+    cmds += [
+        ("sample-octonion-wishart-gram-nu3",
+         ["sample", "--dist", "wishart", "--nu", "3", "--method", "gram"] + octonion + seed),
+        ("sample-octonion-beta2-matric-1x3",
+         ["sample", "--dist", "beta2-matric", "--n", "3", "--nu", "2"] + octonion + seed),
+        ("sample-octonion-elliptical-t",
+         ["sample", "--dist", "elliptical-t", "--n", "1", "--nu", "4"] + octonion + seed),
+        ("fail-sample-beta2-matric-cogram-3x1-b8",
+         ["sample", "--dist", "beta2-matric", "--beta", "8", "--m", "3", "--n", "1",
+          "--nu", "4.5"] + seed),
+    ]
+    for family in ("beta2-matric", "beta2-mv"):
+        cmds.append((f"density-{family}-cogram-3x1-b8",
+                     ["density", "--dist", family, "--beta", "8", "--m", "3", "--n", "1",
+                      "--nu", "4.5", "--points", files["f-points-b8-d1"], "--out", "{out}"]))
+    for name in MALFORMED:
+        cmds.append((f"fail-density-points-{name}",
+                     ["density", "--dist", "beta2-mv", "--nu", "4"] + shape(1)
+                     + ["--points", files[f"malformed-points-{name}"], "--out", "{out}"]))
+        if name != "null":
+            cmds.append((f"fail-density-params-Xi-{name}",
+                         ["density", "--dist", "matric-t", "--params",
+                          files[f"params-malformed-Xi-{name}"]] + t_points))
     return cmds
 
 
