@@ -58,8 +58,11 @@ from .algebra import (
     _stack_index,
 )
 from .errors import DomainError
-from .special import _wide, log_gamma, log_mvbeta, log_mvgamma
+from .special import _wide, log_gamma, log_mvgamma
 from .spectral import (
+    _coupling,
+    _coupling_logpdf,
+    _scaled,
     log_joint_eig_beta2,
     log_joint_eig_mv,
     log_joint_sv_matric_t,
@@ -91,7 +94,6 @@ __all__ = [
 ]
 
 _LOG_PI = math.log(math.pi)
-_LOG_2 = math.log(2.0)
 
 
 class RngStream:
@@ -543,24 +545,25 @@ def sample_gamma_scalar(rng: RngStream, params: GammaScalarParams,
 
 
 def _bartlett_factor_raw(gen: np.random.Generator, beta: int, m: int, nu: float,
-                         nsamp: int) -> np.ndarray:
+                         nsamp: int, record=None) -> np.ndarray:
     """Lower-triangular Bartlett factor of a standard Wishart(nu, I) draw:
     l_ii^2 ~ Gamma(beta*(nu-i+1)/2, 2/beta), strictly-lower entries standard
     algebra Gaussians.  Near nu = beta*(m-1) the last pivot's gamma draw can
     underflow to 0, which would make the factor singular: ArithmeticError
-    names the first such draw and row."""
+    names the first such draw and row, and the Wishart: a 1x1 octonion
+    `record`'s own, where the factor is its real image's."""
     lo = np.zeros((nsamp, m, m, beta))
     for i in range(m):
         shape = beta * (nu - i) / 2.0
         lo[:, i, i, 0] = np.sqrt(gen.gamma(shape, 2.0 / beta, size=nsamp))
         if i > 0:
             lo[:, i, :i, :] = _std_normal_raw(gen, beta, (nsamp, i))
-    _check_gamma_draws(
-        lo.reshape(nsamp, -1)[:, ::(m + 1) * beta],   # l_ii, i < m
-        lambda row: f"has a Bartlett pivot l_{row}{row}^2 ~ Gamma("
-                    f"{beta * (nu - row) / 2.0:g}, {2.0 / beta:g}) that underflowed "
-                    f"to 0 in row {row}; the {m}x{m} Wishart's nu = {nu:g} is too "
-                    f"close to its edge beta*({m}-1) = {beta * (m - 1)}")
+    b, k, v = (8, 1, record.nu) if getattr(record, "tag", 0) == 8 else (beta, m, nu)
+    _check_gamma_draws(   # l_ii, i < m; the record's one pivot for each of its image's
+        lo.reshape(nsamp, -1)[:, ::(m + 1) * beta],
+        lambda i: f"has a Bartlett pivot l_{i % k}{i % k}^2 ~ Gamma({b * (v - i % k) / 2.0:g}, "
+                  f"{2.0 / b:g}) that underflowed to 0 in row {i % k}; the {k}x{k} Wishart's "
+                  f"nu = {v:g} is too close to its edge beta*({k}-1) = {b * (k - 1)}")
     return lo
 
 
@@ -571,7 +574,7 @@ def sample_wishart(rng: RngStream, params: WishartParams, method: str = "bartlet
     tag, image = params.tag, _computed(params)
     nsamp, gen, beta = 1 if size is None else int(size), rng.generator, image.tag.beta
     if method == "bartlett":
-        c = _bartlett_factor_raw(gen, beta, image.m, image.nu, nsamp)
+        c = _bartlett_factor_raw(gen, beta, image.m, image.nu, nsamp, params)
     elif method == "gram":
         if int(params.nu) != params.nu or params.nu < params.m:
             raise DomainError("gram construction requires integer nu >= m")
@@ -610,13 +613,13 @@ def sample_matric_t(rng: RngStream, params: MatricTParams,
     scale's product or solve and an exactly zero mu's add are skipped, as
     exact copies of their inputs, so a standard record costs one solve.
     """
-    tag, params = params.tag, _computed(params)
+    user, params = params, _computed(params)
     beta = params.tag.beta
     m, n = params.m, params.n
     nsamp = 1 if size is None else int(size)
     gen = rng.generator
     if method == "wishart_root":
-        t = _solve_raw(_bartlett_factor_raw(gen, beta, m, params.nu, nsamp),
+        t = _solve_raw(_bartlett_factor_raw(gen, beta, m, params.nu, nsamp, user),
                        _std_normal_raw(gen, beta, (nsamp, m, n)),
                        params.Xi._factor_reps[0], params.Sigma._factor_reps[1])
     elif method == "inverse_root":
@@ -625,13 +628,13 @@ def sample_matric_t(rng: RngStream, params: MatricTParams,
             raise DomainError(
                 f"inverse_root requires nu+n-m > beta*(n-1) = {beta * (n - 1)}"
             )
-        lu = _bartlett_factor_raw(gen, beta, n, nu_u, nsamp)
+        lu = _bartlett_factor_raw(gen, beta, n, nu_u, nsamp, user)
         t = _solve_raw(None, _std_normal_raw(gen, beta, (nsamp, m, n)),
                        params.Xi._factor_reps[0],
                        post=(lu, params.Sigma._inverse_factor_reps[0]))
     else:
         raise ValueError(f"unknown matricvariate T method {method!r}")
-    return _wrap_single(tag, _add_mu(t, params.mu), size)
+    return _wrap_single(user.tag, _add_mu(t, params.mu), size)
 
 
 def sample_beta2_matric(rng: RngStream, params: BetaIIParams,
@@ -650,20 +653,20 @@ def sample_matrix_mt(rng: RngStream, params: MatrixMTParams,
                      size: int | None = None):
     """Matrix multivariate T draw: T1 = S^-1/2 Y + mu, then the congruence
     (M*)^-1 T1 N^-1 mapping identity scales to (Delta, Lambda)."""
-    tag, params = params.tag, _computed(params)
+    user, params = params, _computed(params)
     beta = params.tag.beta
     m, n = params.m, params.n
     nsamp = 1 if size is None else int(size)
     gen = rng.generator
-    shape, scale = beta * params.nu / 2.0, 2.0 * params.rho / beta
-    s = gen.gamma(shape, scale, size=nsamp)
-    _check_gamma_draws(s, lambda _: f"has a scale S ~ Gamma({shape:g}, {scale:g}) "
-                       f"that underflowed to 0; nu = {params.nu:g} is too small")
+    s = gen.gamma(beta * params.nu / 2.0, 2.0 * params.rho / beta, size=nsamp)
+    b = user.tag.beta   # the record's law, not its real image's
+    _check_gamma_draws(s, lambda _: f"has a scale S ~ Gamma({b * user.nu / 2.0:g}, {2.0 * user.rho / b:g})"
+                       f" that underflowed to 0; nu = {user.nu:g} is too small")
     t1 = _std_normal_raw(gen, beta, (nsamp, m, n))
     t1 /= np.sqrt(s)[:, None, None, None]
     t1 = _solve_raw(None, t1, params.Delta._factor_reps[0],
                     post=(None, params.Lambda._factor_reps[0]))
-    return _wrap_single(tag, _add_mu(t1, params.mu), size)
+    return _wrap_single(user.tag, _add_mu(t1, params.mu), size)
 
 
 def sample_elliptical_t(rng: RngStream, params: EllipticalTParams,
@@ -791,38 +794,25 @@ def logpdf_matric_t(params: MatricTParams, t, form: str = "primal"):
 
 
 def _beta2_terms(params: BetaIIParams, law: str) -> tuple:
-    """(q, exp_f, congruence, const) of `_beta2_logpdf` for one law, which
-    reads G = M* F M: "matric" takes M M* = scale^-1, so |scale + F| =
-    |scale| |I + G|, and "mv" M M* = scale, so tr(scale F) = tr G.  const
-    holds the Jacobian |M M*|^(beta(d-1)/2 + 1) of the congruence, and
-    congruence is ((M*, M) as `_eigvalsh_raw` takes them, the binary exponent
-    of |M M*|, cond(scale)), ((), 0, 1) in the standard form.  Both M are the
-    scale's cached factors (`HermitianPD._inverse_factor_reps`,
-    `_factor_reps`).  "mv" takes every nu > 0 that the record does; "matric"
-    needs the wide law's nu above d - 1, which is nu > m - 1 for both
-    orientations, and refuses a smaller nu with DomainError."""
+    """(`spectral._coupling`'s terms, congruence) of `_beta2_logpdf` for one
+    law, at G = M* F M: "matric" takes M M* = scale^-1, |scale + F| = |scale|
+    |I + G|, "mv" M M* = scale, tr(scale F) = tr G.  const gains the Jacobian
+    |M M*|^(beta(d-1)/2 + 1), and congruence is ((M*, M) of the scale's cached
+    factors, the binary exponent of |M M*|, cond(scale)), or ((), 0, 1).  A
+    "matric" nu at most m - 1 (the wide law's d - 1) raises DomainError."""
     tag = params.tag
-    beta = tag.beta
     m, n, nu = params.m, params.n, params.nu
-    # the gram terms of T*'s law for the cogram T* T
-    d, n_wide, nu_wide = _wide(m, n, nu, trace=False)
-    b_par = beta * n_wide / 2.0
-    exp_f = beta * (n_wide - d + 1) / 2.0 - 1.0
+    d, _, nu_wide = _wide(m, n, nu, trace=False)
     matric = law == "matric"
     if matric and not nu_wide > d - 1:
         raise DomainError(f"the matricvariate beta II law requires "
                           f"nu > m - 1 = {m - 1}, got nu = {nu}")
-    if beta == 8:
+    if tag.beta == 8:
         return _beta2_terms(_octonion_image(params, law), law)
-    if matric:
-        q = beta * (n + nu) / 2.0
-        const = -log_mvbeta(tag, d, beta * nu_wide / 2.0, b_par)
-    else:
-        q = beta * (nu + m * n) / 2.0
-        const = -log_mvgamma(tag, d, b_par) + (log_gamma(q) - log_gamma(beta * nu / 2.0))
+    q, exp_f, const = _coupling(tag, m, n, nu, trace=not matric)
     congruence = ((), 0, 1.0)
     if params.scale is not None:
-        jacobian = (beta * (d - 1) / 2.0 + 1.0) * params.scale.logdet
+        jacobian = (tag.beta * (d - 1) / 2.0 + 1.0) * params.scale.logdet
         h, w = params.scale, _eigvalsh_raw(params.scale.mat.data)
         if matric:
             const -= jacobian
@@ -831,35 +821,24 @@ def _beta2_terms(params: BetaIIParams, law: str) -> tuple:
             const += jacobian
             reps, size = h._factor_reps, w[0]
         congruence = (reps[::-1], int(np.frexp(size)[1]), w[0] / w[-1])
-    return q, exp_f, congruence, const
+    return (q, exp_f, const), congruence
 
 
 def _beta2_logpdf(params: BetaIIParams, f, terms: tuple, trace: bool):
-    """const + exp_f sum log lambda_i - q K at beta II points F, with terms
-    = (q, exp_f, congruence, const) of `_beta2_terms`, lambda the
-    eigenvalues of G = M* F M, and K a coupling of `spectral._log_joint`:
-    sum log1p lambda_i, or log1p(sum lambda_i) with `trace`.
-
-    The cone test measures lambda_min against 1e-12 |lambda|_max, whatever
-    the point's size.  A congruence moves an eigenvalue ratio by at most
-    kappa = cond(scale), so the interior bound is divided by kappa and the
-    outside bound multiplied by it: a point inside or on the boundary by its
-    own eigenvalues stays so.  Inside the cone the density is finite,
-    outside it is zero; on the boundary a kernel exponent exp_f > 0 gives
-    zero, exp_f = 0 a finite limit (an eigenvalue below 0 counting as 0),
-    and exp_f < 0 diverges (DomainError naming the point).  G's size is
-    about 2^t, t the binary exponent of F's largest coefficient plus that
-    of |M M*|; where |t| > 256, F is scaled by 2^-t first, so that neither
-    G nor M* F over- or underflows, t log 2 goes into each log, and
-    log1p(2^t lambda) is log(2^t lambda) where 2^t lambda is inf.  At t = 0
-    this is the plain log1p arithmetic."""
-    q, exp_f, (factor, shift, kappa), const = terms
-    d = params.dim
+    """`spectral._coupling_logpdf` at the eigenvalues lambda of G = M* F M of
+    points F `_scaled` by 2^-t, t the binary exponent of F's largest
+    coefficient plus that of |M M*|, with `_beta2_terms`' terms.  The cone
+    test measures lambda_min against 1e-12 |lambda|_max, the interior bound
+    divided and the outside one multiplied by kappa = cond(scale), the most a
+    congruence moves an eigenvalue ratio.  Outside the cone the density is
+    zero; on its boundary exp_f > 0 gives zero, exp_f = 0 a finite limit (an
+    eigenvalue below 0 counting as 0) and exp_f < 0 a DomainError."""
+    coupling, (factor, shift, kappa) = terms
+    d, exp_f = params.dim, coupling[1]
     x, single = _points(params, f.mat if isinstance(f, HermitianPD) else f, (d, d))
     data = _real_image(_hermitian_part(x, "the evaluation point"), hermitian=True)
-    t = np.frexp(_largest_coefficients(data))[1] + shift
-    t = np.where(np.abs(t) > 256, t, 0)
-    lam = _eigvalsh_raw(np.ldexp(data, -t[..., None, None, None]), *factor)
+    data, t = _scaled(data, np.frexp(_largest_coefficients(data))[1] + shift)
+    lam = _eigvalsh_raw(data, *factor)
     low = lam[..., -1]
     interior = low > 1e-12 / kappa * lam[..., 0]    # lambda_max = |lambda|_max there
     inside = interior.all()
@@ -870,19 +849,8 @@ def _beta2_logpdf(params: BetaIIParams, f, terms: tuple, trace: bool):
             _raise_at(DomainError, _stack_index(boundary), "the density",
                       "diverges on the boundary of the positive definite cone")
         lam = np.maximum(lam, 0.0)
-    # log 0 = -inf only where the density is zero or exp_f = 0
-    with np.errstate(divide="ignore", over="ignore"):
-        log_lam = np.log(lam)
-        log_g = log_lam.sum(axis=-1) + (d * _LOG_2) * t
-        if trace:
-            lam = lam.sum(axis=-1, keepdims=True)
-            log_lam = np.log(lam)
-        t = t[..., None]
-        big = np.ldexp(lam, t)
-        k = np.where(np.isinf(big), log_lam + _LOG_2 * t, np.log1p(big)).sum(axis=-1)
-    out = const - q * k
-    if exp_f:
-        out = out + exp_f * log_g
+    with np.errstate(divide="ignore"):  # log 0 = -inf only where the density is zero or exp_f = 0
+        out = _coupling_logpdf(lam, np.log(lam), t, coupling, trace)
     if not inside:
         out = np.where(interior | (boundary & (exp_f == 0.0)), out, -math.inf)
     return float(out) if single else out

@@ -7,6 +7,8 @@ kernel prod (1 + lambda_i) of the matricvariate laws and the trace kernel
 (1 + sum lambda_i) of the matrix multivariate laws.  The singular values d
 of the T matrix enter through the change of variables lambda = d^2.  The
 core is batch-first: one spectrum is the N = 1 case of an (N, m) array.
+The beta II law, `_coupling` and its kernel `_coupling_logpdf`, is here
+once: the beta II densities read it at the eigenvalues of their points.
 
 All densities are for the standard (identity-scale, zero-location) laws and
 live on the open ordered cone v_1 > ... > v_m > 0.  The normalizing
@@ -49,6 +51,7 @@ __all__ = [
 
 _LOG_PI = math.log(math.pi)
 _LOG_2 = math.log(2.0)
+_TINY = np.finfo(float).tiny    # the smallest normal double
 TIE_RTOL = 1e-12
 
 
@@ -108,64 +111,93 @@ def _ordered_rows(values, m: int) -> tuple:
 
 
 @functools.lru_cache(maxsize=256)
-def _log_joint_const(tag: AlgebraTag, m: int, n: int, nu: float, trace: bool,
-                     singular: bool) -> float:
-    """The point-independent log constant of `_log_joint` at the wide shape,
-    computed once per law: the normalizing coefficient, the coupling's
-    constant and the singular-value Jacobian's 2^m, added in that order."""
+def _coupling(tag: AlgebraTag, m: int, n: int, nu: float, trace: bool) -> tuple:
+    """(q, exp_f, const) of the beta II law of the gram of an m x n T at its
+    wide d x n' and nu' (`_wide`): const + exp_f sum log lambda_i - q K, with
+    exp_f = beta(n'-d+1)/2 - 1 and K = sum log1p lambda_i, q = beta(nu+n)/2,
+    const = -log B_d[beta nu'/2, beta n'/2], or with `trace` K = log1p(sum
+    lambda_i), q = beta(nu+mn)/2, const = log Gamma[q] / (Gamma[beta nu/2]
+    Gamma_d[beta n'/2])."""
     beta = tag.beta
-    const = ((beta * m * m / 2.0 + tau(tag, m)) * _LOG_PI
-             - log_mvgamma(tag, m, beta * m / 2.0))
-    if beta > 1:
-        # the eigenvector phases give (pi^(beta/2) / Gamma(beta/2))^-m: tau
-        # holds the power of pi, this the Gamma(beta/2)^m, 6^m at beta = 8
-        # (ERRATA.md section 5); at beta = 1, tau = 0 is the whole factor
-        const += m * log_gamma(beta / 2.0)
+    d, n_wide, nu_wide = _wide(m, n, nu, trace)
+    exp_f, b_par = beta * (n_wide - d + 1) / 2.0 - 1.0, beta * n_wide / 2.0
     if trace:
-        q1 = beta * (nu + m * n) / 2.0
-        const += (log_gamma(q1) - log_gamma(beta * nu / 2.0)
-                  - log_mvgamma(tag, m, beta * n / 2.0))
+        q = beta * (nu + m * n) / 2.0
+        return q, exp_f, -log_mvgamma(tag, d, b_par) + (log_gamma(q) - log_gamma(beta * nu / 2.0))
+    return beta * (n + nu) / 2.0, exp_f, -log_mvbeta(tag, d, beta * nu_wide / 2.0, b_par)
+
+
+def _scaled(x: np.ndarray, t: np.ndarray) -> tuple:
+    """(x 2^-t, t) for the binary exponents t of a stack x's items where |t| >
+    256, or (x, None) where no |t| is: no double below 2^256 overflows squared."""
+    big = np.abs(t) > 256
+    if not big.any():
+        return x, None
+    t = np.where(big, t, 0)
+    return np.ldexp(x, -t.reshape(t.shape + (1,) * (x.ndim - t.ndim))), t
+
+
+def _coupling_logpdf(lam: np.ndarray, log_lam: np.ndarray, t, terms: tuple, trace: bool):
+    """`_coupling`'s law at the eigenvalues 2^t lambda, lambda (..., d) as
+    `_scaled` left them and log_lam their logs: t log 2 goes into each log,
+    and log1p(2^t lambda) is taken from log lambda + t log 2 where 2^t lambda
+    is inf or lambda lost its bits below the normal doubles."""
+    q, exp_f, const = terms
+    log_g = log_lam.sum(axis=-1)
+    if trace:
+        lam = lam.sum(axis=-1, keepdims=True)
+    if t is None:
+        k = np.log1p(lam).sum(axis=-1)
     else:
-        const -= log_mvbeta(tag, m, beta * nu / 2.0, beta * n / 2.0)
-    if singular:
-        const += m * _LOG_2
-    return const
+        log_g = log_g + (log_lam.shape[-1] * _LOG_2) * t
+        if trace:
+            log_lam = np.log(lam)
+        t = t[..., None]
+        with np.errstate(over="ignore"):
+            big = np.ldexp(lam, t)
+        lost = np.isinf(big) | (lam < _TINY)    # past 2^1024 this is log(2^t lambda)
+        k = np.where(lost, np.logaddexp(0.0, log_lam + _LOG_2 * t), np.log1p(big)).sum(axis=-1)
+    out = const - q * k
+    return out + exp_f * log_g if exp_f else out
+
+
+@functools.lru_cache(maxsize=256)
+def _log_joint_terms(tag: AlgebraTag, m: int, n: int, nu: float, trace: bool,
+                     singular: bool) -> tuple:
+    """`_coupling`'s terms with the volume constant pi^(beta d^2/2 + tau)
+    Gamma(beta/2)^d / Gamma_d[beta d/2], d = min(m, n), and for singular
+    values the Jacobian 2^d prod d_i = 2^d prod lambda_i^(1/2)."""
+    q, exp_f, const = _coupling(tag, m, n, nu, trace)
+    beta, d = tag.beta, min(m, n)
+    const += (beta * d * d / 2.0 + tau(tag, d)) * _LOG_PI - log_mvgamma(tag, d, beta * d / 2.0)
+    if beta > 1:    # the phases' Gamma(beta/2)^d, tau their pi (ERRATA.md section 5)
+        const += d * log_gamma(beta / 2.0)
+    return (q, exp_f + 0.5, const + d * _LOG_2) if singular else (q, exp_f, const)
 
 
 def _log_joint(tag: AlgebraTag, m: int, n: int, nu: float, values, *,
                trace: bool, singular: bool):
-    """The one spectral-density core.
-
-    On ordered eigenvalues lambda of the gram beta type II matrix,
-
-        pi^(beta m^2/2 + tau) / Gamma_m[beta m/2] * K(lambda)
-        * prod lambda_i^(beta(n-m+1)/2-1) * prod_{i<j} (lambda_i-lambda_j)^beta
-
-    with the determinant coupling (matricvariate) K = prod (1+lambda_i)^
-    (-beta(nu+n)/2) / B_m[beta nu/2, beta n/2], or the trace coupling
-    (matrix multivariate) K = (1 + sum lambda_i)^(-beta(nu+mn)/2)
-    Gamma[beta(nu+mn)/2] / (Gamma[beta nu/2] Gamma_m[beta n/2]).  Singular
-    values d of the T matrix are the change of variables lambda = d^2, with
-    Jacobian 2^m prod d_i; a tall T takes `_wide`'s shape.  One spectrum of
-    min(m, n) values gives a float, a batch (N, min(m, n)) an (N,) array.
-    """
+    """The one spectral-density core: `_log_joint_terms`' law at ordered
+    eigenvalues lambda, or singular values d at lambda = d^2, times the
+    Vandermonde prod_{i<j} (lambda_i - lambda_j)^beta.  Each spectrum is
+    `_scaled` from its largest value before d is squared, and log lambda
+    taken unscaled, so any spectrum of at most two values has a finite log
+    density.  One spectrum gives a float, a batch (N, min(m, n)) an (N,) array."""
     tag = AlgebraTag(tag)
-    beta = tag.beta
-    m, n, nu = _wide(m, n, nu, trace)
-    v, single = _ordered_rows(values, m)
-    const = _log_joint_const(tag, m, n, nu, trace, singular)
-    lam = v * v if singular else v
-    log_lam = np.log(lam)
-    out = (beta * (n - m + 1) / 2.0 - 1.0) * log_lam.sum(axis=1)
-    if trace:
-        out -= beta * (nu + m * n) / 2.0 * np.log1p(lam.sum(axis=1))
-    else:
-        out -= beta * (nu + n) / 2.0 * np.log1p(lam).sum(axis=1)
+    terms = _log_joint_terms(tag, m, n, nu, trace, singular)
+    v, single = _ordered_rows(values, min(m, n))
+    log_lam = np.log(v)
+    v, t = _scaled(v, np.frexp(v[:, 0])[1])
+    if t is not None:
+        log_lam -= _LOG_2 * t[:, None]
     if singular:
-        out += 0.5 * log_lam.sum(axis=1)
-    for i in range(m - 1):  # the Vandermonde factor, one row of pairs at a time
-        out += beta * np.log(lam[:, i, None] - lam[:, i + 1:]).sum(axis=1)
-    out += const
+        v, log_lam, t = v * v, 2.0 * log_lam, None if t is None else 2 * t
+    out = _coupling_logpdf(v, log_lam, t, terms, trace)
+    size = v.shape[1]
+    for i in range(size - 1):  # the Vandermonde factor, one row of pairs at a time
+        out += tag.beta * np.log(v[:, i, None] - v[:, i + 1:]).sum(axis=1)
+    if t is not None:
+        out += (tag.beta * size * (size - 1) / 2 * _LOG_2) * t
     return float(out[0]) if single else out
 
 

@@ -196,6 +196,17 @@ class TestWishart:
                            r"Gamma\(0\.0005, 2\) .* in row 1"):
             sample_wishart(RngStream(1), WishartParams(R, 2, 1.001), size=2000)
 
+    def test_octonion_pivot_refusal_names_the_record_law(self):
+        # a 1x1 octonion Wishart draws from its real image at nu' = 8 nu, whose
+        # pivot is Gamma(0.004, 2); the refusal names the record's Gamma(0.004,
+        # 1/4) at nu = 0.001 and its 1x1 Wishart, at the image's draw index
+        with pytest.raises(ArithmeticError, match=r"draw at index 36 has a Bartlett "
+                           r"pivot l_00\^2 ~ Gamma\(0\.004, 0\.25\) that underflowed "
+                           r"to 0 in row 0; the 1x1 Wishart's nu = 0\.001 is too "
+                           r"close to its edge beta\*\(1-1\) = 0$") as info:
+            sample_wishart(RngStream(1), WishartParams(O, 1, 1e-3), size=50)
+        assert info.value.index == 36
+
     def test_non_integer_nu_scalar_matches_gamma_law(self):
         # generalized Bartlett at m = 1 must reproduce the analytic scalar
         # law Gamma(beta*nu/2, 2/beta) for fractional nu
@@ -262,6 +273,18 @@ class TestMatricTSampler:
             sample_matric_t(RngStream(1), MatricTParams(R, 2, 2, 1.01), method,
                             size=2000)
         assert info.value.index == 17
+
+    @pytest.mark.parametrize("method,index", [("wishart_root", 36), ("inverse_root", 0)])
+    def test_octonion_pivot_refusal_names_the_record_law(self, method, index):
+        # the real image's Bartlett factor is 1x1 (wishart_root) or 8x8
+        # (inverse_root, whose last pivot underflows); either way the refusal
+        # names the record's own 1x1 Wishart at beta = 8 and nu = 0.001
+        with pytest.raises(ArithmeticError, match=rf"draw at index {index} has a "
+                           r"Bartlett pivot l_00\^2 ~ Gamma\(0\.004, 0\.25\) that "
+                           r"underflowed to 0 in row 0; the 1x1 Wishart's nu = 0\.001 "
+                           r"is too close to its edge beta\*\(1-1\) = 0$") as info:
+            sample_matric_t(RngStream(1), MatricTParams(O, 1, 1, 1e-3), method, size=50)
+        assert info.value.index == index
 
     @pytest.mark.parametrize("tag", [R, C, H, O])
     def test_scalar_reduction_ks_every_beta(self, tag):
@@ -528,6 +551,15 @@ class TestMatrixMT:
                            r"S ~ Gamma\(0\.0005, 2\) that underflowed") as info:
             sample_matrix_mt(RngStream(1), MatrixMTParams(R, 1, 2, 0.001), size=2000)
         assert info.value.index == 1
+
+    def test_octonion_scale_refusal_names_the_record_law(self):
+        # the real image draws S' ~ Gamma(0.004, 2) at nu' = 0.008; the record's
+        # own scale is S ~ Gamma(0.004, 1/4) at nu = 0.001
+        with pytest.raises(ArithmeticError, match=r"draw at index 36 has a scale "
+                           r"S ~ Gamma\(0\.004, 0\.25\) that underflowed to 0; "
+                           r"nu = 0\.001 is too small$") as info:
+            sample_matrix_mt(RngStream(1), MatrixMTParams(O, 1, 1, 1e-3), size=50)
+        assert info.value.index == 36
 
     def test_sampler_determinism(self):
         params = MatrixMTParams(R, 2, 2, 4.0, 2.0)

@@ -572,7 +572,7 @@ class TestCachedSigmaInverseFactor:
         terms = {law: dist._beta2_terms(params, law) for law in ("matric", "mv")}
         assert not built
         cached = params.scale._inverse_factor_reps[::-1]
-        assert all(a is b for a, b in zip(terms["matric"][2][0], cached))
+        assert all(a is b for a, b in zip(terms["matric"][1][0], cached))
 
     @pytest.mark.parametrize("tag,d", [(R, 2), (C, 2), (H, 2), (O, 1)])
     def test_beta2_densities_keep_the_inverse_factor_bits(self, tag, d):
@@ -588,9 +588,9 @@ class TestCachedSigmaInverseFactor:
                    "mv": _cholesky_raw(scale)}
         for law, logpdf in (("matric", logpdf_beta2_matric),
                             ("mv", dist.logpdf_beta2_multivariate)):
-            q, exp_f, (_, shift, kappa), const = dist._beta2_terms(params, law)
+            coupling, (_, shift, kappa) = dist._beta2_terms(params, law)
             lo = factors[law]
-            spelled = (q, exp_f, ((_complex_embed_raw(_conj_t_raw(lo)),
-                                   _complex_embed_raw(lo)), shift, kappa), const)
+            spelled = (coupling, ((_complex_embed_raw(_conj_t_raw(lo)),
+                                   _complex_embed_raw(lo)), shift, kappa))
             want = dist._beta2_logpdf(params, points, spelled, trace=law == "mv")
             assert _bits(logpdf(params, points)) == _bits(want)

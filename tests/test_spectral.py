@@ -442,32 +442,35 @@ class TestMatrixAgainstSpectralDensity:
 
 def _uncached_log_joint(tag, m, n, nu, v, trace, singular):
     """The spectral-density core as one formula, every constant recomputed
-    at each call, in the order of additions the core keeps."""
+    at each call, in the order of additions the core keeps: the coupling's
+    constant, the volume constant, the Jacobian's 2^m, then the kernel."""
     from rdmt.special import _wide, log_gamma, log_mvbeta, log_mvgamma, tau
 
     beta = tag.beta
-    m, n, nu = _wide(m, n, nu, trace)
-    lam = v * v if singular else v
-    const = ((beta * m * m / 2.0 + tau(tag, m)) * math.log(math.pi)
-             - log_mvgamma(tag, m, beta * m / 2.0))
-    if beta > 1:
-        const += m * log_gamma(beta / 2.0)
-    log_lam = np.log(lam)
-    out = (beta * (n - m + 1) / 2.0 - 1.0) * log_lam.sum(axis=1)
+    d, n_wide, nu_wide = _wide(m, n, nu, trace)
+    exp_f = beta * (n_wide - d + 1) / 2.0 - 1.0
     if trace:
-        q1 = beta * (nu + m * n) / 2.0
-        const += (log_gamma(q1) - log_gamma(beta * nu / 2.0)
-                  - log_mvgamma(tag, m, beta * n / 2.0))
-        out -= q1 * np.log1p(lam.sum(axis=1))
+        q = beta * (nu + m * n) / 2.0
+        const = (-log_mvgamma(tag, d, beta * n_wide / 2.0)
+                 + (log_gamma(q) - log_gamma(beta * nu / 2.0)))
     else:
-        const -= log_mvbeta(tag, m, beta * nu / 2.0, beta * n / 2.0)
-        out -= beta * (nu + n) / 2.0 * np.log1p(lam).sum(axis=1)
+        q = beta * (n + nu) / 2.0
+        const = -log_mvbeta(tag, d, beta * nu_wide / 2.0, beta * n_wide / 2.0)
+    const += ((beta * d * d / 2.0 + tau(tag, d)) * math.log(math.pi)
+              - log_mvgamma(tag, d, beta * d / 2.0))
+    if beta > 1:
+        const += d * log_gamma(beta / 2.0)
+    log_lam, lam = np.log(v), v
     if singular:
-        const += m * math.log(2.0)
-        out += 0.5 * log_lam.sum(axis=1)
-    for i in range(m - 1):
+        exp_f, const = exp_f + 0.5, const + d * math.log(2.0)
+        lam, log_lam = v * v, 2.0 * log_lam
+    k = np.log1p(lam.sum(axis=1)) if trace else np.log1p(lam).sum(axis=1)
+    out = const - q * k
+    if exp_f:
+        out = out + exp_f * log_lam.sum(axis=1)
+    for i in range(d - 1):
         out += beta * np.log(lam[:, i, None] - lam[:, i + 1:]).sum(axis=1)
-    return out + const
+    return out
 
 
 class TestSpectralCore:
@@ -479,9 +482,10 @@ class TestSpectralCore:
         (log_joint_eig_mv, True, False),
     ])
     def test_cached_constant_is_bit_identical(self, rng, tag, fn, trace, singular):
-        from rdmt.spectral import _log_joint_const
+        from rdmt.spectral import _coupling, _log_joint_terms
 
-        _log_joint_const.cache_clear()
+        _coupling.cache_clear()
+        _log_joint_terms.cache_clear()
         shapes = ((1, 1, 1.5), (1, 3, 2.5), (2, 3, 4.5), (3, 4, 5.0), (3, 2, 9.0),
                   (4, 2, 9.5), (2, 1, 4.0))
         if tag == O:
@@ -492,7 +496,7 @@ class TestSpectralCore:
             for _ in range(2):  # the call that fills the cache, then a cached one
                 np.testing.assert_array_equal(fn(tag, m, n, nu, v), want)
                 assert fn(tag, m, n, nu, v[3]) == want[3]
-        assert _log_joint_const.cache_info().hits > 0
+        assert _log_joint_terms.cache_info().hits > 0
 
     PAIRS = [
         (log_joint_sv_matric_t, log_joint_eig_beta2),
@@ -547,6 +551,91 @@ class TestSpectralCore:
             log_joint_eig_beta2(R, 2, 3, 4.0, [1.0, np.nan])
         with pytest.raises(ValueError):
             log_joint_eig_beta2(R, 2, 3, 4.0, np.ones((2, 2, 2)))
+
+
+def _reference_spectral(tag, m, n, nu, values, trace, singular):
+    """(log density, largest term) of a spectral density at one spectrum of
+    doubles, to 40 digits, as the closed form is written at the wide shape
+    (k, N) = (min(m, n), max(m, n)), nu' = nu + min(0, n - m) under the
+    determinant coupling and nu under the trace coupling:
+
+        pi^(beta k^2/2 + tau) G / Gamma_k[beta k/2] * c K
+        * prod lambda_i^(beta(N-k+1)/2-1) prod_{i<j} (lambda_i-lambda_j)^beta,
+
+    c K = prod (1+lambda_i)^-(a+b) / B_k[a, b], a = beta nu'/2, b = beta N/2,
+    or c K = (1 + sum lambda_i)^-q1 Gamma[q1] / (Gamma[beta nu/2] Gamma_k[b]),
+    q1 = beta(nu + mn)/2, and G = Gamma(beta/2)^k for beta > 1, 1 for beta = 1
+    (ERRATA.md section 5); singular values d enter as lambda = d^2 with the
+    Jacobian 2^k prod d_i."""
+    mp = pytest.importorskip("mpmath")
+    beta, k, big = tag.beta, min(m, n), max(m, n)
+    tau = {1: 0, 2: -k, 4: -2 * k, 8: -4 * k}[beta]
+    with mp.workdps(40):
+        nu = mp.mpf(nu)
+        nu_w = nu if trace or n >= m else nu + n - m
+        a, b = beta * nu_w / 2, mp.mpf(beta * big) / 2
+        v = [mp.mpf(float(x)) for x in values]
+        lam = [x * x for x in v] if singular else v
+
+        def lmg(x):
+            return (k * (k - 1) * beta * mp.log(mp.pi) / 4
+                    + mp.fsum(mp.loggamma(x - mp.mpf(i * beta) / 2) for i in range(k)))
+
+        terms = [(mp.mpf(beta * k * k) / 2 + tau) * mp.log(mp.pi), -lmg(mp.mpf(beta * k) / 2),
+                 k * mp.loggamma(mp.mpf(beta) / 2) if beta > 1 else 0,
+                 (mp.mpf(beta * (big - k + 1)) / 2 - 1) * mp.fsum(mp.log(x) for x in lam),
+                 beta * mp.fsum(mp.log(lam[i] - lam[j])
+                                for i, j in itertools.combinations(range(k), 2))]
+        if trace:
+            q1 = beta * (nu + m * n) / 2
+            terms += [mp.loggamma(q1), -mp.loggamma(beta * nu / 2), -lmg(b),
+                      -q1 * mp.log1p(mp.fsum(lam))]
+        else:
+            terms += [lmg(a + b), -lmg(a), -lmg(b),
+                      -(a + b) * mp.fsum(mp.log1p(x) for x in lam)]
+        if singular:
+            terms += [k * mp.log(2), mp.fsum(mp.log(x) for x in v)]
+        return float(mp.fsum(terms)), float(max(abs(t) for t in terms))
+
+
+class TestSpectraAgainstMpmath:
+    """The four spectral densities at one and two values from 1e-200 to 1e200
+    against a 40-digit reference (`_reference_spectral`), within 8 eps of
+    the largest term, with no numpy warning.  A singular value past 2^512
+    or below 2^-537 has a square outside the doubles, and a spectrum this
+    wide sums past them; each spectrum is scaled by a power of two first."""
+
+    FNS = [(log_joint_sv_matric_t, False, True), (log_joint_sv_matrix_mt, True, True),
+           (log_joint_eig_beta2, False, False), (log_joint_eig_mv, True, False)]
+    EXPONENTS = range(-200, 201, 25)
+
+    @staticmethod
+    def _check(tag, m, n, nu, fn, trace, singular, spectra):
+        batch = fn(tag, m, n, nu, spectra)
+        for value, v in zip(batch, spectra):
+            single = fn(tag, m, n, nu, v)
+            want, largest = _reference_spectral(tag, m, n, nu, v, trace, singular)
+            assert math.isfinite(value) and value == single, (v, value, single)
+            assert abs(value - want) <= 8 * np.finfo(float).eps * largest, (v, value, want)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("tag", [R, C, H, O])
+    @pytest.mark.parametrize("m,n", [(1, 1), (1, 3), (2, 1)])
+    @pytest.mark.parametrize("fn,trace,singular", FNS)
+    def test_one_value(self, tag, m, n, fn, trace, singular):
+        spectra = np.array([[1.7 * 10.0 ** e] for e in self.EXPONENTS])
+        self._check(tag, m, n, 2.5, fn, trace, singular, spectra)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("tag", [R, C, H])
+    @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 2)])
+    @pytest.mark.parametrize("fn,trace,singular", FNS)
+    def test_two_values(self, tag, m, n, fn, trace, singular):
+        # every pair of the grid, and each grid value with one a third below it
+        grid = [1.7 * 10.0 ** e for e in reversed(self.EXPONENTS)]
+        spectra = [[hi, lo] for hi, lo in itertools.combinations(grid, 2)]
+        spectra += [[x, x / 3.0] for x in grid]
+        self._check(tag, m, n, 2.5, fn, trace, singular, np.array(spectra))
 
 
 def _log_selberg(m, a, b, g):
