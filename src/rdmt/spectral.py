@@ -144,13 +144,12 @@ def _coupling_logpdf(lam: np.ndarray, log_lam: np.ndarray, t, terms: tuple, trac
     is inf or lambda lost its bits below the normal doubles."""
     q, exp_f, const = terms
     log_g = log_lam.sum(axis=-1)
-    if trace:
-        lam = lam.sum(axis=-1, keepdims=True)
     if t is None:
-        k = np.log1p(lam).sum(axis=-1)
+        k = np.log1p(lam.sum(axis=-1)) if trace else np.log1p(lam).sum(axis=-1)
     else:
         log_g = log_g + (log_lam.shape[-1] * _LOG_2) * t
         if trace:
+            lam = lam.sum(axis=-1, keepdims=True)
             log_lam = np.log(lam)
         t = t[..., None]
         with np.errstate(over="ignore"):
@@ -186,8 +185,9 @@ def _log_joint(tag: AlgebraTag, m: int, n: int, nu: float, values, *,
     tag = AlgebraTag(tag)
     terms = _log_joint_terms(tag, m, n, nu, trace, singular)
     v, single = _ordered_rows(values, min(m, n))
-    log_lam = np.log(v)
-    v, t = _scaled(v, np.frexp(v[:, 0])[1])
+    log_lam, t = np.log(v), None
+    if np.abs(log_lam[:, 0]).max(initial=0.0) > 256 * _LOG_2:   # spares most calls frexp's few us
+        v, t = _scaled(v, np.frexp(v[:, 0])[1])
     if t is not None:
         log_lam -= _LOG_2 * t[:, None]
     if singular:

@@ -523,6 +523,7 @@ class TestSpectralCore:
             v = -np.sort(-rng.uniform(0.05, 4.0, size=(17, m)), axis=1)
             batch = fn(tag, m, n, nu, v)
             assert isinstance(batch, np.ndarray) and batch.shape == (17,)
+            assert fn(tag, m, n, nu, v[:0]).shape == (0,)    # an empty batch
             for row, got in zip(v, batch):
                 single = fn(tag, m, n, nu, row)
                 assert type(single) is float
