@@ -186,7 +186,7 @@ def _log_joint(tag: AlgebraTag, m: int, n: int, nu: float, values, *,
     terms = _log_joint_terms(tag, m, n, nu, trace, singular)
     v, single = _ordered_rows(values, min(m, n))
     log_lam, t = np.log(v), None
-    if np.abs(log_lam[:, 0]).max(initial=0.0) > 256 * _LOG_2:   # spares most calls frexp's few us
+    if np.abs(log_lam[:, 0]).max(initial=0.0) > 256 * _LOG_2:   # else skip frexp and _scaled's test
         v, t = _scaled(v, np.frexp(v[:, 0])[1])
     if t is not None:
         log_lam -= _LOG_2 * t[:, None]
