@@ -641,8 +641,7 @@ def _eigvalsh_raw(a: np.ndarray, left=None, right=None) -> np.ndarray:
     """Descending real eigenvalues of Hermitian (..., m, m, beta), C-contiguous
     (numpy logs one matrix's as a stack's).  With constants left = M* and
     right = M, those of M* a M."""
-    z = _represented_product(a, left, right)    # 1x1: the real coefficient
-    w = np.diagonal(z, 0, -2, -1).real if a.shape[-2] == 1 else np.linalg.eigvalsh(z)[..., ::-1]
+    w = np.linalg.eigvalsh(_represented_product(a, left, right))[..., ::-1]
     return _collapse_pairs(w) if a.shape[-1] == 4 else w.copy()
 
 

@@ -545,25 +545,26 @@ def sample_gamma_scalar(rng: RngStream, params: GammaScalarParams,
 
 
 def _bartlett_factor_raw(gen: np.random.Generator, beta: int, m: int, nu: float,
-                         nsamp: int, record=None) -> np.ndarray:
+                         nsamp: int, law: tuple = None) -> np.ndarray:
     """Lower-triangular Bartlett factor of a standard Wishart(nu, I) draw:
     l_ii^2 ~ Gamma(beta*(nu-i+1)/2, 2/beta), strictly-lower entries standard
     algebra Gaussians.  Near nu = beta*(m-1) the last pivot's gamma draw can
     underflow to 0, which would make the factor singular: ArithmeticError
-    names the first such draw and row, and the Wishart: a 1x1 octonion
-    `record`'s own, where the factor is its real image's."""
+    names the first such draw and row of the Wishart `law` = (beta, k, nu)
+    whose k pivots are the factor's last k, by default the factor's own."""
     lo = np.zeros((nsamp, m, m, beta))
     for i in range(m):
         shape = beta * (nu - i) / 2.0
         lo[:, i, i, 0] = np.sqrt(gen.gamma(shape, 2.0 / beta, size=nsamp))
         if i > 0:
             lo[:, i, :i, :] = _std_normal_raw(gen, beta, (nsamp, i))
-    b, k, v = (8, 1, record.nu) if getattr(record, "tag", 0) == 8 else (beta, m, nu)
-    _check_gamma_draws(   # l_ii, i < m; the record's one pivot for each of its image's
-        lo.reshape(nsamp, -1)[:, ::(m + 1) * beta],
-        lambda i: f"has a Bartlett pivot l_{i % k}{i % k}^2 ~ Gamma({b * (v - i % k) / 2.0:g}, "
-                  f"{2.0 / b:g}) that underflowed to 0 in row {i % k}; the {k}x{k} Wishart's "
-                  f"nu = {v:g} is too close to its edge beta*({k}-1) = {b * (k - 1)}")
+    b, k, v = law or (beta, m, nu)
+    def problem(i):
+        row = i + k - m
+        return (f"has a Bartlett pivot l_{row}{row}^2 ~ Gamma({b * (v - row) / 2.0:g}, "
+                f"{2.0 / b:g}) that underflowed to 0 in row {row}; the {k}x{k} Wishart's "
+                f"nu = {v:g} is too close to its edge beta*({k}-1) = {b * (k - 1)}")
+    _check_gamma_draws(lo.reshape(nsamp, -1)[:, ::(m + 1) * beta], problem)   # l_ii, i < m
     return lo
 
 
@@ -574,7 +575,7 @@ def sample_wishart(rng: RngStream, params: WishartParams, method: str = "bartlet
     tag, image = params.tag, _computed(params)
     nsamp, gen, beta = 1 if size is None else int(size), rng.generator, image.tag.beta
     if method == "bartlett":
-        c = _bartlett_factor_raw(gen, beta, image.m, image.nu, nsamp, params)
+        c = _bartlett_factor_raw(gen, beta, image.m, image.nu, nsamp, (tag.beta, params.m, params.nu))
     elif method == "gram":
         if int(params.nu) != params.nu or params.nu < params.m:
             raise DomainError("gram construction requires integer nu >= m")
@@ -616,11 +617,10 @@ def sample_matric_t(rng: RngStream, params: MatricTParams,
     user, params = params, _computed(params)
     beta = params.tag.beta
     m, n = params.m, params.n
-    nsamp = 1 if size is None else int(size)
-    gen = rng.generator
+    nsamp, gen = 1 if size is None else int(size), rng.generator
     if method == "wishart_root":
-        t = _solve_raw(_bartlett_factor_raw(gen, beta, m, params.nu, nsamp, user),
-                       _std_normal_raw(gen, beta, (nsamp, m, n)),
+        lo = _bartlett_factor_raw(gen, beta, m, params.nu, nsamp, (user.tag.beta, user.m, user.nu))
+        t = _solve_raw(lo, _std_normal_raw(gen, beta, (nsamp, m, n)),
                        params.Xi._factor_reps[0], params.Sigma._factor_reps[1])
     elif method == "inverse_root":
         nu_u = params.nu + n - m
@@ -628,7 +628,8 @@ def sample_matric_t(rng: RngStream, params: MatricTParams,
             raise DomainError(
                 f"inverse_root requires nu+n-m > beta*(n-1) = {beta * (n - 1)}"
             )
-        lu = _bartlett_factor_raw(gen, beta, n, nu_u, nsamp, user)
+        lu = _bartlett_factor_raw(gen, beta, n, nu_u, nsamp,
+                                  (user.tag.beta, user.n, user.nu + user.n - user.m))
         t = _solve_raw(None, _std_normal_raw(gen, beta, (nsamp, m, n)),
                        params.Xi._factor_reps[0],
                        post=(lu, params.Sigma._inverse_factor_reps[0]))
@@ -660,8 +661,8 @@ def sample_matrix_mt(rng: RngStream, params: MatrixMTParams,
     gen = rng.generator
     s = gen.gamma(beta * params.nu / 2.0, 2.0 * params.rho / beta, size=nsamp)
     b = user.tag.beta   # the record's law, not its real image's
-    _check_gamma_draws(s, lambda _: f"has a scale S ~ Gamma({b * user.nu / 2.0:g}, {2.0 * user.rho / b:g})"
-                       f" that underflowed to 0; nu = {user.nu:g} is too small")
+    _check_gamma_draws(s, lambda _: f"has a scale S ~ Gamma({b * user.nu / 2.0:g}, "
+                       f"{2.0 * user.rho / b:g}) that underflowed to 0; nu = {user.nu:g} is too small")
     t1 = _std_normal_raw(gen, beta, (nsamp, m, n))
     t1 /= np.sqrt(s)[:, None, None, None]
     t1 = _solve_raw(None, t1, params.Delta._factor_reps[0],

@@ -1,14 +1,14 @@
 """Joint singular-value and eigenvalue log densities of the T and beta II
 families, plus extraction of empirical spectra from sample streams.
 
-The four densities are one core, `_log_joint`, over the ordered eigenvalues
-lambda of the gram beta type II matrix, with two couplings: the determinant
-kernel prod (1 + lambda_i) of the matricvariate laws and the trace kernel
-(1 + sum lambda_i) of the matrix multivariate laws.  The singular values d
-of the T matrix enter through the change of variables lambda = d^2.  The
-core is batch-first: one spectrum is the N = 1 case of an (N, m) array.
 The beta II law, `_coupling` and its kernel `_coupling_logpdf`, is here
-once: the beta II densities read it at the eigenvalues of their points.
+once, and both the beta II densities and the four densities here read it.
+The four are one core, `_log_joint`, over the ordered eigenvalues lambda of
+the gram beta type II matrix, with two couplings: the determinant kernel
+prod (1 + lambda_i) of the matricvariate laws and the trace kernel (1 + sum
+lambda_i) of the matrix multivariate laws.  The singular values d of the T
+matrix enter through lambda = d^2.  The core is batch-first: one spectrum
+is the N = 1 case of an (N, m) array.
 
 All densities are for the standard (identity-scale, zero-location) laws and
 live on the open ordered cone v_1 > ... > v_m > 0.  The normalizing
@@ -51,7 +51,6 @@ __all__ = [
 
 _LOG_PI = math.log(math.pi)
 _LOG_2 = math.log(2.0)
-_TINY = np.finfo(float).tiny    # the smallest normal double
 TIE_RTOL = 1e-12
 
 
@@ -154,7 +153,7 @@ def _coupling_logpdf(lam: np.ndarray, log_lam: np.ndarray, t, terms: tuple, trac
         t = t[..., None]
         with np.errstate(over="ignore"):
             big = np.ldexp(lam, t)
-        lost = np.isinf(big) | (lam < _TINY)    # past 2^1024 this is log(2^t lambda)
+        lost = np.isinf(big) | (lam < np.finfo(float).tiny)   # past 2^1024 this is log(2^t lambda)
         k = np.where(lost, np.logaddexp(0.0, log_lam + _LOG_2 * t), np.log1p(big)).sum(axis=-1)
     out = const - q * k
     return out + exp_f * log_g if exp_f else out
@@ -178,26 +177,27 @@ def _log_joint(tag: AlgebraTag, m: int, n: int, nu: float, values, *,
                trace: bool, singular: bool):
     """The one spectral-density core: `_log_joint_terms`' law at ordered
     eigenvalues lambda, or singular values d at lambda = d^2, times the
-    Vandermonde prod_{i<j} (lambda_i - lambda_j)^beta.  Each spectrum is
-    `_scaled` from its largest value before d is squared, and log lambda
-    taken unscaled, so any spectrum of at most two values has a finite log
-    density.  One spectrum gives a float, a batch (N, min(m, n)) an (N,) array."""
+    Vandermonde prod_{i<j} (lambda_i - lambda_j)^beta of the unscaled values,
+    d_i^2 - d_j^2 as (d_i - d_j)(d_i + d_j).  The kernel takes each spectrum
+    `_scaled` from its largest value before d is squared and log lambda
+    unscaled, so every spectrum of doubles has a finite log density.  One
+    spectrum gives a float, a batch (N, min(m, n)) an (N,) array."""
     tag = AlgebraTag(tag)
     terms = _log_joint_terms(tag, m, n, nu, trace, singular)
     v, single = _ordered_rows(values, min(m, n))
-    log_lam, t = np.log(v), None
-    if np.abs(log_lam[:, 0]).max(initial=0.0) > 256 * _LOG_2:   # else skip frexp and _scaled's test
-        v, t = _scaled(v, np.frexp(v[:, 0])[1])
-    if t is not None:
-        log_lam -= _LOG_2 * t[:, None]
+    lam, log_v, t = v, np.log(v), None
+    log_lam = log_v
+    if np.abs(log_v[:, 0]).max(initial=0.0) > 256 * _LOG_2:   # else skip frexp and _scaled's test
+        lam, t = _scaled(v, np.frexp(v[:, 0])[1])
+        log_lam = log_v if t is None else log_v - _LOG_2 * t[:, None]
     if singular:
-        v, log_lam, t = v * v, 2.0 * log_lam, None if t is None else 2 * t
-    out = _coupling_logpdf(v, log_lam, t, terms, trace)
-    size = v.shape[1]
-    for i in range(size - 1):  # the Vandermonde factor, one row of pairs at a time
-        out += tag.beta * np.log(v[:, i, None] - v[:, i + 1:]).sum(axis=1)
-    if t is not None:
-        out += (tag.beta * size * (size - 1) / 2 * _LOG_2) * t
+        lam, log_lam, t = lam * lam, 2.0 * log_lam, None if t is None else 2 * t
+    out = _coupling_logpdf(lam, log_lam, t, terms, trace)
+    for i in range(v.shape[1] - 1):  # the Vandermonde factor, one row of pairs at a time
+        gaps = np.log(v[:, i, None] - v[:, i + 1:])
+        if singular:
+            gaps += np.logaddexp(log_v[:, i, None], log_v[:, i + 1:])
+        out += tag.beta * gaps.sum(axis=1)
     return float(out[0]) if single else out
 
 

@@ -443,7 +443,8 @@ class TestMatrixAgainstSpectralDensity:
 def _uncached_log_joint(tag, m, n, nu, v, trace, singular):
     """The spectral-density core as one formula, every constant recomputed
     at each call, in the order of additions the core keeps: the coupling's
-    constant, the volume constant, the Jacobian's 2^m, then the kernel."""
+    constant, the volume constant, the Jacobian's 2^m, the kernel, then the
+    Vandermonde of the unscaled values."""
     from rdmt.special import _wide, log_gamma, log_mvbeta, log_mvgamma, tau
 
     beta = tag.beta
@@ -460,16 +461,20 @@ def _uncached_log_joint(tag, m, n, nu, v, trace, singular):
               - log_mvgamma(tag, d, beta * d / 2.0))
     if beta > 1:
         const += d * log_gamma(beta / 2.0)
-    log_lam, lam = np.log(v), v
+    log_v = np.log(v)
+    lam, log_lam = v, log_v
     if singular:
         exp_f, const = exp_f + 0.5, const + d * math.log(2.0)
-        lam, log_lam = v * v, 2.0 * log_lam
+        lam, log_lam = v * v, 2.0 * log_v
     k = np.log1p(lam.sum(axis=1)) if trace else np.log1p(lam).sum(axis=1)
     out = const - q * k
     if exp_f:
         out = out + exp_f * log_lam.sum(axis=1)
-    for i in range(d - 1):
-        out += beta * np.log(lam[:, i, None] - lam[:, i + 1:]).sum(axis=1)
+    for i in range(d - 1):  # d_i^2 - d_j^2 = (d_i - d_j)(d_i + d_j)
+        gaps = np.log(v[:, i, None] - v[:, i + 1:])
+        if singular:
+            gaps += np.logaddexp(log_v[:, i, None], log_v[:, i + 1:])
+        out += beta * gaps.sum(axis=1)
     return out
 
 
@@ -600,11 +605,12 @@ def _reference_spectral(tag, m, n, nu, values, trace, singular):
 
 
 class TestSpectraAgainstMpmath:
-    """The four spectral densities at one and two values from 1e-200 to 1e200
-    against a 40-digit reference (`_reference_spectral`), within 8 eps of
-    the largest term, with no numpy warning.  A singular value past 2^512
-    or below 2^-537 has a square outside the doubles, and a spectrum this
-    wide sums past them; each spectrum is scaled by a power of two first."""
+    """The four spectral densities at one, two and three values from 1e-200
+    to 1e200 against a 40-digit reference (`_reference_spectral`), within 8
+    eps of the largest term, with no numpy warning.  A singular value past
+    2^512 or below 2^-537 has a square outside the doubles, and a spectrum
+    this wide sums past them; the kernel scales each spectrum by a power of
+    two first, and the Vandermonde takes the values unscaled."""
 
     FNS = [(log_joint_sv_matric_t, False, True), (log_joint_sv_matrix_mt, True, True),
            (log_joint_eig_beta2, False, False), (log_joint_eig_mv, True, False)]
@@ -636,6 +642,21 @@ class TestSpectraAgainstMpmath:
         grid = [1.7 * 10.0 ** e for e in reversed(self.EXPONENTS)]
         spectra = [[hi, lo] for hi, lo in itertools.combinations(grid, 2)]
         spectra += [[x, x / 3.0] for x in grid]
+        self._check(tag, m, n, 2.5, fn, trace, singular, np.array(spectra))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("tag", [R, C, H])
+    @pytest.mark.parametrize("m,n", [(3, 3), (3, 4)])
+    @pytest.mark.parametrize("fn,trace,singular", FNS)
+    def test_three_values(self, tag, m, n, fn, trace, singular):
+        # every triple of a coarser grid, each grid value with two a third and a
+        # ninth below it, and spectra whose two smaller values, scaled from the
+        # largest (and squared), fall below the doubles
+        grid = [1.7 * 10.0 ** e for e in reversed(self.EXPONENTS)]
+        spectra = [list(t) for t in itertools.combinations(grid[::2], 3)]
+        spectra += [[x, x / 3.0, x / 9.0] for x in grid]
+        spectra += [[1e200, 1e-200, 1e-250], [1e100, 1e-100, 1e-120],
+                    [1e78, 1e-100, 1e-110], [1e70, 1e-160, 1e-165]]
         self._check(tag, m, n, 2.5, fn, trace, singular, np.array(spectra))
 
 
