@@ -296,8 +296,18 @@ def _raise_at(error: type, index, what: str, problem: str):
     matrix), so a caller can map it back to its own input."""
     where = what if index is None else f"{what} at index {index}"
     exc = error(f"{where} {problem}")
-    exc.index = index
+    exc.index, exc.about = index, (what, problem)
     raise exc
+
+
+def _shift_index(exc: Exception, offset: int) -> None:
+    """Make an error about matrix i of a stack name matrix offset + i, for a
+    caller that passed the rows from offset on of a larger stack: its
+    `index`, and the message of one that `_raise_at` raised."""
+    exc.index += offset
+    if hasattr(exc, "about"):
+        what, problem = exc.about
+        exc.args = (f"{what} at index {exc.index} {problem}",)
 
 
 def _refuse_non_finite(x: np.ndarray, what: str) -> None:
@@ -424,35 +434,43 @@ def _logdet_gram_raw(base: np.ndarray, a: np.ndarray, factor=None) -> np.ndarray
     return 2.0 * np.log(diag[..., ::2] if a.shape[-1] == 4 else diag).sum(axis=-1)
 
 
-def _solve_raw(lo, b: np.ndarray, left=None, right=None, post=(None, None)) -> np.ndarray:
+# The cached factor of an exact identity (`HermitianPD._representations`).
+_NO_FACTOR = (None, None, None)
+
+
+def _solve_raw(lo, b: np.ndarray, left=_NO_FACTOR, right=None,
+               post=(None, _NO_FACTOR)) -> np.ndarray:
     """X = A^-* B C^-1 (the systems A* Y = B, then X C = Y) for B = b right,
     A = left lo and, with post = (c, c_left), C = c_left c: b is (..., m, n,
-    beta), lo, c and b coefficients, left, c_left and right constants, and A
-    and C lower triangular with real positive diagonals (as `_cholesky_raw`,
-    `HermitianPD.chol` and the Wishart factors give them).  A None is an
-    exact identity: a system without a factor is skipped, and with nothing
-    to do b is returned.  The leading axes broadcast.
+    beta), lo, c and b coefficients, right a constant in the representation,
+    left and c_left constant factors as a scale caches them
+    (`HermitianPD._factor_reps`), and A and C lower triangular with real
+    positive diagonals (as `_cholesky_raw`, `HermitianPD.chol` and the
+    Wishart factors give them).  A None, or a factor of Nones, is an exact
+    identity: a system without a factor is skipped, and with nothing to do
+    b is returned.  The leading axes broadcast.
 
     One system stays in the complex representation: b, lo and c are embedded
     once and multiplied there, each system is one LAPACK solve (X C = Y as
-    C* X* = Y*), and X is unembedded once.  A stack of two or more forms A,
-    B and C on the coefficients (`_product_raw`) for `_substitute_raw`,
-    which reads a factor's strictly lower triangle and its diagonal's real
-    part in place."""
-    first, second = lo is not None or left is not None, any(f is not None for f in post)
+    C* X* = Y*), and X is unembedded once; a constant factor alone is its
+    cached F*.  A stack of two or more forms A, B and C on the coefficients
+    (`_product_raw`), a constant factor alone being its cached coefficients,
+    for `_substitute_raw`, which reads a factor's strictly lower triangle
+    and its diagonal's real part in place."""
+    c, c_left = post
+    first, second = lo is not None or left[0] is not None, c is not None or c_left[0] is not None
     if not (first or second or right is not None):
         return b
-    if not any(_batch(x) > 1 for x in (b, lo, post[0]) if x is not None):
+    if not any(_batch(x) > 1 for x in (b, lo, c) if x is not None):
         adj, done = (lambda z: z.conj().swapaxes(-1, -2)), (lambda z: _complex_unembed_raw(z, b.shape[-1]))
-        factor = (lambda f, g: adj(g if f is None else _represented_product(f, g)))    # A*, A = g f
+        factor = (lambda f, g: g[1] if f is None else adj(_represented_product(f, g[0])))  # A*, A = g f
         x, solve = _represented_product(b, right=right), np.linalg.solve
     else:
-        def factor(f, g):       # the coefficients of A = g f
-            return _product_raw(f, g) if f is not None else _complex_unembed_raw(g, b.shape[-1])
+        factor = (lambda f, g: g[2] if f is None else _product_raw(f, g[0]))  # A = g f
         x, solve, adj, done = _product_raw(b, right=right), _substitute_raw, _conj_t_raw, (lambda z: z)
     # both factors before either solve, so that no solved stack is alive
     # while a factor is formed
-    a, c = (factor(lo, left) if first else None), (factor(*post) if second else None)
+    a, c = (factor(lo, left) if first else None), (factor(c, c_left) if second else None)
     x = solve(a, x) if first else x
     return _conj_t_raw(done(solve(c, adj(x)))) if second else done(x)
 
@@ -898,11 +916,12 @@ class HermitianPD:
     by the largest coefficient, tolerating sampler round-off), symmetrized as
     (A + A*)/2, and Cholesky-factorized eagerly; the factor is cached for
     every determinant and solve downstream.  The factors that the kernels
-    multiply and solve by are cached on first use in their representation
-    (`functools.cached_property`): L (`_factor_reps`) and the lower factor M
-    of A^-1 = M M* (`_inverse_factor_reps`), each None when the matrix is
-    exactly I (`is_identity`), so the kernels skip it, an exact copy of its
-    input.  Neither cache takes part in ==, hash, repr or the schema dict.
+    multiply and solve by are cached on first use (`functools.cached_property`)
+    in their representation, with their adjoints and coefficients: L
+    (`_factor_reps`) and the lower factor M of A^-1 = M M*
+    (`_inverse_factor_reps`), each all None when the matrix is exactly I
+    (`is_identity`), so the kernels skip it, an exact copy of its input.
+    Neither cache takes part in ==, hash, repr or the schema dict.
     """
 
     def __init__(self, mat: DivMatrix):
@@ -951,19 +970,20 @@ class HermitianPD:
 
     @staticmethod
     def _representations(lo) -> tuple:
-        """(F, F*) of a lower factor F, embedded (`_complex_embed_raw`);
-        (None, None) for None, an exact identity."""
-        return (None, None) if lo is None else (
-            _complex_embed_raw(lo), _complex_embed_raw(_conj_t_raw(lo)))
+        """(F, F*, F) of a lower factor F: F and F* embedded
+        (`_complex_embed_raw`), then F's coefficients; `_NO_FACTOR`, all
+        None, for None, an exact identity."""
+        return _NO_FACTOR if lo is None else (
+            _complex_embed_raw(lo), _complex_embed_raw(_conj_t_raw(lo)), lo)
 
     @functools.cached_property
     def _factor_reps(self) -> tuple:
-        """(L, L*) of the cached factor L, L L* = A."""
+        """(L, L*, L) of the cached factor L, L L* = A."""
         return self._representations(None if self.is_identity else self._chol.data)
 
     @functools.cached_property
     def _inverse_factor_reps(self) -> tuple:
-        """(M, M*) of the lower factor M of the inverse, M M* = A^-1: the
+        """(M, M*, M) of the lower factor M of the inverse, M M* = A^-1: the
         factor alone, not a HermitianPD of A^-1, whose checks, log det and
         identity test no kernel reads."""
         return self._representations(

@@ -39,11 +39,13 @@ import numpy as np
 
 from ._version import __version__
 from .algebra import (
+    _SCHEMA_KEYS,
     AlgebraTag,
     _gram_raw,
     _octonion_guard,
     _schema_data,
     _schema_template,
+    _shift_index,
 )
 from .distributions import _FAMILIES, RngStream, _Family, _field_loaders
 from .errors import DomainError, NotPositiveDefinite, OctonionMatrixError
@@ -55,8 +57,13 @@ _CONFIG_ERRORS = (
     OctonionMatrixError, json.JSONDecodeError, FileNotFoundError, IsADirectoryError,
 )
 
-# Rows formatted per write: one block's text is all the writer holds.
+# Rows formatted per write, and points evaluated per density call: one
+# block's text is all the writer holds, and one block's temporaries all
+# that a density call does.
 _BLOCK_ROWS = 4096
+
+# Lines of a --points file parsed, checked and stacked at a time.
+_BLOCK_LINES = 1024
 
 
 class _CliError(Exception):
@@ -222,29 +229,101 @@ def _cmd_sample(args) -> int:
 
 def _read_points(path) -> tuple:
     """The points of a --points JSONL file as one (N, rows, cols, beta) stack,
-    with the line number of each.  Every line is checked on its own (JSON,
-    schema, finite data, the same shape and algebra as the first point), and
-    an error names its line; run-info and blank lines are skipped."""
-    points, linenos = [], []
+    with the line number of each.  Every line is its own JSON value and is
+    read as `_schema_data` reads a matrix (finite data, the same shape and
+    algebra as the first point); the first bad line's error names it.
+    Run-info and blank lines are skipped.  Lines are parsed, checked and
+    stacked `_BLOCK_LINES` at a time, so one block's parsed lines are all
+    the reader holds besides the stack."""
+    blocks, linenos, block = [], [], []
     with (nullcontext(sys.stdin) if path == "-" else open(path)) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                if isinstance(obj, dict) and obj.get("record") == "run-info":
-                    continue
-                _, data = _schema_data(obj)
-                if points and data.shape != points[0].shape:
-                    raise ValueError(
-                        f"point shape/algebra mismatch: (rows, cols, beta) = "
-                        f"{data.shape}, line {linenos[0]} has {points[0].shape}")
-            except _CONFIG_ERRORS as exc:
-                raise _CliError(f"--points line {lineno}: {exc}") from exc
-            points.append(data)
-            linenos.append(lineno)
-    return (np.stack(points) if points else None), linenos
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if line:
+                    block.append((lineno, line))
+                if len(block) == _BLOCK_LINES:
+                    _read_block(block, blocks, linenos)
+                    block = []
+        except ValueError:
+            # a line that cannot be decoded: the lines before it come first
+            _read_block(block, blocks, linenos)
+            raise
+        _read_block(block, blocks, linenos)
+    return (np.concatenate(blocks) if blocks else None), linenos
+
+
+def _read_block(lines, blocks, linenos) -> None:
+    """Parse one block of (lineno, text) lines of a --points file, one
+    `json.loads` each, and stack its points (`_stack_points`).  A JSON error
+    is raised once the lines before it are checked, so the file's first bad
+    line is the one named."""
+    points = []    # (lineno, text, value) of the point lines
+    for lineno, text in lines:
+        try:
+            obj = json.loads(text)
+        except _CONFIG_ERRORS as exc:
+            _stack_points(points, blocks, linenos)
+            raise _CliError(f"--points line {lineno}: {exc}") from exc
+        if not (isinstance(obj, dict) and obj.get("record") == "run-info"):
+            points.append((lineno, text, obj))
+    _stack_points(points, blocks, linenos)
+
+
+def _stack_points(points, blocks, linenos) -> None:
+    """Append the stack of parsed point lines to `blocks` and their line
+    numbers to `linenos`.  The file's first point is read by `_point`
+    alone; the stack is then `_screened_stack`'s, or where the screen
+    cannot tell, each line's `_point`, the first bad line raising."""
+    if not points:
+        return
+    if blocks:
+        first = blocks[0].shape[1:], linenos[0]
+    else:
+        lineno, _, obj = points[0]
+        first = _point(lineno, obj, None).shape, lineno
+    stack = _screened_stack(points, first[0])
+    if stack is None:
+        stack = np.stack([_point(lineno, obj, first) for lineno, _, obj in points])
+    blocks.append(stack)
+    linenos.extend(lineno for lineno, _, _ in points)
+
+
+def _point(lineno, obj, first):
+    """One line's point by `_schema_data`, the one reader of a matrix, of
+    the shape of `first`, the (shape, lineno) of the file's first point
+    (None: this is it); an error names the line."""
+    try:
+        _, data = _schema_data(obj)
+        if first is not None and data.shape != first[0]:
+            raise ValueError(f"point shape/algebra mismatch: (rows, cols, beta) = "
+                             f"{data.shape}, line {first[1]} has {first[0]}")
+    except _CONFIG_ERRORS as exc:
+        raise _CliError(f"--points line {lineno}: {exc}") from exc
+    return data
+
+
+def _screened_stack(points, shape):
+    """The stack of parsed point lines when a screen proves that `_point`
+    reads each of them at the first point's shape (rows, cols, beta) with
+    the same values; None when it cannot tell.  Each line's value must be a
+    dict of exactly the schema keys with the first point's beta, rows and
+    cols, and its text must hold the 8 quotes of those keys (so no string
+    value) and neither true nor false (so no bool).  Then the lines' data
+    convert to floats in one call, of shape (lines,) + shape, all finite."""
+    rows, cols, beta = shape
+    for _, text, obj in points:
+        if not (type(obj) is dict and obj.keys() == _SCHEMA_KEYS
+                and obj["beta"] == beta and obj["rows"] == rows and obj["cols"] == cols
+                and text.count('"') == 8 and "true" not in text and "false" not in text):
+            return None
+    try:
+        stack = np.array([obj["data"] for _, _, obj in points], dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if stack.shape != (len(points),) + shape or not np.isfinite(stack).all():
+        return None
+    return stack
 
 
 def _cmd_density(args) -> int:
@@ -258,15 +337,20 @@ def _cmd_density(args) -> int:
         d = getattr(params, "dim", None)
         stack = np.empty((0,) + ((d, d) if d else (params.m, params.n)) + (params.tag.beta,))
     form = {"form": args.form} if args.form else {}
-    try:
-        values = row.density(params, stack, **form)
-    except _CONFIG_ERRORS as exc:
-        # an error about the points carries the stack index of the first
-        # one at fault; any other is the record's (a law's domain)
-        index = getattr(exc, "index", None)
-        if index is None:
-            raise _CliError(str(exc)) from exc
-        raise _CliError(f"--points line {linenos[index]}: {exc}") from exc
+    values = np.empty(len(stack))
+    # a block of points per call (an empty stack is one call); a point gives
+    # the bits it has in any stack, so the values are the whole stack's
+    for start in range(0, len(stack) or 1, _BLOCK_ROWS):
+        try:
+            values[start:start + _BLOCK_ROWS] = row.density(
+                params, stack[start:start + _BLOCK_ROWS], **form)
+        except _CONFIG_ERRORS as exc:
+            # an error about the points carries the block index of the first
+            # one at fault; any other is the record's (a law's domain)
+            if getattr(exc, "index", None) is None:
+                raise _CliError(str(exc)) from exc
+            _shift_index(exc, start)
+            raise _CliError(f"--points line {linenos[exc.index]}: {exc}") from exc
     _write(args.out, info, "%r", values)
     return 0
 

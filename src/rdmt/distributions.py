@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import MISSING, dataclass, field, fields
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from typing import ClassVar, get_args, get_type_hints
 
 import numpy as np
@@ -308,8 +308,10 @@ class MatricTParams(_JsonRecord):
 
     @cached_property
     def _density_terms(self):
-        """`_matric_t_terms(_computed(self))`, on first use (see Log densities)."""
-        return _matric_t_terms(_computed(self))
+        """form -> `_matric_t_terms(_computed(self), form)`, each form's built
+        on its first use (see Log densities), so one form never computes the
+        other's factors."""
+        return _OnFirstUse(partial(_matric_t_terms, _computed(self)))
 
 
 @dataclass(frozen=True)
@@ -621,7 +623,7 @@ def sample_matric_t(rng: RngStream, params: MatricTParams,
     if method == "wishart_root":
         lo = _bartlett_factor_raw(gen, beta, m, params.nu, nsamp, (user.tag.beta, user.m, user.nu))
         t = _solve_raw(lo, _std_normal_raw(gen, beta, (nsamp, m, n)),
-                       params.Xi._factor_reps[0], params.Sigma._factor_reps[1])
+                       params.Xi._factor_reps, params.Sigma._factor_reps[1])
     elif method == "inverse_root":
         nu_u = params.nu + n - m
         if not nu_u > beta * (n - 1):
@@ -631,8 +633,8 @@ def sample_matric_t(rng: RngStream, params: MatricTParams,
         lu = _bartlett_factor_raw(gen, beta, n, nu_u, nsamp,
                                   (user.tag.beta, user.n, user.nu + user.n - user.m))
         t = _solve_raw(None, _std_normal_raw(gen, beta, (nsamp, m, n)),
-                       params.Xi._factor_reps[0],
-                       post=(lu, params.Sigma._inverse_factor_reps[0]))
+                       params.Xi._factor_reps,
+                       post=(lu, params.Sigma._inverse_factor_reps))
     else:
         raise ValueError(f"unknown matricvariate T method {method!r}")
     return _wrap_single(user.tag, _add_mu(t, params.mu), size)
@@ -665,8 +667,8 @@ def sample_matrix_mt(rng: RngStream, params: MatrixMTParams,
                        f"{2.0 * user.rho / b:g}) that underflowed to 0; nu = {user.nu:g} is too small")
     t1 = _std_normal_raw(gen, beta, (nsamp, m, n))
     t1 /= np.sqrt(s)[:, None, None, None]
-    t1 = _solve_raw(None, t1, params.Delta._factor_reps[0],
-                    post=(None, params.Lambda._factor_reps[0]))
+    t1 = _solve_raw(None, t1, params.Delta._factor_reps,
+                    post=(None, params.Lambda._factor_reps))
     return _wrap_single(user.tag, _add_mu(t1, params.mu), size)
 
 
@@ -703,13 +705,14 @@ def sample_elliptical_t(rng: RngStream, params: EllipticalTParams,
 # any leading axes, so one point simply has none.  A point with a NaN or inf
 # coefficient is refused by `_points`, naming its index.  The pieces that do
 # not depend on the point are computed once per parameter record and cached
-# on it as `_density_terms` (a beta II record as `_matric_terms` and
-# `_mv_terms`, one per law): an attribute, not a dataclass field, so it stays
-# out of ==, repr and the JSON.  The records cache their constant factors
-# and bases in the complex representation, which their kernels read, so a
-# call embeds only its points once: the matric-t bracket is
-# `_logdet_gram_raw`, the matrix-mt trace `_product_raw`'s, and
-# both beta II laws read one eigendecomposition per point (`_beta2_logpdf`).
+# on it as `_density_terms` (a matric-t record's each form's on its first
+# use, a beta II record's as `_matric_terms` and `_mv_terms`, one per law):
+# an attribute, not a dataclass field, so it stays out of ==, repr and the
+# JSON.  The records cache their constant factors and bases in the complex
+# representation, which their kernels read, so a call embeds only its
+# points once: the matric-t bracket is `_logdet_gram_raw`, the matrix-mt
+# trace `_product_raw`'s, and both beta II laws read one eigendecomposition
+# per point (`_beta2_logpdf`).
 # A point's logs are numpy's log or log1p of positive-stride arrays (a
 # reversed 1-D array takes another log), so a point gives a stack's bits.
 # ---------------------------------------------------------------------------
@@ -739,8 +742,20 @@ def _points(params, t, shape: tuple) -> tuple:
     return x, single
 
 
-def _matric_t_terms(params: MatricTParams) -> dict:
-    """form -> (q, factor, base, const) of logpdf_matric_t, whose kernel is
+class _OnFirstUse(dict):
+    """key -> build(key), each value built on its key's first lookup."""
+
+    def __init__(self, build):
+        super().__init__()
+        self._build = build
+
+    def __missing__(self, key):
+        value = self[key] = self._build(key)
+        return value
+
+
+def _matric_t_terms(params: MatricTParams, form: str) -> tuple:
+    """(q, factor, base, const) of logpdf_matric_t's form, whose kernel is
     |base + g* g|^-q: primal g = M* (T-mu)*, M M* = Sigma^-1, with factor M*
     and base Xi^-1, dual g = L_Xi* (T-mu) with factor L_Xi* and base Sigma.
     factor and base are embedded once, as `_logdet_gram_raw` reads them:
@@ -751,26 +766,24 @@ def _matric_t_terms(params: MatricTParams) -> dict:
     beta = tag.beta
     m, n, nu = params.m, params.n, params.nu
     q = beta * (n + nu) / 2.0
-    primal = (
-        log_mvgamma(tag, m, q)
-        - m * n * beta / 2.0 * _LOG_PI
-        - log_mvgamma(tag, m, beta * nu / 2.0)
-        - beta * nu / 2.0 * params.Xi.logdet
-        - beta * m / 2.0 * params.Sigma.logdet
-    )
-    dual = (
+    if form == "primal":
+        const = (
+            log_mvgamma(tag, m, q)
+            - m * n * beta / 2.0 * _LOG_PI
+            - log_mvgamma(tag, m, beta * nu / 2.0)
+            - beta * nu / 2.0 * params.Xi.logdet
+            - beta * m / 2.0 * params.Sigma.logdet
+        )
+        return (q, params.Sigma._inverse_factor_reps[1],
+                _complex_embed_raw(_hpd_inverse_raw(params.Xi.mat.data)), const)
+    const = (
         log_mvgamma(tag, n, q)
         + beta * n / 2.0 * params.Xi.logdet
         + beta * (n + nu - m) / 2.0 * params.Sigma.logdet
         - m * n * beta / 2.0 * _LOG_PI
         - log_mvgamma(tag, n, beta * (n + nu - m) / 2.0)
     )
-    return {
-        "primal": (q, params.Sigma._inverse_factor_reps[1],
-                   _complex_embed_raw(_hpd_inverse_raw(params.Xi.mat.data)), primal),
-        "dual": (q, params.Xi._factor_reps[1],
-                 _complex_embed_raw(params.Sigma.mat.data), dual),
-    }
+    return q, params.Xi._factor_reps[1], _complex_embed_raw(params.Sigma.mat.data), const
 
 
 def logpdf_matric_t(params: MatricTParams, t, form: str = "primal"):
@@ -821,7 +834,7 @@ def _beta2_terms(params: BetaIIParams, law: str) -> tuple:
         else:
             const += jacobian
             reps, size = h._factor_reps, w[0]
-        congruence = (reps[::-1], int(np.frexp(size)[1]), w[0] / w[-1])
+        congruence = ((reps[1], reps[0]), int(np.frexp(size)[1]), w[0] / w[-1])
     return (q, exp_f, const), congruence
 
 

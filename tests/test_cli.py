@@ -553,6 +553,219 @@ class TestMalformedMatrices:
         assert not out.exists()
 
 
+def _point_text(last="1.0", rows="2", beta="1"):
+    """One 2x2 real schema line whose last coefficient's text is `last`."""
+    return ('{"beta": %s, "rows": %s, "cols": 2, "data": [[[2.0], [0.5]], [[0.5], [%s]]]}'
+            % (beta, rows, last))
+
+
+_GOOD = _point_text()
+_BLOCK = 1024    # the reader's `_BLOCK_LINES`
+_LONG = [_point_text(repr(0.25 * k)) for k in range(_BLOCK + 40)]
+
+# a --points file's text -> its case; each is read as the per-line reader
+# reads it (`_per_line_points`)
+READER_CASES = {
+    "nan": f"{_GOOD}\n{_point_text('NaN')}\n",
+    "infinity": f"{_GOOD}\n{_point_text('-Infinity')}\n",
+    "overflow": f"{_GOOD}\n{_point_text('1e400')}\n",
+    "null": f"{_GOOD}\n{_point_text('null')}\n",
+    "ragged": f'{_GOOD}\n{_GOOD.replace("[[0.5], [1.0]]", "[[0.5]]")}\n',
+    "one-level-deeper": f'{_GOOD}\n{_GOOD.replace("[2.0]", "[[2.0]]")}\n',
+    "string": _GOOD + "\n" + _point_text('"1.0"') + "\n",
+    "false": f"{_GOOD}\n{_point_text('false')}\n{_GOOD}\n",
+    "shape": f'{_GOOD}\n{_GOOD}\n{{"beta": 1, "rows": 1, "cols": 1, "data": [[[1.0]]]}}\n',
+    "beta-true": f"{_GOOD}\n{_point_text(beta='true')}\n",
+    "rows-string": _GOOD + "\n" + _point_text(rows='"2"') + "\n",
+    "rows-3": f"{_GOOD}\n{_point_text(rows='3')}\n",
+    "beta-2": f"{_GOOD}\n{_point_text(beta='2')}\n",
+    "bad-first-line": f"{_point_text('true')}\n{_GOOD}\n",
+    "json-first-line": "{\n" + f"{_GOOD}\n",
+    "schema-then-json": f"{_GOOD}\n{_point_text('null')}\n{{not json\n{_GOOD}\n",
+    "json-then-schema": f"{_GOOD}\n[1,\n{_point_text('null')}\n",
+    "run-info-true": '{"record": "run-info", "params": {"flag": true}}\n'
+                     f"{_GOOD}\n{_GOOD}\n",
+    "escaped-key": _GOOD + "\n" + _GOOD.replace('"beta', '"\\u0062eta') + "\n",
+    "crlf": f"{_GOOD}\r\n\r\n{_GOOD}\r\n{_point_text('NaN')}\r\n",
+    "crlf-valid": f"{_GOOD}\r\n{_point_text('3.5')}\r\n",
+    "form-feed": f"{_GOOD}\n\x0c\n{_point_text('null')}\n",
+    "blank-and-spaces": f"  {_GOOD} \n\n\t\n{_point_text('7')}\n",
+    "integral-float-dims": f"{_GOOD}\n{_point_text(rows='2.0')}\n",
+    "int-above-2^63": f"{_GOOD}\n{_point_text(str(2**64 + 1))}\n",
+    "empty": "",
+    "run-info-only": '{"record": "run-info"}\n',
+    "long-valid": "".join(line + "\n" for line in _LONG),
+    "long-second-block-null": "".join(line + "\n" for line in _LONG[:_BLOCK + 3])
+                              + _point_text("null") + "\n" + _GOOD + "\n",
+    "long-second-block-shape": "".join(line + "\n" for line in _LONG[:_BLOCK + 7])
+                               + '{"beta": 1, "rows": 1, "cols": 1, "data": [[[1.0]]]}\n',
+    "long-second-block-json": "".join(line + "\n" for line in _LONG[:_BLOCK + 1])
+                              + "{]\n" + _point_text("null") + "\n",
+}
+
+
+def _per_line_points(path):
+    """(stack, linenos) of a --points file, or the message of its first bad
+    line: each line read on its own, by `_schema_data`, at the first point's
+    shape, the one-line-at-a-time reader that the block reader must match."""
+    from rdmt.algebra import _schema_data
+
+    points, linenos = [], []
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                obj = json.loads(line)
+                if isinstance(obj, dict) and obj.get("record") == "run-info":
+                    continue
+                _, data = _schema_data(obj)
+                if points and data.shape != points[0].shape:
+                    raise ValueError(
+                        f"point shape/algebra mismatch: (rows, cols, beta) = "
+                        f"{data.shape}, line {linenos[0]} has {points[0].shape}")
+            except ValueError as exc:
+                return f"error: --points line {lineno}: {exc}\n"
+            points.append(data)
+            linenos.append(lineno)
+    return (np.stack(points) if points else None), linenos
+
+
+class TestPointsReader:
+    """The reader checks and stacks its lines a block at a time, and reads
+    every file as the per-line reader does: the same stack and line numbers
+    for a good file, the same exit code and message for a bad one."""
+
+    DENSITY = ("density", "--dist", "beta2-mv", "--beta", "1", "--m", "2", "--n", "3",
+               "--nu", "4")
+
+    @pytest.mark.parametrize("case", sorted(READER_CASES))
+    def test_a_file_reads_as_line_by_line(self, tmp_path, capsys, case):
+        from rdmt.cli import _read_points
+
+        pts, out = tmp_path / "pts.jsonl", tmp_path / "d.txt"
+        pts.write_bytes(READER_CASES[case].encode())
+        want = _per_line_points(pts)
+        if isinstance(want, str):
+            code = run_cli(*self.DENSITY, "--points", str(pts), "--out", str(out))
+            assert (code, capsys.readouterr().err) == (2, want)
+            assert not out.exists()
+        else:
+            stack, linenos = _read_points(str(pts))
+            assert linenos == want[1]
+            assert (stack is None and want[0] is None
+                    or stack.shape == want[0].shape and _bits(stack) == _bits(want[0]))
+
+    @pytest.mark.parametrize("case,message", [
+        ("nan", "error: --points line 2: schema key 'data': must be finite (no NaN or inf)\n"),
+        ("null", "error: --points line 2: schema key 'data': coefficients must be "
+                 "numbers, got None\n"),
+        ("schema-then-json", "error: --points line 2: schema key 'data': coefficients "
+                             "must be numbers, got None\n"),
+        ("json-then-schema", "error: --points line 2: Expecting value: line 1 column 4 "
+                             "(char 3)\n"),
+        ("crlf", "error: --points line 4: schema key 'data': must be finite "
+                 "(no NaN or inf)\n"),
+        ("form-feed", "error: --points line 3: schema key 'data': coefficients must be "
+                      "numbers, got None\n"),
+        ("long-second-block-null", f"error: --points line {_BLOCK + 4}: schema key 'data': "
+                                   "coefficients must be numbers, got None\n"),
+        ("long-second-block-shape", f"error: --points line {_BLOCK + 8}: point "
+                                    "shape/algebra mismatch: (rows, cols, beta) = "
+                                    "(1, 1, 1), line 1 has (2, 2, 1)\n"),
+    ])
+    def test_the_first_bad_line_is_named(self, tmp_path, capsys, case, message):
+        pts = tmp_path / "pts.jsonl"
+        pts.write_bytes(READER_CASES[case].encode())
+        code = run_cli(*self.DENSITY, "--points", str(pts), "--out", str(tmp_path / "d"))
+        assert (code, capsys.readouterr().err) == (2, message)
+
+    @pytest.mark.parametrize("case", ["long-valid", "schema-then-json", "crlf"])
+    def test_stdin_reads_as_the_file(self, tmp_path, capsys, monkeypatch, case):
+        import io
+
+        pts = tmp_path / "pts.jsonl"
+        pts.write_bytes(READER_CASES[case].encode())
+        outs, results = (tmp_path / "file.txt", tmp_path / "stdin.txt"), []
+        for points, out in zip((str(pts), "-"), outs):
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(pts.read_bytes())))
+            code = run_cli(*self.DENSITY, "--points", points, "--out", str(out))
+            results.append((code, capsys.readouterr().err,
+                            out.read_text() if out.exists() else None))
+        assert results[0] == results[1]
+        assert results[0][0] == (0 if case == "long-valid" else 2)
+
+
+def _bits(a) -> bytes:
+    return np.ascontiguousarray(a, dtype=float).tobytes()
+
+
+class TestDensityBlocks:
+    """`rdmt density` evaluates its stack `_BLOCK_ROWS` points per call.  A
+    point gives the bits it has in any stack, so the values are the whole
+    stack's, and an error names the line of the point at fault, its index
+    counted over the whole stack."""
+
+    @staticmethod
+    def _cone_points(beta, count):
+        # beta II points: most in the cone at ordinary sizes, every 5th
+        # scaled by 2^400 and every 7th by 2^-400, which the power-of-two
+        # rule scales and the others skip
+        from rdmt.algebra import _gram_raw
+
+        gen = np.random.default_rng(17)
+        f = _gram_raw(gen.normal(size=(count, 2, 3, beta)))
+        f[::5] *= 2.0**400
+        f[3::7] *= 2.0**-400
+        return f
+
+    @pytest.mark.parametrize("dist", ["beta2-matric", "beta2-mv"])
+    @pytest.mark.parametrize("beta", [1, 2, 4])
+    def test_blocks_give_the_whole_stack_bits(self, tmp_path, monkeypatch, dist, beta):
+        import rdmt.cli
+        from rdmt.algebra import AlgebraTag
+
+        points = self._cone_points(beta, 23)
+        pts, out = tmp_path / "pts.jsonl", tmp_path / "d.txt"
+        pts.write_text("".join(json.dumps({"beta": beta, "rows": 2, "cols": 2,
+                                           "data": p.tolist()}) + "\n" for p in points))
+        row = _FAMILIES[dist]
+        want = row.density(row.record(AlgebraTag(beta), 2, 3, 9.5), points)
+        assert np.isfinite(want).all()
+        texts = []
+        for block in (4, 5, 4096):
+            monkeypatch.setattr(rdmt.cli, "_BLOCK_ROWS", block)
+            assert run_cli("density", "--dist", dist, "--beta", str(beta), "--m", "2",
+                           "--n", "3", "--nu", "9.5", "--points", str(pts),
+                           "--out", str(out)) == 0
+            texts.append(out.read_text())
+            values = np.array([float(v) for v in texts[-1].splitlines()[1:]])
+            assert _bits(values) == _bits(want)
+        assert texts[0] == texts[1] == texts[2]
+
+    @pytest.mark.parametrize("block", [3, 4096])
+    def test_an_error_names_its_line_and_whole_stack_index(self, tmp_path, capsys,
+                                                          monkeypatch, block):
+        import rdmt.cli
+
+        monkeypatch.setattr(rdmt.cli, "_BLOCK_ROWS", block)
+        good = {"beta": 1, "rows": 2, "cols": 2, "data": [[[2.0], [0.5]], [[0.5], [1.0]]]}
+        skew = {"beta": 1, "rows": 2, "cols": 2, "data": [[[2.0], [0.5]], [[0.0], [1.0]]]}
+        # line 9 is the stack's index 6: the run-info and blank lines count
+        # as lines, not as points
+        lines = ['{"record": "run-info"}'] + [json.dumps(good)] * 6 + [""] \
+            + [json.dumps(skew)] + [json.dumps(good)] * 3
+        pts = tmp_path / "pts.jsonl"
+        pts.write_text("".join(line + "\n" for line in lines))
+        code = run_cli("density", "--dist", "beta2-matric", "--beta", "1", "--m", "2",
+                       "--n", "3", "--nu", "4", "--points", str(pts),
+                       "--out", str(tmp_path / "d.txt"))
+        assert (code, capsys.readouterr().err) == (
+            2, "error: --points line 9: the evaluation point at index 6 is not "
+               "Hermitian: max |A - A*| coefficient 5.000e-01\n")
+
+
 class TestRho:
     @pytest.mark.parametrize("dist", ["gamma", "matrix-mt"])
     @pytest.mark.parametrize("rho", ["0", "-1.5"])

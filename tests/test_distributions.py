@@ -977,6 +977,29 @@ class TestParamSerialization:
         fresh = dataclasses.replace(params)
         assert "_density_terms" not in vars(fresh) and fresh == params
 
+    def test_each_form_builds_its_terms_on_first_use(self, rng, monkeypatch):
+        import rdmt.distributions as dist
+
+        built, terms = [], dist._matric_t_terms
+        monkeypatch.setattr(dist, "_matric_t_terms",
+                            lambda params, form: built.append(form) or terms(params, form))
+        x = random_matrix(rng, H, 2, 3)
+        records = [MatricTParams(H, 2, 3, 9.0, random_matrix(rng, H, 2, 3),
+                                 random_hpd(rng, H, 2), random_hpd(rng, H, 3))
+                   for _ in range(2)]
+        # the dual form's factor is Xi's L, the primal's Sigma^-1's M: a
+        # record that evaluates one form never builds the other's
+        for params, form, other, (scale, cache) in (
+                (records[0], "dual", "primal", ("Sigma", "_inverse_factor_reps")),
+                (records[1], "primal", "dual", ("Xi", "_factor_reps"))):
+            built.clear()
+            value = logpdf_matric_t(params, x, form)
+            logpdf_matric_t(params, x, form)
+            assert built == [form]
+            assert cache not in vars(getattr(params, scale))
+            assert abs(logpdf_matric_t(params, x, other) - value) <= 1e-9 * abs(value)
+            assert built == [form, other]
+
     def test_sampler_factors_stay_out_of_fields_and_json(self, rng):
         t_params = MatricTParams(H, 2, 3, 9.0, random_matrix(rng, H, 2, 3),
                                  random_hpd(rng, H, 2), random_hpd(rng, H, 3))
@@ -1310,9 +1333,10 @@ class TestPointIsAStackOfOne:
 class TestSolveContract:
     """Every triangular solve of the samplers hands the kernel lower
     factors A = left lo, lower triangular with real positive diagonals, a
-    random lo as it comes and a record's factor as its cached
-    representation, and the kernel solves A* X = B.  The matric-t densities
-    solve nothing: both forms are products."""
+    random lo as it comes and a record's factor as it caches it (embedded,
+    its adjoint embedded, and its coefficients), and the kernel solves
+    A* X = B.  The matric-t densities solve nothing: both forms are
+    products."""
 
     @staticmethod
     def _check(lo):
@@ -1330,14 +1354,16 @@ class TestSolveContract:
         calls = []
         solve = dist._solve_raw
 
-        def checked(lo, b, left=None, right=None, post=(None, None)):
+        def checked(lo, b, left=(None,) * 3, right=None, post=(None, (None,) * 3)):
             for f, g in ((lo, left), post):
                 if f is not None:
                     self._check(f)
-                if g is not None:   # a constant, embedded as the records cache it
-                    self._check(_complex_unembed_raw(g, b.shape[-1]))
-                if f is not None or g is not None:
-                    calls.append((f is None, g is None))
+                if g[0] is not None:    # a constant factor as the records cache it
+                    self._check(g[2])
+                    assert np.array_equal(_complex_unembed_raw(g[0], b.shape[-1]), g[2])
+                    assert np.array_equal(g[1], _complex_embed_raw(_conj_t_raw(g[2])))
+                if f is not None or g[0] is not None:
+                    calls.append((f is None, g[0] is None))
             return solve(lo, b, left, right, post)
 
         monkeypatch.setattr(dist, "_solve_raw", checked)

@@ -346,11 +346,15 @@ class TestIdentitySkip:
 
         def spy(kernel):
             def call(*args, **kwargs):
-                for x in list(args) + list(kwargs.values()):
-                    # the solve's second system comes as a pair
-                    for y in x if isinstance(x, tuple) else (x,):
-                        if _is_identity(y):
-                            seen.append((kernel.__name__, y.shape))
+                # the solve's second system comes as a pair, and its cached
+                # factors as (F, F*, F) triples
+                pending = list(args) + list(kwargs.values())
+                while pending:
+                    x = pending.pop()
+                    if isinstance(x, tuple):
+                        pending.extend(x)
+                    elif _is_identity(x):
+                        seen.append((kernel.__name__, x.shape))
                 return kernel(*args, **kwargs)
             return call
 
@@ -379,8 +383,8 @@ class TestIdentitySkip:
         computed = params._image if tag == O else params
         products = []
 
-        def counted(lo, b, left=None, right=None, post=(None, None)):
-            products.append(left is not None and left is computed.Xi._factor_reps[0])
+        def counted(lo, b, left=(None,) * 3, right=None, post=(None, (None,) * 3)):
+            products.append(left is computed.Xi._factor_reps)
             return _solve_raw(lo, b, left, right, post)
 
         monkeypatch.setattr(dist, "_solve_raw", counted)
@@ -398,12 +402,20 @@ class TestIdentitySkip:
         params = MatricTParams(tag, m, n, tag.beta * n + 3.0, random_matrix(gen, tag, m, n),
                                random_hpd(gen, tag, m), random_hpd(gen, tag, n))
         w_params = WishartParams(tag, m, tag.beta * m + 2.0, random_hpd(gen, tag, m))
+        mt_params = MatrixMTParams(tag, m, n, tag.beta * n + 3.0, 1.5,
+                                   random_matrix(gen, tag, m, n), random_hpd(gen, tag, m),
+                                   random_hpd(gen, tag, n))
+        # the solves by a scale's factor alone (inverse_root's Xi, both of
+        # matrix-mt's) read its cached adjoint, or for a stack its cached
+        # coefficients, with the bits of the factor's own
         cases = [(lambda rng, method=method: sample_matric_t(rng, params, method, size),
                   lambda g, k, method=method: _spelled_matric_t(params, method, g, k))
                  for method in ("wishart_root", "inverse_root")]
         cases += [(lambda rng, method=method: sample_wishart(rng, w_params, method, size),
                    lambda g, k, method=method: _spelled_wishart(w_params, method, g, k))
                   for method in ("bartlett", "gram")]
+        cases.append((lambda rng: sample_matrix_mt(rng, mt_params, size),
+                      lambda g, k: _spelled_matrix_mt(mt_params, g, k)))
         for sampler, spelled in cases:
             # twice: the first draw builds the record's cached factors
             for k in range(2):
@@ -553,7 +565,7 @@ class TestCachedSigmaInverseFactor:
 
     def test_identity_sigma_has_no_factor(self):
         params = MatricTParams(C, 2, 3, 7.0)
-        assert params.Sigma._inverse_factor_reps == (None, None)
+        assert params.Sigma._inverse_factor_reps == (None, None, None)
         assert params._density_terms["primal"][1] is None
 
     def test_beta2_terms_build_no_hermitian_pd(self, monkeypatch):
@@ -571,7 +583,7 @@ class TestCachedSigmaInverseFactor:
         monkeypatch.setattr(HermitianPD, "__init__", spy)
         terms = {law: dist._beta2_terms(params, law) for law in ("matric", "mv")}
         assert not built
-        cached = params.scale._inverse_factor_reps[::-1]
+        cached = params.scale._inverse_factor_reps[1::-1]
         assert all(a is b for a, b in zip(terms["matric"][1][0], cached))
 
     @pytest.mark.parametrize("tag,d", [(R, 2), (C, 2), (H, 2), (O, 1)])

@@ -63,8 +63,14 @@ elliptical-t), the 3x1 beta II densities at beta = 8, whose laws are the
 wide laws', and the 3x1 beta2-matric sample, which is refused.  Last come
 JSON matrices that the one schema reader refuses, each as a --points line
 and as a --params file's Xi: numbers where integers belong, a bool or a
-string for a number, an unknown or a missing key, and a list or null
-(null only as a point, since a null Xi is the default).
+string for a number, an unknown or a missing key, a list or null (null
+only as a point, since a null Xi is the default), a NaN, infinite or null
+coefficient, ragged data and data nested one level too deep.  Then come
+--points files that the reader must read line by line, whatever block of
+lines holds a fault: a coefficient written 1e400, a bad first line, a
+schema error followed by a JSON error, a bad line past the first 1024,
+CRLF and form-feed line ends, a run-info line holding true, an escaped
+key, and a good file of more than 1024 lines.
 """
 
 from __future__ import annotations
@@ -142,6 +148,37 @@ MALFORMED = {
     "no-data": {"beta": 1, "rows": 2, "cols": 2},
     "list": [1, 2, 2],
     "null": None,
+    "coefficient-nan": {"beta": 1, "rows": 2, "cols": 2,
+                        "data": [[[2.0], [0.5]], [[0.5], [math.nan]]]},
+    "coefficient-infinity": {"beta": 1, "rows": 2, "cols": 2,
+                             "data": [[[2.0], [0.5]], [[0.5], [-math.inf]]]},
+    "coefficient-null": {"beta": 1, "rows": 2, "cols": 2,
+                         "data": [[[2.0], [0.5]], [[0.5], [None]]]},
+    "ragged": {"beta": 1, "rows": 2, "cols": 2, "data": [[[2.0], [0.5]], [[0.5]]]},
+    "nested-deeper": {"beta": 1, "rows": 2, "cols": 2,
+                      "data": [[[[2.0]], [[0.5]]], [[[0.5]], [[1.0]]]]},
+}
+
+# name -> the text of a --points file, with 2x2 real points; the reader
+# names the first bad line of each "fail-" file, whatever block holds it,
+# and numbers lines as iterating the file does (CRLF is one line end, a
+# form feed none)
+_LINE = json.dumps({"beta": 1, "rows": 2, "cols": 2, "data": _REAL_2X2})
+_NULL_LINE = _LINE.replace("1.0]", "null]")
+_BLOCK_LINES = 1024
+_LONG = "".join(_LINE.replace("1.0]", f"{1.0 + k / 64}]") + "\n"
+                for k in range(_BLOCK_LINES + 30))
+POINTS_TEXTS = {
+    "fail-coefficient-1e400": f"{_LINE}\n{_LINE.replace('1.0]', '1e400]')}\n",
+    "fail-first-line": f"{_LINE.replace('1.0]', 'true]')}\n{_LINE}\n",
+    "fail-schema-then-json": f"{_LINE}\n{_NULL_LINE}\n{{\n{_LINE}\n",
+    "fail-second-block": _LONG + f"{_NULL_LINE}\n{_LINE}\n",
+    "fail-crlf": f"{_LINE}\r\n\r\n{_LINE}\r\n{_LINE.replace('1.0]', 'NaN]')}\r\n",
+    "fail-form-feed": f"{_LINE}\n\x0c\n{_NULL_LINE}\n",
+    "run-info-true": f'{{"record": "run-info", "flag": true}}\n{_LINE}\n{_LINE}\n',
+    "escaped-key": f"{_LINE}\n{_LINE.replace(chr(34) + 'beta', chr(34) + chr(92) + 'u0062eta')}\n",
+    "crlf": f"{_LINE}\r\n{_LINE}\r\n",
+    "long": _LONG,
 }
 
 
@@ -294,6 +331,11 @@ def _inputs(root: str) -> dict:
             json.dump({"family": "matric-t", "beta": 1, "m": 2, "n": 3, "nu": 9.0,
                        "Xi": bad}, fh)
         files[f"params-malformed-Xi-{name}"] = path
+    for name, text in POINTS_TEXTS.items():
+        path = os.path.join(root, f"points-{name}.jsonl")
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+        files[f"points-{name}"] = path
     for name, suite in SUITES.items():
         path = os.path.join(root, f"suite-{name}.json")
         with open(path, "w") as fh:
@@ -591,6 +633,11 @@ def _commands(files: dict) -> list:
             cmds.append((f"fail-density-params-Xi-{name}",
                          ["density", "--dist", "matric-t", "--params",
                           files[f"params-malformed-Xi-{name}"]] + t_points))
+    for name in POINTS_TEXTS:
+        case = name.removeprefix("fail-")
+        cmds.append(("fail-" * (case != name) + f"density-file-{case}",
+                     ["density", "--dist", "beta2-mv", "--nu", "4"] + shape(1)
+                     + ["--points", files[f"points-{name}"], "--out", "{out}"]))
     return cmds
 
 
